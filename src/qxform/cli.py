@@ -715,6 +715,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
+        if args.jobs < 1:
+            print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+            return 1
         return run_experiment(args.config, args.overrides, args.out, args.jobs)
     if args.command == "list":
         print(list_experiments())

@@ -6,6 +6,7 @@ driven counterpart with its correction gate, and the time-rescaling check.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -368,6 +369,14 @@ def _sweep_point(args) -> AqcRunResult:
     )
 
 
+def _sweep_workers(jobs: int, n_points: int, n_cpus: int | None) -> int:
+    """Pool size for a sweep: ``jobs`` clamped to the point and CPU counts
+    (``n_cpus`` is ``os.cpu_count()``, None when unknown)."""
+    if int(jobs) < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(int(jobs), n_points, n_cpus or 1)
+
+
 def annealing_doubling_sweep(
     problem,
     t_initial: float = 1.0,
@@ -386,8 +395,9 @@ def annealing_doubling_sweep(
         (problem, transverse0, t, max(400, int(math.ceil(steps_per_unit_time * t))))
         for t in ts
     ]
-    if int(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
+    workers = _sweep_workers(jobs, len(args), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return tuple(pool.map(_sweep_point, args))
     return tuple(_sweep_point(a) for a in args)
 

@@ -99,7 +99,7 @@ def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # (B,p,q) x (B,r,s) -> (B, p*r, q*s)
     B, p, q = a.shape
     r, s = b.shape[-2:]
-    return np.einsum("bpq,brs->bprqs", a, b).reshape(B, p * r, q * s)
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(B, p * r, q * s)
 
 
 class TimeDependentHamiltonian:
@@ -183,7 +183,7 @@ class TimeDependentHamiltonian:
                 out += cur
         skew = out - out.conj().transpose(0, 2, 1)
         defect = float(np.sqrt((np.abs(skew) ** 2).sum(axis=(1, 2)).max()))
-        if defect > 1e-12:
+        if not (defect <= 1e-12):
             raise RuntimeError(
                 f"evaluated Hamiltonian is not Hermitian (defect {defect:.3e}); "
                 "a coefficient function returned a non-real value"

@@ -19,6 +19,10 @@ import numpy as np
 # Dense storage keeps runs at desk scale; reject anything larger outright.
 MAX_QUBITS = 10
 
+# Stacked kernels use batched @ from this dimension up and einsum below it.
+# Crossover on one Xeon core, OpenBLAS: einsum wins at dim 2, @ from dim 4 up.
+_MATMUL_MIN_DIM = 4
+
 _PAULI = {
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -146,7 +150,7 @@ def hermitian_expm(generator: np.ndarray, scale: float) -> np.ndarray:
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"generator must be a square matrix, got shape {g.shape}")
     defect = hermiticity_defect(g)
-    if defect > 1e-12 * g.shape[0]:
+    if not (defect <= 1e-12 * g.shape[0]):
         raise ValueError(f"generator is not Hermitian (defect {defect:.3e})")
     w, v = np.linalg.eigh(g)
     return (v * np.exp(-1j * scale * w)) @ v.conj().T
@@ -157,7 +161,11 @@ def _hermitian_expm_stack(generators: np.ndarray, scale: float) -> np.ndarray:
     # the Hamiltonian evaluator that produced the stack.
     w, v = np.linalg.eigh(generators)
     phases = np.exp(-1j * scale * w)
-    return np.einsum("kij,kj,klj->kil", v, phases, v.conj())
+    if v.shape[-1] < _MATMUL_MIN_DIM:
+        return np.einsum("kij,kj,klj->kil", v, phases, v.conj())
+    v_dag = v.conj().transpose(0, 2, 1)
+    v *= phases[:, None, :]  # in place: v is eigh's own output
+    return v @ v_dag
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    _MATMUL_MIN_DIM,
     _hermitian_expm_stack,
     hermitian_expm,
     normalization_defect,
@@ -134,14 +135,17 @@ class PropagatorTrace:
 
 def _batch_defects(us: np.ndarray) -> np.ndarray:
     eye = np.eye(us.shape[-1])
-    gram = np.einsum("kji,kjl->kil", us.conj(), us)
+    if us.shape[-1] < _MATMUL_MIN_DIM:
+        gram = np.einsum("kji,kjl->kil", us.conj(), us)
+    else:
+        gram = us.conj().transpose(0, 2, 1) @ us
     return np.sqrt((np.abs(gram - eye) ** 2).sum(axis=(1, 2)))
 
 
 def _check_stored(us: np.ndarray, indices: np.ndarray, what: str) -> float:
     defects = _batch_defects(us)
     worst = int(np.argmax(defects))
-    if defects[worst] > DEFECT_LIMIT:
+    if not (defects[worst] <= DEFECT_LIMIT):
         raise UnitarityError(
             f"{what} at step {int(indices[worst])} has unitarity defect "
             f"{defects[worst]:.3e} > {DEFECT_LIMIT:g}",
@@ -190,7 +194,7 @@ def propagate(
         steps = _hermitian_expm_stack(h_mid, dt)
         step_defects = _batch_defects(steps)
         worst = int(np.argmax(step_defects))
-        if step_defects[worst] > DEFECT_LIMIT:
+        if not (step_defects[worst] <= DEFECT_LIMIT):
             raise UnitarityError(
                 f"step unitary {lo + worst} has defect {step_defects[worst]:.3e}",
                 step_index=lo + worst,
@@ -224,7 +228,7 @@ def sample_trace(fn, grid: TimeGrid, label: str = "", stride: int = 1) -> Propag
     times = grid.times()[indices]
     mats = np.stack([np.asarray(fn(t), dtype=complex) for t in times])
     first_gap = float(np.linalg.norm(mats[0] - np.eye(mats.shape[-1])))
-    if first_gap > 1e-10:
+    if not (first_gap <= 1e-10):
         raise ValueError(
             f"sampled propagator at t={times[0]} deviates from identity by {first_gap:.3e}"
         )

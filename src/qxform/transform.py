@@ -97,14 +97,14 @@ def _finalize_transform(
 ) -> TransformTrace:
     if identity_start:
         first_gap = float(np.linalg.norm(mats[0] - np.eye(mats.shape[-1])))
-        if first_gap > 1e-12:
+        if not (first_gap <= 1e-12):
             raise ValueError(
                 f"transform at t={times[0]} deviates from the identity by {first_gap:.3e}"
             )
         mats[0] = np.eye(mats.shape[-1])
     defects = _batch_defects(mats)
     worst = int(np.argmax(defects))
-    if defects[worst] > DEFECT_LIMIT:
+    if not (defects[worst] <= DEFECT_LIMIT):
         raise UnitarityError(
             f"transform matrix at node {worst} has unitarity defect {defects[worst]:.3e}",
             step_index=worst,

@@ -130,6 +130,16 @@ class TestConfigErrors:
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path, "nmr.json", small_nmr_config())
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--jobs" in err
+        assert not out.exists()
+
 
 class TestOtherExperiments:
     def test_verify_transform_self_pair(self, tmp_path):

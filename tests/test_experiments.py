@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qxform.experiments import (
+    _sweep_workers,
     annealing_doubling_sweep,
     expected_min_fidelity,
     run_annealing_experiment,
@@ -169,6 +170,18 @@ class TestAnnealingRuns:
             p.success_probability for p in par
         ]
         assert [p.min_gap for p in seq] == [p.min_gap for p in par]
+
+    @pytest.mark.parametrize(
+        "jobs,n_points,n_cpus,expected",
+        [(1, 7, 2, 1), (2, 7, 2, 2), (64, 7, 2, 2), (64, 3, 16, 3), (64, 7, None, 1)],
+    )
+    def test_sweep_workers_clamped(self, jobs, n_points, n_cpus, expected):
+        assert _sweep_workers(jobs, n_points, n_cpus) == expected
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_sweep_workers_rejects_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            _sweep_workers(jobs, 7, 2)
 
 
 class TestFastCounterpart:

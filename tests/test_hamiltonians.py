@@ -9,6 +9,7 @@ from qxform.hamiltonians import (
     GroverProblem,
     IsingProblem,
     TimeDependentHamiltonian,
+    _kron_stack,
     annealing_hamiltonian,
     default_transverse_strength,
     fast_counterpart_hamiltonian,
@@ -210,6 +211,14 @@ class TestEvaluation:
             stack = h.matrix_stack(ts)
             for k, t in enumerate(ts):
                 np.testing.assert_allclose(stack[k], h.matrix(float(t)), atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_kron_stack_matches_per_row_kron(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(6, dim // 2, dim // 2)) + 1j * rng.normal(size=(6, dim // 2, dim // 2))
+        b = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+        expected = np.stack([np.kron(x, y) for x, y in zip(a, b)])
+        assert np.array_equal(_kron_stack(a, b), expected)
 
     def test_string_outside_register_rejected(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from qxform.operators import (
     MAX_QUBITS,
     PauliString,
+    _hermitian_expm_stack,
     basis_state,
     fidelity,
     hermitian_expm,
@@ -191,6 +192,21 @@ class TestHermitianExpm:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_expm(bad, 1.0)
+
+    def test_nan_generator_rejected(self):
+        bad = np.array([[0.0, np.nan], [np.nan, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_expm(bad, 1.0)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_stack_matches_per_matrix(self, dim):
+        # covers both sides of the einsum / batched-matmul switch
+        rng = np.random.default_rng(dim)
+        gens = np.stack([random_hermitian(rng, dim) for _ in range(24)])
+        scale = 0.37
+        stack = _hermitian_expm_stack(gens, scale)
+        for g, u in zip(gens, stack):
+            assert np.abs(u - hermitian_expm(g, scale)).max() <= 1e-13
 
 
 class TestPhaseAlignment:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,11 +9,13 @@ from qxform.hamiltonians import (
     annealing_hamiltonian,
     nmr_hamiltonian,
 )
-from qxform.operators import basis_state, fidelity, phase_aligned_distance
+from qxform.operators import basis_state, fidelity, phase_aligned_distance, unitarity_defect
 from qxform.propagation import (
     PropagatorTrace,
     TimeGrid,
     UnitarityError,
+    _batch_defects,
+    _check_stored,
     nmr_fast_propagator,
     nmr_slow_propagator,
     propagate,
@@ -94,11 +98,35 @@ class TestPropagate:
         full = propagate(nmr_hamiltonian(p), grid)
         np.testing.assert_allclose(trace.final, full.final, atol=1e-14)
 
+    def test_infinite_drive_fails_loudly(self):
+        # inf * cos(phase) evaluates to NaN entries, which no gate may let through
+        h = nmr_hamiltonian(NmrParams.harmonic(1.0, 2.0, math.inf))
+        with pytest.raises(RuntimeError):
+            propagate(h, TimeGrid(0.0, 1.0, 16))
+
     def test_memory_guard_suggests_stride(self):
         problem = IsingProblem(10, fields=(0.0,) * 10)
         h = annealing_hamiltonian(Constant(0.0), problem)
         with pytest.raises(ValueError, match="stride"):
             propagate(h, TimeGrid(0.0, 1.0, 200_000))
+
+
+class TestDefectGates:
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_batch_defects_match_per_matrix(self, dim):
+        # covers both sides of the einsum / batched-matmul switch
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(24, dim, dim)) + 1j * rng.normal(size=(24, dim, dim))
+        us = np.linalg.qr(a)[0] + 1e-9 * rng.normal(size=(24, dim, dim))
+        expected = [unitarity_defect(u) for u in us]
+        np.testing.assert_allclose(_batch_defects(us), expected, rtol=0, atol=1e-14)
+
+    def test_nan_stored_node_is_rejected(self):
+        us = np.stack([np.eye(2, dtype=complex)] * 5)
+        us[3, 0, 1] = np.nan
+        with pytest.raises(UnitarityError, match="at step 6 ") as info:
+            _check_stored(us, np.arange(0, 10, 2), "stored unitary")
+        assert info.value.step_index == 6
 
 
 class TestAnalyticPropagators:
