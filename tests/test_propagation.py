@@ -99,7 +99,7 @@ class TestPropagate:
         np.testing.assert_allclose(trace.final, full.final, atol=1e-14)
 
     def test_infinite_drive_fails_loudly(self):
-        # inf * cos(phase) evaluates to NaN entries, which no gate may let through
+        # infinite matrix entries make every defect NaN, which no gate may let through
         h = nmr_hamiltonian(NmrParams.harmonic(1.0, 2.0, math.inf))
         with pytest.raises(RuntimeError):
             propagate(h, TimeGrid(0.0, 1.0, 16))
