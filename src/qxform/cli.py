@@ -1,19 +1,25 @@
 """Command-line front end: declarative experiment configs in, deterministic
 structured results out.
 
-Configs are strict JSON: unknown keys are rejected, schedules are declared by
-kind name plus parameters, and a result record with per-tolerance verdicts is
-written as ``result.json`` next to optional CSV curves.  Exit codes: 0 all
-verdicts pass, 1 usage or config error, 2 a verdict failed.
+One table, ``EXPERIMENTS``, declares each experiment kind's fields and
+tolerances; it checks configs, builds verdicts and renders ``qxform list``.
+Configs are strict JSON, checked in full before any numerics run: unknown
+keys, wrong types, non-finite numbers (also from ``--set``) and tolerances
+that are unknown or lack their block are rejected, naming the field.  A
+result record with per-tolerance verdicts is written as ``result.json`` next
+to optional CSV curves.  Exit codes: 0 all verdicts pass; 1 usage, config,
+input or numerical-input error, as one stderr line; 2 a verdict failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,9 +50,8 @@ from .experiments import (
     run_nmr_experiment,
 )
 
-EXPERIMENT_KINDS = ("nmr", "grover", "ising", "verify-transform", "rescale")
-
-# Health gate applied to every run, independent of user tolerances.
+# Health gate applied to every run of a kind that declares it, independent of
+# user tolerances.
 UNITARITY_GATE = 1e-10
 
 
@@ -57,7 +62,49 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Strict config parsing
+# Declarations: a field, a tolerance, an experiment kind
+
+
+class Field(NamedTuple):
+    """One config key.  ``type`` names a parser in ``_PARSERS`` or is a dict
+    of fields for a sub-block; a missing or null key takes ``default``, or is
+    an error when the default is ``...`` (required)."""
+
+    type: str | dict
+    default: object = ...
+    choices: tuple = ()
+
+
+class Tolerance(NamedTuple):
+    """One ``tolerances`` key: the verdict it adds, the value that verdict
+    compares (a metric key, or a function of the metrics dict), the comparison
+    (``"is"`` marks a ``require_*`` flag whose ``true`` asks for a passing
+    check), and the sub-block the metric needs."""
+
+    verdict: str
+    value: str | Callable[[dict], object]
+    comparison: str
+    needs: str | None = None
+
+
+class Experiment(NamedTuple):
+    description: str
+    fields: dict
+    tolerances: dict
+    # (parsed fields, jobs) -> (metrics, curves)
+    run: Callable
+    # builds the parsed "problem" from the top-level fields
+    problem: str | None = None
+    # adds the "unitarity" verdict on max_unitarity_defect to every run
+    unitarity_gate: bool = False
+
+
+# ---------------------------------------------------------------------------
+# Strict parsing against the declarations
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else key
 
 
 def _require_mapping(obj, path):
@@ -66,204 +113,176 @@ def _require_mapping(obj, path):
     return obj
 
 
-def _check_keys(obj, allowed, path):
-    unknown = sorted(set(obj) - set(allowed))
+def _parse(obj, fields, path, extra=()):
+    """Check obj's keys against fields and return every field's parsed value."""
+    allowed = {*fields, *extra}
+    unknown = sorted(set(_require_mapping(obj, path)) - allowed)
     if unknown:
         raise ConfigError(
-            f"{path + '.' if path else ''}{unknown[0]}",
-            f"unknown key (allowed: {', '.join(sorted(allowed))})",
+            _join(path, unknown[0]), f"unknown key (allowed: {', '.join(sorted(allowed))})"
         )
+    return {name: _value(obj, name, path, field) for name, field in fields.items()}
 
 
-def _field(obj, key, path, kind, required=False, default=None, allow_null=False):
-    if key not in obj or obj[key] is None:
-        if key in obj and obj[key] is None and allow_null:
-            return None
-        if required:
-            raise ConfigError(f"{path + '.' if path else ''}{key}", "required field is missing")
-        return default
-    value = obj[key]
-    where = f"{path + '.' if path else ''}{key}"
-    if kind == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(where, f"expected a number, got {value!r}")
-        return float(value)
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(where, f"expected an integer, got {value!r}")
-        return int(value)
-    if kind == "positive_int":
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(where, f"expected a positive integer, got {value!r}")
-        return int(value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(where, f"expected true/false, got {value!r}")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(where, f"expected a string, got {value!r}")
-        return value
-    raise AssertionError(kind)
-
-
-def _number_list(obj, key, path, required=False):
-    where = f"{path + '.' if path else ''}{key}"
-    if key not in obj:
-        if required:
+def _value(obj, key, path, field):
+    where = _join(path, key)
+    raw = obj.get(key)
+    if raw is None:
+        if field.default is ...:
             raise ConfigError(where, "required field is missing")
-        return None
-    value = obj[key]
+        return field.default
+    if isinstance(field.type, dict):
+        return _parse(raw, field.type, where)
+    value = _PARSERS[field.type](raw, where)
+    if field.choices and value not in field.choices:
+        raise ConfigError(where, f"expected one of {', '.join(field.choices)}, got {value!r}")
+    return value
+
+
+def _expect(ok, value, where, what):
+    if not ok:
+        raise ConfigError(where, f"expected {what}, got {value!r}")
+    return value
+
+
+def _number(value, where):
+    _expect(type(value) in (int, float), value, where, "a number")
+    # NaN fails the comparison; so does an integer literal float() would overflow
+    _expect(abs(value) <= sys.float_info.max, value, where, "a finite number")
+    return float(value)
+
+
+def _numbers(value, where):
     if not isinstance(value, list) or not value:
         raise ConfigError(where, "expected a non-empty list of numbers")
+    return tuple(_number(v, f"{where}[{k}]") for k, v in enumerate(value))
+
+
+def _couplings(value, where):
+    if not isinstance(value, list):
+        raise ConfigError(where, "expected a list of [i, j, J] triples")
     out = []
-    for k, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{where}[{k}]", f"expected a number, got {v!r}")
-        out.append(float(v))
-    return out
+    for k, entry in enumerate(value):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ConfigError(f"{where}[{k}]", f"expected [i, j, J], got {entry!r}")
+        i, j, coupling = _numbers(entry, f"{where}[{k}]")
+        out.append((int(i), int(j), coupling))
+    return tuple(out)
 
 
-_SCHEDULE_KEYS = {
-    "constant": {"value"},
-    "linear_ramp": {"start", "stop", "duration"},
-    "cosine_ramp": {"start", "stop", "duration"},
-    "harmonic": {"rate"},
-    "tabulated": {"times", "values"},
+# kind -> (constructor, parameter names); every parameter is a number except
+# tabulated's sample lists.
+_SCHEDULES = {
+    "constant": (Constant, ("value",)),
+    "linear_ramp": (LinearRamp, ("start", "stop", "duration")),
+    "cosine_ramp": (CosineRamp, ("start", "stop", "duration")),
+    "harmonic": (Harmonic, ("rate",)),
+    "tabulated": (Tabulated, ("times", "values")),
 }
 
 
 def _schedule(obj, path):
-    _require_mapping(obj, path)
-    kind = _field(obj, "kind", path, "str", required=True)
-    if kind not in _SCHEDULE_KEYS:
+    kind = _value(_require_mapping(obj, path), "kind", path, Field("string"))
+    if kind not in _SCHEDULES:
         raise ConfigError(
-            f"{path}.kind",
-            f"unknown schedule kind {kind!r} (one of: {', '.join(sorted(_SCHEDULE_KEYS))})",
+            _join(path, "kind"),
+            f"unknown schedule kind {kind!r} (one of: {', '.join(sorted(_SCHEDULES))})",
         )
-    _check_keys(obj, {"kind"} | _SCHEDULE_KEYS[kind], path)
-    if kind == "constant":
-        return Constant(_field(obj, "value", path, "number", required=True))
-    if kind == "harmonic":
-        return Harmonic(_field(obj, "rate", path, "number", required=True))
-    if kind == "linear_ramp":
-        return LinearRamp(
-            _field(obj, "start", path, "number", required=True),
-            _field(obj, "stop", path, "number", required=True),
-            _field(obj, "duration", path, "number", required=True),
-        )
-    if kind == "cosine_ramp":
-        return CosineRamp(
-            _field(obj, "start", path, "number", required=True),
-            _field(obj, "stop", path, "number", required=True),
-            _field(obj, "duration", path, "number", required=True),
-        )
-    times = _number_list(obj, "times", path, required=True)
-    values = _number_list(obj, "values", path, required=True)
-    return Tabulated(tuple(times), tuple(values))
-
-
-def _tolerances(obj, path, allowed):
-    if obj is None:
-        return {}
-    _require_mapping(obj, path)
-    _check_keys(obj, allowed, path)
-    out = {}
-    for key in obj:
-        if key.startswith("require_"):
-            out[key] = _field(obj, key, path, "bool", required=True)
-        else:
-            out[key] = _field(obj, key, path, "number", required=True)
-    return out
-
-
-def _grover_problem(cfg, path=""):
-    n = _field(cfg, "n_qubits", path, "positive_int", required=True)
-    marked = _field(cfg, "marked", path, "int", required=True)
+    cls, names = _SCHEDULES[kind]
+    param = Field("number list" if kind == "tabulated" else "number")
+    args = _parse(obj, dict.fromkeys(names, param), path, extra={"kind"})
     try:
-        return GroverProblem(n_qubits=n, marked=marked)
+        return cls(*args.values())
     except ValueError as exc:
-        raise ConfigError(f"{path + '.' if path else ''}marked", str(exc)) from None
+        raise ConfigError(path, str(exc)) from None
 
 
-def _ising_problem(cfg, path=""):
-    n = _field(cfg, "n_qubits", path, "positive_int", required=True)
-    problem_file = _field(cfg, "problem_file", path, "str")
-    fields = _number_list(cfg, "fields", path)
-    if (problem_file is None) == (fields is None):
+def _grover_problem(p, path):
+    try:
+        return GroverProblem(n_qubits=p["n_qubits"], marked=p["marked"])
+    except ValueError as exc:
+        raise ConfigError(_join(path, "marked"), str(exc)) from None
+
+
+def _ising_problem(p, path):
+    inline = p["fields"] is not None
+    if inline == (p["problem_file"] is not None):
         raise ConfigError(
-            f"{path + '.' if path else ''}fields",
+            _join(path, "fields"),
             "give exactly one of 'fields' (with optional 'couplings') or 'problem_file'",
         )
-    if problem_file is not None:
-        try:
-            return IsingProblem.from_edge_list(problem_file, n_qubits=n)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{path + '.' if path else ''}problem_file", str(exc)) from None
-    couplings = []
-    raw = cfg.get("couplings", [])
-    where = f"{path + '.' if path else ''}couplings"
-    if not isinstance(raw, list):
-        raise ConfigError(where, "expected a list of [i, j, J] triples")
-    for k, entry in enumerate(raw):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 3
-            or any(isinstance(x, bool) for x in entry)
-            or not all(isinstance(x, (int, float)) for x in entry)
-        ):
-            raise ConfigError(f"{where}[{k}]", f"expected [i, j, J], got {entry!r}")
-        couplings.append((int(entry[0]), int(entry[1]), float(entry[2])))
+    if not inline and p["couplings"] is not None:
+        raise ConfigError(
+            _join(path, "couplings"), "conflicts with 'problem_file', which holds the couplings"
+        )
     try:
-        return IsingProblem(n_qubits=n, fields=tuple(fields), couplings=tuple(couplings))
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from None
+        if inline:
+            return IsingProblem(p["n_qubits"], p["fields"], p["couplings"] or ())
+        return IsingProblem.from_edge_list(p["problem_file"], n_qubits=p["n_qubits"])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(_join(path, "couplings" if inline else "problem_file"), str(exc)) from None
 
 
-# ---------------------------------------------------------------------------
-# Experiment runners (config dict -> metrics, verdicts, curves)
+_GROVER = {"n_qubits": Field("positive integer"), "marked": Field("integer")}
+_ISING = {
+    "n_qubits": Field("positive integer"),
+    "fields": Field("number list", None),
+    "couplings": Field("coupling list", None),
+    "problem_file": Field("string", None),
+}
+# problem kind -> (fields, builder taking the parsed fields and their path)
+_PROBLEMS = {"grover": (_GROVER, _grover_problem), "ising": (_ISING, _ising_problem)}
 
 
-def _verdict(value, threshold, comparison):
-    if comparison == "<=":
-        passed = value <= threshold
-    elif comparison == ">=":
-        passed = value >= threshold
-    else:  # "is"
-        passed = value is True
-    return {
-        "value": value,
-        "threshold": threshold,
-        "comparison": comparison,
-        "passed": bool(passed),
-    }
+def _problem(obj, path):
+    kind_field = Field("string", choices=tuple(_PROBLEMS))
+    kind = _value(_require_mapping(obj, path), "kind", path, kind_field)
+    fields, build = _PROBLEMS[kind]
+    return build(_parse(obj, fields, path, extra={"kind"}), path)
 
 
-_NMR_TOLS = {
-    "min_fidelity",
-    "max_oracle_distance",
-    "max_closed_form_distance",
-    "max_two_gate_deficit_composed",
-    "max_two_gate_deficit_closed_form",
-    "max_correction_gate_distance",
-    "require_transform_model",
+_PARSERS = {
+    "number": _number,
+    "integer": lambda v, where: _expect(type(v) is int, v, where, "an integer"),
+    "positive integer": lambda v, where: _expect(
+        type(v) is int and v >= 1, v, where, "a positive integer"
+    ),
+    "boolean": lambda v, where: _expect(isinstance(v, bool), v, where, "true/false"),
+    "string": lambda v, where: _expect(isinstance(v, str), v, where, "a string"),
+    "number list": _numbers,
+    "coupling list": _couplings,
+    "schedule": _schedule,
+    "problem": _problem,
 }
 
 
-def _run_nmr(cfg, jobs):
-    _check_keys(
-        cfg,
-        {"experiment", "qubit_splitting", "drive_rate", "drive_strength", "t_final",
-         "n_steps", "tolerances"},
-        "",
-    )
-    report = run_nmr_experiment(
-        qubit_splitting=_field(cfg, "qubit_splitting", "", "number", required=True),
-        drive_rate=_field(cfg, "drive_rate", "", "number", required=True),
-        drive_strength=_field(cfg, "drive_strength", "", "number", required=True),
-        t_final=_field(cfg, "t_final", "", "number", allow_null=True),
-        n_steps=_field(cfg, "n_steps", "", "positive_int", allow_null=True),
-    )
+def _parse_config(cfg):
+    """Check a whole config against its kind's entry in EXPERIMENTS; return
+    that entry, the parsed fields and the given tolerances."""
+    kind = _value(cfg, "experiment", "", Field("string", choices=tuple(EXPERIMENTS)))
+    exp = EXPERIMENTS[kind]
+    tolerances = {
+        key: Field("boolean" if tol.comparison == "is" else "number", None)
+        for key, tol in exp.tolerances.items()
+    }
+    fields = {**exp.fields, "tolerances": Field(tolerances, {})}
+    params = _parse(cfg, fields, "", extra={"experiment"})
+    tols = {key: v for key, v in params.pop("tolerances").items() if v is not None}
+    for key in tols:
+        needs = exp.tolerances[key].needs
+        if needs and params[needs] is None:
+            raise ConfigError(_join("tolerances", key), f"needs a {needs} block in the config")
+    if exp.problem:
+        params["problem"] = _PROBLEMS[exp.problem][1](params, "")
+    return exp, params, tols
+
+
+# ---------------------------------------------------------------------------
+# Experiment runners (parsed fields -> metrics, curves)
+
+
+def _run_nmr(p, jobs):
+    report = run_nmr_experiment(**p)
     tr = report.transform_report
     metrics = {
         "detuning": report.detuning,
@@ -287,48 +306,18 @@ def _run_nmr(cfg, jobs):
         "correction_gate_distance": report.correction_gate_distance,
         "max_unitarity_defect": report.max_unitarity_defect,
     }
-    tols = _tolerances(cfg.get("tolerances"), "tolerances", _NMR_TOLS)
-    verdicts = {"unitarity": _verdict(report.max_unitarity_defect, UNITARITY_GATE, "<=")}
-    if "min_fidelity" in tols:
-        verdicts["min_fidelity"] = _verdict(report.min_fidelity, tols["min_fidelity"], ">=")
-    if "max_oracle_distance" in tols:
-        verdicts["oracle_distance"] = _verdict(
-            max(report.oracle_distance_fast, report.oracle_distance_slow),
-            tols["max_oracle_distance"], "<=",
-        )
-    if "max_closed_form_distance" in tols:
-        verdicts["closed_form_distance"] = _verdict(
-            report.composed_vs_closed_form, tols["max_closed_form_distance"], "<="
-        )
-    if "max_two_gate_deficit_composed" in tols:
-        verdicts["two_gate_composed"] = _verdict(
-            1.0 - report.two_gate_fidelity_composed,
-            tols["max_two_gate_deficit_composed"], "<=",
-        )
-    if "max_two_gate_deficit_closed_form" in tols:
-        verdicts["two_gate_closed_form"] = _verdict(
-            1.0 - report.two_gate_fidelity_closed_form,
-            tols["max_two_gate_deficit_closed_form"], "<=",
-        )
-    if "max_correction_gate_distance" in tols:
-        verdicts["correction_gate"] = _verdict(
-            report.correction_gate_distance, tols["max_correction_gate_distance"], "<="
-        )
-    if tols.get("require_transform_model"):
-        verdicts["transform_model"] = _verdict(tr.passed, True, "is")
     curves = {
         "fidelity": (report.fidelity_curve.times, report.fidelity_curve.values),
         "residuals": (tr.times, tr.residuals),
     }
-    return metrics, verdicts, curves
+    return metrics, curves
 
 
-def _annealing_common(cfg, problem, jobs):
+def _run_annealing(p, jobs):
+    problem = p["problem"]
+    transverse0 = p["transverse0"]
     result = run_annealing_experiment(
-        problem,
-        transverse0=_field(cfg, "transverse0", "", "number", allow_null=True),
-        t_final=_field(cfg, "t_final", "", "number", default=8.0),
-        n_steps=_field(cfg, "n_steps", "", "positive_int", allow_null=True),
+        problem, transverse0=transverse0, t_final=p["t_final"], n_steps=p["n_steps"]
     )
     metrics = {
         "success_probability": result.success_probability,
@@ -340,37 +329,21 @@ def _annealing_common(cfg, problem, jobs):
     if result.final_fidelity_vs_marked is not None:
         metrics["final_fidelity_vs_marked"] = result.final_fidelity_vs_marked
     curves = {}
-    if "sweep" in cfg and cfg["sweep"] is not None:
-        sweep_cfg = _require_mapping(cfg["sweep"], "sweep")
-        _check_keys(sweep_cfg, {"t_initial", "doublings", "success_threshold"}, "sweep")
-        threshold = _field(sweep_cfg, "success_threshold", "sweep", "number", default=0.9)
+    sweep = p["sweep"]
+    if sweep is not None:
         points = annealing_doubling_sweep(
-            problem,
-            t_initial=_field(sweep_cfg, "t_initial", "sweep", "number", default=1.0),
-            doublings=_field(sweep_cfg, "doublings", "sweep", "positive_int", default=6),
-            transverse0=_field(cfg, "transverse0", "", "number", allow_null=True),
-            jobs=jobs,
+            problem, sweep["t_initial"], sweep["doublings"], transverse0=transverse0, jobs=jobs
         )
-        metrics["sweep_runtimes"] = [p.runtime_t for p in points]
-        metrics["sweep_success"] = [p.success_probability for p in points]
-        hit = [p.runtime_t for p in points if p.success_probability >= threshold]
+        runtimes = [pt.runtime_t for pt in points]
+        success = [pt.success_probability for pt in points]
+        metrics["sweep_runtimes"] = runtimes
+        metrics["sweep_success"] = success
+        hit = [t for t, s in zip(runtimes, success) if s >= sweep["success_threshold"]]
         metrics["sweep_threshold_runtime"] = hit[0] if hit else None
-        curves["sweep_success"] = (
-            np.asarray([p.runtime_t for p in points]),
-            np.asarray([p.success_probability for p in points]),
-        )
-    if "fast_counterpart" in cfg and cfg["fast_counterpart"] is not None:
-        fc = _require_mapping(cfg["fast_counterpart"], "fast_counterpart")
-        _check_keys(fc, {"phase", "t_final", "n_steps"}, "fast_counterpart")
-        if "phase" not in fc:
-            raise ConfigError("fast_counterpart.phase", "required field is missing")
-        fc_report = run_fast_counterpart_comparison(
-            problem,
-            phase=_schedule(fc["phase"], "fast_counterpart.phase"),
-            transverse0=_field(cfg, "transverse0", "", "number", allow_null=True),
-            t_final=_field(fc, "t_final", "fast_counterpart", "number", default=2.0),
-            n_steps=_field(fc, "n_steps", "fast_counterpart", "positive_int", allow_null=True),
-        )
+        curves["sweep_success"] = (np.asarray(runtimes), np.asarray(success))
+    fc = p["fast_counterpart"]
+    if fc is not None:
+        fc_report = run_fast_counterpart_comparison(problem, transverse0=transverse0, **fc)
         metrics["counterpart_fidelity"] = fc_report.equivalence_fidelity
         metrics["counterpart_two_gate_fidelity"] = fc_report.two_gate_fidelity_composed
         metrics["counterpart_transform_distance"] = fc_report.transform_distance
@@ -378,80 +351,19 @@ def _annealing_common(cfg, problem, jobs):
     return metrics, curves
 
 
-_AQC_TOLS = {"min_success", "min_counterpart_fidelity"}
-
-
-def _aqc_verdicts(cfg, metrics):
-    tols = _tolerances(cfg.get("tolerances"), "tolerances", _AQC_TOLS)
-    verdicts = {}
-    if "min_success" in tols:
-        verdicts["success"] = _verdict(metrics["success_probability"], tols["min_success"], ">=")
-    if "min_counterpart_fidelity" in tols:
-        if "counterpart_fidelity" not in metrics:
-            raise ConfigError(
-                "tolerances.min_counterpart_fidelity",
-                "needs a fast_counterpart block in the config",
-            )
-        verdicts["counterpart_fidelity"] = _verdict(
-            metrics["counterpart_fidelity"], tols["min_counterpart_fidelity"], ">="
-        )
-    return verdicts
-
-
-def _run_grover(cfg, jobs):
-    _check_keys(
-        cfg,
-        {"experiment", "n_qubits", "marked", "transverse0", "t_final", "n_steps",
-         "sweep", "fast_counterpart", "tolerances"},
-        "",
-    )
-    problem = _grover_problem(cfg)
-    metrics, curves = _annealing_common(cfg, problem, jobs)
-    return metrics, _aqc_verdicts(cfg, metrics), curves
-
-
-def _run_ising(cfg, jobs):
-    _check_keys(
-        cfg,
-        {"experiment", "n_qubits", "fields", "couplings", "problem_file", "transverse0",
-         "t_final", "n_steps", "sweep", "fast_counterpart", "tolerances"},
-        "",
-    )
-    problem = _ising_problem(cfg)
-    metrics, curves = _annealing_common(cfg, problem, jobs)
-    return metrics, _aqc_verdicts(cfg, metrics), curves
-
-
-def _run_verify_transform(cfg, jobs):
-    _check_keys(
-        cfg,
-        {"experiment", "pair", "qubit_splitting", "drive_rate", "drive_strength",
-         "t_final", "n_steps", "tolerances"},
-        "",
-    )
-    pair = _field(cfg, "pair", "", "str", required=True)
-    if pair not in ("self", "nmr"):
-        raise ConfigError("pair", f"expected 'self' or 'nmr', got {pair!r}")
-    p = NmrParams.harmonic(
-        _field(cfg, "qubit_splitting", "", "number", required=True),
-        _field(cfg, "drive_rate", "", "number", required=True),
-        _field(cfg, "drive_strength", "", "number", required=True),
-    )
-    grid = TimeGrid(
-        0.0,
-        _field(cfg, "t_final", "", "number", default=10.0),
-        _field(cfg, "n_steps", "", "positive_int", default=10_000),
-    )
-    lab = nmr_hamiltonian(p)
-    if pair == "self":
+def _run_verify_transform(p, jobs):
+    params = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"])
+    grid = TimeGrid(0.0, p["t_final"], p["n_steps"])
+    lab = nmr_hamiltonian(params)
+    if p["pair"] == "self":
         frame = lab
         transform = identity_transform(grid, lab.dim)
     else:
-        frame = rotating_frame_hamiltonian(p)
-        transform = nmr_closed_form_transform(p, grid)
+        frame = rotating_frame_hamiltonian(params)
+        transform = nmr_closed_form_transform(params, grid)
     report = verify_transform(lab, frame, transform)
     metrics = {
-        "pair": pair,
+        "pair": p["pair"],
         "max_residual": report.max_residual,
         "control_max_residual": report.control_max_residual,
         "threshold": report.threshold,
@@ -460,135 +372,218 @@ def _run_verify_transform(cfg, jobs):
         "inconsistent_transform": report.inconsistent_transform,
         "fd_step": report.fd_step,
     }
-    tols = _tolerances(cfg.get("tolerances"), "tolerances", {"max_residual", "require_model"})
-    verdicts = {}
-    if "max_residual" in tols:
-        verdicts["max_residual"] = _verdict(report.max_residual, tols["max_residual"], "<=")
-    if tols.get("require_model"):
-        verdicts["model"] = _verdict(report.passed, True, "is")
-    return metrics, verdicts, {"residuals": (report.times, report.residuals)}
+    return metrics, {"residuals": (report.times, report.residuals)}
 
 
-def _run_rescale(cfg, jobs):
-    _check_keys(
-        cfg,
-        {"experiment", "problem", "fast_time", "slow_time", "n_steps", "transverse0",
-         "drive_check", "tolerances"},
-        "",
-    )
-    problem_cfg = _require_mapping(cfg.get("problem"), "problem")
-    kind = _field(problem_cfg, "kind", "problem", "str", required=True)
-    if kind == "grover":
-        _check_keys(problem_cfg, {"kind", "n_qubits", "marked"}, "problem")
-        problem = _grover_problem(problem_cfg, "problem")
-    elif kind == "ising":
-        _check_keys(
-            problem_cfg, {"kind", "n_qubits", "fields", "couplings", "problem_file"}, "problem"
-        )
-        problem = _ising_problem(problem_cfg, "problem")
-    else:
-        raise ConfigError("problem.kind", f"expected 'grover' or 'ising', got {kind!r}")
-    transverse0 = _field(cfg, "transverse0", "", "number", allow_null=True)
+def _run_rescale(p, jobs):
+    problem = p["problem"]
+    transverse0 = p["transverse0"]
     if transverse0 is None:
         transverse0 = default_transverse_strength(problem)
     frame_h = annealing_hamiltonian(LinearRamp(transverse0, 0.0, 1.0), problem)
-    scaling = TimeScaling(
-        _field(cfg, "fast_time", "", "number", required=True),
-        _field(cfg, "slow_time", "", "number", required=True),
-    )
-    n_steps = _field(cfg, "n_steps", "", "positive_int", default=10_000)
-    stride = max(1, n_steps // 1000)
-    report = time_rescaling_equivalence(frame_h, scaling, n_steps, stride=stride)
+    scaling = TimeScaling(p["fast_time"], p["slow_time"])
+    n_steps = p["n_steps"]
+    report = time_rescaling_equivalence(frame_h, scaling, n_steps, stride=max(1, n_steps // 1000))
     metrics = {
         "max_distance": report.max_distance,
         "time_ratio": scaling.ratio,
         "n_steps": n_steps,
-        "max_unitarity_defect": max(
-            report.fast_trace.max_defect, report.slow_trace.max_defect
-        ),
+        "max_unitarity_defect": max(report.fast_trace.max_defect, report.slow_trace.max_defect),
     }
-    curves = {"distance": (report.times, report.distances)}
-    if "drive_check" in cfg and cfg["drive_check"] is not None:
-        dc = _require_mapping(cfg["drive_check"], "drive_check")
-        _check_keys(dc, {"drive_strength", "n_nodes"}, "drive_check")
-        drive = verify_rescaled_drive(
-            _field(dc, "drive_strength", "drive_check", "number", default=2.0),
-            scaling,
-            _field(dc, "n_nodes", "drive_check", "positive_int", default=1001),
-        )
+    dc = p["drive_check"]
+    if dc is not None:
+        drive = verify_rescaled_drive(dc["drive_strength"], scaling, dc["n_nodes"])
         metrics["drive_max_distance"] = drive.max_distance
-    tols = _tolerances(cfg.get("tolerances"), "tolerances", {"max_distance", "max_drive_distance"})
-    verdicts = {
-        "unitarity": _verdict(metrics["max_unitarity_defect"], UNITARITY_GATE, "<=")
-    }
-    if "max_distance" in tols:
-        verdicts["max_distance"] = _verdict(report.max_distance, tols["max_distance"], "<=")
-    if "max_drive_distance" in tols:
-        if "drive_max_distance" not in metrics:
-            raise ConfigError(
-                "tolerances.max_drive_distance", "needs a drive_check block in the config"
-            )
-        verdicts["drive_distance"] = _verdict(
-            metrics["drive_max_distance"], tols["max_drive_distance"], "<="
-        )
-    return metrics, verdicts, curves
+    return metrics, {"distance": (report.times, report.distances)}
 
 
-_RUNNERS = {
-    "nmr": _run_nmr,
-    "grover": _run_grover,
-    "ising": _run_ising,
-    "verify-transform": _run_verify_transform,
-    "rescale": _run_rescale,
+# ---------------------------------------------------------------------------
+# The experiment table
+
+_DRIVE = {
+    "qubit_splitting": Field("number"),
+    "drive_rate": Field("number"),
+    "drive_strength": Field("number"),
 }
 
-_PARAM_SUMMARY = {
-    "nmr": (
-        "required: qubit_splitting, drive_rate, drive_strength",
-        "optional: t_final, n_steps, tolerances{min_fidelity, max_oracle_distance, "
-        "max_closed_form_distance, max_two_gate_deficit_composed, "
-        "max_two_gate_deficit_closed_form, max_correction_gate_distance, "
-        "require_transform_model}",
-    ),
-    "grover": (
-        "required: n_qubits, marked",
-        "optional: transverse0, t_final, n_steps, sweep{t_initial, doublings, "
-        "success_threshold}, fast_counterpart{phase, t_final, n_steps}, "
-        "tolerances{min_success, min_counterpart_fidelity}",
-    ),
-    "ising": (
-        "required: n_qubits and fields (or problem_file)",
-        "optional: couplings, transverse0, t_final, n_steps, sweep{...}, "
-        "fast_counterpart{...}, tolerances{min_success, min_counterpart_fidelity}",
-    ),
-    "verify-transform": (
-        "required: pair ('self' or 'nmr'), qubit_splitting, drive_rate, drive_strength",
-        "optional: t_final, n_steps, tolerances{max_residual, require_model}",
-    ),
-    "rescale": (
-        "required: problem{kind, ...}, fast_time, slow_time",
-        "optional: n_steps, transverse0, drive_check{drive_strength, n_nodes}, "
-        "tolerances{max_distance, max_drive_distance}",
+_SWEEP = {
+    "t_initial": Field("number", 1.0),
+    "doublings": Field("positive integer", 6),
+    "success_threshold": Field("number", 0.9),
+}
+
+_FAST_COUNTERPART = {
+    "phase": Field("schedule"),
+    "t_final": Field("number", 2.0),
+    "n_steps": Field("positive integer", None),
+}
+
+_ANNEALING = {
+    "transverse0": Field("number", None),
+    "t_final": Field("number", 8.0),
+    "n_steps": Field("positive integer", None),
+    "sweep": Field(_SWEEP, None),
+    "fast_counterpart": Field(_FAST_COUNTERPART, None),
+}
+
+_ANNEALING_TOLERANCES = {
+    "min_success": Tolerance("success", "success_probability", ">="),
+    "min_counterpart_fidelity": Tolerance(
+        "counterpart_fidelity", "counterpart_fidelity", ">=", "fast_counterpart"
     ),
 }
 
-_DESCRIPTIONS = {
-    "nmr": "driven qubit vs its rotated frame: oracle distances, frame-change residuals, ground-branch fidelity, two-gate realization",
-    "grover": "transverse-field anneal into a marked-state search term, optional runtime sweep and driven counterpart",
-    "ising": "transverse-field anneal into local fields plus ZZ couplings, optional sweep and driven counterpart",
-    "verify-transform": "check that a frame change maps one Hamiltonian onto another, with the self-calibrated residual model",
-    "rescale": "amplitude-boosted fast generator vs the slow one on the shared normalized-time grid",
+EXPERIMENTS = {
+    "nmr": Experiment(
+        "driven qubit vs its rotated frame: oracle distances, frame-change residuals, ground-branch fidelity, two-gate realization",
+        {**_DRIVE, "t_final": Field("number", None), "n_steps": Field("positive integer", None)},
+        {
+            "min_fidelity": Tolerance("min_fidelity", "min_fidelity", ">="),
+            "max_oracle_distance": Tolerance(
+                "oracle_distance",
+                lambda m: max(m["oracle_distance_fast"], m["oracle_distance_slow"]),
+                "<=",
+            ),
+            "max_closed_form_distance": Tolerance("closed_form_distance", "composed_vs_closed_form", "<="),
+            "max_two_gate_deficit_composed": Tolerance(
+                "two_gate_composed", lambda m: 1.0 - m["two_gate_fidelity_composed"], "<="
+            ),
+            "max_two_gate_deficit_closed_form": Tolerance(
+                "two_gate_closed_form", lambda m: 1.0 - m["two_gate_fidelity_closed_form"], "<="
+            ),
+            "max_correction_gate_distance": Tolerance("correction_gate", "correction_gate_distance", "<="),
+            "require_transform_model": Tolerance("transform_model", "transform_model_passed", "is"),
+        },
+        _run_nmr,
+        unitarity_gate=True,
+    ),
+    "grover": Experiment(
+        "transverse-field anneal into a marked-state search term, optional runtime sweep and driven counterpart",
+        {**_GROVER, **_ANNEALING},
+        _ANNEALING_TOLERANCES,
+        _run_annealing,
+        problem="grover",
+    ),
+    "ising": Experiment(
+        "transverse-field anneal into local fields plus ZZ couplings (inline, or from a problem_file edge list), optional sweep and driven counterpart",
+        {**_ISING, **_ANNEALING},
+        _ANNEALING_TOLERANCES,
+        _run_annealing,
+        problem="ising",
+    ),
+    "verify-transform": Experiment(
+        "check that a frame change maps one Hamiltonian onto another, with the self-calibrated residual model",
+        {
+            "pair": Field("string", choices=("self", "nmr")),
+            **_DRIVE,
+            "t_final": Field("number", 10.0),
+            "n_steps": Field("positive integer", 10_000),
+        },
+        {
+            "max_residual": Tolerance("max_residual", "max_residual", "<="),
+            "require_model": Tolerance("model", "model_passed", "is"),
+        },
+        _run_verify_transform,
+    ),
+    "rescale": Experiment(
+        "amplitude-boosted fast generator vs the slow one on the shared normalized-time grid",
+        {
+            "problem": Field("problem"),
+            "fast_time": Field("number"),
+            "slow_time": Field("number"),
+            "n_steps": Field("positive integer", 10_000),
+            "transverse0": Field("number", None),
+            "drive_check": Field(
+                {"drive_strength": Field("number", 2.0), "n_nodes": Field("positive integer", 1001)},
+                None,
+            ),
+        },
+        {
+            "max_distance": Tolerance("max_distance", "max_distance", "<="),
+            "max_drive_distance": Tolerance("drive_distance", "drive_max_distance", "<=", "drive_check"),
+        },
+        _run_rescale,
+        unitarity_gate=True,
+    ),
 }
+
+_UNITARITY = Tolerance("unitarity", "max_unitarity_defect", "<=")
+
+_COMPARE = {"<=": operator.le, ">=": operator.ge, "is": lambda value, _: value is True}
+
+
+def _verdicts(exp, tols, metrics):
+    checks = [(_UNITARITY, UNITARITY_GATE)] if exp.unitarity_gate else []
+    checks += [(exp.tolerances[key], threshold) for key, threshold in tols.items()]
+    verdicts = {}
+    for tol, threshold in checks:
+        if threshold is False:  # a require_* flag set to false asks for nothing
+            continue
+        value = tol.value(metrics) if callable(tol.value) else metrics[tol.value]
+        verdicts[tol.verdict] = {
+            "value": value,
+            "threshold": threshold,
+            "comparison": tol.comparison,
+            "passed": bool(_COMPARE[tol.comparison](value, threshold)),
+        }
+    return verdicts
+
+
+# ---------------------------------------------------------------------------
+# qxform list, rendered from the table
+
+
+def _row(indent, name, text):
+    return f"{indent}{name}".ljust(44) + text
+
+
+def _describe(fields, indent):
+    lines = []
+    for name, field in fields.items():
+        if field.default is ...:
+            state = "required"
+        elif field.default is None:
+            state = "optional"
+        else:
+            state = f"default {field.default!r}"
+        if isinstance(field.type, dict):
+            lines.append(_row(indent, name, f"block, {state}"))
+            lines += _describe(field.type, indent + "  ")
+        elif field.type == "problem":
+            lines.append(_row(indent, name, f"block, {state}; its kind picks the fields"))
+            lines.append(_row(indent + "  ", "kind", f"{' or '.join(_PROBLEMS)}, required"))
+            for kind, (sub, _) in _PROBLEMS.items():
+                lines.append(f"{indent}  with kind {kind}:")
+                lines += _describe(sub, indent + "    ")
+        else:
+            kind = " or ".join(field.choices) or field.type
+            lines.append(_row(indent, name, f"{kind}, {state}"))
+    return lines
 
 
 def list_experiments() -> str:
     lines = ["Available experiments:", ""]
-    for kind in EXPERIMENT_KINDS:
-        lines.append(f"  {kind}")
-        lines.append(f"      {_DESCRIPTIONS[kind]}")
-        for row in _PARAM_SUMMARY[kind]:
-            lines.append(f"      {row}")
+    for kind, exp in EXPERIMENTS.items():
+        lines += [f"  {kind}", f"      {exp.description}"]
+        lines += _describe(exp.fields, "      ")
+        lines.append(_row("      ", "tolerances", "block, optional"))
+        if exp.unitarity_gate:
+            lines.append(_row(
+                "        ", "(always)",
+                f"verdict unitarity: max_unitarity_defect <= {UNITARITY_GATE:g}",
+            ))
+        for key, tol in exp.tolerances.items():
+            if tol.comparison == "is":
+                text = f"boolean; true adds verdict {tol.verdict}"
+            else:
+                text = f"number; verdict {tol.verdict}: value {tol.comparison} tolerance"
+            if tol.needs:
+                text += f"; needs {tol.needs}"
+            lines.append(_row("        ", key, text))
         lines.append("")
+    lines.append("Schedule kinds (fast_counterpart.phase) and their fields:")
+    for kind, (_, names) in _SCHEDULES.items():
+        lines.append(f"  {kind}: {', '.join(names)}")
     return "\n".join(lines)
 
 
@@ -622,9 +617,14 @@ def _apply_overrides(cfg, overrides):
             value = raw
         node = cfg
         parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
+        for depth, part in enumerate(parts[:-1]):
+            if node.get(part) is None:
                 node[part] = {}
+            elif not isinstance(node[part], dict):
+                raise ConfigError(
+                    ".".join(parts[: depth + 1]),
+                    f"holds {node[part]!r}, not an object, so --set {key} cannot reach inside it",
+                )
             node = node[part]
         node[parts[-1]] = value
     return cfg
@@ -635,51 +635,43 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
+        return _sanitize(obj.tolist())
+    if isinstance(obj, np.generic):  # numpy scalars become the matching Python ones
+        return obj.item()
     return obj
 
 
 def run_experiment(config_path, overrides=(), out_dir=".", jobs=1) -> int:
-    """Execute one config; write result.json and CSV curves into out_dir."""
+    """Check one config in full, run it, and write result.json and CSV curves
+    into out_dir.  Returns the exit code."""
     try:
         cfg = _apply_overrides(_load_config(config_path), overrides)
-        kind = cfg.get("experiment")
-        if kind not in _RUNNERS:
-            raise ConfigError(
-                "experiment",
-                f"expected one of {', '.join(EXPERIMENT_KINDS)}, got {kind!r}",
-            )
-        metrics, verdicts, curves = _RUNNERS[kind](cfg, int(jobs))
-    except ConfigError as exc:
+        exp, params, tols = _parse_config(cfg)
+        metrics, curves = exp.run(params, int(jobs))
+        verdicts = _verdicts(exp, tols, metrics)
+        passed = all(v["passed"] for v in verdicts.values())
+        record = {
+            "experiment": cfg["experiment"],
+            "config": _sanitize(cfg),
+            "version": __version__,
+            "metrics": _sanitize(metrics),
+            "verdicts": _sanitize(verdicts),
+            "passed": passed,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
+        os.makedirs(out_dir, exist_ok=True)
+        result_path = os.path.join(out_dir, "result.json")
+        with open(result_path, "w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for name, (ts, vs) in curves.items():
+            write_csv_curve(os.path.join(out_dir, f"{name}.csv"), ts, vs)
+    except (ValueError, RuntimeError, OSError) as exc:
+        # ValueError covers ConfigError and LinAlgError, RuntimeError the
+        # unitarity and Hermiticity gates, OSError reading and writing files.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    passed = all(v["passed"] for v in verdicts.values()) if verdicts else True
-    record = {
-        "experiment": kind,
-        "config": _sanitize(cfg),
-        "version": __version__,
-        "metrics": _sanitize(metrics),
-        "verdicts": _sanitize(verdicts),
-        "passed": passed,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    os.makedirs(out_dir, exist_ok=True)
-    result_path = os.path.join(out_dir, "result.json")
-    with open(result_path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for name, (ts, vs) in curves.items():
-        write_csv_curve(os.path.join(out_dir, f"{name}.csv"), ts, vs)
     for name, verdict in sorted(verdicts.items()):
         state = "pass" if verdict["passed"] else "FAIL"
         print(f"{state}  {name}: value={verdict['value']!r} {verdict['comparison']} {verdict['threshold']!r}")

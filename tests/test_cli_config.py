@@ -1,0 +1,315 @@
+"""Config checking in ``qxform run``: every bad config exits 1 with one stderr
+line naming the field, before any experiment function runs; errors raised
+while running or writing never escape as tracebacks."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+import qxform.cli as cli
+from qxform.cli import main
+from qxform.propagation import UnitarityError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# The first call each runner makes into the numerics.
+EXPERIMENT_FUNCTIONS = (
+    "run_nmr_experiment",
+    "run_annealing_experiment",
+    "nmr_closed_form_transform",
+    "identity_transform",
+    "verify_transform",
+    "time_rescaling_equivalence",
+)
+
+
+class Reached(Exception):
+    """Raised by a stubbed experiment function: the config was accepted."""
+
+
+@pytest.fixture
+def no_numerics(monkeypatch):
+    """Stub every experiment function so that reaching one raises Reached."""
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for name in EXPERIMENT_FUNCTIONS:
+        monkeypatch.setattr(cli, name, reached)
+
+
+def write_config(tmp_path, payload, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return str(path)
+
+
+def nmr_config(**overrides):
+    cfg = {
+        "experiment": "nmr",
+        "qubit_splitting": 1.0,
+        "drive_rate": 2.0,
+        "drive_strength": 25.0,
+        "n_steps": 400,
+        "tolerances": {"min_fidelity": 0.999},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def ising_config(**overrides):
+    cfg = {
+        "experiment": "ising",
+        "n_qubits": 2,
+        "fields": [0.6, 0.6],
+        "couplings": [[0, 1, -0.5]],
+        "t_final": 24.0,
+        "tolerances": {"min_success": 0.9},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def rescale_config(**overrides):
+    cfg = {
+        "experiment": "rescale",
+        "problem": {"kind": "grover", "n_qubits": 2, "marked": 3},
+        "fast_time": 0.1,
+        "slow_time": 10.0,
+        "n_steps": 500,
+        "tolerances": {"max_distance": 1e-8},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def run_rejected(tmp_path, capsys, config_path, *extra):
+    """Run a config that must be rejected; return its one stderr line."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", config_path, "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert not (out / "result.json").exists()
+    return err
+
+
+def test_every_shipped_config_passes_validation(no_numerics, tmp_path):
+    paths = sorted(CONFIGS.glob("*.json"))
+    assert len(paths) == 5
+    for path in paths:
+        with pytest.raises(Reached):
+            cli.run_experiment(str(path), out_dir=str(tmp_path / path.stem))
+
+
+class TestToleranceCheckedBeforeRunning:
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (nmr_config(tolerances={"min_fidelityy": 0.9}), "tolerances.min_fidelityy"),
+            (nmr_config(tolerances={"max_residual": 1e-9}), "tolerances.max_residual"),
+            (nmr_config(tolerances={"min_fidelity": "high"}), "tolerances.min_fidelity"),
+            (
+                nmr_config(tolerances={"require_transform_model": 1}),
+                "tolerances.require_transform_model",
+            ),
+            (
+                ising_config(tolerances={"min_counterpart_fidelity": 0.99}),
+                "tolerances.min_counterpart_fidelity",
+            ),
+            (
+                rescale_config(tolerances={"max_drive_distance": 1e-8}),
+                "tolerances.max_drive_distance",
+            ),
+        ],
+        ids=[
+            "unknown", "other-kind", "not-a-number", "not-a-bool",
+            "needs-fast-counterpart", "needs-drive-check",
+        ],
+    )
+    def test_bad_tolerance_exits_1_without_running(
+        self, no_numerics, tmp_path, capsys, payload, field
+    ):
+        err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
+        assert f"'{field}'" in err
+
+    def test_missing_block_is_named(self, no_numerics, tmp_path, capsys):
+        payload = ising_config(tolerances={"min_counterpart_fidelity": 0.99})
+        err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
+        assert "fast_counterpart" in err
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (nmr_config(drive_strength=float("inf")), "drive_strength"),
+            (nmr_config(t_final=float("nan")), "t_final"),
+            (nmr_config(tolerances={"min_fidelity": float("nan")}), "tolerances.min_fidelity"),
+            (ising_config(fields=[0.6, float("inf")]), "fields[1]"),
+            (ising_config(couplings=[[0, 1, float("-inf")]]), "couplings[0][2]"),
+            (
+                ising_config(fast_counterpart={"phase": {
+                    "kind": "tabulated",
+                    "times": [0.0, 0.5, float("nan"), 1.5],
+                    "values": [0, 1, 0, 1],
+                }}),
+                "fast_counterpart.phase.times[2]",
+            ),
+            (
+                ising_config(fast_counterpart={"phase": {
+                    "kind": "tabulated",
+                    "times": [0.0, 0.5, 1.0, 1.5],
+                    "values": [0, float("inf"), 0, 1],
+                }}),
+                "fast_counterpart.phase.values[1]",
+            ),
+            (rescale_config(tolerances={"max_distance": float("nan")}), "tolerances.max_distance"),
+        ],
+        ids=["scalar-inf", "scalar-nan", "tolerance-nan", "fields", "coupling-J", "times", "values",
+             "rescale-tolerance"],
+    )
+    def test_rejected_and_named(self, no_numerics, tmp_path, capsys, payload, field):
+        err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
+        assert f"'{field}'" in err
+        assert "finite" in err
+
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+    def test_set_override_rejected(self, no_numerics, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, nmr_config())
+        err = run_rejected(tmp_path, capsys, cfg, "--set", f"drive_strength={value}")
+        assert "'drive_strength'" in err
+
+    def test_integer_beyond_float_range_rejected(self, no_numerics, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(nmr_config()).replace("25.0", "1" + "0" * 400))
+        err = run_rejected(tmp_path, capsys, str(path))
+        assert "'drive_strength'" in err
+
+    def test_verdict_tolerance_nan_does_not_reach_result(self, tmp_path, capsys):
+        # verify-transform self pair runs in milliseconds; no stubs needed
+        payload = {
+            "experiment": "verify-transform", "pair": "self", "qubit_splitting": 1.0,
+            "drive_rate": 1.5, "drive_strength": 2.0, "t_final": 1.0, "n_steps": 50,
+            "tolerances": {"max_residual": float("nan")},
+        }
+        run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
+
+
+class TestNoTraceback:
+    def test_unitarity_error_exits_1(self, monkeypatch, tmp_path, capsys):
+        def drifted(**kwargs):
+            raise UnitarityError("unitarity defect 3.0e-01 at step 7 exceeds 1e-10", 7, 0.3)
+
+        monkeypatch.setattr(cli, "run_nmr_experiment", drifted)
+        err = run_rejected(tmp_path, capsys, write_config(tmp_path, nmr_config()))
+        assert "step 7" in err
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        payload = {
+            "experiment": "verify-transform", "pair": "self", "qubit_splitting": 1.0,
+            "drive_rate": 1.5, "drive_strength": 2.0, "t_final": 1.0, "n_steps": 50,
+        }
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, payload)
+        assert main(["run", "--config", cfg, "--out", str(blocker)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert str(blocker) in err
+
+
+class TestProblemFileWithCouplings:
+    @pytest.fixture
+    def edge_file(self, tmp_path):
+        path = tmp_path / "chain.txt"
+        path.write_text("0 0.6\n1 0.6\n0 1 -0.5\n")
+        return str(path)
+
+    def test_top_level_ising(self, no_numerics, tmp_path, capsys, edge_file):
+        payload = ising_config(problem_file=edge_file)
+        del payload["fields"]
+        err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
+        assert "'couplings'" in err
+
+    def test_rescale_problem(self, no_numerics, tmp_path, capsys, edge_file):
+        problem = {"kind": "ising", "n_qubits": 2, "problem_file": edge_file, "couplings": []}
+        cfg = write_config(tmp_path, rescale_config(problem=problem))
+        err = run_rejected(tmp_path, capsys, cfg)
+        assert "'problem.couplings'" in err
+
+    def test_problem_file_alone_is_accepted(self, no_numerics, tmp_path, edge_file):
+        payload = ising_config(problem_file=edge_file)
+        del payload["fields"], payload["couplings"]
+        with pytest.raises(Reached):
+            cli.run_experiment(write_config(tmp_path, payload), out_dir=str(tmp_path / "out"))
+
+
+class TestSetIntoNonObject:
+    def test_scalar_parent_named(self, no_numerics, tmp_path, capsys):
+        cfg = write_config(tmp_path, nmr_config())
+        err = run_rejected(tmp_path, capsys, cfg, "--set", "drive_strength.x=1")
+        assert "'drive_strength'" in err
+        assert "not an object" in err
+
+    def test_invalid_block_not_silently_replaced(self, no_numerics, tmp_path, capsys):
+        payload = {"experiment": "grover", "n_qubits": 2, "marked": 3, "sweep": 3}
+        cfg = write_config(tmp_path, payload)
+        err = run_rejected(tmp_path, capsys, cfg, "--set", "sweep.doublings=2")
+        assert "'sweep'" in err
+
+    def test_nested_path_named(self, no_numerics, tmp_path, capsys):
+        cfg = write_config(tmp_path, rescale_config())
+        err = run_rejected(tmp_path, capsys, cfg, "--set", "problem.kind.x=1")
+        assert "'problem.kind'" in err
+
+    def test_missing_parent_is_created(self, no_numerics, tmp_path):
+        payload = {"experiment": "grover", "n_qubits": 2, "marked": 3}
+        with pytest.raises(Reached):
+            cli.run_experiment(
+                write_config(tmp_path, payload), ["sweep.doublings=2"], str(tmp_path / "out")
+            )
+
+
+# What each kind accepts, written out independently of the table in cli.py.
+ACCEPTED = {
+    "nmr": (
+        "qubit_splitting", "drive_rate", "drive_strength", "t_final", "n_steps",
+        "min_fidelity", "max_oracle_distance", "max_closed_form_distance",
+        "max_two_gate_deficit_composed", "max_two_gate_deficit_closed_form",
+        "max_correction_gate_distance", "require_transform_model",
+    ),
+    "grover": (
+        "n_qubits", "marked", "transverse0", "t_final", "n_steps", "sweep", "t_initial",
+        "doublings", "success_threshold", "fast_counterpart", "phase",
+        "min_success", "min_counterpart_fidelity",
+    ),
+    "ising": (
+        "n_qubits", "fields", "couplings", "problem_file", "transverse0", "t_final", "n_steps",
+        "sweep", "t_initial", "doublings", "success_threshold", "fast_counterpart", "phase",
+        "min_success", "min_counterpart_fidelity",
+    ),
+    "verify-transform": (
+        "pair", "qubit_splitting", "drive_rate", "drive_strength", "t_final", "n_steps",
+        "max_residual", "require_model",
+    ),
+    "rescale": (
+        "problem", "kind", "n_qubits", "marked", "fields", "couplings", "problem_file",
+        "fast_time", "slow_time", "n_steps", "transverse0", "drive_check", "drive_strength",
+        "n_nodes", "max_distance", "max_drive_distance",
+    ),
+}
+
+
+def test_list_names_every_accepted_key(capsys):
+    assert main(["list"]) == 0
+    text = capsys.readouterr().out
+    kinds = list(ACCEPTED)
+    for k, kind in enumerate(kinds):
+        start = text.index(f"\n  {kind}\n")
+        end = text.index(f"\n  {kinds[k + 1]}\n") if k + 1 < len(kinds) else len(text)
+        words = set(text[start:end].split())
+        missing = [key for key in ACCEPTED[kind] if key not in words]
+        assert not missing, f"{kind}: {missing}"
+
