@@ -723,3 +723,7 @@ def main(argv=None) -> int:
 
 def console_main():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -33,6 +33,7 @@ from .operators import (
 from .propagation import (
     PropagatorTrace,
     TimeGrid,
+    _block_rows,
     nmr_fast_propagator,
     nmr_slow_propagator,
     propagate,
@@ -70,6 +71,14 @@ class FidelityCurve:
         write_csv_curve(path, self.times, self.values)
 
 
+def _eigh_blocks(hamiltonian, times: np.ndarray):
+    """(first row, energies, states) of the Hamiltonian at ``times``, one
+    batched eigendecomposition per block of the shared row budget."""
+    rows = _block_rows(hamiltonian.dim)
+    for lo in range(0, len(times), rows):
+        yield (lo, *np.linalg.eigh(hamiltonian.matrix_stack(times[lo : lo + rows])))
+
+
 def track_ground_state(
     hamiltonian: TimeDependentHamiltonian,
     trace: PropagatorTrace,
@@ -87,41 +96,37 @@ def track_ground_state(
     the curve is truncated at that node.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    times = []
     values = []
     prev_vec = None
-    truncated = False
     truncated_at = None
-    for k in range(len(trace.times)):
-        t = float(trace.times[k])
-        eig = instantaneous_eigensystem(hamiltonian, t, degeneracy_tol=degeneracy_tol)
-        if prev_vec is None:
-            b = int(branch)
-        else:
-            overlaps = np.abs(prev_vec.conj() @ eig.states) ** 2
-            b = int(np.argmax(overlaps))
-            if overlaps[b] < _OVERLAP_FLOOR:
-                truncated = True
-                truncated_at = t
-                break
-        prev_vec = eig.states[:, b]
-        psi = trace.unitaries[k] @ psi0
-        cluster = np.abs(eig.energies - eig.energies[b]) < degeneracy_tol
-        if np.count_nonzero(cluster) > 1:
-            amp = eig.states[:, cluster].conj().T @ psi
-            value = float(np.sum(np.abs(amp) ** 2))
-        else:
-            value = float(np.abs(np.vdot(prev_vec, psi)) ** 2)
-        times.append(t)
-        values.append(value)
-    times = np.asarray(times)
-    values = np.asarray(values)
+    for lo, energies, states in _eigh_blocks(hamiltonian, trace.times):
+        picks = []
+        for vecs in states:
+            if prev_vec is None:
+                b = int(branch)
+            else:
+                overlaps = np.abs(prev_vec.conj() @ vecs) ** 2
+                b = int(np.argmax(overlaps))
+                if overlaps[b] < _OVERLAP_FLOOR:
+                    truncated_at = float(trace.times[lo + len(picks)])
+                    break
+            prev_vec = vecs[:, b]
+            picks.append(b)
+        n = len(picks)
+        psi = trace.unitaries[lo : lo + n] @ psi0
+        amps = np.einsum("kij,ki->kj", states[:n].conj(), psi)
+        picked = energies[np.arange(n), np.asarray(picks, dtype=int)]
+        cluster = np.abs(energies[:n] - picked[:, None]) < degeneracy_tol
+        values.append(np.sum(np.abs(amps) ** 2, axis=1, where=cluster))
+        if truncated_at is not None:
+            break
+    values = np.concatenate(values)
     return FidelityCurve(
-        times=times,
+        times=trace.times[: len(values)],
         values=values,
         min_value=float(np.min(values)),
         adiabaticity_ratio=adiabaticity_ratio,
-        truncated=truncated,
+        truncated=truncated_at is not None,
         truncated_at=truncated_at,
     )
 
@@ -172,7 +177,7 @@ class NmrExperimentReport:
 
 
 def _max_node_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(max(phase_aligned_distance(x, y) for x, y in zip(a, b)))
+    return float(np.max(phase_aligned_distance(a, b)))
 
 
 def run_nmr_experiment(
@@ -207,8 +212,8 @@ def run_nmr_experiment(
     slow_h = rotating_frame_hamiltonian(p)
     fast_num = propagate(fast_h, grid, label="driven qubit")
     slow_num = propagate(slow_h, grid, label="rotated frame")
-    fast_ana = sample_trace(lambda t: nmr_fast_propagator(p, t), grid, label="driven qubit closed form")
-    slow_ana = sample_trace(lambda t: nmr_slow_propagator(p, t), grid, label="rotated frame closed form")
+    fast_ana = sample_trace(lambda ts: nmr_fast_propagator(p, ts), grid, label="driven qubit closed form")
+    slow_ana = sample_trace(lambda ts: nmr_slow_propagator(p, ts), grid, label="rotated frame closed form")
 
     oracle_fast = _max_node_distance(fast_num.unitaries, fast_ana.unitaries)
     oracle_slow = _max_node_distance(slow_num.unitaries, slow_ana.unitaries)
@@ -345,9 +350,11 @@ def run_annealing_experiment(
     amp = eig_final.states[:, cluster].conj().T @ psi_final
     success = float(np.sum(np.abs(amp) ** 2))
 
-    min_gap = math.inf
-    for t in np.linspace(0.0, grid.t_end, int(eigen_samples)):
-        min_gap = min(min_gap, instantaneous_eigensystem(h, float(t)).gap)
+    # eigh, not eigvalsh: the gaps keep the bits of instantaneous_eigensystem
+    ts = np.linspace(0.0, grid.t_end, int(eigen_samples))
+    min_gap = min(
+        (float(np.min(e[:, 1] - e[:, 0])) for _, e, _ in _eigh_blocks(h, ts)), default=math.inf
+    )
 
     marked_fid = None
     if isinstance(problem, GroverProblem):
@@ -465,15 +472,8 @@ def run_fast_counterpart_comparison(
     two_gate = fidelity(
         two_gate_realization(fast_trace, composed, psi0), psi_slow
     )
-    transform_distance = float(
-        max(
-            phase_aligned_distance(
-                composed.matrices[k],
-                hermitian_expm(sum_x, float(phase.value(composed.times[k]))),
-            )
-            for k in range(len(composed.times))
-        )
-    )
+    frames = hermitian_expm(sum_x, phase.value(composed.times))
+    transform_distance = float(np.max(phase_aligned_distance(composed.matrices, frames)))
     return FastCounterpartReport(
         equivalence_fidelity=equivalence,
         two_gate_fidelity_composed=two_gate,

@@ -7,6 +7,7 @@ conjugating the problem term qubit-wise around X.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,12 +295,15 @@ class IsingProblem:
                     continue
                 parts = line.split()
                 try:
-                    if len(parts) == 2:
-                        fields[int(parts[0])] = float(parts[1])
-                    elif len(parts) == 3:
-                        couplings.append((int(parts[0]), int(parts[1]), float(parts[2])))
-                    else:
+                    if len(parts) not in (2, 3):
                         raise ValueError("expected 2 or 3 columns")
+                    value = float(parts[-1])
+                    if not math.isfinite(value):
+                        raise ValueError(f"non-finite value {parts[-1]}")
+                    if len(parts) == 2:
+                        fields[int(parts[0])] = value
+                    else:
+                        couplings.append((int(parts[0]), int(parts[1]), value))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: cannot parse {line!r} ({exc})") from None
         indices = set(fields) | {i for i, _, _ in couplings} | {j for _, j, _ in couplings}

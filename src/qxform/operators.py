@@ -140,20 +140,26 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
 
 
-def hermitian_expm(generator: np.ndarray, scale: float) -> np.ndarray:
+def hermitian_expm(generator: np.ndarray, scale) -> np.ndarray:
     """exp(-1j * scale * generator) via eigendecomposition of the Hermitian generator.
 
-    The input must be Hermitian within 1e-12 per matrix dimension; the result
-    is unitary to machine precision.
+    ``scale`` is a number, giving one (d, d) matrix, or a 1-D array, giving a
+    (len(scale), d, d) stack from a single eigendecomposition.  The input must
+    be Hermitian within 1e-12 per matrix dimension; the result is unitary to
+    machine precision.
     """
     g = np.asarray(generator, dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"generator must be a square matrix, got shape {g.shape}")
+    scale = np.asarray(scale)
+    if scale.ndim > 1:
+        raise ValueError(f"scale must be a number or a 1-D array, got shape {scale.shape}")
     defect = hermiticity_defect(g)
     if not (defect <= 1e-12 * g.shape[0]):
         raise ValueError(f"generator is not Hermitian (defect {defect:.3e})")
     w, v = np.linalg.eigh(g)
-    return (v * np.exp(-1j * scale * w)) @ v.conj().T
+    phases = np.exp(-1j * scale[..., None] * w)
+    return (v * phases[..., None, :]) @ v.conj().T
 
 
 def _hermitian_expm_stack(generators: np.ndarray, scale: float) -> np.ndarray:
@@ -173,9 +179,9 @@ def _hermitian_expm_stack(generators: np.ndarray, scale: float) -> np.ndarray:
 
 
 class PhaseAlignment(NamedTuple):
-    distance: float
-    phase: float
-    fallback: bool
+    distance: float | np.ndarray
+    phase: float | np.ndarray
+    fallback: bool | np.ndarray
 
 
 def phase_align(a: np.ndarray, b: np.ndarray) -> PhaseAlignment:
@@ -183,21 +189,26 @@ def phase_align(a: np.ndarray, b: np.ndarray) -> PhaseAlignment:
 
     The optimum phase is phi* = arg tr(B^dag A).  When that trace vanishes no
     phase is preferred; the plain Frobenius distance is returned with
-    ``fallback`` set.
+    ``fallback`` set.  Stacks of matrices (shape (..., d, d)) are aligned pair
+    by pair and give arrays of the leading shape; single matrices give
+    scalars.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    tr = complex(np.einsum("ij,ij->", b.conj(), a))
-    if abs(tr) == 0.0:
-        return PhaseAlignment(float(np.linalg.norm(a - b)), 0.0, True)
-    phi = math.atan2(tr.imag, tr.real)
-    dist = float(np.linalg.norm(a - np.exp(1j * phi) * b))
-    return PhaseAlignment(dist, phi, False)
+    if a.ndim < 2:
+        raise ValueError(f"need matrices or stacks of matrices, got shape {a.shape}")
+    tr = np.einsum("...ij,...ij->...", b.conj(), a)
+    fallback = np.abs(tr) == 0.0
+    phi = np.where(fallback, 0.0, np.arctan2(tr.imag, tr.real))
+    dist = np.linalg.norm(a - np.exp(1j * phi)[..., None, None] * b, axis=(-2, -1))
+    if a.ndim == 2:
+        return PhaseAlignment(float(dist), float(phi), bool(fallback))
+    return PhaseAlignment(dist, phi, fallback)
 
 
-def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
+def phase_aligned_distance(a: np.ndarray, b: np.ndarray):
     return phase_align(a, b).distance
 
 

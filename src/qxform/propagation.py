@@ -24,6 +24,10 @@ from .schedules import Harmonic, NmrParams
 # Traces are aborted, not repaired, beyond this unitarity defect.
 DEFECT_LIMIT = 1e-8
 
+# Matrix elements per batched block: bounds the working set of every blocked
+# evaluation (propagation steps, eigensystem stacks) at 64 MiB per complex stack.
+_BLOCK_ELEMENTS = 1 << 22
+
 _TRACE_MAGIC = "qxform-trace 1"
 
 
@@ -133,6 +137,11 @@ class PropagatorTrace:
         return self.at(t, strict=strict) @ psi0
 
 
+def _block_rows(dim: int) -> int:
+    """Rows of (dim, dim) matrices per batched block."""
+    return max(1, _BLOCK_ELEMENTS // (dim * dim))
+
+
 def _batch_defects(us: np.ndarray) -> np.ndarray:
     eye = np.eye(us.shape[-1])
     if us.shape[-1] < _MATMUL_MIN_DIM:
@@ -182,7 +191,7 @@ def propagate(
     times = grid.times()
     mids = grid.midpoints()
     dt = grid.dt
-    block = max(1, min(int(block_size), (1 << 22) // (dim * dim)))
+    block = max(1, min(int(block_size), _block_rows(dim)))
 
     stored = np.empty((len(indices), dim, dim), dtype=complex)
     stored[0] = np.eye(dim)
@@ -218,15 +227,28 @@ def propagate(
     )
 
 
-def sample_trace(fn, grid: TimeGrid, label: str = "", stride: int = 1) -> PropagatorTrace:
-    """Build a trace by sampling a closed-form propagator t -> U(t) at grid nodes.
+def _sample_stack(fn, times: np.ndarray) -> np.ndarray:
+    """fn(times) as a fresh complex (len(times), d, d) stack; anything else is rejected."""
+    mats = np.array(fn(times), dtype=complex)
+    if mats.ndim != 3 or mats.shape[0] != len(times) or mats.shape[1] != mats.shape[2]:
+        raise ValueError(
+            f"sampler returned shape {mats.shape} for {len(times)} times; "
+            f"expected ({len(times)}, d, d)"
+        )
+    return mats
 
-    The sample at t_start must equal the identity to within 1e-10; it is then
-    snapped to the exact identity so composed transforms start at exactly I.
+
+def sample_trace(fn, grid: TimeGrid, label: str = "", stride: int = 1) -> PropagatorTrace:
+    """Build a trace by sampling a closed-form propagator at grid nodes.
+
+    ``fn`` is called once with the array of stored node times and must return
+    the (n_nodes, d, d) stack of propagators.  The sample at t_start must
+    equal the identity to within 1e-10; it is then snapped to the exact
+    identity so composed transforms start at exactly I.
     """
     indices = _stored_indices(grid.n_steps, int(stride))
     times = grid.times()[indices]
-    mats = np.stack([np.asarray(fn(t), dtype=complex) for t in times])
+    mats = _sample_stack(fn, times)
     first_gap = float(np.linalg.norm(mats[0] - np.eye(mats.shape[-1])))
     if not (first_gap <= 1e-10):
         raise ValueError(
@@ -254,9 +276,11 @@ def _require_harmonic(p: NmrParams) -> tuple:
     return p.drive_phase.rate, p.detuning, p.drive_strength
 
 
-def nmr_fast_propagator(p: NmrParams, t: float) -> np.ndarray:
+def nmr_fast_propagator(p: NmrParams, t) -> np.ndarray:
     """Exact lab-frame propagator of the rotating drive:
-    exp(-i w Z t / 2) exp(-i (2 g X - d Z) t / 2), d = w - splitting."""
+    exp(-i w Z t / 2) exp(-i (2 g X - d Z) t / 2), d = w - splitting.
+
+    A number ``t`` gives one (2, 2) matrix, a 1-D array of times a stack."""
     rate, detuning, g = _require_harmonic(p)
     z = pauli_matrix("Z")
     x = pauli_matrix("X")
@@ -265,9 +289,10 @@ def nmr_fast_propagator(p: NmrParams, t: float) -> np.ndarray:
     )
 
 
-def nmr_slow_propagator(p: NmrParams, t: float) -> np.ndarray:
+def nmr_slow_propagator(p: NmrParams, t) -> np.ndarray:
     """Exact rotated-frame propagator with the frame advancing at the detuning:
-    exp(-i d Z t / 2) exp(-i (2 g X - d Z) t / 2)."""
+    exp(-i d Z t / 2) exp(-i (2 g X - d Z) t / 2); ``t`` as in
+    :func:`nmr_fast_propagator`."""
     _, detuning, g = _require_harmonic(p)
     if not isinstance(p.frame_phase, Harmonic):
         raise ValueError("slow closed form requires a uniformly rotating frame phase")
@@ -304,25 +329,57 @@ def write_trace(trace: PropagatorTrace, path) -> None:
 
 
 def read_trace(path) -> PropagatorTrace:
+    """Read a file written by :func:`write_trace`.
+
+    A malformed, truncated or over-long file is a ValueError naming
+    ``path:line``; every stored unitary passes the defect gate.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _TRACE_MAGIC:
         raise ValueError(f"{path}: not a trace file (missing '{_TRACE_MAGIC}' header)")
-    label = lines[1].split(" ", 1)[1] if " " in lines[1] else ""
-    g = lines[2].split()
-    grid = TimeGrid(float(g[1]), float(g[2]), int(g[3]))
-    hdr = lines[3].split()
-    n_nodes, dim = int(hdr[1]), int(hdr[3])
-    times = np.empty(n_nodes)
-    mats = np.empty((n_nodes, dim, dim), dtype=complex)
-    pos = 4
-    for k in range(n_nodes):
-        times[k] = float(lines[pos].split()[1])
+    pos = 1  # 1-based number of the last line consumed
+
+    def next_line(what: str) -> str:
+        nonlocal pos
         pos += 1
-        for r in range(dim):
-            vals = [float(x) for x in lines[pos].split()]
-            mats[k, r] = np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2])
-            pos += 1
+        if pos > len(lines):
+            raise ValueError(f"file ends where {what} was expected")
+        return lines[pos - 1]
+
+    def fields(key: str | None, count: int, what: str) -> list:
+        line = next_line(what)
+        parts = line.split()
+        if (key is not None and parts[:1] != [key]) or len(parts) != count:
+            raise ValueError(f"expected {what}, got {line!r}")
+        return parts if key is None else parts[1:]
+
+    try:
+        key, _, label = next_line("the 'label' line").partition(" ")
+        if key != "label":
+            raise ValueError(f"expected the 'label' line, got {lines[1]!r}")
+        g = fields("grid", 4, "'grid t_start t_end n_steps'")
+        grid = TimeGrid(float(g[0]), float(g[1]), int(g[2]))
+        hdr = fields("nodes", 4, "'nodes N dim D'")
+        if hdr[1] != "dim":
+            raise ValueError(f"expected 'nodes N dim D', got {lines[pos - 1]!r}")
+        n_nodes, dim = int(hdr[0]), int(hdr[2])
+        if n_nodes < 1 or dim < 1:
+            raise ValueError(f"need N >= 1 and D >= 1, got N={n_nodes}, D={dim}")
+        # grown line by line, so a header that overstates the size fails as truncated
+        times, rows = [], []
+        for k in range(n_nodes):
+            times.append(float(fields("t", 2, f"'t <time>' of node {k}")[0]))
+            for r in range(dim):
+                rows.append([float(x) for x in fields(None, 2 * dim, f"row {r} of node {k}")])
+    except ValueError as exc:
+        raise ValueError(f"{path}:{pos}: {exc}") from None
+    extra = next((i for i in range(pos, len(lines)) if lines[i].strip()), None)
+    if extra is not None:
+        raise ValueError(f"{path}:{extra + 1}: trailing data after the last of {n_nodes} nodes")
+    times = np.array(times)
+    vals = np.array(rows).reshape(n_nodes, dim, 2 * dim)
+    mats = vals[..., 0::2] + 1j * vals[..., 1::2]
     indices = np.arange(n_nodes)
     max_defect = _check_stored(mats, indices, "deserialized unitary")
     mats.flags.writeable = False

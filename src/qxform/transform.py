@@ -26,6 +26,7 @@ from .propagation import (
     TimeGrid,
     UnitarityError,
     _batch_defects,
+    _sample_stack,
     nmr_fast_propagator,
     propagate,
 )
@@ -135,13 +136,15 @@ def compose_transform(fast: PropagatorTrace, slow: PropagatorTrace) -> Transform
 def sampled_transform(
     grid: TimeGrid, sampler, provenance: str, identity_start: bool = True
 ) -> TransformTrace:
-    """Build a transform trace from a closed form t -> S(t) on all grid nodes.
+    """Build a transform trace from a closed form S(t) on all grid nodes.
 
-    Frame changes built from propagators always start at the identity; pass
-    ``identity_start=False`` for static frames such as a fixed rotation.
+    ``sampler`` is called once with the array of node times and must return
+    the (n_nodes, d, d) stack.  Frame changes built from propagators always
+    start at the identity; pass ``identity_start=False`` for static frames
+    such as a fixed rotation.
     """
     times = grid.times()
-    mats = np.stack([np.asarray(sampler(t), dtype=complex) for t in times])
+    mats = _sample_stack(sampler, times)
     return _finalize_transform(
         grid, times, mats, provenance, sampler=sampler, identity_start=identity_start
     )
@@ -150,7 +153,9 @@ def sampled_transform(
 def identity_transform(grid: TimeGrid, dim: int) -> TransformTrace:
     """The trivial frame change S(t) = I."""
     eye = np.eye(int(dim), dtype=complex)
-    return sampled_transform(grid, lambda t: eye, "identity")
+    return sampled_transform(
+        grid, lambda ts: np.broadcast_to(eye, (len(ts), *eye.shape)), "identity"
+    )
 
 
 def nmr_closed_form_transform(p: NmrParams, grid: TimeGrid) -> TransformTrace:
@@ -160,7 +165,7 @@ def nmr_closed_form_transform(p: NmrParams, grid: TimeGrid) -> TransformTrace:
     z = pauli_matrix("Z")
 
     def sampler(t):
-        angle = float(p.frame_phase.value(t) - p.drive_phase.value(t))
+        angle = p.frame_phase.value(t) - p.drive_phase.value(t)
         return hermitian_expm(z, -0.5 * angle)
 
     return sampled_transform(grid, sampler, "closed-form Z rotation")
@@ -173,7 +178,7 @@ def nmr_closed_form_transform(p: NmrParams, grid: TimeGrid) -> TransformTrace:
 @dataclass(frozen=True, eq=False)
 class SampledHamiltonian:
     """Hermitian matrices on the interior nodes of a grid, as produced by the
-    frame-change formulas with centrally differenced S.
+    frame-change formulas with centrally differenced S.  ``times`` ascend.
 
     ``antihermitian_defects`` holds the per-node norm of the discarded
     anti-Hermitian part, the primary numerical-health signal."""
@@ -191,23 +196,20 @@ class SampledHamiltonian:
     def max_defect(self) -> float:
         return float(np.max(self.antihermitian_defects))
 
-    def node_index(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(float(self.times[k]) - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not a sampled node")
-        return k
-
     def matrix(self, t: float) -> np.ndarray:
-        return self.matrices[self.node_index(t)]
+        return self.matrix_stack(t)[0]
 
     def matrix_stack(self, ts) -> np.ndarray:
-        return np.stack([self.matrix(float(t)) for t in np.atleast_1d(ts)])
-
-
-def _matrices_at(hamiltonian, times: np.ndarray) -> np.ndarray:
-    if hasattr(hamiltonian, "matrix_stack"):
-        return hamiltonian.matrix_stack(times)
-    return np.stack([hamiltonian.matrix(float(t)) for t in times])
+        """The stored matrices at ``ts``; each time must be a sampled node to
+        within 1e-9 (relative, absolute below 1)."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        hi = np.searchsorted(self.times, ts).clip(0, len(self.times) - 1)
+        lo = (hi - 1).clip(0)
+        k = np.where(ts - self.times[lo] <= self.times[hi] - ts, lo, hi)
+        off = ~(np.abs(self.times[k] - ts) <= 1e-9 * np.maximum(1.0, np.abs(ts)))
+        if off.any():
+            raise ValueError(f"time {ts[np.argmax(off)]} is not a sampled node")
+        return self.matrices[k]
 
 
 def _central_difference(mats: np.ndarray, dt: float) -> np.ndarray:
@@ -235,7 +237,7 @@ def transform_into_frame(hamiltonian, transform: TransformTrace) -> SampledHamil
     s_mid = mats[1:-1]
     s_dot = _central_difference(mats, dt)
     t_mid = transform.times[1:-1]
-    h_lab = _matrices_at(hamiltonian, t_mid)
+    h_lab = hamiltonian.matrix_stack(t_mid)
     raw = np.einsum("kji,kjl,klm->kim", s_mid.conj(), h_lab, s_mid)
     raw -= 1j * np.einsum("kji,kjl->kil", s_mid.conj(), s_dot)
     herm, defects = _split_hermitian(raw)
@@ -254,7 +256,7 @@ def transform_out_of_frame(frame_hamiltonian, transform: TransformTrace) -> Samp
     s_mid = mats[1:-1]
     s_dag_dot = _central_difference(mats.conj().transpose(0, 2, 1), dt)
     t_mid = transform.times[1:-1]
-    h_frame = _matrices_at(frame_hamiltonian, t_mid)
+    h_frame = frame_hamiltonian.matrix_stack(t_mid)
     raw = np.einsum("kij,kjl,kml->kim", s_mid, h_frame, s_mid.conj())
     raw -= 1j * np.einsum("kij,kjl->kil", s_mid, s_dag_dot)
     herm, defects = _split_hermitian(raw)
@@ -305,7 +307,7 @@ class TransformReport:
 
 def _reconstruction_residuals(hamiltonian, frame_hamiltonian, transform):
     rec = transform_into_frame(hamiltonian, transform)
-    target = _matrices_at(frame_hamiltonian, rec.times)
+    target = frame_hamiltonian.matrix_stack(rec.times)
     residuals = np.linalg.norm(rec.matrices - target, axis=(1, 2))
     return rec, residuals
 
@@ -455,12 +457,7 @@ def time_rescaling_equivalence(
     grid = TimeGrid(0.0, 1.0, n_steps)
     fast_trace = propagate(gen_fast, grid, label="boosted fast generator", stride=stride)
     slow_trace = propagate(gen_slow, grid, label="slow generator", stride=stride)
-    distances = np.array(
-        [
-            phase_aligned_distance(uf, us)
-            for uf, us in zip(fast_trace.unitaries, slow_trace.unitaries)
-        ]
-    )
+    distances = phase_aligned_distance(fast_trace.unitaries, slow_trace.unitaries)
     return RescaleReport(
         times=fast_trace.times,
         distances=distances,
@@ -470,10 +467,11 @@ def time_rescaling_equivalence(
     )
 
 
-def rescaled_drive_closed_form(drive_strength: float, fast_time: float, tau: float) -> np.ndarray:
+def rescaled_drive_closed_form(drive_strength: float, fast_time: float, tau) -> np.ndarray:
     """Shared normalized-time propagator of the resonant drive pair with the
     drive period equal to the characteristic time and zero splitting:
-    exp(-i pi Z tau) exp(-i (T g X - pi Z) tau)."""
+    exp(-i pi Z tau) exp(-i (T g X - pi Z) tau); a 1-D array ``tau`` gives a
+    stack."""
     z = pauli_matrix("Z")
     x = pauli_matrix("X")
     return hermitian_expm(z, np.pi * tau) @ hermitian_expm(
@@ -502,14 +500,9 @@ def verify_rescaled_drive(
     fast = NmrParams.harmonic(0.0, 2.0 * np.pi / T, g)
     slow = NmrParams.harmonic(0.0, 2.0 * np.pi / T_slow, g * T / T_slow)
     taus = np.linspace(0.0, 1.0, int(n_nodes))
-    fast_d = np.empty_like(taus)
-    slow_d = np.empty_like(taus)
-    for k, tau in enumerate(taus):
-        ref = rescaled_drive_closed_form(g, T, float(tau))
-        fast_d[k] = phase_aligned_distance(nmr_fast_propagator(fast, float(tau) * T), ref)
-        slow_d[k] = phase_aligned_distance(
-            nmr_fast_propagator(slow, float(tau) * T_slow), ref
-        )
+    ref = rescaled_drive_closed_form(g, T, taus)
+    fast_d = phase_aligned_distance(nmr_fast_propagator(fast, taus * T), ref)
+    slow_d = phase_aligned_distance(nmr_fast_propagator(slow, taus * T_slow), ref)
     return RescaledDriveReport(
         times=taus,
         fast_distances=fast_d,

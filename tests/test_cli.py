@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import qxform
-from qxform.cli import ConfigError, _schedule, list_experiments, main
+from qxform.cli import EXPERIMENTS, ConfigError, _schedule, list_experiments, main
 from qxform.schedules import CosineRamp, Harmonic, Tabulated
 
 
@@ -301,3 +305,27 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["run"])
         assert exc.value.code == 1
+
+
+class TestModuleEntryPoint:
+    """``python -m qxform.cli`` runs the same command line as ``qxform``."""
+
+    def _run(self, *args, cwd):
+        env = dict(os.environ)
+        src = str(Path(qxform.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "qxform.cli", *args],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_list_prints_every_kind(self, tmp_path):
+        done = self._run("list", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        for kind in EXPERIMENTS:
+            assert kind in done.stdout
+
+    def test_bad_run_exits_1(self, tmp_path):
+        done = self._run("run", "--config", str(tmp_path / "missing.json"), cwd=tmp_path)
+        assert done.returncode == 1
+        assert "missing.json" in done.stderr and "Traceback" not in done.stderr

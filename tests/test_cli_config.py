@@ -246,6 +246,16 @@ class TestProblemFileWithCouplings:
             cli.run_experiment(write_config(tmp_path, payload), out_dir=str(tmp_path / "out"))
 
 
+@pytest.mark.parametrize("line", ["1 nan", "0 1 inf"])
+def test_non_finite_edge_list_value_names_file_and_line(no_numerics, tmp_path, capsys, line):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(f"0 0.6\n{line}\n")
+    payload = ising_config(problem_file=str(edges))
+    del payload["fields"], payload["couplings"]
+    err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
+    assert f"{edges}:2:" in err and "non-finite" in err
+
+
 class TestSetIntoNonObject:
     def test_scalar_parent_named(self, no_numerics, tmp_path, capsys):
         cfg = write_config(tmp_path, nmr_config())

@@ -297,6 +297,21 @@ class TestProblems:
         assert problem.fields == (0.5, 0.5, 0.5, 0.5)
         assert problem.couplings == ((0, 1, -1.0), (1, 2, -1.0), (2, 3, -1.0))
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0 0.5\n1 nan\n", 2),
+            ("0 0.5\n1 -inf\n", 2),
+            ("0 0.5\n# chain\n0 1 inf\n", 3),
+            ("0 0.5\n0 1 NaN\n", 2),
+        ],
+    )
+    def test_edge_list_rejects_non_finite_values(self, tmp_path, text, line):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"edges.txt:{line}: .*non-finite"):
+            IsingProblem.from_edge_list(path)
+
     def test_edge_list_bad_line_names_location(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 0.5\n0 1 2 3\n")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qxform.propagation import (
     write_trace,
 )
 from qxform.schedules import Constant, LinearRamp, NmrParams
+from qxform.transform import sampled_transform
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -230,16 +232,24 @@ class TestSampleTrace:
     def test_rejects_non_identity_start(self):
         grid = TimeGrid(0.0, 1.0, 4)
         with pytest.raises(ValueError, match="identity"):
-            sample_trace(lambda t: np.diag([1.0, -1.0]).astype(complex), grid)
+            sample_trace(lambda ts: np.broadcast_to(np.diag([1.0, -1.0]), (len(ts), 2, 2)), grid)
 
     def test_rejects_non_unitary_samples(self):
         grid = TimeGrid(0.0, 1.0, 4)
 
-        def fn(t):
-            return np.eye(2, dtype=complex) * (1.0 + t)
+        def fn(ts):
+            return np.eye(2, dtype=complex) * (1.0 + ts)[:, None, None]
 
         with pytest.raises(UnitarityError):
             sample_trace(fn, grid)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2, 2), (5, 2, 3), (5, 4)])
+    def test_rejects_wrongly_shaped_sampler_result(self, shape):
+        grid = TimeGrid(0.0, 1.0, 4)  # five nodes
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            sample_trace(lambda ts: np.zeros(shape, dtype=complex), grid)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            sampled_transform(grid, lambda ts: np.zeros(shape, dtype=complex), "wrong")
 
     def test_matches_function_at_nodes(self):
         p = NmrParams.harmonic(1.0, 1.5, 2.0)
@@ -260,6 +270,61 @@ class TestTraceSerialization:
         assert back.generator_label == "round trip"
         assert np.array_equal(back.times, trace.times)
         assert np.array_equal(back.unitaries, trace.unitaries)
+
+    def _written(self, tmp_path):
+        p = NmrParams.harmonic(1.0, 1.5, 2.0)
+        trace = propagate(nmr_hamiltonian(p), TimeGrid(0.0, 1.0, 4), label="cut")
+        path = tmp_path / "trace.txt"
+        write_trace(trace, path)
+        return path, path.read_text().splitlines(keepends=True)
+
+    # 4 header lines, then 3 lines per node (time, two rows) for 5 nodes: 19 lines
+    @pytest.mark.parametrize(
+        "keep, line",
+        [
+            (1, 2),  # magic line only
+            (4, 5),  # header only
+            (5, 6),  # node 0 cut after its time
+            (12, 13),  # node 2 cut after its first row
+            (18, 19),  # last row missing
+        ],
+    )
+    def test_truncated_file_names_line(self, tmp_path, keep, line):
+        path, lines = self._written(tmp_path)
+        assert len(lines) == 19
+        path.write_text("".join(lines[:keep]))
+        with pytest.raises(ValueError, match=f"trace.txt:{line}: file ends"):
+            read_trace(path)
+
+    def test_overstated_node_count_is_truncation(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        path.write_text("".join(lines[:3]) + "nodes 100000000000 dim 1024\n" + lines[4])
+        with pytest.raises(ValueError, match="trace.txt:6: file ends"):
+            read_trace(path)
+
+    def test_row_cut_mid_line_names_line(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        path.write_text("".join(lines[:11]) + lines[11].split()[0] + "\n")
+        with pytest.raises(ValueError, match="trace.txt:12: expected row 0 of node 2"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("extra, line", [("t 1.25\n", 20), ("0.0 0.0", 20), ("\n\n1\n", 22)])
+    def test_trailing_data_names_line(self, tmp_path, extra, line):
+        path, lines = self._written(tmp_path)
+        path.write_text("".join(lines) + extra)
+        with pytest.raises(ValueError, match=f"trace.txt:{line}: trailing data"):
+            read_trace(path)
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        path.write_text("".join(lines) + "\n  \n")
+        assert len(read_trace(path).times) == 5
+
+    def test_malformed_header_names_line(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        path.write_text("".join(lines[:3]) + "nodes five dim 2\n" + "".join(lines[4:]))
+        with pytest.raises(ValueError, match="trace.txt:4:"):
+            read_trace(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"

@@ -110,7 +110,10 @@ class TestFrameChanges:
         grid = TimeGrid(0.0, 2.0, 40)
         alpha = 0.61
         s_mat = expm(1j * alpha * Z)
-        s = sampled_transform(grid, lambda t: s_mat, "static Z rotation", identity_start=False)
+        s = sampled_transform(
+            grid, lambda ts: np.broadcast_to(s_mat, (len(ts), 2, 2)), "static Z rotation",
+            identity_start=False,
+        )
         rec = transform_into_frame(h, s)
         for k, t in enumerate(rec.times):
             oracle = s_mat.conj().T @ h.matrix(float(t)) @ s_mat
