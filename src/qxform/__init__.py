@@ -38,9 +38,9 @@ from .hamiltonians import (
     rotating_frame_hamiltonian,
 )
 from .propagation import (
-    PropagatorTrace,
     TimeGrid,
     UnitarityError,
+    UnitaryTrace,
     nmr_fast_propagator,
     nmr_slow_propagator,
     propagate,
@@ -53,7 +53,6 @@ from .transform import (
     SampledHamiltonian,
     TimeScaling,
     TransformReport,
-    TransformTrace,
     compose_transform,
     identity_transform,
     nmr_closed_form_transform,

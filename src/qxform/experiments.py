@@ -31,8 +31,8 @@ from .operators import (
     phase_aligned_distance,
 )
 from .propagation import (
-    PropagatorTrace,
     TimeGrid,
+    UnitaryTrace,
     _block_rows,
     nmr_fast_propagator,
     nmr_slow_propagator,
@@ -42,7 +42,6 @@ from .propagation import (
 from .schedules import LinearRamp, NmrParams, Schedule
 from .transform import (
     TransformReport,
-    TransformTrace,
     compose_transform,
     nmr_closed_form_transform,
     transform_into_frame,
@@ -81,7 +80,7 @@ def _eigh_blocks(hamiltonian, times: np.ndarray):
 
 def track_ground_state(
     hamiltonian: TimeDependentHamiltonian,
-    trace: PropagatorTrace,
+    trace: UnitaryTrace,
     psi0: np.ndarray,
     branch: int = 0,
     degeneracy_tol: float = 1e-10,
@@ -113,7 +112,7 @@ def track_ground_state(
             prev_vec = vecs[:, b]
             picks.append(b)
         n = len(picks)
-        psi = trace.unitaries[lo : lo + n] @ psi0
+        psi = trace.matrices[lo : lo + n] @ psi0
         amps = np.einsum("kij,ki->kj", states[:n].conj(), psi)
         picked = energies[np.arange(n), np.asarray(picks, dtype=int)]
         cluster = np.abs(energies[:n] - picked[:, None]) < degeneracy_tol
@@ -167,13 +166,13 @@ class NmrExperimentReport:
     two_gate_fidelity_closed_form: float
     correction_gate_distance: float
     max_unitarity_defect: float
-    fast_numeric: PropagatorTrace
-    slow_numeric: PropagatorTrace
-    fast_analytic: PropagatorTrace
-    slow_analytic: PropagatorTrace
-    composed_numeric: TransformTrace
-    composed_analytic: TransformTrace
-    closed_form: TransformTrace
+    fast_numeric: UnitaryTrace
+    slow_numeric: UnitaryTrace
+    fast_analytic: UnitaryTrace
+    slow_analytic: UnitaryTrace
+    composed_numeric: UnitaryTrace
+    composed_analytic: UnitaryTrace
+    closed_form: UnitaryTrace
 
 
 def _max_node_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -215,8 +214,8 @@ def run_nmr_experiment(
     fast_ana = sample_trace(lambda ts: nmr_fast_propagator(p, ts), grid, label="driven qubit closed form")
     slow_ana = sample_trace(lambda ts: nmr_slow_propagator(p, ts), grid, label="rotated frame closed form")
 
-    oracle_fast = _max_node_distance(fast_num.unitaries, fast_ana.unitaries)
-    oracle_slow = _max_node_distance(slow_num.unitaries, slow_ana.unitaries)
+    oracle_fast = _max_node_distance(fast_num.matrices, fast_ana.matrices)
+    oracle_slow = _max_node_distance(slow_num.matrices, slow_ana.matrices)
 
     composed_num = compose_transform(fast_num, slow_num)
     composed_ana = compose_transform(fast_ana, slow_ana)

@@ -248,10 +248,15 @@ class IsingProblem:
         fields = tuple(float(h) for h in self.fields)
         if len(fields) != n:
             raise ValueError(f"expected {n} local fields, got {len(fields)}")
+        for k, h in enumerate(fields):
+            if not math.isfinite(h):
+                raise ValueError(f"fields[{k}] is not finite: {h}")
         seen = set()
         canon = []
-        for entry in self.couplings:
+        for k, entry in enumerate(self.couplings):
             i, j, coupling = int(entry[0]), int(entry[1]), float(entry[2])
+            if not math.isfinite(coupling):
+                raise ValueError(f"couplings[{k}] has a non-finite coupling: {coupling}")
             if i == j:
                 raise ValueError(f"coupling ({i},{j}) lies on the diagonal")
             i, j = min(i, j), max(i, j)

@@ -79,28 +79,41 @@ def _stored_indices(n_steps: int, stride: int) -> np.ndarray:
     return np.asarray(idx, dtype=int)
 
 
-@dataclass(frozen=True, eq=False)
-class PropagatorTrace:
-    """Unitaries U(t_k) on (a stride-decimated subset of) a time grid.
+def _strict_tol(grid: TimeGrid) -> float:
+    """Distance within which a time counts as hitting a grid node exactly."""
+    return 1e-9 * max(1.0, abs(grid.t_start), abs(grid.t_end))
 
-    The first stored unitary is the exact identity and every stored unitary
-    is checked against the defect limit; the largest observed defect is kept
-    in ``max_defect``.
+
+def _nearest_steps(grid: TimeGrid, times):
+    """Step index of the grid node nearest to each (finite) time."""
+    return np.clip(np.rint((times - grid.t_start) / grid.dt), 0, grid.n_steps).astype(int)
+
+
+@dataclass(frozen=True, eq=False)
+class UnitaryTrace:
+    """Unitaries on (a stride-decimated subset of) the nodes of a time grid:
+    a propagator U(t_k) or a frame change S(t_k) = U(t_k) u(t_k)^dag.
+
+    Every stored matrix passed the defect gate; the largest observed defect
+    is kept in ``max_defect``.  ``sampler`` is the closed form a frame change
+    was sampled from, kept so the trace can be resampled on refined grids;
+    composed, propagated and deserialized traces carry ``None``.
     """
 
     grid: TimeGrid
     times: np.ndarray
-    unitaries: np.ndarray
-    generator_label: str = ""
-    max_defect: float = 0.0
+    matrices: np.ndarray
+    label: str
+    max_defect: float
+    sampler: object = None
 
     @property
     def dim(self) -> int:
-        return self.unitaries.shape[-1]
+        return self.matrices.shape[-1]
 
     @property
     def final(self) -> np.ndarray:
-        return self.unitaries[-1]
+        return self.matrices[-1]
 
     def node_index(self, t: float, strict: bool = False) -> int:
         """Index of the stored node nearest to t.
@@ -111,8 +124,7 @@ class PropagatorTrace:
         """
         k = int(np.argmin(np.abs(self.times - t)))
         gap = abs(float(self.times[k]) - t)
-        scale = max(1.0, abs(self.grid.t_start), abs(self.grid.t_end))
-        tol = 1e-9 * scale if strict else 0.5 * self.grid.dt
+        tol = _strict_tol(self.grid) if strict else 0.5 * self.grid.dt
         if gap > tol:
             raise ValueError(
                 f"time {t} is off the stored grid (nearest node {self.times[k]}, "
@@ -122,7 +134,7 @@ class PropagatorTrace:
 
     def at(self, t: float, strict: bool = False) -> np.ndarray:
         """The stored unitary at grid node t."""
-        return self.unitaries[self.node_index(t, strict=strict)]
+        return self.matrices[self.node_index(t, strict=strict)]
 
     def apply(self, psi0: np.ndarray, t: float | None = None, strict: bool = False) -> np.ndarray:
         """U(t) psi0; t defaults to the end of the grid."""
@@ -135,6 +147,25 @@ class PropagatorTrace:
         if t is None:
             t = float(self.times[-1])
         return self.at(t, strict=strict) @ psi0
+
+    def covers_full_grid(self) -> bool:
+        return len(self.times) == self.grid.n_steps + 1
+
+    def refined(self, factor: int = 2) -> "UnitaryTrace":
+        """Resample the closed form on a ``factor`` times finer grid."""
+        if self.sampler is None:
+            raise ValueError(
+                "cannot refine a trace that has no closed-form sampler; "
+                "build the control trace from refined propagations instead"
+            )
+        from .transform import sampled_transform  # transform imports this module
+
+        return sampled_transform(
+            self.grid.refined(factor),
+            self.sampler,
+            self.label,
+            identity_start=bool(np.array_equal(self.matrices[0], np.eye(self.dim))),
+        )
 
 
 def _block_rows(dim: int) -> int:
@@ -164,13 +195,43 @@ def _check_stored(us: np.ndarray, indices: np.ndarray, what: str) -> float:
     return float(defects[worst])
 
 
+def _unitary_trace(
+    grid: TimeGrid,
+    times,
+    mats: np.ndarray,
+    label: str,
+    what: str,
+    identity_tol: float | None = None,
+    sampler=None,
+) -> UnitaryTrace:
+    """Gate ``mats`` (fresh, owned by the trace) and freeze them into a trace.
+
+    With ``identity_tol`` the first matrix must lie within that distance of
+    the identity; it is then snapped to the exact identity so composed frame
+    changes start at exactly I.  ``what`` names the matrices in errors.
+    """
+    if identity_tol is not None:
+        eye = np.eye(mats.shape[-1])
+        first_gap = float(np.linalg.norm(mats[0] - eye))
+        if not (first_gap <= identity_tol):
+            raise ValueError(
+                f"{what} at t={times[0]} deviates from the identity by {first_gap:.3e}"
+            )
+        mats[0] = eye
+    times = np.array(times, dtype=float)
+    max_defect = _check_stored(mats, _nearest_steps(grid, times), what)
+    mats.flags.writeable = False
+    times.flags.writeable = False
+    return UnitaryTrace(grid, times, mats, label, max_defect, sampler)
+
+
 def propagate(
     hamiltonian,
     grid: TimeGrid,
     label: str = "",
     stride: int = 1,
     block_size: int = 4096,
-) -> PropagatorTrace:
+) -> UnitaryTrace:
     """Integrate i dU/dt = H(t) U with U(t_start) = I by midpoint exponentials.
 
     ``hamiltonian`` is anything with ``dim`` and ``matrix_stack(ts)``.  Every
@@ -201,30 +262,13 @@ def propagate(
         hi = min(lo + block, grid.n_steps)
         h_mid = hamiltonian.matrix_stack(mids[lo:hi])
         steps = _hermitian_expm_stack(h_mid, dt)
-        step_defects = _batch_defects(steps)
-        worst = int(np.argmax(step_defects))
-        if not (step_defects[worst] <= DEFECT_LIMIT):
-            raise UnitarityError(
-                f"step unitary {lo + worst} has defect {step_defects[worst]:.3e}",
-                step_index=lo + worst,
-                defect=float(step_defects[worst]),
-            )
+        _check_stored(steps, np.arange(lo, hi), "step unitary")
         for k in range(hi - lo):
             u = steps[k] @ u
             if next_slot < len(indices) and indices[next_slot] == lo + k + 1:
                 stored[next_slot] = u
                 next_slot += 1
-    max_defect = _check_stored(stored, indices, "stored unitary")
-    stored.flags.writeable = False
-    stored_times = times[indices]
-    stored_times.flags.writeable = False
-    return PropagatorTrace(
-        grid=grid,
-        times=stored_times,
-        unitaries=stored,
-        generator_label=label,
-        max_defect=max_defect,
-    )
+    return _unitary_trace(grid, times[indices], stored, label, "stored unitary")
 
 
 def _sample_stack(fn, times: np.ndarray) -> np.ndarray:
@@ -238,7 +282,7 @@ def _sample_stack(fn, times: np.ndarray) -> np.ndarray:
     return mats
 
 
-def sample_trace(fn, grid: TimeGrid, label: str = "", stride: int = 1) -> PropagatorTrace:
+def sample_trace(fn, grid: TimeGrid, label: str = "", stride: int = 1) -> UnitaryTrace:
     """Build a trace by sampling a closed-form propagator at grid nodes.
 
     ``fn`` is called once with the array of stored node times and must return
@@ -246,20 +290,9 @@ def sample_trace(fn, grid: TimeGrid, label: str = "", stride: int = 1) -> Propag
     equal the identity to within 1e-10; it is then snapped to the exact
     identity so composed transforms start at exactly I.
     """
-    indices = _stored_indices(grid.n_steps, int(stride))
-    times = grid.times()[indices]
-    mats = _sample_stack(fn, times)
-    first_gap = float(np.linalg.norm(mats[0] - np.eye(mats.shape[-1])))
-    if not (first_gap <= 1e-10):
-        raise ValueError(
-            f"sampled propagator at t={times[0]} deviates from identity by {first_gap:.3e}"
-        )
-    mats[0] = np.eye(mats.shape[-1])
-    max_defect = _check_stored(mats, indices, "sampled unitary")
-    mats.flags.writeable = False
-    times.flags.writeable = False
-    return PropagatorTrace(
-        grid=grid, times=times, unitaries=mats, generator_label=label, max_defect=max_defect
+    times = grid.times()[_stored_indices(grid.n_steps, int(stride))]
+    return _unitary_trace(
+        grid, times, _sample_stack(fn, times), label, "sampled unitary", identity_tol=1e-10
     )
 
 
@@ -312,27 +345,28 @@ def nmr_slow_propagator(p: NmrParams, t) -> np.ndarray:
 # Portable text serialization (binary-free, full double precision)
 
 
-def write_trace(trace: PropagatorTrace, path) -> None:
-    """Write one record per stored node: the node time, then the unitary
-    row-major as 're im' pairs, all through repr so doubles round-trip."""
+def write_trace(trace: UnitaryTrace, path) -> None:
+    """Write one record per stored node of any trace: the node time, then the
+    unitary row-major as 're im' pairs, all through repr so doubles round-trip."""
     with open(path, "w") as fh:
         fh.write(_TRACE_MAGIC + "\n")
-        fh.write(f"label {trace.generator_label}\n")
+        fh.write(f"label {trace.label}\n")
         fh.write(
             f"grid {float(trace.grid.t_start)!r} {float(trace.grid.t_end)!r} {trace.grid.n_steps}\n"
         )
         fh.write(f"nodes {len(trace.times)} dim {trace.dim}\n")
-        for t, u in zip(trace.times, trace.unitaries):
+        for t, u in zip(trace.times, trace.matrices):
             fh.write(f"t {float(t)!r}\n")
             for row in u:
                 fh.write(" ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in row) + "\n")
 
 
-def read_trace(path) -> PropagatorTrace:
+def read_trace(path) -> UnitaryTrace:
     """Read a file written by :func:`write_trace`.
 
-    A malformed, truncated or over-long file is a ValueError naming
-    ``path:line``; every stored unitary passes the defect gate.
+    A malformed, truncated or over-long file, or node times that are not
+    strictly ascending grid nodes from t_start to t_end, is a ValueError
+    naming ``path:line``; every stored unitary passes the defect gate.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -366,10 +400,21 @@ def read_trace(path) -> PropagatorTrace:
         n_nodes, dim = int(hdr[0]), int(hdr[2])
         if n_nodes < 1 or dim < 1:
             raise ValueError(f"need N >= 1 and D >= 1, got N={n_nodes}, D={dim}")
+        tol = _strict_tol(grid)
         # grown line by line, so a header that overstates the size fails as truncated
-        times, rows = [], []
+        times, rows, step = [], [], -1
         for k in range(n_nodes):
-            times.append(float(fields("t", 2, f"'t <time>' of node {k}")[0]))
+            t = float(fields("t", 2, f"'t <time>' of node {k}")[0])
+            prev, step = step, int(_nearest_steps(grid, t)) if np.isfinite(t) else 0
+            if not (abs(t - (grid.t_start + step * grid.dt)) <= tol):
+                raise ValueError(f"node {k} time {t!r} is not a node of the grid")
+            if step <= prev:
+                raise ValueError(f"node {k} time {t!r} does not follow node {k - 1}")
+            if k == 0 and step != 0:
+                raise ValueError(f"node 0 time {t!r} is not t_start {grid.t_start!r}")
+            if k == n_nodes - 1 and step != grid.n_steps:
+                raise ValueError(f"last node time {t!r} is not t_end {grid.t_end!r}")
+            times.append(t)
             for r in range(dim):
                 rows.append([float(x) for x in fields(None, 2 * dim, f"row {r} of node {k}")])
     except ValueError as exc:
@@ -377,13 +422,6 @@ def read_trace(path) -> PropagatorTrace:
     extra = next((i for i in range(pos, len(lines)) if lines[i].strip()), None)
     if extra is not None:
         raise ValueError(f"{path}:{extra + 1}: trailing data after the last of {n_nodes} nodes")
-    times = np.array(times)
     vals = np.array(rows).reshape(n_nodes, dim, 2 * dim)
     mats = vals[..., 0::2] + 1j * vals[..., 1::2]
-    indices = np.arange(n_nodes)
-    max_defect = _check_stored(mats, indices, "deserialized unitary")
-    mats.flags.writeable = False
-    times.flags.writeable = False
-    return PropagatorTrace(
-        grid=grid, times=times, unitaries=mats, generator_label=label, max_defect=max_defect
-    )
+    return _unitary_trace(grid, times, mats, label, "deserialized unitary")

@@ -122,10 +122,8 @@ class CosineRamp(Schedule):
 
 @dataclass(frozen=True, eq=False)
 class Tabulated(Schedule):
-    """Cubic interpolation through strictly increasing samples starting at t=0.
-
-    The derivative uses second-order finite differences of the interpolant
-    (one-sided at the ends) with step h = min(sample spacing, 1e-3 * t_max).
+    """Cubic (not-a-knot) spline through strictly increasing samples starting
+    at t=0.  The derivative is the exact derivative of the spline.
     """
 
     times: tuple
@@ -145,7 +143,6 @@ class Tabulated(Schedule):
         object.__setattr__(self, "times", tuple(float(x) for x in t))
         object.__setattr__(self, "values", tuple(float(x) for x in v))
         object.__setattr__(self, "_spline", CubicSpline(t, v))
-        object.__setattr__(self, "_fd_step", min(float(np.min(np.diff(t))), 1e-3 * float(t[-1])))
 
     @property
     def t_max(self) -> float:
@@ -155,14 +152,7 @@ class Tabulated(Schedule):
         return self._spline(self._checked(t))
 
     def derivative(self, t):
-        t = self._checked(t)
-        h = self._fd_step
-        hi = self.t_max
-        f = self._spline
-        central = (f(np.clip(t + h, 0, hi)) - f(np.clip(t - h, 0, hi))) / (2 * h)
-        forward = (-3 * f(t) + 4 * f(np.clip(t + h, 0, hi)) - f(np.clip(t + 2 * h, 0, hi))) / (2 * h)
-        backward = (3 * f(t) - 4 * f(np.clip(t - h, 0, hi)) + f(np.clip(t - 2 * h, 0, hi))) / (2 * h)
-        return np.where(t < h, forward, np.where(t > hi - h, backward, central))
+        return self._spline(self._checked(t), 1)
 
 
 @dataclass(frozen=True)

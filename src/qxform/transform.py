@@ -19,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import pauli_matrix, hermitian_expm, normalization_defect, phase_aligned_distance
+from .operators import pauli_matrix, hermitian_expm, phase_aligned_distance
 from .propagation import (
-    DEFECT_LIMIT,
-    PropagatorTrace,
     TimeGrid,
-    UnitarityError,
-    _batch_defects,
+    UnitaryTrace,
     _sample_stack,
+    _unitary_trace,
     nmr_fast_propagator,
     propagate,
 )
@@ -41,116 +39,41 @@ def write_csv_curve(path, times, values, header: str = "t,value") -> None:
             fh.write(f"{float(t)!r},{float(v)!r}\n")
 
 
-@dataclass(frozen=True, eq=False)
-class TransformTrace:
-    """Frame-change unitaries S(t_k) on a time grid.
-
-    ``provenance`` records how S was obtained (composed from traces or a
-    closed form); ``sampler`` is kept for closed forms so the trace can be
-    resampled on refined grids.
-    """
-
-    grid: TimeGrid
-    times: np.ndarray
-    matrices: np.ndarray
-    provenance: str
-    sampler: object = None
-    max_defect: float = 0.0
-
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[-1]
-
-    def node_index(self, t: float, strict: bool = False) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        gap = abs(float(self.times[k]) - t)
-        scale = max(1.0, abs(self.grid.t_start), abs(self.grid.t_end))
-        tol = 1e-9 * scale if strict else 0.5 * self.grid.dt
-        if gap > tol:
-            raise ValueError(
-                f"time {t} is off the stored transform grid (nearest {self.times[k]})"
-            )
-        return k
-
-    def at(self, t: float, strict: bool = False) -> np.ndarray:
-        return self.matrices[self.node_index(t, strict=strict)]
-
-    def covers_full_grid(self) -> bool:
-        return len(self.times) == self.grid.n_steps + 1
-
-    def refined(self, factor: int = 2) -> "TransformTrace":
-        """Resample the closed form on a ``factor`` times finer grid."""
-        if self.sampler is None:
-            raise ValueError(
-                "cannot refine a transform that has no closed-form sampler; "
-                "build the control trace from refined propagations instead"
-            )
-        return sampled_transform(
-            self.grid.refined(factor),
-            self.sampler,
-            self.provenance,
-            identity_start=bool(np.array_equal(self.matrices[0], np.eye(self.dim))),
-        )
-
-
-def _finalize_transform(
-    grid, times, mats, provenance, sampler=None, identity_start=True
-) -> TransformTrace:
-    if identity_start:
-        first_gap = float(np.linalg.norm(mats[0] - np.eye(mats.shape[-1])))
-        if not (first_gap <= 1e-12):
-            raise ValueError(
-                f"transform at t={times[0]} deviates from the identity by {first_gap:.3e}"
-            )
-        mats[0] = np.eye(mats.shape[-1])
-    defects = _batch_defects(mats)
-    worst = int(np.argmax(defects))
-    if not (defects[worst] <= DEFECT_LIMIT):
-        raise UnitarityError(
-            f"transform matrix at node {worst} has unitarity defect {defects[worst]:.3e}",
-            step_index=worst,
-            defect=float(defects[worst]),
-        )
-    mats.flags.writeable = False
-    times = np.array(times, dtype=float)
-    times.flags.writeable = False
-    return TransformTrace(
-        grid=grid,
-        times=times,
-        matrices=mats,
-        provenance=provenance,
-        sampler=sampler,
-        max_defect=float(defects[worst]),
-    )
-
-
-def compose_transform(fast: PropagatorTrace, slow: PropagatorTrace) -> TransformTrace:
+def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:
     """S(t_k) = U(t_k) u(t_k)^dag from two traces on identical grids."""
     if fast.grid != slow.grid or not np.array_equal(fast.times, slow.times):
         raise ValueError("traces must share the same grid and stored nodes")
-    mats = np.einsum("kij,klj->kil", fast.unitaries, slow.unitaries.conj())
-    label = f"composed({fast.generator_label or 'fast'}, {slow.generator_label or 'slow'})"
-    return _finalize_transform(fast.grid, fast.times, mats, label)
+    mats = np.einsum("kij,klj->kil", fast.matrices, slow.matrices.conj())
+    label = f"composed({fast.label or 'fast'}, {slow.label or 'slow'})"
+    return _unitary_trace(
+        fast.grid, fast.times, mats, label, "transform matrix", identity_tol=1e-12
+    )
 
 
 def sampled_transform(
-    grid: TimeGrid, sampler, provenance: str, identity_start: bool = True
-) -> TransformTrace:
+    grid: TimeGrid, sampler, label: str, identity_start: bool = True
+) -> UnitaryTrace:
     """Build a transform trace from a closed form S(t) on all grid nodes.
 
     ``sampler`` is called once with the array of node times and must return
     the (n_nodes, d, d) stack.  Frame changes built from propagators always
     start at the identity; pass ``identity_start=False`` for static frames
-    such as a fixed rotation.
+    such as a fixed rotation.  The trace keeps ``sampler`` for
+    :meth:`UnitaryTrace.refined`.
     """
     times = grid.times()
-    mats = _sample_stack(sampler, times)
-    return _finalize_transform(
-        grid, times, mats, provenance, sampler=sampler, identity_start=identity_start
+    return _unitary_trace(
+        grid,
+        times,
+        _sample_stack(sampler, times),
+        label,
+        "transform matrix",
+        identity_tol=1e-12 if identity_start else None,
+        sampler=sampler,
     )
 
 
-def identity_transform(grid: TimeGrid, dim: int) -> TransformTrace:
+def identity_transform(grid: TimeGrid, dim: int) -> UnitaryTrace:
     """The trivial frame change S(t) = I."""
     eye = np.eye(int(dim), dtype=complex)
     return sampled_transform(
@@ -158,7 +81,7 @@ def identity_transform(grid: TimeGrid, dim: int) -> TransformTrace:
     )
 
 
-def nmr_closed_form_transform(p: NmrParams, grid: TimeGrid) -> TransformTrace:
+def nmr_closed_form_transform(p: NmrParams, grid: TimeGrid) -> UnitaryTrace:
     """The drive-to-frame rotation exp(i (frame_phase - drive_phase) Z / 2)."""
     if p.frame_phase is None:
         raise ValueError("closed-form transform requires frame_phase")
@@ -223,7 +146,7 @@ def _split_hermitian(raw: np.ndarray):
     return herm, defects
 
 
-def transform_into_frame(hamiltonian, transform: TransformTrace) -> SampledHamiltonian:
+def transform_into_frame(hamiltonian, transform: UnitaryTrace) -> SampledHamiltonian:
     """h(t_k) = S^dag H S - i S^dag dS/dt at interior grid nodes.
 
     dS/dt is the central difference over neighbouring nodes, so the transform
@@ -246,7 +169,7 @@ def transform_into_frame(hamiltonian, transform: TransformTrace) -> SampledHamil
     )
 
 
-def transform_out_of_frame(frame_hamiltonian, transform: TransformTrace) -> SampledHamiltonian:
+def transform_out_of_frame(frame_hamiltonian, transform: UnitaryTrace) -> SampledHamiltonian:
     """H(t_k) = S h S^dag - i S dS^dag/dt, the mirror image of
     :func:`transform_into_frame` with the roles exchanged."""
     if not transform.covers_full_grid():
@@ -315,8 +238,8 @@ def _reconstruction_residuals(hamiltonian, frame_hamiltonian, transform):
 def verify_transform(
     hamiltonian,
     frame_hamiltonian,
-    transform: TransformTrace,
-    control: TransformTrace | None = None,
+    transform: UnitaryTrace,
+    control: UnitaryTrace | None = None,
     abs_floor: float = 1e-10,
 ) -> TransformReport:
     """Check that ``transform`` maps ``hamiltonian`` onto ``frame_hamiltonian``.
@@ -363,8 +286,8 @@ def verify_transform(
 
 
 def two_gate_realization(
-    fast_trace: PropagatorTrace,
-    transform: TransformTrace,
+    fast_trace: UnitaryTrace,
+    transform: UnitaryTrace,
     psi0: np.ndarray,
     t_final: float | None = None,
     strict: bool = True,
@@ -374,15 +297,10 @@ def two_gate_realization(
     With S composed from the same traces this equals the slow evolution
     u(T) psi0 up to floating-point error.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    nd = normalization_defect(psi0)
-    if nd > 1e-9:
-        raise ValueError(f"initial state is not normalized (defect {nd:.3e})")
     if t_final is None:
         t_final = float(fast_trace.times[-1])
-    u_fast = fast_trace.at(t_final, strict=strict)
-    s_final = transform.at(t_final, strict=strict)
-    return s_final.conj().T @ (u_fast @ psi0)
+    psi_fast = fast_trace.apply(psi0, t_final, strict=strict)
+    return transform.at(t_final, strict=strict).conj().T @ psi_fast
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +332,6 @@ class _AmplitudeScaled:
         self.base = base
         self.factor = float(factor)
         self.dim = base.dim
-        self.n_qubits = getattr(base, "n_qubits", None)
-
-    def matrix(self, t):
-        return self.factor * self.base.matrix(t)
 
     def matrix_stack(self, ts):
         return self.factor * self.base.matrix_stack(ts)
@@ -431,8 +345,8 @@ class RescaleReport:
     times: np.ndarray
     distances: np.ndarray
     max_distance: float
-    fast_trace: PropagatorTrace
-    slow_trace: PropagatorTrace
+    fast_trace: UnitaryTrace
+    slow_trace: UnitaryTrace
 
     def write_csv(self, path) -> None:
         write_csv_curve(path, self.times, self.distances)
@@ -457,7 +371,7 @@ def time_rescaling_equivalence(
     grid = TimeGrid(0.0, 1.0, n_steps)
     fast_trace = propagate(gen_fast, grid, label="boosted fast generator", stride=stride)
     slow_trace = propagate(gen_slow, grid, label="slow generator", stride=stride)
-    distances = phase_aligned_distance(fast_trace.unitaries, slow_trace.unitaries)
+    distances = phase_aligned_distance(fast_trace.matrices, slow_trace.matrices)
     return RescaleReport(
         times=fast_trace.times,
         distances=distances,

@@ -99,7 +99,7 @@ def test_criterion_1_integrator_vs_oracle():
         trace = propagate(h, TimeGrid(0.0, t_final, n))
         worst = max(
             phase_aligned_distance(
-                trace.unitaries[k], nmr_fast_propagator(p, float(trace.times[k]))
+                trace.matrices[k], nmr_fast_propagator(p, float(trace.times[k]))
             )
             for k in range(1, len(trace.times), max(1, n // 500))
         )

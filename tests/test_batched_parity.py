@@ -129,7 +129,7 @@ def reference_track(h, trace, psi0, degeneracy_tol=1e-10):
                 truncated_at = float(t)
                 break
         prev = eig.states[:, b]
-        psi = trace.unitaries[k] @ psi0
+        psi = trace.matrices[k] @ psi0
         cluster = np.abs(eig.energies - eig.energies[b]) < degeneracy_tol
         if np.count_nonzero(cluster) > 1:
             value = float(np.sum(np.abs(eig.states[:, cluster].conj().T @ psi) ** 2))

@@ -285,6 +285,19 @@ class TestProblems:
         with pytest.raises(ValueError, match="fields"):
             IsingProblem(3, fields=(0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "fields, couplings, name",
+        [
+            ((float("nan"), 0.0), (), r"fields\[0\]"),
+            ((0.0, -math.inf), (), r"fields\[1\]"),
+            ((0.0, 0.0), ((0, 1, math.inf),), r"couplings\[0\]"),
+            ((0.0, 0.0, 0.0), ((0, 1, 1.0), (1, 2, float("nan"))), r"couplings\[1\]"),
+        ],
+    )
+    def test_ising_rejects_non_finite_terms(self, fields, couplings, name):
+        with pytest.raises(ValueError, match=name):
+            IsingProblem(len(fields), fields=fields, couplings=couplings)
+
     def test_edge_list_round_trip(self, tmp_path):
         path = tmp_path / "chain.txt"
         path.write_text(

@@ -12,9 +12,9 @@ from qxform.hamiltonians import (
 )
 from qxform.operators import basis_state, fidelity, phase_aligned_distance, unitarity_defect
 from qxform.propagation import (
-    PropagatorTrace,
     TimeGrid,
     UnitarityError,
+    UnitaryTrace,
     _batch_defects,
     _check_stored,
     nmr_fast_propagator,
@@ -63,7 +63,7 @@ class TestPropagate:
         problem = IsingProblem(2, fields=(0.0, 0.0))
         h = annealing_hamiltonian(Constant(0.0), problem)
         trace = propagate(h, TimeGrid(0.0, 1.0, 50))
-        for u in trace.unitaries:
+        for u in trace.matrices:
             assert np.linalg.norm(u - np.eye(4)) == 0.0
 
     def test_nmr_benchmark_against_analytic_oracle(self):
@@ -71,7 +71,7 @@ class TestPropagate:
         grid = TimeGrid(0.0, 10.0, 2500)  # dt = 4e-3
         trace = propagate(nmr_hamiltonian(p), grid)
         worst = max(
-            phase_aligned_distance(trace.unitaries[k], nmr_fast_propagator(p, float(trace.times[k])))
+            phase_aligned_distance(trace.matrices[k], nmr_fast_propagator(p, float(trace.times[k])))
             for k in range(0, len(trace.times), 25)
         )
         assert worst < 5e-5
@@ -256,7 +256,7 @@ class TestSampleTrace:
         grid = TimeGrid(0.0, 2.0, 8)
         tr = sample_trace(lambda t: nmr_fast_propagator(p, t), grid, label="oracle")
         np.testing.assert_allclose(tr.at(1.5), nmr_fast_propagator(p, 1.5), atol=1e-14)
-        assert tr.generator_label == "oracle"
+        assert tr.label == "oracle"
 
 
 class TestTraceSerialization:
@@ -267,9 +267,9 @@ class TestTraceSerialization:
         write_trace(trace, path)
         back = read_trace(path)
         assert back.grid == trace.grid
-        assert back.generator_label == "round trip"
+        assert back.label == "round trip"
         assert np.array_equal(back.times, trace.times)
-        assert np.array_equal(back.unitaries, trace.unitaries)
+        assert np.array_equal(back.matrices, trace.matrices)
 
     def _written(self, tmp_path):
         p = NmrParams.harmonic(1.0, 1.5, 2.0)
@@ -319,6 +319,41 @@ class TestTraceSerialization:
         path, lines = self._written(tmp_path)
         path.write_text("".join(lines) + "\n  \n")
         assert len(read_trace(path).times) == 5
+
+    # node k's 't' line is line 5 + 3k; the grid is [0, 1] in 4 steps
+    @pytest.mark.parametrize("t", ["7.0", "0.3", "-0.25", "nan", "inf"])
+    def test_node_off_the_grid_names_line(self, tmp_path, t):
+        path, lines = self._written(tmp_path)
+        lines[7] = f"t {t}\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="trace.txt:8: node 1 .* not a node of the grid"):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:7] + lines[10:13] + lines[7:10] + lines[13:],  # nodes 1, 2 swapped
+            lambda lines: lines[:10] + lines[7:8] + lines[11:],  # node 2 repeats node 1's time
+        ],
+        ids=["swapped", "repeated"],
+    )
+    def test_nodes_not_ascending_name_line(self, tmp_path, edit):
+        path, lines = self._written(tmp_path)
+        path.write_text("".join(edit(lines)))
+        with pytest.raises(ValueError, match="trace.txt:11: node 2 .* does not follow"):
+            read_trace(path)
+
+    def test_first_node_off_t_start_names_line(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        path.write_text("".join(lines[:3]) + "nodes 4 dim 2\n" + "".join(lines[7:]))
+        with pytest.raises(ValueError, match="trace.txt:5: node 0 .* not t_start"):
+            read_trace(path)
+
+    def test_last_node_off_t_end_names_line(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        path.write_text("".join(lines[:3]) + "nodes 4 dim 2\n" + "".join(lines[4:16]))
+        with pytest.raises(ValueError, match="trace.txt:14: last node .* not t_end"):
+            read_trace(path)
 
     def test_malformed_header_names_line(self, tmp_path):
         path, lines = self._written(tmp_path)

@@ -107,6 +107,13 @@ class TestTabulated:
         s = self._sine_table(spacing=1e-3)
         assert abs(s.derivative(0.0) - 1.0) < 1e-6
 
+    def test_derivative_is_exact_for_cubics(self):
+        # a not-a-knot spline reproduces a cubic, so its derivative is exact
+        ts = np.linspace(0.0, 2.0, 7)
+        s = Tabulated(tuple(ts), tuple(ts**3))
+        for t in (0.0, 0.1, 0.77, 1.0, 1.95, 2.0):
+            assert s.derivative(t) == pytest.approx(3.0 * t * t, rel=0, abs=1e-12)
+
     def test_interior_derivative_matches_cosine_oracle(self):
         s = self._sine_table(spacing=1e-3)
         for t in (0.5, 1.0, 1.9):
