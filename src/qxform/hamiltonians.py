@@ -15,8 +15,6 @@ import numpy as np
 from .operators import PauliString, check_qubit_count, pauli_matrix
 from .schedules import Constant, NmrParams, Schedule
 
-_I2 = np.eye(2, dtype=complex)
-
 
 # ---------------------------------------------------------------------------
 # Derived coefficient functions (anything with .value(t) can drive a term)
@@ -71,6 +69,24 @@ class _ShiftedRate:
         return self.base.value(t) + self.phase.derivative(t)
 
 
+@dataclass(frozen=True)
+class _ConjugatedFactor:
+    """coefficient * prod of cos(2 phase) (axis Z) or -sin(2 phase) (axis Y): one
+    expanded term of a conjugated Z-string, multiplied in ascending qubit order
+    so it matches the qubit-by-qubit Kronecker product bit for bit."""
+
+    coefficient: float
+    phase: Schedule
+    axes: tuple  # "Z" | "Y" per support qubit, ascending
+
+    def value(self, t):
+        two_phase = 2.0 * np.asarray(self.phase.value(t), dtype=float)
+        out = self.coefficient
+        for axis in self.axes:
+            out = out * (np.cos(two_phase) if axis == "Z" else -np.sin(two_phase))
+        return out
+
+
 # ---------------------------------------------------------------------------
 # Time-dependent Hamiltonian
 
@@ -96,43 +112,32 @@ class FrameConjugatedTerms:
         object.__setattr__(self, "strings", strings)
 
 
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (B,p,q) x (B,r,s) -> (B, p*r, q*s)
-    B, p, q = a.shape
-    r, s = b.shape[-2:]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(B, p * r, q * s)
-
-
 class TimeDependentHamiltonian:
     """A finite sum of coefficient(t) * PauliString terms plus optional
     frame-conjugated blocks, evaluating to a dense Hermitian matrix.
 
     Terms with plain-number or Constant coefficients are folded into a static
-    matrix at construction.  Instances are immutable and safe to share across
-    workers.
+    matrix at construction, and conjugated blocks are expanded there into
+    varying terms, so evaluation is one real-coefficient contraction.
+    Instances are immutable and safe to share across workers.
     """
 
     def __init__(self, n_qubits: int, terms=(), conjugated=()):
         self.n_qubits = check_qubit_count(n_qubits)
         self.dim = 2**self.n_qubits
         static = np.zeros((self.dim, self.dim), dtype=complex)
-        varying_fns = []
-        varying_mats = []
+        varying = []  # (coefficient function, PauliString)
         stored_terms = []
         for coeff, string in terms:
             if not isinstance(string, PauliString):
                 raise ValueError(f"expected a PauliString term, got {type(string).__name__}")
-            mat = string.matrix(self.n_qubits)
             if isinstance(coeff, (int, float)):
-                static += float(coeff) * mat
-                stored_terms.append((Constant(float(coeff)), string))
-            elif isinstance(coeff, Constant):
-                static += coeff.c * mat
-                stored_terms.append((coeff, string))
+                coeff = Constant(float(coeff))
+            if isinstance(coeff, Constant):
+                static += coeff.c * string.matrix(self.n_qubits)
             else:
-                varying_fns.append(coeff)
-                varying_mats.append(mat)
-                stored_terms.append((coeff, string))
+                varying.append((coeff, string))
+            stored_terms.append((coeff, string))
         self.terms = tuple(stored_terms)
         self.conjugated = tuple(conjugated)
         for block in self.conjugated:
@@ -143,14 +148,24 @@ class TimeDependentHamiltonian:
                     raise ValueError(
                         f"conjugated string on qubit {max(s.support)} exceeds {self.n_qubits} qubits"
                     )
+                qubits = sorted(s.support)
+                for axes in itertools.product("ZY", repeat=len(qubits)):
+                    factor = _ConjugatedFactor(s.coefficient, block.phase, axes)
+                    varying.append((factor, PauliString(tuple(zip(qubits, axes)))))
+        n_bytes = len(varying) * self.dim**2 * 16
+        if n_bytes > 2 * 2**30:
+            raise ValueError(
+                f"{len(varying)} varying terms of dimension {self.dim} need "
+                f"~{n_bytes / 2**30:.1f} GiB of term matrices"
+            )
         self._static = static
-        self._static.flags.writeable = False
-        self._varying_fns = tuple(varying_fns)
-        if varying_mats:
-            self._varying_mats = np.stack(varying_mats)
-            self._varying_mats.flags.writeable = False
-        else:
-            self._varying_mats = None
+        self._varying = tuple(varying)
+        self._re, self._im = np.empty((2, len(varying), self.dim**2))
+        for k, (_, string) in enumerate(varying):
+            mat = string.matrix(self.n_qubits)
+            self._re[k], self._im[k] = mat.real.ravel(), mat.imag.ravel()
+        for a in (self._static, self._re, self._im):
+            a.flags.writeable = False
 
     def matrix(self, t: float) -> np.ndarray:
         """Dense Hermitian matrix at time t."""
@@ -159,29 +174,20 @@ class TimeDependentHamiltonian:
     def matrix_stack(self, ts) -> np.ndarray:
         """Dense Hermitian matrices at a batch of times, shape (len(ts), dim, dim)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        B = ts.size
-        out = np.repeat(self._static[None, :, :], B, axis=0)
-        if self._varying_mats is not None:
-            vals = np.stack(
-                [np.asarray(fn.value(ts), dtype=float) for fn in self._varying_fns]
+        vals = np.empty((ts.size, len(self._varying)))
+        with np.errstate(all="ignore"):  # non-finite values are named below
+            for k, (fn, _) in enumerate(self._varying):
+                vals[:, k] = fn.value(ts)
+        if not np.isfinite(vals).all():
+            b, k = np.argwhere(~np.isfinite(vals))[0]
+            label = " ".join(f"{axis}{q}" for q, axis in self._varying[k][1].factors)
+            raise RuntimeError(
+                f"coefficient of Pauli term {label or 'I'} is {vals[b, k]} at t={float(ts[b])!r}"
             )
-            out += np.einsum("kb,kij->bij", vals, self._varying_mats)
-        for block in self.conjugated:
-            phi = np.asarray(block.phase.value(ts), dtype=float)
-            c = np.cos(2.0 * phi)
-            s = np.sin(2.0 * phi)
-            conj_z = np.zeros((B, 2, 2), dtype=complex)
-            conj_z[:, 0, 0] = c
-            conj_z[:, 0, 1] = 1j * s
-            conj_z[:, 1, 0] = -1j * s
-            conj_z[:, 1, 1] = -c
-            ident = np.broadcast_to(_I2, (B, 2, 2))
-            for string in block.strings:
-                zset = string.support
-                cur = np.full((B, 1, 1), string.coefficient, dtype=complex)
-                for q in range(self.n_qubits):
-                    cur = _kron_stack(cur, conj_z if q in zset else ident)
-                out += cur
+        shape = (ts.size, self.dim, self.dim)
+        out = np.empty(shape, dtype=complex)
+        np.add(self._static.real, (vals @ self._re).reshape(shape), out=out.real)
+        np.add(self._static.imag, (vals @ self._im).reshape(shape), out=out.imag)
         skew = out - out.conj().transpose(0, 2, 1)
         defect = float(np.sqrt((np.abs(skew) ** 2).sum(axis=(1, 2)).max()))
         if not (defect <= 1e-12):

@@ -210,6 +210,8 @@ def _unitary_trace(
     the identity; it is then snapped to the exact identity so composed frame
     changes start at exactly I.  ``what`` names the matrices in errors.
     """
+    if "".join(label.splitlines()) != label:  # every break read_trace splits on
+        raise ValueError(f"trace label {label!r} contains a line break")
     if identity_tol is not None:
         eye = np.eye(mats.shape[-1])
         first_gap = float(np.linalg.norm(mats[0] - eye))

@@ -1,7 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from qxform.hamiltonians import (
@@ -9,7 +13,6 @@ from qxform.hamiltonians import (
     GroverProblem,
     IsingProblem,
     TimeDependentHamiltonian,
-    _kron_stack,
     annealing_hamiltonian,
     default_transverse_strength,
     fast_counterpart_hamiltonian,
@@ -181,9 +184,83 @@ class TestFastCounterpart:
         for t in (0.0, 0.52):
             np.testing.assert_allclose(fast.matrix(t), rate * sum_x, atol=1e-13)
 
+    def test_expansion_beyond_memory_limit_is_refused(self):
+        # 8 transverse terms plus 3^8 expanded ones, each a 256 x 256 matrix
+        with pytest.raises(ValueError, match=r"6569 varying terms .* ~6.4 GiB"):
+            fast_counterpart_hamiltonian(Constant(1.0), GroverProblem(8, 0), Harmonic(1.0))
+
     def test_non_diagonal_conjugated_strings_rejected(self):
         with pytest.raises(ValueError, match="Z-only"):
             FrameConjugatedTerms((PauliString(((0, "X"),)),), Constant(0.0))
+
+
+def sum_x(n):
+    return sum(PauliString(((q, "X"),)).matrix(n) for q in range(n))
+
+
+def kron_chain_counterpart(transverse, problem, phase, ts):
+    """The driven counterpart evaluated as it was before its conjugated terms
+    were expanded: (transverse + phase') sum_i X_i, then every Z-string as a
+    qubit-by-qubit Kronecker chain of cos(2 phase) Z - sin(2 phase) Y."""
+    n, rows = problem.n_qubits, len(ts)
+    rate = transverse.value(ts) + phase.derivative(ts)
+    out = rate[:, None, None] * sum_x(n)
+    two_phase = 2.0 * phase.value(ts)
+    c, s = np.cos(two_phase), np.sin(two_phase)
+    conj_z = np.zeros((rows, 2, 2), dtype=complex)
+    conj_z[:, 0, 0], conj_z[:, 0, 1], conj_z[:, 1, 0], conj_z[:, 1, 1] = c, 1j * s, -1j * s, -c
+    ident = np.broadcast_to(np.eye(2), (rows, 2, 2))
+    for string in problem.pauli_terms():
+        cur = np.full((rows, 1, 1), string.coefficient, dtype=complex)
+        for q in range(n):
+            factor = conj_z if q in string.support else ident
+            size = 2 * cur.shape[1]
+            cur = (cur[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(rows, size, size)
+        out = out + cur
+    return out
+
+
+def problems(data, n):
+    if data.draw(st.booleans()):
+        return GroverProblem(n, data.draw(st.integers(0, 2**n - 1)))
+    value = st.floats(-3.0, 3.0, allow_nan=False)
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    fields = data.draw(st.lists(value, min_size=n, max_size=n))
+    return IsingProblem(n, fields, [(i, j, data.draw(value)) for i, j in chosen])
+
+
+@given(n=st.integers(1, 5), rows=st.integers(1, 64), data=st.data())
+def test_counterpart_matches_kron_chain_evaluation(n, rows, data):
+    problem = problems(data, n)
+    transverse = LinearRamp(data.draw(st.floats(0.0, 6.0)), 0.0, 1.0)
+    phase = Harmonic(data.draw(st.floats(-50.0, 50.0)))
+    ts = data.draw(hnp.arrays(np.float64, rows, elements=st.floats(0.0, 1.0)))
+    got = fast_counterpart_hamiltonian(transverse, problem, phase).matrix_stack(ts)
+    expected = kron_chain_counterpart(transverse, problem, phase, ts)
+    # the same products; BLAS may sum the terms of one entry in another order
+    tol = 8 * np.finfo(float).eps * max(1.0, float(np.abs(expected).max()))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        IsingProblem(3, fields=(0.5, -0.2, 0.1), couplings=((0, 1, -1.0), (1, 2, 0.7))),
+        GroverProblem(3, 6),
+    ],
+)
+def test_counterpart_matches_frame_change_oracle(problem):
+    # oracle: R (A + phase') sum X R^dag + R D R^dag with R = expm(-i phase sum X)
+    n = problem.n_qubits
+    transverse, phase = LinearRamp(2.0, 0.0, 1.0), Harmonic(7.3)
+    h = fast_counterpart_hamiltonian(transverse, problem, phase)
+    diag = sum(s.matrix(n) for s in problem.pauli_terms())
+    for t in np.random.default_rng(47).uniform(0.0, 1.0, size=8):
+        r = expm(-1j * phase.value(t) * sum_x(n))
+        rate = transverse.value(t) + phase.derivative(t)
+        expected = r @ (rate * sum_x(n)) @ r.conj().T + r @ diag @ r.conj().T
+        np.testing.assert_allclose(h.matrix(t), expected, rtol=0, atol=1e-12)
 
 
 class TestEvaluation:
@@ -211,14 +288,6 @@ class TestEvaluation:
             stack = h.matrix_stack(ts)
             for k, t in enumerate(ts):
                 np.testing.assert_allclose(stack[k], h.matrix(float(t)), atol=1e-15)
-
-    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
-    def test_kron_stack_matches_per_row_kron(self, dim):
-        rng = np.random.default_rng(dim)
-        a = rng.normal(size=(6, dim // 2, dim // 2)) + 1j * rng.normal(size=(6, dim // 2, dim // 2))
-        b = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
-        expected = np.stack([np.kron(x, y) for x, y in zip(a, b)])
-        assert np.array_equal(_kron_stack(a, b), expected)
 
     def test_string_outside_register_rejected(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -101,10 +101,14 @@ class TestPropagate:
         np.testing.assert_allclose(trace.final, full.final, atol=1e-14)
 
     def test_infinite_drive_fails_loudly(self):
-        # infinite matrix entries make every defect NaN, which no gate may let through
+        # an infinite drive fails by name before any matrix is assembled
         h = nmr_hamiltonian(NmrParams.harmonic(1.0, 2.0, math.inf))
-        with pytest.raises(RuntimeError):
+        # the first midpoint is t = 1/32, where g cos(phase) is the first bad coefficient
+        with pytest.raises(RuntimeError, match=r"Pauli term X0 is inf at t=0\.03125$"):
             propagate(h, TimeGrid(0.0, 1.0, 16))
+        # at t = 0, Y0's inf * sin(0) is NaN; that raises no numpy warning either
+        with pytest.raises(RuntimeError, match=r"Pauli term X0 is inf at t=0\.0$"):
+            h.matrix(0.0)
 
     def test_memory_guard_suggests_stride(self):
         problem = IsingProblem(10, fields=(0.0,) * 10)
@@ -270,6 +274,16 @@ class TestTraceSerialization:
         assert back.label == "round trip"
         assert np.array_equal(back.times, trace.times)
         assert np.array_equal(back.matrices, trace.matrices)
+
+    # str.splitlines, which read_trace uses, breaks on each of these
+    @pytest.mark.parametrize("label", ["two\nlines", "a\rb", "a\u2028b"])
+    def test_label_with_line_break_is_rejected_when_built(self, label):
+        p = NmrParams.harmonic(1.0, 1.5, 2.0)
+        grid = TimeGrid(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            propagate(nmr_hamiltonian(p), grid, label=label)
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            sample_trace(lambda t: nmr_fast_propagator(p, t), grid, label=label)
 
     def _written(self, tmp_path):
         p = NmrParams.harmonic(1.0, 1.5, 2.0)
