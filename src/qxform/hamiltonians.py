@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import hadamard
 
 from .operators import PauliString, check_qubit_count, pauli_matrix
 from .schedules import Constant, NmrParams, Schedule
@@ -69,22 +70,34 @@ class _ShiftedRate:
         return self.base.value(t) + self.phase.derivative(t)
 
 
-@dataclass(frozen=True)
-class _ConjugatedFactor:
-    """coefficient * prod of cos(2 phase) (axis Z) or -sin(2 phase) (axis Y): one
-    expanded term of a conjugated Z-string, multiplied in ascending qubit order
-    so it matches the qubit-by-qubit Kronecker product bit for bit."""
+@dataclass(frozen=True, eq=False)
+class _ConjugatedFactors:
+    """Coefficients of the terms a conjugated block expands into: the string's
+    coefficient times cos(2 phase) per Z and -sin(2 phase) per Y, multiplied
+    in ascending qubit order so each product matches the qubit-by-qubit
+    Kronecker product bit for bit.  ``codes`` is (terms, max weight): 1 for Z,
+    2 for Y, 0 pads with an exact factor 1."""
 
-    coefficient: float
     phase: Schedule
-    axes: tuple  # "Z" | "Y" per support qubit, ascending
+    coefficients: np.ndarray
+    codes: np.ndarray
 
     def value(self, t):
         two_phase = 2.0 * np.asarray(self.phase.value(t), dtype=float)
-        out = self.coefficient
-        for axis in self.axes:
-            out = out * (np.cos(two_phase) if axis == "Z" else -np.sin(two_phase))
+        factors = np.stack([np.ones_like(two_phase), np.cos(two_phase), -np.sin(two_phase)])
+        out = self.coefficients
+        for code in self.codes.T:
+            out = out * factors[code].T
         return out
+
+
+def _flip_form(factors, coefficient: float, n_qubits: int):
+    """A Pauli string maps |j> to coefficient i^n_y (-1)^popcount(j & zmask)
+    |j xor flip>.  Returns (flip, n_y odd, zmask, coefficient (-1)^(n_y // 2))."""
+    factors = tuple(factors)
+    x, y, z = (sum(1 << (n_qubits - 1 - q) for q, a in factors if a == axis) for axis in "XYZ")
+    n_y = bin(y).count("1")
+    return x | y, n_y % 2 == 1, y | z, coefficient * (-1.0) ** (n_y // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +131,8 @@ class TimeDependentHamiltonian:
 
     Terms with plain-number or Constant coefficients are folded into a static
     matrix at construction, and conjugated blocks are expanded there into
-    varying terms, so evaluation is one real-coefficient contraction.
+    Pauli terms.  A Pauli term fills one entry per column, so evaluation is one
+    real-coefficient product per group of terms filling the same entries.
     Instances are immutable and safe to share across workers.
     """
 
@@ -126,7 +140,9 @@ class TimeDependentHamiltonian:
         self.n_qubits = check_qubit_count(n_qubits)
         self.dim = 2**self.n_qubits
         static = np.zeros((self.dim, self.dim), dtype=complex)
-        varying = []  # (coefficient function, PauliString)
+        coefficients = []  # (coefficient function, its column or slice of columns)
+        columns = []  # (flip, imaginary?, zmask, scale) per varying term, see _flip_form
+        labels = []
         stored_terms = []
         for coeff, string in terms:
             if not isinstance(string, PauliString):
@@ -136,13 +152,18 @@ class TimeDependentHamiltonian:
             if isinstance(coeff, Constant):
                 static += coeff.c * string.matrix(self.n_qubits)
             else:
-                varying.append((coeff, string))
+                coefficients.append((coeff, len(columns)))
+                columns.append(_flip_form(string.factors, string.coefficient, self.n_qubits))
+                labels.append(" ".join(f"{axis}{q}" for q, axis in string.factors) or "I")
             stored_terms.append((coeff, string))
         self.terms = tuple(stored_terms)
         self.conjugated = tuple(conjugated)
         for block in self.conjugated:
             if not isinstance(block, FrameConjugatedTerms):
                 raise ValueError("conjugated entries must be FrameConjugatedTerms")
+            start = len(columns)
+            weight = max((len(s.support) for s in block.strings), default=0)
+            amplitudes, codes = [], []
             for s in block.strings:
                 if s.support and max(s.support) >= self.n_qubits:
                     raise ValueError(
@@ -150,21 +171,34 @@ class TimeDependentHamiltonian:
                     )
                 qubits = sorted(s.support)
                 for axes in itertools.product("ZY", repeat=len(qubits)):
-                    factor = _ConjugatedFactor(s.coefficient, block.phase, axes)
-                    varying.append((factor, PauliString(tuple(zip(qubits, axes)))))
-        n_bytes = len(varying) * self.dim**2 * 16
-        if n_bytes > 2 * 2**30:
-            raise ValueError(
-                f"{len(varying)} varying terms of dimension {self.dim} need "
-                f"~{n_bytes / 2**30:.1f} GiB of term matrices"
-            )
+                    amplitudes.append(s.coefficient)
+                    codes.append([" ZY".index(a) for a in axes] + [0] * (weight - len(axes)))
+                    columns.append(_flip_form(zip(qubits, axes), 1.0, self.n_qubits))
+                    labels.append(" ".join(f"{a}{q}" for q, a in zip(qubits, axes)) or "I")
+            codes = np.array(codes, dtype=int).reshape(len(amplitudes), weight)
+            factors = _ConjugatedFactors(block.phase, np.array(amplitudes), codes)
+            coefficients.append((factors, slice(start, len(columns))))
+        # Each term fills one entry per column, (j xor flip, j).  Terms sharing a
+        # flip and a real or imaginary part form a segment: one (rows, dim)
+        # product, placed by ``_gather`` (its last column is the zero product).
+        order = sorted(range(len(columns)), key=lambda k: columns[k][:2])
+        keys = [columns[k][:2] for k in order]
+        starts = [lo for lo in range(len(keys)) if lo == 0 or keys[lo] != keys[lo - 1]]
+        cols = np.arange(self.dim)
+        gather = np.full((self.dim, self.dim, 2), len(starts) * self.dim)
+        for n, lo in enumerate(starts):
+            flip, imaginary = keys[lo]
+            gather[cols ^ flip, cols, int(imaginary)] = n * self.dim + cols
         self._static = static
-        self._varying = tuple(varying)
-        self._re, self._im = np.empty((2, len(varying), self.dim**2))
-        for k, (_, string) in enumerate(varying):
-            mat = string.matrix(self.n_qubits)
-            self._re[k], self._im[k] = mat.real.ravel(), mat.imag.ravel()
-        for a in (self._static, self._re, self._im):
+        self._coefficients = tuple(coefficients)
+        self._labels = tuple(labels)
+        self._order = np.array(order, dtype=int)
+        self._scales = np.array([columns[k][3] for k in order], dtype=float)
+        self._zmasks = np.array([columns[k][2] for k in order], dtype=int)
+        self._signs = hadamard(self.dim, dtype=float)  # (-1)^popcount(i & j)
+        self._segments = tuple(map(slice, starts, starts[1:] + [len(order)]))
+        self._gather = gather.ravel()  # real and imaginary part of each entry in turn
+        for a in (self._static, self._order, self._scales, self._zmasks, self._signs, self._gather):
             a.flags.writeable = False
 
     def matrix(self, t: float) -> np.ndarray:
@@ -174,20 +208,24 @@ class TimeDependentHamiltonian:
     def matrix_stack(self, ts) -> np.ndarray:
         """Dense Hermitian matrices at a batch of times, shape (len(ts), dim, dim)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        vals = np.empty((ts.size, len(self._varying)))
+        vals = np.empty((ts.size, len(self._labels)))
         with np.errstate(all="ignore"):  # non-finite values are named below
-            for k, (fn, _) in enumerate(self._varying):
-                vals[:, k] = fn.value(ts)
+            for fn, cols in self._coefficients:
+                vals[:, cols] = fn.value(ts)
         if not np.isfinite(vals).all():
             b, k = np.argwhere(~np.isfinite(vals))[0]
-            label = " ".join(f"{axis}{q}" for q, axis in self._varying[k][1].factors)
             raise RuntimeError(
-                f"coefficient of Pauli term {label or 'I'} is {vals[b, k]} at t={float(ts[b])!r}"
+                f"coefficient of Pauli term {self._labels[k]} is {vals[b, k]} at t={float(ts[b])!r}"
             )
-        shape = (ts.size, self.dim, self.dim)
-        out = np.empty(shape, dtype=complex)
-        np.add(self._static.real, (vals @ self._re).reshape(shape), out=out.real)
-        np.add(self._static.imag, (vals @ self._im).reshape(shape), out=out.imag)
+        # the sign vectors are +-1, so this is each term's one rounding, as in a dense product
+        vals = vals[:, self._order] * self._scales
+        products = np.zeros((ts.size, (len(self._segments) + 1) * self.dim))
+        for n, seg in enumerate(self._segments):
+            signs = self._signs[self._zmasks[seg]]
+            products[:, n * self.dim : (n + 1) * self.dim] = vals[:, seg] @ signs
+        out = np.take(products, self._gather, axis=1).view(complex)
+        out = out.reshape(ts.size, self.dim, self.dim)
+        out += self._static
         skew = out - out.conj().transpose(0, 2, 1)
         defect = float(np.sqrt((np.abs(skew) ** 2).sum(axis=(1, 2)).max()))
         if not (defect <= 1e-12):

@@ -107,6 +107,10 @@ class UnitaryTrace:
     max_defect: float
     sampler: object = None
 
+    def __post_init__(self):
+        if "".join(self.label.splitlines()) != self.label:  # every break read_trace splits on
+            raise ValueError(f"trace label {self.label!r} contains a line break")
+
     @property
     def dim(self) -> int:
         return self.matrices.shape[-1]
@@ -210,8 +214,6 @@ def _unitary_trace(
     the identity; it is then snapped to the exact identity so composed frame
     changes start at exactly I.  ``what`` names the matrices in errors.
     """
-    if "".join(label.splitlines()) != label:  # every break read_trace splits on
-        raise ValueError(f"trace label {label!r} contains a line break")
     if identity_tol is not None:
         eye = np.eye(mats.shape[-1])
         first_gap = float(np.linalg.norm(mats[0] - eye))

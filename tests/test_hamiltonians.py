@@ -184,10 +184,22 @@ class TestFastCounterpart:
         for t in (0.0, 0.52):
             np.testing.assert_allclose(fast.matrix(t), rate * sum_x, atol=1e-13)
 
-    def test_expansion_beyond_memory_limit_is_refused(self):
-        # 8 transverse terms plus 3^8 expanded ones, each a 256 x 256 matrix
-        with pytest.raises(ValueError, match=r"6569 varying terms .* ~6.4 GiB"):
-            fast_counterpart_hamiltonian(Constant(1.0), GroverProblem(8, 0), Harmonic(1.0))
+    def test_ten_qubit_counterparts_build(self):
+        # a half turn maps Z to -Z on every qubit, up to sin(pi) ~ 1e-16 Y parts:
+        # Grover's I - |m><m| becomes I - |not m><not m|, and Ising fields flip sign
+        half_turn = Constant(math.pi / 2)
+        grover = fast_counterpart_hamiltonian(Constant(0.0), GroverProblem(10, 77), half_turn)
+        expected = np.eye(1024)
+        expected[77 ^ 1023, 77 ^ 1023] = 0.0
+        np.testing.assert_allclose(grover.matrix(0.0), expected, rtol=0, atol=1e-12)
+        fields = tuple(np.linspace(-1.0, 1.0, 10))
+        couplings = [(i, j, 0.1 * (i - j)) for i, j in itertools.combinations(range(10), 2)]
+        ising = fast_counterpart_hamiltonian(
+            Constant(0.0), IsingProblem(10, fields, couplings), half_turn
+        )
+        flipped = IsingProblem(10, tuple(-h for h in fields), couplings)
+        expected = annealing_hamiltonian(Constant(0.0), flipped).matrix(0.0)
+        np.testing.assert_allclose(ising.matrix(0.0), expected, rtol=0, atol=1e-12)
 
     def test_non_diagonal_conjugated_strings_rejected(self):
         with pytest.raises(ValueError, match="Z-only"):
@@ -248,6 +260,8 @@ def test_counterpart_matches_kron_chain_evaluation(n, rows, data):
     [
         IsingProblem(3, fields=(0.5, -0.2, 0.1), couplings=((0, 1, -1.0), (1, 2, 0.7))),
         GroverProblem(3, 6),
+        # 256 Z-strings of every weight up to 8, 3^8 expanded terms
+        GroverProblem(8, 77),
     ],
 )
 def test_counterpart_matches_frame_change_oracle(problem):

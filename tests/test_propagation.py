@@ -285,6 +285,11 @@ class TestTraceSerialization:
         with pytest.raises(ValueError, match=re.escape(repr(label))):
             sample_trace(lambda t: nmr_fast_propagator(p, t), grid, label=label)
 
+    def test_label_with_line_break_is_rejected_on_direct_construction(self):
+        trace = propagate(nmr_hamiltonian(NmrParams.harmonic(1.0, 1.5, 2.0)), TimeGrid(0.0, 1.0, 4))
+        with pytest.raises(ValueError, match=re.escape(repr("a\u2028b"))):
+            UnitaryTrace(trace.grid, trace.times, trace.matrices, "a\u2028b", trace.max_defect)
+
     def _written(self, tmp_path):
         p = NmrParams.harmonic(1.0, 1.5, 2.0)
         trace = propagate(nmr_hamiltonian(p), TimeGrid(0.0, 1.0, 4), label="cut")
