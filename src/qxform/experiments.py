@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -403,6 +402,8 @@ def annealing_doubling_sweep(
     ]
     workers = _sweep_workers(jobs, len(args), os.cpu_count())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only a pool needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return tuple(pool.map(_sweep_point, args))
     return tuple(_sweep_point(a) for a in args)

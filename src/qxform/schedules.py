@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 class Schedule:
@@ -142,6 +141,8 @@ class Tabulated(Schedule):
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "times", tuple(float(x) for x in t))
         object.__setattr__(self, "values", tuple(float(x) for x in v))
+        from scipy.interpolate import CubicSpline  # imported on first use: scipy is slow to load
+
         object.__setattr__(self, "_spline", CubicSpline(t, v))
 
     @property

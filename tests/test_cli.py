@@ -307,17 +307,21 @@ class TestUsage:
         assert exc.value.code == 1
 
 
+def run_python(*args, cwd):
+    """Run a fresh interpreter that imports this checkout's qxform."""
+    env = dict(os.environ)
+    src = str(Path(qxform.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 class TestModuleEntryPoint:
     """``python -m qxform.cli`` runs the same command line as ``qxform``."""
 
     def _run(self, *args, cwd):
-        env = dict(os.environ)
-        src = str(Path(qxform.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "qxform.cli", *args],
-            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
-        )
+        return run_python("-m", "qxform.cli", *args, cwd=cwd)
 
     def test_list_prints_every_kind(self, tmp_path):
         done = self._run("list", cwd=tmp_path)
@@ -329,3 +333,47 @@ class TestModuleEntryPoint:
         done = self._run("run", "--config", str(tmp_path / "missing.json"), cwd=tmp_path)
         assert done.returncode == 1
         assert "missing.json" in done.stderr and "Traceback" not in done.stderr
+
+
+class TestImportFootprint:
+    """scipy and the process pool are imported only by the runs that use them."""
+
+    CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+    def test_shipped_run_loads_no_scipy_or_process_pool(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from qxform.cli import main\n"
+            f"code = main(['run', '--config', {str(self.CONFIGS / 'verify_transform.json')!r},"
+            f" '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(code, sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))\n"
+        )
+        done = run_python("-c", script, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
+
+    def test_tabulated_phase_matches_harmonic(self, tmp_path):
+        # samples of rate * t: the not-a-knot spline through them is that line
+        rate = 8.0
+        times = [0.0, 0.5, 1.0, 1.5, 2.0]
+        phases = {
+            "harmonic": {"kind": "harmonic", "rate": rate},
+            "tabulated": {"kind": "tabulated", "times": times, "values": [rate * t for t in times]},
+        }
+        metrics = {}
+        for name, phase in phases.items():
+            payload = {
+                "experiment": "grover",
+                "n_qubits": 2,
+                "marked": 3,
+                "t_final": 16.0,
+                "fast_counterpart": {"phase": phase, "t_final": 2.0, "n_steps": 4000},
+                "tolerances": {"min_counterpart_fidelity": 0.999999},
+            }
+            cfg = write_config(tmp_path, f"{name}.json", payload)
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            metrics[name] = read_result(tmp_path / name)["metrics"]
+        assert metrics["tabulated"].keys() == metrics["harmonic"].keys()
+        for key, value in metrics["harmonic"].items():
+            assert metrics["tabulated"][key] == pytest.approx(value, rel=1e-9, abs=1e-12), key

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg import expm
+from scipy.linalg import expm, hadamard
 
 from qxform.hamiltonians import (
     FrameConjugatedTerms,
@@ -306,6 +306,54 @@ class TestEvaluation:
     def test_string_outside_register_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             TimeDependentHamiltonian(1, terms=((1.0, PauliString(((1, "Z"),))),))
+
+    @staticmethod
+    def _with_coefficient(value):
+        class Coefficient:
+            def value(self, t):
+                return np.where(np.asarray(t) < 0.25, 1.0 + 0j, value)
+
+        return TimeDependentHamiltonian(
+            2,
+            terms=(
+                (LinearRamp(1.0, 0.0, 1.0), PauliString(((0, "X"),))),
+                (Coefficient(), PauliString(((0, "Z"), (1, "Y")))),
+            ),
+        )
+
+    def test_complex_coefficient_fails_by_name(self):
+        h = self._with_coefficient(1 + 0.5j)
+        with pytest.raises(RuntimeError, match=r"Pauli term Z0 Y1 is \(1\+0\.5j\) at t=0\.5$"):
+            h.matrix_stack([0.0, 0.5, 1.0])
+
+    def test_complex_coefficient_with_zero_imaginary_part_is_real(self):
+        got = self._with_coefficient(1 + 0j).matrix_stack([0.0, 0.5, 1.0])
+        expected = self._with_coefficient(1.0).matrix_stack([0.0, 0.5, 1.0])
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sign_table_is_the_sylvester_hadamard_matrix(self, n):
+        signs = TimeDependentHamiltonian(n)._signs
+        expected = hadamard(2**n, dtype=float)
+        assert signs.dtype == expected.dtype
+        assert np.array_equal(signs, expected)
+
+
+@given(n=st.integers(1, 5), rows=st.integers(1, 32), data=st.data())
+def test_matrix_stack_is_exactly_hermitian(n, rows, data):
+    # real coefficients times +-1 signs, placed in mirrored entries: no rounding breaks symmetry
+    problem = problems(data, n)
+    value = st.floats(-50.0, 50.0, allow_nan=False)
+    transverse = LinearRamp(data.draw(value), data.draw(value), 1.0)
+    drive = NmrParams.harmonic(data.draw(value), data.draw(value), data.draw(st.floats(0.1, 50.0)))
+    ts = data.draw(hnp.arrays(np.float64, rows, elements=st.floats(0.0, 1.0)))
+    for h in (
+        annealing_hamiltonian(transverse, problem),
+        fast_counterpart_hamiltonian(transverse, problem, Harmonic(data.draw(value))),
+        nmr_hamiltonian(drive),
+    ):
+        stack = h.matrix_stack(ts)
+        assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))
 
 
 class TestEigensystem:

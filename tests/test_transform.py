@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qxform.hamiltonians import (
@@ -158,6 +160,29 @@ class TestFrameChanges:
             ),
         )
         assert worst <= 2 * report.threshold
+
+    @given(
+        splitting=st.floats(-5.0, 5.0),
+        rate=st.floats(-5.0, 5.0),
+        strength=st.floats(0.1, 10.0),
+        n_steps=st.integers(2, 400),
+    )
+    def test_round_trip_property(self, splitting, rate, strength, n_steps):
+        # into then out of the frame returns H to the second-order model of
+        # verify_transform: within 4x the refined grid's residual, and refining
+        # shrinks it, so a grid-independent mismatch cannot pass
+        p = NmrParams.harmonic(splitting, rate, strength)
+        lab = nmr_hamiltonian(p)
+
+        def residual(s):
+            back = transform_out_of_frame(transform_into_frame(lab, s), s)
+            ref = lab.matrix_stack(back.times)
+            return float(np.max(np.linalg.norm(back.matrices - ref, axis=(1, 2))))
+
+        s = nmr_closed_form_transform(p, TimeGrid(0.0, 2.0, n_steps))
+        coarse, fine = residual(s), residual(s.refined(2))
+        assert coarse <= 4 * fine + 1e-10
+        assert fine <= 0.5 * coarse + 1e-10
 
     def test_needs_full_grid_coverage(self):
         grid = TimeGrid(0.0, 2.0, 40)
