@@ -25,7 +25,6 @@ from .operators import (
 )
 from .schedules import Constant, CosineRamp, Harmonic, LinearRamp, NmrParams, Schedule, Tabulated
 from .hamiltonians import (
-    Eigensystem,
     FrameConjugatedTerms,
     GroverProblem,
     IsingProblem,
@@ -33,7 +32,6 @@ from .hamiltonians import (
     annealing_hamiltonian,
     default_transverse_strength,
     fast_counterpart_hamiltonian,
-    instantaneous_eigensystem,
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import os
 import sys
@@ -355,13 +356,14 @@ def _run_verify_transform(p, jobs):
     params = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"])
     grid = TimeGrid(0.0, p["t_final"], p["n_steps"])
     lab = nmr_hamiltonian(params)
+    grids = (grid, grid.refined(2))  # the transform's, and its control's twice as fine
     if p["pair"] == "self":
         frame = lab
-        transform = identity_transform(grid, lab.dim)
+        transform, control = (identity_transform(g, lab.dim) for g in grids)
     else:
         frame = rotating_frame_hamiltonian(params)
-        transform = nmr_closed_form_transform(params, grid)
-    report = verify_transform(lab, frame, transform)
+        transform, control = (nmr_closed_form_transform(params, g) for g in grids)
+    report = verify_transform(lab, frame, transform, control=control)
     metrics = {
         "pair": p["pair"],
         "max_residual": report.max_residual,
@@ -631,6 +633,8 @@ def _apply_overrides(cfg, overrides):
 
 
 def _sanitize(obj):
+    """A strict-JSON copy of obj: keys sorted, numpy values as Python ones,
+    and non-finite floats as None (written as null)."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
@@ -638,7 +642,9 @@ def _sanitize(obj):
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
     if isinstance(obj, np.generic):  # numpy scalars become the matching Python ones
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -663,7 +669,7 @@ def run_experiment(config_path, overrides=(), out_dir=".", jobs=1) -> int:
         os.makedirs(out_dir, exist_ok=True)
         result_path = os.path.join(out_dir, "result.json")
         with open(result_path, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
+            json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         for name, (ts, vs) in curves.items():
             write_csv_curve(os.path.join(out_dir, f"{name}.csv"), ts, vs)

@@ -17,7 +17,6 @@ from .hamiltonians import (
     annealing_hamiltonian,
     default_transverse_strength,
     fast_counterpart_hamiltonian,
-    instantaneous_eigensystem,
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )
@@ -47,7 +46,6 @@ from .transform import (
     transform_out_of_frame,
     two_gate_realization,
     verify_transform,
-    write_csv_curve,
 )
 
 _OVERLAP_FLOOR = 0.25  # squared overlap below which branch tracking counts as lost
@@ -64,9 +62,6 @@ class FidelityCurve:
     adiabaticity_ratio: float | None = None
     truncated: bool = False
     truncated_at: float | None = None
-
-    def write_csv(self, path) -> None:
-        write_csv_curve(path, self.times, self.values)
 
 
 def _eigh_blocks(hamiltonian, times: np.ndarray):
@@ -306,28 +301,6 @@ class AqcRunResult:
     adiabaticity_ratio: float
 
 
-def _anneal(
-    problem,
-    transverse0: float | None,
-    t_final: float,
-    n_steps: int | None,
-    stride: int | None = None,
-):
-    if transverse0 is None:
-        transverse0 = default_transverse_strength(problem)
-    if n_steps is None:
-        n_steps = max(400, int(math.ceil(200.0 * t_final)))
-    if stride is None:
-        stride = max(1, n_steps // 256)
-    ramp = LinearRamp(transverse0, 0.0, t_final)
-    h = annealing_hamiltonian(ramp, problem)
-    grid = TimeGrid(0.0, t_final, n_steps)
-    eig0 = instantaneous_eigensystem(h, 0.0)
-    psi0 = eig0.state(0)
-    trace = propagate(h, grid, label="annealing", stride=stride)
-    return h, grid, psi0, trace
-
-
 def run_annealing_experiment(
     problem,
     transverse0: float | None = None,
@@ -338,17 +311,23 @@ def run_annealing_experiment(
 ) -> AqcRunResult:
     """Anneal from the transverse-field ground state into the problem term and
     report how much of the final state sits in the ground manifold."""
-    h, grid, psi0, trace = _anneal(problem, transverse0, t_final, n_steps)
-    n = problem.n_qubits
-    overlap0 = fidelity(psi0, minus_state(n))
+    if transverse0 is None:
+        transverse0 = default_transverse_strength(problem)
+    if n_steps is None:
+        n_steps = max(400, int(math.ceil(200.0 * t_final)))
+    h = annealing_hamiltonian(LinearRamp(transverse0, 0.0, t_final), problem)
+    grid = TimeGrid(0.0, t_final, n_steps)
+    psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]
+    trace = propagate(h, grid, label="annealing", stride=max(1, n_steps // 256))
+    overlap0 = fidelity(psi0, minus_state(problem.n_qubits))
     psi_final = trace.apply(psi0)
 
-    eig_final = instantaneous_eigensystem(h, grid.t_end, degeneracy_tol=degeneracy_tol)
-    cluster = np.abs(eig_final.energies - eig_final.energies[0]) < degeneracy_tol
-    amp = eig_final.states[:, cluster].conj().T @ psi_final
+    energies, states = np.linalg.eigh(h.matrix(grid.t_end))
+    cluster = np.abs(energies - energies[0]) < degeneracy_tol
+    amp = states[:, cluster].conj().T @ psi_final
     success = float(np.sum(np.abs(amp) ** 2))
 
-    # eigh, not eigvalsh: the gaps keep the bits of instantaneous_eigensystem
+    # eigh, not eigvalsh: the gaps keep the bits of np.linalg.eigh at each time
     ts = np.linspace(0.0, grid.t_end, int(eigen_samples))
     min_gap = min(
         (float(np.min(e[:, 1] - e[:, 0])) for _, e, _ in _eigh_blocks(h, ts)), default=math.inf
@@ -455,7 +434,7 @@ def run_fast_counterpart_comparison(
     fast_h = fast_counterpart_hamiltonian(ramp, problem, phase)
     grid = TimeGrid(0.0, t_final, n_steps)
 
-    psi0 = instantaneous_eigensystem(slow_h, 0.0).state(0)
+    psi0 = np.linalg.eigh(slow_h.matrix(0.0))[1][:, 0]
     slow_trace = propagate(slow_h, grid, label="annealing", stride=stride)
     fast_trace = propagate(fast_h, grid, label="driven counterpart", stride=stride)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import PauliString, check_qubit_count, pauli_matrix
+from .operators import PauliString, _flip_form, _sign_table, check_qubit_count
 from .schedules import Constant, NmrParams, Schedule
 
 
@@ -88,23 +88,6 @@ class _ConjugatedFactors:
         for code in self.codes.T:
             out = out * factors[code].T
         return out
-
-
-def _sign_table(n_qubits: int) -> np.ndarray:
-    """(-1)^popcount(i & j) for i, j < 2^n: the Sylvester Hadamard matrix."""
-    signs = np.ones((1, 1))
-    for _ in range(n_qubits):
-        signs = np.kron(signs, [[1.0, 1.0], [1.0, -1.0]])
-    return signs
-
-
-def _flip_form(factors, coefficient: float, n_qubits: int):
-    """A Pauli string maps |j> to coefficient i^n_y (-1)^popcount(j & zmask)
-    |j xor flip>.  Returns (flip, n_y odd, zmask, coefficient (-1)^(n_y // 2))."""
-    factors = tuple(factors)
-    x, y, z = (sum(1 << (n_qubits - 1 - q) for q, a in factors if a == axis) for axis in "XYZ")
-    n_y = bin(y).count("1")
-    return x | y, n_y % 2 == 1, y | z, coefficient * (-1.0) ** (n_y // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +188,7 @@ class TimeDependentHamiltonian:
         self._signs = _sign_table(self.n_qubits)
         self._segments = tuple(map(slice, starts, starts[1:] + [len(order)]))
         self._gather = gather.ravel()  # real and imaginary part of each entry in turn
-        for a in (self._static, self._order, self._scales, self._zmasks, self._signs, self._gather):
+        for a in (self._static, self._order, self._scales, self._zmasks, self._gather):
             a.flags.writeable = False
 
     def matrix(self, t: float) -> np.ndarray:
@@ -440,37 +423,3 @@ def fast_counterpart_hamiltonian(
         terms=terms,
         conjugated=(FrameConjugatedTerms(problem.pauli_terms(), phase),),
     )
-
-
-# ---------------------------------------------------------------------------
-# Instantaneous spectra
-
-
-@dataclass(frozen=True, eq=False)
-class Eigensystem:
-    """Full instantaneous spectrum: ascending energies, orthonormal column
-    eigenvectors, the ground gap and a near-degeneracy flag."""
-
-    energies: np.ndarray
-    states: np.ndarray
-    gap: float
-    degenerate: bool
-
-    def state(self, k: int) -> np.ndarray:
-        return self.states[:, k]
-
-
-def instantaneous_eigensystem(
-    hamiltonian: TimeDependentHamiltonian, t: float, degeneracy_tol: float = 1e-10
-) -> Eigensystem:
-    """Eigendecomposition of the Hamiltonian frozen at time t.
-
-    Degenerate subspaces come back with an arbitrary orthonormal basis; the
-    ``degenerate`` flag is set when the ground gap falls below the tolerance.
-    """
-    matrix = hamiltonian.matrix(t)
-    energies, states = np.linalg.eigh(matrix)
-    gap = float(energies[1] - energies[0])
-    energies.flags.writeable = False
-    states.flags.writeable = False
-    return Eigensystem(energies, states, gap, gap < degeneracy_tol)

@@ -10,6 +10,7 @@ plain complex numpy arrays and hbar = 1 throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,8 +29,7 @@ _PAULI = {
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
-_IDENTITY2 = np.eye(2, dtype=complex)
-for _m in (*_PAULI.values(), _IDENTITY2):
+for _m in _PAULI.values():
     _m.flags.writeable = False
 
 
@@ -51,6 +51,26 @@ def check_qubit_count(n_qubits: int) -> int:
             f"(dimension 2^{n}); this package is restricted to desk-scale systems"
         )
     return n
+
+
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _sign_table(n_qubits: int) -> np.ndarray:
+    """(-1)^popcount(i & j) for i, j < 2^n: the Sylvester Hadamard matrix.
+    Cached per qubit count and read-only."""
+    signs = np.ones((1, 1))
+    for _ in range(n_qubits):
+        signs = np.kron(signs, [[1.0, 1.0], [1.0, -1.0]])
+    signs.flags.writeable = False
+    return signs
+
+
+def _flip_form(factors, coefficient: float, n_qubits: int):
+    """A Pauli string maps |j> to coefficient i^n_y (-1)^popcount(j & zmask)
+    |j xor flip>.  Returns (flip, n_y odd, zmask, coefficient (-1)^(n_y // 2))."""
+    factors = tuple(factors)
+    x, y, z = (sum(1 << (n_qubits - 1 - q) for q, a in factors if a == axis) for axis in "XYZ")
+    n_y = bin(y).count("1")
+    return x | y, n_y % 2 == 1, y | z, coefficient * (-1.0) ** (n_y // 2)
 
 
 @dataclass(frozen=True)
@@ -90,25 +110,16 @@ class PauliString:
     def matrix(self, n_qubits: int) -> np.ndarray:
         """Embed into the full 2^n_qubits space, identity on unlisted qubits."""
         n = check_qubit_count(n_qubits)
-        axes = dict(self.factors)
-        out_of_range = [q for q in axes if q >= n]
+        out_of_range = [q for q in self.support if q >= n]
         if out_of_range:
             raise ValueError(
                 f"qubit index {max(out_of_range)} out of range for {n} qubits"
             )
-        if self.is_diagonal():
-            return np.diag(self.coefficient * self._diagonal_signs(n)).astype(complex)
-        out = np.array([[self.coefficient]], dtype=complex)
-        for q in range(n):
-            out = np.kron(out, _PAULI[axes[q]] if q in axes else _IDENTITY2)
+        flip, imaginary, zmask, scale = _flip_form(self.factors, self.coefficient, n)
+        cols = np.arange(2**n)
+        out = np.zeros((2**n, 2**n), dtype=complex)
+        out[cols ^ flip, cols] = (1j if imaginary else 1.0) * scale * _sign_table(n)[zmask]
         return out
-
-    def _diagonal_signs(self, n_qubits: int) -> np.ndarray:
-        idx = np.arange(2**n_qubits)
-        signs = np.ones(2**n_qubits)
-        for q, _ in self.factors:
-            signs *= 1.0 - 2.0 * ((idx >> (n_qubits - 1 - q)) & 1)
-        return signs
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         """Product of two strings with disjoint supports."""

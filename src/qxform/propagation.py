@@ -28,6 +28,9 @@ DEFECT_LIMIT = 1e-8
 # evaluation (propagation steps, eigensystem stacks) at 64 MiB per complex stack.
 _BLOCK_ELEMENTS = 1 << 22
 
+# Steps per batched block of propagate; _block_rows caps it above dimension 32.
+_STEP_BLOCK = 4096
+
 _TRACE_MAGIC = "qxform-trace 1"
 
 
@@ -95,9 +98,7 @@ class UnitaryTrace:
     a propagator U(t_k) or a frame change S(t_k) = U(t_k) u(t_k)^dag.
 
     Every stored matrix passed the defect gate; the largest observed defect
-    is kept in ``max_defect``.  ``sampler`` is the closed form a frame change
-    was sampled from, kept so the trace can be resampled on refined grids;
-    composed, propagated and deserialized traces carry ``None``.
+    is kept in ``max_defect``.
     """
 
     grid: TimeGrid
@@ -105,7 +106,6 @@ class UnitaryTrace:
     matrices: np.ndarray
     label: str
     max_defect: float
-    sampler: object = None
 
     def __post_init__(self):
         if "".join(self.label.splitlines()) != self.label:  # every break read_trace splits on
@@ -155,22 +155,6 @@ class UnitaryTrace:
     def covers_full_grid(self) -> bool:
         return len(self.times) == self.grid.n_steps + 1
 
-    def refined(self, factor: int = 2) -> "UnitaryTrace":
-        """Resample the closed form on a ``factor`` times finer grid."""
-        if self.sampler is None:
-            raise ValueError(
-                "cannot refine a trace that has no closed-form sampler; "
-                "build the control trace from refined propagations instead"
-            )
-        from .transform import sampled_transform  # transform imports this module
-
-        return sampled_transform(
-            self.grid.refined(factor),
-            self.sampler,
-            self.label,
-            identity_start=bool(np.array_equal(self.matrices[0], np.eye(self.dim))),
-        )
-
 
 def _block_rows(dim: int) -> int:
     """Rows of (dim, dim) matrices per batched block."""
@@ -206,7 +190,6 @@ def _unitary_trace(
     label: str,
     what: str,
     identity_tol: float | None = None,
-    sampler=None,
 ) -> UnitaryTrace:
     """Gate ``mats`` (fresh, owned by the trace) and freeze them into a trace.
 
@@ -226,7 +209,7 @@ def _unitary_trace(
     max_defect = _check_stored(mats, _nearest_steps(grid, times), what)
     mats.flags.writeable = False
     times.flags.writeable = False
-    return UnitaryTrace(grid, times, mats, label, max_defect, sampler)
+    return UnitaryTrace(grid, times, mats, label, max_defect)
 
 
 def propagate(
@@ -234,7 +217,6 @@ def propagate(
     grid: TimeGrid,
     label: str = "",
     stride: int = 1,
-    block_size: int = 4096,
 ) -> UnitaryTrace:
     """Integrate i dU/dt = H(t) U with U(t_start) = I by midpoint exponentials.
 
@@ -256,7 +238,7 @@ def propagate(
     times = grid.times()
     mids = grid.midpoints()
     dt = grid.dt
-    block = max(1, min(int(block_size), _block_rows(dim)))
+    block = min(_STEP_BLOCK, _block_rows(dim))
 
     stored = np.empty((len(indices), dim, dim), dtype=complex)
     stored[0] = np.eye(dim)

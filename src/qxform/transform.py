@@ -58,8 +58,7 @@ def sampled_transform(
     ``sampler`` is called once with the array of node times and must return
     the (n_nodes, d, d) stack.  Frame changes built from propagators always
     start at the identity; pass ``identity_start=False`` for static frames
-    such as a fixed rotation.  The trace keeps ``sampler`` for
-    :meth:`UnitaryTrace.refined`.
+    such as a fixed rotation.
     """
     times = grid.times()
     return _unitary_trace(
@@ -69,7 +68,6 @@ def sampled_transform(
         label,
         "transform matrix",
         identity_tol=1e-12 if identity_start else None,
-        sampler=sampler,
     )
 
 
@@ -213,20 +211,6 @@ class TransformReport:
     max_antihermitian_defect: float
     inconsistent_transform: bool
 
-    def write_csv(self, path) -> None:
-        write_csv_curve(path, self.times, self.residuals)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "fd_step": self.fd_step,
-            "control_max_residual": self.control_max_residual,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "max_antihermitian_defect": self.max_antihermitian_defect,
-            "inconsistent_transform": self.inconsistent_transform,
-        }
-
 
 def _reconstruction_residuals(hamiltonian, frame_hamiltonian, transform):
     rec = transform_into_frame(hamiltonian, transform)
@@ -244,14 +228,11 @@ def verify_transform(
 ) -> TransformReport:
     """Check that ``transform`` maps ``hamiltonian`` onto ``frame_hamiltonian``.
 
-    ``control`` supplies the transform on the two-times refined grid; when
-    omitted it is resampled from the closed form if one is attached.  Without
-    any control the report carries the residuals but no verdict.
+    ``control`` is the same transform built on the two-times refined grid;
+    without it the report carries the residuals but no verdict.
     """
     rec, residuals = _reconstruction_residuals(hamiltonian, frame_hamiltonian, transform)
     max_residual = float(np.max(residuals))
-    if control is None and transform.sampler is not None:
-        control = transform.refined(2)
     control_max = None
     threshold = None
     passed = None
@@ -347,9 +328,6 @@ class RescaleReport:
     max_distance: float
     fast_trace: UnitaryTrace
     slow_trace: UnitaryTrace
-
-    def write_csv(self, path) -> None:
-        write_csv_curve(path, self.times, self.distances)
 
 
 def time_rescaling_equivalence(

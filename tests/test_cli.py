@@ -11,6 +11,8 @@ import qxform
 from qxform.cli import EXPERIMENTS, ConfigError, _schedule, list_experiments, main
 from qxform.schedules import CosineRamp, Harmonic, Tabulated
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -99,6 +101,23 @@ class TestRunNmr:
         assert record["config"] == payload
         # parse -> serialize -> parse is the identity
         assert json.loads(json.dumps(record["config"])) == payload
+
+    def test_non_finite_metric_is_written_as_null(self, tmp_path):
+        # drive_rate = splitting: zero detuning makes the adiabaticity ratio infinite
+        overrides = [
+            "drive_rate=1.0", "t_final=0.5", "n_steps=1000",
+            "tolerances.require_transform_model=false",
+        ]
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(CONFIGS / "nmr.json"), "--out", str(out)]
+        assert main(argv + [arg for o in overrides for arg in ("--set", o)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"result.json is not strict JSON: {constant}")
+
+        with open(out / "result.json") as fh:
+            record = json.load(fh, parse_constant=reject)
+        assert record["metrics"]["adiabaticity_ratio"] is None
 
 
 class TestConfigErrors:
@@ -338,13 +357,11 @@ class TestModuleEntryPoint:
 class TestImportFootprint:
     """scipy and the process pool are imported only by the runs that use them."""
 
-    CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
     def test_shipped_run_loads_no_scipy_or_process_pool(self, tmp_path):
         script = (
             "import sys\n"
             "from qxform.cli import main\n"
-            f"code = main(['run', '--config', {str(self.CONFIGS / 'verify_transform.json')!r},"
+            f"code = main(['run', '--config', {str(CONFIGS / 'verify_transform.json')!r},"
             f" '--out', {str(tmp_path / 'out')!r}])\n"
             "print(code, sorted(m for m in sys.modules"
             " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))\n"

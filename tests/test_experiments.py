@@ -16,12 +16,12 @@ from qxform.hamiltonians import (
     GroverProblem,
     IsingProblem,
     annealing_hamiltonian,
-    instantaneous_eigensystem,
     rotating_frame_hamiltonian,
 )
 from qxform.operators import minus_state
 from qxform.propagation import TimeGrid, nmr_slow_propagator, propagate, sample_trace
 from qxform.schedules import Constant, Harmonic, LinearRamp, NmrParams
+from qxform.transform import write_csv_curve
 
 
 def closed_form_fidelity(g, d, times):
@@ -36,7 +36,7 @@ class TestTrackGroundState:
         problem = IsingProblem(2, fields=(0.4, -0.7), couplings=((0, 1, 0.3),))
         h = annealing_hamiltonian(Constant(0.8), problem)  # time-independent
         trace = propagate(h, TimeGrid(0.0, 2.0, 200))
-        psi0 = instantaneous_eigensystem(h, 0.0).state(0)
+        psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]
         curve = track_ground_state(h, trace, psi0)
         assert curve.min_value >= 1.0 - 1e-12
         assert not curve.truncated
@@ -66,7 +66,7 @@ class TestTrackGroundState:
         problem = IsingProblem(2, fields=(0.0, 0.0))
         h = annealing_hamiltonian(LinearRamp(1.0, 0.0, 1.0), problem)
         trace = propagate(h, TimeGrid(0.0, 1.0, 100))
-        psi0 = instantaneous_eigensystem(h, 0.0).state(0)
+        psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]
         curve = track_ground_state(h, trace, psi0)
         assert curve.values[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -78,7 +78,7 @@ class TestTrackGroundState:
         h = annealing_hamiltonian(LinearRamp(8.0, 0.0, t_final), problem)
         grid = TimeGrid(0.0, t_final, 1000)
         trace = propagate(h, grid, stride=1000)  # stores only t=0 and t=T
-        psi0 = instantaneous_eigensystem(h, 0.0).state(0)
+        psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]
         curve = track_ground_state(h, trace, psi0)
         assert curve.truncated
         assert curve.truncated_at == t_final
@@ -227,7 +227,7 @@ class TestFidelityCurveExport:
         trace = sample_trace(lambda t: nmr_slow_propagator(p, t), grid)
         curve = track_ground_state(h, trace, minus_state(1))
         path = tmp_path / "fidelity.csv"
-        curve.write_csv(path)
+        write_csv_curve(path, curve.times, curve.values)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,value"
         assert len(lines) == len(curve.times) + 1

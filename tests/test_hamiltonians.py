@@ -16,7 +16,6 @@ from qxform.hamiltonians import (
     annealing_hamiltonian,
     default_transverse_strength,
     fast_counterpart_hamiltonian,
-    instantaneous_eigensystem,
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )
@@ -92,9 +91,9 @@ class TestAnnealingBuilder:
     def test_pure_transverse_ground_state_is_minus_product(self):
         problem = IsingProblem(3, fields=(0.0, 0.0, 0.0))
         h = annealing_hamiltonian(LinearRamp(5.0, 0.0, 1.0), problem)
-        eig = instantaneous_eigensystem(h, 0.0)
-        assert eig.energies[0] == pytest.approx(-15.0, abs=1e-12)
-        assert fidelity(eig.state(0), minus_state(3)) == pytest.approx(1.0, abs=1e-12)
+        energies, states = np.linalg.eigh(h.matrix(0.0))
+        assert energies[0] == pytest.approx(-15.0, abs=1e-12)
+        assert fidelity(states[:, 0], minus_state(3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_ising_two_qubit_diagonal_oracle(self):
         # brute-force 4x4 assembly with qubit 0 on the leftmost tensor slot:
@@ -361,14 +360,14 @@ class TestEigensystem:
         problem = IsingProblem(3, fields=(0.5, -0.2, 0.1), couplings=((0, 2, -0.9),))
         h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), problem)
         for t in (0.0, 0.4, 1.0):
-            eig = instantaneous_eigensystem(h, t)
             m = h.matrix(t)
+            energies, states = np.linalg.eigh(m)
             for k in range(8):
-                res = np.linalg.norm(m @ eig.state(k) - eig.energies[k] * eig.state(k))
+                res = np.linalg.norm(m @ states[:, k] - energies[k] * states[:, k])
                 assert res <= 1e-9
-            gram = eig.states.conj().T @ eig.states
+            gram = states.conj().T @ states
             assert np.linalg.norm(gram - np.eye(8)) < 1e-10
-            assert np.all(np.diff(eig.energies) >= -1e-14)
+            assert np.all(np.diff(energies) >= -1e-14)
 
     def test_rotating_frame_eigenstates_match_conjugated_oracle(self):
         # oracle: |E+-(t)> = exp(-i d Z t / 2) |+-> with energies +-g
@@ -378,29 +377,23 @@ class TestEigensystem:
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
         minus = np.array([1.0, -1.0]) / math.sqrt(2)
         for t in (0.0, 0.7, 2.1):
-            eig = instantaneous_eigensystem(frame, t)
+            energies, states = np.linalg.eigh(frame.matrix(t))
             rot = expm(-1j * d * Z * t / 2)
-            np.testing.assert_allclose(eig.energies, [-g, g], atol=1e-12)
-            assert fidelity(eig.state(0), rot @ minus) == pytest.approx(1.0, abs=1e-12)
-            assert fidelity(eig.state(1), rot @ plus) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(energies, [-g, g], atol=1e-12)
+            assert fidelity(states[:, 0], rot @ minus) == pytest.approx(1.0, abs=1e-12)
+            assert fidelity(states[:, 1], rot @ plus) == pytest.approx(1.0, abs=1e-12)
 
     def test_grover_final_ground_state_is_marked(self):
         h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), GroverProblem(3, 6))
-        eig = instantaneous_eigensystem(h, 1.0)
-        assert eig.energies[0] == pytest.approx(0.0, abs=1e-14)
-        assert abs(eig.state(0)[6]) == pytest.approx(1.0, abs=1e-12)
+        energies, states = np.linalg.eigh(h.matrix(1.0))
+        assert energies[0] == pytest.approx(0.0, abs=1e-14)
+        assert abs(states[6, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_level_zero_diagonal(self):
         p = NmrParams(Constant(0.0), 1.3, Constant(0.0))
         h = nmr_hamiltonian(p)  # 1.3 X
-        eig = instantaneous_eigensystem(h, 0.0)
-        np.testing.assert_allclose(eig.energies, [-1.3, 1.3], atol=1e-14)
-
-    def test_degeneracy_flag(self):
-        problem = IsingProblem(2, fields=(0.0, 0.0))
-        h = annealing_hamiltonian(LinearRamp(1.0, 0.0, 1.0), problem)
-        assert instantaneous_eigensystem(h, 1.0).degenerate  # H(T) = 0
-        assert not instantaneous_eigensystem(h, 0.0).degenerate
+        energies = np.linalg.eigh(h.matrix(0.0))[0]
+        np.testing.assert_allclose(energies, [-1.3, 1.3], atol=1e-14)
 
 
 class TestProblems:

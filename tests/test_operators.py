@@ -6,6 +6,7 @@ from qxform.operators import (
     MAX_QUBITS,
     PauliString,
     _hermitian_expm_stack,
+    _sign_table,
     basis_state,
     fidelity,
     hermitian_expm,
@@ -82,7 +83,7 @@ class TestEmbed:
         rng = np.random.default_rng(7)
         single = {"X": X, "Y": Y, "Z": Z}
         for _ in range(32):
-            n = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 7))
             qubits = sorted(rng.choice(n, size=rng.integers(0, n + 1), replace=False))
             axes = [str(rng.choice(["X", "Y", "Z"])) for _ in qubits]
             coeff = float(rng.normal())
@@ -92,7 +93,11 @@ class TestEmbed:
             for q in range(n):
                 expected = np.kron(expected, single[placed[q]] if q in placed else I2)
             got = PauliString(tuple(zip(qubits, axes)), coeff).matrix(n)
-            np.testing.assert_allclose(got, expected, atol=1e-15)
+            assert np.array_equal(got, expected)
+
+    def test_sign_table_is_cached_and_read_only(self):
+        assert _sign_table(3) is _sign_table(3)
+        assert not _sign_table(3).flags.writeable
 
     def test_diagonal_fast_path_matches_kron(self):
         rng = np.random.default_rng(11)

@@ -10,7 +10,6 @@ from qxform.hamiltonians import (
     GroverProblem,
     IsingProblem,
     annealing_hamiltonian,
-    instantaneous_eigensystem,
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )
@@ -124,7 +123,10 @@ class TestFrameChanges:
     def test_closed_form_reproduces_rotating_frame(self):
         grid = TimeGrid(0.0, 4.0, 4000)
         s = nmr_closed_form_transform(BENCH, grid)
-        report = verify_transform(nmr_hamiltonian(BENCH), rotating_frame_hamiltonian(BENCH), s)
+        report = verify_transform(
+            nmr_hamiltonian(BENCH), rotating_frame_hamiltonian(BENCH), s,
+            control=nmr_closed_form_transform(BENCH, grid.refined(2)),
+        )
         assert report.passed
         assert report.max_residual <= report.threshold
 
@@ -137,7 +139,7 @@ class TestFrameChanges:
         ref = lab.matrix_stack(rec.times)
         worst = float(np.max(np.linalg.norm(rec.matrices - ref, axis=(1, 2))))
         # second-order differencing model, calibrated on the doubled grid
-        fine = transform_out_of_frame(frame, s.refined(2))
+        fine = transform_out_of_frame(frame, nmr_closed_form_transform(BENCH, grid.refined(2)))
         fine_ref = lab.matrix_stack(fine.times)
         fine_worst = float(np.max(np.linalg.norm(fine.matrices - fine_ref, axis=(1, 2))))
         assert worst <= 4 * fine_worst + 1e-10
@@ -179,8 +181,9 @@ class TestFrameChanges:
             ref = lab.matrix_stack(back.times)
             return float(np.max(np.linalg.norm(back.matrices - ref, axis=(1, 2))))
 
-        s = nmr_closed_form_transform(p, TimeGrid(0.0, 2.0, n_steps))
-        coarse, fine = residual(s), residual(s.refined(2))
+        grid = TimeGrid(0.0, 2.0, n_steps)
+        s = nmr_closed_form_transform(p, grid)
+        coarse, fine = residual(s), residual(nmr_closed_form_transform(p, grid.refined(2)))
         assert coarse <= 4 * fine + 1e-10
         assert fine <= 0.5 * coarse + 1e-10
 
@@ -197,7 +200,9 @@ class TestVerifyTransform:
     def test_exact_self_pair(self):
         h = nmr_hamiltonian(BENCH)
         grid = TimeGrid(0.0, 2.0, 100)
-        report = verify_transform(h, h, identity_transform(grid, 2))
+        report = verify_transform(
+            h, h, identity_transform(grid, 2), control=identity_transform(grid.refined(2), 2)
+        )
         assert report.max_residual <= 1e-12
         assert report.passed
 
@@ -211,7 +216,9 @@ class TestVerifyTransform:
             1, terms=(*h.terms, (1.0, PauliString(((0, "Z"),))))
         )
         grid = TimeGrid(0.0, 2.0, 100)
-        report = verify_transform(h, h_shifted, identity_transform(grid, 2))
+        report = verify_transform(
+            h, h_shifted, identity_transform(grid, 2), control=identity_transform(grid.refined(2), 2)
+        )
         assert report.max_residual == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert not report.passed
 
@@ -220,10 +227,12 @@ class TestVerifyTransform:
         lab = nmr_hamiltonian(BENCH)
         slow = rotating_frame_hamiltonian(BENCH)
         composed = compose_transform(propagate(lab, grid), propagate(slow, grid))
-        report = verify_transform(lab, slow, composed)
-        assert report.passed is None
-        assert report.threshold is None
-        assert report.max_residual > 0
+        # a closed form is not resampled behind the caller's back either
+        for s in (composed, nmr_closed_form_transform(BENCH, grid)):
+            report = verify_transform(lab, slow, s)
+            assert report.passed is None
+            assert report.threshold is None
+            assert report.max_residual > 0
 
     def test_wrong_control_grid_rejected(self):
         grid = TimeGrid(0.0, 2.0, 100)
@@ -239,13 +248,8 @@ class TestVerifyTransform:
         # central differencing drops both endpoints
         assert len(report.times) == grid.n_steps - 1
         assert len(report.residuals) == grid.n_steps - 1
-        d = report.to_dict()
-        assert set(d) == {
-            "max_residual", "fd_step", "control_max_residual", "threshold",
-            "passed", "max_antihermitian_defect", "inconsistent_transform",
-        }
         path = tmp_path / "residuals.csv"
-        report.write_csv(path)
+        write_csv_curve(path, report.times, report.residuals)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,value"
         assert len(lines) == len(report.times) + 1
