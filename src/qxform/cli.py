@@ -167,6 +167,8 @@ def _couplings(value, where):
         if not isinstance(entry, list) or len(entry) != 3:
             raise ConfigError(f"{where}[{k}]", f"expected [i, j, J], got {entry!r}")
         i, j, coupling = _numbers(entry, f"{where}[{k}]")
+        for m, index in enumerate((i, j)):
+            _expect(index.is_integer(), entry[m], f"{where}[{k}][{m}]", "an integral qubit index")
         out.append((int(i), int(j), coupling))
     return tuple(out)
 

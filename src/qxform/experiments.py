@@ -42,7 +42,6 @@ from .transform import (
     TransformReport,
     compose_transform,
     nmr_closed_form_transform,
-    transform_into_frame,
     transform_out_of_frame,
     two_gate_realization,
     verify_transform,
@@ -74,54 +73,71 @@ def _eigh_blocks(hamiltonian, times: np.ndarray):
 
 def track_ground_state(
     hamiltonian: TimeDependentHamiltonian,
-    trace: UnitaryTrace,
+    *traces: UnitaryTrace,
     psi0: np.ndarray,
     branch: int = 0,
     degeneracy_tol: float = 1e-10,
     adiabaticity_ratio: float | None = None,
-) -> FidelityCurve:
-    """Fidelity |<E_branch(t)| U(t) psi0>|^2 along the stored nodes.
+) -> tuple[FidelityCurve, ...]:
+    """Fidelity |<E_branch(t)| U(t) psi0>|^2 along the stored nodes, one
+    curve per trace.
 
+    The traces must store the same nodes: they share one eigendecomposition
+    per node and one followed branch, so tracking several costs one pass.
     The branch is followed by maximal overlap with the previous node's
     eigenvector, so an energy-ordering swap at a crossing does not derail it.
     Within a flagged near-degeneracy the fidelity is the projection onto the
     whole degenerate cluster; if the overlap drops below the tracking floor
-    the curve is truncated at that node.
+    every curve is truncated at that node.
     """
+    if not traces:
+        raise ValueError("track_ground_state needs at least one trace")
+    times = traces[0].times
+    if not all(np.array_equal(trace.times, times) for trace in traces[1:]):
+        raise ValueError("traces tracked together must store the same nodes")
     psi0 = np.asarray(psi0, dtype=complex)
-    values = []
-    prev_vec = None
+    values = [[] for _ in traces]
+    b = int(branch)
+    prev = None  # eigenvectors at the last node of the previous block
     truncated_at = None
-    for lo, energies, states in _eigh_blocks(hamiltonian, trace.times):
-        picks = []
-        for vecs in states:
-            if prev_vec is None:
-                b = int(branch)
-            else:
-                overlaps = np.abs(prev_vec.conj() @ vecs) ** 2
-                b = int(np.argmax(overlaps))
-                if overlaps[b] < _OVERLAP_FLOOR:
-                    truncated_at = float(trace.times[lo + len(picks)])
-                    break
-            prev_vec = vecs[:, b]
+    for lo, energies, states in _eigh_blocks(hamiltonian, times):
+        # row i of |V_{k-1}^dag V_k|^2: overlaps of branch i with the next node's eigenvectors
+        if prev is None:
+            picks, links = [b], states
+        else:
+            picks, links = [], np.concatenate((prev[None], states))
+        overlaps = np.abs(np.einsum("kji,kjl->kil", links[:-1].conj(), links[1:])) ** 2
+        lost = (np.max(overlaps, axis=2) < _OVERLAP_FLOOR).tolist()
+        for best, lost_from in zip(np.argmax(overlaps, axis=2).tolist(), lost):
+            if lost_from[b]:
+                truncated_at = float(times[lo + len(picks)])
+                break
+            b = best[b]
             picks.append(b)
         n = len(picks)
-        psi = trace.matrices[lo : lo + n] @ psi0
-        amps = np.einsum("kij,ki->kj", states[:n].conj(), psi)
         picked = energies[np.arange(n), np.asarray(picks, dtype=int)]
         cluster = np.abs(energies[:n] - picked[:, None]) < degeneracy_tol
-        values.append(np.sum(np.abs(amps) ** 2, axis=1, where=cluster))
+        bras = states[:n].conj()
+        for trace, vals in zip(traces, values):
+            amps = np.einsum("kij,ki->kj", bras, trace.matrices[lo : lo + n] @ psi0)
+            vals.append(np.sum(np.abs(amps) ** 2, axis=1, where=cluster))
         if truncated_at is not None:
             break
-    values = np.concatenate(values)
-    return FidelityCurve(
-        times=trace.times[: len(values)],
-        values=values,
-        min_value=float(np.min(values)),
-        adiabaticity_ratio=adiabaticity_ratio,
-        truncated=truncated_at is not None,
-        truncated_at=truncated_at,
-    )
+        prev = states[-1].copy()
+    curves = []
+    for trace, vals in zip(traces, values):
+        vals = np.concatenate(vals)
+        curves.append(
+            FidelityCurve(
+                times=trace.times[: len(vals)],
+                values=vals,
+                min_value=float(np.min(vals)),
+                adiabaticity_ratio=adiabaticity_ratio,
+                truncated=truncated_at is not None,
+                truncated_at=truncated_at,
+            )
+        )
+    return tuple(curves)
 
 
 def expected_min_fidelity(drive_strength: float, detuning: float) -> float:
@@ -223,15 +239,15 @@ def run_nmr_experiment(
     )
     report = verify_transform(fast_h, slow_h, composed_num, control=control)
 
-    frame_rec = transform_into_frame(fast_h, composed_num)
-    lab_rec = transform_out_of_frame(frame_rec, composed_num)
+    lab_rec = transform_out_of_frame(report.reconstruction, composed_num)
     lab_ref = fast_h.matrix_stack(lab_rec.times)
     round_trip = float(np.max(np.linalg.norm(lab_rec.matrices - lab_ref, axis=(1, 2))))
 
     psi0 = minus_state(1)
     ratio = drive_strength / abs(detuning) if detuning != 0.0 else math.inf
-    curve = track_ground_state(slow_h, slow_ana, psi0, adiabaticity_ratio=ratio)
-    curve_num = track_ground_state(slow_h, slow_num, psi0, adiabaticity_ratio=ratio)
+    curve, curve_num = track_ground_state(
+        slow_h, slow_ana, slow_num, psi0=psi0, adiabaticity_ratio=ratio
+    )
 
     slow_final = slow_num.apply(psi0)
     two_composed = fidelity(

@@ -273,6 +273,20 @@ class GroverProblem:
         return 1.0
 
 
+def _qubit_index(value, where: str) -> int:
+    """``value`` as a non-negative int; a fraction, NaN or infinity, or a
+    negative index, is a ValueError naming ``where``."""
+    try:
+        index = int(value)
+    except (TypeError, ValueError, OverflowError):
+        index = None
+    if index is None or index != value:
+        raise ValueError(f"{where} has a non-integral qubit index {value!r}")
+    if index < 0:
+        raise ValueError(f"{where} has a negative qubit index {index}")
+    return index
+
+
 @dataclass(frozen=True)
 class IsingProblem:
     """Local fields and two-body ZZ couplings, diagonal in the Z basis."""
@@ -292,7 +306,8 @@ class IsingProblem:
         seen = set()
         canon = []
         for k, entry in enumerate(self.couplings):
-            i, j, coupling = int(entry[0]), int(entry[1]), float(entry[2])
+            i, j = (_qubit_index(x, f"couplings[{k}]") for x in entry[:2])
+            coupling = float(entry[2])
             if not math.isfinite(coupling):
                 raise ValueError(f"couplings[{k}] has a non-finite coupling: {coupling}")
             if i == j:

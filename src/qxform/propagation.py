@@ -242,18 +242,26 @@ def propagate(
 
     stored = np.empty((len(indices), dim, dim), dtype=complex)
     stored[0] = np.eye(dim)
-    next_slot = 1
-    u = np.eye(dim, dtype=complex)
+    # U(t_n) = step_n @ U(t_{n-1}) is written straight into its stored slot,
+    # or into the spare buffer of its parity, which never holds the operand
+    spare = np.empty((2, dim, dim), dtype=complex)
+    store_at = indices.tolist()
+    slot = 1
+    u = stored[0]
     for lo in range(0, grid.n_steps, block):
         hi = min(lo + block, grid.n_steps)
         h_mid = hamiltonian.matrix_stack(mids[lo:hi])
         steps = _hermitian_expm_stack(h_mid, dt)
         _check_stored(steps, np.arange(lo, hi), "step unitary")
-        for k in range(hi - lo):
-            u = steps[k] @ u
-            if next_slot < len(indices) and indices[next_slot] == lo + k + 1:
-                stored[next_slot] = u
-                next_slot += 1
+        for n, step in enumerate(steps, lo + 1):
+            if n == store_at[slot]:
+                out = stored[slot]
+                slot += 1
+            else:
+                out = spare[n & 1]
+            np.dot(step, u, out)
+            u = out
+        del step  # else its view keeps this block alive through the next block's gate
     return _unitary_trace(grid, times[indices], stored, label, "stored unitary")
 
 

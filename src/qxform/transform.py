@@ -31,12 +31,21 @@ from .propagation import (
 from .schedules import NmrParams
 
 
+# Rows formatted per writelines call of write_csv_curve: bounds the Python
+# floats alive at once.
+_CSV_CHUNK = 4096
+
+
 def write_csv_curve(path, times, values, header: str = "t,value") -> None:
-    """Write a two-column curve with full double precision."""
+    """Write a two-column curve with full double precision (each number as
+    the repr of its float64 value)."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for t, v in zip(times, values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+        for lo in range(0, min(len(times), len(values)), _CSV_CHUNK):
+            rows = zip(times[lo : lo + _CSV_CHUNK].tolist(), values[lo : lo + _CSV_CHUNK].tolist())
+            fh.writelines(f"{t!r},{v!r}\n" for t, v in rows)
 
 
 def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:
@@ -199,17 +208,30 @@ class TransformReport:
     maximum) + the absolute floor, and refining must actually shrink the
     residual (fine <= coarse/2 + floor), so a grid-independent mismatch
     cannot masquerade as second-order differencing error.
+
+    ``reconstruction`` is the frame Hamiltonian rebuilt from the transform on
+    the coarse grid, the one the residuals measure.
     """
 
-    times: np.ndarray
+    reconstruction: SampledHamiltonian
     residuals: np.ndarray
     max_residual: float
-    fd_step: float
     control_max_residual: float | None
     threshold: float | None
     passed: bool | None
-    max_antihermitian_defect: float
     inconsistent_transform: bool
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.reconstruction.times
+
+    @property
+    def fd_step(self) -> float:
+        return self.reconstruction.fd_step
+
+    @property
+    def max_antihermitian_defect(self) -> float:
+        return self.reconstruction.max_defect
 
 
 def _reconstruction_residuals(hamiltonian, frame_hamiltonian, transform):
@@ -254,14 +276,12 @@ def verify_transform(
         )
         inconsistent = bool(rec.max_defect > 10.0 * threshold)
     return TransformReport(
-        times=rec.times,
+        reconstruction=rec,
         residuals=residuals,
         max_residual=max_residual,
-        fd_step=rec.fd_step,
         control_max_residual=control_max,
         threshold=threshold,
         passed=passed,
-        max_antihermitian_defect=rec.max_defect,
         inconsistent_transform=inconsistent,
     )
 

@@ -1,6 +1,6 @@
-"""Batched analysis kernels against reference loops written out here: one
-call per scale, per matrix pair or per node, as the kernels were computed
-before they were batched."""
+"""Batched and loop-free kernels against reference loops written out here:
+one call per scale, per matrix pair, per node, per step or per CSV row, as
+the kernels were computed before."""
 
 import math
 
@@ -15,12 +15,27 @@ from qxform.experiments import run_annealing_experiment, track_ground_state
 from qxform.hamiltonians import (
     GroverProblem,
     IsingProblem,
+    TimeDependentHamiltonian,
     annealing_hamiltonian,
+    rotating_frame_hamiltonian,
 )
-from qxform.operators import hermitian_expm, phase_align, phase_aligned_distance
-from qxform.propagation import TimeGrid, propagate
-from qxform.schedules import LinearRamp
-from qxform.transform import SampledHamiltonian
+from qxform.operators import (
+    PauliString,
+    _hermitian_expm_stack,
+    hermitian_expm,
+    minus_state,
+    phase_align,
+    phase_aligned_distance,
+)
+from qxform.propagation import (
+    TimeGrid,
+    _stored_indices,
+    nmr_slow_propagator,
+    propagate,
+    sample_trace,
+)
+from qxform.schedules import LinearRamp, NmrParams
+from qxform.transform import SampledHamiltonian, write_csv_curve
 
 finite = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -111,6 +126,54 @@ def test_stacked_phase_align_matches_per_pair(dim, n, data):
 
 
 # ---------------------------------------------------------------------------
+# propagate
+
+
+def reference_propagate(h, grid, stride):
+    """The sequential loop u = step_k @ u, keeping a copy at every stored node."""
+    steps = _hermitian_expm_stack(h.matrix_stack(grid.midpoints()), grid.dt)
+    indices = _stored_indices(grid.n_steps, stride)
+    u = np.eye(h.dim, dtype=complex)
+    stored = [u.copy()]
+    for k in range(grid.n_steps):
+        u = steps[k] @ u
+        if k + 1 in indices:
+            stored.append(u.copy())
+    return np.array(stored)
+
+
+def random_anneal(n_qubits, seed):
+    rng = np.random.default_rng(seed)
+    couplings = tuple((i, i + 1, float(rng.uniform(-1, 1))) for i in range(n_qubits - 1))
+    problem = IsingProblem(n_qubits, tuple(rng.uniform(-1, 1, n_qubits)), couplings)
+    return annealing_hamiltonian(LinearRamp(1.5, 0.0, 1.0), problem)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 4, 5])
+@pytest.mark.parametrize("stride", range(1, 8))
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_propagate_matches_the_sequential_loop(n_qubits, stride, rows, monkeypatch):
+    # 53 steps: a multiple of no stride above 1 and of no forced block size
+    h = random_anneal(n_qubits, seed=n_qubits)
+    grid = TimeGrid(0.0, 1.0, 53)
+    expected = reference_propagate(h, grid, stride)
+    if rows is not None:
+        monkeypatch.setattr(propagation, "_BLOCK_ELEMENTS", rows * h.dim * h.dim)
+    trace = propagate(h, grid, stride=stride)
+    assert trace.matrices.shape == expected.shape
+    assert np.array_equal(trace.matrices, expected)
+    np.testing.assert_array_equal(trace.times, grid.times()[_stored_indices(53, stride)])
+
+
+def test_propagate_single_step_and_stride_beyond_the_grid():
+    h = random_anneal(2, seed=7)
+    for grid, stride in ((TimeGrid(0.0, 0.5, 1), 1), (TimeGrid(0.0, 0.5, 6), 50)):
+        trace = propagate(h, grid, stride=stride)
+        assert len(trace.times) == 2
+        assert np.array_equal(trace.matrices, reference_propagate(h, grid, stride))
+
+
+# ---------------------------------------------------------------------------
 # track_ground_state
 
 
@@ -142,7 +205,7 @@ def reference_track(h, trace, psi0, degeneracy_tol=1e-10):
 def assert_tracks_like_reference(h, trace, psi0, rows, monkeypatch):
     if rows is not None:
         monkeypatch.setattr(propagation, "_BLOCK_ELEMENTS", rows * h.dim * h.dim)
-    curve = track_ground_state(h, trace, psi0)
+    (curve,) = track_ground_state(h, trace, psi0=psi0)
     times, values, truncated_at = reference_track(h, trace, psi0)
     np.testing.assert_array_equal(curve.times, times)
     np.testing.assert_allclose(curve.values, values, rtol=0, atol=1e-13)
@@ -181,6 +244,15 @@ class TestTrackGroundStateParity:
         curve = assert_tracks_like_reference(h, trace, psi0, rows, monkeypatch)
         assert len(curve.values) == len(trace.times)
 
+    def test_follows_the_branch_through_a_level_crossing(self, rows, monkeypatch):
+        # H = (1 - 2t) Z: the levels cross at t = 1/2, between nodes, so the
+        # followed state |1> moves from eigh index 0 to index 1
+        h = TimeDependentHamiltonian(1, terms=((LinearRamp(1.0, -1.0, 1.0), PauliString(((0, "Z"),))),))
+        trace = propagate(h, TimeGrid(0.0, 1.0, 101))
+        curve = assert_tracks_like_reference(h, trace, np.array([0.0, 1.0]), rows, monkeypatch)
+        assert not curve.truncated
+        np.testing.assert_allclose(curve.values, 1.0, rtol=0, atol=1e-12)
+
 
 @given(
     fields=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=3),
@@ -193,6 +265,51 @@ def test_track_ground_state_random_anneals(fields, coupling, stride, rows):
     h, trace, psi0 = ground_state_trace(problem, 2.0, 1.5, 120, stride)
     with pytest.MonkeyPatch.context() as mp:
         assert_tracks_like_reference(h, trace, psi0, rows, mp)
+
+
+def assert_same_curve(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.values, b.values)
+    assert (a.min_value, a.truncated, a.truncated_at, a.adiabaticity_ratio) == (
+        b.min_value, b.truncated, b.truncated_at, b.adiabaticity_ratio
+    )
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3, 64])
+def test_joint_tracking_matches_separate_calls(rows, monkeypatch):
+    # the nmr pairing: a closed-form and a propagated trace on the same nodes
+    monkeypatch.setattr(propagation, "_BLOCK_ELEMENTS", (rows or 1 << 20) * 4)
+    p = NmrParams.harmonic(1.0, 2.0, 5.0)
+    h = rotating_frame_hamiltonian(p)
+    grid = TimeGrid(0.0, 1.0, 300)
+    closed = sample_trace(lambda t: nmr_slow_propagator(p, t), grid, stride=2)
+    numeric = propagate(h, grid, stride=2)
+    psi0 = minus_state(1)
+    joint = track_ground_state(h, closed, numeric, psi0=psi0, adiabaticity_ratio=2.5)
+    assert len(joint) == 2
+    for trace, curve in zip((closed, numeric), joint):
+        (alone,) = track_ground_state(h, trace, psi0=psi0, adiabaticity_ratio=2.5)
+        assert_same_curve(curve, alone)
+    assert not np.array_equal(joint[0].values, joint[1].values)
+
+
+def test_joint_tracking_truncates_every_curve_at_the_same_node():
+    problem = IsingProblem(3, fields=(1.0, 1.0, 1.0))
+    h, trace, psi0 = ground_state_trace(problem, 8.0, 0.5, 1000, 500)
+    other = propagate(h, TimeGrid(0.0, 0.5, 1000), stride=500)
+    joint = track_ground_state(h, trace, other, trace, psi0=psi0)
+    for curve, single in zip(joint, (trace, other, trace)):
+        assert curve.truncated_at == 0.5
+        assert_same_curve(curve, track_ground_state(h, single, psi0=psi0)[0])
+
+
+def test_joint_tracking_needs_traces_on_the_same_nodes():
+    h, trace, psi0 = ground_state_trace(IsingProblem(2, fields=(0.3, 0.1)), 1.0, 1.0, 100, 5)
+    other = propagate(h, TimeGrid(0.0, 1.0, 100), stride=4)
+    with pytest.raises(ValueError, match="same nodes"):
+        track_ground_state(h, trace, other, psi0=psi0)
+    with pytest.raises(ValueError, match="at least one trace"):
+        track_ground_state(h, psi0=psi0)
 
 
 def test_min_gap_keeps_the_per_time_bits(monkeypatch):
@@ -220,3 +337,60 @@ def test_sampled_hamiltonian_looks_up_all_nodes_at_once():
     for off in (times[3] + 1e-6, 0.0, 2.5, float("nan")):
         with pytest.raises(ValueError, match="not a sampled node"):
             sampled.matrix_stack([times[0], off])
+
+
+# ---------------------------------------------------------------------------
+# write_csv_curve
+
+
+def reference_csv(path, times, values, header="t,value"):
+    """The per-row formatter: one write per row of float() reprs."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for t, v in zip(times, values):
+            fh.write(f"{float(t)!r},{float(v)!r}\n")
+
+
+def assert_csv_like_reference(tmp_path, times, values, **kwargs):
+    write_csv_curve(tmp_path / "new.csv", times, values, **kwargs)
+    reference_csv(tmp_path / "ref.csv", times, values, **kwargs)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+    0.1, 1 / 3, 1e16, 123456789012345678.0, 1.0, -2.5,
+]
+
+
+def test_csv_edge_values(tmp_path):
+    ts = np.array(EDGE_VALUES)
+    assert_csv_like_reference(tmp_path, ts, ts[::-1].copy())
+    assert_csv_like_reference(tmp_path, EDGE_VALUES, EDGE_VALUES, header="tau,distance")
+
+
+@pytest.mark.parametrize(
+    "times, values",
+    [
+        (np.arange(10), np.arange(10, 20)),  # integer arrays print as floats
+        (list(range(5)), [1, -1, 0, 2**53 + 1, -(2**60)]),
+        (np.arange(7, dtype=np.int32), np.ones(7, dtype=bool)),
+        (np.linspace(0, 1, 9, dtype=np.float32), np.float32([1e-45, 3.4e38, -0.0, 0.1, 1, 2, 3, 4, 5])),
+        (np.linspace(0.0, 2.0, 10_001), np.sin(np.linspace(0.0, 2.0, 10_001))),  # several chunks
+        (np.arange(5.0), np.arange(3.0)),  # unequal lengths stop at the shorter
+        (np.array([]), np.array([])),
+    ],
+    ids=["int64", "python-ints", "int32-bool", "float32", "chunks", "unequal", "empty"],
+)
+def test_csv_array_kinds(tmp_path, times, values):
+    assert_csv_like_reference(tmp_path, times, values)
+
+
+@given(
+    rows=hnp.arrays(
+        np.float64, st.tuples(st.integers(0, 40), st.just(2)), elements=st.floats(width=64)
+    )
+)
+def test_csv_random_doubles(tmp_path_factory, rows):
+    assert_csv_like_reference(tmp_path_factory.mktemp("csv"), rows[:, 0], rows[:, 1])

@@ -220,6 +220,35 @@ class TestNoTraceback:
         assert str(blocker) in err
 
 
+class TestCouplingIndices:
+    @pytest.mark.parametrize(
+        "couplings, field",
+        [
+            ([[0.5, 1, -0.5]], "couplings[0][0]"),
+            ([[0, 1.7, -0.5]], "couplings[0][1]"),
+            ([[0, 1, 0.2], [0.5, 1.7, -0.5]], "couplings[1][0]"),
+        ],
+    )
+    def test_fractional_index_rejected_and_named(self, no_numerics, tmp_path, capsys, couplings, field):
+        payload = ising_config(n_qubits=3, fields=[0.6, 0.6, 0.6], couplings=couplings)
+        err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
+        assert f"'{field}'" in err and "integral qubit index" in err
+
+    def test_fractional_index_in_a_problem_block(self, no_numerics, tmp_path, capsys):
+        problem = {"kind": "ising", "n_qubits": 2, "fields": [0.6, 0.6], "couplings": [[0, 0.5, 1.0]]}
+        err = run_rejected(tmp_path, capsys, write_config(tmp_path, rescale_config(problem=problem)))
+        assert "'problem.couplings[0][1]'" in err
+
+    def test_negative_index_rejected_and_named(self, no_numerics, tmp_path, capsys):
+        err = run_rejected(tmp_path, capsys, write_config(tmp_path, ising_config(couplings=[[-1, 1, -0.5]])))
+        assert "'couplings'" in err and "couplings[0] has a negative qubit index -1" in err
+
+    def test_integral_float_index_accepted(self, no_numerics, tmp_path):
+        cfg = write_config(tmp_path, ising_config(couplings=[[0.0, 1.0, -0.5]]))
+        with pytest.raises(Reached):
+            cli.run_experiment(cfg, out_dir=str(tmp_path / "out"))
+
+
 class TestProblemFileWithCouplings:
     @pytest.fixture
     def edge_file(self, tmp_path):

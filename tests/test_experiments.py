@@ -37,7 +37,7 @@ class TestTrackGroundState:
         h = annealing_hamiltonian(Constant(0.8), problem)  # time-independent
         trace = propagate(h, TimeGrid(0.0, 2.0, 200))
         psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]
-        curve = track_ground_state(h, trace, psi0)
+        (curve,) = track_ground_state(h, trace, psi0=psi0)
         assert curve.min_value >= 1.0 - 1e-12
         assert not curve.truncated
 
@@ -46,7 +46,7 @@ class TestTrackGroundState:
         h = rotating_frame_hamiltonian(p)
         grid = TimeGrid(0.0, 6.0, 1200)
         trace = sample_trace(lambda t: nmr_slow_propagator(p, t), grid)
-        curve = track_ground_state(h, trace, minus_state(1))
+        (curve,) = track_ground_state(h, trace, psi0=minus_state(1))
         oracle = closed_form_fidelity(p.drive_strength, p.detuning, curve.times)
         np.testing.assert_allclose(curve.values, oracle, atol=1e-9)
 
@@ -55,7 +55,7 @@ class TestTrackGroundState:
         h = rotating_frame_hamiltonian(p)
         grid = TimeGrid(0.0, 4.0, 500)
         trace = sample_trace(lambda t: nmr_slow_propagator(p, t), grid)
-        curve = track_ground_state(h, trace, minus_state(1))
+        (curve,) = track_ground_state(h, trace, psi0=minus_state(1))
         assert np.all(curve.values >= 0.0)
         assert np.all(curve.values <= 1.0 + 1e-12)
         assert curve.min_value == np.min(curve.values)
@@ -67,7 +67,7 @@ class TestTrackGroundState:
         h = annealing_hamiltonian(LinearRamp(1.0, 0.0, 1.0), problem)
         trace = propagate(h, TimeGrid(0.0, 1.0, 100))
         psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]
-        curve = track_ground_state(h, trace, psi0)
+        (curve,) = track_ground_state(h, trace, psi0=psi0)
         assert curve.values[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_tracking_lost_truncates_with_diagnostic(self):
@@ -79,7 +79,7 @@ class TestTrackGroundState:
         grid = TimeGrid(0.0, t_final, 1000)
         trace = propagate(h, grid, stride=1000)  # stores only t=0 and t=T
         psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]
-        curve = track_ground_state(h, trace, psi0)
+        (curve,) = track_ground_state(h, trace, psi0=psi0)
         assert curve.truncated
         assert curve.truncated_at == t_final
         assert len(curve.values) == 1
@@ -225,7 +225,7 @@ class TestFidelityCurveExport:
         h = rotating_frame_hamiltonian(p)
         grid = TimeGrid(0.0, 1.0, 50)
         trace = sample_trace(lambda t: nmr_slow_propagator(p, t), grid)
-        curve = track_ground_state(h, trace, minus_state(1))
+        (curve,) = track_ground_state(h, trace, psi0=minus_state(1))
         path = tmp_path / "fidelity.csv"
         write_csv_curve(path, curve.times, curve.values)
         lines = path.read_text().splitlines()

@@ -422,6 +422,26 @@ class TestProblems:
         with pytest.raises(ValueError, match=name):
             IsingProblem(len(fields), fields=fields, couplings=couplings)
 
+    @pytest.mark.parametrize(
+        "couplings, message",
+        [
+            (((-1, 1, -0.5),), r"couplings\[0\] has a negative qubit index -1"),
+            (((0, 1, 0.2), (2, -1, 0.3)), r"couplings\[1\] has a negative qubit index -1"),
+            (((0.5, 1.7, -0.5),), r"couplings\[0\] has a non-integral qubit index 0\.5"),
+            (((0, 1, 0.2), (0, 1.7, -0.5)), r"couplings\[1\] has a non-integral qubit index 1\.7"),
+            (((0, float("nan"), 1.0),), r"couplings\[0\] has a non-integral qubit index nan"),
+            (((math.inf, 1, 1.0),), r"couplings\[0\] has a non-integral qubit index inf"),
+        ],
+    )
+    def test_ising_rejects_bad_coupling_indices(self, couplings, message):
+        with pytest.raises(ValueError, match=message):
+            IsingProblem(3, fields=(0.0, 0.0, 0.0), couplings=couplings)
+
+    def test_ising_accepts_integral_indices_of_any_numeric_type(self):
+        problem = IsingProblem(3, (0.0, 0.0, 0.0), couplings=((np.int64(2), 0.0, 1.0),))
+        assert problem.couplings == ((0, 2, 1.0),)
+        assert all(type(index) is int for index in problem.couplings[0][:2])
+
     def test_edge_list_round_trip(self, tmp_path):
         path = tmp_path / "chain.txt"
         path.write_text(
