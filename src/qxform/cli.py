@@ -730,7 +730,15 @@ def main(argv=None) -> int:
 
 
 def console_main():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull so
+        # the flush at exit raises nothing either (the recipe of the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

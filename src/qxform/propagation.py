@@ -24,12 +24,10 @@ from .schedules import Harmonic, NmrParams
 # Traces are aborted, not repaired, beyond this unitarity defect.
 DEFECT_LIMIT = 1e-8
 
-# Matrix elements per batched block: bounds the working set of every blocked
-# evaluation (propagation steps, eigensystem stacks) at 64 MiB per complex stack.
-_BLOCK_ELEMENTS = 1 << 22
-
-# Steps per batched block of propagate; _block_rows caps it above dimension 32.
-_STEP_BLOCK = 4096
+# Matrix elements per batched block, 512 KiB per complex stack: every blocked
+# evaluation (propagation steps, eigensystem stacks) works in one cache-sized
+# block, so its memory is one block plus what it stores, whatever the grid size.
+_BLOCK_ELEMENTS = 1 << 15
 
 _TRACE_MAGIC = "qxform-trace 1"
 
@@ -67,19 +65,13 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
 
-    def midpoints(self) -> np.ndarray:
-        t = self.times()
-        return 0.5 * (t[:-1] + t[1:])
-
     def refined(self, factor: int = 2) -> "TimeGrid":
         return TimeGrid(self.t_start, self.t_end, self.n_steps * int(factor))
 
 
 def _stored_indices(n_steps: int, stride: int) -> np.ndarray:
-    idx = list(range(0, n_steps + 1, stride))
-    if idx[-1] != n_steps:
-        idx.append(n_steps)
-    return np.asarray(idx, dtype=int)
+    idx = np.arange(0, n_steps + 1, stride)
+    return idx if idx[-1] == n_steps else np.append(idx, n_steps)
 
 
 def _strict_tol(grid: TimeGrid) -> float:
@@ -228,17 +220,17 @@ def propagate(
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     dim = hamiltonian.dim
-    indices = _stored_indices(grid.n_steps, stride)
-    est_bytes = len(indices) * dim * dim * 16
+    n_nodes = -(-grid.n_steps // stride) + 1  # refused before any per-node allocation
+    est_bytes = n_nodes * dim * dim * 16
     if est_bytes > 2 * 2**30:
         raise ValueError(
-            f"storing {len(indices)} unitaries of dimension {dim} needs "
+            f"storing {n_nodes} unitaries of dimension {dim} needs "
             f"~{est_bytes / 2**30:.1f} GiB; increase the stride"
         )
+    indices = _stored_indices(grid.n_steps, stride)
     times = grid.times()
-    mids = grid.midpoints()
     dt = grid.dt
-    block = min(_STEP_BLOCK, _block_rows(dim))
+    block = _block_rows(dim)
 
     stored = np.empty((len(indices), dim, dim), dtype=complex)
     stored[0] = np.eye(dim)
@@ -250,7 +242,7 @@ def propagate(
     u = stored[0]
     for lo in range(0, grid.n_steps, block):
         hi = min(lo + block, grid.n_steps)
-        h_mid = hamiltonian.matrix_stack(mids[lo:hi])
+        h_mid = hamiltonian.matrix_stack(0.5 * (times[lo:hi] + times[lo + 1 : hi + 1]))
         steps = _hermitian_expm_stack(h_mid, dt)
         _check_stored(steps, np.arange(lo, hi), "step unitary")
         for n, step in enumerate(steps, lo + 1):
@@ -261,7 +253,6 @@ def propagate(
                 out = spare[n & 1]
             np.dot(step, u, out)
             u = out
-        del step  # else its view keeps this block alive through the next block's gate
     return _unitary_trace(grid, times[indices], stored, label, "stored unitary")
 
 

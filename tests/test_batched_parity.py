@@ -131,7 +131,8 @@ def test_stacked_phase_align_matches_per_pair(dim, n, data):
 
 def reference_propagate(h, grid, stride):
     """The sequential loop u = step_k @ u, keeping a copy at every stored node."""
-    steps = _hermitian_expm_stack(h.matrix_stack(grid.midpoints()), grid.dt)
+    t = grid.times()
+    steps = _hermitian_expm_stack(h.matrix_stack(0.5 * (t[:-1] + t[1:])), grid.dt)
     indices = _stored_indices(grid.n_steps, stride)
     u = np.eye(h.dim, dtype=complex)
     stored = [u.copy()]
@@ -151,9 +152,10 @@ def random_anneal(n_qubits, seed):
 
 @pytest.mark.parametrize("rows", [None, 1, 4, 5])
 @pytest.mark.parametrize("stride", range(1, 8))
-@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
 def test_propagate_matches_the_sequential_loop(n_qubits, stride, rows, monkeypatch):
-    # 53 steps: a multiple of no stride above 1 and of no forced block size
+    # 53 steps: a multiple of no stride above 1 and of no forced block size;
+    # the default blocks of 5 and 6 qubits (32 and 8 rows) end inside the grid
     h = random_anneal(n_qubits, seed=n_qubits)
     grid = TimeGrid(0.0, 1.0, 53)
     expected = reference_propagate(h, grid, stride)

@@ -326,13 +326,14 @@ class TestUsage:
         assert exc.value.code == 1
 
 
-def run_python(*args, cwd):
+def run_python(*args, cwd, stdout=subprocess.PIPE):
     """Run a fresh interpreter that imports this checkout's qxform."""
     env = dict(os.environ)
     src = str(Path(qxform.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=120,
     )
 
 
@@ -352,6 +353,22 @@ class TestModuleEntryPoint:
         done = self._run("run", "--config", str(tmp_path / "missing.json"), cwd=tmp_path)
         assert done.returncode == 1
         assert "missing.json" in done.stderr and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("command", ["list", "version"])
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, monkeypatch, command, unbuffered):
+        # as in `qxform list | head -1`, but with the reader gone before the
+        # first line, so the write fails every time: unbuffered in print,
+        # buffered in the flush at exit
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_python("-m", "qxform.cli", command, cwd=tmp_path, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == ""
 
 
 class TestImportFootprint:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.linalg import expm
 from qxform.hamiltonians import (
     IsingProblem,
     annealing_hamiltonian,
+    fast_counterpart_hamiltonian,
     nmr_hamiltonian,
 )
 from qxform.operators import basis_state, fidelity, phase_aligned_distance, unitarity_defect
@@ -24,7 +26,7 @@ from qxform.propagation import (
     sample_trace,
     write_trace,
 )
-from qxform.schedules import Constant, LinearRamp, NmrParams
+from qxform.schedules import Constant, Harmonic, LinearRamp, NmrParams
 from qxform.transform import sampled_transform
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -35,12 +37,21 @@ def constant_z_hamiltonian(w0):
     return nmr_hamiltonian(NmrParams(Constant(w0), 1e-30, Constant(0.0)))
 
 
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTimeGrid:
     def test_basic(self):
         g = TimeGrid(0.0, 2.0, 4)
         assert g.dt == 0.5
         np.testing.assert_allclose(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
-        np.testing.assert_allclose(g.midpoints(), [0.25, 0.75, 1.25, 1.75])
         assert g.refined(2).n_steps == 8
 
     def test_validation(self):
@@ -113,8 +124,32 @@ class TestPropagate:
     def test_memory_guard_suggests_stride(self):
         problem = IsingProblem(10, fields=(0.0,) * 10)
         h = annealing_hamiltonian(Constant(0.0), problem)
-        with pytest.raises(ValueError, match="stride"):
-            propagate(h, TimeGrid(0.0, 1.0, 200_000))
+
+        def refused():
+            with pytest.raises(ValueError, match="stride"):
+                propagate(h, TimeGrid(0.0, 1.0, 200_000))
+
+        # the request is refused before anything is allocated per node
+        assert traced_peak(refused) < 2**20
+
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_working_set_is_one_block_plus_the_stored_nodes(self, driven):
+        # the 4-qubit anneal of configs/ising.json, or its rapidly driven counterpart
+        chain = ((0, 1, -1.0), (1, 2, -1.0), (2, 3, -1.0))
+        problem = IsingProblem(4, fields=(0.5,) * 4, couplings=chain)
+        ramp = LinearRamp(2.0, 0.0, 2.0)
+        if driven:
+            h = fast_counterpart_hamiltonian(ramp, problem, Harmonic(10 * np.pi))
+        else:
+            h = annealing_hamiltonian(ramp, problem)
+        peaks = {
+            n: traced_peak(lambda: propagate(h, TimeGrid(0.0, 2.0, n), stride=20_000))
+            for n in (10_000, 20_000)
+        }
+        assert peaks[20_000] < 8 * 2**20
+        # both grids store two nodes, so only the node-time array may grow (8
+        # bytes a step), give or take 16 KiB of bookkeeping; a block is 512 KiB
+        assert peaks[20_000] - peaks[10_000] <= 8 * 10_000 + 2**14
 
 
 class TestDefectGates:
