@@ -42,9 +42,7 @@ from .propagation import (
     nmr_fast_propagator,
     nmr_slow_propagator,
     propagate,
-    read_trace,
     sample_trace,
-    write_trace,
 )
 from .transform import (
     RescaleReport,

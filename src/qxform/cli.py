@@ -153,6 +153,11 @@ def _number(value, where):
     return float(value)
 
 
+def _positive_number(value, where):
+    value = _number(value, where)
+    return _expect(value > 0, value, where, "a positive number")
+
+
 def _numbers(value, where):
     if not isinstance(value, list) or not value:
         raise ConfigError(where, "expected a non-empty list of numbers")
@@ -246,6 +251,7 @@ def _problem(obj, path):
 
 _PARSERS = {
     "number": _number,
+    "positive number": _positive_number,
     "integer": lambda v, where: _expect(type(v) is int, v, where, "an integer"),
     "positive integer": lambda v, where: _expect(
         type(v) is int and v >= 1, v, where, "a positive integer"
@@ -407,24 +413,24 @@ def _run_rescale(p, jobs):
 _DRIVE = {
     "qubit_splitting": Field("number"),
     "drive_rate": Field("number"),
-    "drive_strength": Field("number"),
+    "drive_strength": Field("positive number"),
 }
 
 _SWEEP = {
-    "t_initial": Field("number", 1.0),
+    "t_initial": Field("positive number", 1.0),
     "doublings": Field("positive integer", 6),
     "success_threshold": Field("number", 0.9),
 }
 
 _FAST_COUNTERPART = {
     "phase": Field("schedule"),
-    "t_final": Field("number", 2.0),
+    "t_final": Field("positive number", 2.0),
     "n_steps": Field("positive integer", None),
 }
 
 _ANNEALING = {
     "transverse0": Field("number", None),
-    "t_final": Field("number", 8.0),
+    "t_final": Field("positive number", 8.0),
     "n_steps": Field("positive integer", None),
     "sweep": Field(_SWEEP, None),
     "fast_counterpart": Field(_FAST_COUNTERPART, None),
@@ -440,7 +446,7 @@ _ANNEALING_TOLERANCES = {
 EXPERIMENTS = {
     "nmr": Experiment(
         "driven qubit vs its rotated frame: oracle distances, frame-change residuals, ground-branch fidelity, two-gate realization",
-        {**_DRIVE, "t_final": Field("number", None), "n_steps": Field("positive integer", None)},
+        {**_DRIVE, "t_final": Field("positive number", None), "n_steps": Field("positive integer", None)},
         {
             "min_fidelity": Tolerance("min_fidelity", "min_fidelity", ">="),
             "max_oracle_distance": Tolerance(
@@ -480,7 +486,7 @@ EXPERIMENTS = {
         {
             "pair": Field("string", choices=("self", "nmr")),
             **_DRIVE,
-            "t_final": Field("number", 10.0),
+            "t_final": Field("positive number", 10.0),
             "n_steps": Field("positive integer", 10_000),
         },
         {
@@ -493,12 +499,12 @@ EXPERIMENTS = {
         "amplitude-boosted fast generator vs the slow one on the shared normalized-time grid",
         {
             "problem": Field("problem"),
-            "fast_time": Field("number"),
-            "slow_time": Field("number"),
+            "fast_time": Field("positive number"),
+            "slow_time": Field("positive number"),
             "n_steps": Field("positive integer", 10_000),
             "transverse0": Field("number", None),
             "drive_check": Field(
-                {"drive_strength": Field("number", 2.0), "n_nodes": Field("positive integer", 1001)},
+                {"drive_strength": Field("positive number", 2.0), "n_nodes": Field("positive integer", 1001)},
                 None,
             ),
         },

@@ -48,6 +48,10 @@ from .transform import (
 )
 
 _OVERLAP_FLOOR = 0.25  # squared overlap below which branch tracking counts as lost
+# energies closer than this count as one degenerate cluster
+_DEGENERACY_TOL = 1e-10
+# times at which an annealing run samples the gap above its ground state
+_GAP_SAMPLES = 129
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,12 +79,10 @@ def track_ground_state(
     hamiltonian: TimeDependentHamiltonian,
     *traces: UnitaryTrace,
     psi0: np.ndarray,
-    branch: int = 0,
-    degeneracy_tol: float = 1e-10,
     adiabaticity_ratio: float | None = None,
 ) -> tuple[FidelityCurve, ...]:
-    """Fidelity |<E_branch(t)| U(t) psi0>|^2 along the stored nodes, one
-    curve per trace.
+    """Fidelity |<E_0(t)| U(t) psi0>|^2 along the stored nodes, one curve per
+    trace, following the ground branch from the first node.
 
     The traces must store the same nodes: they share one eigendecomposition
     per node and one followed branch, so tracking several costs one pass.
@@ -97,7 +99,7 @@ def track_ground_state(
         raise ValueError("traces tracked together must store the same nodes")
     psi0 = np.asarray(psi0, dtype=complex)
     values = [[] for _ in traces]
-    b = int(branch)
+    b = 0
     prev = None  # eigenvectors at the last node of the previous block
     truncated_at = None
     for lo, energies, states in _eigh_blocks(hamiltonian, times):
@@ -116,7 +118,7 @@ def track_ground_state(
             picks.append(b)
         n = len(picks)
         picked = energies[np.arange(n), np.asarray(picks, dtype=int)]
-        cluster = np.abs(energies[:n] - picked[:, None]) < degeneracy_tol
+        cluster = np.abs(energies[:n] - picked[:, None]) < _DEGENERACY_TOL
         bras = states[:n].conj()
         for trace, vals in zip(traces, values):
             amps = np.einsum("kij,ki->kj", bras, trace.matrices[lo : lo + n] @ psi0)
@@ -322,8 +324,6 @@ def run_annealing_experiment(
     transverse0: float | None = None,
     t_final: float = 8.0,
     n_steps: int | None = None,
-    eigen_samples: int = 129,
-    degeneracy_tol: float = 1e-10,
 ) -> AqcRunResult:
     """Anneal from the transverse-field ground state into the problem term and
     report how much of the final state sits in the ground manifold."""
@@ -339,12 +339,12 @@ def run_annealing_experiment(
     psi_final = trace.apply(psi0)
 
     energies, states = np.linalg.eigh(h.matrix(grid.t_end))
-    cluster = np.abs(energies - energies[0]) < degeneracy_tol
+    cluster = np.abs(energies - energies[0]) < _DEGENERACY_TOL
     amp = states[:, cluster].conj().T @ psi_final
     success = float(np.sum(np.abs(amp) ** 2))
 
     # eigh, not eigvalsh: the gaps keep the bits of np.linalg.eigh at each time
-    ts = np.linspace(0.0, grid.t_end, int(eigen_samples))
+    ts = np.linspace(0.0, grid.t_end, _GAP_SAMPLES)
     min_gap = min(
         (float(np.min(e[:, 1] - e[:, 0])) for _, e, _ in _eigh_blocks(h, ts)), default=math.inf
     )
@@ -363,10 +363,8 @@ def run_annealing_experiment(
 
 
 def _sweep_point(args) -> AqcRunResult:
-    problem, transverse0, t_final, n_steps = args
-    return run_annealing_experiment(
-        problem, transverse0=transverse0, t_final=t_final, n_steps=n_steps
-    )
+    problem, transverse0, t_final = args
+    return run_annealing_experiment(problem, transverse0=transverse0, t_final=t_final)
 
 
 def _sweep_workers(jobs: int, n_points: int, n_cpus: int | None) -> int:
@@ -382,19 +380,15 @@ def annealing_doubling_sweep(
     t_initial: float = 1.0,
     doublings: int = 6,
     transverse0: float | None = None,
-    steps_per_unit_time: float = 200.0,
     jobs: int = 1,
 ) -> tuple:
-    """Annealing runs at runtimes t_initial * 2^k for k = 0..doublings.
+    """Annealing runs at runtimes t_initial * 2^k for k = 0..doublings, each
+    with the default step count of :func:`run_annealing_experiment`.
 
     All points are always computed (no early stopping) so the result does not
     depend on sharding; ``jobs`` > 1 distributes points across processes.
     """
-    ts = [t_initial * 2.0**k for k in range(int(doublings) + 1)]
-    args = [
-        (problem, transverse0, t, max(400, int(math.ceil(steps_per_unit_time * t))))
-        for t in ts
-    ]
+    args = [(problem, transverse0, t_initial * 2.0**k) for k in range(int(doublings) + 1)]
     workers = _sweep_workers(jobs, len(args), os.cpu_count())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only a pool needs it
@@ -427,7 +421,6 @@ def run_fast_counterpart_comparison(
     transverse0: float | None = None,
     t_final: float = 2.0,
     n_steps: int | None = None,
-    stride: int | None = None,
 ) -> FastCounterpartReport:
     """Evolve under the rapidly driven counterpart, undo the frame with the
     single correction gate exp(i phase(T) sum_i X_i), and compare against the
@@ -442,8 +435,7 @@ def run_fast_counterpart_comparison(
         transverse0 = default_transverse_strength(problem)
     if n_steps is None:
         n_steps = 100_000
-    if stride is None:
-        stride = max(1, n_steps // 200)
+    stride = max(1, n_steps // 200)
     n = problem.n_qubits
     ramp = LinearRamp(transverse0, 0.0, t_final)
     slow_h = annealing_hamiltonian(ramp, problem)

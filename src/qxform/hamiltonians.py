@@ -133,7 +133,6 @@ class TimeDependentHamiltonian:
         coefficients = []  # (coefficient function, its column or slice of columns)
         columns = []  # (flip, imaginary?, zmask, scale) per varying term, see _flip_form
         labels = []
-        stored_terms = []
         for coeff, string in terms:
             if not isinstance(string, PauliString):
                 raise ValueError(f"expected a PauliString term, got {type(string).__name__}")
@@ -145,10 +144,7 @@ class TimeDependentHamiltonian:
                 coefficients.append((coeff, len(columns)))
                 columns.append(_flip_form(string.factors, string.coefficient, self.n_qubits))
                 labels.append(" ".join(f"{axis}{q}" for q, axis in string.factors) or "I")
-            stored_terms.append((coeff, string))
-        self.terms = tuple(stored_terms)
-        self.conjugated = tuple(conjugated)
-        for block in self.conjugated:
+        for block in conjugated:
             if not isinstance(block, FrameConjugatedTerms):
                 raise ValueError("conjugated entries must be FrameConjugatedTerms")
             start = len(columns)

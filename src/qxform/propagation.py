@@ -29,8 +29,6 @@ DEFECT_LIMIT = 1e-8
 # block, so its memory is one block plus what it stores, whatever the grid size.
 _BLOCK_ELEMENTS = 1 << 15
 
-_TRACE_MAGIC = "qxform-trace 1"
-
 
 class UnitarityError(RuntimeError):
     """A propagated or stored unitary drifted beyond the defect limit."""
@@ -63,10 +61,16 @@ class TimeGrid:
         return (self.t_end - self.t_start) / self.n_steps
 
     def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
+        return _node_times(self, np.arange(self.n_steps + 1))
 
     def refined(self, factor: int = 2) -> "TimeGrid":
         return TimeGrid(self.t_start, self.t_end, self.n_steps * int(factor))
+
+
+def _node_times(grid: TimeGrid, nodes: np.ndarray) -> np.ndarray:
+    """Times of the grid nodes with the given indices, as np.linspace gives
+    them (the last node is exactly t_end), without building the whole grid."""
+    return np.where(nodes == grid.n_steps, grid.t_end, nodes * grid.dt + grid.t_start)
 
 
 def _stored_indices(n_steps: int, stride: int) -> np.ndarray:
@@ -98,10 +102,6 @@ class UnitaryTrace:
     matrices: np.ndarray
     label: str
     max_defect: float
-
-    def __post_init__(self):
-        if "".join(self.label.splitlines()) != self.label:  # every break read_trace splits on
-            raise ValueError(f"trace label {self.label!r} contains a line break")
 
     @property
     def dim(self) -> int:
@@ -228,7 +228,6 @@ def propagate(
             f"~{est_bytes / 2**30:.1f} GiB; increase the stride"
         )
     indices = _stored_indices(grid.n_steps, stride)
-    times = grid.times()
     dt = grid.dt
     block = _block_rows(dim)
 
@@ -242,7 +241,8 @@ def propagate(
     u = stored[0]
     for lo in range(0, grid.n_steps, block):
         hi = min(lo + block, grid.n_steps)
-        h_mid = hamiltonian.matrix_stack(0.5 * (times[lo:hi] + times[lo + 1 : hi + 1]))
+        times = _node_times(grid, np.arange(lo, hi + 1))
+        h_mid = hamiltonian.matrix_stack(0.5 * (times[:-1] + times[1:]))
         steps = _hermitian_expm_stack(h_mid, dt)
         _check_stored(steps, np.arange(lo, hi), "step unitary")
         for n, step in enumerate(steps, lo + 1):
@@ -253,7 +253,7 @@ def propagate(
                 out = spare[n & 1]
             np.dot(step, u, out)
             u = out
-    return _unitary_trace(grid, times[indices], stored, label, "stored unitary")
+    return _unitary_trace(grid, _node_times(grid, indices), stored, label, "stored unitary")
 
 
 def _sample_stack(fn, times: np.ndarray) -> np.ndarray:
@@ -275,7 +275,7 @@ def sample_trace(fn, grid: TimeGrid, label: str = "", stride: int = 1) -> Unitar
     equal the identity to within 1e-10; it is then snapped to the exact
     identity so composed transforms start at exactly I.
     """
-    times = grid.times()[_stored_indices(grid.n_steps, int(stride))]
+    times = _node_times(grid, _stored_indices(grid.n_steps, int(stride)))
     return _unitary_trace(
         grid, times, _sample_stack(fn, times), label, "sampled unitary", identity_tol=1e-10
     )
@@ -324,89 +324,3 @@ def nmr_slow_propagator(p: NmrParams, t) -> np.ndarray:
     return hermitian_expm(z, 0.5 * detuning * t) @ hermitian_expm(
         2.0 * g * x - detuning * z, 0.5 * t
     )
-
-
-# ---------------------------------------------------------------------------
-# Portable text serialization (binary-free, full double precision)
-
-
-def write_trace(trace: UnitaryTrace, path) -> None:
-    """Write one record per stored node of any trace: the node time, then the
-    unitary row-major as 're im' pairs, all through repr so doubles round-trip."""
-    with open(path, "w") as fh:
-        fh.write(_TRACE_MAGIC + "\n")
-        fh.write(f"label {trace.label}\n")
-        fh.write(
-            f"grid {float(trace.grid.t_start)!r} {float(trace.grid.t_end)!r} {trace.grid.n_steps}\n"
-        )
-        fh.write(f"nodes {len(trace.times)} dim {trace.dim}\n")
-        for t, u in zip(trace.times, trace.matrices):
-            fh.write(f"t {float(t)!r}\n")
-            for row in u:
-                fh.write(" ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in row) + "\n")
-
-
-def read_trace(path) -> UnitaryTrace:
-    """Read a file written by :func:`write_trace`.
-
-    A malformed, truncated or over-long file, or node times that are not
-    strictly ascending grid nodes from t_start to t_end, is a ValueError
-    naming ``path:line``; every stored unitary passes the defect gate.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _TRACE_MAGIC:
-        raise ValueError(f"{path}: not a trace file (missing '{_TRACE_MAGIC}' header)")
-    pos = 1  # 1-based number of the last line consumed
-
-    def next_line(what: str) -> str:
-        nonlocal pos
-        pos += 1
-        if pos > len(lines):
-            raise ValueError(f"file ends where {what} was expected")
-        return lines[pos - 1]
-
-    def fields(key: str | None, count: int, what: str) -> list:
-        line = next_line(what)
-        parts = line.split()
-        if (key is not None and parts[:1] != [key]) or len(parts) != count:
-            raise ValueError(f"expected {what}, got {line!r}")
-        return parts if key is None else parts[1:]
-
-    try:
-        key, _, label = next_line("the 'label' line").partition(" ")
-        if key != "label":
-            raise ValueError(f"expected the 'label' line, got {lines[1]!r}")
-        g = fields("grid", 4, "'grid t_start t_end n_steps'")
-        grid = TimeGrid(float(g[0]), float(g[1]), int(g[2]))
-        hdr = fields("nodes", 4, "'nodes N dim D'")
-        if hdr[1] != "dim":
-            raise ValueError(f"expected 'nodes N dim D', got {lines[pos - 1]!r}")
-        n_nodes, dim = int(hdr[0]), int(hdr[2])
-        if n_nodes < 1 or dim < 1:
-            raise ValueError(f"need N >= 1 and D >= 1, got N={n_nodes}, D={dim}")
-        tol = _strict_tol(grid)
-        # grown line by line, so a header that overstates the size fails as truncated
-        times, rows, step = [], [], -1
-        for k in range(n_nodes):
-            t = float(fields("t", 2, f"'t <time>' of node {k}")[0])
-            prev, step = step, int(_nearest_steps(grid, t)) if np.isfinite(t) else 0
-            if not (abs(t - (grid.t_start + step * grid.dt)) <= tol):
-                raise ValueError(f"node {k} time {t!r} is not a node of the grid")
-            if step <= prev:
-                raise ValueError(f"node {k} time {t!r} does not follow node {k - 1}")
-            if k == 0 and step != 0:
-                raise ValueError(f"node 0 time {t!r} is not t_start {grid.t_start!r}")
-            if k == n_nodes - 1 and step != grid.n_steps:
-                raise ValueError(f"last node time {t!r} is not t_end {grid.t_end!r}")
-            times.append(t)
-            for r in range(dim):
-                rows.append([float(x) for x in fields(None, 2 * dim, f"row {r} of node {k}")])
-    except ValueError as exc:
-        raise ValueError(f"{path}:{pos}: {exc}") from None
-    extra = next((i for i in range(pos, len(lines)) if lines[i].strip()), None)
-    if extra is not None:
-        raise ValueError(f"{path}:{extra + 1}: trailing data after the last of {n_nodes} nodes")
-    vals = np.array(rows).reshape(n_nodes, dim, 2 * dim)
-    mats = vals[..., 0::2] + 1j * vals[..., 1::2]
-    return _unitary_trace(grid, times, mats, label, "deserialized unitary")

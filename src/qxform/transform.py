@@ -35,14 +35,17 @@ from .schedules import NmrParams
 # floats alive at once.
 _CSV_CHUNK = 4096
 
+# Absolute floor of the self-calibrated residual model in verify_transform.
+_RESIDUAL_FLOOR = 1e-10
 
-def write_csv_curve(path, times, values, header: str = "t,value") -> None:
-    """Write a two-column curve with full double precision (each number as
-    the repr of its float64 value)."""
+
+def write_csv_curve(path, times, values) -> None:
+    """Write a two-column ``t,value`` curve with full double precision (each
+    number as the repr of its float64 value)."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write("t,value\n")
         for lo in range(0, min(len(times), len(values)), _CSV_CHUNK):
             rows = zip(times[lo : lo + _CSV_CHUNK].tolist(), values[lo : lo + _CSV_CHUNK].tolist())
             fh.writelines(f"{t!r},{v!r}\n" for t, v in rows)
@@ -59,24 +62,16 @@ def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:
     )
 
 
-def sampled_transform(
-    grid: TimeGrid, sampler, label: str, identity_start: bool = True
-) -> UnitaryTrace:
+def sampled_transform(grid: TimeGrid, sampler, label: str) -> UnitaryTrace:
     """Build a transform trace from a closed form S(t) on all grid nodes.
 
     ``sampler`` is called once with the array of node times and must return
-    the (n_nodes, d, d) stack.  Frame changes built from propagators always
-    start at the identity; pass ``identity_start=False`` for static frames
-    such as a fixed rotation.
+    the (n_nodes, d, d) stack.  A frame change built from propagators starts
+    at the identity, so the first sample must lie within 1e-12 of it.
     """
     times = grid.times()
     return _unitary_trace(
-        grid,
-        times,
-        _sample_stack(sampler, times),
-        label,
-        "transform matrix",
-        identity_tol=1e-12 if identity_start else None,
+        grid, times, _sample_stack(sampler, times), label, "transform matrix", identity_tol=1e-12
     )
 
 
@@ -153,22 +148,17 @@ def _split_hermitian(raw: np.ndarray):
     return herm, defects
 
 
-def transform_into_frame(hamiltonian, transform: UnitaryTrace) -> SampledHamiltonian:
-    """h(t_k) = S^dag H S - i S^dag dS/dt at interior grid nodes.
-
-    dS/dt is the central difference over neighbouring nodes, so the transform
-    must cover every grid node; endpoints are dropped.  The reconstruction is
-    Hermitized and the discarded defect reported per node.
-    """
+def _frame_change(hamiltonian, transform: UnitaryTrace, s: np.ndarray) -> SampledHamiltonian:
+    """s^dag H s - i s^dag ds/dt at the interior nodes of ``transform``'s grid,
+    with ``s`` the transform's matrices or their adjoints."""
     if not transform.covers_full_grid():
         raise ValueError("frame change needs the transform on every grid node (stride 1)")
     dt = transform.grid.dt
-    mats = transform.matrices
-    s_mid = mats[1:-1]
-    s_dot = _central_difference(mats, dt)
+    s_mid = s[1:-1]
+    s_dot = _central_difference(s, dt)
     t_mid = transform.times[1:-1]
-    h_lab = hamiltonian.matrix_stack(t_mid)
-    raw = np.einsum("kji,kjl,klm->kim", s_mid.conj(), h_lab, s_mid)
+    h = hamiltonian.matrix_stack(t_mid)
+    raw = np.einsum("kji,kjl,klm->kim", s_mid.conj(), h, s_mid)
     raw -= 1j * np.einsum("kji,kjl->kil", s_mid.conj(), s_dot)
     herm, defects = _split_hermitian(raw)
     return SampledHamiltonian(
@@ -176,22 +166,21 @@ def transform_into_frame(hamiltonian, transform: UnitaryTrace) -> SampledHamilto
     )
 
 
+def transform_into_frame(hamiltonian, transform: UnitaryTrace) -> SampledHamiltonian:
+    """h(t_k) = S^dag H S - i S^dag dS/dt at interior grid nodes.
+
+    dS/dt is the central difference over neighbouring nodes, so the transform
+    must cover every grid node; endpoints are dropped.  The reconstruction is
+    Hermitized and the discarded defect reported per node.
+    """
+    return _frame_change(hamiltonian, transform, transform.matrices)
+
+
 def transform_out_of_frame(frame_hamiltonian, transform: UnitaryTrace) -> SampledHamiltonian:
-    """H(t_k) = S h S^dag - i S dS^dag/dt, the mirror image of
-    :func:`transform_into_frame` with the roles exchanged."""
-    if not transform.covers_full_grid():
-        raise ValueError("frame change needs the transform on every grid node (stride 1)")
-    dt = transform.grid.dt
-    mats = transform.matrices
-    s_mid = mats[1:-1]
-    s_dag_dot = _central_difference(mats.conj().transpose(0, 2, 1), dt)
-    t_mid = transform.times[1:-1]
-    h_frame = frame_hamiltonian.matrix_stack(t_mid)
-    raw = np.einsum("kij,kjl,kml->kim", s_mid, h_frame, s_mid.conj())
-    raw -= 1j * np.einsum("kij,kjl->kil", s_mid, s_dag_dot)
-    herm, defects = _split_hermitian(raw)
-    return SampledHamiltonian(
-        times=t_mid, matrices=herm, antihermitian_defects=defects, fd_step=dt
+    """H(t_k) = S h S^dag - i S dS^dag/dt: the formula of
+    :func:`transform_into_frame` applied to S^dag."""
+    return _frame_change(
+        frame_hamiltonian, transform, transform.matrices.conj().transpose(0, 2, 1)
     )
 
 
@@ -205,8 +194,8 @@ class TransformReport:
 
     The pass criterion is self-calibrated against a control reconstruction on
     a two-times finer grid: the coarse maximum must not exceed 4 x (fine
-    maximum) + the absolute floor, and refining must actually shrink the
-    residual (fine <= coarse/2 + floor), so a grid-independent mismatch
+    maximum) + 1e-10, and refining must actually shrink the residual
+    (fine <= coarse/2 + 1e-10), so a grid-independent mismatch
     cannot masquerade as second-order differencing error.
 
     ``reconstruction`` is the frame Hamiltonian rebuilt from the transform on
@@ -246,7 +235,6 @@ def verify_transform(
     frame_hamiltonian,
     transform: UnitaryTrace,
     control: UnitaryTrace | None = None,
-    abs_floor: float = 1e-10,
 ) -> TransformReport:
     """Check that ``transform`` maps ``hamiltonian`` onto ``frame_hamiltonian``.
 
@@ -269,10 +257,10 @@ def verify_transform(
             hamiltonian, frame_hamiltonian, control
         )
         control_max = float(np.max(fine_residuals))
-        threshold = 4.0 * control_max + abs_floor
+        threshold = 4.0 * control_max + _RESIDUAL_FLOOR
         passed = bool(
             max_residual <= threshold
-            and control_max <= 0.5 * max_residual + abs_floor
+            and control_max <= 0.5 * max_residual + _RESIDUAL_FLOOR
         )
         inconsistent = bool(rec.max_defect > 10.0 * threshold)
     return TransformReport(

@@ -317,9 +317,9 @@ def test_joint_tracking_needs_traces_on_the_same_nodes():
 def test_min_gap_keeps_the_per_time_bits(monkeypatch):
     problem = GroverProblem(2, 3)
     monkeypatch.setattr(propagation, "_BLOCK_ELEMENTS", 5 * 4 * 4)
-    result = run_annealing_experiment(problem, t_final=2.0, n_steps=400, eigen_samples=33)
+    result = run_annealing_experiment(problem, t_final=2.0, n_steps=400)
     h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 2.0), problem)
-    energies = [np.linalg.eigh(h.matrix(float(t)))[0] for t in np.linspace(0.0, 2.0, 33)]
+    energies = [np.linalg.eigh(h.matrix(float(t)))[0] for t in np.linspace(0.0, 2.0, 129)]
     gaps = [float(e[1] - e[0]) for e in energies]
     assert result.min_gap == min(gaps)
 
@@ -345,17 +345,17 @@ def test_sampled_hamiltonian_looks_up_all_nodes_at_once():
 # write_csv_curve
 
 
-def reference_csv(path, times, values, header="t,value"):
+def reference_csv(path, times, values):
     """The per-row formatter: one write per row of float() reprs."""
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write("t,value\n")
         for t, v in zip(times, values):
             fh.write(f"{float(t)!r},{float(v)!r}\n")
 
 
-def assert_csv_like_reference(tmp_path, times, values, **kwargs):
-    write_csv_curve(tmp_path / "new.csv", times, values, **kwargs)
-    reference_csv(tmp_path / "ref.csv", times, values, **kwargs)
+def assert_csv_like_reference(tmp_path, times, values):
+    write_csv_curve(tmp_path / "new.csv", times, values)
+    reference_csv(tmp_path / "ref.csv", times, values)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -369,7 +369,7 @@ EDGE_VALUES = [
 def test_csv_edge_values(tmp_path):
     ts = np.array(EDGE_VALUES)
     assert_csv_like_reference(tmp_path, ts, ts[::-1].copy())
-    assert_csv_like_reference(tmp_path, EDGE_VALUES, EDGE_VALUES, header="tau,distance")
+    assert_csv_like_reference(tmp_path, EDGE_VALUES, EDGE_VALUES)
 
 
 @pytest.mark.parametrize(

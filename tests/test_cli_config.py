@@ -197,6 +197,41 @@ class TestNonFiniteNumbers:
         run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
 
 
+def verify_transform_config(**overrides):
+    cfg = {
+        "experiment": "verify-transform", "pair": "nmr", "qubit_splitting": 1.0,
+        "drive_rate": 1.5, "drive_strength": 2.0, "t_final": 1.0, "n_steps": 50,
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+HARMONIC_PHASE = {"kind": "harmonic", "rate": 1.0}
+
+
+class TestPositiveNumbers:
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (nmr_config(), "t_final"),
+            (nmr_config(), "drive_strength"),
+            (ising_config(), "t_final"),
+            (ising_config(), "sweep.t_initial"),
+            (ising_config(fast_counterpart={"phase": HARMONIC_PHASE}), "fast_counterpart.t_final"),
+            (verify_transform_config(), "t_final"),
+            (verify_transform_config(), "drive_strength"),
+            (rescale_config(), "fast_time"),
+            (rescale_config(), "slow_time"),
+            (rescale_config(), "drive_check.drive_strength"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0", "-2.5"])
+    def test_non_positive_value_is_named(self, no_numerics, tmp_path, capsys, payload, field, value):
+        cfg = write_config(tmp_path, payload)
+        err = run_rejected(tmp_path, capsys, cfg, "--set", f"{field}={value}")
+        assert f"'{field}'" in err and "expected a positive number" in err
+
+
 class TestNoTraceback:
     def test_unitarity_error_exits_1(self, monkeypatch, tmp_path, capsys):
         def drifted(**kwargs):

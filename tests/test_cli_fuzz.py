@@ -47,6 +47,7 @@ def problems():
 
 VALUES = {
     "number": NUMBER,
+    "positive number": NUMBER,
     "integer": st.integers(-1, 20),
     "positive integer": st.integers(1, 4),
     "boolean": st.booleans(),

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,13 +10,21 @@ from scipy.linalg import expm
 from qxform.hamiltonians import (
     GroverProblem,
     IsingProblem,
+    TimeDependentHamiltonian,
     annealing_hamiltonian,
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )
-from qxform.operators import fidelity, minus_state, phase_aligned_distance
+from qxform.operators import (
+    PauliString,
+    fidelity,
+    hermitian_expm,
+    minus_state,
+    phase_aligned_distance,
+)
 from qxform.propagation import (
     TimeGrid,
+    UnitaryTrace,
     nmr_fast_propagator,
     nmr_slow_propagator,
     propagate,
@@ -111,10 +120,8 @@ class TestFrameChanges:
         grid = TimeGrid(0.0, 2.0, 40)
         alpha = 0.61
         s_mat = expm(1j * alpha * Z)
-        s = sampled_transform(
-            grid, lambda ts: np.broadcast_to(s_mat, (len(ts), 2, 2)), "static Z rotation",
-            identity_start=False,
-        )
+        mats = np.broadcast_to(s_mat, (grid.n_steps + 1, 2, 2))
+        s = UnitaryTrace(grid, grid.times(), mats, "static Z rotation", 0.0)
         rec = transform_into_frame(h, s)
         for k, t in enumerate(rec.times):
             oracle = s_mat.conj().T @ h.matrix(float(t)) @ s_mat
@@ -187,6 +194,33 @@ class TestFrameChanges:
         assert coarse <= 4 * fine + 1e-10
         assert fine <= 0.5 * coarse + 1e-10
 
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+    def test_out_of_frame_is_bit_identical_to_the_direct_formula(self, n_qubits):
+        dim = 2**n_qubits
+        rng = np.random.default_rng(n_qubits)
+        a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
+        a, b = a + a.conj().T, b + b.conj().T
+        grid = TimeGrid(0.0, 1.0, 300)
+        s = sampled_transform(
+            grid, lambda ts: hermitian_expm(a, ts) @ hermitian_expm(b, ts * ts), "S"
+        )
+        problem = IsingProblem(n_qubits, fields=(0.5,) * n_qubits)
+        frame = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), problem)
+        got = transform_out_of_frame(frame, s)
+
+        # H = S h S^dag - i S dS^dag/dt written out directly, then Hermitized
+        mats = s.matrices
+        s_mid = mats[1:-1]
+        s_dag = mats.conj().transpose(0, 2, 1)
+        s_dag_dot = (s_dag[2:] - s_dag[:-2]) / (2.0 * grid.dt)
+        raw = np.einsum("kij,kjl,kml->kim", s_mid, frame.matrix_stack(s.times[1:-1]), s_mid.conj())
+        raw -= 1j * np.einsum("kij,kjl->kil", s_mid, s_dag_dot)
+        raw_dag = raw.conj().transpose(0, 2, 1)
+        assert np.array_equal(got.times, s.times[1:-1])
+        assert np.array_equal(got.matrices, 0.5 * (raw + raw_dag))
+        defects = np.linalg.norm(0.5 * (raw - raw_dag), axis=(1, 2))
+        assert np.array_equal(got.antihermitian_defects, defects)
+
     def test_needs_full_grid_coverage(self):
         grid = TimeGrid(0.0, 2.0, 40)
         h_fast = nmr_hamiltonian(BENCH)
@@ -207,13 +241,20 @@ class TestVerifyTransform:
         assert report.passed
 
     def test_deliberate_mismatch_fails(self):
-        # adding Z to the target makes the residual exactly ||Z||_F = sqrt(2)
-        from qxform.hamiltonians import TimeDependentHamiltonian
-        from qxform.operators import PauliString
-
+        # the target is BENCH's H = Z/2 + 2 cos(1.5 t) X + 2 sin(1.5 t) Y plus Z,
+        # which makes the residual exactly ||Z||_F = sqrt(2)
         h = nmr_hamiltonian(BENCH)
+
+        def drive(trig):
+            return SimpleNamespace(value=lambda t: 2.0 * trig(1.5 * t))
+
         h_shifted = TimeDependentHamiltonian(
-            1, terms=(*h.terms, (1.0, PauliString(((0, "Z"),))))
+            1,
+            terms=(
+                (1.5, PauliString(((0, "Z"),))),
+                (drive(np.cos), PauliString(((0, "X"),))),
+                (drive(np.sin), PauliString(((0, "Y"),))),
+            ),
         )
         grid = TimeGrid(0.0, 2.0, 100)
         report = verify_transform(
