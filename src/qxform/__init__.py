@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .operators import (
     MAX_QUBITS,
     PauliString,
-    basis_state,
     fidelity,
     hermitian_expm,
     hermiticity_defect,
@@ -20,8 +19,6 @@ from .operators import (
     pauli_matrix,
     phase_align,
     phase_aligned_distance,
-    plus_state,
-    unitarity_defect,
 )
 from .schedules import Constant, CosineRamp, Harmonic, LinearRamp, NmrParams, Schedule, Tabulated
 from .hamiltonians import (
@@ -53,7 +50,6 @@ from .transform import (
     identity_transform,
     nmr_closed_form_transform,
     rescaled_drive_closed_form,
-    sampled_transform,
     time_rescaling_equivalence,
     transform_into_frame,
     transform_out_of_frame,

@@ -386,12 +386,15 @@ def _run_verify_transform(p, jobs):
 
 
 def _run_rescale(p, jobs):
+    try:
+        scaling = TimeScaling(p["fast_time"], p["slow_time"])
+    except ValueError as exc:
+        raise ConfigError("fast_time", str(exc)) from None
     problem = p["problem"]
     transverse0 = p["transverse0"]
     if transverse0 is None:
         transverse0 = default_transverse_strength(problem)
     frame_h = annealing_hamiltonian(LinearRamp(transverse0, 0.0, 1.0), problem)
-    scaling = TimeScaling(p["fast_time"], p["slow_time"])
     n_steps = p["n_steps"]
     report = time_rescaling_equivalence(frame_h, scaling, n_steps, stride=max(1, n_steps // 1000))
     metrics = {

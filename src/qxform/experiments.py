@@ -32,6 +32,7 @@ from .propagation import (
     TimeGrid,
     UnitaryTrace,
     _block_rows,
+    _within_step_limit,
     nmr_fast_propagator,
     nmr_slow_propagator,
     propagate,
@@ -216,7 +217,7 @@ def run_nmr_experiment(
             raise ValueError("t_final must be given when the detuning vanishes")
         t_final = math.pi / (2.0 * abs(detuning))
     if n_steps is None:
-        n_steps = max(16, int(math.ceil(t_final / 1e-3)))
+        n_steps = max(16, int(math.ceil(_within_step_limit(t_final / 1e-3))))
     grid = TimeGrid(0.0, float(t_final), int(n_steps))
 
     fast_h = nmr_hamiltonian(p)
@@ -260,7 +261,7 @@ def run_nmr_experiment(
     # correction gate S^dag(T) against the closed-form Z rotation exp(i w0 T Z / 2)
     z = pauli_matrix("Z")
     reference = hermitian_expm(z, -0.5 * qubit_splitting * grid.t_end)
-    correction = composed_ana.at(grid.t_end, strict=True).conj().T
+    correction = composed_ana.final.conj().T
     correction_distance = phase_aligned_distance(correction, reference)
 
     max_defect = max(
@@ -330,7 +331,7 @@ def run_annealing_experiment(
     if transverse0 is None:
         transverse0 = default_transverse_strength(problem)
     if n_steps is None:
-        n_steps = max(400, int(math.ceil(200.0 * t_final)))
+        n_steps = max(400, int(math.ceil(_within_step_limit(200.0 * t_final))))
     h = annealing_hamiltonian(LinearRamp(transverse0, 0.0, t_final), problem)
     grid = TimeGrid(0.0, t_final, n_steps)
     psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]

@@ -24,6 +24,10 @@ from .schedules import Harmonic, NmrParams
 # Traces are aborted, not repaired, beyond this unitarity defect.
 DEFECT_LIMIT = 1e-8
 
+# Longest grid accepted: about 1.8 h at dim 16 (ising runs at ~65 us a step),
+# and every node index still converts exactly to a float.
+MAX_STEPS = 10**8
+
 # Matrix elements per batched block, 512 KiB per complex stack: every blocked
 # evaluation (propagation steps, eigensystem stacks) works in one cache-sized
 # block, so its memory is one block plus what it stores, whatever the grid size.
@@ -48,9 +52,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if int(self.n_steps) < 1:
+        n_steps = _within_step_limit(self.n_steps)
+        if int(n_steps) < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
+        object.__setattr__(self, "n_steps", int(n_steps))
         if not self.t_end > self.t_start:
             raise ValueError(
                 f"grid needs t_end > t_start, got [{self.t_start}, {self.t_end}]"
@@ -67,25 +72,31 @@ class TimeGrid:
         return TimeGrid(self.t_start, self.t_end, self.n_steps * int(factor))
 
 
+def _within_step_limit(n_steps):
+    """``n_steps`` unchanged if it is at most MAX_STEPS; a larger, infinite or
+    NaN count is refused before anything converts it to an int."""
+    if not n_steps <= MAX_STEPS:
+        raise ValueError(f"a grid of {n_steps:g} steps exceeds the limit of {MAX_STEPS:g} steps")
+    return n_steps
+
+
 def _node_times(grid: TimeGrid, nodes: np.ndarray) -> np.ndarray:
     """Times of the grid nodes with the given indices, as np.linspace gives
     them (the last node is exactly t_end), without building the whole grid."""
     return np.where(nodes == grid.n_steps, grid.t_end, nodes * grid.dt + grid.t_start)
 
 
+def _stored_count(n_steps: int, stride: int) -> int:
+    """Nodes kept at ``stride``: every stride-th one and the last."""
+    if int(stride) < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    return -(-n_steps // int(stride)) + 1
+
+
 def _stored_indices(n_steps: int, stride: int) -> np.ndarray:
-    idx = np.arange(0, n_steps + 1, stride)
-    return idx if idx[-1] == n_steps else np.append(idx, n_steps)
-
-
-def _strict_tol(grid: TimeGrid) -> float:
-    """Distance within which a time counts as hitting a grid node exactly."""
-    return 1e-9 * max(1.0, abs(grid.t_start), abs(grid.t_end))
-
-
-def _nearest_steps(grid: TimeGrid, times):
-    """Step index of the grid node nearest to each (finite) time."""
-    return np.clip(np.rint((times - grid.t_start) / grid.dt), 0, grid.n_steps).astype(int)
+    idx = np.arange(_stored_count(n_steps, stride)) * int(stride)
+    idx[-1] = n_steps
+    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,41 +122,15 @@ class UnitaryTrace:
     def final(self) -> np.ndarray:
         return self.matrices[-1]
 
-    def node_index(self, t: float, strict: bool = False) -> int:
-        """Index of the stored node nearest to t.
-
-        Loose mode accepts any t within half a step of a stored node; strict
-        mode requires t to hit a stored node to near machine precision and is
-        meant for verification workflows.
-        """
-        k = int(np.argmin(np.abs(self.times - t)))
-        gap = abs(float(self.times[k]) - t)
-        tol = _strict_tol(self.grid) if strict else 0.5 * self.grid.dt
-        if gap > tol:
-            raise ValueError(
-                f"time {t} is off the stored grid (nearest node {self.times[k]}, "
-                f"gap {gap:.3e}, tolerance {tol:.3e})"
-            )
-        return k
-
-    def at(self, t: float, strict: bool = False) -> np.ndarray:
-        """The stored unitary at grid node t."""
-        return self.matrices[self.node_index(t, strict=strict)]
-
-    def apply(self, psi0: np.ndarray, t: float | None = None, strict: bool = False) -> np.ndarray:
-        """U(t) psi0; t defaults to the end of the grid."""
+    def apply(self, psi0: np.ndarray) -> np.ndarray:
+        """U(T) psi0 with the last stored unitary."""
         psi0 = np.asarray(psi0, dtype=complex)
         if psi0.shape != (self.dim,):
             raise ValueError(f"state has shape {psi0.shape}, expected ({self.dim},)")
         nd = normalization_defect(psi0)
         if nd > 1e-9:
             raise ValueError(f"initial state is not normalized (defect {nd:.3e})")
-        if t is None:
-            t = float(self.times[-1])
-        return self.at(t, strict=strict) @ psi0
-
-    def covers_full_grid(self) -> bool:
-        return len(self.times) == self.grid.n_steps + 1
+        return self.final @ psi0
 
 
 def _block_rows(dim: int) -> int:
@@ -198,7 +183,9 @@ def _unitary_trace(
             )
         mats[0] = eye
     times = np.array(times, dtype=float)
-    max_defect = _check_stored(mats, _nearest_steps(grid, times), what)
+    # errors name the step index of the grid node nearest to each time
+    steps = np.clip(np.rint((times - grid.t_start) / grid.dt), 0, grid.n_steps).astype(int)
+    max_defect = _check_stored(mats, steps, what)
     mats.flags.writeable = False
     times.flags.writeable = False
     return UnitaryTrace(grid, times, mats, label, max_defect)
@@ -216,11 +203,8 @@ def propagate(
     n-th node is retained per ``stride`` (the final node always is); a defect
     beyond the limit aborts with the offending step index.
     """
-    stride = int(stride)
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
     dim = hamiltonian.dim
-    n_nodes = -(-grid.n_steps // stride) + 1  # refused before any per-node allocation
+    n_nodes = _stored_count(grid.n_steps, stride)  # refused before any per-node allocation
     est_bytes = n_nodes * dim * dim * 16
     if est_bytes > 2 * 2**30:
         raise ValueError(
@@ -256,29 +240,22 @@ def propagate(
     return _unitary_trace(grid, _node_times(grid, indices), stored, label, "stored unitary")
 
 
-def _sample_stack(fn, times: np.ndarray) -> np.ndarray:
-    """fn(times) as a fresh complex (len(times), d, d) stack; anything else is rejected."""
+def sample_trace(fn, grid: TimeGrid, label: str = "", stride: int = 1) -> UnitaryTrace:
+    """Build a trace by sampling a closed-form propagator at grid nodes.
+
+    ``fn`` is called once with the array of stored node times and must return
+    the (n_nodes, d, d) stack of propagators.  The sample at t_start must
+    equal the identity to within 1e-12; it is then snapped to the exact
+    identity so composed transforms start at exactly I.
+    """
+    times = _node_times(grid, _stored_indices(grid.n_steps, stride))
     mats = np.array(fn(times), dtype=complex)
     if mats.ndim != 3 or mats.shape[0] != len(times) or mats.shape[1] != mats.shape[2]:
         raise ValueError(
             f"sampler returned shape {mats.shape} for {len(times)} times; "
             f"expected ({len(times)}, d, d)"
         )
-    return mats
-
-
-def sample_trace(fn, grid: TimeGrid, label: str = "", stride: int = 1) -> UnitaryTrace:
-    """Build a trace by sampling a closed-form propagator at grid nodes.
-
-    ``fn`` is called once with the array of stored node times and must return
-    the (n_nodes, d, d) stack of propagators.  The sample at t_start must
-    equal the identity to within 1e-10; it is then snapped to the exact
-    identity so composed transforms start at exactly I.
-    """
-    times = _node_times(grid, _stored_indices(grid.n_steps, int(stride)))
-    return _unitary_trace(
-        grid, times, _sample_stack(fn, times), label, "sampled unitary", identity_tol=1e-10
-    )
+    return _unitary_trace(grid, times, mats, label, "sampled unitary", identity_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ from .operators import pauli_matrix, hermitian_expm, phase_aligned_distance
 from .propagation import (
     TimeGrid,
     UnitaryTrace,
-    _sample_stack,
     _unitary_trace,
     nmr_fast_propagator,
     propagate,
+    sample_trace,
 )
 from .schedules import NmrParams
 
@@ -62,25 +62,10 @@ def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:
     )
 
 
-def sampled_transform(grid: TimeGrid, sampler, label: str) -> UnitaryTrace:
-    """Build a transform trace from a closed form S(t) on all grid nodes.
-
-    ``sampler`` is called once with the array of node times and must return
-    the (n_nodes, d, d) stack.  A frame change built from propagators starts
-    at the identity, so the first sample must lie within 1e-12 of it.
-    """
-    times = grid.times()
-    return _unitary_trace(
-        grid, times, _sample_stack(sampler, times), label, "transform matrix", identity_tol=1e-12
-    )
-
-
 def identity_transform(grid: TimeGrid, dim: int) -> UnitaryTrace:
     """The trivial frame change S(t) = I."""
     eye = np.eye(int(dim), dtype=complex)
-    return sampled_transform(
-        grid, lambda ts: np.broadcast_to(eye, (len(ts), *eye.shape)), "identity"
-    )
+    return sample_trace(lambda ts: np.broadcast_to(eye, (len(ts), *eye.shape)), grid, "identity")
 
 
 def nmr_closed_form_transform(p: NmrParams, grid: TimeGrid) -> UnitaryTrace:
@@ -93,7 +78,7 @@ def nmr_closed_form_transform(p: NmrParams, grid: TimeGrid) -> UnitaryTrace:
         angle = p.frame_phase.value(t) - p.drive_phase.value(t)
         return hermitian_expm(z, -0.5 * angle)
 
-    return sampled_transform(grid, sampler, "closed-form Z rotation")
+    return sample_trace(sampler, grid, "closed-form Z rotation")
 
 
 # ---------------------------------------------------------------------------
@@ -137,32 +122,24 @@ class SampledHamiltonian:
         return self.matrices[k]
 
 
-def _central_difference(mats: np.ndarray, dt: float) -> np.ndarray:
-    return (mats[2:] - mats[:-2]) / (2.0 * dt)
-
-
-def _split_hermitian(raw: np.ndarray):
-    dag = raw.conj().transpose(0, 2, 1)
-    herm = 0.5 * (raw + dag)
-    defects = np.linalg.norm(0.5 * (raw - dag), axis=(1, 2))
-    return herm, defects
-
-
 def _frame_change(hamiltonian, transform: UnitaryTrace, s: np.ndarray) -> SampledHamiltonian:
     """s^dag H s - i s^dag ds/dt at the interior nodes of ``transform``'s grid,
     with ``s`` the transform's matrices or their adjoints."""
-    if not transform.covers_full_grid():
+    if len(transform.times) != transform.grid.n_steps + 1:
         raise ValueError("frame change needs the transform on every grid node (stride 1)")
     dt = transform.grid.dt
     s_mid = s[1:-1]
-    s_dot = _central_difference(s, dt)
+    s_dot = (s[2:] - s[:-2]) / (2.0 * dt)  # central difference
     t_mid = transform.times[1:-1]
     h = hamiltonian.matrix_stack(t_mid)
     raw = np.einsum("kji,kjl,klm->kim", s_mid.conj(), h, s_mid)
     raw -= 1j * np.einsum("kji,kjl->kil", s_mid.conj(), s_dot)
-    herm, defects = _split_hermitian(raw)
+    dag = raw.conj().transpose(0, 2, 1)
     return SampledHamiltonian(
-        times=t_mid, matrices=herm, antihermitian_defects=defects, fd_step=dt
+        times=t_mid,
+        matrices=0.5 * (raw + dag),
+        antihermitian_defects=np.linalg.norm(0.5 * (raw - dag), axis=(1, 2)),
+        fd_step=dt,
     )
 
 
@@ -205,9 +182,9 @@ class TransformReport:
     reconstruction: SampledHamiltonian
     residuals: np.ndarray
     max_residual: float
-    control_max_residual: float | None
-    threshold: float | None
-    passed: bool | None
+    control_max_residual: float
+    threshold: float
+    passed: bool
     inconsistent_transform: bool
 
     @property
@@ -234,62 +211,50 @@ def verify_transform(
     hamiltonian,
     frame_hamiltonian,
     transform: UnitaryTrace,
-    control: UnitaryTrace | None = None,
+    control: UnitaryTrace,
 ) -> TransformReport:
     """Check that ``transform`` maps ``hamiltonian`` onto ``frame_hamiltonian``.
 
-    ``control`` is the same transform built on the two-times refined grid;
-    without it the report carries the residuals but no verdict.
+    ``control`` is the same transform built on the two-times refined grid.
     """
+    if control.grid.n_steps != 2 * transform.grid.n_steps:
+        raise ValueError(
+            "control transform must live on the two-times refined grid "
+            f"({control.grid.n_steps} steps vs {transform.grid.n_steps})"
+        )
     rec, residuals = _reconstruction_residuals(hamiltonian, frame_hamiltonian, transform)
     max_residual = float(np.max(residuals))
-    control_max = None
-    threshold = None
-    passed = None
-    inconsistent = False
-    if control is not None:
-        if control.grid.n_steps != 2 * transform.grid.n_steps:
-            raise ValueError(
-                "control transform must live on the two-times refined grid "
-                f"({control.grid.n_steps} steps vs {transform.grid.n_steps})"
-            )
-        _, fine_residuals = _reconstruction_residuals(
-            hamiltonian, frame_hamiltonian, control
-        )
-        control_max = float(np.max(fine_residuals))
-        threshold = 4.0 * control_max + _RESIDUAL_FLOOR
-        passed = bool(
-            max_residual <= threshold
-            and control_max <= 0.5 * max_residual + _RESIDUAL_FLOOR
-        )
-        inconsistent = bool(rec.max_defect > 10.0 * threshold)
+    _, fine_residuals = _reconstruction_residuals(hamiltonian, frame_hamiltonian, control)
+    control_max = float(np.max(fine_residuals))
+    threshold = 4.0 * control_max + _RESIDUAL_FLOOR
     return TransformReport(
         reconstruction=rec,
         residuals=residuals,
         max_residual=max_residual,
         control_max_residual=control_max,
         threshold=threshold,
-        passed=passed,
-        inconsistent_transform=inconsistent,
+        passed=bool(
+            max_residual <= threshold and control_max <= 0.5 * max_residual + _RESIDUAL_FLOOR
+        ),
+        inconsistent_transform=bool(rec.max_defect > 10.0 * threshold),
     )
 
 
 def two_gate_realization(
-    fast_trace: UnitaryTrace,
-    transform: UnitaryTrace,
-    psi0: np.ndarray,
-    t_final: float | None = None,
-    strict: bool = True,
+    fast_trace: UnitaryTrace, transform: UnitaryTrace, psi0: np.ndarray
 ) -> np.ndarray:
-    """S^dag(T) U(T) psi0: one fast evolution followed by one correction gate.
+    """S^dag(T) U(T) psi0: one fast evolution followed by one correction gate,
+    both read at the last stored node of their traces, which must coincide.
 
     With S composed from the same traces this equals the slow evolution
     u(T) psi0 up to floating-point error.
     """
-    if t_final is None:
-        t_final = float(fast_trace.times[-1])
-    psi_fast = fast_trace.apply(psi0, t_final, strict=strict)
-    return transform.at(t_final, strict=strict).conj().T @ psi_fast
+    if fast_trace.times[-1] != transform.times[-1]:
+        raise ValueError(
+            f"the fast trace ends at t={fast_trace.times[-1]} but the transform "
+            f"at t={transform.times[-1]}"
+        )
+    return transform.final.conj().T @ fast_trace.apply(psi0)
 
 
 # ---------------------------------------------------------------------------

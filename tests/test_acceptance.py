@@ -141,7 +141,8 @@ def test_criterion_3_closed_form_transform(adiabatic_report):
         t = float(composed.times[k])
         oracle = expm(-1j * w0 * Z * t / 2.0)  # independent matrix exponential
         worst = max(worst, phase_aligned_distance(composed.matrices[k], oracle))
-    correction = composed.at(r.t_final, strict=True).conj().T
+    assert composed.times[-1] == r.t_final
+    correction = composed.final.conj().T
     gate_oracle = expm(1j * math.pi * w0 / (4.0 * r.detuning) * Z)
     gate_distance = phase_aligned_distance(correction, gate_oracle)
     ok = worst <= 1e-8 and gate_distance <= 1e-8

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -369,6 +370,32 @@ class TestModuleEntryPoint:
             os.close(write_end)
         assert done.returncode == 1
         assert done.stderr == ""
+
+
+    @pytest.mark.parametrize(
+        "config, overrides, message",
+        [
+            ("grover.json", ["sweep.t_initial=1e300"], "a grid of 2e+302 steps exceeds the limit"),
+            ("grover.json", ["t_final=1e307"], "a grid of inf steps exceeds the limit"),
+            ("ising.json", ["t_final=1e307"], "a grid of inf steps exceeds the limit"),
+            ("nmr.json", ["t_final=1e307", "n_steps=null"], "a grid of inf steps exceeds the limit"),
+            # with the shipped step count the closed-form phases leave the float range
+            ("nmr.json", ["t_final=1e307"], "beyond the float range"),
+            ("rescale.json", ["n_steps=1000000000000"], "a grid of 1e+12 steps exceeds the limit"),
+            ("rescale.json", ["fast_time=20"], "config field 'fast_time'"),
+        ],
+    )
+    def test_out_of_range_run_exits_1_within_seconds(self, tmp_path, config, overrides, message):
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        start = time.monotonic()
+        done = self._run(
+            "run", "--config", str(CONFIGS / config), *sets, "--out", str(tmp_path / "out"),
+            cwd=tmp_path,
+        )
+        assert time.monotonic() - start < 10
+        assert done.returncode == 1
+        assert done.stderr.count("\n") == 1 and message in done.stderr, done.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestImportFootprint:

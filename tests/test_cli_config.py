@@ -232,6 +232,14 @@ class TestPositiveNumbers:
         assert f"'{field}'" in err and "expected a positive number" in err
 
 
+@pytest.mark.parametrize("fast_time", ["10", "20"])
+def test_fast_time_not_below_slow_time_is_named(no_numerics, tmp_path, capsys, fast_time):
+    # slow_time is 10; the order is refused before any numerics run
+    cfg = write_config(tmp_path, rescale_config())
+    err = run_rejected(tmp_path, capsys, cfg, "--set", f"fast_time={fast_time}")
+    assert err.startswith("error: config field 'fast_time': need 0 < fast_time < slow_time"), err
+
+
 class TestNoTraceback:
     def test_unitarity_error_exits_1(self, monkeypatch, tmp_path, capsys):
         def drifted(**kwargs):

@@ -37,7 +37,6 @@ from qxform.transform import (
     identity_transform,
     nmr_closed_form_transform,
     rescaled_drive_closed_form,
-    sampled_transform,
     time_rescaling_equivalence,
     transform_into_frame,
     transform_out_of_frame,
@@ -201,9 +200,7 @@ class TestFrameChanges:
         a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
         a, b = a + a.conj().T, b + b.conj().T
         grid = TimeGrid(0.0, 1.0, 300)
-        s = sampled_transform(
-            grid, lambda ts: hermitian_expm(a, ts) @ hermitian_expm(b, ts * ts), "S"
-        )
+        s = sample_trace(lambda ts: hermitian_expm(a, ts) @ hermitian_expm(b, ts * ts), grid, "S")
         problem = IsingProblem(n_qubits, fields=(0.5,) * n_qubits)
         frame = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), problem)
         got = transform_out_of_frame(frame, s)
@@ -263,18 +260,6 @@ class TestVerifyTransform:
         assert report.max_residual == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert not report.passed
 
-    def test_no_control_available_gives_no_verdict(self):
-        grid = TimeGrid(0.0, 2.0, 100)
-        lab = nmr_hamiltonian(BENCH)
-        slow = rotating_frame_hamiltonian(BENCH)
-        composed = compose_transform(propagate(lab, grid), propagate(slow, grid))
-        # a closed form is not resampled behind the caller's back either
-        for s in (composed, nmr_closed_form_transform(BENCH, grid)):
-            report = verify_transform(lab, slow, s)
-            assert report.passed is None
-            assert report.threshold is None
-            assert report.max_residual > 0
-
     def test_wrong_control_grid_rejected(self):
         grid = TimeGrid(0.0, 2.0, 100)
         h = nmr_hamiltonian(BENCH)
@@ -285,7 +270,9 @@ class TestVerifyTransform:
     def test_report_serialization(self, tmp_path):
         h = nmr_hamiltonian(BENCH)
         grid = TimeGrid(0.0, 2.0, 100)
-        report = verify_transform(h, h, identity_transform(grid, 2))
+        report = verify_transform(
+            h, h, identity_transform(grid, 2), control=identity_transform(grid.refined(2), 2)
+        )
         # central differencing drops both endpoints
         assert len(report.times) == grid.n_steps - 1
         assert len(report.residuals) == grid.n_steps - 1
@@ -318,7 +305,7 @@ class TestTwoGateRealization:
         fast = sample_trace(lambda t: nmr_fast_propagator(p, t), grid)
         slow = sample_trace(lambda t: nmr_slow_propagator(p, t), grid)
         s = compose_transform(fast, slow)
-        correction = s.at(t_final, strict=True).conj().T
+        correction = s.final.conj().T
         oracle = expm(1j * math.pi * w0 / (4 * d) * Z)
         assert phase_aligned_distance(correction, oracle) < 1e-12
 
@@ -338,12 +325,19 @@ class TestTwoGateRealization:
         bound = d**2 / (4 * g**2 + d**2)
         assert fidelity(psi, y_ground) >= 1.0 - bound - 1e-9
 
-    def test_off_grid_time_rejected(self):
+    def test_mismatched_trace_ends_rejected(self):
         grid = TimeGrid(0.0, 1.0, 10)
-        fast, slow = analytic_pair(grid)
-        s = compose_transform(fast, slow)
-        with pytest.raises(ValueError, match="off the stored"):
-            two_gate_realization(fast, s, minus_state(1), t_final=0.55)
+        fast, _ = analytic_pair(grid)
+        s = compose_transform(*analytic_pair(TimeGrid(0.0, 0.5, 5)))
+        with pytest.raises(ValueError, match=r"ends at t=1\.0 but the transform at t=0\.5"):
+            two_gate_realization(fast, s, minus_state(1))
+        # a strided fast trace ending on the same node is read at that node
+        strided = sample_trace(lambda t: nmr_fast_propagator(BENCH, t), grid, stride=4)
+        s = compose_transform(*analytic_pair(grid))
+        psi0 = minus_state(1)
+        np.testing.assert_array_equal(
+            two_gate_realization(strided, s, psi0), s.final.conj().T @ (strided.final @ psi0)
+        )
 
 
 class TestTimeRescaling:
