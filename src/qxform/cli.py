@@ -37,6 +37,7 @@ from .schedules import Constant, CosineRamp, Harmonic, LinearRamp, NmrParams, Ta
 from .propagation import TimeGrid
 from .transform import (
     TimeScaling,
+    check_frame_steps,
     identity_transform,
     nmr_closed_form_transform,
     time_rescaling_equivalence,
@@ -49,6 +50,7 @@ from .experiments import (
     run_annealing_experiment,
     run_fast_counterpart_comparison,
     run_nmr_experiment,
+    sweep_runtimes,
 )
 
 # Health gate applied to every run of a kind that declares it, independent of
@@ -290,7 +292,28 @@ def _parse_config(cfg):
 # Experiment runners (parsed fields -> metrics, curves)
 
 
+def _check_frame_steps(n_steps):
+    """Refuse, naming the field, a step count that leaves the frame change no
+    interior node."""
+    try:
+        check_frame_steps(n_steps)
+    except ValueError as exc:
+        raise ConfigError("n_steps", str(exc)) from None
+
+
+def _check_sweep(sweep):
+    """Refuse a sweep whose longest run exceeds the step limit before any run,
+    naming t_initial when its first point already does."""
+    for field, doublings in (("t_initial", 0), ("doublings", sweep["doublings"])):
+        try:
+            sweep_runtimes(sweep["t_initial"], doublings)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.{field}", str(exc)) from None
+
+
 def _run_nmr(p, jobs):
+    if p["n_steps"] is not None:
+        _check_frame_steps(p["n_steps"])
     report = run_nmr_experiment(**p)
     tr = report.transform_report
     metrics = {
@@ -325,6 +348,9 @@ def _run_nmr(p, jobs):
 def _run_annealing(p, jobs):
     problem = p["problem"]
     transverse0 = p["transverse0"]
+    sweep = p["sweep"]
+    if sweep is not None:
+        _check_sweep(sweep)
     result = run_annealing_experiment(
         problem, transverse0=transverse0, t_final=p["t_final"], n_steps=p["n_steps"]
     )
@@ -338,7 +364,6 @@ def _run_annealing(p, jobs):
     if result.final_fidelity_vs_marked is not None:
         metrics["final_fidelity_vs_marked"] = result.final_fidelity_vs_marked
     curves = {}
-    sweep = p["sweep"]
     if sweep is not None:
         points = annealing_doubling_sweep(
             problem, sweep["t_initial"], sweep["doublings"], transverse0=transverse0, jobs=jobs
@@ -361,6 +386,7 @@ def _run_annealing(p, jobs):
 
 
 def _run_verify_transform(p, jobs):
+    _check_frame_steps(p["n_steps"])
     params = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"])
     grid = TimeGrid(0.0, p["t_final"], p["n_steps"])
     lab = nmr_hamiltonian(params)

@@ -22,6 +22,7 @@ from .hamiltonians import (
 )
 from .operators import (
     PauliString,
+    _block_rows,
     fidelity,
     hermitian_expm,
     minus_state,
@@ -31,7 +32,6 @@ from .operators import (
 from .propagation import (
     TimeGrid,
     UnitaryTrace,
-    _block_rows,
     _within_step_limit,
     nmr_fast_propagator,
     nmr_slow_propagator,
@@ -41,9 +41,10 @@ from .propagation import (
 from .schedules import LinearRamp, NmrParams, Schedule
 from .transform import (
     TransformReport,
+    _frame_change,
+    check_frame_steps,
     compose_transform,
     nmr_closed_form_transform,
-    transform_out_of_frame,
     two_gate_realization,
     verify_transform,
 )
@@ -218,33 +219,37 @@ def run_nmr_experiment(
         t_final = math.pi / (2.0 * abs(detuning))
     if n_steps is None:
         n_steps = max(16, int(math.ceil(_within_step_limit(t_final / 1e-3))))
+    check_frame_steps(n_steps)
     grid = TimeGrid(0.0, float(t_final), int(n_steps))
 
     fast_h = nmr_hamiltonian(p)
     slow_h = rotating_frame_hamiltonian(p)
-    fast_num = propagate(fast_h, grid, label="driven qubit")
-    slow_num = propagate(slow_h, grid, label="rotated frame")
-    fast_ana = sample_trace(lambda ts: nmr_fast_propagator(p, ts), grid, label="driven qubit closed form")
-    slow_ana = sample_trace(lambda ts: nmr_slow_propagator(p, ts), grid, label="rotated frame closed form")
-
-    oracle_fast = _max_node_distance(fast_num.matrices, fast_ana.matrices)
-    oracle_slow = _max_node_distance(slow_num.matrices, slow_ana.matrices)
-
-    composed_num = compose_transform(fast_num, slow_num)
-    composed_ana = compose_transform(fast_ana, slow_ana)
-    closed = nmr_closed_form_transform(p, grid)
-    composed_vs_closed = _max_node_distance(composed_ana.matrices, closed.matrices)
-
+    # The fine-grid control first: its two propagations are freed once it is
+    # composed, and the control itself once it is verified, before the other
+    # traces exist.
     fine = grid.refined(2)
     control = compose_transform(
         propagate(fast_h, fine, label="driven qubit"),
         propagate(slow_h, fine, label="rotated frame"),
     )
+    fast_num = propagate(fast_h, grid, label="driven qubit")
+    slow_num = propagate(slow_h, grid, label="rotated frame")
+    composed_num = compose_transform(fast_num, slow_num)
     report = verify_transform(fast_h, slow_h, composed_num, control=control)
+    del control
+    # back out of the frame: the reconstruction against the lab Hamiltonian
+    round_trip = float(
+        np.max(_frame_change(report.reconstruction, composed_num, adjoint=True, target=fast_h, keep=False)[1])
+    )
 
-    lab_rec = transform_out_of_frame(report.reconstruction, composed_num)
-    lab_ref = fast_h.matrix_stack(lab_rec.times)
-    round_trip = float(np.max(np.linalg.norm(lab_rec.matrices - lab_ref, axis=(1, 2))))
+    fast_ana = sample_trace(lambda ts: nmr_fast_propagator(p, ts), grid, label="driven qubit closed form")
+    slow_ana = sample_trace(lambda ts: nmr_slow_propagator(p, ts), grid, label="rotated frame closed form")
+    oracle_fast = _max_node_distance(fast_num.matrices, fast_ana.matrices)
+    oracle_slow = _max_node_distance(slow_num.matrices, slow_ana.matrices)
+
+    composed_ana = compose_transform(fast_ana, slow_ana)
+    closed = nmr_closed_form_transform(p, grid)
+    composed_vs_closed = _max_node_distance(composed_ana.matrices, closed.matrices)
 
     psi0 = minus_state(1)
     ratio = drive_strength / abs(detuning) if detuning != 0.0 else math.inf
@@ -320,6 +325,11 @@ class AqcRunResult:
     adiabaticity_ratio: float
 
 
+def _default_anneal_steps(t_final: float) -> int:
+    """ceil(200 t_final) steps, at least 400; refused beyond MAX_STEPS."""
+    return max(400, int(math.ceil(_within_step_limit(200.0 * t_final))))
+
+
 def run_annealing_experiment(
     problem,
     transverse0: float | None = None,
@@ -331,7 +341,7 @@ def run_annealing_experiment(
     if transverse0 is None:
         transverse0 = default_transverse_strength(problem)
     if n_steps is None:
-        n_steps = max(400, int(math.ceil(_within_step_limit(200.0 * t_final))))
+        n_steps = _default_anneal_steps(t_final)
     h = annealing_hamiltonian(LinearRamp(transverse0, 0.0, t_final), problem)
     grid = TimeGrid(0.0, t_final, n_steps)
     psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]
@@ -376,6 +386,22 @@ def _sweep_workers(jobs: int, n_points: int, n_cpus: int | None) -> int:
     return min(int(jobs), n_points, n_cpus or 1)
 
 
+def sweep_runtimes(t_initial: float, doublings: int) -> list:
+    """The runtimes t_initial * 2^k, k = 0..doublings, of a doubling sweep.
+
+    The default step count of the longest is checked against MAX_STEPS first,
+    computed without overflow, so a sweep too long to run is refused before
+    any runtime is built.
+    """
+    doublings = int(doublings)
+    try:
+        longest = math.ldexp(t_initial, doublings)
+    except OverflowError:
+        longest = math.inf
+    _default_anneal_steps(longest)
+    return [t_initial * 2.0**k for k in range(doublings + 1)]
+
+
 def annealing_doubling_sweep(
     problem,
     t_initial: float = 1.0,
@@ -389,7 +415,7 @@ def annealing_doubling_sweep(
     All points are always computed (no early stopping) so the result does not
     depend on sharding; ``jobs`` > 1 distributes points across processes.
     """
-    args = [(problem, transverse0, t_initial * 2.0**k) for k in range(int(doublings) + 1)]
+    args = [(problem, transverse0, t) for t in sweep_runtimes(t_initial, doublings)]
     workers = _sweep_workers(jobs, len(args), os.cpu_count())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only a pool needs it

@@ -14,6 +14,7 @@ import numpy as np
 
 from .operators import (
     _MATMUL_MIN_DIM,
+    _block_rows,
     _hermitian_expm_stack,
     hermitian_expm,
     normalization_defect,
@@ -27,11 +28,6 @@ DEFECT_LIMIT = 1e-8
 # Longest grid accepted: about 1.8 h at dim 16 (ising runs at ~65 us a step),
 # and every node index still converts exactly to a float.
 MAX_STEPS = 10**8
-
-# Matrix elements per batched block, 512 KiB per complex stack: every blocked
-# evaluation (propagation steps, eigensystem stacks) works in one cache-sized
-# block, so its memory is one block plus what it stores, whatever the grid size.
-_BLOCK_ELEMENTS = 1 << 15
 
 
 class UnitarityError(RuntimeError):
@@ -133,18 +129,21 @@ class UnitaryTrace:
         return self.final @ psi0
 
 
-def _block_rows(dim: int) -> int:
-    """Rows of (dim, dim) matrices per batched block."""
-    return max(1, _BLOCK_ELEMENTS // (dim * dim))
-
-
 def _batch_defects(us: np.ndarray) -> np.ndarray:
-    eye = np.eye(us.shape[-1])
-    if us.shape[-1] < _MATMUL_MIN_DIM:
-        gram = np.einsum("kji,kjl->kil", us.conj(), us)
-    else:
-        gram = us.conj().transpose(0, 2, 1) @ us
-    return np.sqrt((np.abs(gram - eye) ** 2).sum(axis=(1, 2)))
+    """||U^dag U - I|| per matrix of the stack, one block of rows at a time."""
+    dim = us.shape[-1]
+    eye = np.eye(dim)
+    rows = _block_rows(dim)
+    defects = np.empty(len(us))
+    for lo in range(0, len(us), rows):
+        block = us[lo : lo + rows]
+        if dim < _MATMUL_MIN_DIM:
+            gram = np.einsum("kji,kjl->kil", block.conj(), block)
+        else:
+            gram = block.conj().transpose(0, 2, 1) @ block
+        gram -= eye
+        np.sqrt((np.abs(gram) ** 2).sum(axis=(1, 2)), out=defects[lo : lo + rows])
+    return defects
 
 
 def _check_stored(us: np.ndarray, indices: np.ndarray, what: str) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import pauli_matrix, hermitian_expm, phase_aligned_distance
+from .operators import _block_rows, pauli_matrix, hermitian_expm, phase_aligned_distance
 from .propagation import (
     TimeGrid,
     UnitaryTrace,
@@ -55,7 +55,11 @@ def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:
     """S(t_k) = U(t_k) u(t_k)^dag from two traces on identical grids."""
     if fast.grid != slow.grid or not np.array_equal(fast.times, slow.times):
         raise ValueError("traces must share the same grid and stored nodes")
-    mats = np.einsum("kij,klj->kil", fast.matrices, slow.matrices.conj())
+    mats = np.empty_like(fast.matrices)
+    rows = _block_rows(fast.dim)
+    for lo in range(0, len(mats), rows):
+        block = slice(lo, lo + rows)
+        np.einsum("kij,klj->kil", fast.matrices[block], slow.matrices[block].conj(), out=mats[block])
     label = f"composed({fast.label or 'fast'}, {slow.label or 'slow'})"
     return _unitary_trace(
         fast.grid, fast.times, mats, label, "transform matrix", identity_tol=1e-12
@@ -122,25 +126,57 @@ class SampledHamiltonian:
         return self.matrices[k]
 
 
-def _frame_change(hamiltonian, transform: UnitaryTrace, s: np.ndarray) -> SampledHamiltonian:
+def check_frame_steps(n_steps: int) -> None:
+    """A frame change differences S centrally, so its grid needs an interior
+    node: at least 2 steps."""
+    if n_steps < 2:
+        raise ValueError(
+            f"a frame change needs at least 2 steps (an interior node), got {n_steps}"
+        )
+
+
+def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=None, keep=True):
     """s^dag H s - i s^dag ds/dt at the interior nodes of ``transform``'s grid,
-    with ``s`` the transform's matrices or their adjoints."""
+    with s the transform's matrices or (``adjoint``) their adjoints, one block
+    of nodes at a time.
+
+    Returns the SampledHamiltonian (None unless ``keep``) and, with a
+    ``target`` Hamiltonian, the per-node Frobenius residuals against it (else
+    None); without ``keep`` only one block of the reconstruction is held.
+    """
+    check_frame_steps(transform.grid.n_steps)
     if len(transform.times) != transform.grid.n_steps + 1:
         raise ValueError("frame change needs the transform on every grid node (stride 1)")
     dt = transform.grid.dt
-    s_mid = s[1:-1]
-    s_dot = (s[2:] - s[:-2]) / (2.0 * dt)  # central difference
     t_mid = transform.times[1:-1]
-    h = hamiltonian.matrix_stack(t_mid)
-    raw = np.einsum("kji,kjl,klm->kim", s_mid.conj(), h, s_mid)
-    raw -= 1j * np.einsum("kji,kjl->kil", s_mid.conj(), s_dot)
-    dag = raw.conj().transpose(0, 2, 1)
-    return SampledHamiltonian(
-        times=t_mid,
-        matrices=0.5 * (raw + dag),
-        antihermitian_defects=np.linalg.norm(0.5 * (raw - dag), axis=(1, 2)),
-        fd_step=dt,
-    )
+    n, dim = len(t_mid), transform.dim
+    rows = min(_block_rows(dim), n)
+    raw = np.empty((rows, dim, dim), dtype=complex)
+    matrices = np.empty((n if keep else rows, dim, dim), dtype=complex)
+    defects = np.empty(n) if keep else None
+    residuals = None if target is None else np.empty(n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        s = transform.matrices[lo : hi + 2]
+        if adjoint:
+            s = s.conj().transpose(0, 2, 1)
+        s_mid = s[1:-1]
+        s_dot = (s[2:] - s[:-2]) / (2.0 * dt)  # central difference
+        h = hamiltonian.matrix_stack(t_mid[lo:hi])
+        bra = s_mid.conj()
+        r = np.einsum("kji,kjl,klm->kim", bra, h, s_mid, out=raw[: hi - lo])
+        r -= 1j * np.einsum("kji,kjl->kil", bra, s_dot)
+        dag = r.conj().transpose(0, 2, 1)
+        herm = np.add(r, dag, out=matrices[lo:hi] if keep else matrices[: hi - lo])
+        herm *= 0.5
+        if keep:
+            defects[lo:hi] = np.linalg.norm(0.5 * (r - dag), axis=(1, 2))
+        if target is not None:
+            residuals[lo:hi] = np.linalg.norm(
+                herm - target.matrix_stack(t_mid[lo:hi]), axis=(1, 2)
+            )
+    rec = SampledHamiltonian(t_mid, matrices, defects, dt) if keep else None
+    return rec, residuals
 
 
 def transform_into_frame(hamiltonian, transform: UnitaryTrace) -> SampledHamiltonian:
@@ -150,15 +186,13 @@ def transform_into_frame(hamiltonian, transform: UnitaryTrace) -> SampledHamilto
     must cover every grid node; endpoints are dropped.  The reconstruction is
     Hermitized and the discarded defect reported per node.
     """
-    return _frame_change(hamiltonian, transform, transform.matrices)
+    return _frame_change(hamiltonian, transform)[0]
 
 
 def transform_out_of_frame(frame_hamiltonian, transform: UnitaryTrace) -> SampledHamiltonian:
     """H(t_k) = S h S^dag - i S dS^dag/dt: the formula of
     :func:`transform_into_frame` applied to S^dag."""
-    return _frame_change(
-        frame_hamiltonian, transform, transform.matrices.conj().transpose(0, 2, 1)
-    )
+    return _frame_change(frame_hamiltonian, transform, adjoint=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +234,6 @@ class TransformReport:
         return self.reconstruction.max_defect
 
 
-def _reconstruction_residuals(hamiltonian, frame_hamiltonian, transform):
-    rec = transform_into_frame(hamiltonian, transform)
-    target = frame_hamiltonian.matrix_stack(rec.times)
-    residuals = np.linalg.norm(rec.matrices - target, axis=(1, 2))
-    return rec, residuals
-
-
 def verify_transform(
     hamiltonian,
     frame_hamiltonian,
@@ -222,10 +249,13 @@ def verify_transform(
             "control transform must live on the two-times refined grid "
             f"({control.grid.n_steps} steps vs {transform.grid.n_steps})"
         )
-    rec, residuals = _reconstruction_residuals(hamiltonian, frame_hamiltonian, transform)
+    # the control first, so its per-node residuals are freed before the coarse
+    # reconstruction exists
+    control_max = float(
+        np.max(_frame_change(hamiltonian, control, target=frame_hamiltonian, keep=False)[1])
+    )
+    rec, residuals = _frame_change(hamiltonian, transform, target=frame_hamiltonian)
     max_residual = float(np.max(residuals))
-    _, fine_residuals = _reconstruction_residuals(hamiltonian, frame_hamiltonian, control)
-    control_max = float(np.max(fine_residuals))
     threshold = 4.0 * control_max + _RESIDUAL_FLOOR
     return TransformReport(
         reconstruction=rec,

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import qxform.propagation as propagation
+import qxform.operators as operators
 from qxform.experiments import run_annealing_experiment, track_ground_state
 from qxform.hamiltonians import (
     GroverProblem,
@@ -29,13 +29,21 @@ from qxform.operators import (
 )
 from qxform.propagation import (
     TimeGrid,
+    _batch_defects,
     _stored_indices,
     nmr_slow_propagator,
     propagate,
     sample_trace,
 )
 from qxform.schedules import LinearRamp, NmrParams
-from qxform.transform import SampledHamiltonian, write_csv_curve
+from qxform.transform import (
+    SampledHamiltonian,
+    compose_transform,
+    transform_into_frame,
+    transform_out_of_frame,
+    verify_transform,
+    write_csv_curve,
+)
 
 finite = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -160,7 +168,7 @@ def test_propagate_matches_the_sequential_loop(n_qubits, stride, rows, monkeypat
     grid = TimeGrid(0.0, 1.0, 53)
     expected = reference_propagate(h, grid, stride)
     if rows is not None:
-        monkeypatch.setattr(propagation, "_BLOCK_ELEMENTS", rows * h.dim * h.dim)
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", rows * h.dim * h.dim)
     trace = propagate(h, grid, stride=stride)
     assert trace.matrices.shape == expected.shape
     assert np.array_equal(trace.matrices, expected)
@@ -173,6 +181,96 @@ def test_propagate_single_step_and_stride_beyond_the_grid():
         trace = propagate(h, grid, stride=stride)
         assert len(trace.times) == 2
         assert np.array_equal(trace.matrices, reference_propagate(h, grid, stride))
+
+
+# ---------------------------------------------------------------------------
+# The analysis stage, one block at a time, against its one-shot formulas
+
+
+def one_shot_defects(us):
+    eye = np.eye(us.shape[-1])
+    if us.shape[-1] < 4:
+        gram = np.einsum("kji,kjl->kil", us.conj(), us)
+    else:
+        gram = us.conj().transpose(0, 2, 1) @ us
+    return np.sqrt((np.abs(gram - eye) ** 2).sum(axis=(1, 2)))
+
+
+def one_shot_frame_change(hamiltonian, transform, s):
+    """(Hermitian part, anti-Hermitian defects) of s^dag H s - i s^dag ds/dt
+    at every interior node in one pass."""
+    s_mid = s[1:-1]
+    s_dot = (s[2:] - s[:-2]) / (2.0 * transform.grid.dt)
+    h = hamiltonian.matrix_stack(transform.times[1:-1])
+    raw = np.einsum("kji,kjl,klm->kim", s_mid.conj(), h, s_mid)
+    raw -= 1j * np.einsum("kji,kjl->kil", s_mid.conj(), s_dot)
+    dag = raw.conj().transpose(0, 2, 1)
+    return 0.5 * (raw + dag), np.linalg.norm(0.5 * (raw - dag), axis=(1, 2))
+
+
+def one_shot_residuals(hamiltonian, frame, transform):
+    mats, _ = one_shot_frame_change(hamiltonian, transform, transform.matrices)
+    return np.linalg.norm(mats - frame.matrix_stack(transform.times[1:-1]), axis=(1, 2))
+
+
+def one_shot_phase_align(a, b):
+    tr = np.einsum("...ij,...ij->...", b.conj(), a)
+    fallback = np.abs(tr) == 0.0
+    phi = np.where(fallback, 0.0, np.arctan2(tr.imag, tr.real))
+    dist = np.linalg.norm(a - np.exp(1j * phi)[..., None, None] * b, axis=(-2, -1))
+    return dist, phi, fallback
+
+
+def traces_on(n_qubits, grid, seed):
+    """Propagators of two random anneals on ``grid``, at every node."""
+    return tuple(propagate(random_anneal(n_qubits, seed + k), grid) for k in (0, 1))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 4, 5])
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_analysis_matches_the_one_shot_formulas(n_qubits, rows, monkeypatch):
+    # 23 steps: 22 interior nodes, a multiple of neither forced block size;
+    # fresh inputs for every case, so no output can hold a previous case's values
+    dim = 2**n_qubits
+    seed = 100 * n_qubits + (rows or 0)
+    grid = TimeGrid(0.0, 1.0, 23)
+    fast, slow = traces_on(n_qubits, grid, seed)
+    fine = traces_on(n_qubits, grid.refined(2), seed)
+    h, frame = random_anneal(n_qubits, seed + 2), random_anneal(n_qubits, seed + 3)
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(3, 7, dim, dim)) + 1j * rng.normal(size=(3, 7, dim, dim)) for _ in range(2))
+    a[1, 2] = np.diag(np.resize([1.0, -1.0], dim))  # tr(B^dag A) = 0 against a multiple of I
+    b[1, 2] = 3.0 * np.eye(dim)
+    if rows is not None:
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", rows * dim * dim)
+
+    composed = compose_transform(fast, slow)
+    expected = np.einsum("kij,klj->kil", fast.matrices, slow.matrices.conj())
+    expected[0] = np.eye(dim)  # snapped to the exact identity
+    assert np.array_equal(composed.matrices, expected)
+    assert np.array_equal(_batch_defects(composed.matrices), one_shot_defects(composed.matrices))
+    assert composed.max_defect == np.max(one_shot_defects(composed.matrices))
+
+    for got, s in (
+        (transform_into_frame(h, composed), composed.matrices),
+        (transform_out_of_frame(h, composed), composed.matrices.conj().transpose(0, 2, 1)),
+    ):
+        mats, defects = one_shot_frame_change(h, composed, s)
+        assert np.array_equal(got.times, composed.times[1:-1])
+        assert np.array_equal(got.matrices, mats)
+        assert np.array_equal(got.antihermitian_defects, defects)
+
+    control = compose_transform(*fine)
+    report = verify_transform(h, frame, composed, control=control)
+    assert np.array_equal(report.residuals, one_shot_residuals(h, frame, composed))
+    assert report.control_max_residual == np.max(one_shot_residuals(h, frame, control))
+    assert np.array_equal(report.reconstruction.matrices, transform_into_frame(h, composed).matrices)
+
+    got = phase_align(a, b)
+    for value, reference in zip(got, one_shot_phase_align(a, b)):
+        assert value.shape == (3, 7)
+        assert np.array_equal(value, reference)
+    assert got.fallback[1, 2] and got.fallback.sum() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +304,7 @@ def reference_track(h, trace, psi0, degeneracy_tol=1e-10):
 
 def assert_tracks_like_reference(h, trace, psi0, rows, monkeypatch):
     if rows is not None:
-        monkeypatch.setattr(propagation, "_BLOCK_ELEMENTS", rows * h.dim * h.dim)
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", rows * h.dim * h.dim)
     (curve,) = track_ground_state(h, trace, psi0=psi0)
     times, values, truncated_at = reference_track(h, trace, psi0)
     np.testing.assert_array_equal(curve.times, times)
@@ -280,7 +378,7 @@ def assert_same_curve(a, b):
 @pytest.mark.parametrize("rows", [None, 1, 3, 64])
 def test_joint_tracking_matches_separate_calls(rows, monkeypatch):
     # the nmr pairing: a closed-form and a propagated trace on the same nodes
-    monkeypatch.setattr(propagation, "_BLOCK_ELEMENTS", (rows or 1 << 20) * 4)
+    monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", (rows or 1 << 20) * 4)
     p = NmrParams.harmonic(1.0, 2.0, 5.0)
     h = rotating_frame_hamiltonian(p)
     grid = TimeGrid(0.0, 1.0, 300)
@@ -316,7 +414,7 @@ def test_joint_tracking_needs_traces_on_the_same_nodes():
 
 def test_min_gap_keeps_the_per_time_bits(monkeypatch):
     problem = GroverProblem(2, 3)
-    monkeypatch.setattr(propagation, "_BLOCK_ELEMENTS", 5 * 4 * 4)
+    monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 5 * 4 * 4)
     result = run_annealing_experiment(problem, t_final=2.0, n_steps=400)
     h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 2.0), problem)
     energies = [np.linalg.eigh(h.matrix(float(t)))[0] for t in np.linspace(0.0, 2.0, 129)]

@@ -375,7 +375,14 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize(
         "config, overrides, message",
         [
-            ("grover.json", ["sweep.t_initial=1e300"], "a grid of 2e+302 steps exceeds the limit"),
+            (
+                "grover.json", ["sweep.t_initial=1e300"],
+                "config field 'sweep.t_initial': a grid of 2e+302 steps exceeds the limit",
+            ),
+            ("grover.json", ["sweep.doublings=1100"], "config field 'sweep.doublings': a grid of inf steps"),
+            ("grover.json", ["sweep.doublings=40"], "config field 'sweep.doublings': a grid of 2.19902e+14 steps"),
+            ("nmr.json", ["n_steps=1"], "config field 'n_steps': a frame change needs at least 2 steps"),
+            ("verify_transform.json", ["n_steps=1"], "config field 'n_steps': a frame change needs at least 2 steps"),
             ("grover.json", ["t_final=1e307"], "a grid of inf steps exceeds the limit"),
             ("ising.json", ["t_final=1e307"], "a grid of inf steps exceeds the limit"),
             ("nmr.json", ["t_final=1e307", "n_steps=null"], "a grid of inf steps exceeds the limit"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qxform.experiments as experiments
 from qxform.experiments import (
     _sweep_workers,
     annealing_doubling_sweep,
@@ -10,6 +11,7 @@ from qxform.experiments import (
     run_annealing_experiment,
     run_fast_counterpart_comparison,
     run_nmr_experiment,
+    sweep_runtimes,
     track_ground_state,
 )
 from qxform.hamiltonians import (
@@ -108,6 +110,14 @@ class TestNmrExperiment:
         for m in r.composed_analytic.matrices[:: 100]:
             assert np.linalg.norm(m - np.eye(2)) < 1e-12
 
+    def test_one_step_is_refused_before_any_propagation(self, monkeypatch):
+        def propagate_nothing(*args, **kwargs):
+            raise AssertionError("propagated")
+
+        monkeypatch.setattr(experiments, "propagate", propagate_nothing)
+        with pytest.raises(ValueError, match="a frame change needs at least 2 steps"):
+            run_nmr_experiment(1.0, 2.0, 25.0, n_steps=1)
+
     def test_vanishing_detuning_needs_explicit_final_time(self):
         with pytest.raises(ValueError, match="t_final"):
             run_nmr_experiment(1.0, 1.0, 2.0)
@@ -167,6 +177,24 @@ class TestAnnealingRuns:
         seq = annealing_doubling_sweep(problem, t_initial=1.0, doublings=2, jobs=1)
         par = annealing_doubling_sweep(problem, t_initial=1.0, doublings=2, jobs=2)
         assert [vars(p) for p in seq] == [vars(p) for p in par]
+
+    @pytest.mark.parametrize("t_initial, doublings", [(1.0, 19), (1.0, 40), (1.0, 1100), (1e300, 0)])
+    def test_sweep_beyond_the_step_limit_is_refused_before_any_point_runs(
+        self, t_initial, doublings, monkeypatch
+    ):
+        def run_point(args):
+            raise AssertionError(f"a sweep point ran at t_final={args[2]}")
+
+        monkeypatch.setattr(experiments, "_sweep_point", run_point)
+        with pytest.raises(ValueError, match="exceeds the limit of 1e\\+08 steps"):
+            annealing_doubling_sweep(GroverProblem(2, 1), t_initial=t_initial, doublings=doublings)
+
+    def test_sweep_runtimes_reach_the_step_limit_inclusively(self):
+        # the default rule takes ceil(200 t) steps: 200 * 2^18 and 200 * 5e5 fit
+        assert sweep_runtimes(1.0, 18) == [2.0**k for k in range(19)]
+        assert sweep_runtimes(5e5, 0) == [5e5]
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            sweep_runtimes(5e5, 1)
 
     @pytest.mark.parametrize(
         "jobs,n_points,n_cpus,expected",

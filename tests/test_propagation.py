@@ -11,6 +11,7 @@ from qxform.hamiltonians import (
     annealing_hamiltonian,
     fast_counterpart_hamiltonian,
     nmr_hamiltonian,
+    rotating_frame_hamiltonian,
 )
 from qxform.operators import fidelity, hermitian_expm, phase_aligned_distance
 from qxform.propagation import (
@@ -25,6 +26,7 @@ from qxform.propagation import (
     sample_trace,
 )
 from qxform.schedules import Constant, Harmonic, LinearRamp, NmrParams
+from qxform.transform import compose_transform, verify_transform
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -192,6 +194,41 @@ class TestPropagate:
             # both grids store two nodes, so nothing may grow with the step
             # count beyond 16 KiB of bookkeeping; a block is 512 KiB
             assert peaks[20_000] - peaks[10_000] <= 2**14, (name, peaks)
+
+    def test_analysis_working_set_is_one_block_plus_the_returned_arrays(self):
+        # the frame check of configs/nmr.json at dim 2: compose the transform
+        # and its control, then verify it; the traces composed are built first
+        p = NmrParams.harmonic(1.0, 2.0, 25.0)
+        lab, frame = nmr_hamiltonian(p), rotating_frame_hamiltonian(p)
+
+        def closed_forms(grid):
+            return tuple(
+                sample_trace(lambda ts: fn(p, ts), grid) for fn in (nmr_fast_propagator, nmr_slow_propagator)
+            )
+
+        peaks, returned = {}, {}
+        for n in (10_000, 20_000):
+            grid = TimeGrid(0.0, 1.0, n)
+            coarse, fine = closed_forms(grid), closed_forms(grid.refined(2))
+            kept = []
+
+            def analysis():
+                composed, control = compose_transform(*coarse), compose_transform(*fine)
+                kept.extend((composed, control, verify_transform(lab, frame, composed, control)))
+
+            peaks[n] = traced_peak(analysis)
+            composed, control, report = kept
+            arrays = (
+                composed.matrices, composed.times, control.matrices, control.times,
+                report.reconstruction.matrices, report.reconstruction.antihermitian_defects,
+                report.residuals,
+            )
+            returned[n] = sum(a.nbytes for a in arrays)
+        # what grows beyond the per-node arrays returned is 16 KiB of
+        # bookkeeping at most; a block is 512 KiB
+        assert peaks[20_000] - peaks[10_000] <= returned[20_000] - returned[10_000] + 2**14, (
+            peaks, returned
+        )
 
 
 class TestDefectGates:

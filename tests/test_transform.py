@@ -218,6 +218,20 @@ class TestFrameChanges:
         defects = np.linalg.norm(0.5 * (raw - raw_dag), axis=(1, 2))
         assert np.array_equal(got.antihermitian_defects, defects)
 
+    def test_needs_an_interior_node(self):
+        h = nmr_hamiltonian(BENCH)
+        grid = TimeGrid(0.0, 2.0, 1)
+        s = compose_transform(*analytic_pair(grid))
+        control = compose_transform(*analytic_pair(grid.refined(2)))
+        message = r"a frame change needs at least 2 steps \(an interior node\), got 1"
+        for call in (transform_into_frame, transform_out_of_frame):
+            with pytest.raises(ValueError, match=message):
+                call(h, s)
+        with pytest.raises(ValueError, match=message):
+            verify_transform(h, h, s, control=control)
+        # two steps leave one interior node, which is enough
+        assert transform_into_frame(h, control).matrices.shape == (1, 2, 2)
+
     def test_needs_full_grid_coverage(self):
         grid = TimeGrid(0.0, 2.0, 40)
         h_fast = nmr_hamiltonian(BENCH)
