@@ -42,11 +42,13 @@ from .propagation import (
     sample_trace,
 )
 from .transform import (
+    ControlResidual,
     RescaleReport,
     SampledHamiltonian,
     TimeScaling,
     TransformReport,
     compose_transform,
+    control_residual,
     identity_transform,
     nmr_closed_form_transform,
     rescaled_drive_closed_form,

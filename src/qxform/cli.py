@@ -38,6 +38,7 @@ from .propagation import TimeGrid
 from .transform import (
     TimeScaling,
     check_frame_steps,
+    control_residual,
     identity_transform,
     nmr_closed_form_transform,
     time_rescaling_equivalence,
@@ -47,6 +48,7 @@ from .transform import (
 )
 from .experiments import (
     annealing_doubling_sweep,
+    quarter_turn_time,
     run_annealing_experiment,
     run_fast_counterpart_comparison,
     run_nmr_experiment,
@@ -314,6 +316,12 @@ def _check_sweep(sweep):
 def _run_nmr(p, jobs):
     if p["n_steps"] is not None:
         _check_frame_steps(p["n_steps"])
+    if p["t_final"] is None:
+        detuning = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"]).detuning
+        try:
+            p = {**p, "t_final": quarter_turn_time(detuning)}
+        except ValueError as exc:
+            raise ConfigError("t_final", str(exc)) from None
     report = run_nmr_experiment(**p)
     tr = report.transform_report
     metrics = {
@@ -390,14 +398,13 @@ def _run_verify_transform(p, jobs):
     params = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"])
     grid = TimeGrid(0.0, p["t_final"], p["n_steps"])
     lab = nmr_hamiltonian(params)
-    grids = (grid, grid.refined(2))  # the transform's, and its control's twice as fine
     if p["pair"] == "self":
-        frame = lab
-        transform, control = (identity_transform(g, lab.dim) for g in grids)
+        frame, build = lab, lambda g: identity_transform(g, lab.dim)
     else:
-        frame = rotating_frame_hamiltonian(params)
-        transform, control = (nmr_closed_form_transform(params, g) for g in grids)
-    report = verify_transform(lab, frame, transform, control=control)
+        frame, build = rotating_frame_hamiltonian(params), lambda g: nmr_closed_form_transform(params, g)
+    # the control, twice as fine, is reduced to its residual before the transform is built
+    control = control_residual(lab, frame, build(grid.refined(2)))
+    report = verify_transform(lab, frame, build(grid), control)
     metrics = {
         "pair": p["pair"],
         "max_residual": report.max_residual,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ from .transform import (
     _frame_change,
     check_frame_steps,
     compose_transform,
+    control_residual,
     nmr_closed_form_transform,
     two_gate_realization,
     verify_transform,
@@ -102,32 +104,40 @@ def track_ground_state(
     psi0 = np.asarray(psi0, dtype=complex)
     values = [[] for _ in traces]
     b = 0
-    prev = None  # eigenvectors at the last node of the previous block
     truncated_at = None
+    dim = hamiltonian.dim
+    # one buffer for the pass: row 0 holds the conjugated eigenvectors at the
+    # last node of the previous block, rows 1.. those of the current block
+    bras = np.empty((min(_block_rows(dim), len(times)) + 1, dim, dim), dtype=complex)
     for lo, energies, states in _eigh_blocks(hamiltonian, times):
+        m = len(states)
+        np.conjugate(states, out=bras[1 : m + 1])
         # row i of |V_{k-1}^dag V_k|^2: overlaps of branch i with the next node's eigenvectors
-        if prev is None:
-            picks, links = [b], states
+        if lo == 0:
+            picks, links = [b], np.einsum("kji,kjl->kil", bras[1:m], states[1:])
         else:
-            picks, links = [], np.concatenate((prev[None], states))
-        overlaps = np.abs(np.einsum("kji,kjl->kil", links[:-1].conj(), links[1:])) ** 2
-        lost = (np.max(overlaps, axis=2) < _OVERLAP_FLOOR).tolist()
-        for best, lost_from in zip(np.argmax(overlaps, axis=2).tolist(), lost):
-            if lost_from[b]:
+            picks, links = [], np.einsum("kji,kjl->kil", bras[:m], states)
+        overlaps = np.abs(links) ** 2
+        # flat lists, entry k * dim + i for branch i at link k: no list per node
+        lost = (np.max(overlaps, axis=2) < _OVERLAP_FLOOR).ravel().tolist()
+        best = np.argmax(overlaps, axis=2).ravel().tolist()
+        del links, overlaps
+        for k in range(0, len(best), dim):
+            if lost[k + b]:
                 truncated_at = float(times[lo + len(picks)])
                 break
-            b = best[b]
+            b = best[k + b]
             picks.append(b)
         n = len(picks)
         picked = energies[np.arange(n), np.asarray(picks, dtype=int)]
         cluster = np.abs(energies[:n] - picked[:, None]) < _DEGENERACY_TOL
-        bras = states[:n].conj()
         for trace, vals in zip(traces, values):
-            amps = np.einsum("kij,ki->kj", bras, trace.matrices[lo : lo + n] @ psi0)
+            amps = np.einsum("kij,ki->kj", bras[1 : n + 1], trace.matrices[lo : lo + n] @ psi0)
             vals.append(np.sum(np.abs(amps) ** 2, axis=1, where=cluster))
         if truncated_at is not None:
             break
-        prev = states[-1].copy()
+        bras[0] = bras[m]
+        del energies, states  # before the next block is decomposed
     curves = []
     for trace, vals in zip(traces, values):
         vals = np.concatenate(vals)
@@ -159,7 +169,8 @@ def expected_min_fidelity(drive_strength: float, detuning: float) -> float:
 class NmrExperimentReport:
     """Everything the driven-qubit experiment produces: oracle distances for
     the integrator, transform residuals, the fidelity curve and the two-gate
-    realization metrics."""
+    realization metrics.  Of its traces only the closed-form frame change
+    ``composed_analytic`` is kept."""
 
     qubit_splitting: float
     drive_rate: float
@@ -180,17 +191,28 @@ class NmrExperimentReport:
     two_gate_fidelity_closed_form: float
     correction_gate_distance: float
     max_unitarity_defect: float
-    fast_numeric: UnitaryTrace
-    slow_numeric: UnitaryTrace
-    fast_analytic: UnitaryTrace
-    slow_analytic: UnitaryTrace
-    composed_numeric: UnitaryTrace
     composed_analytic: UnitaryTrace
-    closed_form: UnitaryTrace
 
 
-def _max_node_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(phase_aligned_distance(a, b)))
+def _max_node_distance(a: UnitaryTrace, b: UnitaryTrace) -> float:
+    return float(np.max(phase_aligned_distance(a.matrices, b.matrices)))
+
+
+def quarter_turn_time(detuning: float) -> float:
+    """pi / (2 |d|), a quarter turn of the frame rotating at the detuning.
+
+    Computed as (pi / 2) / |d|, which no finite detuning overflows; a
+    vanishing detuning, or a turn too short to be a normal float, is refused.
+    """
+    if detuning == 0.0:
+        raise ValueError("t_final must be given when the detuning vanishes")
+    t_final = 0.5 * math.pi / abs(detuning)
+    if not t_final >= sys.float_info.min:
+        raise ValueError(
+            f"the quarter turn pi/(2|detuning|) is {t_final!r} for detuning {detuning!r}, "
+            "too short to divide into steps; give t_final"
+        )
+    return t_final
 
 
 def run_nmr_experiment(
@@ -208,60 +230,70 @@ def run_nmr_experiment(
     self-calibrated tolerance model, tracks the ground branch, and realizes
     the final state as one fast gate plus one correction gate.
 
-    ``t_final`` defaults to a quarter turn of the frame, where the rotated
-    drive points along Y and the correction gate has its simplest form.
+    ``t_final`` defaults to a quarter turn of the frame (:func:`quarter_turn_time`),
+    where the rotated drive points along Y and the correction gate has its
+    simplest form.
     """
     p = NmrParams.harmonic(qubit_splitting, drive_rate, drive_strength)
     detuning = p.detuning
     if t_final is None:
-        if detuning == 0.0:
-            raise ValueError("t_final must be given when the detuning vanishes")
-        t_final = math.pi / (2.0 * abs(detuning))
+        t_final = quarter_turn_time(detuning)
     if n_steps is None:
         n_steps = max(16, int(math.ceil(_within_step_limit(t_final / 1e-3))))
     check_frame_steps(n_steps)
     grid = TimeGrid(0.0, float(t_final), int(n_steps))
-
     fast_h = nmr_hamiltonian(p)
     slow_h = rotating_frame_hamiltonian(p)
-    # The fine-grid control first: its two propagations are freed once it is
-    # composed, and the control itself once it is verified, before the other
-    # traces exist.
+    psi0 = minus_state(1)
+
+    # Each trace is dropped after its last reader, reduced to its final and
+    # its distances, so at most three coarse traces are held at once.  The
+    # fine-grid control goes first and is reduced to its largest residual
+    # before any coarse trace exists.
     fine = grid.refined(2)
-    control = compose_transform(
-        propagate(fast_h, fine, label="driven qubit"),
-        propagate(slow_h, fine, label="rotated frame"),
+    control = control_residual(
+        fast_h,
+        slow_h,
+        compose_transform(
+            propagate(fast_h, fine, label="driven qubit"),
+            propagate(slow_h, fine, label="rotated frame"),
+        ),
     )
     fast_num = propagate(fast_h, grid, label="driven qubit")
     slow_num = propagate(slow_h, grid, label="rotated frame")
     composed_num = compose_transform(fast_num, slow_num)
-    report = verify_transform(fast_h, slow_h, composed_num, control=control)
-    del control
+    report = verify_transform(fast_h, slow_h, composed_num, control)
     # back out of the frame: the reconstruction against the lab Hamiltonian
     round_trip = float(
         np.max(_frame_change(report.reconstruction, composed_num, adjoint=True, target=fast_h, keep=False)[1])
     )
+    slow_final = slow_num.apply(psi0)
+    two_composed = fidelity(two_gate_realization(fast_num, composed_num, psi0), slow_final)
+    defects = [fast_num.max_defect, slow_num.max_defect, composed_num.max_defect]
+    del composed_num
 
     fast_ana = sample_trace(lambda ts: nmr_fast_propagator(p, ts), grid, label="driven qubit closed form")
+    oracle_fast = _max_node_distance(fast_num, fast_ana)
+    fast_state = fast_num.apply(psi0)  # U(T) psi0, for the closed-form two-gate realization
+    del fast_num
+
     slow_ana = sample_trace(lambda ts: nmr_slow_propagator(p, ts), grid, label="rotated frame closed form")
-    oracle_fast = _max_node_distance(fast_num.matrices, fast_ana.matrices)
-    oracle_slow = _max_node_distance(slow_num.matrices, slow_ana.matrices)
-
-    composed_ana = compose_transform(fast_ana, slow_ana)
-    closed = nmr_closed_form_transform(p, grid)
-    composed_vs_closed = _max_node_distance(composed_ana.matrices, closed.matrices)
-
-    psi0 = minus_state(1)
+    oracle_slow = _max_node_distance(slow_num, slow_ana)
     ratio = drive_strength / abs(detuning) if detuning != 0.0 else math.inf
     curve, curve_num = track_ground_state(
         slow_h, slow_ana, slow_num, psi0=psi0, adiabaticity_ratio=ratio
     )
+    del slow_num
 
-    slow_final = slow_num.apply(psi0)
-    two_composed = fidelity(
-        two_gate_realization(fast_num, composed_num, psi0), slow_final
-    )
-    two_closed = fidelity(two_gate_realization(fast_num, closed, psi0), slow_final)
+    composed_ana = compose_transform(fast_ana, slow_ana)
+    defects += [fast_ana.max_defect, slow_ana.max_defect, composed_ana.max_defect]
+    del fast_ana, slow_ana
+    closed = nmr_closed_form_transform(p, grid)
+    composed_vs_closed = _max_node_distance(composed_ana, closed)
+    # S^dag(T) U(T) psi0 as two_gate_realization forms it, with S the closed form
+    two_closed = fidelity(closed.final.conj().T @ fast_state, slow_final)
+    defects.append(closed.max_defect)
+    del closed
 
     # correction gate S^dag(T) against the closed-form Z rotation exp(i w0 T Z / 2)
     z = pauli_matrix("Z")
@@ -269,15 +301,6 @@ def run_nmr_experiment(
     correction = composed_ana.final.conj().T
     correction_distance = phase_aligned_distance(correction, reference)
 
-    max_defect = max(
-        fast_num.max_defect,
-        slow_num.max_defect,
-        fast_ana.max_defect,
-        slow_ana.max_defect,
-        composed_num.max_defect,
-        composed_ana.max_defect,
-        closed.max_defect,
-    )
     return NmrExperimentReport(
         qubit_splitting=float(qubit_splitting),
         drive_rate=float(drive_rate),
@@ -297,14 +320,8 @@ def run_nmr_experiment(
         two_gate_fidelity_composed=two_composed,
         two_gate_fidelity_closed_form=two_closed,
         correction_gate_distance=correction_distance,
-        max_unitarity_defect=float(max_defect),
-        fast_numeric=fast_num,
-        slow_numeric=slow_num,
-        fast_analytic=fast_ana,
-        slow_analytic=slow_ana,
-        composed_numeric=composed_num,
+        max_unitarity_defect=float(max(defects)),
         composed_analytic=composed_ana,
-        closed_form=closed,
     )
 
 

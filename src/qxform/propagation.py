@@ -130,30 +130,41 @@ class UnitaryTrace:
 
 
 def _batch_defects(us: np.ndarray) -> np.ndarray:
-    """||U^dag U - I|| per matrix of the stack, one block of rows at a time."""
+    """||U^dag U - I|| per matrix of the stack, one block of rows at a time,
+    every block's temporaries written into the same two buffers."""
     dim = us.shape[-1]
     eye = np.eye(dim)
     rows = _block_rows(dim)
+    u_conj, gram = (np.empty((min(rows, len(us)), dim, dim), dtype=complex) for _ in range(2))
+    # the moduli |U^dag U - I| go into U^*'s memory, read by then
+    moduli = u_conj.reshape(-1).view(np.float64)
     defects = np.empty(len(us))
     for lo in range(0, len(us), rows):
         block = us[lo : lo + rows]
+        m = len(block)
+        block_conj = np.conjugate(block, out=u_conj[:m])
         if dim < _MATMUL_MIN_DIM:
-            gram = np.einsum("kji,kjl->kil", block.conj(), block)
+            g = np.einsum("kji,kjl->kil", block_conj, block, out=gram[:m])
         else:
-            gram = block.conj().transpose(0, 2, 1) @ block
-        gram -= eye
-        np.sqrt((np.abs(gram) ** 2).sum(axis=(1, 2)), out=defects[lo : lo + rows])
+            g = np.matmul(block_conj.transpose(0, 2, 1), block, out=gram[:m])
+        g -= eye
+        sq = np.abs(g, out=moduli[: g.size].reshape(g.shape))
+        sq **= 2
+        np.sqrt(sq.sum(axis=(1, 2)), out=defects[lo : lo + m])
     return defects
 
 
-def _check_stored(us: np.ndarray, indices: np.ndarray, what: str) -> float:
+def _check_stored(us: np.ndarray, step_of, what: str) -> float:
+    """The largest defect of the stack; beyond the limit it is refused,
+    naming the grid step ``step_of(k)`` of its matrix k."""
     defects = _batch_defects(us)
     worst = int(np.argmax(defects))
     if not (defects[worst] <= DEFECT_LIMIT):
+        step = int(step_of(worst))
         raise UnitarityError(
-            f"{what} at step {int(indices[worst])} has unitarity defect "
+            f"{what} at step {step} has unitarity defect "
             f"{defects[worst]:.3e} > {DEFECT_LIMIT:g}",
-            step_index=int(indices[worst]),
+            step_index=step,
             defect=float(defects[worst]),
         )
     return float(defects[worst])
@@ -167,7 +178,8 @@ def _unitary_trace(
     what: str,
     identity_tol: float | None = None,
 ) -> UnitaryTrace:
-    """Gate ``mats`` (fresh, owned by the trace) and freeze them into a trace.
+    """Gate ``mats`` (fresh, owned by the trace) and freeze them with
+    ``times`` (fresh or read-only, shared by the trace) into a trace.
 
     With ``identity_tol`` the first matrix must lie within that distance of
     the identity; it is then snapped to the exact identity so composed frame
@@ -181,10 +193,12 @@ def _unitary_trace(
                 f"{what} at t={times[0]} deviates from the identity by {first_gap:.3e}"
             )
         mats[0] = eye
-    times = np.array(times, dtype=float)
-    # errors name the step index of the grid node nearest to each time
-    steps = np.clip(np.rint((times - grid.t_start) / grid.dt), 0, grid.n_steps).astype(int)
-    max_defect = _check_stored(mats, steps, what)
+    times = np.asarray(times, dtype=float)
+
+    def nearest_step(k):  # errors name the step index of the grid node nearest to each time
+        return np.clip(np.rint((times[k] - grid.t_start) / grid.dt), 0, grid.n_steps)
+
+    max_defect = _check_stored(mats, nearest_step, what)
     mats.flags.writeable = False
     times.flags.writeable = False
     return UnitaryTrace(grid, times, mats, label, max_defect)
@@ -210,50 +224,66 @@ def propagate(
             f"storing {n_nodes} unitaries of dimension {dim} needs "
             f"~{est_bytes / 2**30:.1f} GiB; increase the stride"
         )
-    indices = _stored_indices(grid.n_steps, stride)
+    stride = int(stride)
     dt = grid.dt
     block = _block_rows(dim)
 
-    stored = np.empty((len(indices), dim, dim), dtype=complex)
+    stored = np.empty((n_nodes, dim, dim), dtype=complex)
     stored[0] = np.eye(dim)
     # U(t_n) = step_n @ U(t_{n-1}) is written straight into its stored slot,
-    # or into the spare buffer of its parity, which never holds the operand
+    # or into the spare buffer of its parity, which never holds the operand;
+    # slot k holds node min(k * stride, n_steps), as _stored_indices lists them
     spare = np.empty((2, dim, dim), dtype=complex)
-    store_at = indices.tolist()
-    slot = 1
+    last = grid.n_steps
+    slot, store_at = 1, min(stride, last)
     u = stored[0]
-    for lo in range(0, grid.n_steps, block):
-        hi = min(lo + block, grid.n_steps)
+    for lo in range(0, last, block):
+        hi = min(lo + block, last)
         times = _node_times(grid, np.arange(lo, hi + 1))
         h_mid = hamiltonian.matrix_stack(0.5 * (times[:-1] + times[1:]))
         steps = _hermitian_expm_stack(h_mid, dt)
-        _check_stored(steps, np.arange(lo, hi), "step unitary")
+        _check_stored(steps, lambda k: lo + k, "step unitary")
         for n, step in enumerate(steps, lo + 1):
-            if n == store_at[slot]:
+            if n == store_at:
                 out = stored[slot]
                 slot += 1
+                store_at = slot * stride
+                if store_at > last:  # a comparison, cheaper per step than min()
+                    store_at = last
             else:
                 out = spare[n & 1]
             np.dot(step, u, out)
             u = out
-    return _unitary_trace(grid, _node_times(grid, indices), stored, label, "stored unitary")
+    times = _node_times(grid, _stored_indices(last, stride))
+    return _unitary_trace(grid, times, stored, label, "stored unitary")
 
 
 def sample_trace(fn, grid: TimeGrid, label: str = "", stride: int = 1) -> UnitaryTrace:
     """Build a trace by sampling a closed-form propagator at grid nodes.
 
-    ``fn`` is called once with the array of stored node times and must return
-    the (n_nodes, d, d) stack of propagators.  The sample at t_start must
+    ``fn`` is called with an array of stored node times and must return the
+    (len(times), d, d) stack of propagators at them.  It is called once for
+    the first node, which fixes d, and then once per block of the row budget,
+    each block written straight into the trace.  The sample at t_start must
     equal the identity to within 1e-12; it is then snapped to the exact
     identity so composed transforms start at exactly I.
     """
     times = _node_times(grid, _stored_indices(grid.n_steps, stride))
-    mats = np.array(fn(times), dtype=complex)
-    if mats.ndim != 3 or mats.shape[0] != len(times) or mats.shape[1] != mats.shape[2]:
-        raise ValueError(
-            f"sampler returned shape {mats.shape} for {len(times)} times; "
-            f"expected ({len(times)}, d, d)"
-        )
+    mats, lo, rows = None, 0, 1  # the first node alone fixes d, and with it the block rows
+    while lo < len(times):
+        ts = times[lo : lo + rows]
+        block = np.asarray(fn(ts))
+        square = block.shape[1:] if mats is None else mats.shape[1:]
+        if block.shape != (len(ts), *square) or len(square) != 2 or square[0] != square[1]:
+            raise ValueError(
+                f"sampler returned shape {block.shape} for {len(ts)} times; "
+                f"expected ({len(ts)}, d, d)"
+            )
+        if mats is None:
+            mats = np.empty((len(times), *square), dtype=complex)
+            rows = _block_rows(square[0])
+        mats[lo : lo + len(ts)] = block
+        lo += len(ts)
     return _unitary_trace(grid, times, mats, label, "sampled unitary", identity_tol=1e-12)
 
 

@@ -15,6 +15,7 @@ normalized-time grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +58,12 @@ def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:
         raise ValueError("traces must share the same grid and stored nodes")
     mats = np.empty_like(fast.matrices)
     rows = _block_rows(fast.dim)
+    conj = np.empty((min(rows, len(mats)), fast.dim, fast.dim), dtype=complex)  # one block of u^*
     for lo in range(0, len(mats), rows):
         block = slice(lo, lo + rows)
-        np.einsum("kij,klj->kil", fast.matrices[block], slow.matrices[block].conj(), out=mats[block])
+        u_conj = np.conjugate(slow.matrices[block], out=conj[: len(mats[block])])
+        np.einsum("kij,klj->kil", fast.matrices[block], u_conj, out=mats[block])
+    del conj, u_conj  # before the gate's own buffers
     label = f"composed({fast.label or 'fast'}, {slow.label or 'slow'})"
     return _unitary_trace(
         fast.grid, fast.times, mats, label, "transform matrix", identity_tol=1e-12
@@ -135,6 +139,13 @@ def check_frame_steps(n_steps: int) -> None:
         )
 
 
+def _frobenius_rows(x: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """np.linalg.norm(x, axis=(1, 2)) into ``out``, the same operations in the
+    same order, with x^* x formed in ``scratch`` (x's shape and layout)."""
+    np.multiply(np.conjugate(x, out=scratch), x, out=scratch)
+    np.sqrt(np.add.reduce(scratch.real, axis=(1, 2)), out=out)
+
+
 def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=None, keep=True):
     """s^dag H s - i s^dag ds/dt at the interior nodes of ``transform``'s grid,
     with s the transform's matrices or (``adjoint``) their adjoints, one block
@@ -143,6 +154,7 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
     Returns the SampledHamiltonian (None unless ``keep``) and, with a
     ``target`` Hamiltonian, the per-node Frobenius residuals against it (else
     None); without ``keep`` only one block of the reconstruction is held.
+    Residuals that overflow are inf, which no tolerance model passes.
     """
     check_frame_steps(transform.grid.n_steps)
     if len(transform.times) != transform.grid.n_steps + 1:
@@ -151,30 +163,44 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
     t_mid = transform.times[1:-1]
     n, dim = len(t_mid), transform.dim
     rows = min(_block_rows(dim), n)
-    raw = np.empty((rows, dim, dim), dtype=complex)
+    # One block of each temporary for the whole pass: the conjugates of the
+    # block's nodes and their two neighbours, ds/dt and the raw reconstruction
+    # r.  s^dag is a view of the conjugates and its bra s^* a view of the
+    # transform, or the reverse with ``adjoint``, laid out as the conjugated
+    # copies they replace.  The Hermitian part's block holds s^dag ds/dt until
+    # it is written, and the conjugates' block holds r^* once it is read.
+    conj = np.empty((rows + 2, dim, dim), dtype=complex)
+    s_dot_buf, raw = (np.empty((rows, dim, dim), dtype=complex) for _ in range(2))
     matrices = np.empty((n if keep else rows, dim, dim), dtype=complex)
     defects = np.empty(n) if keep else None
     residuals = None if target is None else np.empty(n)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        s = transform.matrices[lo : hi + 2]
-        if adjoint:
-            s = s.conj().transpose(0, 2, 1)
-        s_mid = s[1:-1]
-        s_dot = (s[2:] - s[:-2]) / (2.0 * dt)  # central difference
-        h = hamiltonian.matrix_stack(t_mid[lo:hi])
-        bra = s_mid.conj()
-        r = np.einsum("kji,kjl,klm->kim", bra, h, s_mid, out=raw[: hi - lo])
-        r -= 1j * np.einsum("kji,kjl->kil", bra, s_dot)
-        dag = r.conj().transpose(0, 2, 1)
-        herm = np.add(r, dag, out=matrices[lo:hi] if keep else matrices[: hi - lo])
-        herm *= 0.5
-        if keep:
-            defects[lo:hi] = np.linalg.norm(0.5 * (r - dag), axis=(1, 2))
-        if target is not None:
-            residuals[lo:hi] = np.linalg.norm(
-                herm - target.matrix_stack(t_mid[lo:hi]), axis=(1, 2)
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            m = hi - lo
+            nodes = transform.matrices[lo : hi + 2]
+            nodes_conj = np.conjugate(nodes, out=conj[: m + 2])
+            if adjoint:
+                s, bra = nodes_conj.transpose(0, 2, 1), nodes[1:-1].transpose(0, 2, 1)
+                s_dot = s_dot_buf[:m].transpose(0, 2, 1)
+            else:
+                s, bra, s_dot = nodes, nodes_conj[1:-1], s_dot_buf[:m]
+            s_mid = s[1:-1]
+            np.subtract(s[2:], s[:-2], out=s_dot)
+            s_dot /= 2.0 * dt  # central difference
+            r = np.einsum("kji,kjl,klm->kim", bra, hamiltonian.matrix_stack(t_mid[lo:hi]), s_mid, out=raw[:m])
+            herm = matrices[lo:hi] if keep else matrices[:m]
+            r -= np.multiply(np.einsum("kji,kjl->kil", bra, s_dot, out=herm), 1j, out=herm)
+            dag = np.conjugate(r, out=conj[:m]).transpose(0, 2, 1)
+            np.add(r, dag, out=herm)
+            herm *= 0.5
+            if keep:
+                antiherm = np.subtract(r, dag, out=s_dot_buf[:m])
+                antiherm *= 0.5
+                _frobenius_rows(antiherm, conj[:m], defects[lo:hi])
+            if target is not None:
+                diff = np.subtract(herm, target.matrix_stack(t_mid[lo:hi]), out=s_dot_buf[:m])
+                _frobenius_rows(diff, conj[:m], residuals[lo:hi])
     rec = SampledHamiltonian(t_mid, matrices, defects, dt) if keep else None
     return rec, residuals
 
@@ -207,7 +233,8 @@ class TransformReport:
     a two-times finer grid: the coarse maximum must not exceed 4 x (fine
     maximum) + 1e-10, and refining must actually shrink the residual
     (fine <= coarse/2 + 1e-10), so a grid-independent mismatch
-    cannot masquerade as second-order differencing error.
+    cannot masquerade as second-order differencing error.  A non-finite
+    residual on either grid fails it.
 
     ``reconstruction`` is the frame Hamiltonian rebuilt from the transform on
     the coarse grid, the one the residuals measure.
@@ -234,29 +261,45 @@ class TransformReport:
         return self.reconstruction.max_defect
 
 
+@dataclass(frozen=True)
+class ControlResidual:
+    """What verify_transform reads of a transform's control: the grid it was
+    built on and its largest frame-change residual."""
+
+    grid: TimeGrid
+    max_residual: float
+
+
+def control_residual(hamiltonian, frame_hamiltonian, control: UnitaryTrace) -> ControlResidual:
+    """Reduce a control transform to its largest residual, one block of its
+    reconstruction at a time, so the caller can free it before the transform
+    it calibrates is built."""
+    residuals = _frame_change(hamiltonian, control, target=frame_hamiltonian, keep=False)[1]
+    return ControlResidual(control.grid, float(np.max(residuals)))
+
+
 def verify_transform(
     hamiltonian,
     frame_hamiltonian,
     transform: UnitaryTrace,
-    control: UnitaryTrace,
+    control: ControlResidual,
 ) -> TransformReport:
     """Check that ``transform`` maps ``hamiltonian`` onto ``frame_hamiltonian``.
 
-    ``control`` is the same transform built on the two-times refined grid.
+    ``control`` comes from :func:`control_residual` of the same transform
+    built on the two-times refined grid.  The model passes only on finite
+    residuals.
     """
     if control.grid.n_steps != 2 * transform.grid.n_steps:
         raise ValueError(
             "control transform must live on the two-times refined grid "
             f"({control.grid.n_steps} steps vs {transform.grid.n_steps})"
         )
-    # the control first, so its per-node residuals are freed before the coarse
-    # reconstruction exists
-    control_max = float(
-        np.max(_frame_change(hamiltonian, control, target=frame_hamiltonian, keep=False)[1])
-    )
+    control_max = control.max_residual
     rec, residuals = _frame_change(hamiltonian, transform, target=frame_hamiltonian)
     max_residual = float(np.max(residuals))
     threshold = 4.0 * control_max + _RESIDUAL_FLOOR
+    finite = math.isfinite(max_residual) and math.isfinite(control_max)
     return TransformReport(
         reconstruction=rec,
         residuals=residuals,
@@ -264,7 +307,9 @@ def verify_transform(
         control_max_residual=control_max,
         threshold=threshold,
         passed=bool(
-            max_residual <= threshold and control_max <= 0.5 * max_residual + _RESIDUAL_FLOOR
+            finite
+            and max_residual <= threshold
+            and control_max <= 0.5 * max_residual + _RESIDUAL_FLOOR
         ),
         inconsistent_transform=bool(rec.max_defect > 10.0 * threshold),
     )

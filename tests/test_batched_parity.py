@@ -39,6 +39,7 @@ from qxform.schedules import LinearRamp, NmrParams
 from qxform.transform import (
     SampledHamiltonian,
     compose_transform,
+    control_residual,
     transform_into_frame,
     transform_out_of_frame,
     verify_transform,
@@ -183,6 +184,37 @@ def test_propagate_single_step_and_stride_beyond_the_grid():
         assert np.array_equal(trace.matrices, reference_propagate(h, grid, stride))
 
 
+@pytest.mark.parametrize("rows", [None, 1, 5])
+@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize("n_qubits", [1, 3])
+def test_sample_trace_matches_the_one_shot_sampler(n_qubits, stride, rows, monkeypatch):
+    # the sampler is called for the first node, then once per block, and
+    # the trace is what one call at every stored node gave, identity snapped
+    dim = 2**n_qubits
+    rng = np.random.default_rng(10 * n_qubits + stride)
+    a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
+    a, b = a + a.conj().T, b + b.conj().T
+    calls = []
+
+    def sampler(ts):
+        calls.append(len(ts))
+        return hermitian_expm(a, ts) @ hermitian_expm(b, ts * ts)
+
+    grid = TimeGrid(0.0, 1.0, 23)  # 24 nodes at stride 1, 7 at stride 4
+    times = grid.times()[_stored_indices(grid.n_steps, stride)]
+    expected = np.array(sampler(times), dtype=complex)
+    expected[0] = np.eye(dim)
+    calls.clear()
+    if rows is not None:
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", rows * dim * dim)
+    trace = sample_trace(sampler, grid, stride=stride)
+    assert np.array_equal(trace.times, times)
+    assert np.array_equal(trace.matrices, expected)
+    assert trace.max_defect == np.max(one_shot_defects(expected))
+    block = rows or operators._block_rows(dim)
+    assert calls == [1] + [min(block, len(times) - lo) for lo in range(1, len(times), block)]
+
+
 # ---------------------------------------------------------------------------
 # The analysis stage, one block at a time, against its one-shot formulas
 
@@ -261,7 +293,7 @@ def test_analysis_matches_the_one_shot_formulas(n_qubits, rows, monkeypatch):
         assert np.array_equal(got.antihermitian_defects, defects)
 
     control = compose_transform(*fine)
-    report = verify_transform(h, frame, composed, control=control)
+    report = verify_transform(h, frame, composed, control=control_residual(h, frame, control))
     assert np.array_equal(report.residuals, one_shot_residuals(h, frame, composed))
     assert report.control_max_residual == np.max(one_shot_residuals(h, frame, control))
     assert np.array_equal(report.reconstruction.matrices, transform_into_frame(h, composed).matrices)

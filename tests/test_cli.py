@@ -390,6 +390,9 @@ class TestModuleEntryPoint:
             ("nmr.json", ["t_final=1e307"], "beyond the float range"),
             ("rescale.json", ["n_steps=1000000000000"], "a grid of 1e+12 steps exceeds the limit"),
             ("rescale.json", ["fast_time=20"], "config field 'fast_time'"),
+            # the default quarter turn pi/(2|d|) underflows, or has no value
+            ("nmr.json", ["qubit_splitting=1e308"], "config field 't_final': the quarter turn"),
+            ("nmr.json", ["drive_rate=1.0"], "config field 't_final': t_final must be given"),
         ],
     )
     def test_out_of_range_run_exits_1_within_seconds(self, tmp_path, config, overrides, message):
@@ -403,6 +406,26 @@ class TestModuleEntryPoint:
         assert done.returncode == 1
         assert done.stderr.count("\n") == 1 and message in done.stderr, done.stderr
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize(
+        "config, override, prefix",
+        [
+            ("verify_transform.json", "qubit_splitting=1e300", ""),
+            ("verify_transform.json", "drive_strength=1e300", ""),
+            ("nmr.json", "drive_strength=1e300", "transform_"),
+        ],
+    )
+    def test_non_finite_residuals_fail_the_model_quietly(self, tmp_path, config, override, prefix):
+        out = tmp_path / "out"
+        done = self._run(
+            "run", "--config", str(CONFIGS / config), "--set", override, "--out", str(out), cwd=tmp_path,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == ""  # no overflow warning
+        metrics = read_result(out)["metrics"]
+        assert metrics[f"{prefix}model_passed"] is False
+        assert metrics[f"{prefix}max_residual"] is None
 
 
 class TestImportFootprint:

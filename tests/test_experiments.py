@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qxform.experiments import (
     _sweep_workers,
     annealing_doubling_sweep,
     expected_min_fidelity,
+    quarter_turn_time,
     run_annealing_experiment,
     run_fast_counterpart_comparison,
     run_nmr_experiment,
@@ -109,6 +111,33 @@ class TestNmrExperiment:
         assert r.composed_vs_closed_form < 1e-12
         for m in r.composed_analytic.matrices[:: 100]:
             assert np.linalg.norm(m - np.eye(2)) < 1e-12
+
+    def test_default_t_final_is_a_quarter_turn_without_overflow(self):
+        # pi / (2 |d|) bit for bit wherever 2 |d| is finite; where it is not,
+        # the old formula gave t_final = 0 and an error that named no field
+        for d in (1.0, -3.7, 1e-300, 1e300):
+            assert quarter_turn_time(d) == math.pi / (2.0 * abs(d))
+        for d in (0.0, 1e308, -1.7e308, math.inf):
+            with pytest.raises(ValueError, match="give t_final|t_final must be given"):
+                quarter_turn_time(d)
+        with pytest.raises(ValueError, match="quarter turn"):
+            run_nmr_experiment(1e308, 2.0, 25.0)
+
+    def test_working_set_grows_by_less_than_the_traces_it_once_held(self):
+        # every trace is dropped after its last reader and the fine control
+        # is reduced before any coarse trace exists; holding every trace to
+        # the end grew the tracemalloc peak by 710 B per added coarse node
+        def peak(n_steps):
+            tracemalloc.start()
+            try:
+                run_nmr_experiment(1.0, 2.0, 25.0, n_steps=n_steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_nmr_experiment(1.0, 2.0, 25.0, n_steps=64)  # one-time allocations
+        growth = (peak(16_000) - peak(8_000)) / 8_000
+        assert growth <= 400, growth
 
     def test_one_step_is_refused_before_any_propagation(self, monkeypatch):
         def propagate_nothing(*args, **kwargs):

@@ -26,7 +26,7 @@ from qxform.propagation import (
     sample_trace,
 )
 from qxform.schedules import Constant, Harmonic, LinearRamp, NmrParams
-from qxform.transform import compose_transform, verify_transform
+from qxform.transform import compose_transform, control_residual, verify_transform
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -214,7 +214,8 @@ class TestPropagate:
 
             def analysis():
                 composed, control = compose_transform(*coarse), compose_transform(*fine)
-                kept.extend((composed, control, verify_transform(lab, frame, composed, control)))
+                report = verify_transform(lab, frame, composed, control_residual(lab, frame, control))
+                kept.extend((composed, control, report))
 
             peaks[n] = traced_peak(analysis)
             composed, control, report = kept
@@ -245,7 +246,7 @@ class TestDefectGates:
         us = np.stack([np.eye(2, dtype=complex)] * 5)
         us[3, 0, 1] = np.nan
         with pytest.raises(UnitarityError, match="at step 6 ") as info:
-            _check_stored(us, np.arange(0, 10, 2), "stored unitary")
+            _check_stored(us, lambda k: 2 * k, "stored unitary")
         assert info.value.step_index == 6
 
 

@@ -34,6 +34,7 @@ from qxform.schedules import LinearRamp, NmrParams
 from qxform.transform import (
     TimeScaling,
     compose_transform,
+    control_residual,
     identity_transform,
     nmr_closed_form_transform,
     rescaled_drive_closed_form,
@@ -129,9 +130,10 @@ class TestFrameChanges:
     def test_closed_form_reproduces_rotating_frame(self):
         grid = TimeGrid(0.0, 4.0, 4000)
         s = nmr_closed_form_transform(BENCH, grid)
+        lab, frame = nmr_hamiltonian(BENCH), rotating_frame_hamiltonian(BENCH)
         report = verify_transform(
-            nmr_hamiltonian(BENCH), rotating_frame_hamiltonian(BENCH), s,
-            control=nmr_closed_form_transform(BENCH, grid.refined(2)),
+            lab, frame, s,
+            control=control_residual(lab, frame, nmr_closed_form_transform(BENCH, grid.refined(2))),
         )
         assert report.passed
         assert report.max_residual <= report.threshold
@@ -163,9 +165,9 @@ class TestFrameChanges:
         worst = float(np.max(np.linalg.norm(lab_rec.matrices - ref, axis=(1, 2))))
         report = verify_transform(
             lab, slow, num,
-            control=compose_transform(
+            control=control_residual(lab, slow, compose_transform(
                 propagate(lab, grid.refined(2)), propagate(slow, grid.refined(2))
-            ),
+            )),
         )
         assert worst <= 2 * report.threshold
 
@@ -228,7 +230,7 @@ class TestFrameChanges:
             with pytest.raises(ValueError, match=message):
                 call(h, s)
         with pytest.raises(ValueError, match=message):
-            verify_transform(h, h, s, control=control)
+            verify_transform(h, h, s, control=control_residual(h, h, control))
         # two steps leave one interior node, which is enough
         assert transform_into_frame(h, control).matrices.shape == (1, 2, 2)
 
@@ -246,7 +248,7 @@ class TestVerifyTransform:
         h = nmr_hamiltonian(BENCH)
         grid = TimeGrid(0.0, 2.0, 100)
         report = verify_transform(
-            h, h, identity_transform(grid, 2), control=identity_transform(grid.refined(2), 2)
+            h, h, identity_transform(grid, 2), control=control_residual(h, h, identity_transform(grid.refined(2), 2))
         )
         assert report.max_residual <= 1e-12
         assert report.passed
@@ -269,9 +271,24 @@ class TestVerifyTransform:
         )
         grid = TimeGrid(0.0, 2.0, 100)
         report = verify_transform(
-            h, h_shifted, identity_transform(grid, 2), control=identity_transform(grid.refined(2), 2)
+            h, h_shifted, identity_transform(grid, 2),
+            control=control_residual(h, h_shifted, identity_transform(grid.refined(2), 2)),
         )
         assert report.max_residual == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert not report.passed
+
+    @pytest.mark.parametrize("field", ["qubit_splitting", "drive_strength"])
+    def test_non_finite_residuals_fail_the_model(self, field):
+        # entries of 1e300 square to inf in the residual norms: inf <= inf
+        # must not pass the model, and the overflow is no warning
+        params = {"qubit_splitting": 1.0, "drive_rate": 1.5, "drive_strength": 2.0, field: 1e300}
+        p = NmrParams.harmonic(**params)
+        lab, frame = nmr_hamiltonian(p), rotating_frame_hamiltonian(p)
+        grid = TimeGrid(0.0, 2.0, 100)
+        control = control_residual(lab, frame, nmr_closed_form_transform(p, grid.refined(2)))
+        report = verify_transform(lab, frame, nmr_closed_form_transform(p, grid), control)
+        assert not math.isfinite(report.max_residual)
+        assert not math.isfinite(report.control_max_residual)
         assert not report.passed
 
     def test_wrong_control_grid_rejected(self):
@@ -279,13 +296,13 @@ class TestVerifyTransform:
         h = nmr_hamiltonian(BENCH)
         s = identity_transform(grid, 2)
         with pytest.raises(ValueError, match="refined"):
-            verify_transform(h, h, s, control=identity_transform(grid, 2))
+            verify_transform(h, h, s, control=control_residual(h, h, identity_transform(grid, 2)))
 
     def test_report_serialization(self, tmp_path):
         h = nmr_hamiltonian(BENCH)
         grid = TimeGrid(0.0, 2.0, 100)
         report = verify_transform(
-            h, h, identity_transform(grid, 2), control=identity_transform(grid.refined(2), 2)
+            h, h, identity_transform(grid, 2), control=control_residual(h, h, identity_transform(grid.refined(2), 2))
         )
         # central differencing drops both endpoints
         assert len(report.times) == grid.n_steps - 1
