@@ -19,6 +19,7 @@ import math
 import operator
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
@@ -48,6 +49,7 @@ from .transform import (
 )
 from .experiments import (
     annealing_doubling_sweep,
+    nmr_grid,
     quarter_turn_time,
     run_annealing_experiment,
     run_fast_counterpart_comparison,
@@ -64,6 +66,16 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path or "<root>"
         super().__init__(f"config field '{self.path}': {message}")
+
+
+@contextmanager
+def _field(path):
+    """Re-raise a ValueError or OSError of the block as a ConfigError
+    naming ``path``."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +215,13 @@ def _schedule(obj, path):
     cls, names = _SCHEDULES[kind]
     param = Field("number list" if kind == "tabulated" else "number")
     args = _parse(obj, dict.fromkeys(names, param), path, extra={"kind"})
-    try:
+    with _field(path):
         return cls(*args.values())
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
 
 
 def _grover_problem(p, path):
-    try:
+    with _field(_join(path, "marked")):
         return GroverProblem(n_qubits=p["n_qubits"], marked=p["marked"])
-    except ValueError as exc:
-        raise ConfigError(_join(path, "marked"), str(exc)) from None
 
 
 def _ising_problem(p, path):
@@ -227,12 +235,10 @@ def _ising_problem(p, path):
         raise ConfigError(
             _join(path, "couplings"), "conflicts with 'problem_file', which holds the couplings"
         )
-    try:
+    with _field(_join(path, "couplings" if inline else "problem_file")):
         if inline:
             return IsingProblem(p["n_qubits"], p["fields"], p["couplings"] or ())
         return IsingProblem.from_edge_list(p["problem_file"], n_qubits=p["n_qubits"])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(_join(path, "couplings" if inline else "problem_file"), str(exc)) from None
 
 
 _GROVER = {"n_qubits": Field("positive integer"), "marked": Field("integer")}
@@ -294,41 +300,22 @@ def _parse_config(cfg):
 # Experiment runners (parsed fields -> metrics, curves)
 
 
-def _check_frame_steps(n_steps):
-    """Refuse, naming the field, a step count that leaves the frame change no
-    interior node."""
-    try:
-        check_frame_steps(n_steps)
-    except ValueError as exc:
-        raise ConfigError("n_steps", str(exc)) from None
-
-
-def _check_sweep(sweep):
-    """Refuse a sweep whose longest run exceeds the step limit before any run,
-    naming t_initial when its first point already does."""
-    for field, doublings in (("t_initial", 0), ("doublings", sweep["doublings"])):
-        try:
-            sweep_runtimes(sweep["t_initial"], doublings)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.{field}", str(exc)) from None
-
-
 def _run_nmr(p, jobs):
     if p["n_steps"] is not None:
-        _check_frame_steps(p["n_steps"])
-    if p["t_final"] is None:
-        detuning = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"]).detuning
-        try:
+        with _field("n_steps"):
+            check_frame_steps(p["n_steps"])
+    with _field("t_final"):
+        if p["t_final"] is None:
+            detuning = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"]).detuning
             p = {**p, "t_final": quarter_turn_time(detuning)}
-        except ValueError as exc:
-            raise ConfigError("t_final", str(exc)) from None
+        nmr_grid(p["t_final"], p["n_steps"])
     report = run_nmr_experiment(**p)
     tr = report.transform_report
     metrics = {
         "detuning": report.detuning,
         "t_final": report.t_final,
         "n_steps": report.n_steps,
-        "adiabaticity_ratio": report.fidelity_curve.adiabaticity_ratio,
+        "adiabaticity_ratio": report.adiabaticity_ratio,
         "oracle_distance_fast": report.oracle_distance_fast,
         "oracle_distance_slow": report.oracle_distance_slow,
         "composed_vs_closed_form": report.composed_vs_closed_form,
@@ -338,7 +325,7 @@ def _run_nmr(p, jobs):
         "transform_model_passed": tr.passed,
         "transform_max_antihermitian_defect": tr.max_antihermitian_defect,
         "round_trip_max_residual": report.round_trip_max_residual,
-        "min_fidelity": report.min_fidelity,
+        "min_fidelity": report.fidelity_curve.min_value,
         "expected_min_fidelity": report.expected_min_fidelity,
         "numeric_min_fidelity": report.numeric_min_fidelity,
         "two_gate_fidelity_composed": report.two_gate_fidelity_composed,
@@ -358,7 +345,10 @@ def _run_annealing(p, jobs):
     transverse0 = p["transverse0"]
     sweep = p["sweep"]
     if sweep is not None:
-        _check_sweep(sweep)
+        # refused before any run, naming t_initial when its first point is already too long
+        for field, doublings in (("t_initial", 0), ("doublings", sweep["doublings"])):
+            with _field(f"sweep.{field}"):
+                sweep_runtimes(sweep["t_initial"], doublings)
     result = run_annealing_experiment(
         problem, transverse0=transverse0, t_final=p["t_final"], n_steps=p["n_steps"]
     )
@@ -394,16 +384,18 @@ def _run_annealing(p, jobs):
 
 
 def _run_verify_transform(p, jobs):
-    _check_frame_steps(p["n_steps"])
+    with _field("n_steps"):
+        check_frame_steps(p["n_steps"])
+    with _field("t_final"):
+        grid = TimeGrid(0.0, p["t_final"], p["n_steps"])
     params = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"])
-    grid = TimeGrid(0.0, p["t_final"], p["n_steps"])
     lab = nmr_hamiltonian(params)
     if p["pair"] == "self":
         frame, build = lab, lambda g: identity_transform(g, lab.dim)
     else:
         frame, build = rotating_frame_hamiltonian(params), lambda g: nmr_closed_form_transform(params, g)
     # the control, twice as fine, is reduced to its residual before the transform is built
-    control = control_residual(lab, frame, build(grid.refined(2)))
+    control = control_residual(lab, frame, build(grid.refined()))
     report = verify_transform(lab, frame, build(grid), control)
     metrics = {
         "pair": p["pair"],
@@ -419,10 +411,8 @@ def _run_verify_transform(p, jobs):
 
 
 def _run_rescale(p, jobs):
-    try:
+    with _field("fast_time"):
         scaling = TimeScaling(p["fast_time"], p["slow_time"])
-    except ValueError as exc:
-        raise ConfigError("fast_time", str(exc)) from None
     problem = p["problem"]
     transverse0 = p["transverse0"]
     if transverse0 is None:
@@ -434,12 +424,11 @@ def _run_rescale(p, jobs):
         "max_distance": report.max_distance,
         "time_ratio": scaling.ratio,
         "n_steps": n_steps,
-        "max_unitarity_defect": max(report.fast_trace.max_defect, report.slow_trace.max_defect),
+        "max_unitarity_defect": report.max_unitarity_defect,
     }
     dc = p["drive_check"]
     if dc is not None:
-        drive = verify_rescaled_drive(dc["drive_strength"], scaling, dc["n_nodes"])
-        metrics["drive_max_distance"] = drive.max_distance
+        metrics["drive_max_distance"] = verify_rescaled_drive(dc["drive_strength"], scaling, dc["n_nodes"])
     return metrics, {"distance": (report.times, report.distances)}
 
 

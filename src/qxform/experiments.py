@@ -66,8 +66,6 @@ class FidelityCurve:
     times: np.ndarray
     values: np.ndarray
     min_value: float
-    adiabaticity_ratio: float | None = None
-    truncated: bool = False
     truncated_at: float | None = None
 
 
@@ -83,7 +81,6 @@ def track_ground_state(
     hamiltonian: TimeDependentHamiltonian,
     *traces: UnitaryTrace,
     psi0: np.ndarray,
-    adiabaticity_ratio: float | None = None,
 ) -> tuple[FidelityCurve, ...]:
     """Fidelity |<E_0(t)| U(t) psi0>|^2 along the stored nodes, one curve per
     trace, following the ground branch from the first node.
@@ -146,8 +143,6 @@ def track_ground_state(
                 times=trace.times[: len(vals)],
                 values=vals,
                 min_value=float(np.min(vals)),
-                adiabaticity_ratio=adiabaticity_ratio,
-                truncated=truncated_at is not None,
                 truncated_at=truncated_at,
             )
         )
@@ -169,29 +164,24 @@ def expected_min_fidelity(drive_strength: float, detuning: float) -> float:
 class NmrExperimentReport:
     """Everything the driven-qubit experiment produces: oracle distances for
     the integrator, transform residuals, the fidelity curve and the two-gate
-    realization metrics.  Of its traces only the closed-form frame change
-    ``composed_analytic`` is kept."""
+    realization metrics.  No trace is kept."""
 
-    qubit_splitting: float
-    drive_rate: float
-    drive_strength: float
     detuning: float
     t_final: float
     n_steps: int
+    adiabaticity_ratio: float
     oracle_distance_fast: float
     oracle_distance_slow: float
     composed_vs_closed_form: float
     transform_report: TransformReport
     round_trip_max_residual: float
     fidelity_curve: FidelityCurve
-    min_fidelity: float
     expected_min_fidelity: float
     numeric_min_fidelity: float
     two_gate_fidelity_composed: float
     two_gate_fidelity_closed_form: float
     correction_gate_distance: float
     max_unitarity_defect: float
-    composed_analytic: UnitaryTrace
 
 
 def _max_node_distance(a: UnitaryTrace, b: UnitaryTrace) -> float:
@@ -213,6 +203,15 @@ def quarter_turn_time(detuning: float) -> float:
             "too short to divide into steps; give t_final"
         )
     return t_final
+
+
+def nmr_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
+    """The grid of :func:`run_nmr_experiment` on [0, t_final]; ``n_steps``
+    defaults to one step per 1e-3 time units, at least 16."""
+    if n_steps is None:
+        n_steps = max(16, int(math.ceil(_within_step_limit(t_final / 1e-3))))
+    check_frame_steps(n_steps)
+    return TimeGrid(0.0, float(t_final), int(n_steps))
 
 
 def run_nmr_experiment(
@@ -238,10 +237,7 @@ def run_nmr_experiment(
     detuning = p.detuning
     if t_final is None:
         t_final = quarter_turn_time(detuning)
-    if n_steps is None:
-        n_steps = max(16, int(math.ceil(_within_step_limit(t_final / 1e-3))))
-    check_frame_steps(n_steps)
-    grid = TimeGrid(0.0, float(t_final), int(n_steps))
+    grid = nmr_grid(t_final, n_steps)
     fast_h = nmr_hamiltonian(p)
     slow_h = rotating_frame_hamiltonian(p)
     psi0 = minus_state(1)
@@ -250,17 +246,12 @@ def run_nmr_experiment(
     # its distances, so at most three coarse traces are held at once.  The
     # fine-grid control goes first and is reduced to its largest residual
     # before any coarse trace exists.
-    fine = grid.refined(2)
+    fine = grid.refined()
     control = control_residual(
-        fast_h,
-        slow_h,
-        compose_transform(
-            propagate(fast_h, fine, label="driven qubit"),
-            propagate(slow_h, fine, label="rotated frame"),
-        ),
+        fast_h, slow_h, compose_transform(propagate(fast_h, fine), propagate(slow_h, fine))
     )
-    fast_num = propagate(fast_h, grid, label="driven qubit")
-    slow_num = propagate(slow_h, grid, label="rotated frame")
+    fast_num = propagate(fast_h, grid)
+    slow_num = propagate(slow_h, grid)
     composed_num = compose_transform(fast_num, slow_num)
     report = verify_transform(fast_h, slow_h, composed_num, control)
     # back out of the frame: the reconstruction against the lab Hamiltonian
@@ -272,17 +263,14 @@ def run_nmr_experiment(
     defects = [fast_num.max_defect, slow_num.max_defect, composed_num.max_defect]
     del composed_num
 
-    fast_ana = sample_trace(lambda ts: nmr_fast_propagator(p, ts), grid, label="driven qubit closed form")
+    fast_ana = sample_trace(lambda ts: nmr_fast_propagator(p, ts), grid)
     oracle_fast = _max_node_distance(fast_num, fast_ana)
     fast_state = fast_num.apply(psi0)  # U(T) psi0, for the closed-form two-gate realization
     del fast_num
 
-    slow_ana = sample_trace(lambda ts: nmr_slow_propagator(p, ts), grid, label="rotated frame closed form")
+    slow_ana = sample_trace(lambda ts: nmr_slow_propagator(p, ts), grid)
     oracle_slow = _max_node_distance(slow_num, slow_ana)
-    ratio = drive_strength / abs(detuning) if detuning != 0.0 else math.inf
-    curve, curve_num = track_ground_state(
-        slow_h, slow_ana, slow_num, psi0=psi0, adiabaticity_ratio=ratio
-    )
+    curve, curve_num = track_ground_state(slow_h, slow_ana, slow_num, psi0=psi0)
     del slow_num
 
     composed_ana = compose_transform(fast_ana, slow_ana)
@@ -302,26 +290,22 @@ def run_nmr_experiment(
     correction_distance = phase_aligned_distance(correction, reference)
 
     return NmrExperimentReport(
-        qubit_splitting=float(qubit_splitting),
-        drive_rate=float(drive_rate),
-        drive_strength=float(drive_strength),
         detuning=float(detuning),
-        t_final=float(t_final),
-        n_steps=int(n_steps),
+        t_final=grid.t_end,
+        n_steps=grid.n_steps,
+        adiabaticity_ratio=drive_strength / abs(detuning) if detuning != 0.0 else math.inf,
         oracle_distance_fast=oracle_fast,
         oracle_distance_slow=oracle_slow,
         composed_vs_closed_form=composed_vs_closed,
         transform_report=report,
         round_trip_max_residual=round_trip,
         fidelity_curve=curve,
-        min_fidelity=curve.min_value,
         expected_min_fidelity=expected_min_fidelity(drive_strength, detuning),
         numeric_min_fidelity=curve_num.min_value,
         two_gate_fidelity_composed=two_composed,
         two_gate_fidelity_closed_form=two_closed,
         correction_gate_distance=correction_distance,
         max_unitarity_defect=float(max(defects)),
-        composed_analytic=composed_ana,
     )
 
 
@@ -362,7 +346,7 @@ def run_annealing_experiment(
     h = annealing_hamiltonian(LinearRamp(transverse0, 0.0, t_final), problem)
     grid = TimeGrid(0.0, t_final, n_steps)
     psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]
-    trace = propagate(h, grid, label="annealing", stride=max(1, n_steps // 256))
+    trace = propagate(h, grid, stride=max(1, n_steps // 256))
     overlap0 = fidelity(psi0, minus_state(problem.n_qubits))
     psi_final = trace.apply(psi0)
 
@@ -453,9 +437,6 @@ class FastCounterpartReport:
     equivalence_fidelity: float
     two_gate_fidelity_composed: float
     transform_distance: float
-    final_phase: float
-    t_final: float
-    n_steps: int
     max_unitarity_defect: float
 
 
@@ -487,8 +468,8 @@ def run_fast_counterpart_comparison(
     grid = TimeGrid(0.0, t_final, n_steps)
 
     psi0 = np.linalg.eigh(slow_h.matrix(0.0))[1][:, 0]
-    slow_trace = propagate(slow_h, grid, label="annealing", stride=stride)
-    fast_trace = propagate(fast_h, grid, label="driven counterpart", stride=stride)
+    slow_trace = propagate(slow_h, grid, stride=stride)
+    fast_trace = propagate(fast_h, grid, stride=stride)
 
     psi_slow = slow_trace.apply(psi0)
     psi_fast = fast_trace.apply(psi0)
@@ -509,9 +490,6 @@ def run_fast_counterpart_comparison(
         equivalence_fidelity=equivalence,
         two_gate_fidelity_composed=two_gate,
         transform_distance=transform_distance,
-        final_phase=final_phase,
-        t_final=float(t_final),
-        n_steps=int(n_steps),
         max_unitarity_defect=float(
             max(slow_trace.max_defect, fast_trace.max_defect, composed.max_defect)
         ),

@@ -8,6 +8,7 @@ unitary by construction and the global error is second order in the step.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,9 @@ class UnitarityError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid with n_steps steps between t_start and t_end."""
+    """Uniform grid with n_steps steps between t_start and t_end.  The step
+    must be a normal float: a subnormal one loses the low bits of the node
+    times."""
 
     t_start: float
     t_end: float
@@ -56,6 +59,11 @@ class TimeGrid:
             raise ValueError(
                 f"grid needs t_end > t_start, got [{self.t_start}, {self.t_end}]"
             )
+        if not self.dt >= sys.float_info.min:
+            raise ValueError(
+                f"a grid step of {self.dt!r} is below the smallest normal float "
+                f"{sys.float_info.min!r}"
+            )
 
     @property
     def dt(self) -> float:
@@ -64,8 +72,9 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return _node_times(self, np.arange(self.n_steps + 1))
 
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.t_start, self.t_end, self.n_steps * int(factor))
+    def refined(self) -> "TimeGrid":
+        """The grid with twice as many steps."""
+        return TimeGrid(self.t_start, self.t_end, 2 * self.n_steps)
 
 
 def _within_step_limit(n_steps):
@@ -107,7 +116,6 @@ class UnitaryTrace:
     grid: TimeGrid
     times: np.ndarray
     matrices: np.ndarray
-    label: str
     max_defect: float
 
     @property
@@ -170,29 +178,19 @@ def _check_stored(us: np.ndarray, step_of, what: str) -> float:
     return float(defects[worst])
 
 
-def _unitary_trace(
-    grid: TimeGrid,
-    times,
-    mats: np.ndarray,
-    label: str,
-    what: str,
-    identity_tol: float | None = None,
-) -> UnitaryTrace:
+def _unitary_trace(grid: TimeGrid, times, mats: np.ndarray, what: str) -> UnitaryTrace:
     """Gate ``mats`` (fresh, owned by the trace) and freeze them with
     ``times`` (fresh or read-only, shared by the trace) into a trace.
 
-    With ``identity_tol`` the first matrix must lie within that distance of
-    the identity; it is then snapped to the exact identity so composed frame
-    changes start at exactly I.  ``what`` names the matrices in errors.
+    The first matrix must lie within 1e-12 of the identity; it is then
+    snapped to the exact identity so composed frame changes start at exactly
+    I.  ``what`` names the matrices in errors.
     """
-    if identity_tol is not None:
-        eye = np.eye(mats.shape[-1])
-        first_gap = float(np.linalg.norm(mats[0] - eye))
-        if not (first_gap <= identity_tol):
-            raise ValueError(
-                f"{what} at t={times[0]} deviates from the identity by {first_gap:.3e}"
-            )
-        mats[0] = eye
+    eye = np.eye(mats.shape[-1])
+    first_gap = float(np.linalg.norm(mats[0] - eye))
+    if not (first_gap <= 1e-12):
+        raise ValueError(f"{what} at t={times[0]} deviates from the identity by {first_gap:.3e}")
+    mats[0] = eye
     times = np.asarray(times, dtype=float)
 
     def nearest_step(k):  # errors name the step index of the grid node nearest to each time
@@ -201,15 +199,10 @@ def _unitary_trace(
     max_defect = _check_stored(mats, nearest_step, what)
     mats.flags.writeable = False
     times.flags.writeable = False
-    return UnitaryTrace(grid, times, mats, label, max_defect)
+    return UnitaryTrace(grid, times, mats, max_defect)
 
 
-def propagate(
-    hamiltonian,
-    grid: TimeGrid,
-    label: str = "",
-    stride: int = 1,
-) -> UnitaryTrace:
+def propagate(hamiltonian, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
     """Integrate i dU/dt = H(t) U with U(t_start) = I by midpoint exponentials.
 
     ``hamiltonian`` is anything with ``dim`` and ``matrix_stack(ts)``.  Every
@@ -255,10 +248,10 @@ def propagate(
             np.dot(step, u, out)
             u = out
     times = _node_times(grid, _stored_indices(last, stride))
-    return _unitary_trace(grid, times, stored, label, "stored unitary")
+    return _unitary_trace(grid, times, stored, "stored unitary")
 
 
-def sample_trace(fn, grid: TimeGrid, label: str = "", stride: int = 1) -> UnitaryTrace:
+def sample_trace(fn, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
     """Build a trace by sampling a closed-form propagator at grid nodes.
 
     ``fn`` is called with an array of stored node times and must return the
@@ -284,7 +277,7 @@ def sample_trace(fn, grid: TimeGrid, label: str = "", stride: int = 1) -> Unitar
             rows = _block_rows(square[0])
         mats[lo : lo + len(ts)] = block
         lo += len(ts)
-    return _unitary_trace(grid, times, mats, label, "sampled unitary", identity_tol=1e-12)
+    return _unitary_trace(grid, times, mats, "sampled unitary")
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +293,21 @@ def _require_harmonic(p: NmrParams) -> tuple:
     return p.drive_phase.rate, p.detuning, p.drive_strength
 
 
+def _rotated_drive(frame_rate: float, detuning: float, g: float, t) -> np.ndarray:
+    """exp(-i r Z t / 2) exp(-i (2 g X - d Z) t / 2) for frame rate r."""
+    z = pauli_matrix("Z")
+    x = pauli_matrix("X")
+    return hermitian_expm(z, 0.5 * frame_rate * t) @ hermitian_expm(
+        2.0 * g * x - detuning * z, 0.5 * t
+    )
+
+
 def nmr_fast_propagator(p: NmrParams, t) -> np.ndarray:
     """Exact lab-frame propagator of the rotating drive:
     exp(-i w Z t / 2) exp(-i (2 g X - d Z) t / 2), d = w - splitting.
 
     A number ``t`` gives one (2, 2) matrix, a 1-D array of times a stack."""
-    rate, detuning, g = _require_harmonic(p)
-    z = pauli_matrix("Z")
-    x = pauli_matrix("X")
-    return hermitian_expm(z, 0.5 * rate * t) @ hermitian_expm(
-        2.0 * g * x - detuning * z, 0.5 * t
-    )
+    return _rotated_drive(*_require_harmonic(p), t)
 
 
 def nmr_slow_propagator(p: NmrParams, t) -> np.ndarray:
@@ -325,8 +322,4 @@ def nmr_slow_propagator(p: NmrParams, t) -> np.ndarray:
             f"slow closed form requires the frame rate to equal the detuning "
             f"({p.frame_phase.rate} != {detuning})"
         )
-    z = pauli_matrix("Z")
-    x = pauli_matrix("X")
-    return hermitian_expm(z, 0.5 * detuning * t) @ hermitian_expm(
-        2.0 * g * x - detuning * z, 0.5 * t
-    )
+    return _rotated_drive(detuning, detuning, g, t)

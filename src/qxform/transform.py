@@ -25,6 +25,7 @@ from .propagation import (
     TimeGrid,
     UnitaryTrace,
     _unitary_trace,
+    _within_step_limit,
     nmr_fast_propagator,
     propagate,
     sample_trace,
@@ -64,16 +65,13 @@ def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:
         u_conj = np.conjugate(slow.matrices[block], out=conj[: len(mats[block])])
         np.einsum("kij,klj->kil", fast.matrices[block], u_conj, out=mats[block])
     del conj, u_conj  # before the gate's own buffers
-    label = f"composed({fast.label or 'fast'}, {slow.label or 'slow'})"
-    return _unitary_trace(
-        fast.grid, fast.times, mats, label, "transform matrix", identity_tol=1e-12
-    )
+    return _unitary_trace(fast.grid, fast.times, mats, "transform matrix")
 
 
 def identity_transform(grid: TimeGrid, dim: int) -> UnitaryTrace:
     """The trivial frame change S(t) = I."""
     eye = np.eye(int(dim), dtype=complex)
-    return sample_trace(lambda ts: np.broadcast_to(eye, (len(ts), *eye.shape)), grid, "identity")
+    return sample_trace(lambda ts: np.broadcast_to(eye, (len(ts), *eye.shape)), grid)
 
 
 def nmr_closed_form_transform(p: NmrParams, grid: TimeGrid) -> UnitaryTrace:
@@ -86,7 +84,7 @@ def nmr_closed_form_transform(p: NmrParams, grid: TimeGrid) -> UnitaryTrace:
         angle = p.frame_phase.value(t) - p.drive_phase.value(t)
         return hermitian_expm(z, -0.5 * angle)
 
-    return sample_trace(sampler, grid, "closed-form Z rotation")
+    return sample_trace(sampler, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +130,8 @@ class SampledHamiltonian:
 
 def check_frame_steps(n_steps: int) -> None:
     """A frame change differences S centrally, so its grid needs an interior
-    node: at least 2 steps."""
-    if n_steps < 2:
+    node: at least 2 steps, and at most MAX_STEPS."""
+    if _within_step_limit(n_steps) < 2:
         raise ValueError(
             f"a frame change needs at least 2 steps (an interior node), got {n_steps}"
         )
@@ -369,13 +367,13 @@ class _AmplitudeScaled:
 @dataclass(frozen=True, eq=False)
 class RescaleReport:
     """Node-wise phase-aligned distances between the boosted-fast and slow
-    propagators on the shared normalized-time grid."""
+    propagators on the shared normalized-time grid, and the larger of their
+    unitarity defects."""
 
     times: np.ndarray
     distances: np.ndarray
     max_distance: float
-    fast_trace: UnitaryTrace
-    slow_trace: UnitaryTrace
+    max_unitarity_defect: float
 
 
 def time_rescaling_equivalence(
@@ -395,15 +393,14 @@ def time_rescaling_equivalence(
     gen_fast = _AmplitudeScaled(boosted, scaling.fast_time)
     gen_slow = _AmplitudeScaled(frame_hamiltonian, scaling.slow_time)
     grid = TimeGrid(0.0, 1.0, n_steps)
-    fast_trace = propagate(gen_fast, grid, label="boosted fast generator", stride=stride)
-    slow_trace = propagate(gen_slow, grid, label="slow generator", stride=stride)
+    fast_trace = propagate(gen_fast, grid, stride=stride)
+    slow_trace = propagate(gen_slow, grid, stride=stride)
     distances = phase_aligned_distance(fast_trace.matrices, slow_trace.matrices)
     return RescaleReport(
         times=fast_trace.times,
         distances=distances,
         max_distance=float(np.max(distances)),
-        fast_trace=fast_trace,
-        slow_trace=slow_trace,
+        max_unitarity_defect=max(fast_trace.max_defect, slow_trace.max_defect),
     )
 
 
@@ -419,21 +416,11 @@ def rescaled_drive_closed_form(drive_strength: float, fast_time: float, tau) -> 
     )
 
 
-@dataclass(frozen=True, eq=False)
-class RescaledDriveReport:
-    times: np.ndarray
-    fast_distances: np.ndarray
-    slow_distances: np.ndarray
-    max_distance: float
-
-
-def verify_rescaled_drive(
-    drive_strength: float, scaling: TimeScaling, n_nodes: int
-) -> RescaledDriveReport:
-    """Check that the closed-form propagators of the fast drive (g, T) and the
-    slow drive (g T / T', T') collapse onto the shared normalized-time form
-    when g T is matched, the splitting is zero and one drive period spans the
-    characteristic time."""
+def verify_rescaled_drive(drive_strength: float, scaling: TimeScaling, n_nodes: int) -> float:
+    """The largest distance of the closed-form propagators of the fast drive
+    (g, T) and the slow drive (g T / T', T') from the shared normalized-time
+    form, on ``n_nodes`` nodes: they collapse onto it when g T is matched, the
+    splitting is zero and one drive period spans the characteristic time."""
     g = float(drive_strength)
     T = scaling.fast_time
     T_slow = scaling.slow_time
@@ -443,9 +430,4 @@ def verify_rescaled_drive(
     ref = rescaled_drive_closed_form(g, T, taus)
     fast_d = phase_aligned_distance(nmr_fast_propagator(fast, taus * T), ref)
     slow_d = phase_aligned_distance(nmr_fast_propagator(slow, taus * T_slow), ref)
-    return RescaledDriveReport(
-        times=taus,
-        fast_distances=fast_d,
-        slow_distances=slow_d,
-        max_distance=float(max(fast_d.max(), slow_d.max())),
-    )
+    return float(max(fast_d.max(), slow_d.max()))

@@ -267,7 +267,7 @@ def test_analysis_matches_the_one_shot_formulas(n_qubits, rows, monkeypatch):
     seed = 100 * n_qubits + (rows or 0)
     grid = TimeGrid(0.0, 1.0, 23)
     fast, slow = traces_on(n_qubits, grid, seed)
-    fine = traces_on(n_qubits, grid.refined(2), seed)
+    fine = traces_on(n_qubits, grid.refined(), seed)
     h, frame = random_anneal(n_qubits, seed + 2), random_anneal(n_qubits, seed + 3)
     rng = np.random.default_rng(seed)
     a, b = (rng.normal(size=(3, 7, dim, dim)) + 1j * rng.normal(size=(3, 7, dim, dim)) for _ in range(2))
@@ -341,7 +341,6 @@ def assert_tracks_like_reference(h, trace, psi0, rows, monkeypatch):
     times, values, truncated_at = reference_track(h, trace, psi0)
     np.testing.assert_array_equal(curve.times, times)
     np.testing.assert_allclose(curve.values, values, rtol=0, atol=1e-13)
-    assert curve.truncated == (truncated_at is not None)
     assert curve.truncated_at == truncated_at
     assert curve.min_value == np.min(curve.values)
     return curve
@@ -359,7 +358,7 @@ class TestTrackGroundStateParity:
         # the Hamiltonian vanishes at the end: every state is in the ground cluster
         h, trace, psi0 = ground_state_trace(IsingProblem(2, fields=(0.0, 0.0)), 1.0, 1.0, 100, 5)
         curve = assert_tracks_like_reference(h, trace, psi0, rows, monkeypatch)
-        assert len(curve.values) == 21 and not curve.truncated
+        assert len(curve.values) == 21 and curve.truncated_at is None
         assert curve.values[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation_after_the_first_block(self, rows, monkeypatch):
@@ -382,7 +381,7 @@ class TestTrackGroundStateParity:
         h = TimeDependentHamiltonian(1, terms=((LinearRamp(1.0, -1.0, 1.0), PauliString(((0, "Z"),))),))
         trace = propagate(h, TimeGrid(0.0, 1.0, 101))
         curve = assert_tracks_like_reference(h, trace, np.array([0.0, 1.0]), rows, monkeypatch)
-        assert not curve.truncated
+        assert curve.truncated_at is None
         np.testing.assert_allclose(curve.values, 1.0, rtol=0, atol=1e-12)
 
 
@@ -402,9 +401,7 @@ def test_track_ground_state_random_anneals(fields, coupling, stride, rows):
 def assert_same_curve(a, b):
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.values, b.values)
-    assert (a.min_value, a.truncated, a.truncated_at, a.adiabaticity_ratio) == (
-        b.min_value, b.truncated, b.truncated_at, b.adiabaticity_ratio
-    )
+    assert (a.min_value, a.truncated_at) == (b.min_value, b.truncated_at)
 
 
 @pytest.mark.parametrize("rows", [None, 1, 3, 64])
@@ -417,10 +414,10 @@ def test_joint_tracking_matches_separate_calls(rows, monkeypatch):
     closed = sample_trace(lambda t: nmr_slow_propagator(p, t), grid, stride=2)
     numeric = propagate(h, grid, stride=2)
     psi0 = minus_state(1)
-    joint = track_ground_state(h, closed, numeric, psi0=psi0, adiabaticity_ratio=2.5)
+    joint = track_ground_state(h, closed, numeric, psi0=psi0)
     assert len(joint) == 2
     for trace, curve in zip((closed, numeric), joint):
-        (alone,) = track_ground_state(h, trace, psi0=psi0, adiabaticity_ratio=2.5)
+        (alone,) = track_ground_state(h, trace, psi0=psi0)
         assert_same_curve(curve, alone)
     assert not np.array_equal(joint[0].values, joint[1].values)
 

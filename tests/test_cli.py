@@ -393,6 +393,15 @@ class TestModuleEntryPoint:
             # the default quarter turn pi/(2|d|) underflows, or has no value
             ("nmr.json", ["qubit_splitting=1e308"], "config field 't_final': the quarter turn"),
             ("nmr.json", ["drive_rate=1.0"], "config field 't_final': t_final must be given"),
+            # a step below the smallest normal float, or too many steps to store
+            ("nmr.json", ["t_final=1e-310", "n_steps=16"], "config field 't_final': a grid step of"),
+            ("nmr.json", ["t_final=1e-310", "n_steps=null"], "config field 't_final': a grid step of"),
+            ("verify_transform.json", ["t_final=1e-310", "n_steps=16"], "config field 't_final': a grid step of"),
+            ("nmr.json", ["n_steps=1000000000"], "config field 'n_steps': a grid of 1e+09 steps exceeds"),
+            (
+                "verify_transform.json", ["n_steps=1000000000"],
+                "config field 'n_steps': a grid of 1e+09 steps exceeds",
+            ),
         ],
     )
     def test_out_of_range_run_exits_1_within_seconds(self, tmp_path, config, overrides, message):

@@ -23,9 +23,15 @@ from qxform.hamiltonians import (
     rotating_frame_hamiltonian,
 )
 from qxform.operators import minus_state
-from qxform.propagation import TimeGrid, nmr_slow_propagator, propagate, sample_trace
+from qxform.propagation import (
+    TimeGrid,
+    nmr_fast_propagator,
+    nmr_slow_propagator,
+    propagate,
+    sample_trace,
+)
 from qxform.schedules import Constant, Harmonic, LinearRamp, NmrParams
-from qxform.transform import write_csv_curve
+from qxform.transform import compose_transform, write_csv_curve
 
 
 def closed_form_fidelity(g, d, times):
@@ -43,7 +49,7 @@ class TestTrackGroundState:
         psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]
         (curve,) = track_ground_state(h, trace, psi0=psi0)
         assert curve.min_value >= 1.0 - 1e-12
-        assert not curve.truncated
+        assert curve.truncated_at is None
 
     def test_matches_closed_form_oracle_pointwise(self):
         p = NmrParams.harmonic(1.0, 1.5, 2.0)
@@ -84,7 +90,6 @@ class TestTrackGroundState:
         trace = propagate(h, grid, stride=1000)  # stores only t=0 and t=T
         psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]
         (curve,) = track_ground_state(h, trace, psi0=psi0)
-        assert curve.truncated
         assert curve.truncated_at == t_final
         assert len(curve.values) == 1
 
@@ -93,8 +98,9 @@ class TestNmrExperiment:
     def test_min_fidelity_matches_closed_form(self):
         r = run_nmr_experiment(1.0, 2.0, 25.0, n_steps=1571)
         assert r.detuning == 1.0
-        assert abs(r.min_fidelity - expected_min_fidelity(25.0, 1.0)) < 1e-6
-        assert r.min_fidelity == pytest.approx(1.0 - 1.0 / 2501.0, abs=1e-6)
+        min_fidelity = r.fidelity_curve.min_value
+        assert abs(min_fidelity - expected_min_fidelity(25.0, 1.0)) < 1e-6
+        assert min_fidelity == pytest.approx(1.0 - 1.0 / 2501.0, abs=1e-6)
         # the numerically propagated curve tracks the closed form at the
         # integrator's second-order error level
         assert abs(r.numeric_min_fidelity - expected_min_fidelity(25.0, 1.0)) < 1e-3
@@ -102,14 +108,21 @@ class TestNmrExperiment:
     def test_deficit_shrinks_fourfold_when_doubling_strength(self):
         r1 = run_nmr_experiment(1.0, 2.0, 25.0, n_steps=1571)
         r2 = run_nmr_experiment(1.0, 2.0, 50.0, n_steps=1571)
-        ratio = (1.0 - r1.min_fidelity) / (1.0 - r2.min_fidelity)
+        ratio = (1.0 - r1.fidelity_curve.min_value) / (1.0 - r2.fidelity_curve.min_value)
         assert ratio == pytest.approx(4.0, abs=0.1)
 
     def test_zero_splitting_gives_identity_transform(self):
         # with no splitting the fast and slow pictures coincide
         r = run_nmr_experiment(0.0, 1.5, 2.0, t_final=3.0, n_steps=600)
         assert r.composed_vs_closed_form < 1e-12
-        for m in r.composed_analytic.matrices[:: 100]:
+        # the closed-form frame change the run composes, on its grid
+        p = NmrParams.harmonic(0.0, 1.5, 2.0)
+        grid = TimeGrid(0.0, r.t_final, r.n_steps)
+        composed = compose_transform(
+            sample_trace(lambda ts: nmr_fast_propagator(p, ts), grid),
+            sample_trace(lambda ts: nmr_slow_propagator(p, ts), grid),
+        )
+        for m in composed.matrices[:: 100]:
             assert np.linalg.norm(m - np.eye(2)) < 1e-12
 
     def test_default_t_final_is_a_quarter_turn_without_overflow(self):
@@ -147,6 +160,15 @@ class TestNmrExperiment:
         with pytest.raises(ValueError, match="a frame change needs at least 2 steps"):
             run_nmr_experiment(1.0, 2.0, 25.0, n_steps=1)
 
+    def test_subnormal_step_is_refused_before_any_propagation(self, monkeypatch):
+        def propagate_nothing(*args, **kwargs):
+            raise AssertionError("propagated")
+
+        monkeypatch.setattr(experiments, "propagate", propagate_nothing)
+        for n_steps in (16, None):
+            with pytest.raises(ValueError, match="below the smallest normal float"):
+                run_nmr_experiment(1.0, 2.0, 25.0, t_final=1e-310, n_steps=n_steps)
+
     def test_vanishing_detuning_needs_explicit_final_time(self):
         with pytest.raises(ValueError, match="t_final"):
             run_nmr_experiment(1.0, 1.0, 2.0)
@@ -156,7 +178,7 @@ class TestNmrExperiment:
         assert r.max_unitarity_defect <= 1e-10
         assert r.two_gate_fidelity_composed >= 1.0 - 1e-12
         assert r.transform_report.passed
-        assert r.fidelity_curve.adiabaticity_ratio == pytest.approx(2.0 / 0.5)
+        assert r.adiabaticity_ratio == pytest.approx(2.0 / 0.5)
 
 
 class TestAnnealingRuns:

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -51,7 +52,7 @@ class TestTimeGrid:
         g = TimeGrid(0.0, 2.0, 4)
         assert g.dt == 0.5
         np.testing.assert_allclose(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
-        assert g.refined(2).n_steps == 8
+        assert g.refined().n_steps == 8
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_steps"):
@@ -67,6 +68,17 @@ class TestTimeGrid:
 
     def test_step_limit_is_inclusive(self):
         assert TimeGrid(0.0, 1.0, MAX_STEPS).n_steps == MAX_STEPS
+
+    @pytest.mark.parametrize("t_end, n_steps", [(1e-310, 16), (1e-300, 10**8), (5e-324, 1)])
+    def test_subnormal_step_is_refused(self, t_end, n_steps):
+        # node times n * dt would lose their low bits, and a central
+        # difference would divide by a step with fewer significant bits
+        with pytest.raises(ValueError, match="below the smallest normal float"):
+            TimeGrid(0.0, t_end, n_steps)
+
+    def test_smallest_normal_step_is_accepted(self):
+        grid = TimeGrid(0.0, 16 * sys.float_info.min, 16)
+        assert grid.dt == sys.float_info.min
 
 
 class TestPropagate:
@@ -209,7 +221,7 @@ class TestPropagate:
         peaks, returned = {}, {}
         for n in (10_000, 20_000):
             grid = TimeGrid(0.0, 1.0, n)
-            coarse, fine = closed_forms(grid), closed_forms(grid.refined(2))
+            coarse, fine = closed_forms(grid), closed_forms(grid.refined())
             kept = []
 
             def analysis():
@@ -357,7 +369,6 @@ class TestSampleTrace:
     def test_matches_function_at_nodes(self):
         p = NmrParams.harmonic(1.0, 1.5, 2.0)
         grid = TimeGrid(0.0, 2.0, 8)
-        tr = sample_trace(lambda t: nmr_fast_propagator(p, t), grid, label="oracle")
+        tr = sample_trace(lambda t: nmr_fast_propagator(p, t), grid)
         assert tr.times[6] == 1.5
         np.testing.assert_allclose(tr.matrices[6], nmr_fast_propagator(p, 1.5), atol=1e-14)
-        assert tr.label == "oracle"

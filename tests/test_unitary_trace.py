@@ -26,18 +26,18 @@ def grids(data):
     return TimeGrid(t_start, t_start + length, data.draw(st.integers(1, 12)))
 
 
-def sampled(data, grid, dim, label, stride):
+def sampled(data, grid, dim, stride):
     """exp(-i G (t - t_start)) for a random Hermitian G, sampled through
     hermitian_expm over the array of stored node times."""
     g = hermitian(data, dim)
-    return sample_trace(lambda ts: hermitian_expm(g, ts - grid.t_start), grid, label, stride)
+    return sample_trace(lambda ts: hermitian_expm(g, ts - grid.t_start), grid, stride)
 
 
 @given(dim=st.sampled_from([2, 4, 8]), data=st.data())
 def test_compose_is_the_nodewise_product(dim, data):
     grid = grids(data)
     stride = data.draw(st.integers(1, 4))
-    fast, slow = sampled(data, grid, dim, "U", stride), sampled(data, grid, dim, "u", stride)
+    fast, slow = sampled(data, grid, dim, stride), sampled(data, grid, dim, stride)
     composed = compose_transform(fast, slow)
     assert np.array_equal(composed.times, fast.times)
     for k in range(len(fast.times)):
