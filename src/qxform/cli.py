@@ -35,7 +35,6 @@ from .hamiltonians import (
     rotating_frame_hamiltonian,
 )
 from .schedules import Constant, CosineRamp, Harmonic, LinearRamp, NmrParams, Tabulated
-from .propagation import TimeGrid
 from .transform import (
     TimeScaling,
     check_frame_steps,
@@ -387,7 +386,7 @@ def _run_verify_transform(p, jobs):
     with _field("n_steps"):
         check_frame_steps(p["n_steps"])
     with _field("t_final"):
-        grid = TimeGrid(0.0, p["t_final"], p["n_steps"])
+        grid = nmr_grid(p["t_final"], p["n_steps"])
     params = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"])
     lab = nmr_hamiltonian(params)
     if p["pair"] == "self":
@@ -395,7 +394,7 @@ def _run_verify_transform(p, jobs):
     else:
         frame, build = rotating_frame_hamiltonian(params), lambda g: nmr_closed_form_transform(params, g)
     # the control, twice as fine, is reduced to its residual before the transform is built
-    control = control_residual(lab, frame, build(grid.refined()))
+    control = control_residual(lab, frame, build, grid)
     report = verify_transform(lab, frame, build(grid), control)
     metrics = {
         "pair": p["pair"],

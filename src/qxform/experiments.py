@@ -95,9 +95,10 @@ def track_ground_state(
     """
     if not traces:
         raise ValueError("track_ground_state needs at least one trace")
-    times = traces[0].times
-    if not all(np.array_equal(trace.times, times) for trace in traces[1:]):
+    grid, stride = traces[0].grid, traces[0].stride
+    if any((trace.grid, trace.stride) != (grid, stride) for trace in traces[1:]):
         raise ValueError("traces tracked together must store the same nodes")
+    times = traces[0].times
     psi0 = np.asarray(psi0, dtype=complex)
     values = [[] for _ in traces]
     b = 0
@@ -136,11 +137,11 @@ def track_ground_state(
         bras[0] = bras[m]
         del energies, states  # before the next block is decomposed
     curves = []
-    for trace, vals in zip(traces, values):
+    for vals in values:
         vals = np.concatenate(vals)
         curves.append(
             FidelityCurve(
-                times=trace.times[: len(vals)],
+                times=times[: len(vals)],
                 values=vals,
                 min_value=float(np.min(vals)),
                 truncated_at=truncated_at,
@@ -206,12 +207,15 @@ def quarter_turn_time(detuning: float) -> float:
 
 
 def nmr_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
-    """The grid of :func:`run_nmr_experiment` on [0, t_final]; ``n_steps``
-    defaults to one step per 1e-3 time units, at least 16."""
+    """The grid of a driven-qubit frame change on [0, t_final], refused
+    unless its control's refined grid exists too; ``n_steps`` defaults to one
+    step per 1e-3 time units, at least 16."""
     if n_steps is None:
         n_steps = max(16, int(math.ceil(_within_step_limit(t_final / 1e-3))))
     check_frame_steps(n_steps)
-    return TimeGrid(0.0, float(t_final), int(n_steps))
+    grid = TimeGrid(0.0, float(t_final), int(n_steps))
+    grid.refined()
+    return grid
 
 
 def run_nmr_experiment(
@@ -246,9 +250,8 @@ def run_nmr_experiment(
     # its distances, so at most three coarse traces are held at once.  The
     # fine-grid control goes first and is reduced to its largest residual
     # before any coarse trace exists.
-    fine = grid.refined()
     control = control_residual(
-        fast_h, slow_h, compose_transform(propagate(fast_h, fine), propagate(slow_h, fine))
+        fast_h, slow_h, lambda g: compose_transform(propagate(fast_h, g), propagate(slow_h, g)), grid
     )
     fast_num = propagate(fast_h, grid)
     slow_num = propagate(slow_h, grid)

@@ -244,15 +244,11 @@ class GroverProblem:
                 f"marked index {self.marked} out of range for {n} qubits"
             )
 
-    def marked_bits(self) -> tuple:
-        n = self.n_qubits
-        return tuple((self.marked >> (n - 1 - i)) & 1 for i in range(n))
-
     def pauli_terms(self) -> tuple:
         """I - |marked><marked| expanded as the diagonal projector product
         prod_i (I + (-1)^{b_i} Z_i)/2 into 2^n Z-strings."""
         n = self.n_qubits
-        bits = self.marked_bits()
+        bits = [(self.marked >> (n - 1 - i)) & 1 for i in range(n)]
         weight = 2.0**-n
         terms = [PauliString((), 1.0 - weight)]
         for r in range(1, n + 1):
@@ -377,17 +373,21 @@ def default_transverse_strength(problem) -> float:
 # Builders
 
 
-def nmr_hamiltonian(p: NmrParams) -> TimeDependentHamiltonian:
-    """(splitting(t)/2) Z + g [X cos(drive_phase) + Y sin(drive_phase)] on one qubit."""
-    g = p.drive_strength
+def _driven_qubit(z_weight, g: float, phase: Schedule) -> TimeDependentHamiltonian:
+    """z_weight(t) Z + g [X cos(phase) + Y sin(phase)] on one qubit."""
     return TimeDependentHamiltonian(
         1,
         terms=(
-            (_Scaled(p.qubit_splitting, 0.5), PauliString(((0, "Z"),))),
-            (_DriveTrig(g, p.drive_phase, "cos"), PauliString(((0, "X"),))),
-            (_DriveTrig(g, p.drive_phase, "sin"), PauliString(((0, "Y"),))),
+            (z_weight, PauliString(((0, "Z"),))),
+            (_DriveTrig(g, phase, "cos"), PauliString(((0, "X"),))),
+            (_DriveTrig(g, phase, "sin"), PauliString(((0, "Y"),))),
         ),
     )
+
+
+def nmr_hamiltonian(p: NmrParams) -> TimeDependentHamiltonian:
+    """(splitting(t)/2) Z + g [X cos(drive_phase) + Y sin(drive_phase)] on one qubit."""
+    return _driven_qubit(_Scaled(p.qubit_splitting, 0.5), p.drive_strength, p.drive_phase)
 
 
 def rotating_frame_hamiltonian(p: NmrParams) -> TimeDependentHamiltonian:
@@ -398,18 +398,8 @@ def rotating_frame_hamiltonian(p: NmrParams) -> TimeDependentHamiltonian:
     """
     if p.frame_phase is None:
         raise ValueError("rotating-frame Hamiltonian requires frame_phase")
-    g = p.drive_strength
-    return TimeDependentHamiltonian(
-        1,
-        terms=(
-            (
-                _FrameWeight(p.qubit_splitting, p.frame_phase, p.drive_phase),
-                PauliString(((0, "Z"),)),
-            ),
-            (_DriveTrig(g, p.frame_phase, "cos"), PauliString(((0, "X"),))),
-            (_DriveTrig(g, p.frame_phase, "sin"), PauliString(((0, "Y"),))),
-        ),
-    )
+    z_weight = _FrameWeight(p.qubit_splitting, p.frame_phase, p.drive_phase)
+    return _driven_qubit(z_weight, p.drive_strength, p.frame_phase)
 
 
 def annealing_hamiltonian(transverse: Schedule, problem) -> TimeDependentHamiltonian:

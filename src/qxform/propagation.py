@@ -98,25 +98,41 @@ def _stored_count(n_steps: int, stride: int) -> int:
     return -(-n_steps // int(stride)) + 1
 
 
-def _stored_indices(n_steps: int, stride: int) -> np.ndarray:
-    idx = np.arange(_stored_count(n_steps, stride)) * int(stride)
-    idx[-1] = n_steps
-    return idx
+def _stored_indices(n_steps: int, stride: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Grid indices of the stored slots lo..hi-1 (all by default): slot k
+    holds node min(k * stride, n_steps)."""
+    slots = np.arange(lo, _stored_count(n_steps, stride) if hi is None else hi)
+    return np.minimum(slots * int(stride), n_steps)
+
+
+def _check_trace_bytes(n_nodes: int, dim: int) -> None:
+    """Refuse a trace whose stored unitaries would need over 2 GiB."""
+    est_bytes = n_nodes * dim * dim * 16
+    if est_bytes > 2 * 2**30:
+        raise ValueError(
+            f"storing {n_nodes} unitaries of dimension {dim} needs "
+            f"~{est_bytes / 2**30:.1f} GiB; increase the stride"
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryTrace:
-    """Unitaries on (a stride-decimated subset of) the nodes of a time grid:
-    a propagator U(t_k) or a frame change S(t_k) = U(t_k) u(t_k)^dag.
+    """Unitaries on every ``stride``-th node of a time grid and its last: a
+    propagator U(t_k) or a frame change S(t_k) = U(t_k) u(t_k)^dag.
 
     Every stored matrix passed the defect gate; the largest observed defect
     is kept in ``max_defect``.
     """
 
     grid: TimeGrid
-    times: np.ndarray
+    stride: int
     matrices: np.ndarray
     max_defect: float
+
+    @property
+    def times(self) -> np.ndarray:
+        """Times of the stored nodes."""
+        return _node_times(self.grid, _stored_indices(self.grid.n_steps, self.stride))
 
     @property
     def dim(self) -> int:
@@ -178,9 +194,9 @@ def _check_stored(us: np.ndarray, step_of, what: str) -> float:
     return float(defects[worst])
 
 
-def _unitary_trace(grid: TimeGrid, times, mats: np.ndarray, what: str) -> UnitaryTrace:
-    """Gate ``mats`` (fresh, owned by the trace) and freeze them with
-    ``times`` (fresh or read-only, shared by the trace) into a trace.
+def _unitary_trace(grid: TimeGrid, stride: int, mats: np.ndarray, what: str) -> UnitaryTrace:
+    """Gate ``mats`` (fresh, owned by the trace), the unitaries on the nodes
+    of ``grid`` kept at ``stride``, and freeze them into a trace.
 
     The first matrix must lie within 1e-12 of the identity; it is then
     snapped to the exact identity so composed frame changes start at exactly
@@ -189,17 +205,11 @@ def _unitary_trace(grid: TimeGrid, times, mats: np.ndarray, what: str) -> Unitar
     eye = np.eye(mats.shape[-1])
     first_gap = float(np.linalg.norm(mats[0] - eye))
     if not (first_gap <= 1e-12):
-        raise ValueError(f"{what} at t={times[0]} deviates from the identity by {first_gap:.3e}")
+        raise ValueError(f"{what} at t={grid.t_start} deviates from the identity by {first_gap:.3e}")
     mats[0] = eye
-    times = np.asarray(times, dtype=float)
-
-    def nearest_step(k):  # errors name the step index of the grid node nearest to each time
-        return np.clip(np.rint((times[k] - grid.t_start) / grid.dt), 0, grid.n_steps)
-
-    max_defect = _check_stored(mats, nearest_step, what)
+    max_defect = _check_stored(mats, lambda k: min(k * stride, grid.n_steps), what)
     mats.flags.writeable = False
-    times.flags.writeable = False
-    return UnitaryTrace(grid, times, mats, max_defect)
+    return UnitaryTrace(grid, int(stride), mats, max_defect)
 
 
 def propagate(hamiltonian, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
@@ -210,13 +220,8 @@ def propagate(hamiltonian, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
     beyond the limit aborts with the offending step index.
     """
     dim = hamiltonian.dim
-    n_nodes = _stored_count(grid.n_steps, stride)  # refused before any per-node allocation
-    est_bytes = n_nodes * dim * dim * 16
-    if est_bytes > 2 * 2**30:
-        raise ValueError(
-            f"storing {n_nodes} unitaries of dimension {dim} needs "
-            f"~{est_bytes / 2**30:.1f} GiB; increase the stride"
-        )
+    n_nodes = _stored_count(grid.n_steps, stride)
+    _check_trace_bytes(n_nodes, dim)  # before any per-node allocation
     stride = int(stride)
     dt = grid.dt
     block = _block_rows(dim)
@@ -247,8 +252,7 @@ def propagate(hamiltonian, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
                 out = spare[n & 1]
             np.dot(step, u, out)
             u = out
-    times = _node_times(grid, _stored_indices(last, stride))
-    return _unitary_trace(grid, times, stored, "stored unitary")
+    return _unitary_trace(grid, stride, stored, "stored unitary")
 
 
 def sample_trace(fn, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
@@ -256,28 +260,30 @@ def sample_trace(fn, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
 
     ``fn`` is called with an array of stored node times and must return the
     (len(times), d, d) stack of propagators at them.  It is called once for
-    the first node, which fixes d, and then once per block of the row budget,
-    each block written straight into the trace.  The sample at t_start must
-    equal the identity to within 1e-12; it is then snapped to the exact
-    identity so composed transforms start at exactly I.
+    the first node, which fixes d and with it the storage bound of
+    :func:`propagate`, and then once per block of the row budget, each block
+    written straight into the trace.  The sample at t_start must equal the
+    identity to within 1e-12; it is then snapped to the exact identity so
+    composed transforms start at exactly I.
     """
-    times = _node_times(grid, _stored_indices(grid.n_steps, stride))
+    n_nodes = _stored_count(grid.n_steps, stride)
     mats, lo, rows = None, 0, 1  # the first node alone fixes d, and with it the block rows
-    while lo < len(times):
-        ts = times[lo : lo + rows]
-        block = np.asarray(fn(ts))
+    while lo < n_nodes:
+        hi = min(lo + rows, n_nodes)
+        block = np.asarray(fn(_node_times(grid, _stored_indices(grid.n_steps, stride, lo, hi))))
         square = block.shape[1:] if mats is None else mats.shape[1:]
-        if block.shape != (len(ts), *square) or len(square) != 2 or square[0] != square[1]:
+        if block.shape != (hi - lo, *square) or len(square) != 2 or square[0] != square[1]:
             raise ValueError(
-                f"sampler returned shape {block.shape} for {len(ts)} times; "
-                f"expected ({len(ts)}, d, d)"
+                f"sampler returned shape {block.shape} for {hi - lo} times; "
+                f"expected ({hi - lo}, d, d)"
             )
         if mats is None:
-            mats = np.empty((len(times), *square), dtype=complex)
+            _check_trace_bytes(n_nodes, square[0])
+            mats = np.empty((n_nodes, *square), dtype=complex)
             rows = _block_rows(square[0])
-        mats[lo : lo + len(ts)] = block
-        lo += len(ts)
-    return _unitary_trace(grid, times, mats, "sampled unitary")
+        mats[lo:hi] = block
+        lo = hi
+    return _unitary_trace(grid, stride, mats, "sampled unitary")
 
 
 # ---------------------------------------------------------------------------

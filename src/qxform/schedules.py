@@ -56,8 +56,8 @@ class Constant(Schedule):
 
 
 @dataclass(frozen=True)
-class LinearRamp(Schedule):
-    """Straight-line ramp from ``start`` to ``stop`` over [0, duration]."""
+class _Ramp(Schedule):
+    """A ramp from ``start`` to ``stop`` over [0, duration]."""
 
     start: float
     stop: float
@@ -70,6 +70,11 @@ class LinearRamp(Schedule):
     @property
     def t_max(self) -> float:
         return self.duration
+
+
+@dataclass(frozen=True)
+class LinearRamp(_Ramp):
+    """Straight-line ramp from ``start`` to ``stop`` over [0, duration]."""
 
     def value(self, t):
         u = self._checked(t) / self.duration
@@ -95,20 +100,8 @@ class Harmonic(Schedule):
 
 
 @dataclass(frozen=True)
-class CosineRamp(Schedule):
+class CosineRamp(_Ramp):
     """Half-cosine ramp from ``start`` to ``stop`` with flat ends."""
-
-    start: float
-    stop: float
-    duration: float
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"ramp duration must be positive, got {self.duration}")
-
-    @property
-    def t_max(self) -> float:
-        return self.duration
 
     def value(self, t):
         u = self._checked(t) / self.duration

@@ -22,8 +22,11 @@ import numpy as np
 
 from .operators import _block_rows, pauli_matrix, hermitian_expm, phase_aligned_distance
 from .propagation import (
+    MAX_STEPS,
     TimeGrid,
     UnitaryTrace,
+    _node_times,
+    _rotated_drive,
     _unitary_trace,
     _within_step_limit,
     nmr_fast_propagator,
@@ -55,8 +58,8 @@ def write_csv_curve(path, times, values) -> None:
 
 def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:
     """S(t_k) = U(t_k) u(t_k)^dag from two traces on identical grids."""
-    if fast.grid != slow.grid or not np.array_equal(fast.times, slow.times):
-        raise ValueError("traces must share the same grid and stored nodes")
+    if (fast.grid, fast.stride) != (slow.grid, slow.stride):
+        raise ValueError("traces must share the same grid and stride")
     mats = np.empty_like(fast.matrices)
     rows = _block_rows(fast.dim)
     conj = np.empty((min(rows, len(mats)), fast.dim, fast.dim), dtype=complex)  # one block of u^*
@@ -65,7 +68,7 @@ def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:
         u_conj = np.conjugate(slow.matrices[block], out=conj[: len(mats[block])])
         np.einsum("kij,klj->kil", fast.matrices[block], u_conj, out=mats[block])
     del conj, u_conj  # before the gate's own buffers
-    return _unitary_trace(fast.grid, fast.times, mats, "transform matrix")
+    return _unitary_trace(fast.grid, fast.stride, mats, "transform matrix")
 
 
 def identity_transform(grid: TimeGrid, dim: int) -> UnitaryTrace:
@@ -130,10 +133,16 @@ class SampledHamiltonian:
 
 def check_frame_steps(n_steps: int) -> None:
     """A frame change differences S centrally, so its grid needs an interior
-    node: at least 2 steps, and at most MAX_STEPS."""
+    node: at least 2 steps.  Its control doubles the count, which must stay
+    within MAX_STEPS."""
     if _within_step_limit(n_steps) < 2:
         raise ValueError(
             f"a frame change needs at least 2 steps (an interior node), got {n_steps}"
+        )
+    if 2 * n_steps > MAX_STEPS:
+        raise ValueError(
+            f"the control of a frame change doubles its {n_steps:g} steps, "
+            f"beyond the limit of {MAX_STEPS:g} steps"
         )
 
 
@@ -155,11 +164,10 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
     Residuals that overflow are inf, which no tolerance model passes.
     """
     check_frame_steps(transform.grid.n_steps)
-    if len(transform.times) != transform.grid.n_steps + 1:
+    if transform.stride != 1:
         raise ValueError("frame change needs the transform on every grid node (stride 1)")
-    dt = transform.grid.dt
-    t_mid = transform.times[1:-1]
-    n, dim = len(t_mid), transform.dim
+    grid = transform.grid
+    n, dim = grid.n_steps - 1, transform.dim
     rows = min(_block_rows(dim), n)
     # One block of each temporary for the whole pass: the conjugates of the
     # block's nodes and their two neighbours, ds/dt and the raw reconstruction
@@ -170,12 +178,13 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
     conj = np.empty((rows + 2, dim, dim), dtype=complex)
     s_dot_buf, raw = (np.empty((rows, dim, dim), dtype=complex) for _ in range(2))
     matrices = np.empty((n if keep else rows, dim, dim), dtype=complex)
-    defects = np.empty(n) if keep else None
+    times, defects = (np.empty(n), np.empty(n)) if keep else (None, None)
     residuals = None if target is None else np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
             m = hi - lo
+            t_mid = _node_times(grid, np.arange(lo + 1, hi + 1))
             nodes = transform.matrices[lo : hi + 2]
             nodes_conj = np.conjugate(nodes, out=conj[: m + 2])
             if adjoint:
@@ -185,21 +194,22 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
                 s, bra, s_dot = nodes, nodes_conj[1:-1], s_dot_buf[:m]
             s_mid = s[1:-1]
             np.subtract(s[2:], s[:-2], out=s_dot)
-            s_dot /= 2.0 * dt  # central difference
-            r = np.einsum("kji,kjl,klm->kim", bra, hamiltonian.matrix_stack(t_mid[lo:hi]), s_mid, out=raw[:m])
+            s_dot /= 2.0 * grid.dt  # central difference
+            r = np.einsum("kji,kjl,klm->kim", bra, hamiltonian.matrix_stack(t_mid), s_mid, out=raw[:m])
             herm = matrices[lo:hi] if keep else matrices[:m]
             r -= np.multiply(np.einsum("kji,kjl->kil", bra, s_dot, out=herm), 1j, out=herm)
             dag = np.conjugate(r, out=conj[:m]).transpose(0, 2, 1)
             np.add(r, dag, out=herm)
             herm *= 0.5
             if keep:
+                times[lo:hi] = t_mid
                 antiherm = np.subtract(r, dag, out=s_dot_buf[:m])
                 antiherm *= 0.5
                 _frobenius_rows(antiherm, conj[:m], defects[lo:hi])
             if target is not None:
-                diff = np.subtract(herm, target.matrix_stack(t_mid[lo:hi]), out=s_dot_buf[:m])
+                diff = np.subtract(herm, target.matrix_stack(t_mid), out=s_dot_buf[:m])
                 _frobenius_rows(diff, conj[:m], residuals[lo:hi])
-    rec = SampledHamiltonian(t_mid, matrices, defects, dt) if keep else None
+    rec = SampledHamiltonian(times, matrices, defects, grid.dt) if keep else None
     return rec, residuals
 
 
@@ -261,19 +271,24 @@ class TransformReport:
 
 @dataclass(frozen=True)
 class ControlResidual:
-    """What verify_transform reads of a transform's control: the grid it was
-    built on and its largest frame-change residual."""
+    """What verify_transform reads of a transform's control: the grid it
+    calibrates and the largest frame-change residual on its refinement."""
 
     grid: TimeGrid
     max_residual: float
 
 
-def control_residual(hamiltonian, frame_hamiltonian, control: UnitaryTrace) -> ControlResidual:
-    """Reduce a control transform to its largest residual, one block of its
-    reconstruction at a time, so the caller can free it before the transform
-    it calibrates is built."""
+def control_residual(hamiltonian, frame_hamiltonian, build, grid: TimeGrid) -> ControlResidual:
+    """The control of the transform that ``build(grid)`` returns: the same
+    transform built on ``grid.refined()`` and reduced to its largest residual,
+    one block of its reconstruction at a time, before the caller builds the
+    transform it calibrates."""
+    fine = grid.refined()
+    control = build(fine)
+    if control.grid != fine:
+        raise ValueError(f"the control must be built on the refined grid {fine}, not on {control.grid}")
     residuals = _frame_change(hamiltonian, control, target=frame_hamiltonian, keep=False)[1]
-    return ControlResidual(control.grid, float(np.max(residuals)))
+    return ControlResidual(grid, float(np.max(residuals)))
 
 
 def verify_transform(
@@ -284,15 +299,11 @@ def verify_transform(
 ) -> TransformReport:
     """Check that ``transform`` maps ``hamiltonian`` onto ``frame_hamiltonian``.
 
-    ``control`` comes from :func:`control_residual` of the same transform
-    built on the two-times refined grid.  The model passes only on finite
-    residuals.
+    ``control`` is :func:`control_residual` of the same transform on the
+    transform's grid.  The model passes only on finite residuals.
     """
-    if control.grid.n_steps != 2 * transform.grid.n_steps:
-        raise ValueError(
-            "control transform must live on the two-times refined grid "
-            f"({control.grid.n_steps} steps vs {transform.grid.n_steps})"
-        )
+    if control.grid != transform.grid:
+        raise ValueError(f"the control calibrates {control.grid}, not the transform's {transform.grid}")
     control_max = control.max_residual
     rec, residuals = _frame_change(hamiltonian, transform, target=frame_hamiltonian)
     max_residual = float(np.max(residuals))
@@ -322,10 +333,10 @@ def two_gate_realization(
     With S composed from the same traces this equals the slow evolution
     u(T) psi0 up to floating-point error.
     """
-    if fast_trace.times[-1] != transform.times[-1]:
+    if fast_trace.grid.t_end != transform.grid.t_end:
         raise ValueError(
-            f"the fast trace ends at t={fast_trace.times[-1]} but the transform "
-            f"at t={transform.times[-1]}"
+            f"the fast trace ends at t={fast_trace.grid.t_end} but the transform "
+            f"at t={transform.grid.t_end}"
         )
     return transform.final.conj().T @ fast_trace.apply(psi0)
 
@@ -407,13 +418,10 @@ def time_rescaling_equivalence(
 def rescaled_drive_closed_form(drive_strength: float, fast_time: float, tau) -> np.ndarray:
     """Shared normalized-time propagator of the resonant drive pair with the
     drive period equal to the characteristic time and zero splitting:
-    exp(-i pi Z tau) exp(-i (T g X - pi Z) tau); a 1-D array ``tau`` gives a
+    exp(-i pi Z tau) exp(-i (T g X - pi Z) tau), the rotating drive at frame
+    rate and detuning 2 pi and strength T g; a 1-D array ``tau`` gives a
     stack."""
-    z = pauli_matrix("Z")
-    x = pauli_matrix("X")
-    return hermitian_expm(z, np.pi * tau) @ hermitian_expm(
-        fast_time * drive_strength * x - np.pi * z, tau
-    )
+    return _rotated_drive(2.0 * np.pi, 2.0 * np.pi, fast_time * drive_strength, tau)
 
 
 def verify_rescaled_drive(drive_strength: float, scaling: TimeScaling, n_nodes: int) -> float:

@@ -293,7 +293,7 @@ def test_analysis_matches_the_one_shot_formulas(n_qubits, rows, monkeypatch):
         assert np.array_equal(got.antihermitian_defects, defects)
 
     control = compose_transform(*fine)
-    report = verify_transform(h, frame, composed, control=control_residual(h, frame, control))
+    report = verify_transform(h, frame, composed, control=control_residual(h, frame, lambda g: control, grid))
     assert np.array_equal(report.residuals, one_shot_residuals(h, frame, composed))
     assert report.control_max_residual == np.max(one_shot_residuals(h, frame, control))
     assert np.array_equal(report.reconstruction.matrices, transform_into_frame(h, composed).matrices)

@@ -397,6 +397,17 @@ class TestModuleEntryPoint:
             ("nmr.json", ["t_final=1e-310", "n_steps=16"], "config field 't_final': a grid step of"),
             ("nmr.json", ["t_final=1e-310", "n_steps=null"], "config field 't_final': a grid step of"),
             ("verify_transform.json", ["t_final=1e-310", "n_steps=16"], "config field 't_final': a grid step of"),
+            # the control doubles the steps, and so halves the step
+            ("nmr.json", ["t_final=3.6e-307", "n_steps=16"], "config field 't_final': a grid step of 1.125e-308"),
+            (
+                "verify_transform.json", ["t_final=3.6e-307", "n_steps=16"],
+                "config field 't_final': a grid step of 1.125e-308",
+            ),
+            ("nmr.json", ["n_steps=60000000"], "config field 'n_steps': the control of a frame change doubles"),
+            (
+                "verify_transform.json", ["n_steps=60000000"],
+                "config field 'n_steps': the control of a frame change doubles",
+            ),
             ("nmr.json", ["n_steps=1000000000"], "config field 'n_steps': a grid of 1e+09 steps exceeds"),
             (
                 "verify_transform.json", ["n_steps=1000000000"],

@@ -164,6 +164,25 @@ class TestPropagate:
 
         assert traced_peak(refused) < 2**20
 
+    def test_sampled_trace_over_the_bound_is_refused_after_its_first_sample(self):
+        # 513 sampled unitaries of dimension 512 take 513 x 4 MiB, just over
+        # 2 GiB; the first sample fixes d, and no second one is asked for
+        calls = []
+
+        def sampler(ts):
+            calls.append(len(ts))
+            if len(calls) > 1:
+                raise AssertionError("sampled past the storage bound")
+            return np.eye(512, dtype=complex)[None]
+
+        def refused():
+            with pytest.raises(ValueError, match=r"storing 513 unitaries of dimension 512 needs ~2\.0 GiB"):
+                sample_trace(sampler, TimeGrid(0.0, 1.0, 512))
+
+        # the first sample is 4 MiB; nothing is allocated per node
+        assert traced_peak(refused) < 5 * 2**20
+        assert calls == [1]
+
     @pytest.mark.parametrize("stride", [0, -1])
     def test_stride_below_one_rejected(self, stride):
         h = constant_z_hamiltonian(1.0)
@@ -208,8 +227,9 @@ class TestPropagate:
             assert peaks[20_000] - peaks[10_000] <= 2**14, (name, peaks)
 
     def test_analysis_working_set_is_one_block_plus_the_returned_arrays(self):
-        # the frame check of configs/nmr.json at dim 2: compose the transform
-        # and its control, then verify it; the traces composed are built first
+        # the frame check of configs/nmr.json at dim 2: reduce the control,
+        # compose the transform and verify it; the traces composed are built
+        # first, the control's on the refined grid that control_residual asks for
         p = NmrParams.harmonic(1.0, 2.0, 25.0)
         lab, frame = nmr_hamiltonian(p), rotating_frame_hamiltonian(p)
 
@@ -225,16 +245,16 @@ class TestPropagate:
             kept = []
 
             def analysis():
-                composed, control = compose_transform(*coarse), compose_transform(*fine)
-                report = verify_transform(lab, frame, composed, control_residual(lab, frame, control))
-                kept.extend((composed, control, report))
+                control = control_residual(lab, frame, lambda g: compose_transform(*fine), grid)
+                composed = compose_transform(*coarse)
+                report = verify_transform(lab, frame, composed, control)
+                kept.extend((composed, report))
 
             peaks[n] = traced_peak(analysis)
-            composed, control, report = kept
+            composed, report = kept
             arrays = (
-                composed.matrices, composed.times, control.matrices, control.times,
-                report.reconstruction.matrices, report.reconstruction.antihermitian_defects,
-                report.residuals,
+                composed.matrices, report.reconstruction.times, report.reconstruction.matrices,
+                report.reconstruction.antihermitian_defects, report.residuals,
             )
             returned[n] = sum(a.nbytes for a in arrays)
         # what grows beyond the per-node arrays returned is 16 KiB of

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -23,6 +23,7 @@ from qxform.operators import (
     phase_aligned_distance,
 )
 from qxform.propagation import (
+    MAX_STEPS,
     TimeGrid,
     UnitaryTrace,
     nmr_fast_propagator,
@@ -30,9 +31,11 @@ from qxform.propagation import (
     propagate,
     sample_trace,
 )
-from qxform.schedules import LinearRamp, NmrParams
+from qxform.schedules import Harmonic, LinearRamp, NmrParams
 from qxform.transform import (
     TimeScaling,
+    _frame_change,
+    check_frame_steps,
     compose_transform,
     control_residual,
     identity_transform,
@@ -57,6 +60,10 @@ def analytic_pair(grid):
     fast = sample_trace(lambda t: nmr_fast_propagator(BENCH, t), grid)
     slow = sample_trace(lambda t: nmr_slow_propagator(BENCH, t), grid)
     return fast, slow
+
+
+def identity_2(grid):
+    return identity_transform(grid, 2)
 
 
 class TestComposeTransform:
@@ -121,7 +128,7 @@ class TestFrameChanges:
         alpha = 0.61
         s_mat = expm(1j * alpha * Z)
         mats = np.broadcast_to(s_mat, (grid.n_steps + 1, 2, 2))
-        s = UnitaryTrace(grid, grid.times(), mats, 0.0)
+        s = UnitaryTrace(grid, 1, mats, 0.0)
         rec = transform_into_frame(h, s)
         for k, t in enumerate(rec.times):
             oracle = s_mat.conj().T @ h.matrix(float(t)) @ s_mat
@@ -133,7 +140,7 @@ class TestFrameChanges:
         lab, frame = nmr_hamiltonian(BENCH), rotating_frame_hamiltonian(BENCH)
         report = verify_transform(
             lab, frame, s,
-            control=control_residual(lab, frame, nmr_closed_form_transform(BENCH, grid.refined())),
+            control=control_residual(lab, frame, lambda g: nmr_closed_form_transform(BENCH, g), grid),
         )
         assert report.passed
         assert report.max_residual <= report.threshold
@@ -165,9 +172,9 @@ class TestFrameChanges:
         worst = float(np.max(np.linalg.norm(lab_rec.matrices - ref, axis=(1, 2))))
         report = verify_transform(
             lab, slow, num,
-            control=control_residual(lab, slow, compose_transform(
-                propagate(lab, grid.refined()), propagate(slow, grid.refined())
-            )),
+            control=control_residual(
+                lab, slow, lambda g: compose_transform(propagate(lab, g), propagate(slow, g)), grid
+            ),
         )
         assert worst <= 2 * report.threshold
 
@@ -223,16 +230,25 @@ class TestFrameChanges:
     def test_needs_an_interior_node(self):
         h = nmr_hamiltonian(BENCH)
         grid = TimeGrid(0.0, 2.0, 1)
-        s = compose_transform(*analytic_pair(grid))
-        control = compose_transform(*analytic_pair(grid.refined()))
+        def build(g):
+            return compose_transform(*analytic_pair(g))
+
+        s = build(grid)
         message = r"a frame change needs at least 2 steps \(an interior node\), got 1"
         for call in (transform_into_frame, transform_out_of_frame):
             with pytest.raises(ValueError, match=message):
                 call(h, s)
+        # the control, on two steps, passes; the transform it calibrates does not
+        control = control_residual(h, h, build, grid)
         with pytest.raises(ValueError, match=message):
-            verify_transform(h, h, s, control=control_residual(h, h, control))
+            verify_transform(h, h, s, control=control)
         # two steps leave one interior node, which is enough
-        assert transform_into_frame(h, control).matrices.shape == (1, 2, 2)
+        assert transform_into_frame(h, build(grid.refined())).matrices.shape == (1, 2, 2)
+
+    def test_control_doubles_the_steps_within_the_limit(self):
+        check_frame_steps(MAX_STEPS // 2)
+        with pytest.raises(ValueError, match=r"the control of a frame change doubles its 5e\+07 steps"):
+            check_frame_steps(MAX_STEPS // 2 + 1)
 
     def test_needs_full_grid_coverage(self):
         grid = TimeGrid(0.0, 2.0, 40)
@@ -248,7 +264,7 @@ class TestVerifyTransform:
         h = nmr_hamiltonian(BENCH)
         grid = TimeGrid(0.0, 2.0, 100)
         report = verify_transform(
-            h, h, identity_transform(grid, 2), control=control_residual(h, h, identity_transform(grid.refined(), 2))
+            h, h, identity_transform(grid, 2), control=control_residual(h, h, identity_2, grid)
         )
         assert report.max_residual <= 1e-12
         assert report.passed
@@ -272,7 +288,7 @@ class TestVerifyTransform:
         grid = TimeGrid(0.0, 2.0, 100)
         report = verify_transform(
             h, h_shifted, identity_transform(grid, 2),
-            control=control_residual(h, h_shifted, identity_transform(grid.refined(), 2)),
+            control=control_residual(h, h_shifted, identity_2, grid),
         )
         assert report.max_residual == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert not report.passed
@@ -285,24 +301,62 @@ class TestVerifyTransform:
         p = NmrParams.harmonic(**params)
         lab, frame = nmr_hamiltonian(p), rotating_frame_hamiltonian(p)
         grid = TimeGrid(0.0, 2.0, 100)
-        control = control_residual(lab, frame, nmr_closed_form_transform(p, grid.refined()))
+        control = control_residual(lab, frame, lambda g: nmr_closed_form_transform(p, g), grid)
         report = verify_transform(lab, frame, nmr_closed_form_transform(p, grid), control)
         assert not math.isfinite(report.max_residual)
         assert not math.isfinite(report.control_max_residual)
         assert not report.passed
 
-    def test_wrong_control_grid_rejected(self):
+    @pytest.mark.parametrize(
+        "control_grid",
+        [TimeGrid(0.0, 2.0, 50), TimeGrid(1.0, 3.0, 100)],
+        ids=["half the steps", "a shifted interval"],
+    )
+    def test_control_of_another_grid_rejected(self, control_grid):
+        # the first control lives on the transform's own 100 steps
         grid = TimeGrid(0.0, 2.0, 100)
         h = nmr_hamiltonian(BENCH)
-        s = identity_transform(grid, 2)
-        with pytest.raises(ValueError, match="refined"):
-            verify_transform(h, h, s, control=control_residual(h, h, identity_transform(grid, 2)))
+        control = control_residual(h, h, identity_2, control_grid)
+        with pytest.raises(ValueError, match=r"the control calibrates TimeGrid\("):
+            verify_transform(h, h, identity_transform(grid, 2), control=control)
+
+    def test_control_on_another_interval_rejected(self):
+        # the pair that a check on the step count alone let through: the
+        # control of TimeGrid(0, 50, 100), whose threshold is far above the
+        # residuals of a transform on [0, 1]
+        lab, frame = nmr_hamiltonian(BENCH), rotating_frame_hamiltonian(BENCH)
+
+        def build(g):
+            return nmr_closed_form_transform(BENCH, g)
+
+        control = control_residual(lab, frame, build, TimeGrid(0.0, 50.0, 100))
+        with pytest.raises(ValueError, match="not the transform's"):
+            verify_transform(lab, frame, build(TimeGrid(0.0, 1.0, 100)), control)
+
+    def test_control_built_off_the_refined_grid_rejected(self):
+        grid = TimeGrid(0.0, 2.0, 100)
+        h = nmr_hamiltonian(BENCH)
+        with pytest.raises(ValueError, match=r"refined grid TimeGrid\(t_start=0\.0, t_end=2\.0, n_steps=200\)"):
+            control_residual(h, h, lambda g: identity_transform(grid, 2), grid)
+
+    def test_control_calibrates_the_grid_it_was_given(self):
+        grid = TimeGrid(0.0, 2.0, 100)
+        h = nmr_hamiltonian(BENCH)
+        built = []
+
+        def build(g):
+            built.append(g)
+            return identity_transform(g, 2)
+
+        control = control_residual(h, h, build, grid)
+        assert built == [TimeGrid(0.0, 2.0, 200)]
+        assert control.grid == grid
 
     def test_report_serialization(self, tmp_path):
         h = nmr_hamiltonian(BENCH)
         grid = TimeGrid(0.0, 2.0, 100)
         report = verify_transform(
-            h, h, identity_transform(grid, 2), control=control_residual(h, h, identity_transform(grid.refined(), 2))
+            h, h, identity_transform(grid, 2), control=control_residual(h, h, identity_2, grid)
         )
         # central differencing drops both endpoints
         assert len(report.times) == grid.n_steps - 1
@@ -312,6 +366,48 @@ class TestVerifyTransform:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,value"
         assert len(lines) == len(report.times) + 1
+
+
+# A coefficient on t in [0, 1] of magnitude at most 2: with at most three
+# terms ||H|| <= 6, so on 32 steps or more dt ||H|| <= 0.19, well inside the
+# regime where the second-order residual model holds.
+_COEFFICIENTS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.builds(LinearRamp, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.just(1.0)),
+    st.builds(Harmonic, st.floats(-2.0, 2.0)),
+)
+
+
+@st.composite
+def pauli_hamiltonian(draw, n_qubits):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        axes = draw(st.lists(st.sampled_from("IXYZ"), min_size=n_qubits, max_size=n_qubits))
+        string = PauliString(tuple((q, a) for q, a in enumerate(axes) if a != "I"))
+        terms.append((draw(_COEFFICIENTS), string))
+    return TimeDependentHamiltonian(n_qubits, terms=terms)
+
+
+class TestTheoremOnArbitraryPairs:
+    @settings(max_examples=40)
+    @given(data=st.data(), n_qubits=st.integers(1, 3), n_steps=st.integers(32, 64))
+    def test_propagated_frame_change_maps_one_hamiltonian_onto_the_other(self, data, n_qubits, n_steps):
+        # S = U u^dag carries H into h, to the second order of the step, and back
+        big, small = (data.draw(pauli_hamiltonian(n_qubits)) for _ in range(2))
+
+        def build(g):
+            return compose_transform(propagate(big, g), propagate(small, g))
+
+        grid = TimeGrid(0.0, 1.0, n_steps)
+        s = build(grid)
+        report = verify_transform(big, small, s, control_residual(big, small, build, grid))
+        assert report.passed
+        # halving the step quarters a second-order residual; one at roundoff
+        # (H = h, say) has no order to show
+        if report.control_max_residual > 1e-9:
+            assert 3.5 <= report.max_residual / report.control_max_residual <= 4.5
+        round_trip = _frame_change(report.reconstruction, s, adjoint=True, target=big, keep=False)[1]
+        assert np.max(round_trip) <= report.threshold
 
 
 class TestTwoGateRealization:
