@@ -34,6 +34,7 @@ from .hamiltonians import (
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )
+from .propagation import TimeGrid
 from .schedules import Constant, CosineRamp, Harmonic, LinearRamp, NmrParams, Tabulated
 from .transform import (
     TimeScaling,
@@ -323,7 +324,7 @@ def _run_nmr(p, jobs):
         "transform_control_max_residual": tr.control_max_residual,
         "transform_model_passed": tr.passed,
         "transform_max_antihermitian_defect": tr.max_antihermitian_defect,
-        "round_trip_max_residual": report.round_trip_max_residual,
+        "round_trip_max_residual": tr.round_trip_max_residual,
         "min_fidelity": report.fidelity_curve.min_value,
         "expected_min_fidelity": report.expected_min_fidelity,
         "numeric_min_fidelity": report.numeric_min_fidelity,
@@ -418,7 +419,11 @@ def _run_rescale(p, jobs):
         transverse0 = default_transverse_strength(problem)
     frame_h = annealing_hamiltonian(LinearRamp(transverse0, 0.0, 1.0), problem)
     n_steps = p["n_steps"]
-    report = time_rescaling_equivalence(frame_h, scaling, n_steps, stride=max(1, n_steps // 1000))
+    with _field("n_steps"):
+        TimeGrid(0.0, 1.0, n_steps)  # the run's grid, refused here before the wrap below
+    # a Hamiltonian the boost carries past the float range is named by its amplitude
+    with _field("problem" if p["transverse0"] is None else "transverse0"):
+        report = time_rescaling_equivalence(frame_h, scaling, n_steps, stride=max(1, n_steps // 1000))
     metrics = {
         "max_distance": report.max_distance,
         "time_ratio": scaling.ratio,

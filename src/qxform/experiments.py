@@ -42,7 +42,6 @@ from .propagation import (
 from .schedules import LinearRamp, NmrParams, Schedule
 from .transform import (
     TransformReport,
-    _frame_change,
     check_frame_steps,
     compose_transform,
     control_residual,
@@ -175,7 +174,6 @@ class NmrExperimentReport:
     oracle_distance_slow: float
     composed_vs_closed_form: float
     transform_report: TransformReport
-    round_trip_max_residual: float
     fidelity_curve: FidelityCurve
     expected_min_fidelity: float
     numeric_min_fidelity: float
@@ -214,7 +212,12 @@ def nmr_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
         n_steps = max(16, int(math.ceil(_within_step_limit(t_final / 1e-3))))
     check_frame_steps(n_steps)
     grid = TimeGrid(0.0, float(t_final), int(n_steps))
-    grid.refined()
+    try:
+        grid.refined()
+    except ValueError as exc:
+        raise ValueError(
+            f"the step {grid.dt!r} is accepted, but the control's refined grid halves it: {exc}"
+        ) from None
     return grid
 
 
@@ -257,10 +260,6 @@ def run_nmr_experiment(
     slow_num = propagate(slow_h, grid)
     composed_num = compose_transform(fast_num, slow_num)
     report = verify_transform(fast_h, slow_h, composed_num, control)
-    # back out of the frame: the reconstruction against the lab Hamiltonian
-    round_trip = float(
-        np.max(_frame_change(report.reconstruction, composed_num, adjoint=True, target=fast_h, keep=False)[1])
-    )
     slow_final = slow_num.apply(psi0)
     two_composed = fidelity(two_gate_realization(fast_num, composed_num, psi0), slow_final)
     defects = [fast_num.max_defect, slow_num.max_defect, composed_num.max_defect]
@@ -301,7 +300,6 @@ def run_nmr_experiment(
         oracle_distance_slow=oracle_slow,
         composed_vs_closed_form=composed_vs_closed,
         transform_report=report,
-        round_trip_max_residual=round_trip,
         fidelity_curve=curve,
         expected_min_fidelity=expected_min_fidelity(drive_strength, detuning),
         numeric_min_fidelity=curve_num.min_value,

@@ -166,15 +166,15 @@ class TimeDependentHamiltonian:
             coefficients.append((factors, slice(start, len(columns))))
         # Each term fills one entry per column, (j xor flip, j).  Terms sharing a
         # flip and a real or imaginary part form a segment: one (rows, dim)
-        # product, placed by ``_gather`` (its last column is the zero product).
+        # product, written to its slots in the float view of the output.
         order = sorted(range(len(columns)), key=lambda k: columns[k][:2])
         keys = [columns[k][:2] for k in order]
         starts = [lo for lo in range(len(keys)) if lo == 0 or keys[lo] != keys[lo - 1]]
         cols = np.arange(self.dim)
-        gather = np.full((self.dim, self.dim, 2), len(starts) * self.dim)
-        for n, lo in enumerate(starts):
+        slots = []
+        for lo in starts:
             flip, imaginary = keys[lo]
-            gather[cols ^ flip, cols, int(imaginary)] = n * self.dim + cols
+            slots.append(2 * ((cols ^ flip) * self.dim + cols) + int(imaginary))
         self._static = static
         self._coefficients = tuple(coefficients)
         self._labels = tuple(labels)
@@ -182,9 +182,8 @@ class TimeDependentHamiltonian:
         self._scales = np.array([columns[k][3] for k in order], dtype=float)
         self._zmasks = np.array([columns[k][2] for k in order], dtype=int)
         self._signs = _sign_table(self.n_qubits)
-        self._segments = tuple(map(slice, starts, starts[1:] + [len(order)]))
-        self._gather = gather.ravel()  # real and imaginary part of each entry in turn
-        for a in (self._static, self._order, self._scales, self._zmasks, self._gather):
+        self._segments = tuple(zip(map(slice, starts, starts[1:] + [len(order)]), slots))
+        for a in (self._static, self._order, self._scales, self._zmasks, *slots):
             a.flags.writeable = False
 
     def matrix(self, t: float) -> np.ndarray:
@@ -209,12 +208,10 @@ class TimeDependentHamiltonian:
             raise self._bad_coefficient(ts, vals, ~np.isfinite(vals))
         # the sign vectors are +-1, so this is each term's one rounding, as in a dense product
         vals = vals[:, self._order] * self._scales
-        products = np.zeros((ts.size, (len(self._segments) + 1) * self.dim))
-        for n, seg in enumerate(self._segments):
-            signs = self._signs[self._zmasks[seg]]
-            products[:, n * self.dim : (n + 1) * self.dim] = vals[:, seg] @ signs
-        out = np.take(products, self._gather, axis=1).view(complex)
-        out = out.reshape(ts.size, self.dim, self.dim)
+        out = np.zeros((ts.size, 2 * self.dim * self.dim))  # real and imaginary part of each entry in turn
+        for seg, slots in self._segments:
+            out[:, slots] = vals[:, seg] @ self._signs[self._zmasks[seg]]
+        out = out.view(complex).reshape(ts.size, self.dim, self.dim)
         out += self._static
         return out
 

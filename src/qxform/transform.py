@@ -153,15 +153,18 @@ def _frobenius_rows(x: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None
     np.sqrt(np.add.reduce(scratch.real, axis=(1, 2)), out=out)
 
 
-def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=None, keep=True):
+def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=None, back=None, keep=True):
     """s^dag H s - i s^dag ds/dt at the interior nodes of ``transform``'s grid,
     with s the transform's matrices or (``adjoint``) their adjoints, one block
     of nodes at a time.
 
-    Returns the SampledHamiltonian (None unless ``keep``) and, with a
-    ``target`` Hamiltonian, the per-node Frobenius residuals against it (else
-    None); without ``keep`` only one block of the reconstruction is held.
-    Residuals that overflow are inf, which no tolerance model passes.
+    Returns four values, each None when not asked for: the SampledHamiltonian
+    (with ``keep``; else only one block of it is held), the per-node
+    Frobenius residuals against a ``target`` Hamiltonian, and, with ``back``,
+    the largest residual of carrying the reconstruction back out of the frame
+    (the formula with the other of s and s^dag) against ``back`` and the
+    largest anti-Hermitian defect.  Residuals that overflow are inf, which no
+    tolerance model passes.
     """
     check_frame_steps(transform.grid.n_steps)
     if transform.stride != 1:
@@ -174,43 +177,65 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
     # r.  s^dag is a view of the conjugates and its bra s^* a view of the
     # transform, or the reverse with ``adjoint``, laid out as the conjugated
     # copies they replace.  The Hermitian part's block holds s^dag ds/dt until
-    # it is written, and the conjugates' block holds r^* once it is read.
+    # it is written, and the conjugates' block holds r^* once it is read.  A
+    # round trip's Hermitian part has a block of its own.
     conj = np.empty((rows + 2, dim, dim), dtype=complex)
     s_dot_buf, raw = (np.empty((rows, dim, dim), dtype=complex) for _ in range(2))
     matrices = np.empty((n if keep else rows, dim, dim), dtype=complex)
     times, defects = (np.empty(n), np.empty(n)) if keep else (None, None)
     residuals = None if target is None else np.empty(n)
+    back_herm = None if back is None else np.empty((rows, dim, dim), dtype=complex)
+    block = np.empty(rows)  # a block of per-node values reduced to their largest
+    max_defect = max_round_trip = -np.inf
+
+    def hermitian_part(nodes, h_mid, adjoint, herm):
+        """The Hermitian part of the formula for ``h_mid`` at the middle
+        ``nodes``, into ``herm``; returns r and r^dag."""
+        m = len(herm)
+        nodes_conj = np.conjugate(nodes, out=conj[: m + 2])
+        if adjoint:
+            s, bra = nodes_conj.transpose(0, 2, 1), nodes[1:-1].transpose(0, 2, 1)
+            s_dot = s_dot_buf[:m].transpose(0, 2, 1)
+        else:
+            s, bra, s_dot = nodes, nodes_conj[1:-1], s_dot_buf[:m]
+        s_mid = s[1:-1]
+        np.subtract(s[2:], s[:-2], out=s_dot)
+        s_dot /= 2.0 * grid.dt  # central difference
+        r = np.einsum("kji,kjl,klm->kim", bra, h_mid, s_mid, out=raw[:m])
+        r -= np.multiply(np.einsum("kji,kjl->kil", bra, s_dot, out=herm), 1j, out=herm)
+        dag = np.conjugate(r, out=conj[:m]).transpose(0, 2, 1)
+        np.add(r, dag, out=herm)
+        herm *= 0.5
+        return r, dag
+
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
             m = hi - lo
             t_mid = _node_times(grid, np.arange(lo + 1, hi + 1))
             nodes = transform.matrices[lo : hi + 2]
-            nodes_conj = np.conjugate(nodes, out=conj[: m + 2])
-            if adjoint:
-                s, bra = nodes_conj.transpose(0, 2, 1), nodes[1:-1].transpose(0, 2, 1)
-                s_dot = s_dot_buf[:m].transpose(0, 2, 1)
-            else:
-                s, bra, s_dot = nodes, nodes_conj[1:-1], s_dot_buf[:m]
-            s_mid = s[1:-1]
-            np.subtract(s[2:], s[:-2], out=s_dot)
-            s_dot /= 2.0 * grid.dt  # central difference
-            r = np.einsum("kji,kjl,klm->kim", bra, hamiltonian.matrix_stack(t_mid), s_mid, out=raw[:m])
             herm = matrices[lo:hi] if keep else matrices[:m]
-            r -= np.multiply(np.einsum("kji,kjl->kil", bra, s_dot, out=herm), 1j, out=herm)
-            dag = np.conjugate(r, out=conj[:m]).transpose(0, 2, 1)
-            np.add(r, dag, out=herm)
-            herm *= 0.5
-            if keep:
-                times[lo:hi] = t_mid
+            r, dag = hermitian_part(nodes, hamiltonian.matrix_stack(t_mid), adjoint, herm)
+            if keep or back is not None:
                 antiherm = np.subtract(r, dag, out=s_dot_buf[:m])
                 antiherm *= 0.5
-                _frobenius_rows(antiherm, conj[:m], defects[lo:hi])
+                node_defects = defects[lo:hi] if keep else block[:m]
+                _frobenius_rows(antiherm, conj[:m], node_defects)
+                max_defect = np.maximum(max_defect, np.max(node_defects))
+            if keep:
+                times[lo:hi] = t_mid
             if target is not None:
                 diff = np.subtract(herm, target.matrix_stack(t_mid), out=s_dot_buf[:m])
                 _frobenius_rows(diff, conj[:m], residuals[lo:hi])
+            if back is not None:
+                hermitian_part(nodes, herm, not adjoint, back_herm[:m])
+                diff = np.subtract(back_herm[:m], back.matrix_stack(t_mid), out=s_dot_buf[:m])
+                _frobenius_rows(diff, conj[:m], block[:m])
+                max_round_trip = np.maximum(max_round_trip, np.max(block[:m]))
     rec = SampledHamiltonian(times, matrices, defects, grid.dt) if keep else None
-    return rec, residuals
+    if back is None:
+        return rec, residuals, None, None
+    return rec, residuals, float(max_round_trip), float(max_defect)
 
 
 def transform_into_frame(hamiltonian, transform: UnitaryTrace) -> SampledHamiltonian:
@@ -235,7 +260,8 @@ def transform_out_of_frame(frame_hamiltonian, transform: UnitaryTrace) -> Sample
 
 @dataclass(frozen=True, eq=False)
 class TransformReport:
-    """Residuals of the frame-change identity on interior grid nodes.
+    """Residuals of the frame-change identity on interior grid nodes, the
+    ascending ``times``.
 
     The pass criterion is self-calibrated against a control reconstruction on
     a two-times finer grid: the coarse maximum must not exceed 4 x (fine
@@ -244,29 +270,22 @@ class TransformReport:
     cannot masquerade as second-order differencing error.  A non-finite
     residual on either grid fails it.
 
-    ``reconstruction`` is the frame Hamiltonian rebuilt from the transform on
-    the coarse grid, the one the residuals measure.
+    The frame Hamiltonian rebuilt on the coarse grid, with differencing step
+    ``fd_step``, is kept only as values: its largest discarded anti-Hermitian
+    part, and the largest residual of carrying it back out of the frame
+    against the original Hamiltonian (``round_trip_max_residual``).
     """
 
-    reconstruction: SampledHamiltonian
+    times: np.ndarray
     residuals: np.ndarray
     max_residual: float
     control_max_residual: float
     threshold: float
     passed: bool
     inconsistent_transform: bool
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.reconstruction.times
-
-    @property
-    def fd_step(self) -> float:
-        return self.reconstruction.fd_step
-
-    @property
-    def max_antihermitian_defect(self) -> float:
-        return self.reconstruction.max_defect
+    max_antihermitian_defect: float
+    round_trip_max_residual: float
+    fd_step: float
 
 
 @dataclass(frozen=True)
@@ -297,20 +316,23 @@ def verify_transform(
     transform: UnitaryTrace,
     control: ControlResidual,
 ) -> TransformReport:
-    """Check that ``transform`` maps ``hamiltonian`` onto ``frame_hamiltonian``.
+    """Check that ``transform`` maps ``hamiltonian`` onto ``frame_hamiltonian``,
+    and that its adjoint maps the reconstruction back onto ``hamiltonian``.
 
     ``control`` is :func:`control_residual` of the same transform on the
-    transform's grid.  The model passes only on finite residuals.
+    transform's grid.  The model passes only on finite forward residuals.
     """
     if control.grid != transform.grid:
         raise ValueError(f"the control calibrates {control.grid}, not the transform's {transform.grid}")
     control_max = control.max_residual
-    rec, residuals = _frame_change(hamiltonian, transform, target=frame_hamiltonian)
+    _, residuals, round_trip, max_defect = _frame_change(
+        hamiltonian, transform, target=frame_hamiltonian, back=hamiltonian, keep=False
+    )
     max_residual = float(np.max(residuals))
     threshold = 4.0 * control_max + _RESIDUAL_FLOOR
     finite = math.isfinite(max_residual) and math.isfinite(control_max)
     return TransformReport(
-        reconstruction=rec,
+        times=_node_times(transform.grid, np.arange(1, transform.grid.n_steps)),
         residuals=residuals,
         max_residual=max_residual,
         control_max_residual=control_max,
@@ -320,7 +342,10 @@ def verify_transform(
             and max_residual <= threshold
             and control_max <= 0.5 * max_residual + _RESIDUAL_FLOOR
         ),
-        inconsistent_transform=bool(rec.max_defect > 10.0 * threshold),
+        inconsistent_transform=bool(max_defect > 10.0 * threshold),
+        max_antihermitian_defect=max_defect,
+        round_trip_max_residual=round_trip,
+        fd_step=transform.grid.dt,
     )
 
 
@@ -357,6 +382,10 @@ class TimeScaling:
             raise ValueError(
                 f"need 0 < fast_time < slow_time, got {self.fast_time}, {self.slow_time}"
             )
+        if not math.isfinite(self.ratio):
+            raise ValueError(
+                f"the ratio slow_time/fast_time = {self.slow_time!r}/{self.fast_time!r} overflows"
+            )
 
     @property
     def ratio(self) -> float:
@@ -364,7 +393,8 @@ class TimeScaling:
 
 
 class _AmplitudeScaled:
-    """A constant multiple of another Hamiltonian (same time axis)."""
+    """A constant multiple of another Hamiltonian (same time axis), refused
+    at the first time where it leaves the float range."""
 
     def __init__(self, base, factor: float):
         self.base = base
@@ -372,7 +402,13 @@ class _AmplitudeScaled:
         self.dim = base.dim
 
     def matrix_stack(self, ts):
-        return self.factor * self.base.matrix_stack(ts)
+        with np.errstate(over="ignore", invalid="ignore"):  # named below
+            out = self.factor * self.base.matrix_stack(ts)
+        finite = np.isfinite(out).all(axis=(1, 2))
+        if not finite.all():
+            t = np.atleast_1d(ts)[np.argmin(finite)]
+            raise ValueError(f"the Hamiltonian scaled by {self.factor!r} is not finite at t={float(t)!r}")
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -129,7 +129,7 @@ def test_criterion_1_integrator_vs_oracle():
 
 def test_criterion_2_frame_change_identity(benchmark_report):
     tr = benchmark_report.transform_report
-    round_trip = benchmark_report.round_trip_max_residual
+    round_trip = tr.round_trip_max_residual
     ok = bool(tr.passed) and round_trip <= 2.0 * tr.threshold
     report_line(
         2, "frame-change identity", ok,

@@ -38,6 +38,7 @@ from qxform.propagation import (
 from qxform.schedules import LinearRamp, NmrParams
 from qxform.transform import (
     SampledHamiltonian,
+    _frame_change,
     compose_transform,
     control_residual,
     transform_into_frame,
@@ -296,7 +297,12 @@ def test_analysis_matches_the_one_shot_formulas(n_qubits, rows, monkeypatch):
     report = verify_transform(h, frame, composed, control=control_residual(h, frame, lambda g: control, grid))
     assert np.array_equal(report.residuals, one_shot_residuals(h, frame, composed))
     assert report.control_max_residual == np.max(one_shot_residuals(h, frame, control))
-    assert np.array_equal(report.reconstruction.matrices, transform_into_frame(h, composed).matrices)
+    # the report keeps values of the reconstruction, and of carrying it back out of the frame
+    rec = transform_into_frame(h, composed)
+    round_trip = _frame_change(rec, composed, adjoint=True, target=h, keep=False)[1]
+    assert report.round_trip_max_residual == np.max(round_trip)
+    assert report.max_antihermitian_defect == rec.max_defect
+    assert np.array_equal(report.times, rec.times)
 
     got = phase_align(a, b)
     for value, reference in zip(got, one_shot_phase_align(a, b)):

@@ -390,6 +390,10 @@ class TestModuleEntryPoint:
             ("nmr.json", ["t_final=1e307"], "beyond the float range"),
             ("rescale.json", ["n_steps=1000000000000"], "a grid of 1e+12 steps exceeds the limit"),
             ("rescale.json", ["fast_time=20"], "config field 'fast_time'"),
+            # a boost past the float range, in the time ratio or in the Hamiltonian it scales
+            ("rescale.json", ["fast_time=1e-320"], "config field 'fast_time': the ratio slow_time/fast_time"),
+            ("rescale.json", ["slow_time=1e308"], "config field 'fast_time': the ratio slow_time/fast_time"),
+            ("rescale.json", ["transverse0=1.7e308"], "config field 'transverse0': the Hamiltonian scaled by"),
             # the default quarter turn pi/(2|d|) underflows, or has no value
             ("nmr.json", ["qubit_splitting=1e308"], "config field 't_final': the quarter turn"),
             ("nmr.json", ["drive_rate=1.0"], "config field 't_final': t_final must be given"),
@@ -397,11 +401,16 @@ class TestModuleEntryPoint:
             ("nmr.json", ["t_final=1e-310", "n_steps=16"], "config field 't_final': a grid step of"),
             ("nmr.json", ["t_final=1e-310", "n_steps=null"], "config field 't_final': a grid step of"),
             ("verify_transform.json", ["t_final=1e-310", "n_steps=16"], "config field 't_final': a grid step of"),
-            # the control doubles the steps, and so halves the step
-            ("nmr.json", ["t_final=3.6e-307", "n_steps=16"], "config field 't_final': a grid step of 1.125e-308"),
+            # the control doubles the steps, and so halves the configured step
+            (
+                "nmr.json", ["t_final=3.6e-307", "n_steps=16"],
+                "config field 't_final': the step 2.25e-308 is accepted, but the control's refined grid halves it: "
+                "a grid step of 1.125e-308",
+            ),
             (
                 "verify_transform.json", ["t_final=3.6e-307", "n_steps=16"],
-                "config field 't_final': a grid step of 1.125e-308",
+                "config field 't_final': the step 2.25e-308 is accepted, but the control's refined grid halves it: "
+                "a grid step of 1.125e-308",
             ),
             ("nmr.json", ["n_steps=60000000"], "config field 'n_steps': the control of a frame change doubles"),
             (

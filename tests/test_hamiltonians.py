@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,20 @@ class TestEvaluation:
         got = self._with_coefficient(1 + 0j).matrix_stack([0.0, 0.5, 1.0])
         expected = self._with_coefficient(1.0).matrix_stack([0.0, 0.5, 1.0])
         assert np.array_equal(got, expected)
+
+    def test_matrix_stack_peak_is_its_output_and_coefficients(self):
+        # 8192 rows at dim 2 return 512 KiB; the coefficient columns and one
+        # segment's product at a time add under 512 KiB to that
+        h = nmr_hamiltonian(NmrParams.harmonic(1.0, 2.0, 25.0))
+        ts = np.linspace(0.0, 1.0, 8192)
+        h.matrix_stack(ts[:16])  # one-time allocations
+        tracemalloc.start()
+        try:
+            h.matrix_stack(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_sign_table_is_the_sylvester_hadamard_matrix(self, n):

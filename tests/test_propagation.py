@@ -229,7 +229,9 @@ class TestPropagate:
     def test_analysis_working_set_is_one_block_plus_the_returned_arrays(self):
         # the frame check of configs/nmr.json at dim 2: reduce the control,
         # compose the transform and verify it; the traces composed are built
-        # first, the control's on the refined grid that control_residual asks for
+        # first, and so is the control's transform on the refined grid that
+        # control_residual asks for: its 128 B per coarse node exceed the 80 B
+        # returned, so building it inside would set the peak
         p = NmrParams.harmonic(1.0, 2.0, 25.0)
         lab, frame = nmr_hamiltonian(p), rotating_frame_hamiltonian(p)
 
@@ -241,21 +243,18 @@ class TestPropagate:
         peaks, returned = {}, {}
         for n in (10_000, 20_000):
             grid = TimeGrid(0.0, 1.0, n)
-            coarse, fine = closed_forms(grid), closed_forms(grid.refined())
+            coarse, fine = closed_forms(grid), compose_transform(*closed_forms(grid.refined()))
             kept = []
 
             def analysis():
-                control = control_residual(lab, frame, lambda g: compose_transform(*fine), grid)
+                control = control_residual(lab, frame, lambda g: fine, grid)
                 composed = compose_transform(*coarse)
                 report = verify_transform(lab, frame, composed, control)
                 kept.extend((composed, report))
 
             peaks[n] = traced_peak(analysis)
             composed, report = kept
-            arrays = (
-                composed.matrices, report.reconstruction.times, report.reconstruction.matrices,
-                report.reconstruction.antihermitian_defects, report.residuals,
-            )
+            arrays = (composed.matrices, report.times, report.residuals)
             returned[n] = sum(a.nbytes for a in arrays)
         # what grows beyond the per-node arrays returned is 16 KiB of
         # bookkeeping at most; a block is 512 KiB
