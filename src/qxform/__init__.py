@@ -17,7 +17,6 @@ from .operators import (
     hermiticity_defect,
     minus_state,
     pauli_matrix,
-    phase_align,
     phase_aligned_distance,
 )
 from .schedules import Constant, CosineRamp, Harmonic, LinearRamp, NmrParams, Schedule, Tabulated

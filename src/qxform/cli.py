@@ -34,7 +34,7 @@ from .hamiltonians import (
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )
-from .propagation import TimeGrid
+from .propagation import TimeGrid, nmr_fast_propagator
 from .schedules import Constant, CosineRamp, Harmonic, LinearRamp, NmrParams, Tabulated
 from .transform import (
     TimeScaling,
@@ -235,10 +235,13 @@ def _ising_problem(p, path):
         raise ConfigError(
             _join(path, "couplings"), "conflicts with 'problem_file', which holds the couplings"
         )
-    with _field(_join(path, "couplings" if inline else "problem_file")):
-        if inline:
-            return IsingProblem(p["n_qubits"], p["fields"], p["couplings"] or ())
-        return IsingProblem.from_edge_list(p["problem_file"], n_qubits=p["n_qubits"])
+    if not inline:
+        with _field(_join(path, "problem_file")):
+            return IsingProblem.from_edge_list(p["problem_file"], n_qubits=p["n_qubits"])
+    with _field(_join(path, "fields")):
+        IsingProblem(p["n_qubits"], p["fields"])  # the fields alone: their count and their sum
+    with _field(_join(path, "couplings")):
+        return IsingProblem(p["n_qubits"], p["fields"], p["couplings"] or ())
 
 
 _GROVER = {"n_qubits": Field("positive integer"), "marked": Field("integer")}
@@ -300,21 +303,30 @@ def _parse_config(cfg):
 # Experiment runners (parsed fields -> metrics, curves)
 
 
-def _run_nmr(p, jobs):
+def _drive_and_grid(p):
+    """The drive of an nmr or verify-transform config and the grid of its
+    frame change, ``t_final`` defaulting to a quarter turn of the frame; each
+    refusal names its field."""
+    params = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"])
     if p["n_steps"] is not None:
         with _field("n_steps"):
             check_frame_steps(p["n_steps"])
     with _field("t_final"):
-        if p["t_final"] is None:
-            detuning = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"]).detuning
-            p = {**p, "t_final": quarter_turn_time(detuning)}
-        nmr_grid(p["t_final"], p["n_steps"])
-    report = run_nmr_experiment(**p)
+        t_final = quarter_turn_time(params.detuning) if p["t_final"] is None else p["t_final"]
+        return params, nmr_grid(t_final, p["n_steps"])
+
+
+def _run_nmr(p, jobs):
+    params, grid = _drive_and_grid(p)
+    # the closed forms' generator 2 g X - d Z, refused before any propagation
+    with _field("drive_strength" if math.isfinite(params.detuning) else "drive_rate"):
+        nmr_fast_propagator(params, 0.0)
+    report = run_nmr_experiment(**{key: p[key] for key in _DRIVE}, grid=grid)
     tr = report.transform_report
     metrics = {
         "detuning": report.detuning,
-        "t_final": report.t_final,
-        "n_steps": report.n_steps,
+        "t_final": grid.t_end,
+        "n_steps": grid.n_steps,
         "adiabaticity_ratio": report.adiabaticity_ratio,
         "oracle_distance_fast": report.oracle_distance_fast,
         "oracle_distance_slow": report.oracle_distance_slow,
@@ -340,9 +352,15 @@ def _run_nmr(p, jobs):
     return metrics, curves
 
 
+def _transverse0(p):
+    """transverse0, or the problem's default, refused by that name when it overflows."""
+    with _field("transverse0"):
+        return default_transverse_strength(p["problem"]) if p["transverse0"] is None else p["transverse0"]
+
+
 def _run_annealing(p, jobs):
     problem = p["problem"]
-    transverse0 = p["transverse0"]
+    transverse0 = _transverse0(p)
     sweep = p["sweep"]
     if sweep is not None:
         # refused before any run, naming t_initial when its first point is already too long
@@ -384,11 +402,7 @@ def _run_annealing(p, jobs):
 
 
 def _run_verify_transform(p, jobs):
-    with _field("n_steps"):
-        check_frame_steps(p["n_steps"])
-    with _field("t_final"):
-        grid = nmr_grid(p["t_final"], p["n_steps"])
-    params = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"])
+    params, grid = _drive_and_grid(p)
     lab = nmr_hamiltonian(params)
     if p["pair"] == "self":
         frame, build = lab, lambda g: identity_transform(g, lab.dim)
@@ -414,13 +428,15 @@ def _run_rescale(p, jobs):
     with _field("fast_time"):
         scaling = TimeScaling(p["fast_time"], p["slow_time"])
     problem = p["problem"]
-    transverse0 = p["transverse0"]
-    if transverse0 is None:
-        transverse0 = default_transverse_strength(problem)
+    transverse0 = _transverse0(p)
     frame_h = annealing_hamiltonian(LinearRamp(transverse0, 0.0, 1.0), problem)
     n_steps = p["n_steps"]
     with _field("n_steps"):
         TimeGrid(0.0, 1.0, n_steps)  # the run's grid, refused here before the wrap below
+    dc = p["drive_check"]
+    if dc is not None:  # closed forms only, so a drive past the float range is refused before any propagation
+        with _field("drive_check.drive_strength"):
+            drive_max_distance = verify_rescaled_drive(dc["drive_strength"], scaling, dc["n_nodes"])
     # a Hamiltonian the boost carries past the float range is named by its amplitude
     with _field("problem" if p["transverse0"] is None else "transverse0"):
         report = time_rescaling_equivalence(frame_h, scaling, n_steps, stride=max(1, n_steps // 1000))
@@ -430,9 +446,8 @@ def _run_rescale(p, jobs):
         "n_steps": n_steps,
         "max_unitarity_defect": report.max_unitarity_defect,
     }
-    dc = p["drive_check"]
     if dc is not None:
-        metrics["drive_max_distance"] = verify_rescaled_drive(dc["drive_strength"], scaling, dc["n_nodes"])
+        metrics["drive_max_distance"] = drive_max_distance
     return metrics, {"distance": (report.times, report.distances)}
 
 
@@ -454,7 +469,7 @@ _SWEEP = {
 _FAST_COUNTERPART = {
     "phase": Field("schedule"),
     "t_final": Field("positive number", 2.0),
-    "n_steps": Field("positive integer", None),
+    "n_steps": Field("positive integer", 100_000),
 }
 
 _ANNEALING = {

@@ -167,8 +167,6 @@ class NmrExperimentReport:
     realization metrics.  No trace is kept."""
 
     detuning: float
-    t_final: float
-    n_steps: int
     adiabaticity_ratio: float
     oracle_distance_fast: float
     oracle_distance_slow: float
@@ -222,11 +220,7 @@ def nmr_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
 
 
 def run_nmr_experiment(
-    qubit_splitting: float,
-    drive_rate: float,
-    drive_strength: float,
-    t_final: float | None = None,
-    n_steps: int | None = None,
+    qubit_splitting: float, drive_rate: float, drive_strength: float, grid: TimeGrid
 ) -> NmrExperimentReport:
     """Drive one qubit fast, watch it evolve slowly in the rotated frame.
 
@@ -234,17 +228,13 @@ def run_nmr_experiment(
     both numerically and through the closed forms, composes the frame change
     from the propagators, verifies the frame-change identity with the
     self-calibrated tolerance model, tracks the ground branch, and realizes
-    the final state as one fast gate plus one correction gate.
-
-    ``t_final`` defaults to a quarter turn of the frame (:func:`quarter_turn_time`),
-    where the rotated drive points along Y and the correction gate has its
-    simplest form.
+    the final state as one fast gate plus one correction gate, all on
+    ``grid``, as :func:`nmr_grid` builds it.  A quarter turn of the frame
+    (:func:`quarter_turn_time`), where the rotated drive points along Y, gives
+    the correction gate its simplest form.
     """
     p = NmrParams.harmonic(qubit_splitting, drive_rate, drive_strength)
     detuning = p.detuning
-    if t_final is None:
-        t_final = quarter_turn_time(detuning)
-    grid = nmr_grid(t_final, n_steps)
     fast_h = nmr_hamiltonian(p)
     slow_h = rotating_frame_hamiltonian(p)
     psi0 = minus_state(1)
@@ -293,8 +283,6 @@ def run_nmr_experiment(
 
     return NmrExperimentReport(
         detuning=float(detuning),
-        t_final=grid.t_end,
-        n_steps=grid.n_steps,
         adiabaticity_ratio=drive_strength / abs(detuning) if detuning != 0.0 else math.inf,
         oracle_distance_fast=oracle_fast,
         oracle_distance_slow=oracle_slow,
@@ -446,7 +434,7 @@ def run_fast_counterpart_comparison(
     phase: Schedule,
     transverse0: float | None = None,
     t_final: float = 2.0,
-    n_steps: int | None = None,
+    n_steps: int = 100_000,
 ) -> FastCounterpartReport:
     """Evolve under the rapidly driven counterpart, undo the frame with the
     single correction gate exp(i phase(T) sum_i X_i), and compare against the
@@ -459,8 +447,6 @@ def run_fast_counterpart_comparison(
         raise ValueError("frame phase must vanish at t=0")
     if transverse0 is None:
         transverse0 = default_transverse_strength(problem)
-    if n_steps is None:
-        n_steps = 100_000
     stride = max(1, n_steps // 200)
     n = problem.n_qubits
     ramp = LinearRamp(transverse0, 0.0, t_final)

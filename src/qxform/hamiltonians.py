@@ -310,6 +310,13 @@ class IsingProblem:
             canon.append((i, j, coupling))
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "couplings", tuple(sorted(canon)))
+        # the diagonal summed term by term, as a Hamiltonian's constant part sums it
+        diagonal = np.zeros(2**n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in self.pauli_terms():
+                diagonal += s.coefficient * _sign_table(n)[_flip_form(s.factors, 1.0, n)[2]]
+        if not np.isfinite(diagonal).all():
+            raise ValueError("the fields and couplings sum past the float range on the diagonal")
 
     def pauli_terms(self) -> tuple:
         terms = [
@@ -362,8 +369,12 @@ class IsingProblem:
 
 
 def default_transverse_strength(problem) -> float:
-    """Initial transverse field dominating the problem scale: 2 max(scale, 1)."""
-    return 2.0 * max(problem.energy_scale(), 1.0)
+    """Initial transverse field dominating the problem scale: 2 max(scale, 1),
+    refused when it overflows."""
+    strength = 2.0 * max(problem.energy_scale(), 1.0)
+    if not math.isfinite(strength):
+        raise ValueError(f"the default transverse strength 2 x {problem.energy_scale()!r} overflows; give transverse0")
+    return strength
 
 
 # ---------------------------------------------------------------------------

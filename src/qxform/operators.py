@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -194,20 +193,14 @@ def _hermitian_expm_stack(generators: np.ndarray, scale: float) -> np.ndarray:
 # Phase-insensitive metrics
 
 
-class PhaseAlignment(NamedTuple):
-    distance: float | np.ndarray
-    phase: float | np.ndarray
-    fallback: bool | np.ndarray
-
-
-def phase_align(a: np.ndarray, b: np.ndarray) -> PhaseAlignment:
+def phase_aligned_distance(a: np.ndarray, b: np.ndarray):
     """Frobenius distance between A and B minimized over a global phase on B.
 
     The optimum phase is phi* = arg tr(B^dag A).  When that trace vanishes no
-    phase is preferred; the plain Frobenius distance is returned with
-    ``fallback`` set.  Stacks of matrices (shape (..., d, d)) are aligned pair
-    by pair and give arrays of the leading shape; single matrices give
-    scalars.
+    phase is preferred and the plain Frobenius distance is returned.  Stacks
+    of matrices (shape (..., d, d)) are compared pair by pair, one block at a
+    time, and give an array of the leading shape; single matrices give a
+    float.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -215,30 +208,17 @@ def phase_align(a: np.ndarray, b: np.ndarray) -> PhaseAlignment:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.ndim < 2:
         raise ValueError(f"need matrices or stacks of matrices, got shape {a.shape}")
-    if a.ndim == 2:
-        dist, phi, fallback = _phase_align_rows(a, b)
-        return PhaseAlignment(float(dist), float(phi), bool(fallback))
     lead = a.shape[:-2]
     a = a.reshape(-1, *a.shape[-2:])
     b = b.reshape(a.shape)
-    dist, phi, fallback = np.empty(len(a)), np.empty(len(a)), np.empty(len(a), dtype=bool)
+    dist = np.empty(len(a))
     rows = _block_rows(max(a.shape[-2:]))
     for lo in range(0, len(a), rows):
-        block = slice(lo, lo + rows)
-        dist[block], phi[block], fallback[block] = _phase_align_rows(a[block], b[block])
-    return PhaseAlignment(dist.reshape(lead), phi.reshape(lead), fallback.reshape(lead))
-
-
-def _phase_align_rows(a: np.ndarray, b: np.ndarray):
-    tr = np.einsum("...ij,...ij->...", b.conj(), a)
-    fallback = np.abs(tr) == 0.0
-    phi = np.where(fallback, 0.0, np.arctan2(tr.imag, tr.real))
-    dist = np.linalg.norm(a - np.exp(1j * phi)[..., None, None] * b, axis=(-2, -1))
-    return dist, phi, fallback
-
-
-def phase_aligned_distance(a: np.ndarray, b: np.ndarray):
-    return phase_align(a, b).distance
+        x, y = a[lo : lo + rows], b[lo : lo + rows]
+        tr = np.einsum("kij,kij->k", y.conj(), x)
+        phi = np.where(np.abs(tr) == 0.0, 0.0, np.arctan2(tr.imag, tr.real))
+        dist[lo : lo + rows] = np.linalg.norm(x - np.exp(1j * phi)[:, None, None] * y, axis=(1, 2))
+    return dist.reshape(lead) if lead else float(dist[0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ unitary by construction and the global error is second order in the step.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -69,9 +70,6 @@ class TimeGrid:
     def dt(self) -> float:
         return (self.t_end - self.t_start) / self.n_steps
 
-    def times(self) -> np.ndarray:
-        return _node_times(self, np.arange(self.n_steps + 1))
-
     def refined(self) -> "TimeGrid":
         """The grid with twice as many steps."""
         return TimeGrid(self.t_start, self.t_end, 2 * self.n_steps)
@@ -98,20 +96,18 @@ def _stored_count(n_steps: int, stride: int) -> int:
     return -(-n_steps // int(stride)) + 1
 
 
-def _stored_indices(n_steps: int, stride: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Grid indices of the stored slots lo..hi-1 (all by default): slot k
-    holds node min(k * stride, n_steps)."""
-    slots = np.arange(lo, _stored_count(n_steps, stride) if hi is None else hi)
-    return np.minimum(slots * int(stride), n_steps)
+def _stored_indices(n_steps: int, stride: int) -> np.ndarray:
+    """Grid indices of the stored slots: slot k holds node min(k * stride, n_steps)."""
+    return np.minimum(np.arange(_stored_count(n_steps, stride)) * int(stride), n_steps)
 
 
-def _check_trace_bytes(n_nodes: int, dim: int) -> None:
+def _check_trace_bytes(n_nodes: int, dim: int, remedy: str = "increase the stride") -> None:
     """Refuse a trace whose stored unitaries would need over 2 GiB."""
     est_bytes = n_nodes * dim * dim * 16
     if est_bytes > 2 * 2**30:
         raise ValueError(
             f"storing {n_nodes} unitaries of dimension {dim} needs "
-            f"~{est_bytes / 2**30:.1f} GiB; increase the stride"
+            f"~{est_bytes / 2**30:.1f} GiB; {remedy}"
         )
 
 
@@ -255,10 +251,10 @@ def propagate(hamiltonian, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
     return _unitary_trace(grid, stride, stored, "stored unitary")
 
 
-def sample_trace(fn, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
-    """Build a trace by sampling a closed-form propagator at grid nodes.
+def sample_trace(fn, grid: TimeGrid) -> UnitaryTrace:
+    """Build a trace by sampling a closed-form propagator at every grid node.
 
-    ``fn`` is called with an array of stored node times and must return the
+    ``fn`` is called with an array of node times and must return the
     (len(times), d, d) stack of propagators at them.  It is called once for
     the first node, which fixes d and with it the storage bound of
     :func:`propagate`, and then once per block of the row budget, each block
@@ -266,11 +262,11 @@ def sample_trace(fn, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
     identity to within 1e-12; it is then snapped to the exact identity so
     composed transforms start at exactly I.
     """
-    n_nodes = _stored_count(grid.n_steps, stride)
+    n_nodes = grid.n_steps + 1
     mats, lo, rows = None, 0, 1  # the first node alone fixes d, and with it the block rows
     while lo < n_nodes:
         hi = min(lo + rows, n_nodes)
-        block = np.asarray(fn(_node_times(grid, _stored_indices(grid.n_steps, stride, lo, hi))))
+        block = np.asarray(fn(_node_times(grid, np.arange(lo, hi))))
         square = block.shape[1:] if mats is None else mats.shape[1:]
         if block.shape != (hi - lo, *square) or len(square) != 2 or square[0] != square[1]:
             raise ValueError(
@@ -278,12 +274,12 @@ def sample_trace(fn, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
                 f"expected ({hi - lo}, d, d)"
             )
         if mats is None:
-            _check_trace_bytes(n_nodes, square[0])
+            _check_trace_bytes(n_nodes, square[0], "take fewer steps")
             mats = np.empty((n_nodes, *square), dtype=complex)
             rows = _block_rows(square[0])
         mats[lo:hi] = block
         lo = hi
-    return _unitary_trace(grid, stride, mats, "sampled unitary")
+    return _unitary_trace(grid, 1, mats, "sampled unitary")
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,10 @@ def _require_harmonic(p: NmrParams) -> tuple:
 
 
 def _rotated_drive(frame_rate: float, detuning: float, g: float, t) -> np.ndarray:
-    """exp(-i r Z t / 2) exp(-i (2 g X - d Z) t / 2) for frame rate r."""
+    """exp(-i r Z t / 2) exp(-i (2 g X - d Z) t / 2) for frame rate r; a
+    generator 2 g X - d Z beyond the float range is refused."""
+    if not (math.isfinite(2.0 * g) and math.isfinite(detuning)):
+        raise ValueError(f"the drive generator 2 g X - d Z overflows at g = {g!r}, d = {detuning!r}")
     z = pauli_matrix("Z")
     x = pauli_matrix("X")
     return hermitian_expm(z, 0.5 * frame_rate * t) @ hermitian_expm(

@@ -115,9 +115,6 @@ class SampledHamiltonian:
     def max_defect(self) -> float:
         return float(np.max(self.antihermitian_defects))
 
-    def matrix(self, t: float) -> np.ndarray:
-        return self.matrix_stack(t)[0]
-
     def matrix_stack(self, ts) -> np.ndarray:
         """The stored matrices at ``ts``; each time must be a sampled node to
         within 1e-9 (relative, absolute below 1)."""
@@ -153,14 +150,14 @@ def _frobenius_rows(x: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None
     np.sqrt(np.add.reduce(scratch.real, axis=(1, 2)), out=out)
 
 
-def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=None, back=None, keep=True):
+def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=None, back=None):
     """s^dag H s - i s^dag ds/dt at the interior nodes of ``transform``'s grid,
     with s the transform's matrices or (``adjoint``) their adjoints, one block
     of nodes at a time.
 
-    Returns four values, each None when not asked for: the SampledHamiltonian
-    (with ``keep``; else only one block of it is held), the per-node
-    Frobenius residuals against a ``target`` Hamiltonian, and, with ``back``,
+    Returns four values, each None when not asked for: without a ``target``
+    the SampledHamiltonian, else (holding only one block of it) the per-node
+    Frobenius residuals against the ``target`` Hamiltonian, and, with ``back``,
     the largest residual of carrying the reconstruction back out of the frame
     (the formula with the other of s and s^dag) against ``back`` and the
     largest anti-Hermitian defect.  Residuals that overflow are inf, which no
@@ -170,6 +167,7 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
     if transform.stride != 1:
         raise ValueError("frame change needs the transform on every grid node (stride 1)")
     grid = transform.grid
+    keep = target is None
     n, dim = grid.n_steps - 1, transform.dim
     rows = min(_block_rows(dim), n)
     # One block of each temporary for the whole pass: the conjugates of the
@@ -183,7 +181,7 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
     s_dot_buf, raw = (np.empty((rows, dim, dim), dtype=complex) for _ in range(2))
     matrices = np.empty((n if keep else rows, dim, dim), dtype=complex)
     times, defects = (np.empty(n), np.empty(n)) if keep else (None, None)
-    residuals = None if target is None else np.empty(n)
+    residuals = None if keep else np.empty(n)
     back_herm = None if back is None else np.empty((rows, dim, dim), dtype=complex)
     block = np.empty(rows)  # a block of per-node values reduced to their largest
     max_defect = max_round_trip = -np.inf
@@ -224,7 +222,7 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
                 max_defect = np.maximum(max_defect, np.max(node_defects))
             if keep:
                 times[lo:hi] = t_mid
-            if target is not None:
+            else:
                 diff = np.subtract(herm, target.matrix_stack(t_mid), out=s_dot_buf[:m])
                 _frobenius_rows(diff, conj[:m], residuals[lo:hi])
             if back is not None:
@@ -306,7 +304,7 @@ def control_residual(hamiltonian, frame_hamiltonian, build, grid: TimeGrid) -> C
     control = build(fine)
     if control.grid != fine:
         raise ValueError(f"the control must be built on the refined grid {fine}, not on {control.grid}")
-    residuals = _frame_change(hamiltonian, control, target=frame_hamiltonian, keep=False)[1]
+    residuals = _frame_change(hamiltonian, control, target=frame_hamiltonian)[1]
     return ControlResidual(grid, float(np.max(residuals)))
 
 
@@ -326,7 +324,7 @@ def verify_transform(
         raise ValueError(f"the control calibrates {control.grid}, not the transform's {transform.grid}")
     control_max = control.max_residual
     _, residuals, round_trip, max_defect = _frame_change(
-        hamiltonian, transform, target=frame_hamiltonian, back=hamiltonian, keep=False
+        hamiltonian, transform, target=frame_hamiltonian, back=hamiltonian
     )
     max_residual = float(np.max(residuals))
     threshold = 4.0 * control_max + _RESIDUAL_FLOOR

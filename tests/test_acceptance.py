@@ -12,6 +12,8 @@ from scipy.linalg import expm
 
 from qxform.cli import main as cli_main
 from qxform.experiments import (
+    nmr_grid,
+    quarter_turn_time,
     run_fast_counterpart_comparison,
     run_nmr_experiment,
 )
@@ -44,6 +46,7 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 BENCH = dict(qubit_splitting=1.0, drive_rate=1.5, drive_strength=2.0)
 ADIABATIC = dict(qubit_splitting=1.0, drive_rate=2.0, drive_strength=25.0)
+ADIABATIC_GRID = nmr_grid(quarter_turn_time(1.0), 15_708)  # a quarter turn of the frame
 
 ISING_CHAIN = IsingProblem(
     4, fields=(0.5, 0.5, 0.5, 0.5),
@@ -58,18 +61,18 @@ def report_line(index, name, passed, detail):
 
 @pytest.fixture(scope="module")
 def benchmark_report():
-    return run_nmr_experiment(**BENCH, t_final=10.0, n_steps=10_000)
+    return run_nmr_experiment(**BENCH, grid=nmr_grid(10.0, 10_000))
 
 
 @pytest.fixture(scope="module")
 def adiabatic_report():
-    return run_nmr_experiment(**ADIABATIC, n_steps=15_708)
+    return run_nmr_experiment(**ADIABATIC, grid=ADIABATIC_GRID)
 
 
 @pytest.fixture(scope="module")
 def stronger_report():
     return run_nmr_experiment(
-        qubit_splitting=1.0, drive_rate=2.0, drive_strength=50.0, n_steps=1_571
+        qubit_splitting=1.0, drive_rate=2.0, drive_strength=50.0, grid=nmr_grid(quarter_turn_time(1.0), 1_571)
     )
 
 
@@ -146,10 +149,9 @@ def test_criterion_3_closed_form_transform(adiabatic_report):
     w0 = ADIABATIC["qubit_splitting"]
     # the closed-form frame change on the report's grid, composed as the run composes it
     p = NmrParams.harmonic(**ADIABATIC)
-    grid = TimeGrid(0.0, r.t_final, r.n_steps)
     composed = compose_transform(
-        sample_trace(lambda ts: nmr_fast_propagator(p, ts), grid),
-        sample_trace(lambda ts: nmr_slow_propagator(p, ts), grid),
+        sample_trace(lambda ts: nmr_fast_propagator(p, ts), ADIABATIC_GRID),
+        sample_trace(lambda ts: nmr_slow_propagator(p, ts), ADIABATIC_GRID),
     )
     rng = np.random.default_rng(2026)
     nodes = rng.integers(0, len(composed.times), size=100)
@@ -158,7 +160,7 @@ def test_criterion_3_closed_form_transform(adiabatic_report):
         t = float(composed.times[k])
         oracle = expm(-1j * w0 * Z * t / 2.0)  # independent matrix exponential
         worst = max(worst, phase_aligned_distance(composed.matrices[k], oracle))
-    assert composed.times[-1] == r.t_final
+    assert composed.times[-1] == ADIABATIC_GRID.t_end
     correction = composed.final.conj().T
     gate_oracle = expm(1j * math.pi * w0 / (4.0 * r.detuning) * Z)
     gate_distance = phase_aligned_distance(correction, gate_oracle)

@@ -24,13 +24,11 @@ from qxform.operators import (
     _hermitian_expm_stack,
     hermitian_expm,
     minus_state,
-    phase_align,
     phase_aligned_distance,
 )
 from qxform.propagation import (
     TimeGrid,
     _batch_defects,
-    _stored_indices,
     nmr_slow_propagator,
     propagate,
     sample_trace,
@@ -95,15 +93,15 @@ def test_scale_shapes():
 
 
 # ---------------------------------------------------------------------------
-# phase_align
+# phase_aligned_distance
 
 
-def reference_phase_align(a, b):
-    tr = complex(np.einsum("ij,ij->", b.conj(), a))
-    if abs(tr) == 0.0:
-        return float(np.linalg.norm(a - b)), 0.0, True
-    phi = math.atan2(tr.imag, tr.real)
-    return float(np.linalg.norm(a - np.exp(1j * phi) * b)), phi, False
+def one_shot_aligned_distance(a, b):
+    """The distance of every pair at once, B turned by the phase
+    arg tr(B^dag A), or by none where that trace vanishes."""
+    tr = np.einsum("...ij,...ij->...", b.conj(), a)
+    phi = np.where(np.abs(tr) == 0.0, 0.0, np.arctan2(tr.imag, tr.real))
+    return np.linalg.norm(a - np.exp(1j * phi)[..., None, None] * b, axis=(-2, -1))
 
 
 @given(
@@ -111,7 +109,7 @@ def reference_phase_align(a, b):
     n=st.integers(1, 6),
     data=st.data(),
 )
-def test_stacked_phase_align_matches_per_pair(dim, n, data):
+def test_stacked_aligned_distance_matches_per_pair(dim, n, data):
     a = complex_matrices(data, (n, dim, dim))
     b = complex_matrices(data, (n, dim, dim))
     # traceless diag(1, -1, ...) against a multiple of I: tr(B^dag A) is exactly 0
@@ -120,19 +118,16 @@ def test_stacked_phase_align_matches_per_pair(dim, n, data):
     a[zero_trace] = np.diag(signs) * a[zero_trace][:, :1, :1]
     b[zero_trace] = np.eye(dim) * b[zero_trace][:, :1, :1]
 
-    stacked = phase_align(a, b)
-    assert stacked.distance.shape == stacked.phase.shape == stacked.fallback.shape == (n,)
-    np.testing.assert_array_equal(phase_aligned_distance(a, b), stacked.distance)
+    stacked = phase_aligned_distance(a, b)
+    assert stacked.shape == (n,)
+    assert np.array_equal(stacked, one_shot_aligned_distance(a, b))
     for k in range(n):
-        ref_dist, ref_phase, ref_fallback = reference_phase_align(a[k], b[k])
-        single = phase_align(a[k], b[k])
-        assert type(single.distance) is float and type(single.fallback) is bool
-        for got in (single, (stacked.distance[k], stacked.phase[k], stacked.fallback[k])):
-            dist, phase, fallback = got
-            assert fallback == ref_fallback
-            assert dist == pytest.approx(ref_dist, rel=1e-14, abs=1e-14)
-            assert phase == pytest.approx(ref_phase, rel=0, abs=1e-14)
-    assert stacked.fallback[zero_trace].all()
+        single = phase_aligned_distance(a[k], b[k])
+        assert type(single) is float
+        assert single == one_shot_aligned_distance(a[k], b[k])
+    # where the trace vanishes no phase turns B, not even arg(-0) = pi
+    plain = np.linalg.norm(a - b, axis=(1, 2))
+    np.testing.assert_array_equal(stacked[zero_trace], plain[zero_trace])
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +136,9 @@ def test_stacked_phase_align_matches_per_pair(dim, n, data):
 
 def reference_propagate(h, grid, stride):
     """The sequential loop u = step_k @ u, keeping a copy at every stored node."""
-    t = grid.times()
+    t = np.linspace(grid.t_start, grid.t_end, grid.n_steps + 1)
     steps = _hermitian_expm_stack(h.matrix_stack(0.5 * (t[:-1] + t[1:])), grid.dt)
-    indices = _stored_indices(grid.n_steps, stride)
+    indices = stored_indices(grid.n_steps, stride)
     u = np.eye(h.dim, dtype=complex)
     stored = [u.copy()]
     for k in range(grid.n_steps):
@@ -151,6 +146,11 @@ def reference_propagate(h, grid, stride):
         if k + 1 in indices:
             stored.append(u.copy())
     return np.array(stored)
+
+
+def stored_indices(n_steps, stride):
+    """Every stride-th node of the grid and its last."""
+    return sorted({*range(0, n_steps + 1, stride), n_steps})
 
 
 def random_anneal(n_qubits, seed):
@@ -174,7 +174,7 @@ def test_propagate_matches_the_sequential_loop(n_qubits, stride, rows, monkeypat
     trace = propagate(h, grid, stride=stride)
     assert trace.matrices.shape == expected.shape
     assert np.array_equal(trace.matrices, expected)
-    np.testing.assert_array_equal(trace.times, grid.times()[_stored_indices(53, stride)])
+    np.testing.assert_array_equal(trace.times, np.linspace(0.0, 1.0, 54)[stored_indices(53, stride)])
 
 
 def test_propagate_single_step_and_stride_beyond_the_grid():
@@ -186,13 +186,12 @@ def test_propagate_single_step_and_stride_beyond_the_grid():
 
 
 @pytest.mark.parametrize("rows", [None, 1, 5])
-@pytest.mark.parametrize("stride", [1, 4])
 @pytest.mark.parametrize("n_qubits", [1, 3])
-def test_sample_trace_matches_the_one_shot_sampler(n_qubits, stride, rows, monkeypatch):
+def test_sample_trace_matches_the_one_shot_sampler(n_qubits, rows, monkeypatch):
     # the sampler is called for the first node, then once per block, and
-    # the trace is what one call at every stored node gave, identity snapped
+    # the trace is what one call at every node gave, identity snapped
     dim = 2**n_qubits
-    rng = np.random.default_rng(10 * n_qubits + stride)
+    rng = np.random.default_rng(10 * n_qubits + 1)
     a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
     a, b = a + a.conj().T, b + b.conj().T
     calls = []
@@ -201,14 +200,14 @@ def test_sample_trace_matches_the_one_shot_sampler(n_qubits, stride, rows, monke
         calls.append(len(ts))
         return hermitian_expm(a, ts) @ hermitian_expm(b, ts * ts)
 
-    grid = TimeGrid(0.0, 1.0, 23)  # 24 nodes at stride 1, 7 at stride 4
-    times = grid.times()[_stored_indices(grid.n_steps, stride)]
+    grid = TimeGrid(0.0, 1.0, 23)  # 24 nodes
+    times = np.linspace(0.0, 1.0, 24)
     expected = np.array(sampler(times), dtype=complex)
     expected[0] = np.eye(dim)
     calls.clear()
     if rows is not None:
         monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", rows * dim * dim)
-    trace = sample_trace(sampler, grid, stride=stride)
+    trace = sample_trace(sampler, grid)
     assert np.array_equal(trace.times, times)
     assert np.array_equal(trace.matrices, expected)
     assert trace.max_defect == np.max(one_shot_defects(expected))
@@ -244,14 +243,6 @@ def one_shot_frame_change(hamiltonian, transform, s):
 def one_shot_residuals(hamiltonian, frame, transform):
     mats, _ = one_shot_frame_change(hamiltonian, transform, transform.matrices)
     return np.linalg.norm(mats - frame.matrix_stack(transform.times[1:-1]), axis=(1, 2))
-
-
-def one_shot_phase_align(a, b):
-    tr = np.einsum("...ij,...ij->...", b.conj(), a)
-    fallback = np.abs(tr) == 0.0
-    phi = np.where(fallback, 0.0, np.arctan2(tr.imag, tr.real))
-    dist = np.linalg.norm(a - np.exp(1j * phi)[..., None, None] * b, axis=(-2, -1))
-    return dist, phi, fallback
 
 
 def traces_on(n_qubits, grid, seed):
@@ -299,16 +290,16 @@ def test_analysis_matches_the_one_shot_formulas(n_qubits, rows, monkeypatch):
     assert report.control_max_residual == np.max(one_shot_residuals(h, frame, control))
     # the report keeps values of the reconstruction, and of carrying it back out of the frame
     rec = transform_into_frame(h, composed)
-    round_trip = _frame_change(rec, composed, adjoint=True, target=h, keep=False)[1]
+    round_trip = _frame_change(rec, composed, adjoint=True, target=h)[1]
     assert report.round_trip_max_residual == np.max(round_trip)
     assert report.max_antihermitian_defect == rec.max_defect
     assert np.array_equal(report.times, rec.times)
 
-    got = phase_align(a, b)
-    for value, reference in zip(got, one_shot_phase_align(a, b)):
-        assert value.shape == (3, 7)
-        assert np.array_equal(value, reference)
-    assert got.fallback[1, 2] and got.fallback.sum() == 1
+    got = phase_aligned_distance(a, b)
+    assert got.shape == (3, 7)
+    assert np.array_equal(got, one_shot_aligned_distance(a, b))
+    # the one pair whose trace vanishes keeps the plain Frobenius distance
+    assert got[1, 2] == np.linalg.norm(a[1] - b[1], axis=(1, 2))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +408,8 @@ def test_joint_tracking_matches_separate_calls(rows, monkeypatch):
     p = NmrParams.harmonic(1.0, 2.0, 5.0)
     h = rotating_frame_hamiltonian(p)
     grid = TimeGrid(0.0, 1.0, 300)
-    closed = sample_trace(lambda t: nmr_slow_propagator(p, t), grid, stride=2)
-    numeric = propagate(h, grid, stride=2)
+    closed = sample_trace(lambda t: nmr_slow_propagator(p, t), grid)
+    numeric = propagate(h, grid)
     psi0 = minus_state(1)
     joint = track_ground_state(h, closed, numeric, psi0=psi0)
     assert len(joint) == 2
@@ -468,7 +459,6 @@ def test_sampled_hamiltonian_looks_up_all_nodes_at_once():
     order = np.random.default_rng(3).permutation(20)
     jitter = 1e-10 * np.where(order % 2, 1.0, -1.0)
     np.testing.assert_array_equal(sampled.matrix_stack(times[order] + jitter), mats[order])
-    np.testing.assert_array_equal(sampled.matrix(float(times[4])), mats[4])
     for off in (times[3] + 1e-6, 0.0, 2.5, float("nan")):
         with pytest.raises(ValueError, match="not a sampled node"):
             sampled.matrix_stack([times[0], off])

@@ -309,6 +309,11 @@ class TestUsage:
             assert kind in text
         assert list_experiments() in text
 
+    def test_list_gives_the_counterpart_step_default(self):
+        # a fast_counterpart block without n_steps takes 100,000 steps
+        text = list_experiments()
+        assert len(re.findall(r"^ {8}n_steps +positive integer, default 100000$", text, re.M)) == 2
+
     def test_version(self, capsys):
         assert main(["version"]) == 0
         assert qxform.__version__ in capsys.readouterr().out
@@ -417,6 +422,26 @@ class TestModuleEntryPoint:
                 "verify_transform.json", ["n_steps=60000000"],
                 "config field 'n_steps': the control of a frame change doubles",
             ),
+            # a closed-form drive generator or a problem diagonal past the float range
+            ("nmr.json", ["drive_strength=1e308"], "config field 'drive_strength': the drive generator"),
+            (
+                "rescale.json", ["drive_check.drive_strength=1e308"],
+                "config field 'drive_check.drive_strength': the drive generator",
+            ),
+            (
+                "ising.json",
+                ["fields=[1e308,1e308,1e308,1e308]", "fast_counterpart=null", "tolerances.min_counterpart_fidelity=null"],
+                "config field 'fields': the fields and couplings sum past the float range",
+            ),
+            (
+                "ising.json",
+                [
+                    "fields=[1e308,1e308,1e308,1e308]", "fast_counterpart=null",
+                    "tolerances.min_counterpart_fidelity=null", "transverse0=1",
+                ],
+                "config field 'fields': the fields and couplings sum past the float range",
+            ),
+            ("ising.json", ["fields=[1e308,0,0,0]"], "config field 'transverse0': the default transverse strength"),
             ("nmr.json", ["n_steps=1000000000"], "config field 'n_steps': a grid of 1e+09 steps exceeds"),
             (
                 "verify_transform.json", ["n_steps=1000000000"],

@@ -240,6 +240,38 @@ def test_fast_time_not_below_slow_time_is_named(no_numerics, tmp_path, capsys, f
     assert err.startswith("error: config field 'fast_time': need 0 < fast_time < slow_time"), err
 
 
+@pytest.mark.parametrize(
+    "payload, override, field",
+    [
+        # 2 g overflows in the closed forms' generator 2 g X - d Z
+        (nmr_config(), "drive_strength=1e308", "drive_strength"),
+        # the detuning drive_rate - qubit_splitting overflows
+        (nmr_config(qubit_splitting=-1e308, t_final=1.0), "drive_rate=1e308", "drive_rate"),
+        (
+            rescale_config(drive_check={"drive_strength": 2.0, "n_nodes": 11}),
+            "drive_check.drive_strength=1e308", "drive_check.drive_strength",
+        ),
+        # the problem diagonal: the fields alone, or the couplings added to them
+        (ising_config(), "fields=[1e308,1e308]", "fields"),
+        (ising_config(transverse0=1.0), "fields=[1e308,-1e308]", "fields"),
+        (ising_config(fields=[1e308, 0.0], transverse0=1.0), "couplings=[[0,1,1e308]]", "couplings"),
+        # a finite diagonal whose default transverse strength 2 x 1e308 overflows
+        (ising_config(), "fields=[1e308,0]", "transverse0"),
+        (
+            rescale_config(problem={"kind": "ising", "n_qubits": 1, "fields": [1e308]}),
+            "n_steps=500", "transverse0",
+        ),
+    ],
+    ids=["nmr-drive", "nmr-detuning", "rescale-drive", "fields", "fields-given-transverse0", "couplings",
+         "default-transverse0", "rescale-default-transverse0"],
+)
+def test_magnitude_past_the_float_range_is_named_before_running(
+    no_numerics, tmp_path, capsys, payload, override, field
+):
+    err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload), "--set", override)
+    assert err.startswith(f"error: config field '{field}': "), err
+
+
 class TestNoTraceback:
     def test_unitarity_error_exits_1(self, monkeypatch, tmp_path, capsys):
         def drifted(**kwargs):

@@ -9,6 +9,7 @@ from qxform.experiments import (
     _sweep_workers,
     annealing_doubling_sweep,
     expected_min_fidelity,
+    nmr_grid,
     quarter_turn_time,
     run_annealing_experiment,
     run_fast_counterpart_comparison,
@@ -32,6 +33,9 @@ from qxform.propagation import (
 )
 from qxform.schedules import Constant, Harmonic, LinearRamp, NmrParams
 from qxform.transform import compose_transform, write_csv_curve
+
+# the default t_final of a detuning-1 drive (splitting 1, drive rate 2)
+QUARTER_TURN = quarter_turn_time(1.0)
 
 
 def closed_form_fidelity(g, d, times):
@@ -96,7 +100,7 @@ class TestTrackGroundState:
 
 class TestNmrExperiment:
     def test_min_fidelity_matches_closed_form(self):
-        r = run_nmr_experiment(1.0, 2.0, 25.0, n_steps=1571)
+        r = run_nmr_experiment(1.0, 2.0, 25.0, nmr_grid(QUARTER_TURN, 1571))
         assert r.detuning == 1.0
         min_fidelity = r.fidelity_curve.min_value
         assert abs(min_fidelity - expected_min_fidelity(25.0, 1.0)) < 1e-6
@@ -106,18 +110,18 @@ class TestNmrExperiment:
         assert abs(r.numeric_min_fidelity - expected_min_fidelity(25.0, 1.0)) < 1e-3
 
     def test_deficit_shrinks_fourfold_when_doubling_strength(self):
-        r1 = run_nmr_experiment(1.0, 2.0, 25.0, n_steps=1571)
-        r2 = run_nmr_experiment(1.0, 2.0, 50.0, n_steps=1571)
+        r1 = run_nmr_experiment(1.0, 2.0, 25.0, nmr_grid(QUARTER_TURN, 1571))
+        r2 = run_nmr_experiment(1.0, 2.0, 50.0, nmr_grid(QUARTER_TURN, 1571))
         ratio = (1.0 - r1.fidelity_curve.min_value) / (1.0 - r2.fidelity_curve.min_value)
         assert ratio == pytest.approx(4.0, abs=0.1)
 
     def test_zero_splitting_gives_identity_transform(self):
         # with no splitting the fast and slow pictures coincide
-        r = run_nmr_experiment(0.0, 1.5, 2.0, t_final=3.0, n_steps=600)
+        grid = nmr_grid(3.0, 600)
+        r = run_nmr_experiment(0.0, 1.5, 2.0, grid)
         assert r.composed_vs_closed_form < 1e-12
         # the closed-form frame change the run composes, on its grid
         p = NmrParams.harmonic(0.0, 1.5, 2.0)
-        grid = TimeGrid(0.0, r.t_final, r.n_steps)
         composed = compose_transform(
             sample_trace(lambda ts: nmr_fast_propagator(p, ts), grid),
             sample_trace(lambda ts: nmr_slow_propagator(p, ts), grid),
@@ -134,7 +138,7 @@ class TestNmrExperiment:
             with pytest.raises(ValueError, match="give t_final|t_final must be given"):
                 quarter_turn_time(d)
         with pytest.raises(ValueError, match="quarter turn"):
-            run_nmr_experiment(1e308, 2.0, 25.0)
+            quarter_turn_time(NmrParams.harmonic(1e308, 2.0, 25.0).detuning)
 
     def test_working_set_grows_by_less_than_the_traces_it_once_held(self):
         # every trace is dropped after its last reader and the fine control
@@ -143,38 +147,37 @@ class TestNmrExperiment:
         def peak(n_steps):
             tracemalloc.start()
             try:
-                run_nmr_experiment(1.0, 2.0, 25.0, n_steps=n_steps)
+                run_nmr_experiment(1.0, 2.0, 25.0, nmr_grid(QUARTER_TURN, n_steps))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        run_nmr_experiment(1.0, 2.0, 25.0, n_steps=64)  # one-time allocations
+        run_nmr_experiment(1.0, 2.0, 25.0, nmr_grid(QUARTER_TURN, 64))  # one-time allocations
         growth = (peak(16_000) - peak(8_000)) / 8_000
         assert growth <= 400, growth
 
-    def test_one_step_is_refused_before_any_propagation(self, monkeypatch):
-        def propagate_nothing(*args, **kwargs):
-            raise AssertionError("propagated")
-
-        monkeypatch.setattr(experiments, "propagate", propagate_nothing)
+    def test_one_step_grid_is_refused(self):
+        # the run takes its grid ready-made, so a refused grid never reaches a propagation
         with pytest.raises(ValueError, match="a frame change needs at least 2 steps"):
-            run_nmr_experiment(1.0, 2.0, 25.0, n_steps=1)
+            nmr_grid(QUARTER_TURN, 1)
 
-    def test_subnormal_step_is_refused_before_any_propagation(self, monkeypatch):
-        def propagate_nothing(*args, **kwargs):
-            raise AssertionError("propagated")
-
-        monkeypatch.setattr(experiments, "propagate", propagate_nothing)
+    def test_subnormal_step_is_refused(self):
         for n_steps in (16, None):
             with pytest.raises(ValueError, match="below the smallest normal float"):
-                run_nmr_experiment(1.0, 2.0, 25.0, t_final=1e-310, n_steps=n_steps)
+                nmr_grid(1e-310, n_steps)
 
     def test_vanishing_detuning_needs_explicit_final_time(self):
         with pytest.raises(ValueError, match="t_final"):
-            run_nmr_experiment(1.0, 1.0, 2.0)
+            quarter_turn_time(NmrParams.harmonic(1.0, 1.0, 2.0).detuning)
+
+    def test_drive_past_the_float_range_is_refused_by_name(self):
+        # 2 g overflows in the closed forms' generator 2 g X - d Z; g itself
+        # is finite, so the numeric propagations alone would run
+        with pytest.raises(ValueError, match=r"the drive generator 2 g X - d Z overflows at g = 1e\+308"):
+            run_nmr_experiment(1.0, 2.0, 1e308, nmr_grid(QUARTER_TURN, 16))
 
     def test_report_health(self):
-        r = run_nmr_experiment(1.0, 1.5, 2.0, t_final=5.0, n_steps=2000)
+        r = run_nmr_experiment(1.0, 1.5, 2.0, nmr_grid(5.0, 2000))
         assert r.max_unitarity_defect <= 1e-10
         assert r.two_gate_fidelity_composed >= 1.0 - 1e-12
         assert r.transform_report.passed

@@ -132,6 +132,11 @@ class TestAnnealingBuilder:
         ising = IsingProblem(2, fields=(0.5, 0.0), couplings=((0, 1, -3.0),))
         assert default_transverse_strength(ising) == 6.0
 
+    def test_overflowing_default_transverse_strength_is_refused(self):
+        # the diagonal +-1e308 is finite, but 2 x 1e308 is not
+        with pytest.raises(ValueError, match=r"2 x 1e\+308 overflows; give transverse0"):
+            default_transverse_strength(IsingProblem(1, fields=(1e308,)))
+
 
 class TestFastCounterpart:
     def test_zero_phase_reduces_to_annealing(self):
@@ -451,6 +456,25 @@ class TestProblems:
     def test_ising_rejects_bad_coupling_indices(self, couplings, message):
         with pytest.raises(ValueError, match=message):
             IsingProblem(3, fields=(0.0, 0.0, 0.0), couplings=couplings)
+
+    @pytest.mark.parametrize(
+        "fields, couplings",
+        [
+            ((1e308, 1e308), ()),
+            ((1e308, -1e308), ()),
+            ((1e308, 0.0), ((0, 1, 1e308),)),
+        ],
+    )
+    def test_ising_rejects_a_diagonal_past_the_float_range(self, fields, couplings):
+        with pytest.raises(ValueError, match="the fields and couplings sum past the float range on the diagonal"):
+            IsingProblem(2, fields=fields, couplings=couplings)
+
+    def test_ising_diagonal_at_the_float_range_is_accepted(self):
+        # 1e308 + 1 rounds to 1e308, and the largest float itself is finite
+        problem = IsingProblem(2, fields=(1e308, 1.0), couplings=((0, 1, 0.5),))
+        h = annealing_hamiltonian(LinearRamp(1.0, 0.0, 1.0), problem)
+        assert np.isfinite(h.matrix(0.0)).all()
+        IsingProblem(1, fields=(1.7976931348623157e308,))
 
     def test_ising_accepts_integral_indices_of_any_numeric_type(self):
         problem = IsingProblem(3, (0.0, 0.0, 0.0), couplings=((np.int64(2), 0.0, 1.0),))

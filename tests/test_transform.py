@@ -457,7 +457,7 @@ class TestTwoGateRealization:
         with pytest.raises(ValueError, match=r"ends at t=1\.0 but the transform at t=0\.5"):
             two_gate_realization(fast, s, minus_state(1))
         # a strided fast trace ending on the same node is read at that node
-        strided = sample_trace(lambda t: nmr_fast_propagator(BENCH, t), grid, stride=4)
+        strided = propagate(nmr_hamiltonian(BENCH), grid, stride=4)
         s = compose_transform(*analytic_pair(grid))
         psi0 = minus_state(1)
         np.testing.assert_array_equal(

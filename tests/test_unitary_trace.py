@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qxform.operators import hermitian_expm
-from qxform.propagation import TimeGrid, sample_trace
+from qxform.propagation import TimeGrid, propagate
 from qxform.transform import compose_transform
 
 finite = st.floats(-2.0, 2.0, allow_nan=False)
@@ -26,18 +25,27 @@ def grids(data):
     return TimeGrid(t_start, t_start + length, data.draw(st.integers(1, 12)))
 
 
-def sampled(data, grid, dim, stride):
-    """exp(-i G (t - t_start)) for a random Hermitian G, sampled through
-    hermitian_expm over the array of stored node times."""
-    g = hermitian(data, dim)
-    return sample_trace(lambda ts: hermitian_expm(g, ts - grid.t_start), grid, stride)
+class Frozen:
+    """A time-independent Hamiltonian G."""
+
+    def __init__(self, g):
+        self.g, self.dim = g, len(g)
+
+    def matrix_stack(self, ts):
+        return np.broadcast_to(self.g, (len(ts), self.dim, self.dim))
+
+
+def propagated(data, grid, dim, stride):
+    """exp(-i G (t - t_start)) for a random Hermitian G, propagated on the
+    grid and kept at every stride-th node and the last."""
+    return propagate(Frozen(hermitian(data, dim)), grid, stride)
 
 
 @given(dim=st.sampled_from([2, 4, 8]), data=st.data())
 def test_compose_is_the_nodewise_product(dim, data):
     grid = grids(data)
     stride = data.draw(st.integers(1, 4))
-    fast, slow = sampled(data, grid, dim, stride), sampled(data, grid, dim, stride)
+    fast, slow = propagated(data, grid, dim, stride), propagated(data, grid, dim, stride)
     composed = compose_transform(fast, slow)
     assert np.array_equal(composed.times, fast.times)
     for k in range(len(fast.times)):
