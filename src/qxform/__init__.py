@@ -21,11 +21,11 @@ from .operators import (
 )
 from .schedules import Constant, CosineRamp, Harmonic, LinearRamp, NmrParams, Schedule, Tabulated
 from .hamiltonians import (
-    FrameConjugatedTerms,
     GroverProblem,
     IsingProblem,
     TimeDependentHamiltonian,
     annealing_hamiltonian,
+    check_energy_span,
     default_transverse_strength,
     fast_counterpart_hamiltonian,
     nmr_hamiltonian,

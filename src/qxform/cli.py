@@ -30,6 +30,7 @@ from .hamiltonians import (
     GroverProblem,
     IsingProblem,
     annealing_hamiltonian,
+    check_energy_span,
     default_transverse_strength,
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
@@ -361,6 +362,14 @@ def _transverse0(p):
 def _run_annealing(p, jobs):
     problem = p["problem"]
     transverse0 = _transverse0(p)
+    # energies spanning past the float range, named by the Ising fields when they
+    # alone span that far, else the couplings or the file (a Grover term spans 1)
+    inline = p.get("fields") is not None
+    if inline:
+        with _field("fields"):
+            check_energy_span(IsingProblem(p["n_qubits"], p["fields"]))
+    with _field("couplings" if inline else "problem_file"):
+        check_energy_span(problem)
     sweep = p["sweep"]
     if sweep is not None:
         # refused before any run, naming t_initial when its first point is already too long

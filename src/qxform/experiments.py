@@ -16,6 +16,7 @@ from .hamiltonians import (
     GroverProblem,
     TimeDependentHamiltonian,
     annealing_hamiltonian,
+    check_energy_span,
     default_transverse_strength,
     fast_counterpart_hamiltonian,
     nmr_hamiltonian,
@@ -330,6 +331,7 @@ def run_annealing_experiment(
     report how much of the final state sits in the ground manifold."""
     if transverse0 is None:
         transverse0 = default_transverse_strength(problem)
+    check_energy_span(problem)
     if n_steps is None:
         n_steps = _default_anneal_steps(t_final)
     h = annealing_hamiltonian(LinearRamp(transverse0, 0.0, t_final), problem)
@@ -447,6 +449,7 @@ def run_fast_counterpart_comparison(
         raise ValueError("frame phase must vanish at t=0")
     if transverse0 is None:
         transverse0 = default_transverse_strength(problem)
+    check_energy_span(problem)
     stride = max(1, n_steps // 200)
     n = problem.n_qubits
     ramp = LinearRamp(transverse0, 0.0, t_final)

@@ -17,41 +17,36 @@ from .schedules import Constant, NmrParams, Schedule
 
 
 # ---------------------------------------------------------------------------
-# Derived coefficient functions (anything with .value(t) can drive a term)
+# Derived coefficient functions (anything with .value(t) can weight a term)
 
 
 @dataclass(frozen=True)
-class _Scaled:
-    base: Schedule
-    factor: float
-
-    def value(self, t):
-        return self.factor * self.base.value(t)
-
-
-@dataclass(frozen=True)
-class _DriveTrig:
-    """amplitude * cos(phase(t)) or amplitude * sin(phase(t))."""
+class _Drive:
+    """amplitude * (cos, sin)(phase(t)): the X and Y weights of a drive, one
+    column each, from a single phase evaluation."""
 
     amplitude: float
     phase: Schedule
-    harmonic: str  # "cos" | "sin"
 
     def value(self, t):
-        fn = np.cos if self.harmonic == "cos" else np.sin
-        return self.amplitude * fn(self.phase.value(t))
+        phase = self.phase.value(t)
+        out = np.empty((2,) + np.shape(phase))  # each column contiguous, no stacked temporary
+        np.cos(phase, out=out[0])
+        np.sin(phase, out=out[1])
+        out *= self.amplitude
+        return out.T
 
 
 @dataclass(frozen=True)
-class _FrameWeight:
-    """(splitting + frame_phase' - drive_phase') / 2, the rotated-frame Z weight."""
+class _FrameRate:
+    """splitting + frame_phase' - drive_phase', the rotated-frame Z rate."""
 
     splitting: Schedule
     frame_phase: Schedule
     drive_phase: Schedule
 
     def value(self, t):
-        return 0.5 * (
+        return (
             self.splitting.value(t)
             + self.frame_phase.derivative(t)
             - self.drive_phase.derivative(t)
@@ -71,11 +66,11 @@ class _ShiftedRate:
 
 @dataclass(frozen=True, eq=False)
 class _ConjugatedFactors:
-    """Coefficients of the terms a conjugated block expands into: the string's
+    """One column per string a conjugated Z-string expands into: the string's
     coefficient times cos(2 phase) per Z and -sin(2 phase) per Y, multiplied
     in ascending qubit order so each product matches the qubit-by-qubit
-    Kronecker product bit for bit.  ``codes`` is (terms, max weight): 1 for Z,
-    2 for Y, 0 pads with an exact factor 1."""
+    Kronecker product bit for bit.  ``codes`` is (strings, max weight): 1 for
+    Z, 2 for Y, 0 pads with an exact factor 1."""
 
     phase: Schedule
     coefficients: np.ndarray
@@ -84,7 +79,7 @@ class _ConjugatedFactors:
     def value(self, t):
         two_phase = 2.0 * np.asarray(self.phase.value(t), dtype=float)
         factors = np.stack([np.ones_like(two_phase), np.cos(two_phase), -np.sin(two_phase)])
-        out = self.coefficients
+        out = np.broadcast_to(self.coefficients, two_phase.shape + self.coefficients.shape)
         for code in self.codes.T:
             out = out * factors[code].T
         return out
@@ -94,78 +89,46 @@ class _ConjugatedFactors:
 # Time-dependent Hamiltonian
 
 
-@dataclass(frozen=True, eq=False)
-class FrameConjugatedTerms:
-    """Diagonal Pauli strings conjugated qubit-wise by exp(-i phase(t) X).
-
-    Each Z factor evaluates to cos(2 phase) Z - sin(2 phase) Y at time t; the
-    common phase keeps the construction well defined for every string.
-    """
-
-    strings: tuple
-    phase: Schedule
-
-    def __post_init__(self):
-        strings = tuple(self.strings)
-        for s in strings:
-            if not isinstance(s, PauliString) or not s.is_diagonal():
-                raise ValueError(
-                    "frame-conjugated terms must be Z-only Pauli strings"
-                )
-        object.__setattr__(self, "strings", strings)
-
-
 class TimeDependentHamiltonian:
-    """A finite sum of coefficient(t) * PauliString terms plus optional
-    frame-conjugated blocks, evaluating to a dense Hermitian matrix.
+    """A finite sum of terms, each a coefficient weighting a group of Pauli
+    strings, evaluating to a dense Hermitian matrix.
 
-    Terms with plain-number or Constant coefficients are folded into a static
-    matrix at construction, and conjugated blocks are expanded there into
-    Pauli terms.  A Pauli term fills one entry per column, so evaluation is one
-    real-coefficient product per group of terms filling the same entries.
+    A term is ``(coefficient, string)`` or ``(coefficient, strings)``.  The
+    coefficient is a number or has ``value(ts)``, which returns either one
+    column shared by every string of the group, shape (len(ts),), or one
+    column per string, shape (len(ts), len(strings)).  Plain-number and
+    Constant coefficients are folded into a static matrix at construction.  A
+    Pauli string fills one entry per column, so evaluation is one
+    real-coefficient product per set of strings filling the same entries.
     Instances are immutable and safe to share across workers.
     """
 
-    def __init__(self, n_qubits: int, terms=(), conjugated=()):
+    def __init__(self, n_qubits: int, terms=()):
         self.n_qubits = check_qubit_count(n_qubits)
         self.dim = 2**self.n_qubits
         static = np.zeros((self.dim, self.dim), dtype=complex)
-        coefficients = []  # (coefficient function, its column or slice of columns)
-        columns = []  # (flip, imaginary?, zmask, scale) per varying term, see _flip_form
+        coefficients = []  # (coefficient function, its slice of columns)
+        columns = []  # (flip, imaginary?, zmask, scale) per varying string, see _flip_form
         labels = []
-        for coeff, string in terms:
-            if not isinstance(string, PauliString):
-                raise ValueError(f"expected a PauliString term, got {type(string).__name__}")
+        for coeff, strings in terms:
+            strings = (strings,) if isinstance(strings, PauliString) else tuple(strings)
+            for s in strings:
+                if not isinstance(s, PauliString):
+                    raise ValueError(f"expected a PauliString term, got {type(s).__name__}")
+                if s.support and max(s.support) >= self.n_qubits:
+                    raise ValueError(f"qubit index {max(s.support)} out of range for {self.n_qubits} qubits")
             if isinstance(coeff, (int, float)):
                 coeff = Constant(float(coeff))
-            if isinstance(coeff, Constant):
-                static += coeff.c * string.matrix(self.n_qubits)
-            else:
-                coefficients.append((coeff, len(columns)))
-                columns.append(_flip_form(string.factors, string.coefficient, self.n_qubits))
-                labels.append(" ".join(f"{axis}{q}" for q, axis in string.factors) or "I")
-        for block in conjugated:
-            if not isinstance(block, FrameConjugatedTerms):
-                raise ValueError("conjugated entries must be FrameConjugatedTerms")
-            start = len(columns)
-            weight = max((len(s.support) for s in block.strings), default=0)
-            amplitudes, codes = [], []
-            for s in block.strings:
-                if s.support and max(s.support) >= self.n_qubits:
-                    raise ValueError(
-                        f"conjugated string on qubit {max(s.support)} exceeds {self.n_qubits} qubits"
-                    )
-                qubits = sorted(s.support)
-                for axes in itertools.product("ZY", repeat=len(qubits)):
-                    amplitudes.append(s.coefficient)
-                    codes.append([" ZY".index(a) for a in axes] + [0] * (weight - len(axes)))
-                    columns.append(_flip_form(zip(qubits, axes), 1.0, self.n_qubits))
-                    labels.append(" ".join(f"{a}{q}" for q, a in zip(qubits, axes)) or "I")
-            codes = np.array(codes, dtype=int).reshape(len(amplitudes), weight)
-            factors = _ConjugatedFactors(block.phase, np.array(amplitudes), codes)
-            coefficients.append((factors, slice(start, len(columns))))
-        # Each term fills one entry per column, (j xor flip, j).  Terms sharing a
-        # flip and a real or imaginary part form a segment: one (rows, dim)
+            if isinstance(coeff, Constant) and math.isfinite(coeff.c):  # else evaluation names it
+                for s in strings:
+                    static += coeff.c * s.matrix(self.n_qubits)
+            elif strings:
+                coefficients.append((coeff, slice(len(columns), len(columns) + len(strings))))
+                for s in strings:
+                    columns.append(_flip_form(s.factors, s.coefficient, self.n_qubits))
+                    labels.append(" ".join(f"{axis}{q}" for q, axis in s.factors) or "I")
+        # Each string fills one entry per column, (j xor flip, j).  Strings sharing
+        # a flip and a real or imaginary part form a segment: one (rows, dim)
         # product, written to its slots in the float view of the output.
         order = sorted(range(len(columns)), key=lambda k: columns[k][:2])
         keys = [columns[k][:2] for k in order]
@@ -197,6 +160,8 @@ class TimeDependentHamiltonian:
         with np.errstate(all="ignore"):  # non-finite values are named below
             for fn, cols in self._coefficients:
                 value = fn.value(ts)
+                if np.ndim(value) < 2:  # one column shared by the group
+                    value = np.reshape(value, (-1, 1))
                 if np.iscomplexobj(value):
                     full = np.zeros(vals.shape, dtype=complex)
                     full[:, cols] = value
@@ -310,12 +275,7 @@ class IsingProblem:
             canon.append((i, j, coupling))
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "couplings", tuple(sorted(canon)))
-        # the diagonal summed term by term, as a Hamiltonian's constant part sums it
-        diagonal = np.zeros(2**n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s in self.pauli_terms():
-                diagonal += s.coefficient * _sign_table(n)[_flip_form(s.factors, 1.0, n)[2]]
-        if not np.isfinite(diagonal).all():
+        if not np.isfinite(_diagonal(self)).all():
             raise ValueError("the fields and couplings sum past the float range on the diagonal")
 
     def pauli_terms(self) -> tuple:
@@ -368,6 +328,26 @@ class IsingProblem:
         return cls(n_qubits=n, fields=field_vec, couplings=tuple(couplings))
 
 
+def _diagonal(problem) -> np.ndarray:
+    """The problem term's diagonal, summed string by string as a Hamiltonian's
+    constant part sums it; a sum past the float range is left non-finite."""
+    n = problem.n_qubits
+    diagonal = np.zeros(2**n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in problem.pauli_terms():
+            diagonal += s.coefficient * _sign_table(n)[_flip_form(s.factors, 1.0, n)[2]]
+    return diagonal
+
+
+def check_energy_span(problem) -> None:
+    """Refuse a problem whose energies span past the float range: an anneal
+    into it could resolve neither its gaps nor its ground manifold."""
+    diagonal = _diagonal(problem)
+    lo, hi = float(diagonal.min()), float(diagonal.max())
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"the problem energies span from {lo!r} to {hi!r}, past the float range")
+
+
 def default_transverse_strength(problem) -> float:
     """Initial transverse field dominating the problem scale: 2 max(scale, 1),
     refused when it overflows."""
@@ -381,21 +361,20 @@ def default_transverse_strength(problem) -> float:
 # Builders
 
 
-def _driven_qubit(z_weight, g: float, phase: Schedule) -> TimeDependentHamiltonian:
-    """z_weight(t) Z + g [X cos(phase) + Y sin(phase)] on one qubit."""
+def _driven_qubit(z_rate, g: float, phase: Schedule) -> TimeDependentHamiltonian:
+    """(z_rate(t)/2) Z + g [X cos(phase) + Y sin(phase)] on one qubit."""
     return TimeDependentHamiltonian(
         1,
         terms=(
-            (z_weight, PauliString(((0, "Z"),))),
-            (_DriveTrig(g, phase, "cos"), PauliString(((0, "X"),))),
-            (_DriveTrig(g, phase, "sin"), PauliString(((0, "Y"),))),
+            (z_rate, PauliString(((0, "Z"),), 0.5)),
+            (_Drive(g, phase), (PauliString(((0, "X"),)), PauliString(((0, "Y"),)))),
         ),
     )
 
 
 def nmr_hamiltonian(p: NmrParams) -> TimeDependentHamiltonian:
     """(splitting(t)/2) Z + g [X cos(drive_phase) + Y sin(drive_phase)] on one qubit."""
-    return _driven_qubit(_Scaled(p.qubit_splitting, 0.5), p.drive_strength, p.drive_phase)
+    return _driven_qubit(p.qubit_splitting, p.drive_strength, p.drive_phase)
 
 
 def rotating_frame_hamiltonian(p: NmrParams) -> TimeDependentHamiltonian:
@@ -406,16 +385,15 @@ def rotating_frame_hamiltonian(p: NmrParams) -> TimeDependentHamiltonian:
     """
     if p.frame_phase is None:
         raise ValueError("rotating-frame Hamiltonian requires frame_phase")
-    z_weight = _FrameWeight(p.qubit_splitting, p.frame_phase, p.drive_phase)
-    return _driven_qubit(z_weight, p.drive_strength, p.frame_phase)
+    z_rate = _FrameRate(p.qubit_splitting, p.frame_phase, p.drive_phase)
+    return _driven_qubit(z_rate, p.drive_strength, p.frame_phase)
 
 
 def annealing_hamiltonian(transverse: Schedule, problem) -> TimeDependentHamiltonian:
     """transverse(t) * sum_i X_i plus the problem's diagonal terms."""
-    n = problem.n_qubits
-    terms = [(transverse, PauliString(((i, "X"),))) for i in range(n)]
-    terms += [(1.0, s) for s in problem.pauli_terms()]
-    return TimeDependentHamiltonian(n, terms=terms)
+    sum_x = tuple(PauliString(((i, "X"),)) for i in range(problem.n_qubits))
+    terms = [(transverse, sum_x)] + [(1.0, s) for s in problem.pauli_terms()]
+    return TimeDependentHamiltonian(problem.n_qubits, terms=terms)
 
 
 def fast_counterpart_hamiltonian(
@@ -423,12 +401,21 @@ def fast_counterpart_hamiltonian(
 ) -> TimeDependentHamiltonian:
     """(transverse(t) + phase'(t)) * sum_i X_i plus the problem terms conjugated
     qubit-wise by exp(-i phase(t) X); reduces to ``annealing_hamiltonian`` at
-    phase identically zero."""
+    phase identically zero.  A Z-string on k qubits expands into the 2^k
+    strings of its Z and Y choices."""
     n = problem.n_qubits
-    rate = _ShiftedRate(transverse, phase)
-    terms = [(rate, PauliString(((i, "X"),))) for i in range(n)]
-    return TimeDependentHamiltonian(
-        n,
-        terms=terms,
-        conjugated=(FrameConjugatedTerms(problem.pauli_terms(), phase),),
-    )
+    terms = problem.pauli_terms()
+    strings, amplitudes, codes = [], [], []
+    weight = max((len(s.support) for s in terms), default=0)
+    for s in terms:
+        if not s.is_diagonal():
+            raise ValueError("conjugated problem terms must be Z-only Pauli strings")
+        qubits = sorted(s.support)
+        for axes in itertools.product("ZY", repeat=len(qubits)):
+            strings.append(PauliString(tuple(zip(qubits, axes))))
+            amplitudes.append(s.coefficient)
+            codes.append([" ZY".index(a) for a in axes] + [0] * (weight - len(axes)))
+    codes = np.array(codes, dtype=int).reshape(len(amplitudes), weight)
+    factors = _ConjugatedFactors(phase, np.array(amplitudes, dtype=float), codes)
+    sum_x = tuple(PauliString(((i, "X"),)) for i in range(n))
+    return TimeDependentHamiltonian(n, terms=((_ShiftedRate(transverse, phase), sum_x), (factors, strings)))

@@ -442,6 +442,23 @@ class TestModuleEntryPoint:
                 "config field 'fields': the fields and couplings sum past the float range",
             ),
             ("ising.json", ["fields=[1e308,0,0,0]"], "config field 'transverse0': the default transverse strength"),
+            # a finite diagonal whose energies span past the float range
+            (
+                "ising.json",
+                [
+                    "fields=[1e308,0,0,0]", "transverse0=1", "fast_counterpart=null",
+                    "tolerances.min_counterpart_fidelity=null",
+                ],
+                "config field 'fields': the problem energies span from -1e+308 to 1e+308, past the float range",
+            ),
+            (
+                "ising.json",
+                [
+                    "fields=[0,0,0,0]", "couplings=[[0,1,1e308]]", "transverse0=1", "fast_counterpart=null",
+                    "tolerances.min_counterpart_fidelity=null",
+                ],
+                "config field 'couplings': the problem energies span from -1e+308 to 1e+308, past the float range",
+            ),
             ("nmr.json", ["n_steps=1000000000"], "config field 'n_steps': a grid of 1e+09 steps exceeds"),
             (
                 "verify_transform.json", ["n_steps=1000000000"],

@@ -255,6 +255,9 @@ def test_fast_time_not_below_slow_time_is_named(no_numerics, tmp_path, capsys, f
         (ising_config(), "fields=[1e308,1e308]", "fields"),
         (ising_config(transverse0=1.0), "fields=[1e308,-1e308]", "fields"),
         (ising_config(fields=[1e308, 0.0], transverse0=1.0), "couplings=[[0,1,1e308]]", "couplings"),
+        # a finite diagonal whose energies span past the float range, by the fields or the couplings
+        (ising_config(transverse0=1.0), "fields=[1e308,0]", "fields"),
+        (ising_config(fields=[0.0, 0.0], transverse0=1.0), "couplings=[[0,1,1e308]]", "couplings"),
         # a finite diagonal whose default transverse strength 2 x 1e308 overflows
         (ising_config(), "fields=[1e308,0]", "transverse0"),
         (
@@ -263,7 +266,7 @@ def test_fast_time_not_below_slow_time_is_named(no_numerics, tmp_path, capsys, f
         ),
     ],
     ids=["nmr-drive", "nmr-detuning", "rescale-drive", "fields", "fields-given-transverse0", "couplings",
-         "default-transverse0", "rescale-default-transverse0"],
+         "span-fields", "span-couplings", "default-transverse0", "rescale-default-transverse0"],
 )
 def test_magnitude_past_the_float_range_is_named_before_running(
     no_numerics, tmp_path, capsys, payload, override, field

@@ -185,6 +185,18 @@ class TestNmrExperiment:
 
 
 class TestAnnealingRuns:
+    @pytest.mark.parametrize(
+        "run, options",
+        [(run_annealing_experiment, {}), (run_fast_counterpart_comparison, {"phase": Harmonic(3.0)})],
+        ids=["anneal", "counterpart"],
+    )
+    def test_energies_spanning_past_the_float_range_are_refused(self, run, options):
+        # every diagonal entry is +-1e308, finite, but their span 2e308 is not
+        problem = IsingProblem(4, fields=(1e308, 0.0, 0.0, 0.0))
+        message = r"the problem energies span from -1e\+308 to 1e\+308, past the float range"
+        with pytest.raises(ValueError, match=message):
+            run(problem, transverse0=1.0, n_steps=400, **options)
+
     def test_frozen_transverse_field_off_is_stationary(self):
         result = run_annealing_experiment(
             GroverProblem(2, 3), transverse0=0.0, t_final=1.0, n_steps=400

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm, hadamard
 
+import qxform.hamiltonians as hamiltonians
 from qxform.hamiltonians import (
-    FrameConjugatedTerms,
     GroverProblem,
     IsingProblem,
     TimeDependentHamiltonian,
@@ -207,8 +207,14 @@ class TestFastCounterpart:
         np.testing.assert_allclose(ising.matrix(0.0), expected, rtol=0, atol=1e-12)
 
     def test_non_diagonal_conjugated_strings_rejected(self):
+        class MixedProblem:
+            n_qubits = 1
+
+            def pauli_terms(self):
+                return (PauliString(((0, "Z"),)), PauliString(((0, "X"),), 0.5))
+
         with pytest.raises(ValueError, match="Z-only"):
-            FrameConjugatedTerms((PauliString(((0, "X"),)),), Constant(0.0))
+            fast_counterpart_hamiltonian(Constant(0.0), MixedProblem(), Constant(0.0))
 
 
 def sum_x(n):
@@ -309,8 +315,12 @@ class TestEvaluation:
                 np.testing.assert_allclose(stack[k], h.matrix(float(t)), atol=1e-15)
 
     def test_string_outside_register_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            TimeDependentHamiltonian(1, terms=((1.0, PauliString(((1, "Z"),))),))
+        # a constant coefficient folds the string into the static part, a varying one gives it a column
+        outside = PauliString(((3, "X"),))
+        for coefficient in (1.0, LinearRamp(0.0, 1.0, 1.0)):
+            for strings in (outside, (PauliString(((0, "X"),)), outside)):
+                with pytest.raises(ValueError, match="qubit index 3 out of range for 1 qubits"):
+                    TimeDependentHamiltonian(1, terms=((coefficient, strings),))
 
     @staticmethod
     def _with_coefficient(value):
@@ -330,6 +340,14 @@ class TestEvaluation:
         h = self._with_coefficient(1 + 0.5j)
         with pytest.raises(RuntimeError, match=r"Pauli term Z0 Y1 is \(1\+0\.5j\) at t=0\.5$"):
             h.matrix_stack([0.0, 0.5, 1.0])
+
+    def test_non_finite_constant_coefficient_fails_by_name(self):
+        h = nmr_hamiltonian(NmrParams(Constant(math.inf), 1.0, Harmonic(1.0)))
+        with pytest.raises(RuntimeError, match=r"Pauli term Z0 is inf at t=0\.0$"):
+            h.matrix(0.0)
+        h = TimeDependentHamiltonian(2, terms=((math.nan, PauliString(((1, "X"),))),))
+        with pytest.raises(RuntimeError, match=r"Pauli term X1 is nan at t=0\.5$"):
+            h.matrix(0.5)
 
     def test_complex_coefficient_with_zero_imaginary_part_is_real(self):
         got = self._with_coefficient(1 + 0j).matrix_stack([0.0, 0.5, 1.0])
@@ -356,6 +374,66 @@ class TestEvaluation:
         expected = hadamard(2**n, dtype=float)
         assert signs.dtype == expected.dtype
         assert np.array_equal(signs, expected)
+
+
+class _Column:
+    """Column ``k`` of a group's coefficient, weighting the group's k-th string alone."""
+
+    def __init__(self, coefficient, k):
+        self.coefficient, self.k = coefficient, k
+
+    def value(self, t):
+        value = self.coefficient.value(t)
+        return value[:, self.k] if np.ndim(value) == 2 else value
+
+
+def one_string_per_term(monkeypatch, build, *args):
+    """What ``build`` returns, and the same strings given one per term."""
+    built = []
+
+    def capture(n_qubits, terms=()):
+        built.append((n_qubits, tuple(terms)))
+        return TimeDependentHamiltonian(n_qubits, terms)
+
+    monkeypatch.setattr(hamiltonians, "TimeDependentHamiltonian", capture)
+    h = build(*args)
+    monkeypatch.undo()
+    (n, terms), = built
+    single = []
+    for coefficient, strings in terms:
+        strings = (strings,) if isinstance(strings, PauliString) else strings
+        varying = not isinstance(coefficient, (int, float, Constant))
+        single += [(_Column(coefficient, k) if varying else coefficient, s) for k, s in enumerate(strings)]
+    return h, TimeDependentHamiltonian(n, single)
+
+
+def _builders():
+    ramp, phase = LinearRamp(2.0, 0.0, 1.0), Harmonic(7.3)
+    drives = [
+        NmrParams.harmonic(1.0, 1.5, 2.0),
+        NmrParams(LinearRamp(1.2, -0.4, 1.0), 0.8, Harmonic(2.5), frame_phase=Harmonic(-1.1)),
+    ]
+    problems = [GroverProblem(n, (5 * n) % 2**n) for n in range(1, 5)]
+    problems += [
+        IsingProblem(1, fields=(0.7,)),
+        IsingProblem(2, fields=(0.5, -0.3), couplings=((0, 1, -1.0),)),
+        IsingProblem(3, fields=(0.5, 0.0, 0.2), couplings=((0, 2, 0.9), (1, 2, -0.4))),
+        IsingProblem(4, fields=(0.5,) * 4, couplings=((0, 1, -1.0), (1, 2, -1.0), (2, 3, -1.0))),
+        # no Z-string at all: the conjugated group is empty
+        IsingProblem(3, fields=(0.0, 0.0, 0.0)),
+    ]
+    cases = [(nmr_hamiltonian, p) for p in drives] + [(rotating_frame_hamiltonian, p) for p in drives]
+    cases += [(annealing_hamiltonian, ramp, p) for p in problems]
+    cases += [(fast_counterpart_hamiltonian, ramp, p, phase) for p in problems]
+    return cases
+
+
+@pytest.mark.parametrize("case", _builders(), ids=lambda case: case[0].__name__)
+def test_grouped_terms_match_one_string_per_term(monkeypatch, case):
+    # each group keeps the column order and the products of its strings given alone
+    grouped, single = one_string_per_term(monkeypatch, *case)
+    ts = np.random.default_rng(53).uniform(0.0, 1.0, size=40)
+    assert np.array_equal(grouped.matrix_stack(ts), single.matrix_stack(ts))
 
 
 @given(n=st.integers(1, 5), rows=st.integers(1, 32), data=st.data())
