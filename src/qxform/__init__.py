@@ -38,6 +38,7 @@ from .propagation import (
     nmr_fast_propagator,
     nmr_slow_propagator,
     propagate,
+    propagate_each,
     sample_trace,
 )
 from .transform import (

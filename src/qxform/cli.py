@@ -38,6 +38,7 @@ from .hamiltonians import (
 from .propagation import TimeGrid, nmr_fast_propagator
 from .schedules import Constant, CosineRamp, Harmonic, LinearRamp, NmrParams, Tabulated
 from .transform import (
+    ScaleOverflowError,
     TimeScaling,
     check_frame_steps,
     control_residual,
@@ -446,9 +447,16 @@ def _run_rescale(p, jobs):
     if dc is not None:  # closed forms only, so a drive past the float range is refused before any propagation
         with _field("drive_check.drive_strength"):
             drive_max_distance = verify_rescaled_drive(dc["drive_strength"], scaling, dc["n_nodes"])
-    # a Hamiltonian the boost carries past the float range is named by its amplitude
-    with _field("problem" if p["transverse0"] is None else "transverse0"):
+    try:
         report = time_rescaling_equivalence(frame_h, scaling, n_steps, stride=max(1, n_steps // 1000))
+    except ValueError as exc:
+        # both generators are about slow_time * H: a Hamiltonian carried past the
+        # float range is named by the larger factor, the time scale or H's amplitude
+        field = "problem" if p["transverse0"] is None else "transverse0"
+        if isinstance(exc, ScaleOverflowError):
+            if np.abs(frame_h.matrix_stack(np.array([exc.time]))).max() < scaling.slow_time:
+                field = "slow_time"
+        raise ConfigError(field, str(exc)) from None
     metrics = {
         "max_distance": report.max_distance,
         "time_ratio": scaling.ratio,

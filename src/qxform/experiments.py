@@ -38,6 +38,7 @@ from .propagation import (
     nmr_fast_propagator,
     nmr_slow_propagator,
     propagate,
+    propagate_each,
     sample_trace,
 )
 from .schedules import LinearRamp, NmrParams, Schedule
@@ -245,10 +246,9 @@ def run_nmr_experiment(
     # fine-grid control goes first and is reduced to its largest residual
     # before any coarse trace exists.
     control = control_residual(
-        fast_h, slow_h, lambda g: compose_transform(propagate(fast_h, g), propagate(slow_h, g)), grid
+        fast_h, slow_h, lambda g: compose_transform(*propagate_each((fast_h, slow_h), g)), grid
     )
-    fast_num = propagate(fast_h, grid)
-    slow_num = propagate(slow_h, grid)
+    fast_num, slow_num = propagate_each((fast_h, slow_h), grid)
     composed_num = compose_transform(fast_num, slow_num)
     report = verify_transform(fast_h, slow_h, composed_num, control)
     slow_final = slow_num.apply(psi0)
@@ -458,8 +458,7 @@ def run_fast_counterpart_comparison(
     grid = TimeGrid(0.0, t_final, n_steps)
 
     psi0 = np.linalg.eigh(slow_h.matrix(0.0))[1][:, 0]
-    slow_trace = propagate(slow_h, grid, stride=stride)
-    fast_trace = propagate(fast_h, grid, stride=stride)
+    slow_trace, fast_trace = propagate_each((slow_h, fast_h), grid, stride=stride)
 
     psi_slow = slow_trace.apply(psi0)
     psi_fast = fast_trace.apply(psi0)

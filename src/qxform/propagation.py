@@ -209,46 +209,64 @@ def _unitary_trace(grid: TimeGrid, stride: int, mats: np.ndarray, what: str) -> 
 
 
 def propagate(hamiltonian, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
-    """Integrate i dU/dt = H(t) U with U(t_start) = I by midpoint exponentials.
+    """Integrate i dU/dt = H(t) U with U(t_start) = I by midpoint exponentials:
+    the one-Hamiltonian case of :func:`propagate_each`."""
+    return propagate_each((hamiltonian,), grid, stride)[0]
 
-    ``hamiltonian`` is anything with ``dim`` and ``matrix_stack(ts)``.  Every
-    n-th node is retained per ``stride`` (the final node always is); a defect
-    beyond the limit aborts with the offending step index.
+
+def propagate_each(hamiltonians, grid: TimeGrid, stride: int = 1) -> tuple[UnitaryTrace, ...]:
+    """Integrate i dU/dt = H(t) U with U(t_start) = I by midpoint exponentials
+    for each of ``hamiltonians`` (anything with ``dim`` and ``matrix_stack(ts)``,
+    all of one dimension) in lockstep, each into its own trace.
+
+    Every n-th node is retained per ``stride`` (the final node always is).
+    The members share one block's rows; one exponential and one gate cover
+    the block, and one batched product per step advances every member.  A
+    step defect beyond the limit aborts naming its grid step: the earliest
+    failing block across the members first, within it the largest defect.
     """
-    dim = hamiltonian.dim
+    hamiltonians = tuple(hamiltonians)
+    dims = sorted({h.dim for h in hamiltonians})
+    if len(dims) != 1:
+        raise ValueError(f"lockstep propagation needs Hamiltonians of one dimension, got {dims}")
+    (dim,) = dims
+    k = len(hamiltonians)
     n_nodes = _stored_count(grid.n_steps, stride)
     _check_trace_bytes(n_nodes, dim)  # before any per-node allocation
     stride = int(stride)
     dt = grid.dt
-    block = _block_rows(dim)
-
-    stored = np.empty((n_nodes, dim, dim), dtype=complex)
-    stored[0] = np.eye(dim)
-    # U(t_n) = step_n @ U(t_{n-1}) is written straight into its stored slot,
-    # or into the spare buffer of its parity, which never holds the operand;
-    # slot k holds node min(k * stride, n_steps), as _stored_indices lists them
-    spare = np.empty((2, dim, dim), dtype=complex)
     last = grid.n_steps
-    slot, store_at = 1, min(stride, last)
-    u = stored[0]
-    for lo in range(0, last, block):
-        hi = min(lo + block, last)
+    rows = min(max(1, _block_rows(dim) // k), last)
+
+    stored = tuple(np.empty((n_nodes, dim, dim), dtype=complex) for _ in hamiltonians)
+    # row j takes U(t_{lo+j+1}) = step_j @ U(t_{lo+j}); until then it holds the
+    # midpoint Hamiltonians of step j, read by then; carry holds U(t_lo)
+    us = np.empty((rows, k, dim, dim), dtype=complex)
+    carry = np.tile(np.eye(dim, dtype=complex), (k, 1, 1))
+    for lo in range(0, last, rows):
+        hi = min(lo + rows, last)
+        m = hi - lo
         times = _node_times(grid, np.arange(lo, hi + 1))
-        h_mid = hamiltonian.matrix_stack(0.5 * (times[:-1] + times[1:]))
-        steps = _hermitian_expm_stack(h_mid, dt)
-        _check_stored(steps, lambda k: lo + k, "step unitary")
-        for n, step in enumerate(steps, lo + 1):
-            if n == store_at:
-                out = stored[slot]
-                slot += 1
-                store_at = slot * stride
-                if store_at > last:  # a comparison, cheaper per step than min()
-                    store_at = last
-            else:
-                out = spare[n & 1]
-            np.dot(step, u, out)
+        mid = 0.5 * (times[:-1] + times[1:])
+        for i, hamiltonian in enumerate(hamiltonians):
+            us[:m, i] = hamiltonian.matrix_stack(mid)
+        steps = _hermitian_expm_stack(us[:m].reshape(m * k, dim, dim), dt)
+        _check_stored(steps, lambda j: lo + j // k, "step unitary")
+        u = carry
+        for step, out in zip(steps.reshape(m, k, dim, dim), us):
+            np.matmul(step, u, out)
             u = out
-    return _unitary_trace(grid, stride, stored, "stored unitary")
+        carry[:] = u
+        # slot s holds node s * stride: those in (lo, hi] are rows s * stride - lo - 1
+        first = lo // stride + 1
+        count = hi // stride + 1 - first
+        for i, mats in enumerate(stored):
+            mats[first : first + count] = us[first * stride - lo - 1 :: stride, i][:count]
+    for i, mats in enumerate(stored):
+        mats[0] = np.eye(dim)
+        mats[-1] = carry[i]  # the last node, a stride multiple or not
+    del us, steps  # freed before the gates take their own two blocks
+    return tuple(_unitary_trace(grid, stride, mats, "stored unitary") for mats in stored)
 
 
 def sample_trace(fn, grid: TimeGrid) -> UnitaryTrace:

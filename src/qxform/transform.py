@@ -30,7 +30,7 @@ from .propagation import (
     _unitary_trace,
     _within_step_limit,
     nmr_fast_propagator,
-    propagate,
+    propagate_each,
     sample_trace,
 )
 from .schedules import NmrParams
@@ -390,6 +390,14 @@ class TimeScaling:
         return self.slow_time / self.fast_time
 
 
+class ScaleOverflowError(ValueError):
+    """A scaled Hamiltonian left the float range, first at ``time``."""
+
+    def __init__(self, message: str, time: float):
+        super().__init__(message)
+        self.time = time
+
+
 class _AmplitudeScaled:
     """A constant multiple of another Hamiltonian (same time axis), refused
     at the first time where it leaves the float range."""
@@ -404,8 +412,8 @@ class _AmplitudeScaled:
             out = self.factor * self.base.matrix_stack(ts)
         finite = np.isfinite(out).all(axis=(1, 2))
         if not finite.all():
-            t = np.atleast_1d(ts)[np.argmin(finite)]
-            raise ValueError(f"the Hamiltonian scaled by {self.factor!r} is not finite at t={float(t)!r}")
+            t = float(np.atleast_1d(ts)[np.argmin(finite)])
+            raise ScaleOverflowError(f"the Hamiltonian scaled by {self.factor!r} is not finite at t={t!r}", t)
         return out
 
 
@@ -438,8 +446,7 @@ def time_rescaling_equivalence(
     gen_fast = _AmplitudeScaled(boosted, scaling.fast_time)
     gen_slow = _AmplitudeScaled(frame_hamiltonian, scaling.slow_time)
     grid = TimeGrid(0.0, 1.0, n_steps)
-    fast_trace = propagate(gen_fast, grid, stride=stride)
-    slow_trace = propagate(gen_slow, grid, stride=stride)
+    fast_trace, slow_trace = propagate_each((gen_fast, gen_slow), grid, stride=stride)
     distances = phase_aligned_distance(fast_trace.matrices, slow_trace.matrices)
     return RescaleReport(
         times=fast_trace.times,

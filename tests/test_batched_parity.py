@@ -31,6 +31,7 @@ from qxform.propagation import (
     _batch_defects,
     nmr_slow_propagator,
     propagate,
+    propagate_each,
     sample_trace,
 )
 from qxform.schedules import LinearRamp, NmrParams
@@ -183,6 +184,32 @@ def test_propagate_single_step_and_stride_beyond_the_grid():
         trace = propagate(h, grid, stride=stride)
         assert len(trace.times) == 2
         assert np.array_equal(trace.matrices, reference_propagate(h, grid, stride))
+
+
+@pytest.mark.parametrize("rows, n_steps", [(None, 53), (None, None), (1, 53), (4, 53), (5, 53)])
+@pytest.mark.parametrize("stride", [1, 7, 60])
+@pytest.mark.parametrize("n_qubits", [1, 3, 4])
+def test_lockstep_pair_matches_separate_runs(n_qubits, stride, rows, n_steps, monkeypatch):
+    # rows forces each member's share of a block: 53 steps end in a last
+    # block of 1 row (4 rows a share) or 3 rows (5); n_steps None is one step
+    # past the default share, so the default blocks end in a block of 1 row
+    pair = (random_anneal(n_qubits, seed=n_qubits), random_anneal(n_qubits, seed=10 + n_qubits))
+    dim = pair[0].dim
+    if n_steps is None:
+        n_steps = operators._block_rows(dim) // 2 + 1
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    separate = [propagate(h, grid, stride=stride) for h in pair]
+    if rows is not None:
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 2 * rows * dim * dim)
+    traces = propagate_each(pair, grid, stride=stride)
+    assert len(traces) == 2
+    for trace, alone in zip(traces, separate):
+        assert (trace.grid, trace.stride) == (alone.grid, alone.stride)
+        assert trace.matrices.shape == alone.matrices.shape
+        assert np.array_equal(trace.matrices, alone.matrices)
+        assert trace.max_defect == alone.max_defect
+    # each trace owns its array, so dropping one frees it
+    assert traces[0].matrices.base is None and traces[1].matrices.base is None
 
 
 @pytest.mark.parametrize("rows", [None, 1, 5])

@@ -399,6 +399,12 @@ class TestModuleEntryPoint:
             ("rescale.json", ["fast_time=1e-320"], "config field 'fast_time': the ratio slow_time/fast_time"),
             ("rescale.json", ["slow_time=1e308"], "config field 'fast_time': the ratio slow_time/fast_time"),
             ("rescale.json", ["transverse0=1.7e308"], "config field 'transverse0': the Hamiltonian scaled by"),
+            # a finite frame Hamiltonian carried past the float range by the time scale
+            (
+                "rescale.json",
+                ["drive_check=null", "tolerances.max_drive_distance=null", "slow_time=1.7e308", "fast_time=1e308"],
+                "config field 'slow_time': the Hamiltonian scaled by 1e+308 is not finite at t=5e-05",
+            ),
             # the default quarter turn pi/(2|d|) underflows, or has no value
             ("nmr.json", ["qubit_splitting=1e308"], "config field 't_final': the quarter turn"),
             ("nmr.json", ["drive_rate=1.0"], "config field 't_final': t_final must be given"),

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import qxform.operators as operators
+import qxform.propagation as propagation
 from qxform.hamiltonians import (
     IsingProblem,
     annealing_hamiltonian,
@@ -24,6 +26,7 @@ from qxform.propagation import (
     nmr_fast_propagator,
     nmr_slow_propagator,
     propagate,
+    propagate_each,
     sample_trace,
 )
 from qxform.schedules import Constant, Harmonic, LinearRamp, NmrParams
@@ -270,6 +273,49 @@ class TestDefectGates:
         with pytest.raises(UnitarityError, match="at step 6 ") as info:
             _check_stored(us, lambda k: 2 * k, "stored unitary")
         assert info.value.step_index == 6
+
+    @pytest.mark.parametrize("first_fails_at", [None, 17, 5])
+    def test_step_gate_failure_in_the_second_member_names_its_step(self, first_fails_at, monkeypatch):
+        # a generator marked by a 3 off the diagonal gets its step scaled off
+        # the unit circle; blocks hold 4 steps of each member
+        def marked_at(step):
+            class Marked:
+                dim = 2
+
+                def matrix_stack(self, ts):
+                    out = np.zeros((len(ts), 2, 2), dtype=complex)
+                    out[:, 0, 0], out[:, 1, 1] = 1.0, -1.0
+                    bad = np.isclose(ts, (step + 0.5) / 20)
+                    out[bad, 0, 1] = out[bad, 1, 0] = 3.0
+                    return out
+
+            return Marked()
+
+        real = propagation._hermitian_expm_stack
+
+        def leaky(generators, dt):
+            steps = real(generators, dt)
+            steps[generators[:, 0, 1] == 3.0] *= 1.001
+            return steps
+
+        monkeypatch.setattr(propagation, "_hermitian_expm_stack", leaky)
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 2 * 4 * 2 * 2)
+        first = constant_z_hamiltonian(1.0) if first_fails_at is None else marked_at(first_fails_at)
+        # the earliest failing block across the pair is refused first, whichever
+        # member fails in it: the second member's step 13 (block 3) before the
+        # first member's step 17 (block 4), and the first member's step 5 before it
+        expected = min(13, first_fails_at or 13)
+        with pytest.raises(UnitarityError, match=f"^step unitary at step {expected} ") as info:
+            propagate_each((first, marked_at(13)), TimeGrid(0.0, 1.0, 20))
+        assert info.value.step_index == expected
+
+    def test_members_of_different_dimensions_are_refused(self):
+        problem = IsingProblem(2, fields=(0.5, 0.5))
+        with pytest.raises(ValueError, match=r"one dimension, got \[2, 4\]$"):
+            propagate_each(
+                (constant_z_hamiltonian(1.0), annealing_hamiltonian(Constant(1.0), problem)),
+                TimeGrid(0.0, 1.0, 10),
+            )
 
 
 class TestAnalyticPropagators:
