@@ -25,6 +25,7 @@ from .hamiltonians import (
 from .operators import (
     PauliString,
     _block_rows,
+    _stack_matmul,
     fidelity,
     hermitian_expm,
     minus_state,
@@ -113,9 +114,9 @@ def track_ground_state(
         np.conjugate(states, out=bras[1 : m + 1])
         # row i of |V_{k-1}^dag V_k|^2: overlaps of branch i with the next node's eigenvectors
         if lo == 0:
-            picks, links = [b], np.einsum("kji,kjl->kil", bras[1:m], states[1:])
+            picks, links = [b], _stack_matmul(bras[1:m].transpose(0, 2, 1), states[1:])
         else:
-            picks, links = [], np.einsum("kji,kjl->kil", bras[:m], states)
+            picks, links = [], _stack_matmul(bras[:m].transpose(0, 2, 1), states)
         overlaps = np.abs(links) ** 2
         # flat lists, entry k * dim + i for branch i at link k: no list per node
         lost = (np.max(overlaps, axis=2) < _OVERLAP_FLOOR).ravel().tolist()

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    _MATMUL_MIN_DIM,
     _block_rows,
     _hermitian_expm_stack,
+    _stack_matmul,
     hermitian_expm,
     normalization_defect,
     pauli_matrix,
@@ -153,24 +153,21 @@ def _batch_defects(us: np.ndarray) -> np.ndarray:
     """||U^dag U - I|| per matrix of the stack, one block of rows at a time,
     every block's temporaries written into the same two buffers."""
     dim = us.shape[-1]
-    eye = np.eye(dim)
     rows = _block_rows(dim)
     u_conj, gram = (np.empty((min(rows, len(us)), dim, dim), dtype=complex) for _ in range(2))
-    # the moduli |U^dag U - I| go into U^*'s memory, read by then
-    moduli = u_conj.reshape(-1).view(np.float64)
     defects = np.empty(len(us))
     for lo in range(0, len(us), rows):
         block = us[lo : lo + rows]
         m = len(block)
         block_conj = np.conjugate(block, out=u_conj[:m])
-        if dim < _MATMUL_MIN_DIM:
-            g = np.einsum("kji,kjl->kil", block_conj, block, out=gram[:m])
-        else:
-            g = np.matmul(block_conj.transpose(0, 2, 1), block, out=gram[:m])
-        g -= eye
-        sq = np.abs(g, out=moduli[: g.size].reshape(g.shape))
-        sq **= 2
-        np.sqrt(sq.sum(axis=(1, 2)), out=defects[lo : lo + m])
+        g = _stack_matmul(block_conj.transpose(0, 2, 1), block, out=gram[:m])
+        # U^dag U - I in place, on the real parts of the diagonal, then the
+        # sum of squares of every real and imaginary part of each matrix
+        parts = g.reshape(m, -1).view(np.float64)
+        for i in range(dim):
+            diagonal = parts[:, 2 * i * (dim + 1)]
+            np.subtract(diagonal, 1.0, out=diagonal)
+        np.sqrt(np.einsum("ki,ki->k", parts, parts), out=defects[lo : lo + m])
     return defects
 
 
@@ -320,8 +317,8 @@ def _rotated_drive(frame_rate: float, detuning: float, g: float, t) -> np.ndarra
         raise ValueError(f"the drive generator 2 g X - d Z overflows at g = {g!r}, d = {detuning!r}")
     z = pauli_matrix("Z")
     x = pauli_matrix("X")
-    return hermitian_expm(z, 0.5 * frame_rate * t) @ hermitian_expm(
-        2.0 * g * x - detuning * z, 0.5 * t
+    return _stack_matmul(
+        hermitian_expm(z, 0.5 * frame_rate * t), hermitian_expm(2.0 * g * x - detuning * z, 0.5 * t)
     )
 
 

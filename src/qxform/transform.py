@@ -36,8 +36,8 @@ from .propagation import (
 from .schedules import NmrParams
 
 
-# Rows formatted per writelines call of write_csv_curve: bounds the Python
-# floats alive at once.
+# Rows formatted per write call of write_csv_curve: bounds the Python floats
+# and strings alive at once.
 _CSV_CHUNK = 4096
 
 # Absolute floor of the self-calibrated residual model in verify_transform.
@@ -53,7 +53,7 @@ def write_csv_curve(path, times, values) -> None:
         fh.write("t,value\n")
         for lo in range(0, min(len(times), len(values)), _CSV_CHUNK):
             rows = zip(times[lo : lo + _CSV_CHUNK].tolist(), values[lo : lo + _CSV_CHUNK].tolist())
-            fh.writelines(f"{t!r},{v!r}\n" for t, v in rows)
+            fh.write("".join([f"{t!r},{v!r}\n" for t, v in rows]))
 
 
 def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:

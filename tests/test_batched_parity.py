@@ -247,12 +247,20 @@ def test_sample_trace_matches_the_one_shot_sampler(n_qubits, rows, monkeypatch):
 
 
 def one_shot_defects(us):
-    eye = np.eye(us.shape[-1])
-    if us.shape[-1] < 4:
-        gram = np.einsum("kji,kjl->kil", us.conj(), us)
+    """The gate on the whole stack at once: U^dag U as the sum of the rank-one
+    products (column j of U^dag times row j of U) below dim 4 and batched @
+    from 4 up, less I, then the root of each matrix's sum of squared real and
+    imaginary parts."""
+    dim = us.shape[-1]
+    bras = us.conj().transpose(0, 2, 1)
+    if dim < 4:
+        gram = bras[:, :, 0, None] * us[:, None, 0, :]
+        for j in range(1, dim):
+            gram = gram + bras[:, :, j, None] * us[:, None, j, :]
     else:
-        gram = us.conj().transpose(0, 2, 1) @ us
-    return np.sqrt((np.abs(gram - eye) ** 2).sum(axis=(1, 2)))
+        gram = bras @ us
+    parts = (gram - np.eye(dim)).reshape(len(us), -1).view(np.float64)
+    return np.sqrt(np.einsum("ki,ki->k", parts, parts))
 
 
 def one_shot_frame_change(hamiltonian, transform, s):

@@ -7,6 +7,7 @@ from qxform.operators import (
     PauliString,
     _hermitian_expm_stack,
     _sign_table,
+    _stack_matmul,
     fidelity,
     hermitian_expm,
     hermiticity_defect,
@@ -210,6 +211,51 @@ class TestHermitianExpm:
         stack = _hermitian_expm_stack(gens, scale)
         for g, u in zip(gens, stack):
             assert np.abs(u - hermitian_expm(g, scale)).max() <= 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_stack_keeps_its_assembly_bits(self, dim):
+        # the propagators' bits: einsum V diag(p) V^dag below dim 4, (V p) @ V^dag from it up
+        rng = np.random.default_rng(40 + dim)
+        gens = np.stack([random_hermitian(rng, dim) for _ in range(24)])
+        dt = 0.37
+        w, v = np.linalg.eigh(gens)
+        phases = np.exp(-1j * dt * w)
+        if dim < 4:
+            expected = np.einsum("kij,kj,klj->kil", v, phases, v.conj())
+        else:
+            expected = (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        assert np.array_equal(_hermitian_expm_stack(gens, dt), expected)
+
+
+class TestStackMatmul:
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_matches_matmul(self, dim):
+        rng = np.random.default_rng(dim)
+        a, b = (rng.normal(size=(2, 5, dim, dim)) + 1j * rng.normal(size=(2, 5, dim, dim)) for _ in range(2))
+        np.testing.assert_allclose(_stack_matmul(a, b), a @ b, rtol=0, atol=1e-14)
+        out = np.full_like(a, np.nan)
+        assert _stack_matmul(a, b, out=out) is out
+        np.testing.assert_array_equal(out, _stack_matmul(a, b))
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_one_matrix_broadcasts_against_a_stack(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        stack = rng.normal(size=(7, dim, dim)) + 1j * rng.normal(size=(7, dim, dim))
+        single = random_unitary(rng, dim)
+        for a, b in ((stack, single), (single, stack)):
+            got = _stack_matmul(a, b)
+            assert got.shape == (7, dim, dim)
+            np.testing.assert_allclose(got, a @ b, rtol=0, atol=1e-14)
+            out = np.empty((7, dim, dim), dtype=complex)
+            _stack_matmul(a, b, out=out)
+            np.testing.assert_array_equal(out, got)
+        np.testing.assert_allclose(_stack_matmul(single, single), single @ single, rtol=0, atol=1e-14)
+
+    def test_below_dim_4_sums_the_rank_one_products_in_order(self):
+        rng = np.random.default_rng(2)
+        a, b = (rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2)) for _ in range(2))
+        expected = a[:, :, 0, None] * b[:, None, 0, :] + a[:, :, 1, None] * b[:, None, 1, :]
+        assert np.array_equal(_stack_matmul(a, b), expected)
 
 
 class TestPhaseAlignment:

@@ -274,6 +274,26 @@ class TestDefectGates:
             _check_stored(us, lambda k: 2 * k, "stored unitary")
         assert info.value.step_index == 6
 
+    @pytest.mark.parametrize("n_qubits", [1, 3])
+    def test_nan_step_is_refused_naming_its_step(self, n_qubits, monkeypatch):
+        # one entry of step 11's unitary is NaN; blocks hold 4 steps
+        real = propagation._hermitian_expm_stack
+        blocks = []
+
+        def poisoned(generators, dt):
+            steps = real(generators, dt)
+            if len(blocks) == 2:  # the third block: steps 8 to 11
+                steps[3, 0, 1] = np.nan
+            blocks.append(steps)
+            return steps
+
+        monkeypatch.setattr(propagation, "_hermitian_expm_stack", poisoned)
+        h = annealing_hamiltonian(LinearRamp(1.0, 0.0, 1.0), IsingProblem(n_qubits, fields=(0.5,) * n_qubits))
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 4 * h.dim * h.dim)
+        with pytest.raises(UnitarityError, match="^step unitary at step 11 has unitarity defect nan") as info:
+            propagate(h, TimeGrid(0.0, 1.0, 20))
+        assert info.value.step_index == 11 and math.isnan(info.value.defect)
+
     @pytest.mark.parametrize("first_fails_at", [None, 17, 5])
     def test_step_gate_failure_in_the_second_member_names_its_step(self, first_fails_at, monkeypatch):
         # a generator marked by a 3 off the diagonal gets its step scaled off
