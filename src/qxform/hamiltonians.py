@@ -15,11 +15,6 @@ import numpy as np
 from .operators import PauliString, _flip_form, _sign_table, check_qubit_count
 from .schedules import Constant, NmrParams, Schedule
 
-# Sign-table rows a Hamiltonian gathers once, at construction, for all its
-# strings together (256 KiB).  One with more strings (the 59,049 of a 10-qubit
-# Grover counterpart would take 484 MB) gathers each segment's rows per call.
-_GATHERED_SIGNS_MAX = 1 << 15
-
 
 # ---------------------------------------------------------------------------
 # Derived coefficient functions (anything with .value(t) can weight a term)
@@ -148,15 +143,10 @@ class TimeDependentHamiltonian:
         self._labels = tuple(labels)
         self._order = np.array(order, dtype=int)
         self._scales = np.array([columns[k][3] for k in order], dtype=float)
-        # each segment's rows of the sign table, one per string: the rows
-        # themselves, or their indices where they are gathered per call
-        zmasks = np.array([columns[k][2] for k in order], dtype=int)
-        segments = list(map(slice, starts, starts[1:] + [len(order)]))
+        self._zmasks = np.array([columns[k][2] for k in order], dtype=int)
         self._signs = _sign_table(self.n_qubits)
-        gather_once = len(order) * self.dim <= _GATHERED_SIGNS_MAX
-        signs = [self._signs[zmasks[seg]] if gather_once else zmasks[seg] for seg in segments]
-        self._segments = tuple(zip(segments, slots, signs))
-        for a in (self._static, self._order, self._scales, *slots, *signs):
+        self._segments = tuple(zip(map(slice, starts, starts[1:] + [len(order)]), slots))
+        for a in (self._static, self._order, self._scales, self._zmasks, *slots):
             a.flags.writeable = False
 
     def matrix(self, t: float) -> np.ndarray:
@@ -184,10 +174,8 @@ class TimeDependentHamiltonian:
         # the sign vectors are +-1, so this is each term's one rounding, as in a dense product
         vals = vals[:, self._order] * self._scales
         out = np.zeros((ts.size, 2 * self.dim * self.dim))  # real and imaginary part of each entry in turn
-        for seg, slots, signs in self._segments:
-            if signs.dtype.kind == "i":
-                signs = self._signs[signs]
-            out[:, slots] = vals[:, seg] @ signs
+        for seg, slots in self._segments:
+            out[:, slots] = vals[:, seg] @ self._signs[self._zmasks[seg]]
         out = out.view(complex).reshape(ts.size, self.dim, self.dim)
         out += self._static
         return out

@@ -314,22 +314,6 @@ class TestEvaluation:
             for k, t in enumerate(ts):
                 np.testing.assert_allclose(stack[k], h.matrix(float(t)), atol=1e-15)
 
-    def test_sign_rows_gathered_once_or_per_call_give_the_same_bits(self, monkeypatch):
-        # the strings' sign-table rows are gathered read-only at construction,
-        # or, past the size limit, each segment's rows per call
-        ts = np.random.default_rng(44).uniform(0.0, 1.0, size=37)
-        once = self._samples()
-        monkeypatch.setattr(hamiltonians, "_GATHERED_SIGNS_MAX", 0)
-        per_call = self._samples()
-        for a, b in zip(once, per_call):
-            assert all(signs.dtype == float and not signs.flags.writeable for _, _, signs in a._segments)
-            assert all(signs.dtype.kind == "i" for _, _, signs in b._segments)
-            assert np.array_equal(a.matrix_stack(ts), b.matrix_stack(ts))
-        monkeypatch.undo()
-        # 3^7 strings of dimension 128 exceed the limit
-        grover = fast_counterpart_hamiltonian(LinearRamp(2.0, 0.0, 1.0), GroverProblem(7, 5), Harmonic(5.0))
-        assert all(signs.dtype.kind == "i" for _, _, signs in grover._segments)
-
     def test_string_outside_register_rejected(self):
         # a constant coefficient folds the string into the static part, a varying one gives it a column
         outside = PauliString(((3, "X"),))
