@@ -212,7 +212,7 @@ def nmr_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
     if n_steps is None:
         n_steps = max(16, int(math.ceil(_within_step_limit(t_final / 1e-3))))
     check_frame_steps(n_steps)
-    grid = TimeGrid(0.0, float(t_final), int(n_steps))
+    grid = TimeGrid(0.0, float(t_final), n_steps)
     try:
         grid.refined()
     except ValueError as exc:

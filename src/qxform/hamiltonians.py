@@ -175,6 +175,7 @@ class TimeDependentHamiltonian:
         vals = vals[:, self._order] * self._scales
         out = np.zeros((ts.size, 2 * self.dim * self.dim))  # real and imaginary part of each entry in turn
         for seg, slots in self._segments:
+            # a real (rows, terms) @ (terms, 2 dim^2) product; _stack_matmul gives its bits 110x slower at dim 2
             out[:, slots] = vals[:, seg] @ self._signs[self._zmasks[seg]]
         out = out.view(complex).reshape(ts.size, self.dim, self.dim)
         out += self._static

@@ -19,7 +19,8 @@ import numpy as np
 # Dense storage keeps runs at desk scale; reject anything larger outright.
 MAX_QUBITS = 10
 
-# _stack_matmul and _hermitian_expm_stack use batched @ from this dimension up.
+# Batched @ from this dimension up, for _stack_matmul (the unitarity gates, the
+# closed forms, the branch overlaps and the frame changes) and _hermitian_expm_stack.
 # A dim-2 product of two 8192-row blocks on one Xeon core (taskset, one
 # OpenBLAS thread, median of 9) takes 0.31 ms as _stack_matmul's entry-by-entry
 # rank-one sum, 0.77 ms as the same sum broadcast over rows, 2.8 ms by einsum
@@ -162,6 +163,13 @@ def _stack_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -
     return out
 
 
+def _row_norms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Frobenius norm of each matrix of the complex (m, d, d) stack: the root
+    of the sum of squares of its real and imaginary parts, in memory order."""
+    parts = x.reshape(len(x), -1).view(np.float64)
+    return np.sqrt(np.einsum("ki,ki->k", parts, parts), out=out)
+
+
 # ---------------------------------------------------------------------------
 # Hermiticity and Hermitian exponentials
 
@@ -209,7 +217,7 @@ def _hermitian_expm_stack(generators: np.ndarray, scale: float) -> np.ndarray:
     w, v = np.linalg.eigh(generators)
     _check_phase_range(scale, w)
     phases = np.exp(-1j * scale * w)
-    if v.shape[-1] < _MATMUL_MIN_DIM:
+    if v.shape[-1] < _MATMUL_MIN_DIM:  # not _stack_matmul: nmr transform_threshold moved -2.42e-12
         return np.einsum("kij,kj,klj->kil", v, phases, v.conj())
     v_dag = v.conj().transpose(0, 2, 1)
     v *= phases[:, None, :]  # in place: v is eigh's own output
@@ -244,7 +252,7 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray):
         x, y = a[lo : lo + rows], b[lo : lo + rows]
         tr = np.einsum("kij,kij->k", y.conj(), x)
         phi = np.where(np.abs(tr) == 0.0, 0.0, np.arctan2(tr.imag, tr.real))
-        dist[lo : lo + rows] = np.linalg.norm(x - np.exp(1j * phi)[:, None, None] * y, axis=(1, 2))
+        _row_norms(x - np.exp(1j * phi)[:, None, None] * y, out=dist[lo : lo + rows])
     return dist.reshape(lead) if lead else float(dist[0])
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .operators import (
     _block_rows,
     _hermitian_expm_stack,
+    _row_norms,
     _stack_matmul,
     hermitian_expm,
     normalization_defect,
@@ -53,6 +54,8 @@ class TimeGrid:
 
     def __post_init__(self):
         n_steps = _within_step_limit(self.n_steps)
+        if int(n_steps) != n_steps:
+            raise ValueError(f"n_steps must be a whole number, got {n_steps}")
         if int(n_steps) < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         object.__setattr__(self, "n_steps", int(n_steps))
@@ -91,6 +94,8 @@ def _node_times(grid: TimeGrid, nodes: np.ndarray) -> np.ndarray:
 
 def _stored_count(n_steps: int, stride: int) -> int:
     """Nodes kept at ``stride``: every stride-th one and the last."""
+    if int(stride) != stride:
+        raise ValueError(f"stride must be a whole number, got {stride}")
     if int(stride) < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     return -(-n_steps // int(stride)) + 1
@@ -161,13 +166,8 @@ def _batch_defects(us: np.ndarray) -> np.ndarray:
         m = len(block)
         block_conj = np.conjugate(block, out=u_conj[:m])
         g = _stack_matmul(block_conj.transpose(0, 2, 1), block, out=gram[:m])
-        # U^dag U - I in place, on the real parts of the diagonal, then the
-        # sum of squares of every real and imaginary part of each matrix
-        parts = g.reshape(m, -1).view(np.float64)
-        for i in range(dim):
-            diagonal = parts[:, 2 * i * (dim + 1)]
-            np.subtract(diagonal, 1.0, out=diagonal)
-        np.sqrt(np.einsum("ki,ki->k", parts, parts), out=defects[lo : lo + m])
+        g.reshape(m, -1).view(np.float64)[:, :: 2 * (dim + 1)] -= 1.0  # U^dag U - I on the real diagonal
+        _row_norms(g, out=defects[lo : lo + m])
     return defects
 
 
@@ -251,7 +251,7 @@ def propagate_each(hamiltonians, grid: TimeGrid, stride: int = 1) -> tuple[Unita
         _check_stored(steps, lambda j: lo + j // k, "step unitary")
         u = carry
         for step, out in zip(steps.reshape(m, k, dim, dim), us):
-            np.matmul(step, u, out)
+            np.matmul(step, u, out)  # _stack_matmul at dim 2 moved nmr transform_threshold by -3.05e-12
             u = out
         carry[:] = u
         # slot s holds node s * stride: those in (lo, hi] are rows s * stride - lo - 1

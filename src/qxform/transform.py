@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _block_rows, pauli_matrix, hermitian_expm, phase_aligned_distance
+from .operators import _block_rows, _row_norms, _stack_matmul, hermitian_expm, pauli_matrix, phase_aligned_distance
 from .propagation import (
     MAX_STEPS,
     TimeGrid,
@@ -66,6 +66,7 @@ def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:
     for lo in range(0, len(mats), rows):
         block = slice(lo, lo + rows)
         u_conj = np.conjugate(slow.matrices[block], out=conj[: len(mats[block])])
+        # not _stack_matmul: at dim 2 that moved nmr transform_threshold by -4.03e-12 through S's bits
         np.einsum("kij,klj->kil", fast.matrices[block], u_conj, out=mats[block])
     del conj, u_conj  # before the gate's own buffers
     return _unitary_trace(fast.grid, fast.stride, mats, "transform matrix")
@@ -143,15 +144,8 @@ def check_frame_steps(n_steps: int) -> None:
         )
 
 
-def _frobenius_rows(x: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
-    """np.linalg.norm(x, axis=(1, 2)) into ``out``, the same operations in the
-    same order, with x^* x formed in ``scratch`` (x's shape and layout)."""
-    np.multiply(np.conjugate(x, out=scratch), x, out=scratch)
-    np.sqrt(np.add.reduce(scratch.real, axis=(1, 2)), out=out)
-
-
 def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=None, back=None):
-    """s^dag H s - i s^dag ds/dt at the interior nodes of ``transform``'s grid,
+    """s^dag (H s - i ds/dt) at the interior nodes of ``transform``'s grid,
     with s the transform's matrices or (``adjoint``) their adjoints, one block
     of nodes at a time.
 
@@ -171,19 +165,15 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
     n, dim = grid.n_steps - 1, transform.dim
     rows = min(_block_rows(dim), n)
     # One block of each temporary for the whole pass: the conjugates of the
-    # block's nodes and their two neighbours, ds/dt and the raw reconstruction
-    # r.  s^dag is a view of the conjugates and its bra s^* a view of the
-    # transform, or the reverse with ``adjoint``, laid out as the conjugated
-    # copies they replace.  The Hermitian part's block holds s^dag ds/dt until
-    # it is written, and the conjugates' block holds r^* once it is read.  A
-    # round trip's Hermitian part has a block of its own.
+    # block's nodes and their two neighbours (then r^*), ds/dt (then r), the
+    # Hermitian part (first H s - i ds/dt) and a round trip's own Hermitian
+    # part.  s and s^dag view the transform and the conjugates, in either order.
     conj = np.empty((rows + 2, dim, dim), dtype=complex)
-    s_dot_buf, raw = (np.empty((rows, dim, dim), dtype=complex) for _ in range(2))
+    s_dot_buf = np.empty((rows, dim, dim), dtype=complex)
     matrices = np.empty((n if keep else rows, dim, dim), dtype=complex)
     times, defects = (np.empty(n), np.empty(n)) if keep else (None, None)
     residuals = None if keep else np.empty(n)
     back_herm = None if back is None else np.empty((rows, dim, dim), dtype=complex)
-    block = np.empty(rows)  # a block of per-node values reduced to their largest
     max_defect = max_round_trip = -np.inf
 
     def hermitian_part(nodes, h_mid, adjoint, herm):
@@ -192,15 +182,15 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
         m = len(herm)
         nodes_conj = np.conjugate(nodes, out=conj[: m + 2])
         if adjoint:
-            s, bra = nodes_conj.transpose(0, 2, 1), nodes[1:-1].transpose(0, 2, 1)
+            s, s_dag = nodes_conj.transpose(0, 2, 1), nodes[1:-1]
             s_dot = s_dot_buf[:m].transpose(0, 2, 1)
         else:
-            s, bra, s_dot = nodes, nodes_conj[1:-1], s_dot_buf[:m]
-        s_mid = s[1:-1]
+            s, s_dag, s_dot = nodes, nodes_conj[1:-1].transpose(0, 2, 1), s_dot_buf[:m]
         np.subtract(s[2:], s[:-2], out=s_dot)
         s_dot /= 2.0 * grid.dt  # central difference
-        r = np.einsum("kji,kjl,klm->kim", bra, h_mid, s_mid, out=raw[:m])
-        r -= np.multiply(np.einsum("kji,kjl->kil", bra, s_dot, out=herm), 1j, out=herm)
+        y = _stack_matmul(h_mid, s[1:-1], out=herm)
+        y -= np.multiply(s_dot, 1j, out=s_dot)
+        r = _stack_matmul(s_dag, y, out=s_dot_buf[:m])
         dag = np.conjugate(r, out=conj[:m]).transpose(0, 2, 1)
         np.add(r, dag, out=herm)
         herm *= 0.5
@@ -215,21 +205,19 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
             herm = matrices[lo:hi] if keep else matrices[:m]
             r, dag = hermitian_part(nodes, hamiltonian.matrix_stack(t_mid), adjoint, herm)
             if keep or back is not None:
-                antiherm = np.subtract(r, dag, out=s_dot_buf[:m])
-                antiherm *= 0.5
-                node_defects = defects[lo:hi] if keep else block[:m]
-                _frobenius_rows(antiherm, conj[:m], node_defects)
+                r -= dag
+                r *= 0.5  # the anti-Hermitian part
+                node_defects = _row_norms(r, out=defects[lo:hi] if keep else None)
                 max_defect = np.maximum(max_defect, np.max(node_defects))
             if keep:
                 times[lo:hi] = t_mid
             else:
                 diff = np.subtract(herm, target.matrix_stack(t_mid), out=s_dot_buf[:m])
-                _frobenius_rows(diff, conj[:m], residuals[lo:hi])
+                _row_norms(diff, out=residuals[lo:hi])
             if back is not None:
                 hermitian_part(nodes, herm, not adjoint, back_herm[:m])
                 diff = np.subtract(back_herm[:m], back.matrix_stack(t_mid), out=s_dot_buf[:m])
-                _frobenius_rows(diff, conj[:m], block[:m])
-                max_round_trip = np.maximum(max_round_trip, np.max(block[:m]))
+                max_round_trip = np.maximum(max_round_trip, np.max(_row_norms(diff)))
     rec = SampledHamiltonian(times, matrices, defects, grid.dt) if keep else None
     if back is None:
         return rec, residuals, None, None
@@ -469,14 +457,16 @@ def verify_rescaled_drive(drive_strength: float, scaling: TimeScaling, n_nodes: 
     """The largest distance of the closed-form propagators of the fast drive
     (g, T) and the slow drive (g T / T', T') from the shared normalized-time
     form, on ``n_nodes`` nodes: they collapse onto it when g T is matched, the
-    splitting is zero and one drive period spans the characteristic time."""
-    g = float(drive_strength)
-    T = scaling.fast_time
-    T_slow = scaling.slow_time
+    splitting is zero and one drive period spans the characteristic time.
+    The nodes are evaluated one block at a time."""
+    g, T, T_slow = float(drive_strength), scaling.fast_time, scaling.slow_time
     fast = NmrParams.harmonic(0.0, 2.0 * np.pi / T, g)
     slow = NmrParams.harmonic(0.0, 2.0 * np.pi / T_slow, g * T / T_slow)
     taus = np.linspace(0.0, 1.0, int(n_nodes))
-    ref = rescaled_drive_closed_form(g, T, taus)
-    fast_d = phase_aligned_distance(nmr_fast_propagator(fast, taus * T), ref)
-    slow_d = phase_aligned_distance(nmr_fast_propagator(slow, taus * T_slow), ref)
-    return float(max(fast_d.max(), slow_d.max()))
+    rows, maxima = _block_rows(2), []
+    for lo in range(0, len(taus), rows):
+        tau = taus[lo : lo + rows]
+        ref = rescaled_drive_closed_form(g, T, tau)
+        for p, period in ((fast, T), (slow, T_slow)):
+            maxima.append(np.max(phase_aligned_distance(nmr_fast_propagator(p, tau * period), ref)))
+    return float(np.max(maxima))

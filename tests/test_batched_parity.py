@@ -97,12 +97,19 @@ def test_scale_shapes():
 # phase_aligned_distance
 
 
+def one_shot_row_norms(x):
+    """The Frobenius norm of every matrix at once: the root of the sum of
+    squares of its real and imaginary parts, in memory order."""
+    parts = x.reshape(-1, x.shape[-2] * x.shape[-1]).view(np.float64)
+    return np.sqrt(np.einsum("ki,ki->k", parts, parts)).reshape(x.shape[:-2])
+
+
 def one_shot_aligned_distance(a, b):
     """The distance of every pair at once, B turned by the phase
     arg tr(B^dag A), or by none where that trace vanishes."""
     tr = np.einsum("...ij,...ij->...", b.conj(), a)
     phi = np.where(np.abs(tr) == 0.0, 0.0, np.arctan2(tr.imag, tr.real))
-    return np.linalg.norm(a - np.exp(1j * phi)[..., None, None] * b, axis=(-2, -1))
+    return one_shot_row_norms(a - np.exp(1j * phi)[..., None, None] * b)
 
 
 @given(
@@ -127,7 +134,7 @@ def test_stacked_aligned_distance_matches_per_pair(dim, n, data):
         assert type(single) is float
         assert single == one_shot_aligned_distance(a[k], b[k])
     # where the trace vanishes no phase turns B, not even arg(-0) = pi
-    plain = np.linalg.norm(a - b, axis=(1, 2))
+    plain = one_shot_row_norms(a - b)
     np.testing.assert_array_equal(stacked[zero_trace], plain[zero_trace])
 
 
@@ -246,38 +253,40 @@ def test_sample_trace_matches_the_one_shot_sampler(n_qubits, rows, monkeypatch):
 # The analysis stage, one block at a time, against its one-shot formulas
 
 
+def one_shot_matmul(a, b):
+    """a @ b for every pair of the stacks at once: the sum of the rank-one
+    products (column j of a times row j of b) in ascending j below dim 4,
+    batched @ from 4 up."""
+    dim = a.shape[-1]
+    if dim >= 4:
+        return a @ b
+    out = a[:, :, 0, None] * b[:, None, 0, :]
+    for j in range(1, dim):
+        out = out + a[:, :, j, None] * b[:, None, j, :]
+    return out
+
+
 def one_shot_defects(us):
-    """The gate on the whole stack at once: U^dag U as the sum of the rank-one
-    products (column j of U^dag times row j of U) below dim 4 and batched @
-    from 4 up, less I, then the root of each matrix's sum of squared real and
-    imaginary parts."""
-    dim = us.shape[-1]
-    bras = us.conj().transpose(0, 2, 1)
-    if dim < 4:
-        gram = bras[:, :, 0, None] * us[:, None, 0, :]
-        for j in range(1, dim):
-            gram = gram + bras[:, :, j, None] * us[:, None, j, :]
-    else:
-        gram = bras @ us
-    parts = (gram - np.eye(dim)).reshape(len(us), -1).view(np.float64)
-    return np.sqrt(np.einsum("ki,ki->k", parts, parts))
+    """The gate on the whole stack at once: U^dag U, less I, then the
+    Frobenius norm of each matrix."""
+    gram = one_shot_matmul(us.conj().transpose(0, 2, 1), us)
+    return one_shot_row_norms(gram - np.eye(us.shape[-1]))
 
 
 def one_shot_frame_change(hamiltonian, transform, s):
-    """(Hermitian part, anti-Hermitian defects) of s^dag H s - i s^dag ds/dt
+    """(Hermitian part, anti-Hermitian defects) of s^dag (H s - i ds/dt)
     at every interior node in one pass."""
     s_mid = s[1:-1]
     s_dot = (s[2:] - s[:-2]) / (2.0 * transform.grid.dt)
     h = hamiltonian.matrix_stack(transform.times[1:-1])
-    raw = np.einsum("kji,kjl,klm->kim", s_mid.conj(), h, s_mid)
-    raw -= 1j * np.einsum("kji,kjl->kil", s_mid.conj(), s_dot)
+    raw = one_shot_matmul(s_mid.conj().transpose(0, 2, 1), one_shot_matmul(h, s_mid) - 1j * s_dot)
     dag = raw.conj().transpose(0, 2, 1)
-    return 0.5 * (raw + dag), np.linalg.norm(0.5 * (raw - dag), axis=(1, 2))
+    return 0.5 * (raw + dag), one_shot_row_norms(0.5 * (raw - dag))
 
 
 def one_shot_residuals(hamiltonian, frame, transform):
     mats, _ = one_shot_frame_change(hamiltonian, transform, transform.matrices)
-    return np.linalg.norm(mats - frame.matrix_stack(transform.times[1:-1]), axis=(1, 2))
+    return one_shot_row_norms(mats - frame.matrix_stack(transform.times[1:-1]))
 
 
 def traces_on(n_qubits, grid, seed):
@@ -334,7 +343,7 @@ def test_analysis_matches_the_one_shot_formulas(n_qubits, rows, monkeypatch):
     assert got.shape == (3, 7)
     assert np.array_equal(got, one_shot_aligned_distance(a, b))
     # the one pair whose trace vanishes keeps the plain Frobenius distance
-    assert got[1, 2] == np.linalg.norm(a[1] - b[1], axis=(1, 2))[2]
+    assert got[1, 2] == one_shot_row_norms(a[1] - b[1])[2]
 
 
 # ---------------------------------------------------------------------------

@@ -434,9 +434,19 @@ class TestModuleEntryPoint:
                 "rescale.json", ["drive_check.drive_strength=1e308"],
                 "config field 'drive_check.drive_strength': the drive generator",
             ),
+            ("nmr.json", ["t_final=-1"], "config field 't_final': expected a positive number, got -1.0"),
             (
                 "ising.json",
                 ["fields=[1e308,1e308,1e308,1e308]", "fast_counterpart=null", "tolerances.min_counterpart_fidelity=null"],
+                "config field 'fields': the fields and couplings sum past the float range",
+            ),
+            # the same with the shipped fast counterpart left in
+            (
+                "ising.json", ["fields=[1e308,1e308,1e308,1e308]"],
+                "config field 'fields': the fields and couplings sum past the float range",
+            ),
+            (
+                "ising.json", ["fields=[1e308,1e308,1e308,1e308]", "transverse0=1"],
                 "config field 'fields': the fields and couplings sum past the float range",
             ),
             (
@@ -455,6 +465,10 @@ class TestModuleEntryPoint:
                     "fields=[1e308,0,0,0]", "transverse0=1", "fast_counterpart=null",
                     "tolerances.min_counterpart_fidelity=null",
                 ],
+                "config field 'fields': the problem energies span from -1e+308 to 1e+308, past the float range",
+            ),
+            (
+                "ising.json", ["fields=[1e308,0,0,0]", "transverse0=1"],
                 "config field 'fields': the problem energies span from -1e+308 to 1e+308, past the float range",
             ),
             (

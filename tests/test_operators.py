@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -6,6 +8,7 @@ from qxform.operators import (
     MAX_QUBITS,
     PauliString,
     _hermitian_expm_stack,
+    _row_norms,
     _sign_table,
     _stack_matmul,
     fidelity,
@@ -256,6 +259,27 @@ class TestStackMatmul:
         a, b = (rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2)) for _ in range(2))
         expected = a[:, :, 0, None] * b[:, None, 0, :] + a[:, :, 1, None] * b[:, None, 1, :]
         assert np.array_equal(_stack_matmul(a, b), expected)
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
+    def test_matches_the_frobenius_norm_with_inf_and_nan_entries(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        x = rng.normal(size=(6, dim, dim)) + 1j * rng.normal(size=(6, dim, dim))
+        x[1, 0, -1] = np.inf
+        x[2, -1, 0] = complex(1.0, -np.inf)
+        x[3, 0, 0] = complex(np.nan, 1.0)
+        x[4, -1, -1] = complex(np.inf, np.nan)
+        with np.errstate(invalid="ignore"):  # the reference's inf * 0 in conj(x) * x
+            expected = np.linalg.norm(x, axis=(1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _row_norms(x)
+            out = np.full(6, -1.0)
+            assert _row_norms(x, out=out) is out
+        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(out, got)
+        assert np.isinf(got[1:3]).all() and np.isnan(got[3:5]).all()
 
 
 class TestPhaseAlignment:

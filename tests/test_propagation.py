@@ -70,6 +70,16 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match=re.escape(message)):
             TimeGrid(0.0, 1.0, n_steps)
 
+    @pytest.mark.parametrize("n_steps", [2.5, np.float64(10.25), 1e8 - 0.5])
+    def test_fractional_step_count_is_refused_naming_it(self, n_steps):
+        with pytest.raises(ValueError, match=re.escape(f"n_steps must be a whole number, got {n_steps}")):
+            TimeGrid(0.0, 1.0, n_steps)
+
+    @pytest.mark.parametrize("n_steps", [10, np.int64(10), np.int32(10), 10.0])
+    def test_whole_step_counts_are_accepted_as_int(self, n_steps):
+        grid = TimeGrid(0.0, 1.0, n_steps)
+        assert grid.n_steps == 10 and type(grid.n_steps) is int
+
     def test_step_limit_is_inclusive(self):
         assert TimeGrid(0.0, 1.0, MAX_STEPS).n_steps == MAX_STEPS
 
@@ -193,6 +203,17 @@ class TestPropagate:
         grid = TimeGrid(0.0, 1.0, 10)
         with pytest.raises(ValueError, match=f"stride must be at least 1, got {stride}"):
             propagate(h, grid, stride=stride)
+
+    @pytest.mark.parametrize("stride", [2.5, np.float64(0.5)])
+    def test_fractional_stride_is_refused_naming_it(self, stride):
+        h = constant_z_hamiltonian(1.0)
+        with pytest.raises(ValueError, match=re.escape(f"stride must be a whole number, got {stride}")):
+            propagate_each((h,), TimeGrid(0.0, 1.0, 10), stride=stride)
+
+    @pytest.mark.parametrize("stride", [2, np.int64(2), 2.0])
+    def test_whole_strides_are_accepted(self, stride):
+        (trace,) = propagate_each((constant_z_hamiltonian(1.0),), TimeGrid(0.0, 1.0, 10), stride=stride)
+        assert trace.stride == 2 and len(trace.matrices) == 6
 
     @pytest.mark.parametrize("n_steps", [1, 9, 10, 11, 103])
     @pytest.mark.parametrize("stride", [1, 3, 10, 200])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import qxform.operators as operators
 from qxform.hamiltonians import (
     GroverProblem,
     IsingProblem,
@@ -17,6 +19,8 @@ from qxform.hamiltonians import (
 )
 from qxform.operators import (
     PauliString,
+    _row_norms,
+    _stack_matmul,
     fidelity,
     hermitian_expm,
     minus_state,
@@ -214,18 +218,43 @@ class TestFrameChanges:
         frame = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), problem)
         got = transform_out_of_frame(frame, s)
 
-        # H = S h S^dag - i S dS^dag/dt written out directly, then Hermitized
+        # H = S (h S^dag - i dS^dag/dt) written out directly, then Hermitized
         mats = s.matrices
-        s_mid = mats[1:-1]
         s_dag = mats.conj().transpose(0, 2, 1)
         s_dag_dot = (s_dag[2:] - s_dag[:-2]) / (2.0 * grid.dt)
-        raw = np.einsum("kij,kjl,kml->kim", s_mid, frame.matrix_stack(s.times[1:-1]), s_mid.conj())
-        raw -= 1j * np.einsum("kij,kjl->kil", s_mid, s_dag_dot)
+        h_s_dag = _stack_matmul(frame.matrix_stack(s.times[1:-1]), s_dag[1:-1])
+        raw = _stack_matmul(mats[1:-1], h_s_dag - 1j * s_dag_dot)
         raw_dag = raw.conj().transpose(0, 2, 1)
         assert np.array_equal(got.times, s.times[1:-1])
         assert np.array_equal(got.matrices, 0.5 * (raw + raw_dag))
-        defects = np.linalg.norm(0.5 * (raw - raw_dag), axis=(1, 2))
-        assert np.array_equal(got.antihermitian_defects, defects)
+        assert np.array_equal(got.antihermitian_defects, _row_norms(0.5 * (raw - raw_dag)))
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_both_directions_agree_with_the_three_product_formula(self, n_qubits):
+        # s^dag H s - i s^dag ds/dt as three einsum products, independent of
+        # the factored s^dag (H s - i ds/dt) that the package computes
+        dim = 2**n_qubits
+        rng = np.random.default_rng(10 + n_qubits)
+        a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
+        a, b = a + a.conj().T, b + b.conj().T
+        grid = TimeGrid(0.0, 1.0, 200)
+        s = sample_trace(lambda ts: hermitian_expm(a, ts) @ hermitian_expm(b, np.sin(ts)), grid)
+        h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), IsingProblem(n_qubits, fields=(0.5,) * n_qubits))
+        for got, mats in (
+            (transform_into_frame(h, s), s.matrices),
+            (transform_out_of_frame(h, s), s.matrices.conj().transpose(0, 2, 1)),
+        ):
+            bra = mats[1:-1].conj()
+            s_dot = (mats[2:] - mats[:-2]) / (2.0 * grid.dt)
+            raw = np.einsum("kji,kjl,klm->kim", bra, h.matrix_stack(got.times), mats[1:-1])
+            raw -= 1j * np.einsum("kji,kjl->kil", bra, s_dot)
+            raw_dag = raw.conj().transpose(0, 2, 1)
+            herm = 0.5 * (raw + raw_dag)
+            # relative to each node's norm: the defects themselves are rounding
+            scale = 1e-13 * np.linalg.norm(herm, axis=(1, 2))
+            assert np.all(np.linalg.norm(got.matrices - herm, axis=(1, 2)) <= scale)
+            defects = np.linalg.norm(0.5 * (raw - raw_dag), axis=(1, 2))
+            assert np.all(np.abs(got.antihermitian_defects - defects) <= scale)
 
     def test_needs_an_interior_node(self):
         h = nmr_hamiltonian(BENCH)
@@ -508,6 +537,33 @@ class TestTimeRescaling:
 
     def test_rescaled_drive_closed_form_matches_both_legs(self):
         assert verify_rescaled_drive(2.0, TimeScaling(0.5, 5.0), 101) < 1e-12
+
+    def test_rescaled_drive_memory_does_not_grow_per_node(self):
+        # only the node times are kept whole (8 B a node); the closed forms
+        # and distances go one block at a time (they took 336 B a node)
+        def peak(n_nodes):
+            tracemalloc.start()
+            try:
+                verify_rescaled_drive(2.0, TimeScaling(0.5, 5.0), n_nodes)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200_001) - peak(20_001) < 32 * 180_000
+
+    def test_rescaled_drive_blocks_keep_the_one_stack_value(self, monkeypatch):
+        g, scaling, n_nodes = 2.0, TimeScaling(0.5, 5.0), 1001
+        taus = np.linspace(0.0, 1.0, n_nodes)
+        ref = rescaled_drive_closed_form(g, scaling.fast_time, taus)
+
+        def leg(t):  # the drive whose period is t, with g t matched
+            p = NmrParams.harmonic(0.0, 2 * math.pi / t, g * scaling.fast_time / t)
+            return phase_aligned_distance(nmr_fast_propagator(p, taus * t), ref).max()
+
+        one_stack = max(leg(scaling.fast_time), leg(scaling.slow_time))
+        assert verify_rescaled_drive(g, scaling, n_nodes) == one_stack
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 3 * 4)  # three rows of 2 x 2
+        assert verify_rescaled_drive(g, scaling, n_nodes) == one_stack
 
     def test_closed_form_at_origin(self):
         np.testing.assert_allclose(
