@@ -43,7 +43,6 @@ from .propagation import (
 )
 from .transform import (
     ControlResidual,
-    RescaleReport,
     SampledHamiltonian,
     TimeScaling,
     TransformReport,
@@ -60,10 +59,7 @@ from .transform import (
     verify_transform,
 )
 from .experiments import (
-    AqcRunResult,
-    FastCounterpartReport,
     FidelityCurve,
-    NmrExperimentReport,
     annealing_doubling_sweep,
     expected_min_fidelity,
     run_annealing_experiment,

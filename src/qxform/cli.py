@@ -323,35 +323,7 @@ def _run_nmr(p, jobs):
     # the closed forms' generator 2 g X - d Z, refused before any propagation
     with _field("drive_strength" if math.isfinite(params.detuning) else "drive_rate"):
         nmr_fast_propagator(params, 0.0)
-    report = run_nmr_experiment(**{key: p[key] for key in _DRIVE}, grid=grid)
-    tr = report.transform_report
-    metrics = {
-        "detuning": report.detuning,
-        "t_final": grid.t_end,
-        "n_steps": grid.n_steps,
-        "adiabaticity_ratio": report.adiabaticity_ratio,
-        "oracle_distance_fast": report.oracle_distance_fast,
-        "oracle_distance_slow": report.oracle_distance_slow,
-        "composed_vs_closed_form": report.composed_vs_closed_form,
-        "transform_max_residual": tr.max_residual,
-        "transform_threshold": tr.threshold,
-        "transform_control_max_residual": tr.control_max_residual,
-        "transform_model_passed": tr.passed,
-        "transform_max_antihermitian_defect": tr.max_antihermitian_defect,
-        "round_trip_max_residual": tr.round_trip_max_residual,
-        "min_fidelity": report.fidelity_curve.min_value,
-        "expected_min_fidelity": report.expected_min_fidelity,
-        "numeric_min_fidelity": report.numeric_min_fidelity,
-        "two_gate_fidelity_composed": report.two_gate_fidelity_composed,
-        "two_gate_fidelity_closed_form": report.two_gate_fidelity_closed_form,
-        "correction_gate_distance": report.correction_gate_distance,
-        "max_unitarity_defect": report.max_unitarity_defect,
-    }
-    curves = {
-        "fidelity": (report.fidelity_curve.times, report.fidelity_curve.values),
-        "residuals": (tr.times, tr.residuals),
-    }
-    return metrics, curves
+    return run_nmr_experiment(**{key: p[key] for key in _DRIVE}, grid=grid)
 
 
 def _transverse0(p):
@@ -377,25 +349,16 @@ def _run_annealing(p, jobs):
         for field, doublings in (("t_initial", 0), ("doublings", sweep["doublings"])):
             with _field(f"sweep.{field}"):
                 sweep_runtimes(sweep["t_initial"], doublings)
-    result = run_annealing_experiment(
+    metrics = run_annealing_experiment(
         problem, transverse0=transverse0, t_final=p["t_final"], n_steps=p["n_steps"]
     )
-    metrics = {
-        "success_probability": result.success_probability,
-        "min_gap": result.min_gap,
-        "runtime_t": result.runtime_t,
-        "initial_minus_overlap": result.initial_minus_overlap,
-        "adiabaticity_ratio": result.adiabaticity_ratio,
-    }
-    if result.final_fidelity_vs_marked is not None:
-        metrics["final_fidelity_vs_marked"] = result.final_fidelity_vs_marked
     curves = {}
     if sweep is not None:
         points = annealing_doubling_sweep(
             problem, sweep["t_initial"], sweep["doublings"], transverse0=transverse0, jobs=jobs
         )
-        runtimes = [pt.runtime_t for pt in points]
-        success = [pt.success_probability for pt in points]
+        runtimes = [pt["runtime_t"] for pt in points]
+        success = [pt["success_probability"] for pt in points]
         metrics["sweep_runtimes"] = runtimes
         metrics["sweep_success"] = success
         hit = [t for t, s in zip(runtimes, success) if s >= sweep["success_threshold"]]
@@ -403,11 +366,7 @@ def _run_annealing(p, jobs):
         curves["sweep_success"] = (np.asarray(runtimes), np.asarray(success))
     fc = p["fast_counterpart"]
     if fc is not None:
-        fc_report = run_fast_counterpart_comparison(problem, transverse0=transverse0, **fc)
-        metrics["counterpart_fidelity"] = fc_report.equivalence_fidelity
-        metrics["counterpart_two_gate_fidelity"] = fc_report.two_gate_fidelity_composed
-        metrics["counterpart_transform_distance"] = fc_report.transform_distance
-        metrics["counterpart_max_unitarity_defect"] = fc_report.max_unitarity_defect
+        metrics.update(run_fast_counterpart_comparison(problem, transverse0=transverse0, **fc))
     return metrics, curves
 
 
@@ -448,7 +407,9 @@ def _run_rescale(p, jobs):
         with _field("drive_check.drive_strength"):
             drive_max_distance = verify_rescaled_drive(dc["drive_strength"], scaling, dc["n_nodes"])
     try:
-        report = time_rescaling_equivalence(frame_h, scaling, n_steps, stride=max(1, n_steps // 1000))
+        metrics, curves = time_rescaling_equivalence(
+            frame_h, scaling, n_steps, stride=max(1, n_steps // 1000)
+        )
     except ValueError as exc:
         # both generators are about slow_time * H: a Hamiltonian carried past the
         # float range is named by the larger factor, the time scale or H's amplitude
@@ -457,15 +418,10 @@ def _run_rescale(p, jobs):
             if np.abs(frame_h.matrix_stack(np.array([exc.time]))).max() < scaling.slow_time:
                 field = "slow_time"
         raise ConfigError(field, str(exc)) from None
-    metrics = {
-        "max_distance": report.max_distance,
-        "time_ratio": scaling.ratio,
-        "n_steps": n_steps,
-        "max_unitarity_defect": report.max_unitarity_defect,
-    }
+    metrics.update(time_ratio=scaling.ratio, n_steps=n_steps)
     if dc is not None:
         metrics["drive_max_distance"] = drive_max_distance
-    return metrics, {"distance": (report.times, report.distances)}
+    return metrics, curves
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .propagation import (
 )
 from .schedules import LinearRamp, NmrParams, Schedule
 from .transform import (
-    TransformReport,
     check_frame_steps,
     compose_transform,
     control_residual,
@@ -163,27 +162,6 @@ def expected_min_fidelity(drive_strength: float, detuning: float) -> float:
 # Driven-qubit frame experiment
 
 
-@dataclass(frozen=True, eq=False)
-class NmrExperimentReport:
-    """Everything the driven-qubit experiment produces: oracle distances for
-    the integrator, transform residuals, the fidelity curve and the two-gate
-    realization metrics.  No trace is kept."""
-
-    detuning: float
-    adiabaticity_ratio: float
-    oracle_distance_fast: float
-    oracle_distance_slow: float
-    composed_vs_closed_form: float
-    transform_report: TransformReport
-    fidelity_curve: FidelityCurve
-    expected_min_fidelity: float
-    numeric_min_fidelity: float
-    two_gate_fidelity_composed: float
-    two_gate_fidelity_closed_form: float
-    correction_gate_distance: float
-    max_unitarity_defect: float
-
-
 def _max_node_distance(a: UnitaryTrace, b: UnitaryTrace) -> float:
     return float(np.max(phase_aligned_distance(a.matrices, b.matrices)))
 
@@ -224,7 +202,7 @@ def nmr_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
 
 def run_nmr_experiment(
     qubit_splitting: float, drive_rate: float, drive_strength: float, grid: TimeGrid
-) -> NmrExperimentReport:
+) -> tuple[dict, dict]:
     """Drive one qubit fast, watch it evolve slowly in the rotated frame.
 
     Builds the driven Hamiltonian and its rotated-frame partner, propagates
@@ -235,6 +213,11 @@ def run_nmr_experiment(
     ``grid``, as :func:`nmr_grid` builds it.  A quarter turn of the frame
     (:func:`quarter_turn_time`), where the rotated drive points along Y, gives
     the correction gate its simplest form.
+
+    Returns the metrics, keyed as ``result.json`` stores them, and the curves
+    ``fidelity`` (ground branch of the closed-form slow trace) and
+    ``residuals`` (frame-change identity), each as (times, values).  No trace
+    is kept.
     """
     p = NmrParams.harmonic(qubit_splitting, drive_rate, drive_strength)
     detuning = p.detuning
@@ -283,38 +266,37 @@ def run_nmr_experiment(
     correction = composed_ana.final.conj().T
     correction_distance = phase_aligned_distance(correction, reference)
 
-    return NmrExperimentReport(
-        detuning=float(detuning),
-        adiabaticity_ratio=drive_strength / abs(detuning) if detuning != 0.0 else math.inf,
-        oracle_distance_fast=oracle_fast,
-        oracle_distance_slow=oracle_slow,
-        composed_vs_closed_form=composed_vs_closed,
-        transform_report=report,
-        fidelity_curve=curve,
-        expected_min_fidelity=expected_min_fidelity(drive_strength, detuning),
-        numeric_min_fidelity=curve_num.min_value,
-        two_gate_fidelity_composed=two_composed,
-        two_gate_fidelity_closed_form=two_closed,
-        correction_gate_distance=correction_distance,
-        max_unitarity_defect=float(max(defects)),
-    )
+    metrics = {
+        "detuning": float(detuning),
+        "t_final": grid.t_end,
+        "n_steps": grid.n_steps,
+        "adiabaticity_ratio": drive_strength / abs(detuning) if detuning != 0.0 else math.inf,
+        "oracle_distance_fast": oracle_fast,
+        "oracle_distance_slow": oracle_slow,
+        "composed_vs_closed_form": composed_vs_closed,
+        "transform_max_residual": report.max_residual,
+        "transform_threshold": report.threshold,
+        "transform_control_max_residual": report.control_max_residual,
+        "transform_model_passed": report.passed,
+        "transform_max_antihermitian_defect": report.max_antihermitian_defect,
+        "round_trip_max_residual": report.round_trip_max_residual,
+        "min_fidelity": curve.min_value,
+        "expected_min_fidelity": expected_min_fidelity(drive_strength, detuning),
+        "numeric_min_fidelity": curve_num.min_value,
+        "two_gate_fidelity_composed": two_composed,
+        "two_gate_fidelity_closed_form": two_closed,
+        "correction_gate_distance": correction_distance,
+        "max_unitarity_defect": float(max(defects)),
+    }
+    curves = {
+        "fidelity": (curve.times, curve.values),
+        "residuals": (report.times, report.residuals),
+    }
+    return metrics, curves
 
 
 # ---------------------------------------------------------------------------
 # Annealing runs
-
-
-@dataclass(frozen=True, eq=False)
-class AqcRunResult:
-    """Outcome of one annealing run: ground-manifold population at the end,
-    the marked-state fidelity for search problems, and the minimal gap."""
-
-    success_probability: float
-    final_fidelity_vs_marked: float | None
-    min_gap: float
-    runtime_t: float
-    initial_minus_overlap: float
-    adiabaticity_ratio: float
 
 
 def _default_anneal_steps(t_final: float) -> int:
@@ -327,9 +309,14 @@ def run_annealing_experiment(
     transverse0: float | None = None,
     t_final: float = 8.0,
     n_steps: int | None = None,
-) -> AqcRunResult:
+) -> dict:
     """Anneal from the transverse-field ground state into the problem term and
-    report how much of the final state sits in the ground manifold."""
+    report how much of the final state sits in the ground manifold.
+
+    Returns the metrics keyed as ``result.json`` stores them: the ground-manifold
+    population at the end, the minimal gap, the runtime, the initial state's
+    overlap with |->^n, min_gap^2 T, and for a search problem the final
+    population of the marked state."""
     if transverse0 is None:
         transverse0 = default_transverse_strength(problem)
     check_energy_span(problem)
@@ -353,20 +340,19 @@ def run_annealing_experiment(
         (float(np.min(e[:, 1] - e[:, 0])) for _, e, _ in _eigh_blocks(h, ts)), default=math.inf
     )
 
-    marked_fid = None
+    metrics = {
+        "success_probability": success,
+        "min_gap": float(min_gap),
+        "runtime_t": float(grid.t_end),
+        "initial_minus_overlap": overlap0,
+        "adiabaticity_ratio": float(min_gap**2 * grid.t_end),
+    }
     if isinstance(problem, GroverProblem):
-        marked_fid = float(np.abs(psi_final[problem.marked]) ** 2)
-    return AqcRunResult(
-        success_probability=success,
-        final_fidelity_vs_marked=marked_fid,
-        min_gap=float(min_gap),
-        runtime_t=float(grid.t_end),
-        initial_minus_overlap=overlap0,
-        adiabaticity_ratio=float(min_gap**2 * grid.t_end),
-    )
+        metrics["final_fidelity_vs_marked"] = float(np.abs(psi_final[problem.marked]) ** 2)
+    return metrics
 
 
-def _sweep_point(args) -> AqcRunResult:
+def _sweep_point(args) -> dict:
     problem, transverse0, t_final = args
     return run_annealing_experiment(problem, transverse0=transverse0, t_final=t_final)
 
@@ -402,8 +388,9 @@ def annealing_doubling_sweep(
     transverse0: float | None = None,
     jobs: int = 1,
 ) -> tuple:
-    """Annealing runs at runtimes t_initial * 2^k for k = 0..doublings, each
-    with the default step count of :func:`run_annealing_experiment`.
+    """The metrics of annealing runs at runtimes t_initial * 2^k for
+    k = 0..doublings, each with the default step count of
+    :func:`run_annealing_experiment`.
 
     All points are always computed (no early stopping) so the result does not
     depend on sharding; ``jobs`` > 1 distributes points across processes.
@@ -422,26 +409,21 @@ def annealing_doubling_sweep(
 # Fast counterpart of an annealing run
 
 
-@dataclass(frozen=True, eq=False)
-class FastCounterpartReport:
-    """Comparison of the corrected fast evolution against the slow one."""
-
-    equivalence_fidelity: float
-    two_gate_fidelity_composed: float
-    transform_distance: float
-    max_unitarity_defect: float
-
-
 def run_fast_counterpart_comparison(
     problem,
     phase: Schedule,
     transverse0: float | None = None,
     t_final: float = 2.0,
     n_steps: int = 100_000,
-) -> FastCounterpartReport:
+) -> dict:
     """Evolve under the rapidly driven counterpart, undo the frame with the
     single correction gate exp(i phase(T) sum_i X_i), and compare against the
     plain slow annealing evolution of the same initial state.
+
+    Returns the ``counterpart_*`` metrics keyed as ``result.json`` stores them:
+    the corrected fast state's fidelity with the slow one, the two-gate
+    fidelity, the composed frame change's distance from the X rotations, and
+    the largest unitarity defect.
 
     The frame phase must vanish at t=0 so both evolutions start in the same
     frame.
@@ -476,11 +458,11 @@ def run_fast_counterpart_comparison(
     )
     frames = hermitian_expm(sum_x, phase.value(composed.times))
     transform_distance = float(np.max(phase_aligned_distance(composed.matrices, frames)))
-    return FastCounterpartReport(
-        equivalence_fidelity=equivalence,
-        two_gate_fidelity_composed=two_gate,
-        transform_distance=transform_distance,
-        max_unitarity_defect=float(
+    return {
+        "counterpart_fidelity": equivalence,
+        "counterpart_two_gate_fidelity": two_gate,
+        "counterpart_transform_distance": transform_distance,
+        "counterpart_max_unitarity_defect": float(
             max(slow_trace.max_defect, fast_trace.max_defect, composed.max_defect)
         ),
-    )
+    }

@@ -54,11 +54,7 @@ class TimeGrid:
 
     def __post_init__(self):
         n_steps = _within_step_limit(self.n_steps)
-        if int(n_steps) != n_steps:
-            raise ValueError(f"n_steps must be a whole number, got {n_steps}")
-        if int(n_steps) < 1:
-            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
-        object.__setattr__(self, "n_steps", int(n_steps))
+        object.__setattr__(self, "n_steps", _count(n_steps, "n_steps"))
         if not self.t_end > self.t_start:
             raise ValueError(
                 f"grid needs t_end > t_start, got [{self.t_start}, {self.t_end}]"
@@ -78,6 +74,16 @@ class TimeGrid:
         return TimeGrid(self.t_start, self.t_end, 2 * self.n_steps)
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int, refused by ``name`` unless it is a whole number
+    of at least 1; an infinite or NaN value is refused before any int()."""
+    if not (-math.inf < value < math.inf and int(value) == value):
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return int(value)
+
+
 def _within_step_limit(n_steps):
     """``n_steps`` unchanged if it is at most MAX_STEPS; a larger, infinite or
     NaN count is refused before anything converts it to an int."""
@@ -94,11 +100,7 @@ def _node_times(grid: TimeGrid, nodes: np.ndarray) -> np.ndarray:
 
 def _stored_count(n_steps: int, stride: int) -> int:
     """Nodes kept at ``stride``: every stride-th one and the last."""
-    if int(stride) != stride:
-        raise ValueError(f"stride must be a whole number, got {stride}")
-    if int(stride) < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
-    return -(-n_steps // int(stride)) + 1
+    return -(-n_steps // _count(stride, "stride")) + 1
 
 
 def _stored_indices(n_steps: int, stride: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from .propagation import (
     MAX_STEPS,
     TimeGrid,
     UnitaryTrace,
+    _count,
     _node_times,
     _rotated_drive,
     _unitary_trace,
@@ -405,30 +406,21 @@ class _AmplitudeScaled:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class RescaleReport:
-    """Node-wise phase-aligned distances between the boosted-fast and slow
-    propagators on the shared normalized-time grid, and the larger of their
-    unitarity defects."""
-
-    times: np.ndarray
-    distances: np.ndarray
-    max_distance: float
-    max_unitarity_defect: float
-
-
 def time_rescaling_equivalence(
     frame_hamiltonian,
     scaling: TimeScaling,
     n_steps: int,
     stride: int = 1,
-) -> RescaleReport:
+) -> tuple[dict, dict]:
     """Propagate the amplitude-boosted fast generator and the original slow
     generator over normalized time in [0, 1] and compare node-wise.
 
     ``frame_hamiltonian`` must be parameterized on normalized time; the fast
     Hamiltonian is its (slow_time/fast_time)-fold boost, so the two
     propagators agree exactly and any reported distance is numerical noise.
+    Returns the metrics ``max_distance`` and ``max_unitarity_defect`` (the
+    larger of the two traces'), and the curve ``distance``: the node-wise
+    phase-aligned distances as (times, values).
     """
     boosted = _AmplitudeScaled(frame_hamiltonian, scaling.ratio)
     gen_fast = _AmplitudeScaled(boosted, scaling.fast_time)
@@ -436,12 +428,11 @@ def time_rescaling_equivalence(
     grid = TimeGrid(0.0, 1.0, n_steps)
     fast_trace, slow_trace = propagate_each((gen_fast, gen_slow), grid, stride=stride)
     distances = phase_aligned_distance(fast_trace.matrices, slow_trace.matrices)
-    return RescaleReport(
-        times=fast_trace.times,
-        distances=distances,
-        max_distance=float(np.max(distances)),
-        max_unitarity_defect=max(fast_trace.max_defect, slow_trace.max_defect),
-    )
+    metrics = {
+        "max_distance": float(np.max(distances)),
+        "max_unitarity_defect": max(fast_trace.max_defect, slow_trace.max_defect),
+    }
+    return metrics, {"distance": (fast_trace.times, distances)}
 
 
 def rescaled_drive_closed_form(drive_strength: float, fast_time: float, tau) -> np.ndarray:
@@ -462,7 +453,7 @@ def verify_rescaled_drive(drive_strength: float, scaling: TimeScaling, n_nodes: 
     g, T, T_slow = float(drive_strength), scaling.fast_time, scaling.slow_time
     fast = NmrParams.harmonic(0.0, 2.0 * np.pi / T, g)
     slow = NmrParams.harmonic(0.0, 2.0 * np.pi / T_slow, g * T / T_slow)
-    taus = np.linspace(0.0, 1.0, int(n_nodes))
+    taus = np.linspace(0.0, 1.0, _count(n_nodes, "n_nodes"))
     rows, maxima = _block_rows(2), []
     for lo in range(0, len(taus), rows):
         tau = taus[lo : lo + rows]

@@ -61,7 +61,7 @@ def report_line(index, name, passed, detail):
 
 @pytest.fixture(scope="module")
 def benchmark_report():
-    return run_nmr_experiment(**BENCH, grid=nmr_grid(10.0, 10_000))
+    return run_nmr_experiment(**BENCH, grid=nmr_grid(10.0, 10_000))[0]  # the metrics
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,7 @@ def adiabatic_report():
 def stronger_report():
     return run_nmr_experiment(
         qubit_splitting=1.0, drive_rate=2.0, drive_strength=50.0, grid=nmr_grid(quarter_turn_time(1.0), 1_571)
-    )
+    )[0]  # the metrics
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,7 @@ def rescale_reports():
     problem = GroverProblem(3, 7)
     h_tau = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), problem)
     scaling = TimeScaling(0.1, 10.0)
-    equivalence = time_rescaling_equivalence(h_tau, scaling, 10_000, stride=1)
+    equivalence, _ = time_rescaling_equivalence(h_tau, scaling, 10_000, stride=1)
     drive = verify_rescaled_drive(2.0, scaling, 10_001)
     return {"equivalence": equivalence, "drive": drive, "scaling": scaling}
 
@@ -131,21 +131,22 @@ def test_criterion_1_integrator_vs_oracle():
 
 
 def test_criterion_2_frame_change_identity(benchmark_report):
-    tr = benchmark_report.transform_report
-    round_trip = tr.round_trip_max_residual
-    ok = bool(tr.passed) and round_trip <= 2.0 * tr.threshold
+    m = benchmark_report
+    threshold = m["transform_threshold"]
+    round_trip = m["round_trip_max_residual"]
+    ok = bool(m["transform_model_passed"]) and round_trip <= 2.0 * threshold
     report_line(
         2, "frame-change identity", ok,
-        f"residual {tr.max_residual:.3e} <= {tr.threshold:.3e}, "
-        f"round trip {round_trip:.3e} <= {2 * tr.threshold:.3e}",
+        f"residual {m['transform_max_residual']:.3e} <= {threshold:.3e}, "
+        f"round trip {round_trip:.3e} <= {2 * threshold:.3e}",
     )
-    assert tr.passed
-    assert tr.max_residual <= tr.threshold
-    assert round_trip <= 2.0 * tr.threshold
+    assert m["transform_model_passed"]
+    assert m["transform_max_residual"] <= threshold
+    assert round_trip <= 2.0 * threshold
 
 
 def test_criterion_3_closed_form_transform(adiabatic_report):
-    r = adiabatic_report
+    r, _ = adiabatic_report
     w0 = ADIABATIC["qubit_splitting"]
     # the closed-form frame change on the report's grid, composed as the run composes it
     p = NmrParams.harmonic(**ADIABATIC)
@@ -162,7 +163,7 @@ def test_criterion_3_closed_form_transform(adiabatic_report):
         worst = max(worst, phase_aligned_distance(composed.matrices[k], oracle))
     assert composed.times[-1] == ADIABATIC_GRID.t_end
     correction = composed.final.conj().T
-    gate_oracle = expm(1j * math.pi * w0 / (4.0 * r.detuning) * Z)
+    gate_oracle = expm(1j * math.pi * w0 / (4.0 * r["detuning"]) * Z)
     gate_distance = phase_aligned_distance(correction, gate_oracle)
     ok = worst <= 1e-8 and gate_distance <= 1e-8
     report_line(
@@ -174,27 +175,27 @@ def test_criterion_3_closed_form_transform(adiabatic_report):
 
 
 def test_criterion_4_slow_frame_fidelity(adiabatic_report, stronger_report):
-    curve = adiabatic_report.fidelity_curve
+    metrics, curves = adiabatic_report
+    times, values = curves["fidelity"]
+    min_value = metrics["min_fidelity"]
     g = ADIABATIC["drive_strength"]
-    d = adiabatic_report.detuning
+    d = metrics["detuning"]
     kappa = math.sqrt(g * g + d * d / 4.0)
-    oracle = 1.0 - (d * d / (4.0 * kappa * kappa)) * np.sin(kappa * curve.times) ** 2
-    pointwise = float(np.max(np.abs(curve.values - oracle)))
-    deficit_ratio = (1.0 - curve.min_value) / (
-        1.0 - stronger_report.fidelity_curve.min_value
-    )
+    oracle = 1.0 - (d * d / (4.0 * kappa * kappa)) * np.sin(kappa * times) ** 2
+    pointwise = float(np.max(np.abs(values - oracle)))
+    deficit_ratio = (1.0 - min_value) / (1.0 - stronger_report["min_fidelity"])
     ok = (
         pointwise <= 1e-9
-        and curve.min_value >= 0.999
+        and min_value >= 0.999
         and abs(deficit_ratio - 4.0) <= 0.1
     )
     report_line(
         4, "slow-frame fidelity", ok,
-        f"pointwise {pointwise:.3e} <= 1e-9, min {curve.min_value:.6f} >= 0.999, "
+        f"pointwise {pointwise:.3e} <= 1e-9, min {min_value:.6f} >= 0.999, "
         f"doubling ratio {deficit_ratio:.4f} in 4.0 +- 0.1",
     )
     assert pointwise <= 1e-9
-    assert curve.min_value >= 0.999
+    assert min_value >= 0.999
     assert deficit_ratio == pytest.approx(4.0, abs=0.1)
 
 
@@ -202,14 +203,14 @@ def test_criterion_5_two_gate_realization(
     benchmark_report, adiabatic_report, counterpart_reports
 ):
     composed_worst = min(
-        benchmark_report.two_gate_fidelity_composed,
-        adiabatic_report.two_gate_fidelity_composed,
-        counterpart_reports["grover"].two_gate_fidelity_composed,
-        counterpart_reports["ising"].two_gate_fidelity_composed,
+        benchmark_report["two_gate_fidelity_composed"],
+        adiabatic_report[0]["two_gate_fidelity_composed"],
+        counterpart_reports["grover"]["counterpart_two_gate_fidelity"],
+        counterpart_reports["ising"]["counterpart_two_gate_fidelity"],
     )
     closed_worst = min(
-        benchmark_report.two_gate_fidelity_closed_form,
-        adiabatic_report.two_gate_fidelity_closed_form,
+        benchmark_report["two_gate_fidelity_closed_form"],
+        adiabatic_report[0]["two_gate_fidelity_closed_form"],
     )
     ok = composed_worst >= 1.0 - 1e-12 and closed_worst >= 1.0 - 1e-6
     report_line(
@@ -222,8 +223,8 @@ def test_criterion_5_two_gate_realization(
 
 
 def test_criterion_6_fast_counterpart_equivalence(counterpart_reports):
-    grover = counterpart_reports["grover"].equivalence_fidelity
-    ising = counterpart_reports["ising"].equivalence_fidelity
+    grover = counterpart_reports["grover"]["counterpart_fidelity"]
+    ising = counterpart_reports["ising"]["counterpart_fidelity"]
     ok = grover >= 1.0 - 1e-6 and ising >= 1.0 - 1e-6
     report_line(
         6, "fast counterpart equivalence", ok,
@@ -249,16 +250,16 @@ def test_criterion_7_time_rescaling(rescale_reports):
             phase_aligned_distance(nmr_fast_propagator(p, tau * t_fast), ref),
         )
     ok = (
-        equivalence.max_distance <= 1e-8
+        equivalence["max_distance"] <= 1e-8
         and drive <= 1e-8
         and worst_direct <= 1e-8
     )
     report_line(
         7, "time rescaling", ok,
-        f"grover tau-grid distance {equivalence.max_distance:.3e} <= 1e-8, "
+        f"grover tau-grid distance {equivalence['max_distance']:.3e} <= 1e-8, "
         f"drive closed form {drive:.3e} <= 1e-8",
     )
-    assert equivalence.max_distance <= 1e-8
+    assert equivalence["max_distance"] <= 1e-8
     assert drive <= 1e-8
     assert worst_direct <= 1e-8
 
@@ -268,11 +269,11 @@ def test_criterion_8_health_invariants(
 ):
     # stored unitaries
     defect = max(
-        benchmark_report.max_unitarity_defect,
-        adiabatic_report.max_unitarity_defect,
-        counterpart_reports["grover"].max_unitarity_defect,
-        counterpart_reports["ising"].max_unitarity_defect,
-        rescale_reports["equivalence"].max_unitarity_defect,
+        benchmark_report["max_unitarity_defect"],
+        adiabatic_report[0]["max_unitarity_defect"],
+        counterpart_reports["grover"]["counterpart_max_unitarity_defect"],
+        counterpart_reports["ising"]["counterpart_max_unitarity_defect"],
+        rescale_reports["equivalence"]["max_unitarity_defect"],
     )
 
     # Hermiticity of every evaluated Hamiltonian family

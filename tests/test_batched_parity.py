@@ -489,7 +489,7 @@ def test_min_gap_keeps_the_per_time_bits(monkeypatch):
     h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 2.0), problem)
     energies = [np.linalg.eigh(h.matrix(float(t)))[0] for t in np.linspace(0.0, 2.0, 129)]
     gaps = [float(e[1] - e[0]) for e in energies]
-    assert result.min_gap == min(gaps)
+    assert result["min_gap"] == min(gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,63 @@ class TestOtherExperiments:
         assert (out / "distance.csv").exists()
 
 
+ANNEALING_KEYS = ["adiabaticity_ratio", "initial_minus_overlap", "min_gap", "runtime_t", "success_probability"]
+SWEEP_KEYS = ["sweep_runtimes", "sweep_success", "sweep_threshold_runtime"]
+COUNTERPART_KEYS = [
+    "counterpart_fidelity", "counterpart_max_unitarity_defect",
+    "counterpart_transform_distance", "counterpart_two_gate_fidelity",
+]
+SMALL_GROVER = {"experiment": "grover", "n_qubits": 2, "marked": 3, "t_final": 1.0, "n_steps": 400}
+SMALL_ISING = {
+    "experiment": "ising", "n_qubits": 2, "fields": [0.6, 0.6], "couplings": [[0, 1, -0.5]],
+    "t_final": 1.0, "n_steps": 400,
+}
+
+
+@pytest.mark.parametrize(
+    "payload, keys, verdicts",
+    [
+        (
+            {**SMALL_GROVER, "tolerances": {"min_success": 0.0}},
+            ANNEALING_KEYS + ["final_fidelity_vs_marked"],
+            ["success"],
+        ),
+        (
+            {**SMALL_GROVER, "sweep": {"t_initial": 0.5, "doublings": 1}},
+            ANNEALING_KEYS + ["final_fidelity_vs_marked"] + SWEEP_KEYS,
+            [],
+        ),
+        ({**SMALL_ISING, "tolerances": {"min_success": 0.0}}, ANNEALING_KEYS, ["success"]),
+        (
+            {
+                **SMALL_ISING,
+                "fast_counterpart": {"phase": {"kind": "harmonic", "rate": 6.0}, "t_final": 0.5, "n_steps": 500},
+                "tolerances": {"min_success": 0.0, "min_counterpart_fidelity": 0.0},
+            },
+            ANNEALING_KEYS + COUNTERPART_KEYS,
+            ["counterpart_fidelity", "success"],
+        ),
+        (
+            {
+                "experiment": "rescale", "problem": {"kind": "grover", "n_qubits": 2, "marked": 3},
+                "fast_time": 0.1, "slow_time": 10.0, "n_steps": 200,
+            },
+            ["max_distance", "max_unitarity_defect", "n_steps", "time_ratio"],
+            ["unitarity"],
+        ),
+    ],
+    ids=["grover", "grover-sweep", "ising", "ising-fast-counterpart", "rescale-without-drive-check"],
+)
+def test_metric_keys_and_verdict_names_are_pinned(tmp_path, payload, keys, verdicts):
+    # the kinds and blocks no benchmark reference pins
+    cfg = write_config(tmp_path, "run.json", payload)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    record = read_result(out)
+    assert sorted(record["metrics"]) == sorted(keys)
+    assert sorted(record["verdicts"]) == sorted(verdicts)
+
+
 class TestScheduleDeclarations:
     def test_harmonic(self):
         sched = _schedule({"kind": "harmonic", "rate": 2.5}, "phase")

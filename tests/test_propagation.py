@@ -75,6 +75,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match=re.escape(f"n_steps must be a whole number, got {n_steps}")):
             TimeGrid(0.0, 1.0, n_steps)
 
+    def test_negative_infinite_step_count_is_refused_naming_it(self):
+        # -inf passes the step limit; int() of it raised a bare OverflowError
+        with pytest.raises(ValueError, match="^n_steps must be a whole number, got -inf$"):
+            TimeGrid(0.0, 1.0, -math.inf)
+
     @pytest.mark.parametrize("n_steps", [10, np.int64(10), np.int32(10), 10.0])
     def test_whole_step_counts_are_accepted_as_int(self, n_steps):
         grid = TimeGrid(0.0, 1.0, n_steps)
@@ -208,6 +213,15 @@ class TestPropagate:
     def test_fractional_stride_is_refused_naming_it(self, stride):
         h = constant_z_hamiltonian(1.0)
         with pytest.raises(ValueError, match=re.escape(f"stride must be a whole number, got {stride}")):
+            propagate_each((h,), TimeGrid(0.0, 1.0, 10), stride=stride)
+
+    @pytest.mark.parametrize(
+        "stride", [math.nan, math.inf, -math.inf, np.float64(math.nan)], ids=["nan", "inf", "-inf", "numpy-nan"]
+    )
+    def test_non_finite_stride_is_refused_naming_it(self, stride):
+        # int() raised a bare ValueError for NaN and an OverflowError for +-inf
+        h = constant_z_hamiltonian(1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'stride must be a whole number, got {stride}')}$"):
             propagate_each((h,), TimeGrid(0.0, 1.0, 10), stride=stride)
 
     @pytest.mark.parametrize("stride", [2, np.int64(2), 2.0])

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -506,15 +507,15 @@ class TestTimeRescaling:
         h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), problem)
         # ratio exactly 1 is excluded by validation; use nearly-1 and require
         # only float-roundoff-level distances
-        report = time_rescaling_equivalence(h, TimeScaling(1.0, 1.0 + 1e-15), 200)
-        assert report.max_distance < 1e-11
+        metrics, _ = time_rescaling_equivalence(h, TimeScaling(1.0, 1.0 + 1e-15), 200)
+        assert metrics["max_distance"] < 1e-11
 
     def test_grover_small(self):
         problem = GroverProblem(2, 3)
         h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), problem)
-        report = time_rescaling_equivalence(h, TimeScaling(0.1, 10.0), 2000)
-        assert report.max_distance <= 1e-10
-        assert report.max_unitarity_defect <= 1e-10
+        metrics, _ = time_rescaling_equivalence(h, TimeScaling(0.1, 10.0), 2000)
+        assert metrics["max_distance"] <= 1e-10
+        assert metrics["max_unitarity_defect"] <= 1e-10
 
     def test_overflow_names_its_time(self):
         # the first midpoint of 1000 steps, where the boost of a finite
@@ -537,6 +538,23 @@ class TestTimeRescaling:
 
     def test_rescaled_drive_closed_form_matches_both_legs(self):
         assert verify_rescaled_drive(2.0, TimeScaling(0.5, 5.0), 101) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n_nodes, message",
+        [
+            (2.9, "n_nodes must be a whole number, got 2.9"),
+            (math.inf, "n_nodes must be a whole number, got inf"),
+            (math.nan, "n_nodes must be a whole number, got nan"),
+            (0, "n_nodes must be at least 1, got 0"),
+            (-3, "n_nodes must be at least 1, got -3"),
+        ],
+        ids=["fractional", "inf", "nan", "zero", "negative"],
+    )
+    def test_rescaled_drive_node_count_is_refused_by_name(self, n_nodes, message):
+        # int() truncated 2.9 to the 2-node value; 0 nodes ended in numpy's
+        # zero-size reduction error
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_rescaled_drive(2.0, TimeScaling(0.5, 5.0), n_nodes)
 
     def test_rescaled_drive_memory_does_not_grow_per_node(self):
         # only the node times are kept whole (8 B a node); the closed forms
