@@ -25,7 +25,6 @@ from .hamiltonians import (
     IsingProblem,
     TimeDependentHamiltonian,
     annealing_hamiltonian,
-    check_energy_span,
     default_transverse_strength,
     fast_counterpart_hamiltonian,
     nmr_hamiltonian,

@@ -30,7 +30,6 @@ from .hamiltonians import (
     GroverProblem,
     IsingProblem,
     annealing_hamiltonian,
-    check_energy_span,
     default_transverse_strength,
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
@@ -40,18 +39,17 @@ from .schedules import Constant, CosineRamp, Harmonic, LinearRamp, NmrParams, Ta
 from .transform import (
     ScaleOverflowError,
     TimeScaling,
-    check_frame_steps,
     control_residual,
     identity_transform,
     nmr_closed_form_transform,
     time_rescaling_equivalence,
     verify_rescaled_drive,
     verify_transform,
-    write_csv_curve,
 )
 from .experiments import (
     annealing_doubling_sweep,
     nmr_grid,
+    nmr_steps,
     quarter_turn_time,
     run_annealing_experiment,
     run_fast_counterpart_comparison,
@@ -241,7 +239,7 @@ def _ising_problem(p, path):
         with _field(_join(path, "problem_file")):
             return IsingProblem.from_edge_list(p["problem_file"], n_qubits=p["n_qubits"])
     with _field(_join(path, "fields")):
-        IsingProblem(p["n_qubits"], p["fields"])  # the fields alone: their count and their sum
+        IsingProblem(p["n_qubits"], p["fields"])  # the fields alone: their count, sum and span
     with _field(_join(path, "couplings")):
         return IsingProblem(p["n_qubits"], p["fields"], p["couplings"] or ())
 
@@ -308,14 +306,15 @@ def _parse_config(cfg):
 def _drive_and_grid(p):
     """The drive of an nmr or verify-transform config and the grid of its
     frame change, ``t_final`` defaulting to a quarter turn of the frame; each
-    refusal names its field."""
+    refusal names its field, a step count the ``n_steps`` given or else the
+    ``t_final`` that sets it."""
     params = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"])
-    if p["n_steps"] is not None:
-        with _field("n_steps"):
-            check_frame_steps(p["n_steps"])
     with _field("t_final"):
         t_final = quarter_turn_time(params.detuning) if p["t_final"] is None else p["t_final"]
-        return params, nmr_grid(t_final, p["n_steps"])
+    with _field("t_final" if p["n_steps"] is None else "n_steps"):
+        n_steps = nmr_steps(t_final, p["n_steps"])
+    with _field("t_final"):
+        return params, nmr_grid(t_final, n_steps)
 
 
 def _run_nmr(p, jobs):
@@ -335,14 +334,6 @@ def _transverse0(p):
 def _run_annealing(p, jobs):
     problem = p["problem"]
     transverse0 = _transverse0(p)
-    # energies spanning past the float range, named by the Ising fields when they
-    # alone span that far, else the couplings or the file (a Grover term spans 1)
-    inline = p.get("fields") is not None
-    if inline:
-        with _field("fields"):
-            check_energy_span(IsingProblem(p["n_qubits"], p["fields"]))
-    with _field("couplings" if inline else "problem_file"):
-        check_energy_span(problem)
     sweep = p["sweep"]
     if sweep is not None:
         # refused before any run, naming t_initial when its first point is already too long
@@ -397,8 +388,8 @@ def _run_rescale(p, jobs):
     with _field("fast_time"):
         scaling = TimeScaling(p["fast_time"], p["slow_time"])
     problem = p["problem"]
-    transverse0 = _transverse0(p)
-    frame_h = annealing_hamiltonian(LinearRamp(transverse0, 0.0, 1.0), problem)
+    ramp = LinearRamp(_transverse0(p), 0.0, 1.0)
+    frame_h = annealing_hamiltonian(ramp, problem)
     n_steps = p["n_steps"]
     with _field("n_steps"):
         TimeGrid(0.0, 1.0, n_steps)  # the run's grid, refused here before the wrap below
@@ -412,11 +403,15 @@ def _run_rescale(p, jobs):
         )
     except ValueError as exc:
         # both generators are about slow_time * H: a Hamiltonian carried past the
-        # float range is named by the larger factor, the time scale or H's amplitude
-        field = "problem" if p["transverse0"] is None else "transverse0"
+        # float range is named by the larger factor, the time scale or H's largest
+        # entry, a given transverse0's field or else the problem's energies
+        field = "problem"
         if isinstance(exc, ScaleOverflowError):
-            if np.abs(frame_h.matrix_stack(np.array([exc.time]))).max() < scaling.slow_time:
+            h_max = np.abs(frame_h.matrix_stack(np.array([exc.time]))).max()
+            if h_max < scaling.slow_time:
                 field = "slow_time"
+            elif p["transverse0"] is not None and abs(ramp.value(exc.time)) >= h_max:
+                field = "transverse0"
         raise ConfigError(field, str(exc)) from None
     metrics.update(time_ratio=scaling.ratio, n_steps=n_steps)
     if dc is not None:
@@ -671,6 +666,23 @@ def _sanitize(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
+
+
+# Rows formatted per write call of write_csv_curve: bounds the Python floats
+# and strings alive at once.
+_CSV_CHUNK = 4096
+
+
+def write_csv_curve(path, times, values) -> None:
+    """Write a two-column ``t,value`` curve with full double precision (each
+    number as the repr of its float64 value)."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    with open(path, "w") as fh:
+        fh.write("t,value\n")
+        for lo in range(0, min(len(times), len(values)), _CSV_CHUNK):
+            rows = zip(times[lo : lo + _CSV_CHUNK].tolist(), values[lo : lo + _CSV_CHUNK].tolist())
+            fh.write("".join([f"{t!r},{v!r}\n" for t, v in rows]))
 
 
 def run_experiment(config_path, overrides=(), out_dir=".", jobs=1) -> int:

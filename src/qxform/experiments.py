@@ -16,7 +16,6 @@ from .hamiltonians import (
     GroverProblem,
     TimeDependentHamiltonian,
     annealing_hamiltonian,
-    check_energy_span,
     default_transverse_strength,
     fast_counterpart_hamiltonian,
     nmr_hamiltonian,
@@ -35,6 +34,7 @@ from .operators import (
 from .propagation import (
     TimeGrid,
     UnitaryTrace,
+    _check_trace_bytes,
     _within_step_limit,
     nmr_fast_propagator,
     nmr_slow_propagator,
@@ -183,14 +183,23 @@ def quarter_turn_time(detuning: float) -> float:
     return t_final
 
 
-def nmr_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
-    """The grid of a driven-qubit frame change on [0, t_final], refused
-    unless its control's refined grid exists too; ``n_steps`` defaults to one
-    step per 1e-3 time units, at least 16."""
+def nmr_steps(t_final: float, n_steps: int | None = None) -> int:
+    """The step count of a driven-qubit frame change on [0, t_final]:
+    ``n_steps``, by default one step per 1e-3 time units and at least 16,
+    refused unless a frame change takes it and its control's 2 n_steps + 1
+    unitaries of dimension 2 can be stored."""
     if n_steps is None:
         n_steps = max(16, int(math.ceil(_within_step_limit(t_final / 1e-3))))
     check_frame_steps(n_steps)
-    grid = TimeGrid(0.0, float(t_final), n_steps)
+    _check_trace_bytes(2 * n_steps + 1, 2, "take fewer steps")
+    return n_steps
+
+
+def nmr_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
+    """The grid of a driven-qubit frame change on [0, t_final] with
+    :func:`nmr_steps` steps, refused unless its control's refined grid
+    exists too."""
+    grid = TimeGrid(0.0, float(t_final), nmr_steps(t_final, n_steps))
     try:
         grid.refined()
     except ValueError as exc:
@@ -319,7 +328,6 @@ def run_annealing_experiment(
     population of the marked state."""
     if transverse0 is None:
         transverse0 = default_transverse_strength(problem)
-    check_energy_span(problem)
     if n_steps is None:
         n_steps = _default_anneal_steps(t_final)
     h = annealing_hamiltonian(LinearRamp(transverse0, 0.0, t_final), problem)
@@ -432,7 +440,6 @@ def run_fast_counterpart_comparison(
         raise ValueError("frame phase must vanish at t=0")
     if transverse0 is None:
         transverse0 = default_transverse_strength(problem)
-    check_energy_span(problem)
     stride = max(1, n_steps // 200)
     n = problem.n_qubits
     ramp = LinearRamp(transverse0, 0.0, t_final)

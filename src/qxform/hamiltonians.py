@@ -276,8 +276,14 @@ class IsingProblem:
             canon.append((i, j, coupling))
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "couplings", tuple(sorted(canon)))
-        if not np.isfinite(_diagonal(self)).all():
+        diagonal = _diagonal(self)
+        if not np.isfinite(diagonal).all():
             raise ValueError("the fields and couplings sum past the float range on the diagonal")
+        # an anneal into energies spanning past the float range could resolve
+        # neither its gaps nor its ground manifold
+        lo, hi = float(diagonal.min()), float(diagonal.max())
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"the problem energies span from {lo!r} to {hi!r}, past the float range")
 
     def pauli_terms(self) -> tuple:
         terms = [
@@ -338,15 +344,6 @@ def _diagonal(problem) -> np.ndarray:
         for s in problem.pauli_terms():
             diagonal += s.coefficient * _sign_table(n)[_flip_form(s.factors, 1.0, n)[2]]
     return diagonal
-
-
-def check_energy_span(problem) -> None:
-    """Refuse a problem whose energies span past the float range: an anneal
-    into it could resolve neither its gaps nor its ground manifold."""
-    diagonal = _diagonal(problem)
-    lo, hi = float(diagonal.min()), float(diagonal.max())
-    if not math.isfinite(hi - lo):
-        raise ValueError(f"the problem energies span from {lo!r} to {hi!r}, past the float range")
 
 
 def default_transverse_strength(problem) -> float:

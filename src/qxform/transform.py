@@ -37,24 +37,8 @@ from .propagation import (
 from .schedules import NmrParams
 
 
-# Rows formatted per write call of write_csv_curve: bounds the Python floats
-# and strings alive at once.
-_CSV_CHUNK = 4096
-
 # Absolute floor of the self-calibrated residual model in verify_transform.
 _RESIDUAL_FLOOR = 1e-10
-
-
-def write_csv_curve(path, times, values) -> None:
-    """Write a two-column ``t,value`` curve with full double precision (each
-    number as the repr of its float64 value)."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    with open(path, "w") as fh:
-        fh.write("t,value\n")
-        for lo in range(0, min(len(times), len(values)), _CSV_CHUNK):
-            rows = zip(times[lo : lo + _CSV_CHUNK].tolist(), values[lo : lo + _CSV_CHUNK].tolist())
-            fh.write("".join([f"{t!r},{v!r}\n" for t, v in rows]))
 
 
 def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:

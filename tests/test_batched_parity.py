@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qxform.operators as operators
+from qxform.cli import write_csv_curve
 from qxform.experiments import run_annealing_experiment, track_ground_state
 from qxform.hamiltonians import (
     GroverProblem,
@@ -43,7 +44,6 @@ from qxform.transform import (
     transform_into_frame,
     transform_out_of_frame,
     verify_transform,
-    write_csv_curve,
 )
 
 finite = st.floats(-2.0, 2.0, allow_nan=False)

@@ -514,7 +514,11 @@ class TestModuleEntryPoint:
                 ],
                 "config field 'fields': the fields and couplings sum past the float range",
             ),
-            ("ising.json", ["fields=[1e308,0,0,0]"], "config field 'transverse0': the default transverse strength"),
+            # a span past the float range is refused before the default transverse0 overflows
+            (
+                "ising.json", ["fields=[1e308,0,0,0]"],
+                "config field 'fields': the problem energies span from -1e+308 to 1e+308, past the float range",
+            ),
             # a finite diagonal whose energies span past the float range
             (
                 "ising.json",
@@ -535,6 +539,29 @@ class TestModuleEntryPoint:
                     "tolerances.min_counterpart_fidelity=null",
                 ],
                 "config field 'couplings': the problem energies span from -1e+308 to 1e+308, past the float range",
+            ),
+            # the control's 2 n_steps + 1 unitaries would not fit the trace bound
+            (
+                "nmr.json", ["n_steps=17000000"],
+                "config field 'n_steps': storing 34000001 unitaries of dimension 2 needs ~2.0 GiB",
+            ),
+            (
+                "verify_transform.json", ["n_steps=17000000"],
+                "config field 'n_steps': storing 34000001 unitaries of dimension 2 needs ~2.0 GiB",
+            ),
+            (
+                "nmr.json", ["t_final=20000", "n_steps=null"],
+                "config field 't_final': storing 40000001 unitaries of dimension 2 needs ~2.4 GiB",
+            ),
+            # an ising problem's span is refused by its field inside the rescale problem block
+            (
+                "rescale.json", ['problem={"kind":"ising","n_qubits":1,"fields":[1e308]}', "transverse0=1"],
+                "config field 'problem.fields': the problem energies span from -1e+308 to 1e+308",
+            ),
+            # a given transverse0 far below the problem energies that overflow
+            (
+                "rescale.json", ['problem={"kind":"ising","n_qubits":1,"fields":[5e307]}', "transverse0=1"],
+                "config field 'problem': the Hamiltonian scaled by 100.0 is not finite at t=5e-05",
             ),
             ("nmr.json", ["n_steps=1000000000"], "config field 'n_steps': a grid of 1e+09 steps exceeds"),
             (

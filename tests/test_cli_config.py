@@ -254,15 +254,16 @@ def test_fast_time_not_below_slow_time_is_named(no_numerics, tmp_path, capsys, f
         # the problem diagonal: the fields alone, or the couplings added to them
         (ising_config(), "fields=[1e308,1e308]", "fields"),
         (ising_config(transverse0=1.0), "fields=[1e308,-1e308]", "fields"),
-        (ising_config(fields=[1e308, 0.0], transverse0=1.0), "couplings=[[0,1,1e308]]", "couplings"),
+        (ising_config(fields=[8e307, 0.0], transverse0=1.0), "couplings=[[0,1,1e308]]", "couplings"),
         # a finite diagonal whose energies span past the float range, by the fields or the couplings
         (ising_config(transverse0=1.0), "fields=[1e308,0]", "fields"),
         (ising_config(fields=[0.0, 0.0], transverse0=1.0), "couplings=[[0,1,1e308]]", "couplings"),
-        # a finite diagonal whose default transverse strength 2 x 1e308 overflows
-        (ising_config(), "fields=[1e308,0]", "transverse0"),
+        # a span of 2e308 is refused while the config is parsed, before the
+        # default transverse strength 2 x 1e308 would overflow
+        (ising_config(), "fields=[1e308,0]", "fields"),
         (
             rescale_config(problem={"kind": "ising", "n_qubits": 1, "fields": [1e308]}),
-            "n_steps=500", "transverse0",
+            "n_steps=500", "problem.fields",
         ),
     ],
     ids=["nmr-drive", "nmr-detuning", "rescale-drive", "fields", "fields-given-transverse0", "couplings",

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import qxform.experiments as experiments
+from qxform.cli import write_csv_curve
 from qxform.experiments import (
     _sweep_workers,
     annealing_doubling_sweep,
     expected_min_fidelity,
     nmr_grid,
+    nmr_steps,
     quarter_turn_time,
     run_annealing_experiment,
     run_fast_counterpart_comparison,
@@ -32,7 +34,7 @@ from qxform.propagation import (
     sample_trace,
 )
 from qxform.schedules import Constant, Harmonic, LinearRamp, NmrParams
-from qxform.transform import compose_transform, write_csv_curve
+from qxform.transform import compose_transform
 
 # the default t_final of a detuning-1 drive (splitting 1, drive rate 2)
 QUARTER_TURN = quarter_turn_time(1.0)
@@ -162,6 +164,18 @@ class TestNmrExperiment:
         with pytest.raises(ValueError, match="a frame change needs at least 2 steps"):
             nmr_grid(QUARTER_TURN, 1)
 
+    @pytest.mark.parametrize(
+        "t_final, n_steps, nodes",
+        [(1.0, 16_777_216, 33_554_433), (20_000.0, None, 40_000_001)],
+        ids=["given", "default"],
+    )
+    def test_control_past_the_trace_bound_is_refused(self, t_final, n_steps, nodes):
+        # the control's refined grid stores 2 n_steps + 1 unitaries of dimension 2,
+        # 64 bytes each: 16_777_215 steps keep them within 2 GiB, one more does not
+        assert nmr_steps(1.0, 16_777_215) == 16_777_215
+        with pytest.raises(ValueError, match=f"^storing {nodes} unitaries of dimension 2 needs"):
+            nmr_grid(t_final, n_steps)
+
     def test_subnormal_step_is_refused(self):
         for n_steps in (16, None):
             with pytest.raises(ValueError, match="below the smallest normal float"):
@@ -186,17 +200,12 @@ class TestNmrExperiment:
 
 
 class TestAnnealingRuns:
-    @pytest.mark.parametrize(
-        "run, options",
-        [(run_annealing_experiment, {}), (run_fast_counterpart_comparison, {"phase": Harmonic(3.0)})],
-        ids=["anneal", "counterpart"],
-    )
-    def test_energies_spanning_past_the_float_range_are_refused(self, run, options):
-        # every diagonal entry is +-1e308, finite, but their span 2e308 is not
-        problem = IsingProblem(4, fields=(1e308, 0.0, 0.0, 0.0))
+    def test_energies_spanning_past_the_float_range_are_refused(self):
+        # every diagonal entry is +-1e308, finite, but their span 2e308 is not:
+        # the problem is refused when built, so no run is handed it
         message = r"the problem energies span from -1e\+308 to 1e\+308, past the float range"
         with pytest.raises(ValueError, match=message):
-            run(problem, transverse0=1.0, n_steps=400, **options)
+            IsingProblem(4, fields=(1e308, 0.0, 0.0, 0.0))
 
     def test_frozen_transverse_field_off_is_stationary(self):
         result = run_annealing_experiment(

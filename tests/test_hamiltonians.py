@@ -1,6 +1,9 @@
 import itertools
 import math
+import re
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -133,9 +136,10 @@ class TestAnnealingBuilder:
         assert default_transverse_strength(ising) == 6.0
 
     def test_overflowing_default_transverse_strength_is_refused(self):
-        # the diagonal +-1e308 is finite, but 2 x 1e308 is not
+        # no problem that can be built gets here: its energy span overflows first
+        problem = SimpleNamespace(energy_scale=lambda: 1e308)
         with pytest.raises(ValueError, match=r"2 x 1e\+308 overflows; give transverse0"):
-            default_transverse_strength(IsingProblem(1, fields=(1e308,)))
+            default_transverse_strength(problem)
 
 
 class TestFastCounterpart:
@@ -548,11 +552,25 @@ class TestProblems:
             IsingProblem(2, fields=fields, couplings=couplings)
 
     def test_ising_diagonal_at_the_float_range_is_accepted(self):
-        # 1e308 + 1 rounds to 1e308, and the largest float itself is finite
-        problem = IsingProblem(2, fields=(1e308, 1.0), couplings=((0, 1, 0.5),))
+        # 8e307 + 1 rounds to 8e307, and a span of the largest float is finite
+        problem = IsingProblem(2, fields=(8e307, 1.0), couplings=((0, 1, 0.5),))
         h = annealing_hamiltonian(LinearRamp(1.0, 0.0, 1.0), problem)
         assert np.isfinite(h.matrix(0.0)).all()
-        IsingProblem(1, fields=(1.7976931348623157e308,))
+        IsingProblem(1, fields=(sys.float_info.max / 2,))
+
+    @pytest.mark.parametrize(
+        "fields, couplings, bound",
+        [
+            ((1e308, 0.0, 0.0, 0.0), (), "1e+308"),
+            ((math.nextafter(sys.float_info.max / 2, math.inf),), (), "8.98846567431158e+307"),
+            ((0.0, 0.0), ((0, 1, 1e308),), "1e+308"),
+        ],
+    )
+    def test_ising_rejects_energies_spanning_past_the_float_range(self, fields, couplings, bound):
+        # every diagonal entry is finite, but the span from the smallest to the largest is not
+        message = f"the problem energies span from -{bound} to {bound}, past the float range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IsingProblem(len(fields), fields=fields, couplings=couplings)
 
     def test_ising_accepts_integral_indices_of_any_numeric_type(self):
         problem = IsingProblem(3, (0.0, 0.0, 0.0), couplings=((np.int64(2), 0.0, 1.0),))
@@ -591,3 +609,20 @@ class TestProblems:
         path.write_text("0 0.5\n0 1 2 3\n")
         with pytest.raises(ValueError, match="bad.txt:2"):
             IsingProblem.from_edge_list(path)
+
+
+# |h, J| <= 5e306 over at most 15 terms: every diagonal entry and the span stay finite
+_TERM = st.one_of(st.just(0.0), st.floats(-5e306, 5e306))
+
+
+@given(n=st.integers(1, 5), data=st.data())
+def test_energy_span_is_at_least_twice_the_energy_scale(n, data):
+    # with E(z) = sum h_i z_i + sum J_ij z_i z_j, h_i is the mean of E(z) z_i and
+    # J_ij that of E(z) z_i z_j, so neither exceeds half the span: a problem whose
+    # default transverse strength 2 max|h, J| overflows spans past the float range
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    fields = data.draw(st.lists(_TERM, min_size=n, max_size=n))
+    problem = IsingProblem(n, fields, [(i, j, data.draw(_TERM)) for i, j in chosen])
+    diagonal = hamiltonians._diagonal(problem)
+    assert 2 * problem.energy_scale() <= diagonal.max() - diagonal.min()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import qxform.operators as operators
+from qxform.cli import write_csv_curve
 from qxform.hamiltonians import (
     GroverProblem,
     IsingProblem,
@@ -52,7 +53,6 @@ from qxform.transform import (
     two_gate_realization,
     verify_rescaled_drive,
     verify_transform,
-    write_csv_curve,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
