@@ -49,7 +49,6 @@ from .transform import (
     control_residual,
     identity_transform,
     nmr_closed_form_transform,
-    rescaled_drive_closed_form,
     time_rescaling_equivalence,
     transform_into_frame,
     transform_out_of_frame,

@@ -21,6 +21,7 @@ import os
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,6 +48,7 @@ from .transform import (
     verify_transform,
 )
 from .experiments import (
+    anneal_steps,
     annealing_doubling_sweep,
     nmr_grid,
     nmr_steps,
@@ -303,18 +305,24 @@ def _parse_config(cfg):
 # Experiment runners (parsed fields -> metrics, curves)
 
 
+def _grid(t_final, n_steps, steps, build, prefix=""):
+    """``build(t_final, steps(t_final, n_steps))``, the grid of a run on
+    [0, t_final].  A step count is refused by the ``n_steps`` given, else by
+    the ``t_final`` that sets it, and the grid (a step below the smallest
+    normal float) by ``t_final``; ``prefix`` is their block's path."""
+    with _field(prefix + ("t_final" if n_steps is None else "n_steps")):
+        n_steps = steps(t_final, n_steps)
+    with _field(prefix + "t_final"):
+        return build(t_final, n_steps)
+
+
 def _drive_and_grid(p):
     """The drive of an nmr or verify-transform config and the grid of its
-    frame change, ``t_final`` defaulting to a quarter turn of the frame; each
-    refusal names its field, a step count the ``n_steps`` given or else the
-    ``t_final`` that sets it."""
+    frame change, ``t_final`` defaulting to a quarter turn of the frame."""
     params = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"])
     with _field("t_final"):
         t_final = quarter_turn_time(params.detuning) if p["t_final"] is None else p["t_final"]
-    with _field("t_final" if p["n_steps"] is None else "n_steps"):
-        n_steps = nmr_steps(t_final, p["n_steps"])
-    with _field("t_final"):
-        return params, nmr_grid(t_final, n_steps)
+    return params, _grid(t_final, p["n_steps"], nmr_steps, nmr_grid)
 
 
 def _run_nmr(p, jobs):
@@ -334,15 +342,17 @@ def _transverse0(p):
 def _run_annealing(p, jobs):
     problem = p["problem"]
     transverse0 = _transverse0(p)
+    grid = _grid(p["t_final"], p["n_steps"], anneal_steps, partial(TimeGrid, 0.0))
     sweep = p["sweep"]
     if sweep is not None:
         # refused before any run, naming t_initial when its first point is already too long
         for field, doublings in (("t_initial", 0), ("doublings", sweep["doublings"])):
             with _field(f"sweep.{field}"):
                 sweep_runtimes(sweep["t_initial"], doublings)
-    metrics = run_annealing_experiment(
-        problem, transverse0=transverse0, t_final=p["t_final"], n_steps=p["n_steps"]
-    )
+    fc = p["fast_counterpart"]
+    if fc is not None:
+        fc_grid = _grid(fc["t_final"], fc["n_steps"], anneal_steps, partial(TimeGrid, 0.0), "fast_counterpart.")
+    metrics = run_annealing_experiment(problem, grid, transverse0)
     curves = {}
     if sweep is not None:
         points = annealing_doubling_sweep(
@@ -355,9 +365,8 @@ def _run_annealing(p, jobs):
         hit = [t for t, s in zip(runtimes, success) if s >= sweep["success_threshold"]]
         metrics["sweep_threshold_runtime"] = hit[0] if hit else None
         curves["sweep_success"] = (np.asarray(runtimes), np.asarray(success))
-    fc = p["fast_counterpart"]
     if fc is not None:
-        metrics.update(run_fast_counterpart_comparison(problem, transverse0=transverse0, **fc))
+        metrics.update(run_fast_counterpart_comparison(problem, fc["phase"], fc_grid, transverse0))
     return metrics, curves
 
 
@@ -390,16 +399,19 @@ def _run_rescale(p, jobs):
     problem = p["problem"]
     ramp = LinearRamp(_transverse0(p), 0.0, 1.0)
     frame_h = annealing_hamiltonian(ramp, problem)
-    n_steps = p["n_steps"]
     with _field("n_steps"):
-        TimeGrid(0.0, 1.0, n_steps)  # the run's grid, refused here before the wrap below
+        grid = TimeGrid(0.0, 1.0, p["n_steps"])
     dc = p["drive_check"]
     if dc is not None:  # closed forms only, so a drive past the float range is refused before any propagation
+        with _field("drive_check.n_nodes"):
+            if dc["n_nodes"] < 2:
+                raise ValueError(f"the drive check needs at least 2 nodes, got {dc['n_nodes']}")
+            drive_grid = TimeGrid(0.0, 1.0, dc["n_nodes"] - 1)
         with _field("drive_check.drive_strength"):
-            drive_max_distance = verify_rescaled_drive(dc["drive_strength"], scaling, dc["n_nodes"])
+            drive_max_distance = verify_rescaled_drive(dc["drive_strength"], scaling, drive_grid)
     try:
         metrics, curves = time_rescaling_equivalence(
-            frame_h, scaling, n_steps, stride=max(1, n_steps // 1000)
+            frame_h, scaling, grid, stride=max(1, grid.n_steps // 1000)
         )
     except ValueError as exc:
         # both generators are about slow_time * H: a Hamiltonian carried past the
@@ -413,7 +425,7 @@ def _run_rescale(p, jobs):
             elif p["transverse0"] is not None and abs(ramp.value(exc.time)) >= h_max:
                 field = "transverse0"
         raise ConfigError(field, str(exc)) from None
-    metrics.update(time_ratio=scaling.ratio, n_steps=n_steps)
+    metrics.update(time_ratio=scaling.ratio, n_steps=grid.n_steps)
     if dc is not None:
         metrics["drive_max_distance"] = drive_max_distance
     return metrics, curves

@@ -195,6 +195,14 @@ def nmr_steps(t_final: float, n_steps: int | None = None) -> int:
     return n_steps
 
 
+def anneal_steps(t_final: float, n_steps: int | None = None) -> int:
+    """The step count of an anneal on [0, t_final]: ``n_steps``, by default
+    ceil(200 t_final) and at least 400, refused beyond MAX_STEPS."""
+    if n_steps is None:
+        return max(400, int(math.ceil(_within_step_limit(200.0 * t_final))))
+    return _within_step_limit(n_steps)
+
+
 def nmr_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
     """The grid of a driven-qubit frame change on [0, t_final] with
     :func:`nmr_steps` steps, refused unless its control's refined grid
@@ -308,19 +316,10 @@ def run_nmr_experiment(
 # Annealing runs
 
 
-def _default_anneal_steps(t_final: float) -> int:
-    """ceil(200 t_final) steps, at least 400; refused beyond MAX_STEPS."""
-    return max(400, int(math.ceil(_within_step_limit(200.0 * t_final))))
-
-
-def run_annealing_experiment(
-    problem,
-    transverse0: float | None = None,
-    t_final: float = 8.0,
-    n_steps: int | None = None,
-) -> dict:
-    """Anneal from the transverse-field ground state into the problem term and
-    report how much of the final state sits in the ground manifold.
+def run_annealing_experiment(problem, grid: TimeGrid, transverse0: float | None = None) -> dict:
+    """Anneal over ``grid``, on [0, T], from the transverse-field ground state
+    into the problem term and report how much of the final state sits in the
+    ground manifold.
 
     Returns the metrics keyed as ``result.json`` stores them: the ground-manifold
     population at the end, the minimal gap, the runtime, the initial state's
@@ -328,12 +327,9 @@ def run_annealing_experiment(
     population of the marked state."""
     if transverse0 is None:
         transverse0 = default_transverse_strength(problem)
-    if n_steps is None:
-        n_steps = _default_anneal_steps(t_final)
-    h = annealing_hamiltonian(LinearRamp(transverse0, 0.0, t_final), problem)
-    grid = TimeGrid(0.0, t_final, n_steps)
+    h = annealing_hamiltonian(LinearRamp(transverse0, 0.0, grid.t_end), problem)
     psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]
-    trace = propagate(h, grid, stride=max(1, n_steps // 256))
+    trace = propagate(h, grid, stride=max(1, grid.n_steps // 256))
     overlap0 = fidelity(psi0, minus_state(problem.n_qubits))
     psi_final = trace.apply(psi0)
 
@@ -362,7 +358,7 @@ def run_annealing_experiment(
 
 def _sweep_point(args) -> dict:
     problem, transverse0, t_final = args
-    return run_annealing_experiment(problem, transverse0=transverse0, t_final=t_final)
+    return run_annealing_experiment(problem, TimeGrid(0.0, t_final, anneal_steps(t_final)), transverse0)
 
 
 def _sweep_workers(jobs: int, n_points: int, n_cpus: int | None) -> int:
@@ -376,29 +372,31 @@ def _sweep_workers(jobs: int, n_points: int, n_cpus: int | None) -> int:
 def sweep_runtimes(t_initial: float, doublings: int) -> list:
     """The runtimes t_initial * 2^k, k = 0..doublings, of a doubling sweep.
 
-    The default step count of the longest is checked against MAX_STEPS first,
-    computed without overflow, so a sweep too long to run is refused before
+    The grid of the shortest, which has the smallest step, is built first,
+    and the default step count of the longest is checked against MAX_STEPS,
+    computed without overflow, so a sweep that cannot run is refused before
     any runtime is built.
     """
+    TimeGrid(0.0, t_initial, anneal_steps(t_initial))
     doublings = int(doublings)
     try:
         longest = math.ldexp(t_initial, doublings)
     except OverflowError:
         longest = math.inf
-    _default_anneal_steps(longest)
+    anneal_steps(longest)
     return [t_initial * 2.0**k for k in range(doublings + 1)]
 
 
 def annealing_doubling_sweep(
     problem,
-    t_initial: float = 1.0,
-    doublings: int = 6,
+    t_initial: float,
+    doublings: int,
     transverse0: float | None = None,
     jobs: int = 1,
 ) -> tuple:
     """The metrics of annealing runs at runtimes t_initial * 2^k for
     k = 0..doublings, each with the default step count of
-    :func:`run_annealing_experiment`.
+    :func:`anneal_steps`.
 
     All points are always computed (no early stopping) so the result does not
     depend on sharding; ``jobs`` > 1 distributes points across processes.
@@ -418,15 +416,12 @@ def annealing_doubling_sweep(
 
 
 def run_fast_counterpart_comparison(
-    problem,
-    phase: Schedule,
-    transverse0: float | None = None,
-    t_final: float = 2.0,
-    n_steps: int = 100_000,
+    problem, phase: Schedule, grid: TimeGrid, transverse0: float | None = None
 ) -> dict:
-    """Evolve under the rapidly driven counterpart, undo the frame with the
-    single correction gate exp(i phase(T) sum_i X_i), and compare against the
-    plain slow annealing evolution of the same initial state.
+    """Evolve under the rapidly driven counterpart over ``grid``, on [0, T],
+    undo the frame with the single correction gate exp(i phase(T) sum_i X_i),
+    and compare against the plain slow annealing evolution of the same
+    initial state.
 
     Returns the ``counterpart_*`` metrics keyed as ``result.json`` stores them:
     the corrected fast state's fidelity with the slow one, the two-gate
@@ -440,19 +435,17 @@ def run_fast_counterpart_comparison(
         raise ValueError("frame phase must vanish at t=0")
     if transverse0 is None:
         transverse0 = default_transverse_strength(problem)
-    stride = max(1, n_steps // 200)
     n = problem.n_qubits
-    ramp = LinearRamp(transverse0, 0.0, t_final)
+    ramp = LinearRamp(transverse0, 0.0, grid.t_end)
     slow_h = annealing_hamiltonian(ramp, problem)
     fast_h = fast_counterpart_hamiltonian(ramp, problem, phase)
-    grid = TimeGrid(0.0, t_final, n_steps)
 
     psi0 = np.linalg.eigh(slow_h.matrix(0.0))[1][:, 0]
-    slow_trace, fast_trace = propagate_each((slow_h, fast_h), grid, stride=stride)
+    slow_trace, fast_trace = propagate_each((slow_h, fast_h), grid, stride=max(1, grid.n_steps // 200))
 
     psi_slow = slow_trace.apply(psi0)
     psi_fast = fast_trace.apply(psi0)
-    final_phase = float(phase.value(t_final))
+    final_phase = float(phase.value(grid.t_end))
     sum_x = np.zeros((2**n, 2**n), dtype=complex)
     for i in range(n):
         sum_x += PauliString(((i, "X"),)).matrix(n)

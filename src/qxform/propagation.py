@@ -86,9 +86,18 @@ def _count(value, name: str) -> int:
 
 def _within_step_limit(n_steps):
     """``n_steps`` unchanged if it is at most MAX_STEPS; a larger, infinite or
-    NaN count is refused before anything converts it to an int."""
+    NaN count is refused before anything converts it to an int.  The message
+    gives the count as ``:g`` does, in full where ``:g`` would print the limit
+    itself, and an integer too large for any float as more than the largest
+    float, without converting it."""
     if not n_steps <= MAX_STEPS:
-        raise ValueError(f"a grid of {n_steps:g} steps exceeds the limit of {MAX_STEPS:g} steps")
+        if sys.float_info.max < n_steps < math.inf:
+            shown = f"more than {sys.float_info.max:g}"
+        elif f"{n_steps:g}" == f"{MAX_STEPS:g}":
+            shown = str(n_steps)
+        else:
+            shown = f"{n_steps:g}"
+        raise ValueError(f"a grid of {shown} steps exceeds the limit of {MAX_STEPS:g} steps")
     return n_steps
 
 

@@ -22,12 +22,9 @@ import numpy as np
 
 from .operators import _block_rows, _row_norms, _stack_matmul, hermitian_expm, pauli_matrix, phase_aligned_distance
 from .propagation import (
-    MAX_STEPS,
     TimeGrid,
     UnitaryTrace,
-    _count,
     _node_times,
-    _rotated_drive,
     _unitary_trace,
     _within_step_limit,
     nmr_fast_propagator,
@@ -116,16 +113,10 @@ class SampledHamiltonian:
 
 def check_frame_steps(n_steps: int) -> None:
     """A frame change differences S centrally, so its grid needs an interior
-    node: at least 2 steps.  Its control doubles the count, which must stay
-    within MAX_STEPS."""
+    node: at least 2 steps."""
     if _within_step_limit(n_steps) < 2:
         raise ValueError(
             f"a frame change needs at least 2 steps (an interior node), got {n_steps}"
-        )
-    if 2 * n_steps > MAX_STEPS:
-        raise ValueError(
-            f"the control of a frame change doubles its {n_steps:g} steps, "
-            f"beyond the limit of {MAX_STEPS:g} steps"
         )
 
 
@@ -393,11 +384,11 @@ class _AmplitudeScaled:
 def time_rescaling_equivalence(
     frame_hamiltonian,
     scaling: TimeScaling,
-    n_steps: int,
+    grid: TimeGrid,
     stride: int = 1,
 ) -> tuple[dict, dict]:
     """Propagate the amplitude-boosted fast generator and the original slow
-    generator over normalized time in [0, 1] and compare node-wise.
+    generator over ``grid``, in normalized time, and compare node-wise.
 
     ``frame_hamiltonian`` must be parameterized on normalized time; the fast
     Hamiltonian is its (slow_time/fast_time)-fold boost, so the two
@@ -409,7 +400,6 @@ def time_rescaling_equivalence(
     boosted = _AmplitudeScaled(frame_hamiltonian, scaling.ratio)
     gen_fast = _AmplitudeScaled(boosted, scaling.fast_time)
     gen_slow = _AmplitudeScaled(frame_hamiltonian, scaling.slow_time)
-    grid = TimeGrid(0.0, 1.0, n_steps)
     fast_trace, slow_trace = propagate_each((gen_fast, gen_slow), grid, stride=stride)
     distances = phase_aligned_distance(fast_trace.matrices, slow_trace.matrices)
     metrics = {
@@ -419,29 +409,22 @@ def time_rescaling_equivalence(
     return metrics, {"distance": (fast_trace.times, distances)}
 
 
-def rescaled_drive_closed_form(drive_strength: float, fast_time: float, tau) -> np.ndarray:
-    """Shared normalized-time propagator of the resonant drive pair with the
-    drive period equal to the characteristic time and zero splitting:
-    exp(-i pi Z tau) exp(-i (T g X - pi Z) tau), the rotating drive at frame
-    rate and detuning 2 pi and strength T g; a 1-D array ``tau`` gives a
-    stack."""
-    return _rotated_drive(2.0 * np.pi, 2.0 * np.pi, fast_time * drive_strength, tau)
-
-
-def verify_rescaled_drive(drive_strength: float, scaling: TimeScaling, n_nodes: int) -> float:
+def verify_rescaled_drive(drive_strength: float, scaling: TimeScaling, grid: TimeGrid) -> float:
     """The largest distance of the closed-form propagators of the fast drive
     (g, T) and the slow drive (g T / T', T') from the shared normalized-time
-    form, on ``n_nodes`` nodes: they collapse onto it when g T is matched, the
-    splitting is zero and one drive period spans the characteristic time.
-    The nodes are evaluated one block at a time."""
+    one, the drive (T g, 1) at zero splitting, on the nodes of ``grid`` in
+    normalized time: they collapse onto it when g T is matched, the splitting
+    is zero and one drive period spans the characteristic time.  The nodes
+    are evaluated one block at a time."""
     g, T, T_slow = float(drive_strength), scaling.fast_time, scaling.slow_time
+    shared = NmrParams.harmonic(0.0, 2.0 * np.pi, T * g)
     fast = NmrParams.harmonic(0.0, 2.0 * np.pi / T, g)
     slow = NmrParams.harmonic(0.0, 2.0 * np.pi / T_slow, g * T / T_slow)
-    taus = np.linspace(0.0, 1.0, _count(n_nodes, "n_nodes"))
+    n_nodes = grid.n_steps + 1
     rows, maxima = _block_rows(2), []
-    for lo in range(0, len(taus), rows):
-        tau = taus[lo : lo + rows]
-        ref = rescaled_drive_closed_form(g, T, tau)
+    for lo in range(0, n_nodes, rows):
+        tau = _node_times(grid, np.arange(lo, min(lo + rows, n_nodes)))
+        ref = nmr_fast_propagator(shared, tau)
         for p, period in ((fast, T), (slow, T_slow)):
             maxima.append(np.max(phase_aligned_distance(nmr_fast_propagator(p, tau * period), ref)))
     return float(np.max(maxima))

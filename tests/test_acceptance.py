@@ -80,12 +80,9 @@ def stronger_report():
 def counterpart_reports():
     t_final = 2.0
     phase = Harmonic(20.0 * math.pi / t_final)
-    grover = run_fast_counterpart_comparison(
-        GroverProblem(3, 7), phase, t_final=t_final, n_steps=100_000
-    )
-    ising = run_fast_counterpart_comparison(
-        ISING_CHAIN, phase, t_final=t_final, n_steps=100_000
-    )
+    grid = TimeGrid(0.0, t_final, 100_000)
+    grover = run_fast_counterpart_comparison(GroverProblem(3, 7), phase, grid)
+    ising = run_fast_counterpart_comparison(ISING_CHAIN, phase, grid)
     return {"grover": grover, "ising": ising}
 
 
@@ -94,8 +91,8 @@ def rescale_reports():
     problem = GroverProblem(3, 7)
     h_tau = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), problem)
     scaling = TimeScaling(0.1, 10.0)
-    equivalence, _ = time_rescaling_equivalence(h_tau, scaling, 10_000, stride=1)
-    drive = verify_rescaled_drive(2.0, scaling, 10_001)
+    equivalence, _ = time_rescaling_equivalence(h_tau, scaling, TimeGrid(0.0, 1.0, 10_000), stride=1)
+    drive = verify_rescaled_drive(2.0, scaling, TimeGrid(0.0, 1.0, 10_000))  # 10,001 nodes
     return {"equivalence": equivalence, "drive": drive, "scaling": scaling}
 
 

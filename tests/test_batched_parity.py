@@ -485,7 +485,7 @@ def test_joint_tracking_needs_traces_on_the_same_nodes():
 def test_min_gap_keeps_the_per_time_bits(monkeypatch):
     problem = GroverProblem(2, 3)
     monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 5 * 4 * 4)
-    result = run_annealing_experiment(problem, t_final=2.0, n_steps=400)
+    result = run_annealing_experiment(problem, TimeGrid(0.0, 2.0, 400))
     h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 2.0), problem)
     energies = [np.linalg.eigh(h.matrix(float(t)))[0] for t in np.linspace(0.0, 2.0, 129)]
     gaps = [float(e[1] - e[0]) for e in energies]

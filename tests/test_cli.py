@@ -13,6 +13,8 @@ from qxform.cli import EXPERIMENTS, ConfigError, _schedule, list_experiments, ma
 from qxform.schedules import CosineRamp, Harmonic, Tabulated
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# a whole number of 401 digits, past the float range
+HUGE = "1" + "0" * 400
 
 
 def write_config(tmp_path, name, payload):
@@ -445,12 +447,25 @@ class TestModuleEntryPoint:
             ("grover.json", ["sweep.doublings=40"], "config field 'sweep.doublings': a grid of 2.19902e+14 steps"),
             ("nmr.json", ["n_steps=1"], "config field 'n_steps': a frame change needs at least 2 steps"),
             ("verify_transform.json", ["n_steps=1"], "config field 'n_steps': a frame change needs at least 2 steps"),
-            ("grover.json", ["t_final=1e307"], "a grid of inf steps exceeds the limit"),
-            ("ising.json", ["t_final=1e307"], "a grid of inf steps exceeds the limit"),
-            ("nmr.json", ["t_final=1e307", "n_steps=null"], "a grid of inf steps exceeds the limit"),
+            ("grover.json", ["t_final=1e307"], "config field 't_final': a grid of inf steps exceeds the limit"),
+            ("ising.json", ["t_final=1e307"], "config field 't_final': a grid of inf steps exceeds the limit"),
+            ("nmr.json", ["t_final=1e307", "n_steps=null"], "config field 't_final': a grid of inf steps exceeds the limit"),
             # with the shipped step count the closed-form phases leave the float range
             ("nmr.json", ["t_final=1e307"], "beyond the float range"),
-            ("rescale.json", ["n_steps=1000000000000"], "a grid of 1e+12 steps exceeds the limit"),
+            ("rescale.json", ["n_steps=1000000000000"], "config field 'n_steps': a grid of 1e+12 steps exceeds the limit"),
+            # the drive check's nodes, for which np.linspace asked 7.28 TiB
+            (
+                "rescale.json", ["drive_check.n_nodes=1000000000000"],
+                "config field 'drive_check.n_nodes': a grid of 1e+12 steps exceeds the limit",
+            ),
+            # a count no float holds
+            ("nmr.json", [f"n_steps={HUGE}"], "config field 'n_steps': a grid of more than 1.79769e+308 steps"),
+            ("rescale.json", [f"n_steps={HUGE}"], "config field 'n_steps': a grid of more than 1.79769e+308 steps"),
+            ("ising.json", [f"n_steps={HUGE}"], "config field 'n_steps': a grid of more than 1.79769e+308 steps"),
+            (
+                "ising.json", [f"fast_counterpart.n_steps={HUGE}"],
+                "config field 'fast_counterpart.n_steps': a grid of more than 1.79769e+308 steps",
+            ),
             ("rescale.json", ["fast_time=20"], "config field 'fast_time'"),
             # a boost past the float range, in the time ratio or in the Hamiltonian it scales
             ("rescale.json", ["fast_time=1e-320"], "config field 'fast_time': the ratio slow_time/fast_time"),
@@ -480,10 +495,13 @@ class TestModuleEntryPoint:
                 "config field 't_final': the step 2.25e-308 is accepted, but the control's refined grid halves it: "
                 "a grid step of 1.125e-308",
             ),
-            ("nmr.json", ["n_steps=60000000"], "config field 'n_steps': the control of a frame change doubles"),
+            (
+                "nmr.json", ["n_steps=60000000"],
+                "config field 'n_steps': storing 120000001 unitaries of dimension 2 needs ~7.2 GiB; take fewer steps",
+            ),
             (
                 "verify_transform.json", ["n_steps=60000000"],
-                "config field 'n_steps': the control of a frame change doubles",
+                "config field 'n_steps': storing 120000001 unitaries of dimension 2 needs ~7.2 GiB; take fewer steps",
             ),
             # a closed-form drive generator or a problem diagonal past the float range
             ("nmr.json", ["drive_strength=1e308"], "config field 'drive_strength': the drive generator"),

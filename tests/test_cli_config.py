@@ -71,6 +71,18 @@ def ising_config(**overrides):
     return cfg
 
 
+SMALL_GROVER = {"experiment": "grover", "n_qubits": 2, "marked": 3, "t_final": 1.0, "n_steps": 400}
+VERIFY = {
+    "experiment": "verify-transform",
+    "pair": "nmr",
+    "qubit_splitting": 1.0,
+    "drive_rate": 1.5,
+    "drive_strength": 2.0,
+}
+# a whole number of 401 digits, past the float range
+HUGE = "1" + "0" * 400
+
+
 def rescale_config(**overrides):
     cfg = {
         "experiment": "rescale",
@@ -274,6 +286,60 @@ def test_magnitude_past_the_float_range_is_named_before_running(
 ):
     err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload), "--set", override)
     assert err.startswith(f"error: config field '{field}': "), err
+
+
+@pytest.mark.parametrize(
+    "payload, overrides, field, message",
+    [
+        (ising_config(), ["t_final=1e307"], "t_final", "a grid of inf steps exceeds the limit"),
+        (ising_config(), ["t_final=1e-310"], "t_final", "a grid step of 2.5e-313 is below"),
+        (ising_config(), ["n_steps=100000001"], "n_steps", "a grid of 100000001 steps exceeds"),
+        (
+            ising_config(fast_counterpart={"phase": {"kind": "constant", "value": 0.0}}),
+            ["fast_counterpart.n_steps=100000001"], "fast_counterpart.n_steps",
+            "a grid of 100000001 steps exceeds",
+        ),
+        (
+            ising_config(fast_counterpart={"phase": {"kind": "constant", "value": 0.0}}),
+            ["fast_counterpart.t_final=1e-310"], "fast_counterpart.t_final", "a grid step of 1e-315 is below",
+        ),
+        (SMALL_GROVER, ["t_final=1e307", "n_steps=null"], "t_final", "a grid of inf steps exceeds the limit"),
+        (SMALL_GROVER, ["n_steps=" + HUGE], "n_steps", "a grid of more than 1.79769e+308 steps"),
+        (nmr_config(), ["n_steps=" + HUGE], "n_steps", "a grid of more than 1.79769e+308 steps"),
+        (VERIFY, ["n_steps=" + HUGE], "n_steps", "a grid of more than 1.79769e+308 steps"),
+        (
+            {**SMALL_GROVER, "sweep": {"t_initial": 1e-310}}, [], "sweep.t_initial",
+            "a grid step of 2.5e-313 is below",
+        ),
+    ],
+    ids=[
+        "ising-t_final-inf-steps", "ising-t_final-subnormal-step", "ising-n_steps", "counterpart-n_steps",
+        "counterpart-t_final", "grover-t_final", "grover-n_steps", "nmr-n_steps", "verify-n_steps",
+        "sweep-t_initial",
+    ],
+)
+def test_grid_is_refused_by_its_field_before_running(no_numerics, tmp_path, capsys, payload, overrides, field, message):
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload), *sets)
+    assert err.startswith(f"error: config field '{field}': {message}"), err
+
+
+@pytest.mark.parametrize(
+    "n_nodes, message",
+    [
+        (1, "the drive check needs at least 2 nodes, got 1"),
+        (10**8 + 2, "a grid of 100000001 steps exceeds the limit of 1e+08 steps"),
+        (10**12, "a grid of 1e+12 steps exceeds the limit of 1e+08 steps"),
+        (10**400, "a grid of more than 1.79769e+308 steps exceeds the limit of 1e+08 steps"),
+    ],
+    ids=["one", "past-the-limit", "1e12", "401-digits"],
+)
+def test_rescaled_drive_node_count_is_refused_by_name(no_numerics, tmp_path, capsys, n_nodes, message):
+    # one node compared three identities at 0; 1e12 nodes ended in numpy's
+    # allocation error, and 401 digits were named as drive_check.drive_strength
+    payload = rescale_config(drive_check={"drive_strength": 2.0, "n_nodes": n_nodes})
+    err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
+    assert err == f"error: config field 'drive_check.n_nodes': {message}"
 
 
 class TestNoTraceback:

@@ -8,6 +8,7 @@ import qxform.experiments as experiments
 from qxform.cli import write_csv_curve
 from qxform.experiments import (
     _sweep_workers,
+    anneal_steps,
     annealing_doubling_sweep,
     expected_min_fidelity,
     nmr_grid,
@@ -208,32 +209,28 @@ class TestAnnealingRuns:
             IsingProblem(4, fields=(1e308, 0.0, 0.0, 0.0))
 
     def test_frozen_transverse_field_off_is_stationary(self):
-        result = run_annealing_experiment(
-            GroverProblem(2, 3), transverse0=0.0, t_final=1.0, n_steps=400
-        )
+        result = run_annealing_experiment(GroverProblem(2, 3), TimeGrid(0.0, 1.0, 400), transverse0=0.0)
         assert result["success_probability"] == pytest.approx(1.0, abs=1e-12)
         assert result["final_fidelity_vs_marked"] == pytest.approx(1.0, abs=1e-12)
 
     def test_sudden_quench_keeps_uniform_population(self):
         # a dominant initial transverse field puts the exact ground state at
         # |->^n, so freezing the state leaves 2^-n on the marked state
-        result = run_annealing_experiment(
-            GroverProblem(2, 3), transverse0=50.0, t_final=1e-6, n_steps=400
-        )
+        result = run_annealing_experiment(GroverProblem(2, 3), TimeGrid(0.0, 1e-6, 400), transverse0=50.0)
         assert abs(result["success_probability"] - 0.25) < 0.01
         assert result["initial_minus_overlap"] > 0.999
 
     def test_initial_state_overlap_reported(self):
-        result = run_annealing_experiment(GroverProblem(3, 7), t_final=1.0, n_steps=400)
+        result = run_annealing_experiment(GroverProblem(3, 7), TimeGrid(0.0, 1.0, 400))
         assert 0.99 < result["initial_minus_overlap"] < 1.0
 
     def test_adequate_runtime_reaches_marked_state(self):
-        result = run_annealing_experiment(GroverProblem(2, 3), t_final=16.0)
+        result = run_annealing_experiment(GroverProblem(2, 3), TimeGrid(0.0, 16.0, anneal_steps(16.0)))
         assert result["success_probability"] >= 0.9
 
     def test_ising_ground_manifold_population(self):
         problem = IsingProblem(2, fields=(0.6, 0.6), couplings=((0, 1, -0.5),))
-        result = run_annealing_experiment(problem, t_final=24.0)
+        result = run_annealing_experiment(problem, TimeGrid(0.0, 24.0, anneal_steps(24.0)))
         assert "final_fidelity_vs_marked" not in result
         assert result["success_probability"] >= 0.9
         assert result["min_gap"] > 0.0
@@ -265,6 +262,22 @@ class TestAnnealingRuns:
         with pytest.raises(ValueError, match="exceeds the limit of 1e\\+08 steps"):
             annealing_doubling_sweep(GroverProblem(2, 1), t_initial=t_initial, doublings=doublings)
 
+    def test_sweep_with_a_subnormal_first_step_is_refused_before_any_point_runs(self, monkeypatch):
+        # 400 steps of a 1e-310 runtime; the main run of the CLI went first
+        # and the first point then failed naming no field
+        def run_point(args):
+            raise AssertionError(f"a sweep point ran at t_final={args[2]}")
+
+        monkeypatch.setattr(experiments, "_sweep_point", run_point)
+        with pytest.raises(ValueError, match="a grid step of 2.5e-313 is below the smallest normal float"):
+            annealing_doubling_sweep(GroverProblem(2, 1), t_initial=1e-310, doublings=3)
+
+    @pytest.mark.parametrize(
+        "t_final, n_steps, expected", [(1.0, None, 400), (2.5, None, 500), (2.0, 7, 7), (1e6, 10**8, 10**8)]
+    )
+    def test_anneal_steps(self, t_final, n_steps, expected):
+        assert anneal_steps(t_final, n_steps) == expected
+
     def test_sweep_runtimes_reach_the_step_limit_inclusively(self):
         # the default rule takes ceil(200 t) steps: 200 * 2^18 and 200 * 5e5 fit
         assert sweep_runtimes(1.0, 18) == [2.0**k for k in range(19)]
@@ -287,14 +300,12 @@ class TestAnnealingRuns:
 
 class TestFastCounterpart:
     def test_zero_phase_is_exact_equivalence(self):
-        report = run_fast_counterpart_comparison(
-            GroverProblem(2, 3), Constant(0.0), t_final=1.0, n_steps=2000
-        )
+        report = run_fast_counterpart_comparison(GroverProblem(2, 3), Constant(0.0), TimeGrid(0.0, 1.0, 2000))
         assert report["counterpart_fidelity"] >= 1.0 - 1e-12
 
     def test_rotating_frame_grover(self):
         report = run_fast_counterpart_comparison(
-            GroverProblem(3, 7), Harmonic(10 * math.pi), t_final=2.0, n_steps=10_000
+            GroverProblem(3, 7), Harmonic(10 * math.pi), TimeGrid(0.0, 2.0, 10_000)
         )
         assert report["counterpart_fidelity"] >= 1.0 - 1e-8
         assert report["counterpart_two_gate_fidelity"] >= 1.0 - 1e-12
@@ -305,22 +316,18 @@ class TestFastCounterpart:
             4, fields=(0.5, 0.5, 0.5, 0.5),
             couplings=((0, 1, -1.0), (1, 2, -1.0), (2, 3, -1.0)),
         )
-        report = run_fast_counterpart_comparison(
-            problem, Harmonic(10 * math.pi), t_final=2.0, n_steps=10_000
-        )
+        report = run_fast_counterpart_comparison(problem, Harmonic(10 * math.pi), TimeGrid(0.0, 2.0, 10_000))
         assert report["counterpart_fidelity"] >= 1.0 - 1e-8
 
     def test_transform_matches_product_of_x_rotations(self):
         report = run_fast_counterpart_comparison(
-            GroverProblem(2, 2), Harmonic(4 * math.pi), t_final=1.0, n_steps=5000
+            GroverProblem(2, 2), Harmonic(4 * math.pi), TimeGrid(0.0, 1.0, 5000)
         )
         assert report["counterpart_transform_distance"] < 1e-4
 
     def test_nonzero_initial_phase_rejected(self):
         with pytest.raises(ValueError, match="vanish"):
-            run_fast_counterpart_comparison(
-                GroverProblem(2, 3), Constant(0.3), t_final=1.0, n_steps=100
-            )
+            run_fast_counterpart_comparison(GroverProblem(2, 3), Constant(0.3), TimeGrid(0.0, 1.0, 100))
 
 
 class TestFidelityCurveExport:

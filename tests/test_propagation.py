@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import qxform.operators as operators
@@ -23,6 +25,7 @@ from qxform.propagation import (
     UnitarityError,
     _batch_defects,
     _check_stored,
+    _node_times,
     nmr_fast_propagator,
     nmr_slow_propagator,
     propagate,
@@ -64,11 +67,31 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="t_end"):
             TimeGrid(1.0, 1.0, 5)
 
-    @pytest.mark.parametrize("n_steps", [MAX_STEPS + 1, 10**12, 2e302, math.inf, math.nan])
-    def test_step_limit(self, n_steps):
-        message = f"a grid of {n_steps:g} steps exceeds the limit of 1e+08 steps"
-        with pytest.raises(ValueError, match=re.escape(message)):
+    @pytest.mark.parametrize(
+        "n_steps, shown",
+        [
+            # six digits would read as the limit: the count is given in full
+            (MAX_STEPS + 1, "100000001"),
+            (1e8 + 0.5, "100000000.5"),
+            (10**12, "1e+12"),
+            (2e302, "2e+302"),
+            (math.inf, "inf"),
+            (math.nan, "nan"),
+            # an integer no float holds, never converted to one
+            (10**400, "more than 1.79769e+308"),
+        ],
+        ids=["limit-plus-one", "limit-plus-half", "1e12", "2e302", "inf", "nan", "401-digits"],
+    )
+    def test_step_limit(self, n_steps, shown):
+        message = f"a grid of {shown} steps exceeds the limit of 1e+08 steps"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TimeGrid(0.0, 1.0, n_steps)
+
+    @given(st.integers(1, 200_000))
+    def test_node_times_are_linspace_bits(self, n_steps):
+        # the drive check reads its nodes through _node_times, one block at a time
+        nodes = _node_times(TimeGrid(0.0, 1.0, n_steps), np.arange(n_steps + 1))
+        assert np.array_equal(nodes, np.linspace(0.0, 1.0, n_steps + 1))
 
     @pytest.mark.parametrize("n_steps", [2.5, np.float64(10.25), 1e8 - 0.5])
     def test_fractional_step_count_is_refused_naming_it(self, n_steps):

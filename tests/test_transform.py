@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -32,6 +31,7 @@ from qxform.propagation import (
     MAX_STEPS,
     TimeGrid,
     UnitaryTrace,
+    _rotated_drive,
     nmr_fast_propagator,
     nmr_slow_propagator,
     propagate,
@@ -41,12 +41,10 @@ from qxform.schedules import Harmonic, LinearRamp, NmrParams
 from qxform.transform import (
     ScaleOverflowError,
     TimeScaling,
-    check_frame_steps,
     compose_transform,
     control_residual,
     identity_transform,
     nmr_closed_form_transform,
-    rescaled_drive_closed_form,
     time_rescaling_equivalence,
     transform_into_frame,
     transform_out_of_frame,
@@ -276,9 +274,10 @@ class TestFrameChanges:
         assert transform_into_frame(h, build(grid.refined())).matrices.shape == (1, 2, 2)
 
     def test_control_doubles_the_steps_within_the_limit(self):
-        check_frame_steps(MAX_STEPS // 2)
-        with pytest.raises(ValueError, match=r"the control of a frame change doubles its 5e\+07 steps"):
-            check_frame_steps(MAX_STEPS // 2 + 1)
+        # the control's grid is refused where it is built, by its own count
+        assert TimeGrid(0.0, 1.0, MAX_STEPS // 2).refined().n_steps == MAX_STEPS
+        with pytest.raises(ValueError, match=r"^a grid of 100000002 steps exceeds the limit of 1e\+08 steps$"):
+            TimeGrid(0.0, 1.0, MAX_STEPS // 2 + 1).refined()
 
     def test_needs_full_grid_coverage(self):
         grid = TimeGrid(0.0, 2.0, 40)
@@ -507,13 +506,13 @@ class TestTimeRescaling:
         h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), problem)
         # ratio exactly 1 is excluded by validation; use nearly-1 and require
         # only float-roundoff-level distances
-        metrics, _ = time_rescaling_equivalence(h, TimeScaling(1.0, 1.0 + 1e-15), 200)
+        metrics, _ = time_rescaling_equivalence(h, TimeScaling(1.0, 1.0 + 1e-15), TimeGrid(0.0, 1.0, 200))
         assert metrics["max_distance"] < 1e-11
 
     def test_grover_small(self):
         problem = GroverProblem(2, 3)
         h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), problem)
-        metrics, _ = time_rescaling_equivalence(h, TimeScaling(0.1, 10.0), 2000)
+        metrics, _ = time_rescaling_equivalence(h, TimeScaling(0.1, 10.0), TimeGrid(0.0, 1.0, 2000))
         assert metrics["max_distance"] <= 1e-10
         assert metrics["max_unitarity_defect"] <= 1e-10
 
@@ -522,7 +521,7 @@ class TestTimeRescaling:
         # Hamiltonian leaves the float range
         h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), GroverProblem(2, 3))
         with pytest.raises(ScaleOverflowError, match=r"scaled by 1e\+308 is not finite at t=0\.0005$") as info:
-            time_rescaling_equivalence(h, TimeScaling(1e308, 1.7e308), 1000)
+            time_rescaling_equivalence(h, TimeScaling(1e308, 1.7e308), TimeGrid(0.0, 1.0, 1000))
         assert info.value.time == 0.0005
 
     def test_drive_tau_propagator_depends_only_on_strength_time_product(self):
@@ -537,56 +536,44 @@ class TestTimeRescaling:
             assert phase_aligned_distance(ua, ub) < 1e-12
 
     def test_rescaled_drive_closed_form_matches_both_legs(self):
-        assert verify_rescaled_drive(2.0, TimeScaling(0.5, 5.0), 101) < 1e-12
+        assert verify_rescaled_drive(2.0, TimeScaling(0.5, 5.0), TimeGrid(0.0, 1.0, 100)) < 1e-12
 
-    @pytest.mark.parametrize(
-        "n_nodes, message",
-        [
-            (2.9, "n_nodes must be a whole number, got 2.9"),
-            (math.inf, "n_nodes must be a whole number, got inf"),
-            (math.nan, "n_nodes must be a whole number, got nan"),
-            (0, "n_nodes must be at least 1, got 0"),
-            (-3, "n_nodes must be at least 1, got -3"),
-        ],
-        ids=["fractional", "inf", "nan", "zero", "negative"],
-    )
-    def test_rescaled_drive_node_count_is_refused_by_name(self, n_nodes, message):
-        # int() truncated 2.9 to the 2-node value; 0 nodes ended in numpy's
-        # zero-size reduction error
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            verify_rescaled_drive(2.0, TimeScaling(0.5, 5.0), n_nodes)
+    @pytest.mark.parametrize("g, T", [(2.0, 0.1), (0.3, 7.0), (25.0, 1e-3)])
+    def test_shared_leg_is_the_rotating_drive_at_period_one(self, g, T):
+        # exp(-i pi Z tau) exp(-i (T g X - pi Z) tau): frame rate and detuning
+        # 2 pi, strength T g, the one closed form of the other two legs
+        tau = np.linspace(0.0, 1.0, 10_001)
+        shared = nmr_fast_propagator(NmrParams.harmonic(0.0, 2.0 * np.pi, T * g), tau)
+        assert np.array_equal(shared, _rotated_drive(2.0 * np.pi, 2.0 * np.pi, T * g, tau))
+        np.testing.assert_allclose(shared[0], np.eye(2), atol=1e-15)
 
     def test_rescaled_drive_memory_does_not_grow_per_node(self):
-        # only the node times are kept whole (8 B a node); the closed forms
-        # and distances go one block at a time (they took 336 B a node)
+        # the node times, closed forms and distances go one block at a time:
+        # under a byte a node (the closed forms and distances took 336 B a
+        # node, then the whole node array 8 B)
         def peak(n_nodes):
             tracemalloc.start()
             try:
-                verify_rescaled_drive(2.0, TimeScaling(0.5, 5.0), n_nodes)
+                verify_rescaled_drive(2.0, TimeScaling(0.5, 5.0), TimeGrid(0.0, 1.0, n_nodes - 1))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert peak(200_001) - peak(20_001) < 32 * 180_000
+        assert peak(200_001) - peak(20_001) < 180_000
 
     def test_rescaled_drive_blocks_keep_the_one_stack_value(self, monkeypatch):
-        g, scaling, n_nodes = 2.0, TimeScaling(0.5, 5.0), 1001
-        taus = np.linspace(0.0, 1.0, n_nodes)
-        ref = rescaled_drive_closed_form(g, scaling.fast_time, taus)
+        g, scaling, grid = 2.0, TimeScaling(0.5, 5.0), TimeGrid(0.0, 1.0, 1000)
+        taus = np.linspace(0.0, 1.0, grid.n_steps + 1)
+        ref = nmr_fast_propagator(NmrParams.harmonic(0.0, 2 * math.pi, g * scaling.fast_time), taus)
 
         def leg(t):  # the drive whose period is t, with g t matched
             p = NmrParams.harmonic(0.0, 2 * math.pi / t, g * scaling.fast_time / t)
             return phase_aligned_distance(nmr_fast_propagator(p, taus * t), ref).max()
 
         one_stack = max(leg(scaling.fast_time), leg(scaling.slow_time))
-        assert verify_rescaled_drive(g, scaling, n_nodes) == one_stack
+        assert verify_rescaled_drive(g, scaling, grid) == one_stack
         monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 3 * 4)  # three rows of 2 x 2
-        assert verify_rescaled_drive(g, scaling, n_nodes) == one_stack
-
-    def test_closed_form_at_origin(self):
-        np.testing.assert_allclose(
-            rescaled_drive_closed_form(2.0, 0.5, 0.0), np.eye(2), atol=1e-15
-        )
+        assert verify_rescaled_drive(g, scaling, grid) == one_stack
 
 
 class TestCsvCurve:
