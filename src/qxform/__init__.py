@@ -35,7 +35,6 @@ from .propagation import (
     UnitarityError,
     UnitaryTrace,
     nmr_fast_propagator,
-    nmr_slow_propagator,
     propagate,
     propagate_each,
     sample_trace,

@@ -50,6 +50,7 @@ from .transform import (
 from .experiments import (
     anneal_steps,
     annealing_doubling_sweep,
+    check_counterpart_phase,
     nmr_grid,
     nmr_steps,
     quarter_turn_time,
@@ -334,9 +335,8 @@ def _run_nmr(p, jobs):
 
 
 def _transverse0(p):
-    """transverse0, or the problem's default, refused by that name when it overflows."""
-    with _field("transverse0"):
-        return default_transverse_strength(p["problem"]) if p["transverse0"] is None else p["transverse0"]
+    """transverse0, or the problem's default."""
+    return default_transverse_strength(p["problem"]) if p["transverse0"] is None else p["transverse0"]
 
 
 def _run_annealing(p, jobs):
@@ -352,6 +352,8 @@ def _run_annealing(p, jobs):
     fc = p["fast_counterpart"]
     if fc is not None:
         fc_grid = _grid(fc["t_final"], fc["n_steps"], anneal_steps, partial(TimeGrid, 0.0), "fast_counterpart.")
+        with _field("fast_counterpart.phase"):
+            check_counterpart_phase(fc["phase"], fc_grid.t_end)
     metrics = run_annealing_experiment(problem, grid, transverse0)
     curves = {}
     if sweep is not None:

@@ -37,7 +37,6 @@ from .propagation import (
     _check_trace_bytes,
     _within_step_limit,
     nmr_fast_propagator,
-    nmr_slow_propagator,
     propagate,
     propagate_each,
     sample_trace,
@@ -153,8 +152,15 @@ def track_ground_state(
 
 def expected_min_fidelity(drive_strength: float, detuning: float) -> float:
     """Worst ground-branch fidelity of the rotated-frame drive, from the exact
-    two-level solution: 1 - d^2 / (4 g^2 + d^2)."""
+    two-level solution: 1 - d^2 / (4 g^2 + d^2).
+
+    Where the denominator is not a normal float, g and d are first scaled by
+    the power of two that brings the larger of g and |d| into [1/2, 1), which
+    leaves the ratio unchanged."""
     g, d = float(drive_strength), float(detuning)
+    if not sys.float_info.min <= 4.0 * g * g + d * d <= sys.float_info.max:
+        exponent = math.frexp(max(g, abs(d)))[1]
+        g, d = math.ldexp(g, -exponent), math.ldexp(d, -exponent)
     return 1.0 - d * d / (4.0 * g * g + d * d)
 
 
@@ -238,6 +244,7 @@ def run_nmr_experiment(
     """
     p = NmrParams.harmonic(qubit_splitting, drive_rate, drive_strength)
     detuning = p.detuning
+    frame_drive = NmrParams.harmonic(0.0, detuning, drive_strength)  # the rotated frame's own drive
     fast_h = nmr_hamiltonian(p)
     slow_h = rotating_frame_hamiltonian(p)
     psi0 = minus_state(1)
@@ -262,7 +269,7 @@ def run_nmr_experiment(
     fast_state = fast_num.apply(psi0)  # U(T) psi0, for the closed-form two-gate realization
     del fast_num
 
-    slow_ana = sample_trace(lambda ts: nmr_slow_propagator(p, ts), grid)
+    slow_ana = sample_trace(lambda ts: nmr_fast_propagator(frame_drive, ts), grid)
     oracle_slow = _max_node_distance(slow_num, slow_ana)
     curve, curve_num = track_ground_state(slow_h, slow_ana, slow_num, psi0=psi0)
     del slow_num
@@ -349,7 +356,7 @@ def run_annealing_experiment(problem, grid: TimeGrid, transverse0: float | None 
         "min_gap": float(min_gap),
         "runtime_t": float(grid.t_end),
         "initial_minus_overlap": overlap0,
-        "adiabaticity_ratio": float(min_gap**2 * grid.t_end),
+        "adiabaticity_ratio": min_gap * min_gap * grid.t_end,
     }
     if isinstance(problem, GroverProblem):
         metrics["final_fidelity_vs_marked"] = float(np.abs(psi_final[problem.marked]) ** 2)
@@ -415,6 +422,18 @@ def annealing_doubling_sweep(
 # Fast counterpart of an annealing run
 
 
+def check_counterpart_phase(phase: Schedule, t_final: float) -> None:
+    """Refuse a frame phase that does not vanish at t=0 to within 1e-12, so
+    the two evolutions would not start in the same frame, or that is not
+    defined up to ``t_final`` or not finite there."""
+    if abs(float(phase.value(0.0))) > 1e-12:
+        raise ValueError("frame phase must vanish at t=0")
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        end = float(phase.value(t_final))  # a schedule refuses a time outside its domain
+    if not math.isfinite(end):
+        raise ValueError(f"frame phase is {end} at t={t_final!r}, past the float range")
+
+
 def run_fast_counterpart_comparison(
     problem, phase: Schedule, grid: TimeGrid, transverse0: float | None = None
 ) -> dict:
@@ -428,11 +447,9 @@ def run_fast_counterpart_comparison(
     fidelity, the composed frame change's distance from the X rotations, and
     the largest unitarity defect.
 
-    The frame phase must vanish at t=0 so both evolutions start in the same
-    frame.
+    The frame phase is checked by :func:`check_counterpart_phase`.
     """
-    if abs(float(phase.value(0.0))) > 1e-12:
-        raise ValueError("frame phase must vanish at t=0")
+    check_counterpart_phase(phase, grid.t_end)
     if transverse0 is None:
         transverse0 = default_transverse_strength(problem)
     n = problem.n_qubits

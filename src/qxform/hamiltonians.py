@@ -347,12 +347,8 @@ def _diagonal(problem) -> np.ndarray:
 
 
 def default_transverse_strength(problem) -> float:
-    """Initial transverse field dominating the problem scale: 2 max(scale, 1),
-    refused when it overflows."""
-    strength = 2.0 * max(problem.energy_scale(), 1.0)
-    if not math.isfinite(strength):
-        raise ValueError(f"the default transverse strength 2 x {problem.energy_scale()!r} overflows; give transverse0")
-    return strength
+    """Initial transverse field dominating the problem scale: 2 max(scale, 1)."""
+    return 2.0 * max(problem.energy_scale(), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Time-ordered integration of i dU/dt = H(t) U on uniform grids, plus the
-closed-form propagators of the uniformly rotating drive used as oracles.
+closed-form propagator of the uniformly rotating drive used as oracles.
 
 The integrator is the midpoint-exponential rule: each step applies the exact
 exponential of the Hamiltonian frozen at the step midpoint, so every step is
@@ -23,7 +23,7 @@ from .operators import (
     normalization_defect,
     pauli_matrix,
 )
-from .schedules import Harmonic, NmrParams
+from .schedules import NmrParams
 
 # Traces are aborted, not repaired, beyond this unitarity defect.
 DEFECT_LIMIT = 1e-8
@@ -309,48 +309,23 @@ def sample_trace(fn, grid: TimeGrid) -> UnitaryTrace:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form propagators for the uniformly rotating drive
-
-
-def _require_harmonic(p: NmrParams) -> tuple:
-    if not p.is_harmonic_case():
-        raise ValueError(
-            "closed-form propagators require a uniformly rotating drive phase "
-            "and a constant qubit splitting"
-        )
-    return p.drive_phase.rate, p.detuning, p.drive_strength
-
-
-def _rotated_drive(frame_rate: float, detuning: float, g: float, t) -> np.ndarray:
-    """exp(-i r Z t / 2) exp(-i (2 g X - d Z) t / 2) for frame rate r; a
-    generator 2 g X - d Z beyond the float range is refused."""
-    if not (math.isfinite(2.0 * g) and math.isfinite(detuning)):
-        raise ValueError(f"the drive generator 2 g X - d Z overflows at g = {g!r}, d = {detuning!r}")
-    z = pauli_matrix("Z")
-    x = pauli_matrix("X")
-    return _stack_matmul(
-        hermitian_expm(z, 0.5 * frame_rate * t), hermitian_expm(2.0 * g * x - detuning * z, 0.5 * t)
-    )
+# The closed-form propagator of the uniformly rotating drive
 
 
 def nmr_fast_propagator(p: NmrParams, t) -> np.ndarray:
     """Exact lab-frame propagator of the rotating drive:
     exp(-i w Z t / 2) exp(-i (2 g X - d Z) t / 2), d = w - splitting.
 
-    A number ``t`` gives one (2, 2) matrix, a 1-D array of times a stack."""
-    return _rotated_drive(*_require_harmonic(p), t)
-
-
-def nmr_slow_propagator(p: NmrParams, t) -> np.ndarray:
-    """Exact rotated-frame propagator with the frame advancing at the detuning:
-    exp(-i d Z t / 2) exp(-i (2 g X - d Z) t / 2); ``t`` as in
-    :func:`nmr_fast_propagator`."""
-    _, detuning, g = _require_harmonic(p)
-    if not isinstance(p.frame_phase, Harmonic):
-        raise ValueError("slow closed form requires a uniformly rotating frame phase")
-    if abs(p.frame_phase.rate - detuning) > 1e-12 * max(1.0, abs(detuning)):
-        raise ValueError(
-            f"slow closed form requires the frame rate to equal the detuning "
-            f"({p.frame_phase.rate} != {detuning})"
-        )
-    return _rotated_drive(detuning, detuning, g, t)
+    The frame rotating at the detuning sees a rotating drive too, of zero
+    splitting, rate d and the same g, so the rotated-frame propagator is this
+    function of ``NmrParams.harmonic(0.0, d, g)``.  A number ``t`` gives one
+    (2, 2) matrix, a 1-D array of times a stack; a drive that is not
+    harmonic, or a generator 2 g X - d Z beyond the float range, is refused."""
+    d, g = p.detuning, p.drive_strength
+    if not (math.isfinite(2.0 * g) and math.isfinite(d)):
+        raise ValueError(f"the drive generator 2 g X - d Z overflows at g = {g!r}, d = {d!r}")
+    z = pauli_matrix("Z")
+    x = pauli_matrix("X")
+    return _stack_matmul(
+        hermitian_expm(z, 0.5 * p.drive_phase.rate * t), hermitian_expm(2.0 * g * x - d * z, 0.5 * t)
+    )

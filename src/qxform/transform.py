@@ -415,11 +415,18 @@ def verify_rescaled_drive(drive_strength: float, scaling: TimeScaling, grid: Tim
     one, the drive (T g, 1) at zero splitting, on the nodes of ``grid`` in
     normalized time: they collapse onto it when g T is matched, the splitting
     is zero and one drive period spans the characteristic time.  The nodes
-    are evaluated one block at a time."""
+    are evaluated one block at a time.  A matched strength that underflows
+    to 0 is refused."""
     g, T, T_slow = float(drive_strength), scaling.fast_time, scaling.slow_time
-    shared = NmrParams.harmonic(0.0, 2.0 * np.pi, T * g)
+    matched = T * g
+    if not matched / T_slow > 0.0:  # g T / T' < g T, as T < T'
+        raise ValueError(
+            f"the matched drive strength g T / T' = {g!r} x {T!r} / {T_slow!r} underflows to "
+            f"{matched / T_slow!r}"
+        )
+    shared = NmrParams.harmonic(0.0, 2.0 * np.pi, matched)
     fast = NmrParams.harmonic(0.0, 2.0 * np.pi / T, g)
-    slow = NmrParams.harmonic(0.0, 2.0 * np.pi / T_slow, g * T / T_slow)
+    slow = NmrParams.harmonic(0.0, 2.0 * np.pi / T_slow, matched / T_slow)
     n_nodes = grid.n_steps + 1
     rows, maxima = _block_rows(2), []
     for lo in range(0, n_nodes, rows):

@@ -30,7 +30,7 @@ from qxform.operators import (
 from qxform.propagation import (
     TimeGrid,
     _batch_defects,
-    nmr_slow_propagator,
+    nmr_fast_propagator,
     propagate,
     propagate_each,
     sample_trace,
@@ -452,7 +452,8 @@ def test_joint_tracking_matches_separate_calls(rows, monkeypatch):
     p = NmrParams.harmonic(1.0, 2.0, 5.0)
     h = rotating_frame_hamiltonian(p)
     grid = TimeGrid(0.0, 1.0, 300)
-    closed = sample_trace(lambda t: nmr_slow_propagator(p, t), grid)
+    frame = NmrParams.harmonic(0.0, p.detuning, p.drive_strength)  # the rotated frame's drive
+    closed = sample_trace(lambda t: nmr_fast_propagator(frame, t), grid)
     numeric = propagate(h, grid)
     psi0 = minus_state(1)
     joint = track_ground_state(h, closed, numeric, psi0=psi0)

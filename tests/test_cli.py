@@ -586,6 +586,30 @@ class TestModuleEntryPoint:
                 "verify_transform.json", ["n_steps=1000000000"],
                 "config field 'n_steps': a grid of 1e+09 steps exceeds",
             ),
+            # the counterpart's phase, refused on its own grid before the main anneal runs
+            (
+                "ising.json", ["n_steps=1000000", 'fast_counterpart.phase={"kind": "constant", "value": 1.0}'],
+                "error: config field 'fast_counterpart.phase': frame phase must vanish at t=0",
+            ),
+            (
+                "ising.json",
+                [
+                    "n_steps=1000000",
+                    'fast_counterpart.phase={"kind": "linear_ramp", "start": 0.0, "stop": 3.0, "duration": 1.0}',
+                ],
+                "error: config field 'fast_counterpart.phase': time 2.0 outside schedule domain [0, 1.0]",
+            ),
+            (
+                "ising.json", ["n_steps=1000000", 'fast_counterpart.phase={"kind": "harmonic", "rate": 1e308}'],
+                "error: config field 'fast_counterpart.phase': frame phase is inf at t=2.0, past the float range",
+            ),
+            # g T and g T / T' underflow to 0, though the given strength is positive
+            (
+                "rescale.json",
+                ["fast_time=1e-300", "slow_time=1e-299", "drive_check.drive_strength=1e-100"],
+                "config field 'drive_check.drive_strength': the matched drive strength "
+                "g T / T' = 1e-100 x 1e-300 / 1e-299 underflows to 0.0",
+            ),
         ],
     )
     def test_out_of_range_run_exits_1_within_seconds(self, tmp_path, config, overrides, message):
@@ -619,6 +643,36 @@ class TestModuleEntryPoint:
         metrics = read_result(out)["metrics"]
         assert metrics[f"{prefix}model_passed"] is False
         assert metrics[f"{prefix}max_residual"] is None
+
+
+    @pytest.mark.parametrize(
+        "payload, metric, value",
+        [
+            # min_gap^2 T past the float range, written as null
+            (
+                {
+                    "experiment": "ising", "n_qubits": 1, "fields": [5.2378363905399135e230], "couplings": [],
+                    "t_final": 3.0, "n_steps": 4,
+                },
+                "adiabaticity_ratio", None,
+            ),
+            # 4 g^2 + d^2 underflows to 0: the ratio 4 g^2 / (4 g^2 + d^2) is read at scale
+            (
+                {
+                    "experiment": "nmr", "qubit_splitting": 0.0, "drive_rate": 9.1040982351965e-308,
+                    "drive_strength": 6.8899391480219e-310, "n_steps": 27,
+                },
+                "expected_min_fidelity", pytest.approx(2.2904320376e-4, rel=1e-9),
+            ),
+        ],
+    )
+    def test_metric_formulas_past_the_float_range_run_quietly(self, tmp_path, payload, metric, value):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, "extreme.json", payload)
+        done = self._run("run", "--config", config, "--out", str(out), cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert read_result(out)["metrics"][metric] == value
 
 
 class TestImportFootprint:

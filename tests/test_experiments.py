@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from qxform.operators import minus_state
 from qxform.propagation import (
     TimeGrid,
     nmr_fast_propagator,
-    nmr_slow_propagator,
     propagate,
     sample_trace,
 )
@@ -41,11 +41,25 @@ from qxform.transform import compose_transform
 QUARTER_TURN = quarter_turn_time(1.0)
 
 
+def frame_propagator(p):
+    """The rotated-frame closed form of the drive ``p``: the propagator of the
+    frame's own drive, of zero splitting, rate d and strength g."""
+    frame = NmrParams.harmonic(0.0, p.detuning, p.drive_strength)
+    return lambda ts: nmr_fast_propagator(frame, ts)
+
+
 def closed_form_fidelity(g, d, times):
     # independent oracle from the exact two-level solution:
     # F(t) = 1 - (d^2 / 4 kappa^2) sin^2(kappa t), kappa = sqrt(g^2 + d^2/4)
     kappa = math.sqrt(g * g + d * d / 4.0)
     return 1.0 - (d * d / (4.0 * kappa * kappa)) * np.sin(kappa * np.asarray(times)) ** 2
+
+
+def test_expected_min_fidelity_where_its_denominator_underflows():
+    # 4 g^2 + d^2 underflows to 0; the value is 4 g^2 / (4 g^2 + d^2) of the given floats
+    g, d = 6.8899391480219e-310, 9.1040982351965e-308
+    exact = 4 * Fraction(g) ** 2 / (4 * Fraction(g) ** 2 + Fraction(d) ** 2)
+    assert abs(Fraction(expected_min_fidelity(g, d)) - exact) <= Fraction(1e-12) * exact
 
 
 class TestTrackGroundState:
@@ -62,7 +76,7 @@ class TestTrackGroundState:
         p = NmrParams.harmonic(1.0, 1.5, 2.0)
         h = rotating_frame_hamiltonian(p)
         grid = TimeGrid(0.0, 6.0, 1200)
-        trace = sample_trace(lambda t: nmr_slow_propagator(p, t), grid)
+        trace = sample_trace(frame_propagator(p), grid)
         (curve,) = track_ground_state(h, trace, psi0=minus_state(1))
         oracle = closed_form_fidelity(p.drive_strength, p.detuning, curve.times)
         np.testing.assert_allclose(curve.values, oracle, atol=1e-9)
@@ -71,7 +85,7 @@ class TestTrackGroundState:
         p = NmrParams.harmonic(1.0, 2.0, 3.0)
         h = rotating_frame_hamiltonian(p)
         grid = TimeGrid(0.0, 4.0, 500)
-        trace = sample_trace(lambda t: nmr_slow_propagator(p, t), grid)
+        trace = sample_trace(frame_propagator(p), grid)
         (curve,) = track_ground_state(h, trace, psi0=minus_state(1))
         assert np.all(curve.values >= 0.0)
         assert np.all(curve.values <= 1.0 + 1e-12)
@@ -128,7 +142,7 @@ class TestNmrExperiment:
         p = NmrParams.harmonic(0.0, 1.5, 2.0)
         composed = compose_transform(
             sample_trace(lambda ts: nmr_fast_propagator(p, ts), grid),
-            sample_trace(lambda ts: nmr_slow_propagator(p, ts), grid),
+            sample_trace(frame_propagator(p), grid),
         )
         for m in composed.matrices[:: 100]:
             assert np.linalg.norm(m - np.eye(2)) < 1e-12
@@ -329,13 +343,19 @@ class TestFastCounterpart:
         with pytest.raises(ValueError, match="vanish"):
             run_fast_counterpart_comparison(GroverProblem(2, 3), Constant(0.3), TimeGrid(0.0, 1.0, 100))
 
+    def test_phase_short_of_the_grid_rejected_before_propagating(self):
+        with pytest.raises(ValueError, match=r"^time 2\.0 outside schedule domain \[0, 1\.0\]$"):
+            run_fast_counterpart_comparison(
+                GroverProblem(2, 3), LinearRamp(0.0, 1.0, 1.0), TimeGrid(0.0, 2.0, 100)
+            )
+
 
 class TestFidelityCurveExport:
     def test_csv(self, tmp_path):
         p = NmrParams.harmonic(1.0, 1.5, 2.0)
         h = rotating_frame_hamiltonian(p)
         grid = TimeGrid(0.0, 1.0, 50)
-        trace = sample_trace(lambda t: nmr_slow_propagator(p, t), grid)
+        trace = sample_trace(frame_propagator(p), grid)
         (curve,) = track_ground_state(h, trace, psi0=minus_state(1))
         path = tmp_path / "fidelity.csv"
         write_csv_curve(path, curve.times, curve.values)

@@ -3,7 +3,6 @@ import math
 import re
 import sys
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,12 +133,6 @@ class TestAnnealingBuilder:
         assert default_transverse_strength(GroverProblem(2, 0)) == 2.0
         ising = IsingProblem(2, fields=(0.5, 0.0), couplings=((0, 1, -3.0),))
         assert default_transverse_strength(ising) == 6.0
-
-    def test_overflowing_default_transverse_strength_is_refused(self):
-        # no problem that can be built gets here: its energy span overflows first
-        problem = SimpleNamespace(energy_scale=lambda: 1e308)
-        with pytest.raises(ValueError, match=r"2 x 1e\+308 overflows; give transverse0"):
-            default_transverse_strength(problem)
 
 
 class TestFastCounterpart:
@@ -619,7 +612,8 @@ _TERM = st.one_of(st.just(0.0), st.floats(-5e306, 5e306))
 def test_energy_span_is_at_least_twice_the_energy_scale(n, data):
     # with E(z) = sum h_i z_i + sum J_ij z_i z_j, h_i is the mean of E(z) z_i and
     # J_ij that of E(z) z_i z_j, so neither exceeds half the span: a problem whose
-    # default transverse strength 2 max|h, J| overflows spans past the float range
+    # default transverse strength 2 max|h, J| overflows spans past the float range,
+    # and IsingProblem refuses it before that strength is computed
     pairs = list(itertools.combinations(range(n), 2))
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     fields = data.draw(st.lists(_TERM, min_size=n, max_size=n))

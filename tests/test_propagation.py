@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -27,7 +27,6 @@ from qxform.propagation import (
     _check_stored,
     _node_times,
     nmr_fast_propagator,
-    nmr_slow_propagator,
     propagate,
     propagate_each,
     sample_trace,
@@ -41,6 +40,12 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def constant_z_hamiltonian(w0):
     return nmr_hamiltonian(NmrParams(Constant(w0), 1e-30, Constant(0.0)))
+
+
+def frame_drive(p):
+    """The drive the frame rotating at p's detuning sees: zero splitting,
+    rate d, the same strength."""
+    return NmrParams.harmonic(0.0, p.detuning, p.drive_strength)
 
 
 def traced_peak(fn):
@@ -289,7 +294,7 @@ class TestPropagate:
 
         def closed_forms(grid):
             return tuple(
-                sample_trace(lambda ts: fn(p, ts), grid) for fn in (nmr_fast_propagator, nmr_slow_propagator)
+                sample_trace(lambda ts: nmr_fast_propagator(q, ts), grid) for q in (p, frame_drive(p))
             )
 
         peaks, returned = {}, {}
@@ -400,14 +405,14 @@ class TestAnalyticPropagators:
     def test_identity_at_time_zero(self):
         p = NmrParams.harmonic(1.0, 1.5, 2.0)
         np.testing.assert_allclose(nmr_fast_propagator(p, 0.0), np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(nmr_slow_propagator(p, 0.0), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(nmr_fast_propagator(frame_drive(p), 0.0), np.eye(2), atol=1e-15)
 
     def test_resonant_drive_reduces_to_x_rotation(self):
         # zero detuning: u(t) = exp(-i g X t) and the lab factor is the frame
         p = NmrParams.harmonic(1.0, 1.0, 0.7)
         t = 1.3
         np.testing.assert_allclose(
-            nmr_slow_propagator(p, t), expm(-1j * 0.7 * X * t), atol=1e-13
+            nmr_fast_propagator(frame_drive(p), t), expm(-1j * 0.7 * X * t), atol=1e-13
         )
         np.testing.assert_allclose(
             nmr_fast_propagator(p, t),
@@ -415,12 +420,18 @@ class TestAnalyticPropagators:
             atol=1e-13,
         )
 
-    def test_fast_equals_slow_at_zero_splitting(self):
-        p = NmrParams.harmonic(0.0, 1.5, 2.0)
-        for t in (0.4, 2.0):
-            np.testing.assert_allclose(
-                nmr_fast_propagator(p, t), nmr_slow_propagator(p, t), atol=1e-14
-            )
+    @settings(max_examples=200)
+    @given(
+        st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(1e-3, 50.0), st.floats(0.0, 10.0)
+    )
+    def test_lab_over_frame_propagator_is_the_frame_rotation(self, s, r, g, t):
+        # S(t) = U(t) u(t)^dag with u the propagator of the frame's own drive is
+        # the rotation exp(-i s Z t / 2) that nmr_closed_form_transform samples,
+        # exp(i (frame_phase - drive_phase) Z / 2) with frame_phase - drive_phase = -s t
+        p = NmrParams.harmonic(s, r, g)
+        transform = nmr_fast_propagator(p, t) @ nmr_fast_propagator(frame_drive(p), t).conj().T
+        gap = np.linalg.norm(transform - hermitian_expm(Z, 0.5 * s * t))
+        assert gap <= 1e-13 * (1.0 + (abs(r) + abs(s) + 2.0 * g) * t)
 
     def test_explicit_point_against_scipy_oracle(self):
         w0, w, g, t = 1.0, 1.5, 2.0, 0.7
