@@ -56,7 +56,6 @@ from .transform import (
     verify_transform,
 )
 from .experiments import (
-    FidelityCurve,
     annealing_doubling_sweep,
     expected_min_fidelity,
     run_annealing_experiment,

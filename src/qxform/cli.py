@@ -326,11 +326,36 @@ def _drive_and_grid(p):
     return params, _grid(t_final, p["n_steps"], nmr_steps, nmr_grid)
 
 
+def _check_drive_phases(p, params, t, frame, nutation):
+    """Refuse, before any numerics, a drive whose phases leave the float range
+    at t, the end of its grid; each grows with t, so none is larger on the
+    grid.  The phases are formed as the run forms them: the lab drive's, with
+    ``frame`` the rotated frame's and the closed-form frame change's angle, and
+    with ``nutation`` that of the closed-form propagators.  A phase is named by
+    ``t_final`` when the config gives it, else by ``drive_strength``: under the
+    quarter-turn default only g/|d| can push one out."""
+    w, d = params.drive_phase.rate, params.detuning
+    phases = [("the drive phase drive_rate * t", w * t)]
+    if frame:
+        phases += [
+            ("the frame phase detuning * t", d * t),
+            ("the frame change's angle detuning * t - drive_rate * t", d * t - w * t),
+        ]
+    if nutation:
+        nutation_rate = math.hypot(2.0 * params.drive_strength, d)
+        phases.append(("the nutation phase t |2 g X - d Z| / 2", 0.5 * t * nutation_rate))
+    for name, value in phases:
+        if not math.isfinite(value):
+            field = "drive_strength" if p["t_final"] is None else "t_final"
+            raise ConfigError(field, f"{name} reaches {value!r} at t={t!r}, beyond the float range")
+
+
 def _run_nmr(p, jobs):
     params, grid = _drive_and_grid(p)
     # the closed forms' generator 2 g X - d Z, refused before any propagation
     with _field("drive_strength" if math.isfinite(params.detuning) else "drive_rate"):
         nmr_fast_propagator(params, 0.0)
+    _check_drive_phases(p, params, grid.t_end, frame=True, nutation=True)
     return run_nmr_experiment(**{key: p[key] for key in _DRIVE}, grid=grid)
 
 
@@ -374,6 +399,7 @@ def _run_annealing(p, jobs):
 
 def _run_verify_transform(p, jobs):
     params, grid = _drive_and_grid(p)
+    _check_drive_phases(p, params, grid.t_end, frame=p["pair"] == "nmr", nutation=False)
     lab = nmr_hamiltonian(params)
     if p["pair"] == "self":
         frame, build = lab, lambda g: identity_transform(g, lab.dim)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,17 +57,6 @@ _DEGENERACY_TOL = 1e-10
 _GAP_SAMPLES = 129
 
 
-@dataclass(frozen=True, eq=False)
-class FidelityCurve:
-    """Squared overlap of the evolved state with a tracked instantaneous
-    eigenbranch, over the stored nodes of a trace."""
-
-    times: np.ndarray
-    values: np.ndarray
-    min_value: float
-    truncated_at: float | None = None
-
-
 def _eigh_blocks(hamiltonian, times: np.ndarray):
     """(first row, energies, states) of the Hamiltonian at ``times``, one
     batched eigendecomposition per block of the shared row budget."""
@@ -81,17 +69,18 @@ def track_ground_state(
     hamiltonian: TimeDependentHamiltonian,
     *traces: UnitaryTrace,
     psi0: np.ndarray,
-) -> tuple[FidelityCurve, ...]:
-    """Fidelity |<E_0(t)| U(t) psi0>|^2 along the stored nodes, one curve per
-    trace, following the ground branch from the first node.
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Fidelity |<E_0(t)| U(t) psi0>|^2 along the stored nodes, following the
+    ground branch from the first node: ``(times, values)``, the node times
+    tracked and one array of fidelities per trace.
 
     The traces must store the same nodes: they share one eigendecomposition
     per node and one followed branch, so tracking several costs one pass.
     The branch is followed by maximal overlap with the previous node's
     eigenvector, so an energy-ordering swap at a crossing does not derail it.
     Within a flagged near-degeneracy the fidelity is the projection onto the
-    whole degenerate cluster; if the overlap drops below the tracking floor
-    every curve is truncated at that node.
+    whole degenerate cluster.  If the overlap drops below the tracking floor,
+    tracking stops before that node, so ``times`` ends short of the traces'.
     """
     if not traces:
         raise ValueError("track_ground_state needs at least one trace")
@@ -102,7 +91,6 @@ def track_ground_state(
     psi0 = np.asarray(psi0, dtype=complex)
     values = [[] for _ in traces]
     b = 0
-    truncated_at = None
     dim = hamiltonian.dim
     # one buffer for the pass: row 0 holds the conjugated eigenvectors at the
     # last node of the previous block, rows 1.. those of the current block
@@ -122,7 +110,6 @@ def track_ground_state(
         del links, overlaps
         for k in range(0, len(best), dim):
             if lost[k + b]:
-                truncated_at = float(times[lo + len(picks)])
                 break
             b = best[k + b]
             picks.append(b)
@@ -132,22 +119,12 @@ def track_ground_state(
         for trace, vals in zip(traces, values):
             amps = np.einsum("kij,ki->kj", bras[1 : n + 1], trace.matrices[lo : lo + n] @ psi0)
             vals.append(np.sum(np.abs(amps) ** 2, axis=1, where=cluster))
-        if truncated_at is not None:
+        if n < m:  # the branch was lost within this block
             break
         bras[0] = bras[m]
         del energies, states  # before the next block is decomposed
-    curves = []
-    for vals in values:
-        vals = np.concatenate(vals)
-        curves.append(
-            FidelityCurve(
-                times=times[: len(vals)],
-                values=vals,
-                min_value=float(np.min(vals)),
-                truncated_at=truncated_at,
-            )
-        )
-    return tuple(curves)
+    values = tuple(np.concatenate(vals) for vals in values)
+    return times[: len(values[0])], values
 
 
 def expected_min_fidelity(drive_strength: float, detuning: float) -> float:
@@ -271,7 +248,7 @@ def run_nmr_experiment(
 
     slow_ana = sample_trace(lambda ts: nmr_fast_propagator(frame_drive, ts), grid)
     oracle_slow = _max_node_distance(slow_num, slow_ana)
-    curve, curve_num = track_ground_state(slow_h, slow_ana, slow_num, psi0=psi0)
+    fidelity_times, (fidelities, fidelities_num) = track_ground_state(slow_h, slow_ana, slow_num, psi0=psi0)
     del slow_num
 
     composed_ana = compose_transform(fast_ana, slow_ana)
@@ -304,16 +281,16 @@ def run_nmr_experiment(
         "transform_model_passed": report.passed,
         "transform_max_antihermitian_defect": report.max_antihermitian_defect,
         "round_trip_max_residual": report.round_trip_max_residual,
-        "min_fidelity": curve.min_value,
+        "min_fidelity": float(np.min(fidelities)),
         "expected_min_fidelity": expected_min_fidelity(drive_strength, detuning),
-        "numeric_min_fidelity": curve_num.min_value,
+        "numeric_min_fidelity": float(np.min(fidelities_num)),
         "two_gate_fidelity_composed": two_composed,
         "two_gate_fidelity_closed_form": two_closed,
         "correction_gate_distance": correction_distance,
         "max_unitarity_defect": float(max(defects)),
     }
     curves = {
-        "fidelity": (curve.times, curve.values),
+        "fidelity": (fidelity_times, fidelities),
         "residuals": (report.times, report.residuals),
     }
     return metrics, curves
@@ -425,13 +402,19 @@ def annealing_doubling_sweep(
 def check_counterpart_phase(phase: Schedule, t_final: float) -> None:
     """Refuse a frame phase that does not vanish at t=0 to within 1e-12, so
     the two evolutions would not start in the same frame, or that is not
-    defined up to ``t_final`` or not finite there."""
+    defined up to ``t_final`` or not finite there, nor twice it, the angle of
+    the conjugated problem terms."""
     if abs(float(phase.value(0.0))) > 1e-12:
         raise ValueError("frame phase must vanish at t=0")
     with np.errstate(over="ignore", invalid="ignore"):  # named below
         end = float(phase.value(t_final))  # a schedule refuses a time outside its domain
     if not math.isfinite(end):
         raise ValueError(f"frame phase is {end} at t={t_final!r}, past the float range")
+    if not math.isfinite(2.0 * end):
+        raise ValueError(
+            f"frame phase is {end!r} at t={t_final!r}; twice it, the angle of the conjugated "
+            "problem terms, is past the float range"
+        )
 
 
 def run_fast_counterpart_comparison(

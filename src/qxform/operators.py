@@ -36,23 +36,6 @@ _MATMUL_MIN_DIM = 4
 # returns, whatever the grid size.
 _BLOCK_ELEMENTS = 1 << 15
 
-_PAULI = {
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-for _m in _PAULI.values():
-    _m.flags.writeable = False
-
-
-def pauli_matrix(axis: str) -> np.ndarray:
-    """Return the standard 2x2 Pauli matrix for axis 'X', 'Y' or 'Z'."""
-    try:
-        return _PAULI[axis]
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}; expected 'X', 'Y' or 'Z'") from None
-
-
 def check_qubit_count(n_qubits: int) -> int:
     n = int(n_qubits)
     if n < 1:
@@ -102,8 +85,8 @@ class PauliString:
         for q, ax in facs:
             if q < 0:
                 raise ValueError(f"negative qubit index {q} in Pauli string")
-            if ax not in _PAULI:
-                raise ValueError(f"unknown Pauli axis {ax!r} on qubit {q}")
+            if ax not in ("X", "Y", "Z"):
+                raise ValueError(f"unknown Pauli axis {ax!r} on qubit {q}; expected 'X', 'Y' or 'Z'")
         facs = tuple(sorted(facs))
         qubits = [q for q, _ in facs]
         if len(set(qubits)) != len(qubits):
@@ -132,6 +115,11 @@ class PauliString:
         out = np.zeros((2**n, 2**n), dtype=complex)
         out[cols ^ flip, cols] = (1j if imaginary else 1.0) * scale * _sign_table(n)[zmask]
         return out
+
+
+def pauli_matrix(axis: str) -> np.ndarray:
+    """The 2x2 Pauli matrix for axis 'X', 'Y' or 'Z'."""
+    return PauliString(((0, axis),)).matrix(1)
 
 
 def _block_rows(dim: int) -> int:

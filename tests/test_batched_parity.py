@@ -351,7 +351,7 @@ def test_analysis_matches_the_one_shot_formulas(n_qubits, rows, monkeypatch):
 
 
 def reference_track(h, trace, psi0, degeneracy_tol=1e-10):
-    times, values, truncated_at = [], [], None
+    times, values = [], []
     prev = None
     for k, t in enumerate(trace.times):
         energies, states = np.linalg.eigh(h.matrix(float(t)))
@@ -361,7 +361,6 @@ def reference_track(h, trace, psi0, degeneracy_tol=1e-10):
             overlaps = np.abs(prev.conj() @ states) ** 2
             b = int(np.argmax(overlaps))
             if overlaps[b] < 0.25:
-                truncated_at = float(t)
                 break
         prev = states[:, b]
         psi = trace.matrices[k] @ psi0
@@ -372,19 +371,17 @@ def reference_track(h, trace, psi0, degeneracy_tol=1e-10):
             value = float(np.abs(np.vdot(prev, psi)) ** 2)
         times.append(float(t))
         values.append(value)
-    return np.asarray(times), np.asarray(values), truncated_at
+    return np.asarray(times), np.asarray(values)
 
 
 def assert_tracks_like_reference(h, trace, psi0, rows, monkeypatch):
     if rows is not None:
         monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", rows * h.dim * h.dim)
-    (curve,) = track_ground_state(h, trace, psi0=psi0)
-    times, values, truncated_at = reference_track(h, trace, psi0)
-    np.testing.assert_array_equal(curve.times, times)
-    np.testing.assert_allclose(curve.values, values, rtol=0, atol=1e-13)
-    assert curve.truncated_at == truncated_at
-    assert curve.min_value == np.min(curve.values)
-    return curve
+    times, (values,) = track_ground_state(h, trace, psi0=psi0)
+    expected_times, expected_values = reference_track(h, trace, psi0)
+    np.testing.assert_array_equal(times, expected_times)
+    np.testing.assert_allclose(values, expected_values, rtol=0, atol=1e-13)
+    return times, values
 
 
 def ground_state_trace(problem, s0, t_final, n_steps, stride):
@@ -398,32 +395,32 @@ class TestTrackGroundStateParity:
     def test_degenerate_cluster(self, rows, monkeypatch):
         # the Hamiltonian vanishes at the end: every state is in the ground cluster
         h, trace, psi0 = ground_state_trace(IsingProblem(2, fields=(0.0, 0.0)), 1.0, 1.0, 100, 5)
-        curve = assert_tracks_like_reference(h, trace, psi0, rows, monkeypatch)
-        assert len(curve.values) == 21 and curve.truncated_at is None
-        assert curve.values[-1] == pytest.approx(1.0, abs=1e-12)
+        times, values = assert_tracks_like_reference(h, trace, psi0, rows, monkeypatch)
+        assert np.array_equal(times, trace.times) and len(values) == 21
+        assert values[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation_after_the_first_block(self, rows, monkeypatch):
         # nodes at transverse field 8, 4, 0: the last step swaps the basis too
         # far to follow, so tracking is lost at the final node
         problem = IsingProblem(3, fields=(1.0, 1.0, 1.0))
         h, trace, psi0 = ground_state_trace(problem, 8.0, 0.5, 1000, 500)
-        curve = assert_tracks_like_reference(h, trace, psi0, rows, monkeypatch)
-        assert curve.truncated_at == 0.5 and len(curve.values) == 2
+        times, values = assert_tracks_like_reference(h, trace, psi0, rows, monkeypatch)
+        assert times.tolist() == [0.0, 0.25] and len(values) == 2
 
     def test_spans_many_blocks(self, rows, monkeypatch):
         problem = IsingProblem(3, fields=(0.3, -0.5, 0.2), couplings=((0, 1, 0.7), (1, 2, -0.4)))
         h, trace, psi0 = ground_state_trace(problem, 2.0, 4.0, 400, 7)
-        curve = assert_tracks_like_reference(h, trace, psi0, rows, monkeypatch)
-        assert len(curve.values) == len(trace.times)
+        _, values = assert_tracks_like_reference(h, trace, psi0, rows, monkeypatch)
+        assert len(values) == len(trace.times)
 
     def test_follows_the_branch_through_a_level_crossing(self, rows, monkeypatch):
         # H = (1 - 2t) Z: the levels cross at t = 1/2, between nodes, so the
         # followed state |1> moves from eigh index 0 to index 1
         h = TimeDependentHamiltonian(1, terms=((LinearRamp(1.0, -1.0, 1.0), PauliString(((0, "Z"),))),))
         trace = propagate(h, TimeGrid(0.0, 1.0, 101))
-        curve = assert_tracks_like_reference(h, trace, np.array([0.0, 1.0]), rows, monkeypatch)
-        assert curve.truncated_at is None
-        np.testing.assert_allclose(curve.values, 1.0, rtol=0, atol=1e-12)
+        times, values = assert_tracks_like_reference(h, trace, np.array([0.0, 1.0]), rows, monkeypatch)
+        assert np.array_equal(times, trace.times)
+        np.testing.assert_allclose(values, 1.0, rtol=0, atol=1e-12)
 
 
 @given(
@@ -439,12 +436,6 @@ def test_track_ground_state_random_anneals(fields, coupling, stride, rows):
         assert_tracks_like_reference(h, trace, psi0, rows, mp)
 
 
-def assert_same_curve(a, b):
-    assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.values, b.values)
-    assert (a.min_value, a.truncated_at) == (b.min_value, b.truncated_at)
-
-
 @pytest.mark.parametrize("rows", [None, 1, 3, 64])
 def test_joint_tracking_matches_separate_calls(rows, monkeypatch):
     # the nmr pairing: a closed-form and a propagated trace on the same nodes
@@ -456,22 +447,23 @@ def test_joint_tracking_matches_separate_calls(rows, monkeypatch):
     closed = sample_trace(lambda t: nmr_fast_propagator(frame, t), grid)
     numeric = propagate(h, grid)
     psi0 = minus_state(1)
-    joint = track_ground_state(h, closed, numeric, psi0=psi0)
+    times, joint = track_ground_state(h, closed, numeric, psi0=psi0)
     assert len(joint) == 2
-    for trace, curve in zip((closed, numeric), joint):
-        (alone,) = track_ground_state(h, trace, psi0=psi0)
-        assert_same_curve(curve, alone)
-    assert not np.array_equal(joint[0].values, joint[1].values)
+    for trace, values in zip((closed, numeric), joint):
+        alone_times, (alone,) = track_ground_state(h, trace, psi0=psi0)
+        assert np.array_equal(times, alone_times) and np.array_equal(values, alone)
+    assert not np.array_equal(joint[0], joint[1])
 
 
 def test_joint_tracking_truncates_every_curve_at_the_same_node():
     problem = IsingProblem(3, fields=(1.0, 1.0, 1.0))
     h, trace, psi0 = ground_state_trace(problem, 8.0, 0.5, 1000, 500)
     other = propagate(h, TimeGrid(0.0, 0.5, 1000), stride=500)
-    joint = track_ground_state(h, trace, other, trace, psi0=psi0)
-    for curve, single in zip(joint, (trace, other, trace)):
-        assert curve.truncated_at == 0.5
-        assert_same_curve(curve, track_ground_state(h, single, psi0=psi0)[0])
+    times, joint = track_ground_state(h, trace, other, trace, psi0=psi0)
+    assert times.tolist() == [0.0, 0.25]
+    for values, single in zip(joint, (trace, other, trace)):
+        alone_times, (alone,) = track_ground_state(h, single, psi0=psi0)
+        assert np.array_equal(times, alone_times) and np.array_equal(values, alone)
 
 
 def test_joint_tracking_needs_traces_on_the_same_nodes():

@@ -3,6 +3,7 @@ line naming the field, before any experiment function runs; errors raised
 while running or writing never escape as tracebacks."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,60 @@ def test_magnitude_past_the_float_range_is_named_before_running(
 ):
     err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload), "--set", override)
     assert err.startswith(f"error: config field '{field}': "), err
+
+
+@pytest.mark.parametrize(
+    "config, overrides, field",
+    [
+        # a counterpart phase finite at its t_final whose double, the conjugated
+        # terms' angle, is not: once a NaN coefficient after the main anneal
+        (
+            "ising.json",
+            ['fast_counterpart.phase={"kind": "harmonic", "rate": 5e307}', "n_steps=400", "fast_counterpart.n_steps=40"],
+            "fast_counterpart.phase",
+        ),
+        # the closed forms' nutation phase over a quarter turn of a slow frame
+        (
+            "nmr.json", ["drive_strength=1e300", "qubit_splitting=1.9999999999", "n_steps=40"],
+            "drive_strength",
+        ),
+        # the rotated frame's phase at a far t_final: once a NaN coefficient
+        ("nmr.json", ["t_final=1.03e243", "qubit_splitting=3.09e119", "n_steps=44"], "t_final"),
+        # the same in the closed-form frame change: once an overflow warning
+        (
+            "verify_transform.json",
+            ["t_final=1.03e243", "qubit_splitting=3.09e119", "drive_rate=1.34e-132", "n_steps=44"],
+            "t_final",
+        ),
+    ],
+    ids=["counterpart-double-phase", "nmr-nutation", "nmr-frame", "verify-frame"],
+)
+def test_phase_past_the_float_range_is_named_without_a_warning(tmp_path, capsys, config, overrides, field):
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = run_rejected(tmp_path, capsys, str(CONFIGS / config), *sets)
+    assert err.startswith(f"error: config field '{field}': "), err
+    assert "Warning" not in err and not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "overrides, code",
+    [
+        # the identity pair never evaluates the rotated frame's overflowing phase
+        (['pair="self"', "t_final=1.03e243", "qubit_splitting=3.09e119", "drive_rate=1.34e-132"], 0),
+        # g enters no phase of a verify-transform run; its residuals overflow and fail the model
+        (["drive_strength=1e308"], 2),
+    ],
+    ids=["self-pair", "drive-strength"],
+)
+def test_verify_transform_refuses_only_the_phases_it_evaluates(tmp_path, capsys, overrides, code):
+    sets = [arg for item in [*overrides, "n_steps=44"] for arg in ("--set", item)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = main(["run", "--config", str(CONFIGS / "verify_transform.json"), "--out", str(tmp_path), *sets])
+    assert got == code and capsys.readouterr().err == ""
+    assert not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize(

@@ -53,9 +53,21 @@ class TestPauliMatrix:
         assert hermiticity_defect(m) == 0.0
         assert np.linalg.norm(m.conj().T @ m - I2) < 1e-15
 
+    @pytest.mark.parametrize("axis, literal", [("X", X), ("Y", Y), ("Z", Z)])
+    def test_bits_equal_the_literal_matrix(self, axis, literal):
+        # compared as int64 words, so the sign of each zero counts: the
+        # literal -1j of Y has real part -0.0
+        assert np.signbit(Y[0, 1].real) and not np.signbit(Y[1, 0].real)
+        assert np.array_equal(pauli_matrix(axis).view(np.int64), literal.view(np.int64))
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             pauli_matrix("W")
+
+    @pytest.mark.parametrize("axis", ["", "XY"])
+    def test_axis_is_one_letter(self, axis):
+        with pytest.raises(ValueError, match="axis"):
+            PauliString(((0, axis),))
 
 
 class TestEmbed:
