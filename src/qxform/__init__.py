@@ -43,7 +43,6 @@ from .transform import (
     ControlResidual,
     SampledHamiltonian,
     TimeScaling,
-    TransformReport,
     compose_transform,
     control_residual,
     identity_transform,

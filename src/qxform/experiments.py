@@ -55,6 +55,8 @@ _OVERLAP_FLOOR = 0.25  # squared overlap below which branch tracking counts as l
 _DEGENERACY_TOL = 1e-10
 # times at which an annealing run samples the gap above its ground state
 _GAP_SAMPLES = 129
+# the verify_transform metrics a driven-qubit record keeps, each prefixed transform_
+_TRANSFORM_METRICS = ("max_residual", "threshold", "control_max_residual", "model_passed", "max_antihermitian_defect")
 
 
 def _eigh_blocks(hamiltonian, times: np.ndarray):
@@ -235,7 +237,7 @@ def run_nmr_experiment(
     )
     fast_num, slow_num = propagate_each((fast_h, slow_h), grid)
     composed_num = compose_transform(fast_num, slow_num)
-    report = verify_transform(fast_h, slow_h, composed_num, control)
+    check, curves = verify_transform(fast_h, slow_h, composed_num, control)
     slow_final = slow_num.apply(psi0)
     two_composed = fidelity(two_gate_realization(fast_num, composed_num, psi0), slow_final)
     defects = [fast_num.max_defect, slow_num.max_defect, composed_num.max_defect]
@@ -275,12 +277,8 @@ def run_nmr_experiment(
         "oracle_distance_fast": oracle_fast,
         "oracle_distance_slow": oracle_slow,
         "composed_vs_closed_form": composed_vs_closed,
-        "transform_max_residual": report.max_residual,
-        "transform_threshold": report.threshold,
-        "transform_control_max_residual": report.control_max_residual,
-        "transform_model_passed": report.passed,
-        "transform_max_antihermitian_defect": report.max_antihermitian_defect,
-        "round_trip_max_residual": report.round_trip_max_residual,
+        **{f"transform_{key}": check[key] for key in _TRANSFORM_METRICS},
+        "round_trip_max_residual": check["round_trip_max_residual"],
         "min_fidelity": float(np.min(fidelities)),
         "expected_min_fidelity": expected_min_fidelity(drive_strength, detuning),
         "numeric_min_fidelity": float(np.min(fidelities_num)),
@@ -289,11 +287,7 @@ def run_nmr_experiment(
         "correction_gate_distance": correction_distance,
         "max_unitarity_defect": float(max(defects)),
     }
-    curves = {
-        "fidelity": (fidelity_times, fidelities),
-        "residuals": (report.times, report.residuals),
-    }
-    return metrics, curves
+    return metrics, {"fidelity": (fidelity_times, fidelities), **curves}
 
 
 # ---------------------------------------------------------------------------

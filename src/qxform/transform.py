@@ -88,15 +88,10 @@ class SampledHamiltonian:
     times: np.ndarray
     matrices: np.ndarray
     antihermitian_defects: np.ndarray
-    fd_step: float
 
     @property
     def dim(self) -> int:
         return self.matrices.shape[-1]
-
-    @property
-    def max_defect(self) -> float:
-        return float(np.max(self.antihermitian_defects))
 
     def matrix_stack(self, ts) -> np.ndarray:
         """The stored matrices at ``ts``; each time must be a sampled node to
@@ -194,7 +189,7 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
                 hermitian_part(nodes, herm, not adjoint, back_herm[:m])
                 diff = np.subtract(back_herm[:m], back.matrix_stack(t_mid), out=s_dot_buf[:m])
                 max_round_trip = np.maximum(max_round_trip, np.max(_row_norms(diff)))
-    rec = SampledHamiltonian(times, matrices, defects, grid.dt) if keep else None
+    rec = SampledHamiltonian(times, matrices, defects) if keep else None
     if back is None:
         return rec, residuals, None, None
     return rec, residuals, float(max_round_trip), float(max_defect)
@@ -217,37 +212,7 @@ def transform_out_of_frame(frame_hamiltonian, transform: UnitaryTrace) -> Sample
 
 
 # ---------------------------------------------------------------------------
-# Verification report
-
-
-@dataclass(frozen=True, eq=False)
-class TransformReport:
-    """Residuals of the frame-change identity on interior grid nodes, the
-    ascending ``times``.
-
-    The pass criterion is self-calibrated against a control reconstruction on
-    a two-times finer grid: the coarse maximum must not exceed 4 x (fine
-    maximum) + 1e-10, and refining must actually shrink the residual
-    (fine <= coarse/2 + 1e-10), so a grid-independent mismatch
-    cannot masquerade as second-order differencing error.  A non-finite
-    residual on either grid fails it.
-
-    The frame Hamiltonian rebuilt on the coarse grid, with differencing step
-    ``fd_step``, is kept only as values: its largest discarded anti-Hermitian
-    part, and the largest residual of carrying it back out of the frame
-    against the original Hamiltonian (``round_trip_max_residual``).
-    """
-
-    times: np.ndarray
-    residuals: np.ndarray
-    max_residual: float
-    control_max_residual: float
-    threshold: float
-    passed: bool
-    inconsistent_transform: bool
-    max_antihermitian_defect: float
-    round_trip_max_residual: float
-    fd_step: float
+# Verification
 
 
 @dataclass(frozen=True)
@@ -277,38 +242,50 @@ def verify_transform(
     frame_hamiltonian,
     transform: UnitaryTrace,
     control: ControlResidual,
-) -> TransformReport:
+) -> tuple[dict, dict]:
     """Check that ``transform`` maps ``hamiltonian`` onto ``frame_hamiltonian``,
     and that its adjoint maps the reconstruction back onto ``hamiltonian``.
 
     ``control`` is :func:`control_residual` of the same transform on the
-    transform's grid.  The model passes only on finite forward residuals.
+    transform's grid.  The pass criterion is self-calibrated against it: the
+    coarse maximum must not exceed 4 x (fine maximum) + 1e-10, and refining
+    must actually shrink the residual (fine <= coarse/2 + 1e-10), so a
+    grid-independent mismatch cannot masquerade as second-order differencing
+    error.  A non-finite residual on either grid fails it.
+
+    Returns the metrics ``max_residual``, ``control_max_residual``,
+    ``threshold``, ``model_passed``, ``max_antihermitian_defect`` (of the
+    frame Hamiltonian rebuilt on the coarse grid, which is kept only as
+    values), ``inconsistent_transform`` (that defect beyond 10 x the
+    threshold), ``round_trip_max_residual`` (of carrying the rebuilt frame
+    Hamiltonian back out of the frame, against ``hamiltonian``) and
+    ``fd_step`` (the differencing step), and the curve ``residuals``: the
+    per-node residuals on the interior nodes as (times, values).
     """
     if control.grid != transform.grid:
         raise ValueError(f"the control calibrates {control.grid}, not the transform's {transform.grid}")
-    control_max = control.max_residual
+    grid, control_max = transform.grid, control.max_residual
     _, residuals, round_trip, max_defect = _frame_change(
         hamiltonian, transform, target=frame_hamiltonian, back=hamiltonian
     )
     max_residual = float(np.max(residuals))
     threshold = 4.0 * control_max + _RESIDUAL_FLOOR
     finite = math.isfinite(max_residual) and math.isfinite(control_max)
-    return TransformReport(
-        times=_node_times(transform.grid, np.arange(1, transform.grid.n_steps)),
-        residuals=residuals,
-        max_residual=max_residual,
-        control_max_residual=control_max,
-        threshold=threshold,
-        passed=bool(
+    metrics = {
+        "max_residual": max_residual,
+        "control_max_residual": control_max,
+        "threshold": threshold,
+        "model_passed": bool(
             finite
             and max_residual <= threshold
             and control_max <= 0.5 * max_residual + _RESIDUAL_FLOOR
         ),
-        inconsistent_transform=bool(max_defect > 10.0 * threshold),
-        max_antihermitian_defect=max_defect,
-        round_trip_max_residual=round_trip,
-        fd_step=transform.grid.dt,
-    )
+        "max_antihermitian_defect": max_defect,
+        "inconsistent_transform": bool(max_defect > 10.0 * threshold),
+        "round_trip_max_residual": round_trip,
+        "fd_step": grid.dt,
+    }
+    return metrics, {"residuals": (_node_times(grid, np.arange(1, grid.n_steps)), residuals)}
 
 
 def two_gate_realization(

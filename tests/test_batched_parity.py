@@ -329,15 +329,16 @@ def test_analysis_matches_the_one_shot_formulas(n_qubits, rows, monkeypatch):
         assert np.array_equal(got.antihermitian_defects, defects)
 
     control = compose_transform(*fine)
-    report = verify_transform(h, frame, composed, control=control_residual(h, frame, lambda g: control, grid))
-    assert np.array_equal(report.residuals, one_shot_residuals(h, frame, composed))
-    assert report.control_max_residual == np.max(one_shot_residuals(h, frame, control))
-    # the report keeps values of the reconstruction, and of carrying it back out of the frame
+    metrics, curves = verify_transform(h, frame, composed, control=control_residual(h, frame, lambda g: control, grid))
+    times, residuals = curves["residuals"]
+    assert np.array_equal(residuals, one_shot_residuals(h, frame, composed))
+    assert metrics["control_max_residual"] == np.max(one_shot_residuals(h, frame, control))
+    # the metrics keep values of the reconstruction, and of carrying it back out of the frame
     rec = transform_into_frame(h, composed)
     round_trip = _frame_change(rec, composed, adjoint=True, target=h)[1]
-    assert report.round_trip_max_residual == np.max(round_trip)
-    assert report.max_antihermitian_defect == rec.max_defect
-    assert np.array_equal(report.times, rec.times)
+    assert metrics["round_trip_max_residual"] == np.max(round_trip)
+    assert metrics["max_antihermitian_defect"] == np.max(rec.antihermitian_defects)
+    assert np.array_equal(times, rec.times)
 
     got = phase_aligned_distance(a, b)
     assert got.shape == (3, 7)
@@ -492,7 +493,7 @@ def test_min_gap_keeps_the_per_time_bits(monkeypatch):
 def test_sampled_hamiltonian_looks_up_all_nodes_at_once():
     times = np.linspace(0.1, 2.0, 20)
     mats = np.arange(20)[:, None, None] * np.ones((20, 2, 2), dtype=complex)
-    sampled = SampledHamiltonian(times, mats, np.zeros(20), 0.1)
+    sampled = SampledHamiltonian(times, mats, np.zeros(20))
     order = np.random.default_rng(3).permutation(20)
     jitter = 1e-10 * np.where(order % 2, 1.0, -1.0)
     np.testing.assert_array_equal(sampled.matrix_stack(times[order] + jitter), mats[order])

@@ -306,12 +306,12 @@ class TestPropagate:
             def analysis():
                 control = control_residual(lab, frame, lambda g: fine, grid)
                 composed = compose_transform(*coarse)
-                report = verify_transform(lab, frame, composed, control)
-                kept.extend((composed, report))
+                times, residuals = verify_transform(lab, frame, composed, control)[1]["residuals"]
+                kept.extend((composed, times, residuals))
 
             peaks[n] = traced_peak(analysis)
-            composed, report = kept
-            arrays = (composed.matrices, report.times, report.residuals)
+            composed, times, residuals = kept
+            arrays = (composed.matrices, times, residuals)
             returned[n] = sum(a.nbytes for a in arrays)
         # what grows beyond the per-node arrays returned is 16 KiB of
         # bookkeeping at most; a block is 512 KiB

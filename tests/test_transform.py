@@ -124,7 +124,7 @@ class TestFrameChanges:
         rec = transform_into_frame(h, s)
         for k, t in enumerate(rec.times):
             assert np.linalg.norm(rec.matrices[k] - h.matrix(float(t))) < 1e-13
-        assert rec.max_defect < 1e-15
+        assert np.max(rec.antihermitian_defects) < 1e-15
 
     def test_static_transform_is_pure_conjugation(self):
         h = nmr_hamiltonian(BENCH)
@@ -142,12 +142,12 @@ class TestFrameChanges:
         grid = TimeGrid(0.0, 4.0, 4000)
         s = nmr_closed_form_transform(BENCH, grid)
         lab, frame = nmr_hamiltonian(BENCH), rotating_frame_hamiltonian(BENCH)
-        report = verify_transform(
+        metrics, _ = verify_transform(
             lab, frame, s,
             control=control_residual(lab, frame, lambda g: nmr_closed_form_transform(BENCH, g), grid),
         )
-        assert report.passed
-        assert report.max_residual <= report.threshold
+        assert metrics["model_passed"]
+        assert metrics["max_residual"] <= metrics["threshold"]
 
     def test_out_of_frame_mirror(self):
         grid = TimeGrid(0.0, 4.0, 2000)
@@ -174,13 +174,13 @@ class TestFrameChanges:
         lab_rec = transform_out_of_frame(frame_rec, num)
         ref = lab.matrix_stack(lab_rec.times)
         worst = float(np.max(np.linalg.norm(lab_rec.matrices - ref, axis=(1, 2))))
-        report = verify_transform(
+        metrics, _ = verify_transform(
             lab, slow, num,
             control=control_residual(
                 lab, slow, lambda g: compose_transform(propagate(lab, g), propagate(slow, g)), grid
             ),
         )
-        assert worst <= 2 * report.threshold
+        assert worst <= 2 * metrics["threshold"]
 
     @given(
         splitting=st.floats(-5.0, 5.0),
@@ -293,11 +293,11 @@ class TestVerifyTransform:
     def test_exact_self_pair(self):
         h = nmr_hamiltonian(BENCH)
         grid = TimeGrid(0.0, 2.0, 100)
-        report = verify_transform(
+        metrics, _ = verify_transform(
             h, h, identity_transform(grid, 2), control=control_residual(h, h, identity_2, grid)
         )
-        assert report.max_residual <= 1e-12
-        assert report.passed
+        assert metrics["max_residual"] <= 1e-12
+        assert metrics["model_passed"]
 
     def test_deliberate_mismatch_fails(self):
         # the target is BENCH's H = Z/2 + 2 cos(1.5 t) X + 2 sin(1.5 t) Y plus Z,
@@ -316,12 +316,12 @@ class TestVerifyTransform:
             ),
         )
         grid = TimeGrid(0.0, 2.0, 100)
-        report = verify_transform(
+        metrics, _ = verify_transform(
             h, h_shifted, identity_transform(grid, 2),
             control=control_residual(h, h_shifted, identity_2, grid),
         )
-        assert report.max_residual == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        assert not report.passed
+        assert metrics["max_residual"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert not metrics["model_passed"]
 
     @pytest.mark.parametrize("field", ["qubit_splitting", "drive_strength"])
     def test_non_finite_residuals_fail_the_model(self, field):
@@ -332,10 +332,10 @@ class TestVerifyTransform:
         lab, frame = nmr_hamiltonian(p), rotating_frame_hamiltonian(p)
         grid = TimeGrid(0.0, 2.0, 100)
         control = control_residual(lab, frame, lambda g: nmr_closed_form_transform(p, g), grid)
-        report = verify_transform(lab, frame, nmr_closed_form_transform(p, grid), control)
-        assert not math.isfinite(report.max_residual)
-        assert not math.isfinite(report.control_max_residual)
-        assert not report.passed
+        metrics, _ = verify_transform(lab, frame, nmr_closed_form_transform(p, grid), control)
+        assert not math.isfinite(metrics["max_residual"])
+        assert not math.isfinite(metrics["control_max_residual"])
+        assert not metrics["model_passed"]
 
     @pytest.mark.parametrize(
         "control_grid",
@@ -385,17 +385,19 @@ class TestVerifyTransform:
     def test_report_serialization(self, tmp_path):
         h = nmr_hamiltonian(BENCH)
         grid = TimeGrid(0.0, 2.0, 100)
-        report = verify_transform(
+        metrics, curves = verify_transform(
             h, h, identity_transform(grid, 2), control=control_residual(h, h, identity_2, grid)
         )
+        assert metrics["fd_step"] == grid.dt
+        times, residuals = curves["residuals"]
         # central differencing drops both endpoints
-        assert len(report.times) == grid.n_steps - 1
-        assert len(report.residuals) == grid.n_steps - 1
+        assert len(times) == grid.n_steps - 1
+        assert len(residuals) == grid.n_steps - 1
         path = tmp_path / "residuals.csv"
-        write_csv_curve(path, report.times, report.residuals)
+        write_csv_curve(path, times, residuals)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,value"
-        assert len(lines) == len(report.times) + 1
+        assert len(lines) == len(times) + 1
 
 
 # A coefficient on t in [0, 1] of magnitude at most 2: with at most three
@@ -430,13 +432,13 @@ class TestTheoremOnArbitraryPairs:
 
         grid = TimeGrid(0.0, 1.0, n_steps)
         s = build(grid)
-        report = verify_transform(big, small, s, control_residual(big, small, build, grid))
-        assert report.passed
+        metrics, _ = verify_transform(big, small, s, control_residual(big, small, build, grid))
+        assert metrics["model_passed"]
         # halving the step quarters a second-order residual; one at roundoff
         # (H = h, say) has no order to show
-        if report.control_max_residual > 1e-9:
-            assert 3.5 <= report.max_residual / report.control_max_residual <= 4.5
-        assert report.round_trip_max_residual <= report.threshold
+        if metrics["control_max_residual"] > 1e-9:
+            assert 3.5 <= metrics["max_residual"] / metrics["control_max_residual"] <= 4.5
+        assert metrics["round_trip_max_residual"] <= metrics["threshold"]
 
 
 class TestTwoGateRealization:
