@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .hamiltonians import (
+    CoefficientError,
     GroverProblem,
     IsingProblem,
     annealing_hamiltonian,
@@ -35,6 +36,7 @@ from .hamiltonians import (
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )
+from .operators import PhaseRangeError
 from .propagation import TimeGrid, nmr_fast_propagator
 from .schedules import Constant, CosineRamp, Harmonic, LinearRamp, NmrParams, Tabulated
 from .transform import (
@@ -359,6 +361,20 @@ def _run_nmr(p, jobs):
     return run_nmr_experiment(**{key: p[key] for key in _DRIVE}, grid=grid)
 
 
+@contextmanager
+def _anneal_ranges(grid, prefix, hamiltonian_field):
+    """Re-raise what leaves the float range inside an anneal over ``grid`` as
+    a ConfigError: a step phase dt * eigenvalue of a finite spectrum names the
+    ``t_final`` that sets dt (``prefix`` is its block's path); a spectrum, a
+    coefficient or another exponential's phase past the range names
+    ``hamiltonian_field``."""
+    try:
+        yield
+    except (PhaseRangeError, CoefficientError) as exc:
+        step = isinstance(exc, PhaseRangeError) and exc.scale == grid.dt and math.isfinite(exc.spectrum)
+        raise ConfigError(prefix + "t_final" if step else hamiltonian_field, str(exc)) from None
+
+
 def _transverse0(p):
     """transverse0, or the problem's default."""
     return default_transverse_strength(p["problem"]) if p["transverse0"] is None else p["transverse0"]
@@ -379,7 +395,8 @@ def _run_annealing(p, jobs):
         fc_grid = _grid(fc["t_final"], fc["n_steps"], anneal_steps, partial(TimeGrid, 0.0), "fast_counterpart.")
         with _field("fast_counterpart.phase"):
             check_counterpart_phase(fc["phase"], fc_grid.t_end)
-    metrics = run_annealing_experiment(problem, grid, transverse0)
+    with _anneal_ranges(grid, "", "transverse0"):
+        metrics = run_annealing_experiment(problem, grid, transverse0)
     curves = {}
     if sweep is not None:
         points = annealing_doubling_sweep(
@@ -393,7 +410,10 @@ def _run_annealing(p, jobs):
         metrics["sweep_threshold_runtime"] = hit[0] if hit else None
         curves["sweep_success"] = (np.asarray(runtimes), np.asarray(success))
     if fc is not None:
-        metrics.update(run_fast_counterpart_comparison(problem, fc["phase"], fc_grid, transverse0))
+        # the main anneal ran on the same transverse ramp, so past the steps only
+        # the phase can leave the float range: its rate, or its frame rotations
+        with _anneal_ranges(fc_grid, "fast_counterpart.", "fast_counterpart.phase"):
+            metrics.update(run_fast_counterpart_comparison(problem, fc["phase"], fc_grid, transverse0))
     return metrics, curves
 
 

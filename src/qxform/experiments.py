@@ -398,7 +398,7 @@ def check_counterpart_phase(phase: Schedule, t_final: float) -> None:
     the two evolutions would not start in the same frame, or that is not
     defined up to ``t_final`` or not finite there, nor twice it, the angle of
     the conjugated problem terms."""
-    if abs(float(phase.value(0.0))) > 1e-12:
+    if not abs(float(phase.value(0.0))) <= 1e-12:  # NaN fails it too
         raise ValueError("frame phase must vanish at t=0")
     with np.errstate(over="ignore", invalid="ignore"):  # named below
         end = float(phase.value(t_final))  # a schedule refuses a time outside its domain

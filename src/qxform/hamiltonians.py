@@ -89,6 +89,10 @@ class _ConjugatedFactors:
 # Time-dependent Hamiltonian
 
 
+class CoefficientError(RuntimeError):
+    """A term's coefficient is not a finite real number at some time."""
+
+
 class TimeDependentHamiltonian:
     """A finite sum of terms, each a coefficient weighting a group of Pauli
     strings, evaluating to a dense Hermitian matrix.
@@ -181,10 +185,10 @@ class TimeDependentHamiltonian:
         out += self._static
         return out
 
-    def _bad_coefficient(self, ts, vals, bad) -> RuntimeError:
+    def _bad_coefficient(self, ts, vals, bad) -> CoefficientError:
         """Name the first (time, term) entry of ``vals`` flagged in ``bad``."""
         b, k = np.argwhere(bad)[0]
-        return RuntimeError(
+        return CoefficientError(
             f"coefficient of Pauli term {self._labels[k]} is {vals[b, k]} at t={float(ts[b])!r}"
         )
 

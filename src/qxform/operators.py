@@ -168,12 +168,29 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
+class PhaseRangeError(ValueError):
+    """A phase scale * eigenvalue of an exponential left the float range:
+    ``scale`` is the largest |scale|, ``spectrum`` the generator's largest
+    |eigenvalue|, itself out of the range where the generator's spectrum is."""
+
+    def __init__(self, message: str, scale: float, spectrum: float):
+        super().__init__(message)
+        self.scale = scale
+        self.spectrum = spectrum
+
+
 def _check_phase_range(scale, eigenvalues) -> None:
     """Refuse phases scale * eigenvalue beyond the float range, whose
     exponentials would be NaN."""
-    reach = float(np.max(np.abs(scale), initial=0.0)) * float(np.max(np.abs(eigenvalues)))
+    largest = float(np.max(np.abs(scale), initial=0.0))
+    spectrum = float(np.max(np.abs(eigenvalues)))
+    reach = largest * spectrum
     if not math.isfinite(reach):
-        raise ValueError(f"phase |scale * eigenvalue| reaches {reach}, beyond the float range")
+        raise PhaseRangeError(
+            f"phase |scale * eigenvalue| = {largest!r} * {spectrum!r} reaches {reach}, beyond the float range",
+            largest,
+            spectrum,
+        )
 
 
 def hermitian_expm(generator: np.ndarray, scale) -> np.ndarray:

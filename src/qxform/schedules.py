@@ -115,7 +115,8 @@ class CosineRamp(_Ramp):
 @dataclass(frozen=True, eq=False)
 class Tabulated(Schedule):
     """Cubic (not-a-knot) spline through strictly increasing samples starting
-    at t=0.  The derivative is the exact derivative of the spline.
+    at t=0.  The derivative is the exact derivative of the spline.  Samples
+    whose spline coefficients leave the float range are refused.
     """
 
     times: tuple
@@ -136,7 +137,14 @@ class Tabulated(Schedule):
         object.__setattr__(self, "values", tuple(float(x) for x in v))
         from scipy.interpolate import CubicSpline  # imported on first use: scipy is slow to load
 
-        object.__setattr__(self, "_spline", CubicSpline(t, v))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # named below
+                spline = CubicSpline(t, v)
+        except ValueError:  # scipy's own refusal of slopes past the float range
+            spline = None
+        if spline is None or not np.isfinite(spline.c).all():
+            raise ValueError("the cubic spline through these samples has coefficients past the float range")
+        object.__setattr__(self, "_spline", spline)
 
     @property
     def t_max(self) -> float:

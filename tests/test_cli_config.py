@@ -289,6 +289,10 @@ def test_magnitude_past_the_float_range_is_named_before_running(
     assert err.startswith(f"error: config field '{field}': "), err
 
 
+def _counterpart(phase, t_final, n_steps):
+    return "fast_counterpart=" + json.dumps({"phase": phase, "t_final": t_final, "n_steps": n_steps})
+
+
 @pytest.mark.parametrize(
     "config, overrides, field",
     [
@@ -312,8 +316,68 @@ def test_magnitude_past_the_float_range_is_named_before_running(
             ["t_final=1.03e243", "qubit_splitting=3.09e119", "drive_rate=1.34e-132", "n_steps=44"],
             "t_final",
         ),
+        # tabulated phases whose splines leave the float range: once scipy's
+        # overflow warnings, then a refusal or, with NaN coefficients, a NaN
+        # at t=0 that passed the t=0 check and an unnamed error after the runs
+        (
+            "ising.json",
+            [
+                "n_steps=400",
+                _counterpart({"kind": "tabulated", "times": [0, 1, 2, 3], "values": [0, 5e307, -5e307, 0]}, 2.0, 40),
+            ],
+            "fast_counterpart.phase",
+        ),
+        (
+            "ising.json",
+            [
+                "n_steps=400",
+                _counterpart(
+                    {
+                        "kind": "tabulated",
+                        "times": [0.0, 9.376127831219486e-214, 3.541366425911608e-17, 0.7992375781513843],
+                        "values": [0.0, -7.706293537176723, -1.1896348083127052e23, -1.855690103409468e-168],
+                    },
+                    0.5, 40,
+                ),
+            ],
+            "fast_counterpart.phase",
+        ),
+        # a step dt * eigenvalue past the float range: once an unnamed error
+        ("grover.json", ["sweep=null", "t_final=3.2e80", "n_steps=33", "transverse0=-3.3e278"], "t_final"),
+        (
+            "ising.json",
+            ["n_steps=9", "fields=[5.3e273, 0.5, 0.5, 0.5]", "fast_counterpart.t_final=9.3e49",
+             "fast_counterpart.n_steps=16"],
+            "fast_counterpart.t_final",
+        ),
+        # a ramp's rate 1e310 overflows the counterpart's transverse coefficient
+        (
+            "ising.json",
+            [
+                "n_steps=400",
+                _counterpart({"kind": "cosine_ramp", "start": 0.0, "stop": 1e300, "duration": 1e-10}, 1e-10, 8),
+            ],
+            "fast_counterpart.phase",
+        ),
+        (
+            "ising.json",
+            [
+                "n_steps=400",
+                _counterpart({"kind": "linear_ramp", "start": 0.0, "stop": 1e300, "duration": 1e-10}, 1e-10, 8),
+            ],
+            "fast_counterpart.phase",
+        ),
+        # the frame rotation exp(-i phase(T) sum_i X_i) of four qubits: 4 x 8e307
+        (
+            "ising.json", ["n_steps=400", _counterpart({"kind": "harmonic", "rate": 4e307}, 2.0, 64)],
+            "fast_counterpart.phase",
+        ),
+        # a transverse field whose sum over four qubits has a spectrum past the float range
+        ("ising.json", ["n_steps=400", "transverse0=1e308"], "transverse0"),
     ],
-    ids=["counterpart-double-phase", "nmr-nutation", "nmr-frame", "verify-frame"],
+    ids=["counterpart-double-phase", "nmr-nutation", "nmr-frame", "verify-frame", "spline-slopes", "spline-nan",
+         "grover-step", "counterpart-step", "cosine-rate", "linear-rate", "counterpart-frames",
+         "transverse-spectrum"],
 )
 def test_phase_past_the_float_range_is_named_without_a_warning(tmp_path, capsys, config, overrides, field):
     sets = [arg for item in overrides for arg in ("--set", item)]

@@ -11,6 +11,7 @@ from qxform.experiments import (
     _sweep_workers,
     anneal_steps,
     annealing_doubling_sweep,
+    check_counterpart_phase,
     expected_min_fidelity,
     nmr_grid,
     nmr_steps,
@@ -340,6 +341,11 @@ class TestFastCounterpart:
     def test_nonzero_initial_phase_rejected(self):
         with pytest.raises(ValueError, match="vanish"):
             run_fast_counterpart_comparison(GroverProblem(2, 3), Constant(0.3), TimeGrid(0.0, 1.0, 100))
+
+    def test_phase_nan_at_zero_rejected(self):
+        # abs(nan) > 1e-12 is False, so the check must be written to fail on NaN
+        with pytest.raises(ValueError, match="vanish"):
+            check_counterpart_phase(Constant(math.nan), 1.0)
 
     def test_phase_short_of_the_grid_rejected_before_propagating(self):
         with pytest.raises(ValueError, match=r"^time 2\.0 outside schedule domain \[0, 1\.0\]$"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,26 @@ class TestTabulated:
             Tabulated((0.0, 1.0), (0.0, 1.0))
         with pytest.raises(ValueError, match="start at t=0"):
             Tabulated((0.5, 1.0, 1.5, 2.0), (0.0, 1.0, 2.0, 3.0))
+
+
+    @pytest.mark.parametrize(
+        "times, values",
+        [
+            # overflowing slopes: once two overflow warnings, then scipy's own refusal
+            ((0.0, 1.0, 2.0, 3.0), (0.0, 5e307, -5e307, 0.0)),
+            # spacings 1e-213 apart: once warnings and NaN coefficients, so NaN at t=0
+            (
+                (0.0, 9.376127831219486e-214, 3.541366425911608e-17, 0.7992375781513843),
+                (0.0, -7.706293537176723, -1.1896348083127052e23, -1.855690103409468e-168),
+            ),
+        ],
+        ids=["slopes", "nan-coefficients"],
+    )
+    def test_spline_past_the_float_range_refused_without_a_warning(self, times, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the cubic spline through these samples has coefficients past"):
+                Tabulated(times, values)
 
 
 class TestNmrParams:
