@@ -375,14 +375,8 @@ def _anneal_ranges(grid, prefix, hamiltonian_field):
         raise ConfigError(prefix + "t_final" if step else hamiltonian_field, str(exc)) from None
 
 
-def _transverse0(p):
-    """transverse0, or the problem's default."""
-    return default_transverse_strength(p["problem"]) if p["transverse0"] is None else p["transverse0"]
-
-
 def _run_annealing(p, jobs):
-    problem = p["problem"]
-    transverse0 = _transverse0(p)
+    problem, transverse0 = p["problem"], p["transverse0"]  # None: each run takes the problem's default
     grid = _grid(p["t_final"], p["n_steps"], anneal_steps, partial(TimeGrid, 0.0))
     sweep = p["sweep"]
     if sweep is not None:
@@ -436,7 +430,8 @@ def _run_rescale(p, jobs):
     with _field("fast_time"):
         scaling = TimeScaling(p["fast_time"], p["slow_time"])
     problem = p["problem"]
-    ramp = LinearRamp(_transverse0(p), 0.0, 1.0)
+    transverse0 = default_transverse_strength(problem) if p["transverse0"] is None else p["transverse0"]
+    ramp = LinearRamp(transverse0, 0.0, 1.0)
     frame_h = annealing_hamiltonian(ramp, problem)
     with _field("n_steps"):
         grid = TimeGrid(0.0, 1.0, p["n_steps"])

@@ -310,9 +310,11 @@ class IsingProblem:
     @classmethod
     def from_edge_list(cls, path, n_qubits: int | None = None) -> "IsingProblem":
         """Parse a plain-text edge list: ``i h_i`` lines for fields and
-        ``i j J_ij`` lines for couplings; '#' starts a comment."""
-        fields = {}
-        couplings = []
+        ``i j J_ij`` lines for couplings; '#' starts a comment.  The register
+        has ``n_qubits``, else one past the largest index (at least one).  A
+        line that indexes a qubit outside it or repeats the qubits of an
+        earlier line is refused, naming ``file:line``."""
+        entries = []  # (line number, line, sorted qubit indices, value)
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -325,18 +327,22 @@ class IsingProblem:
                     value = float(parts[-1])
                     if not math.isfinite(value):
                         raise ValueError(f"non-finite value {parts[-1]}")
-                    if len(parts) == 2:
-                        fields[int(parts[0])] = value
-                    else:
-                        couplings.append((int(parts[0]), int(parts[1]), value))
+                    entries.append((lineno, line, tuple(sorted(int(x) for x in parts[:-1])), value))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: cannot parse {line!r} ({exc})") from None
-        indices = set(fields) | {i for i, _, _ in couplings} | {j for _, j, _ in couplings}
-        if not indices and n_qubits is None:
+        if not entries and n_qubits is None:
             raise ValueError(f"{path}: empty edge list and no qubit count given")
-        n = n_qubits if n_qubits is not None else max(indices) + 1
-        field_vec = tuple(fields.get(i, 0.0) for i in range(n))
-        return cls(n_qubits=n, fields=field_vec, couplings=tuple(couplings))
+        n = check_qubit_count(1 + max(0, *(e[2][-1] for e in entries)) if n_qubits is None else n_qubits)
+        seen = {}  # the qubits of each line -> its number
+        for lineno, line, qubits, _ in entries:
+            if not 0 <= qubits[0] <= qubits[-1] < n:
+                raise ValueError(f"{path}:{lineno}: {line!r} indexes a qubit outside [0, {n})")
+            if qubits in seen:
+                raise ValueError(f"{path}:{lineno}: {line!r} repeats the qubits of line {seen[qubits]}")
+            seen[qubits] = lineno
+        fields = {qubits[0]: value for _, _, qubits, value in entries if len(qubits) == 1}
+        couplings = tuple((*qubits, value) for _, _, qubits, value in entries if len(qubits) == 2)
+        return cls(n_qubits=n, fields=tuple(fields.get(i, 0.0) for i in range(n)), couplings=couplings)
 
 
 def _diagonal(problem) -> np.ndarray:

@@ -115,18 +115,18 @@ def check_frame_steps(n_steps: int) -> None:
         )
 
 
-def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=None, back=None):
+def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=None):
     """s^dag (H s - i ds/dt) at the interior nodes of ``transform``'s grid,
     with s the transform's matrices or (``adjoint``) their adjoints, one block
     of nodes at a time.
 
-    Returns four values, each None when not asked for: without a ``target``
-    the SampledHamiltonian, else (holding only one block of it) the per-node
-    Frobenius residuals against the ``target`` Hamiltonian, and, with ``back``,
-    the largest residual of carrying the reconstruction back out of the frame
-    (the formula with the other of s and s^dag) against ``back`` and the
-    largest anti-Hermitian defect.  Residuals that overflow are inf, which no
-    tolerance model passes.
+    Without a ``target`` returns the SampledHamiltonian.  With one, holding
+    only one block of it, returns the per-node Frobenius residuals against
+    ``target``, the largest residual of carrying the reconstruction back out
+    of the frame (the formula with the other of s and s^dag) against the H it
+    was built from, and the largest anti-Hermitian defect.  Each block of
+    ``target`` takes the round trip once its residuals are read.  Residuals
+    that overflow are inf, which no tolerance model passes.
     """
     check_frame_steps(transform.grid.n_steps)
     if transform.stride != 1:
@@ -136,15 +136,14 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
     n, dim = grid.n_steps - 1, transform.dim
     rows = min(_block_rows(dim), n)
     # One block of each temporary for the whole pass: the conjugates of the
-    # block's nodes and their two neighbours (then r^*), ds/dt (then r), the
-    # Hermitian part (first H s - i ds/dt) and a round trip's own Hermitian
-    # part.  s and s^dag view the transform and the conjugates, in either order.
+    # block's nodes and their two neighbours (then r^*), ds/dt (then r) and
+    # the Hermitian part (first H s - i ds/dt).  s and s^dag view the
+    # transform and the conjugates, in either order.
     conj = np.empty((rows + 2, dim, dim), dtype=complex)
     s_dot_buf = np.empty((rows, dim, dim), dtype=complex)
     matrices = np.empty((n if keep else rows, dim, dim), dtype=complex)
     times, defects = (np.empty(n), np.empty(n)) if keep else (None, None)
     residuals = None if keep else np.empty(n)
-    back_herm = None if back is None else np.empty((rows, dim, dim), dtype=complex)
     max_defect = max_round_trip = -np.inf
 
     def hermitian_part(nodes, h_mid, adjoint, herm):
@@ -174,25 +173,24 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
             t_mid = _node_times(grid, np.arange(lo + 1, hi + 1))
             nodes = transform.matrices[lo : hi + 2]
             herm = matrices[lo:hi] if keep else matrices[:m]
-            r, dag = hermitian_part(nodes, hamiltonian.matrix_stack(t_mid), adjoint, herm)
-            if keep or back is not None:
-                r -= dag
-                r *= 0.5  # the anti-Hermitian part
-                node_defects = _row_norms(r, out=defects[lo:hi] if keep else None)
-                max_defect = np.maximum(max_defect, np.max(node_defects))
+            h_mid = hamiltonian.matrix_stack(t_mid)
+            r, dag = hermitian_part(nodes, h_mid, adjoint, herm)
+            r -= dag
+            r *= 0.5  # the anti-Hermitian part
+            max_defect = np.maximum(max_defect, np.max(_row_norms(r, out=defects[lo:hi] if keep else None)))
             if keep:
                 times[lo:hi] = t_mid
             else:
-                diff = np.subtract(herm, target.matrix_stack(t_mid), out=s_dot_buf[:m])
-                _row_norms(diff, out=residuals[lo:hi])
-            if back is not None:
-                hermitian_part(nodes, herm, not adjoint, back_herm[:m])
-                diff = np.subtract(back_herm[:m], back.matrix_stack(t_mid), out=s_dot_buf[:m])
+                back = np.require(target.matrix_stack(t_mid), complex, "W")
+                _row_norms(np.subtract(herm, back, out=s_dot_buf[:m]), out=residuals[lo:hi])
+                hermitian_part(nodes, herm, not adjoint, back)  # the round trip, into the target's block
+                diff = np.subtract(back, h_mid, out=s_dot_buf[:m])
                 max_round_trip = np.maximum(max_round_trip, np.max(_row_norms(diff)))
-    rec = SampledHamiltonian(times, matrices, defects) if keep else None
-    if back is None:
-        return rec, residuals, None, None
-    return rec, residuals, float(max_round_trip), float(max_defect)
+                del back
+            del h_mid  # neither block is held while the next one is evaluated
+    if keep:
+        return SampledHamiltonian(times, matrices, defects)
+    return residuals, float(max_round_trip), float(max_defect)
 
 
 def transform_into_frame(hamiltonian, transform: UnitaryTrace) -> SampledHamiltonian:
@@ -202,13 +200,13 @@ def transform_into_frame(hamiltonian, transform: UnitaryTrace) -> SampledHamilto
     must cover every grid node; endpoints are dropped.  The reconstruction is
     Hermitized and the discarded defect reported per node.
     """
-    return _frame_change(hamiltonian, transform)[0]
+    return _frame_change(hamiltonian, transform)
 
 
 def transform_out_of_frame(frame_hamiltonian, transform: UnitaryTrace) -> SampledHamiltonian:
     """H(t_k) = S h S^dag - i S dS^dag/dt: the formula of
     :func:`transform_into_frame` applied to S^dag."""
-    return _frame_change(frame_hamiltonian, transform, adjoint=True)[0]
+    return _frame_change(frame_hamiltonian, transform, adjoint=True)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +231,7 @@ def control_residual(hamiltonian, frame_hamiltonian, build, grid: TimeGrid) -> C
     control = build(fine)
     if control.grid != fine:
         raise ValueError(f"the control must be built on the refined grid {fine}, not on {control.grid}")
-    residuals = _frame_change(hamiltonian, control, target=frame_hamiltonian)[1]
+    residuals = _frame_change(hamiltonian, control, target=frame_hamiltonian)[0]
     return ControlResidual(grid, float(np.max(residuals)))
 
 
@@ -265,9 +263,7 @@ def verify_transform(
     if control.grid != transform.grid:
         raise ValueError(f"the control calibrates {control.grid}, not the transform's {transform.grid}")
     grid, control_max = transform.grid, control.max_residual
-    _, residuals, round_trip, max_defect = _frame_change(
-        hamiltonian, transform, target=frame_hamiltonian, back=hamiltonian
-    )
+    residuals, round_trip, max_defect = _frame_change(hamiltonian, transform, target=frame_hamiltonian)
     max_residual = float(np.max(residuals))
     threshold = 4.0 * control_max + _RESIDUAL_FLOOR
     finite = math.isfinite(max_residual) and math.isfinite(control_max)
@@ -392,10 +388,12 @@ def verify_rescaled_drive(drive_strength: float, scaling: TimeScaling, grid: Tim
     one, the drive (T g, 1) at zero splitting, on the nodes of ``grid`` in
     normalized time: they collapse onto it when g T is matched, the splitting
     is zero and one drive period spans the characteristic time.  The nodes
-    are evaluated one block at a time.  A matched strength that underflows
-    to 0 is refused."""
+    are evaluated one block at a time.  A matched strength that overflows,
+    or underflows to 0, is refused."""
     g, T, T_slow = float(drive_strength), scaling.fast_time, scaling.slow_time
     matched = T * g
+    if not math.isfinite(matched):
+        raise ValueError(f"the matched drive strength T g = {T!r} x {g!r} overflows")
     if not matched / T_slow > 0.0:  # g T / T' < g T, as T < T'
         raise ValueError(
             f"the matched drive strength g T / T' = {g!r} x {T!r} / {T_slow!r} underflows to "

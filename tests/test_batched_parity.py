@@ -335,7 +335,7 @@ def test_analysis_matches_the_one_shot_formulas(n_qubits, rows, monkeypatch):
     assert metrics["control_max_residual"] == np.max(one_shot_residuals(h, frame, control))
     # the metrics keep values of the reconstruction, and of carrying it back out of the frame
     rec = transform_into_frame(h, composed)
-    round_trip = _frame_change(rec, composed, adjoint=True, target=h)[1]
+    round_trip = _frame_change(rec, composed, adjoint=True, target=h)[0]
     assert metrics["round_trip_max_residual"] == np.max(round_trip)
     assert metrics["max_antihermitian_defect"] == np.max(rec.antihermitian_defects)
     assert np.array_equal(times, rec.times)

@@ -388,6 +388,18 @@ def test_phase_past_the_float_range_is_named_without_a_warning(tmp_path, capsys,
     assert "Warning" not in err and not caught, [str(w.message) for w in caught]
 
 
+def test_overflowing_matched_drive_strength_is_named(tmp_path, capsys):
+    # T g = 1e10 x 1e300 is the shared leg's strength, once reported as g = inf
+    overrides = ["fast_time=1e10", "slow_time=1e11", "drive_check.drive_strength=1e300", "drive_check.n_nodes=11",
+                 "n_steps=50"]
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    err = run_rejected(tmp_path, capsys, str(CONFIGS / "rescale.json"), *sets)
+    assert err == (
+        "error: config field 'drive_check.drive_strength': "
+        "the matched drive strength T g = 10000000000.0 x 1e+300 overflows"
+    )
+
+
 @pytest.mark.parametrize(
     "overrides, code",
     [
@@ -548,6 +560,27 @@ def test_non_finite_edge_list_value_names_file_and_line(no_numerics, tmp_path, c
     err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
     assert f"{edges}:2:" in err and "non-finite" in err
 
+
+
+@pytest.mark.parametrize(
+    "text, line, why",
+    [
+        # both field lines were dropped, and the run exited 0 with fields (0.5, 0.5)
+        ("7 3.0\n-1 2.0\n", 1, "'7 3.0' indexes a qubit outside [0, 2)"),
+        ("0 0.5\n-1 2.0\n", 2, "'-1 2.0' indexes a qubit outside [0, 2)"),
+        # the last of the two was kept
+        ("0 0.5\n0 0.7\n", 2, "'0 0.7' repeats the qubits of line 1"),
+        ("0 3 1.0\n", 1, "'0 3 1.0' indexes a qubit outside [0, 2)"),
+        ("0 1 1.0\n1 0 1.0\n", 2, "'1 0 1.0' repeats the qubits of line 1"),
+    ],
+)
+def test_bad_edge_list_index_names_file_and_line(no_numerics, tmp_path, capsys, text, line, why):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(text)
+    payload = ising_config(problem_file=str(edges))
+    del payload["fields"], payload["couplings"]
+    err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
+    assert err == f"error: config field 'problem_file': {edges}:{line}: {why}"
 
 class TestSetIntoNonObject:
     def test_scalar_parent_named(self, no_numerics, tmp_path, capsys):

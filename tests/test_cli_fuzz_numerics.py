@@ -1,6 +1,7 @@
 """Configs drawn from the ``EXPERIMENTS`` table and run through ``cli.main``
 with the real numerics: every step and node count in [2, 64], no sweeps, and
-numbers that are ordinary, zero, or log-uniform from the subnormals to 1e308.
+numbers that are ordinary, zero, or log-uniform from the subnormals to 1e308,
+and Ising problems given inline or as a ``problem_file`` edge list.
 Every run ends in exit code 0, 1 or 2 with no traceback and no warning, and
 a refusal is one stderr line that names its config field."""
 
@@ -51,11 +52,12 @@ def problems(draw, kind):
         return {"n_qubits": n, "marked": draw(st.integers(0, 2**n - 1))}
     pairs = list(itertools.combinations(range(n), 2))
     coupled = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return {
-        "n_qubits": n,
-        "fields": draw(st.lists(NUMBER, min_size=n, max_size=n)),
-        "couplings": [[i, j, draw(NUMBER)] for i, j in coupled],
-    }
+    fields = draw(st.lists(NUMBER, min_size=n, max_size=n))
+    couplings = [[i, j, draw(NUMBER)] for i, j in coupled]
+    if draw(st.booleans()):  # as an edge list, which run() writes out as the problem_file
+        lines = [f"{i} {h!r}" for i, h in enumerate(fields)] + [f"{i} {j} {c!r}" for i, j, c in couplings]
+        return {"n_qubits": n, "problem_file": "\n".join(lines) + "\n"}
+    return {"n_qubits": n, "fields": fields, "couplings": couplings}
 
 
 def values(name, field):
@@ -100,10 +102,25 @@ def configs(draw):
     return cfg
 
 
+def write_problem_file(tmp, problem):
+    """``problem`` with the edge list its ``problem_file`` holds written into
+    ``tmp``, and the file's path in its place."""
+    if "problem_file" not in problem:
+        return problem
+    path = os.path.join(tmp, "problem.txt")
+    with open(path, "w") as fh:
+        fh.write(problem["problem_file"])
+    return {**problem, "problem_file": path}
+
+
 def run(cfg):
-    """Exit code, stderr and warnings of ``qxform run`` on ``cfg``."""
+    """Exit code, stderr and warnings of ``qxform run`` on ``cfg``, whose
+    problem may be given as the text of its edge list."""
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        if isinstance(cfg.get("problem"), dict):
+            cfg = {**cfg, "problem": write_problem_file(tmp, cfg["problem"])}
+        cfg = write_problem_file(tmp, cfg)
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)

@@ -1,7 +1,9 @@
 import itertools
 import math
+import os
 import re
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -603,6 +605,33 @@ class TestProblems:
         with pytest.raises(ValueError, match="bad.txt:2"):
             IsingProblem.from_edge_list(path)
 
+    @pytest.mark.parametrize(
+        "text, n_qubits, line, why",
+        [
+            # a field line outside the register was dropped, and a repeated one kept its last value
+            ("0 0.5\n7 3.0\n", 2, 2, "'7 3.0' indexes a qubit outside [0, 2)"),
+            ("0 0.5\n-1 2.0\n", 2, 2, "'-1 2.0' indexes a qubit outside [0, 2)"),
+            ("-1 2.0\n", None, 1, "'-1 2.0' indexes a qubit outside [0, 1)"),
+            ("0 0.5\n0 0.7\n", None, 2, "'0 0.7' repeats the qubits of line 1"),
+            # a coupling line was named by its position among the couplings, or not at all
+            ("0 0.5\n0 2 1.0\n", 2, 2, "'0 2 1.0' indexes a qubit outside [0, 2)"),
+            ("0 1 1.0\n# again\n1 0 2.0\n", None, 3, "'1 0 2.0' repeats the qubits of line 1"),
+        ],
+    )
+    def test_edge_list_refuses_bad_indices_naming_the_line(self, tmp_path, text, n_qubits, line, why):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: {why}')}$"):
+            IsingProblem.from_edge_list(path, n_qubits=n_qubits)
+
+    def test_edge_list_register_is_refused_before_it_is_built(self, tmp_path):
+        # one past the largest index is the register: 10^12 qubits are refused
+        # by count, not laid out field by field
+        path = tmp_path / "edges.txt"
+        path.write_text("1000000000000 0.5\n")
+        with pytest.raises(ValueError, match="exceeds the dense-storage limit"):
+            IsingProblem.from_edge_list(path)
+
 
 # |h, J| <= 5e306 over at most 15 terms: every diagonal entry and the span stay finite
 _TERM = st.one_of(st.just(0.0), st.floats(-5e306, 5e306))
@@ -620,3 +649,36 @@ def test_energy_span_is_at_least_twice_the_energy_scale(n, data):
     problem = IsingProblem(n, fields, [(i, j, data.draw(_TERM)) for i, j in chosen])
     diagonal = hamiltonians._diagonal(problem)
     assert 2 * problem.energy_scale() <= diagonal.max() - diagonal.min()
+
+
+def _edge_lines(problem, data):
+    """``problem`` as edge-list lines in a drawn order, each coupling's pair in
+    either order."""
+    lines = [f"{i} {h!r}" for i, h in enumerate(problem.fields)]
+    for i, j, coupling in problem.couplings:
+        i, j = data.draw(st.permutations((i, j)))
+        lines.append(f"{i} {j} {coupling!r}")
+    return data.draw(st.permutations(lines))
+
+
+@given(n=st.integers(1, 5), data=st.data())
+def test_edge_list_reads_back_equal_and_refuses_indices_outside_the_register(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    fields = data.draw(st.lists(_TERM, min_size=n, max_size=n))
+    problem = IsingProblem(n, fields, [(i, j, data.draw(_TERM)) for i, j in chosen])
+    lines = _edge_lines(problem, data)
+    outside = st.one_of(st.integers(max_value=-1), st.integers(min_value=n))
+    qubits = [data.draw(outside)] + data.draw(st.lists(st.integers(0, n - 1), max_size=1))
+    bad = " ".join(map(str, data.draw(st.permutations(qubits)))) + " 1.0"
+    at = data.draw(st.integers(0, len(lines)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edges.txt")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert IsingProblem.from_edge_list(path) == problem
+        with open(path, "w") as fh:
+            fh.write("\n".join([*lines[:at], bad, *lines[at:]]) + "\n")
+        refusal = f"{path}:{at + 1}: {bad!r} indexes a qubit outside [0, {n})"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            IsingProblem.from_edge_list(path, n_qubits=n)

@@ -382,6 +382,47 @@ class TestVerifyTransform:
         assert built == [TimeGrid(0.0, 2.0, 200)]
         assert control.grid == grid
 
+    @pytest.mark.parametrize("rows", [22, 4])
+    def test_lab_hamiltonian_is_evaluated_once_a_block(self, rows, monkeypatch):
+        # 23 steps: 22 interior nodes, in one block or in six of at most 4; the
+        # round trip is measured against the H of the forward formula
+        lab, frame = nmr_hamiltonian(BENCH), rotating_frame_hamiltonian(BENCH)
+        grid = TimeGrid(0.0, 1.0, 23)
+        control = control_residual(lab, frame, lambda g: nmr_closed_form_transform(BENCH, g), grid)
+        expected, _ = verify_transform(lab, frame, nmr_closed_form_transform(BENCH, grid), control)
+        calls = []
+
+        class Spy:
+            dim = lab.dim
+
+            def matrix_stack(self, ts):
+                calls.append(len(ts))
+                return lab.matrix_stack(ts)
+
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", rows * 4)
+        metrics, _ = verify_transform(Spy(), frame, nmr_closed_form_transform(BENCH, grid), control)
+        assert calls == [min(rows, 22 - lo) for lo in range(0, 22, rows)]
+        assert metrics == expected
+
+    def test_read_only_real_target_is_not_written(self):
+        # the round trip goes into the target's block, so a target whose
+        # blocks are a read-only real broadcast is taken as a complex copy
+        z = np.diag([1.0, -1.0])
+
+        class Frozen:
+            dim = 2
+
+            def matrix_stack(self, ts):
+                return np.broadcast_to(z, (len(ts), 2, 2))
+
+        h = TimeDependentHamiltonian(1, terms=((1.0, PauliString(((0, "Z"),))),))
+        grid = TimeGrid(0.0, 1.0, 10)
+        control = control_residual(h, Frozen(), identity_2, grid)
+        metrics, _ = verify_transform(h, Frozen(), identity_transform(grid, 2), control)
+        assert metrics["max_residual"] == 0.0
+        assert metrics["round_trip_max_residual"] == 0.0
+        assert np.array_equal(z, np.diag([1.0, -1.0]))
+
     def test_report_serialization(self, tmp_path):
         h = nmr_hamiltonian(BENCH)
         grid = TimeGrid(0.0, 2.0, 100)
