@@ -100,10 +100,10 @@ class TimeDependentHamiltonian:
     A term is ``(coefficient, string)`` or ``(coefficient, strings)``.  The
     coefficient is a number or has ``value(ts)``, which returns either one
     column shared by every string of the group, shape (len(ts),), or one
-    column per string, shape (len(ts), len(strings)).  Plain-number and
-    Constant coefficients are folded into a static matrix at construction.  A
-    Pauli string fills one entry per column, so evaluation is one
-    real-coefficient product per set of strings filling the same entries.
+    column per string, shape (len(ts), len(strings)).  A Pauli string fills
+    one entry per column: constant coefficients add their strings into a
+    static matrix at construction, and the varying strings filling the same
+    entries form one real-coefficient product, each row's bits its own.
     Instances are immutable and safe to share across workers.
     """
 
@@ -111,9 +111,11 @@ class TimeDependentHamiltonian:
         self.n_qubits = check_qubit_count(n_qubits)
         self.dim = 2**self.n_qubits
         static = np.zeros((self.dim, self.dim), dtype=complex)
+        entries = static.reshape(-1).view(float)  # real and imaginary part of each entry in turn
+        cols = np.arange(self.dim)
         coefficients = []  # (coefficient function, its slice of columns)
-        columns = []  # (flip, imaginary?, zmask, scale) per varying string, see _flip_form
         labels = []
+        segments = {}  # (flip, imaginary?) -> slots, and (column, zmask, scale) per string in the order given
         for coeff, strings in terms:
             strings = (strings,) if isinstance(strings, PauliString) else tuple(strings)
             for s in strings:
@@ -123,34 +125,28 @@ class TimeDependentHamiltonian:
                     raise ValueError(f"qubit index {max(s.support)} out of range for {self.n_qubits} qubits")
             if isinstance(coeff, (int, float)):
                 coeff = Constant(float(coeff))
-            if isinstance(coeff, Constant) and math.isfinite(coeff.c):  # else evaluation names it
-                for s in strings:
-                    static += coeff.c * s.matrix(self.n_qubits)
-            elif strings:
-                coefficients.append((coeff, slice(len(columns), len(columns) + len(strings))))
-                for s in strings:
-                    columns.append(_flip_form(s.factors, s.coefficient, self.n_qubits))
+            constant = isinstance(coeff, Constant) and math.isfinite(coeff.c)  # else evaluation names it
+            if strings and not constant:
+                coefficients.append((coeff, slice(len(labels), len(labels) + len(strings))))
+            for s in strings:
+                flip, imaginary, zmask, scale = _flip_form(s.factors, s.coefficient, self.n_qubits)
+                slots = 2 * ((cols ^ flip) * self.dim + cols) + int(imaginary)  # entry (j xor flip, j) of column j
+                if constant:
+                    entries[slots] += coeff.c * scale * _sign_table(self.n_qubits)[zmask]
+                else:
+                    segments.setdefault((flip, imaginary), (slots, []))[1].append((len(labels), zmask, scale))
                     labels.append(" ".join(f"{axis}{q}" for q, axis in s.factors) or "I")
-        # Each string fills one entry per column, (j xor flip, j).  Strings sharing
-        # a flip and a real or imaginary part form a segment: one (rows, dim)
-        # product, written to its slots in the float view of the output.
-        order = sorted(range(len(columns)), key=lambda k: columns[k][:2])
-        keys = [columns[k][:2] for k in order]
-        starts = [lo for lo in range(len(keys)) if lo == 0 or keys[lo] != keys[lo - 1]]
-        cols = np.arange(self.dim)
-        slots = []
-        for lo in starts:
-            flip, imaginary = keys[lo]
-            slots.append(2 * ((cols ^ flip) * self.dim + cols) + int(imaginary))
+        bounds = list(itertools.accumulate((len(ms) for _, ms in segments.values()), initial=0))
         self._static = static
         self._coefficients = tuple(coefficients)
         self._labels = tuple(labels)
-        self._order = np.array(order, dtype=int)
-        self._scales = np.array([columns[k][3] for k in order], dtype=float)
-        self._zmasks = np.array([columns[k][2] for k in order], dtype=int)
-        self._signs = _sign_table(self.n_qubits)
-        self._segments = tuple(zip(map(slice, starts, starts[1:] + [len(order)]), slots))
-        for a in (self._static, self._order, self._scales, self._zmasks, *slots):
+        self._columns = np.array([m[0] for _, ms in segments.values() for m in ms], dtype=int)
+        self._scales = np.array([m[2] for _, ms in segments.values() for m in ms], dtype=float)
+        self._segments = tuple(
+            (slice(lo, hi), slots, np.array([m[1] for m in ms], dtype=int))
+            for lo, hi, (slots, ms) in zip(bounds, bounds[1:], segments.values())
+        )
+        for a in (static, self._columns, self._scales, *(a for _, *arrays in self._segments for a in arrays)):
             a.flags.writeable = False
 
     def matrix(self, t: float) -> np.ndarray:
@@ -160,7 +156,8 @@ class TimeDependentHamiltonian:
     def matrix_stack(self, ts) -> np.ndarray:
         """Dense Hermitian matrices at a batch of times, shape (len(ts), dim, dim)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        vals = np.empty((ts.size, len(self._labels)))
+        # one time fills two rows: numpy's one-row product is a vector-matrix one, rounded otherwise
+        vals = np.empty((2 if ts.size == 1 else ts.size, len(self._labels)))
         with np.errstate(all="ignore"):  # non-finite values are named below
             for fn, cols in self._coefficients:
                 value = fn.value(ts)
@@ -175,12 +172,13 @@ class TimeDependentHamiltonian:
                 vals[:, cols] = value
         if not np.isfinite(vals).all():
             raise self._bad_coefficient(ts, vals, ~np.isfinite(vals))
-        # the sign vectors are +-1, so this is each term's one rounding, as in a dense product
-        vals = vals[:, self._order] * self._scales
+        # in segment order; the sign rows are +-1, so this is each term's one rounding, as in a dense product
+        vals = vals[:, self._columns] * self._scales
+        signs = _sign_table(self.n_qubits)
         out = np.zeros((ts.size, 2 * self.dim * self.dim))  # real and imaginary part of each entry in turn
-        for seg, slots in self._segments:
-            # a real (rows, terms) @ (terms, 2 dim^2) product; _stack_matmul gives its bits 110x slower at dim 2
-            out[:, slots] = vals[:, seg] @ self._signs[self._zmasks[seg]]
+        for seg, slots, zmasks in self._segments:
+            # a real (rows, terms) @ (terms, dim) product; _stack_matmul gives its bits 110x slower at dim 2
+            out[:, slots] = (vals[:, seg] @ signs[zmasks])[: ts.size]
         out = out.view(complex).reshape(ts.size, self.dim, self.dim)
         out += self._static
         return out
@@ -312,8 +310,8 @@ class IsingProblem:
         """Parse a plain-text edge list: ``i h_i`` lines for fields and
         ``i j J_ij`` lines for couplings; '#' starts a comment.  The register
         has ``n_qubits``, else one past the largest index (at least one).  A
-        line that indexes a qubit outside it or repeats the qubits of an
-        earlier line is refused, naming ``file:line``."""
+        line that indexes a qubit outside it, couples a qubit to itself or
+        repeats the qubits of an earlier line is refused, naming ``file:line``."""
         entries = []  # (line number, line, sorted qubit indices, value)
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -337,6 +335,8 @@ class IsingProblem:
         for lineno, line, qubits, _ in entries:
             if not 0 <= qubits[0] <= qubits[-1] < n:
                 raise ValueError(f"{path}:{lineno}: {line!r} indexes a qubit outside [0, {n})")
+            if len(qubits) == 2 and qubits[0] == qubits[1]:
+                raise ValueError(f"{path}:{lineno}: {line!r} couples qubit {qubits[0]} to itself")
             if qubits in seen:
                 raise ValueError(f"{path}:{lineno}: {line!r} repeats the qubits of line {seen[qubits]}")
             seen[qubits] = lineno

@@ -18,6 +18,8 @@ from qxform.hamiltonians import (
     IsingProblem,
     TimeDependentHamiltonian,
     annealing_hamiltonian,
+    fast_counterpart_hamiltonian,
+    nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )
 from qxform.operators import (
@@ -35,9 +37,10 @@ from qxform.propagation import (
     propagate_each,
     sample_trace,
 )
-from qxform.schedules import LinearRamp, NmrParams
+from qxform.schedules import Harmonic, LinearRamp, NmrParams
 from qxform.transform import (
     SampledHamiltonian,
+    _AmplitudeScaled,
     _frame_change,
     compose_transform,
     control_residual,
@@ -251,6 +254,33 @@ def test_sample_trace_matches_the_one_shot_sampler(n_qubits, rows, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # The analysis stage, one block at a time, against its one-shot formulas
+
+
+def families():
+    """One Hamiltonian of each family the package builds, by name."""
+    drive = NmrParams.harmonic(1.0, 2.0, 25.0)
+    ising = IsingProblem(4, fields=(0.5,) * 4, couplings=((0, 1, -1.0), (1, 2, -1.0), (2, 3, -1.0)))
+    ramp, phase = LinearRamp(2.0, 0.0, 2.0), Harmonic(31.41592653589793)
+    built = {"nmr lab": nmr_hamiltonian(drive), "nmr rotating frame": rotating_frame_hamiltonian(drive)}
+    for name, problem in (("ising", ising), ("grover", GroverProblem(3, 7))):
+        built[f"{name} anneal"] = annealing_hamiltonian(ramp, problem)
+        built[f"{name} counterpart"] = fast_counterpart_hamiltonian(ramp, problem, phase)
+    built["rescale scaled frame"] = _AmplitudeScaled(annealing_hamiltonian(ramp, GroverProblem(3, 7)), 100.0)
+    return built
+
+
+@pytest.mark.parametrize("name", sorted(families()))
+def test_a_row_does_not_depend_on_the_rows_evaluated_with_it(name):
+    # a one-row product took numpy's vector-matrix path: a counterpart's rows moved by up to 8.9e-16
+    h = families()[name]
+    ts = np.linspace(0.0, 1.9, 129)
+    stack = h.matrix_stack(ts).view(np.int64)  # as words, so that a signed zero counts
+    for rows in [*range(1, 10), 64]:
+        for lo in range(0, len(ts) - rows + 1, 7):
+            assert np.array_equal(h.matrix_stack(ts[lo : lo + rows]).view(np.int64), stack[lo : lo + rows]), (rows, lo)
+    if hasattr(h, "matrix"):
+        for k, t in enumerate(ts):
+            assert np.array_equal(h.matrix(t).view(np.int64), stack[k]), t
 
 
 def one_shot_matmul(a, b):

@@ -572,6 +572,8 @@ def test_non_finite_edge_list_value_names_file_and_line(no_numerics, tmp_path, c
         ("0 0.5\n0 0.7\n", 2, "'0 0.7' repeats the qubits of line 1"),
         ("0 3 1.0\n", 1, "'0 3 1.0' indexes a qubit outside [0, 2)"),
         ("0 1 1.0\n1 0 1.0\n", 2, "'1 0 1.0' repeats the qubits of line 1"),
+        # refused without its line, as a coupling (1,1) on the diagonal
+        ("0 0.5\n1 0.5\n1 1 1.0\n", 3, "'1 1 1.0' couples qubit 1 to itself"),
     ],
 )
 def test_bad_edge_list_index_names_file_and_line(no_numerics, tmp_path, capsys, text, line, why):

@@ -24,7 +24,7 @@ from qxform.hamiltonians import (
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )
-from qxform.operators import PauliString, hermiticity_defect, minus_state, fidelity
+from qxform.operators import PauliString, _sign_table, hermiticity_defect, minus_state, fidelity
 from qxform.schedules import Constant, Harmonic, LinearRamp, NmrParams
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -369,7 +369,7 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_sign_table_is_the_sylvester_hadamard_matrix(self, n):
-        signs = TimeDependentHamiltonian(n)._signs
+        signs = _sign_table(n)
         expected = hadamard(2**n, dtype=float)
         assert signs.dtype == expected.dtype
         assert np.array_equal(signs, expected)
@@ -450,6 +450,42 @@ def test_matrix_stack_is_exactly_hermitian(n, rows, data):
     ):
         stack = h.matrix_stack(ts)
         assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))
+
+
+def dense_sum(n, terms):
+    """sum c s.matrix(n) over constant (c, s) terms, string by string in the order given."""
+    total = np.zeros((2**n, 2**n), dtype=complex)
+    for c, s in terms:
+        total += c * s.matrix(n)
+    return total
+
+
+def _constant_parts():
+    """(Hamiltonian, its constant terms) pairs: the families' problem terms and splittings, and
+    strings of every axis under random constant coefficients."""
+    rng = np.random.default_rng(67)
+    ramp = LinearRamp(2.0, 0.0, 1.0)
+    problems = [GroverProblem(n, (5 * n + 1) % 2**n) for n in range(1, 9)]
+    for n in range(1, 7):
+        fields = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        pairs = itertools.combinations(range(n), 2)
+        problems.append(IsingProblem(n, tuple(fields), tuple((i, j, rng.normal()) for i, j in pairs)))
+    cases = [(annealing_hamiltonian(ramp, p), [(1.0, s) for s in p.pauli_terms()]) for p in problems]
+    for splitting in (1.0, -0.37, 3.3e-7):
+        z = PauliString(((0, "Z"),), 0.5)
+        cases.append((nmr_hamiltonian(NmrParams.harmonic(splitting, 2.0, 25.0)), [(splitting, z)]))
+    for n in range(1, 5):
+        axes = itertools.product("IXYZ", repeat=n)
+        strings = [PauliString(tuple((q, a) for q, a in enumerate(row) if a != "I"), rng.normal()) for row in axes]
+        terms = [(float(rng.normal() * 10.0 ** rng.uniform(-3, 3)), s) for s in strings]
+        cases.append((TimeDependentHamiltonian(n, terms), terms))
+    return cases
+
+
+@pytest.mark.parametrize("h, terms", _constant_parts())
+def test_static_part_is_the_dense_sum_bit_for_bit(h, terms):
+    # compared as int64 words, so that a signed zero counts
+    assert np.array_equal(h._static.view(np.int64), dense_sum(h.n_qubits, terms).view(np.int64))
 
 
 class TestEigensystem:
@@ -616,6 +652,7 @@ class TestProblems:
             # a coupling line was named by its position among the couplings, or not at all
             ("0 0.5\n0 2 1.0\n", 2, 2, "'0 2 1.0' indexes a qubit outside [0, 2)"),
             ("0 1 1.0\n# again\n1 0 2.0\n", None, 3, "'1 0 2.0' repeats the qubits of line 1"),
+            ("1 1 1.0\n", None, 1, "'1 1 1.0' couples qubit 1 to itself"),
         ],
     )
     def test_edge_list_refuses_bad_indices_naming_the_line(self, tmp_path, text, n_qubits, line, why):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import qxform.operators as operators
 from qxform.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,3 +29,37 @@ def test_shipped_config_matches_the_reference(tmp_path, check_result, name):
     assert main(["run", "--config", str(ROOT / "configs" / f"{name}.json"), "--out", str(out)]) == 0
     record = json.loads((out / "result.json").read_text())
     assert check_result(name, 0, record) is None
+
+
+# each shipped config at reduced step counts, small enough to run at three block budgets
+REDUCED = {
+    "nmr": ["n_steps=400"],
+    "verify_transform": ["n_steps=400"],
+    "rescale": ["n_steps=400", "drive_check.n_nodes=401"],
+    "grover": ["t_final=4", "sweep.doublings=1"],
+    "ising": ["t_final=2", "n_steps=200", "fast_counterpart.n_steps=400"],
+}
+
+
+def untimed_outputs(out):
+    """The bytes of every file a run wrote, by name, with result.json's timestamp line dropped."""
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    lines = files["result.json"].splitlines(keepends=True)
+    files["result.json"] = b"".join(line for line in lines if b'"timestamp"' not in line)
+    assert len(files["result.json"]) < sum(map(len, lines))
+    return files
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED))
+def test_outputs_do_not_depend_on_the_block_budget(tmp_path, monkeypatch, name):
+    # at 2^9 elements a dim-16 block has two rows, one per member of ising's lockstep pair
+    runs = {}
+    for elements in (1 << 15, 1 << 11, 1 << 9):
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", elements)
+        out = tmp_path / str(elements)
+        overrides = [arg for key in REDUCED[name] for arg in ("--set", key)]
+        code = main(["run", "--config", str(ROOT / "configs" / f"{name}.json"), "--out", str(out), *overrides])
+        runs[elements] = code, untimed_outputs(out)
+    (reference, *others) = runs.values()
+    assert reference[0] in (0, 2)
+    assert all(other == reference for other in others)
