@@ -339,9 +339,17 @@ def _sweep_point(args) -> dict:
     return run_annealing_experiment(problem, TimeGrid(0.0, t_final, anneal_steps(t_final)), transverse0)
 
 
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else ``os.cpu_count()`` (None when unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def _sweep_workers(jobs: int, n_points: int, n_cpus: int | None) -> int:
     """Pool size for a sweep: ``jobs`` clamped to the point and CPU counts
-    (``n_cpus`` is ``os.cpu_count()``, None when unknown)."""
+    (``n_cpus`` is ``_usable_cpus()``, None when unknown)."""
     if int(jobs) < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     return min(int(jobs), n_points, n_cpus or 1)
@@ -380,7 +388,7 @@ def annealing_doubling_sweep(
     depend on sharding; ``jobs`` > 1 distributes points across processes.
     """
     args = [(problem, transverse0, t) for t in sweep_runtimes(t_initial, doublings)]
-    workers = _sweep_workers(jobs, len(args), os.cpu_count())
+    workers = _sweep_workers(jobs, len(args), _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only a pool needs it
 

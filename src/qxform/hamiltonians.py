@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import PauliString, _flip_form, _sign_table, check_qubit_count
+from .operators import PauliString, _flip_form, _sign_table, check_envelope, check_qubit_count
 from .schedules import Constant, NmrParams, Schedule
 
 
@@ -87,10 +87,6 @@ class _ConjugatedFactors:
 
 # ---------------------------------------------------------------------------
 # Time-dependent Hamiltonian
-
-
-class CoefficientError(RuntimeError):
-    """A term's coefficient is not a finite real number at some time."""
 
 
 class TimeDependentHamiltonian:
@@ -183,10 +179,10 @@ class TimeDependentHamiltonian:
         out += self._static
         return out
 
-    def _bad_coefficient(self, ts, vals, bad) -> CoefficientError:
+    def _bad_coefficient(self, ts, vals, bad) -> ValueError:
         """Name the first (time, term) entry of ``vals`` flagged in ``bad``."""
         b, k = np.argwhere(bad)[0]
-        return CoefficientError(
+        return ValueError(
             f"coefficient of Pauli term {self._labels[k]} is {vals[b, k]} at t={float(ts[b])!r}"
         )
 
@@ -322,9 +318,7 @@ class IsingProblem:
                 try:
                     if len(parts) not in (2, 3):
                         raise ValueError("expected 2 or 3 columns")
-                    value = float(parts[-1])
-                    if not math.isfinite(value):
-                        raise ValueError(f"non-finite value {parts[-1]}")
+                    value = check_envelope(float(parts[-1]))
                     entries.append((lineno, line, tuple(sorted(int(x) for x in parts[:-1])), value))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: cannot parse {line!r} ({exc})") from None

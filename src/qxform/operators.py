@@ -19,6 +19,10 @@ import numpy as np
 # Dense storage keeps runs at desk scale; reject anything larger outright.
 MAX_QUBITS = 10
 
+# Every number a config or an edge list gives is 0 or has a magnitude in this
+# range, as check_envelope refuses it otherwise.
+ENVELOPE = (1e-100, 1e100)
+
 # Batched @ from this dimension up, for _stack_matmul (the unitarity gates, the
 # closed forms, the branch overlaps and the frame changes) and _hermitian_expm_stack.
 # A dim-2 product of two 8192-row blocks on one Xeon core (taskset, one
@@ -46,6 +50,37 @@ def check_qubit_count(n_qubits: int) -> int:
             f"(dimension 2^{n}); this package is restricted to desk-scale systems"
         )
     return n
+
+
+def check_envelope(value):
+    """``value`` unchanged if it is 0 or its magnitude lies in ENVELOPE; else,
+    NaN and infinities too, a ValueError.
+
+    Inside the envelope every run stays in the normal float range, about
+    [2.2e-308, 1.8e308], so no input needs a float-range refusal of its own.
+    What a run forms is a product of at most three envelope numbers, each
+    between 1e-300 and 1e300, times the size factors of a 10-qubit problem
+    (55 field and coupling terms on a diagonal entry, 10 in the transverse
+    sum, 200 conjugated strings) and the step limit of 1e8 steps:
+
+    - drive, frame, nutation and counterpart phases: a rate (a ramp's is
+      2e100 / 1e-100 at most) times a time, or a ramp's value between its ends;
+    - step phases dt·E, below 1e100 times 1e203;
+    - slow_time·H, below 1e203, and the rescale ratio slow_time/fast_time, at
+      most 1e200, which boosts H below 1e302;
+    - T·g and g·T/T′, between 1e-300 and 1e200;
+    - min_gap²·T, below 1e305;
+    - a grid step, at least 1e-100 / 1e8 / 2 (a control's refined grid).
+
+    The one time past 1e100 is the default quarter turn (π/2)/|d| of the
+    detuning d of two envelope numbers.  Their smallest nonzero difference
+    is 2^-385 ≈ 1.3e-116, so the turn is at most about 1.2e116, and the rates
+    it multiplies, at most 2e100, keep its phases and steps below 1e217.
+    """
+    lo, hi = ENVELOPE
+    if not (value == 0 or lo <= abs(value) <= hi):
+        raise ValueError(f"expected 0 or a magnitude in [{lo:g}, {hi:g}], got {value!r}")
+    return value
 
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
@@ -168,17 +203,6 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
-class PhaseRangeError(ValueError):
-    """A phase scale * eigenvalue of an exponential left the float range:
-    ``scale`` is the largest |scale|, ``spectrum`` the generator's largest
-    |eigenvalue|, itself out of the range where the generator's spectrum is."""
-
-    def __init__(self, message: str, scale: float, spectrum: float):
-        super().__init__(message)
-        self.scale = scale
-        self.spectrum = spectrum
-
-
 def _check_phase_range(scale, eigenvalues) -> None:
     """Refuse phases scale * eigenvalue beyond the float range, whose
     exponentials would be NaN."""
@@ -186,10 +210,8 @@ def _check_phase_range(scale, eigenvalues) -> None:
     spectrum = float(np.max(np.abs(eigenvalues)))
     reach = largest * spectrum
     if not math.isfinite(reach):
-        raise PhaseRangeError(
-            f"phase |scale * eigenvalue| = {largest!r} * {spectrum!r} reaches {reach}, beyond the float range",
-            largest,
-            spectrum,
+        raise ValueError(
+            f"phase |scale * eigenvalue| = {largest!r} * {spectrum!r} reaches {reach}, beyond the float range"
         )
 
 

@@ -44,9 +44,10 @@ class UnitarityError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid with n_steps steps between t_start and t_end.  The step
-    must be a normal float: a subnormal one loses the low bits of the node
-    times."""
+    """Uniform grid with n_steps steps between t_start and t_end.  Each end
+    must be at most half the largest float in magnitude, or the sum of two
+    node times that forms a step midpoint overflows.  The step must be a
+    normal float: a subnormal one loses the low bits of the node times."""
 
     t_start: float
     t_end: float
@@ -59,6 +60,12 @@ class TimeGrid:
             raise ValueError(
                 f"grid needs t_end > t_start, got [{self.t_start}, {self.t_end}]"
             )
+        for name, t in (("t_start", self.t_start), ("t_end", self.t_end)):
+            if not abs(t) <= sys.float_info.max / 2:
+                raise ValueError(
+                    f"{name} = {t!r} exceeds half the largest float, where the sum of two "
+                    "node times at a step midpoint overflows"
+                )
         if not self.dt >= sys.float_info.min:
             raise ValueError(
                 f"a grid step of {self.dt!r} is below the smallest normal float "

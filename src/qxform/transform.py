@@ -327,14 +327,6 @@ class TimeScaling:
         return self.slow_time / self.fast_time
 
 
-class ScaleOverflowError(ValueError):
-    """A scaled Hamiltonian left the float range, first at ``time``."""
-
-    def __init__(self, message: str, time: float):
-        super().__init__(message)
-        self.time = time
-
-
 class _AmplitudeScaled:
     """A constant multiple of another Hamiltonian (same time axis), refused
     at the first time where it leaves the float range."""
@@ -350,7 +342,7 @@ class _AmplitudeScaled:
         finite = np.isfinite(out).all(axis=(1, 2))
         if not finite.all():
             t = float(np.atleast_1d(ts)[np.argmin(finite)])
-            raise ScaleOverflowError(f"the Hamiltonian scaled by {self.factor!r} is not finite at t={t!r}", t)
+            raise ValueError(f"the Hamiltonian scaled by {self.factor!r} is not finite at t={t!r}")
         return out
 
 

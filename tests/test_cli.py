@@ -9,12 +9,17 @@ from pathlib import Path
 import pytest
 
 import qxform
-from qxform.cli import EXPERIMENTS, ConfigError, _schedule, list_experiments, main
+from qxform.cli import EXPERIMENTS, ConfigError, _sanitize, _schedule, list_experiments, main
+from qxform.experiments import expected_min_fidelity, run_annealing_experiment
+from qxform.hamiltonians import IsingProblem
+from qxform.propagation import TimeGrid
 from qxform.schedules import CosineRamp, Harmonic, Tabulated
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # a whole number of 401 digits, past the float range
 HUGE = "1" + "0" * 400
+# the refusal of a number outside the envelope, before the number itself
+ENVELOPE = "expected 0 or a magnitude in [1e-100, 1e+100], got"
 
 
 def write_config(tmp_path, name, payload):
@@ -368,6 +373,9 @@ class TestUsage:
             assert kind in text
         assert list_experiments() in text
 
+    def test_list_states_the_envelope_once(self):
+        assert list_experiments().count("is 0 or has a magnitude in [1e-100, 1e+100]") == 1
+
     def test_list_gives_the_counterpart_step_default(self):
         # a fast_counterpart block without n_steps takes 100,000 steps
         text = list_experiments()
@@ -439,19 +447,23 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize(
         "config, overrides, message",
         [
+            ("grover.json", ["sweep.t_initial=1e300"], f"config field 'sweep.t_initial': {ENVELOPE} 1e+300"),
             (
-                "grover.json", ["sweep.t_initial=1e300"],
-                "config field 'sweep.t_initial': a grid of 2e+302 steps exceeds the limit",
+                "grover.json", ["sweep.t_initial=1e100"],
+                "config field 'sweep.t_initial': a grid of 2e+102 steps exceeds the limit",
             ),
             ("grover.json", ["sweep.doublings=1100"], "config field 'sweep.doublings': a grid of inf steps"),
             ("grover.json", ["sweep.doublings=40"], "config field 'sweep.doublings': a grid of 2.19902e+14 steps"),
             ("nmr.json", ["n_steps=1"], "config field 'n_steps': a frame change needs at least 2 steps"),
             ("verify_transform.json", ["n_steps=1"], "config field 'n_steps': a frame change needs at least 2 steps"),
-            ("grover.json", ["t_final=1e307"], "config field 't_final': a grid of inf steps exceeds the limit"),
-            ("ising.json", ["t_final=1e307"], "config field 't_final': a grid of inf steps exceeds the limit"),
-            ("nmr.json", ["t_final=1e307", "n_steps=null"], "config field 't_final': a grid of inf steps exceeds the limit"),
-            # with the shipped step count the closed-form phases leave the float range
-            ("nmr.json", ["t_final=1e307"], "beyond the float range"),
+            ("grover.json", ["t_final=1e307"], f"config field 't_final': {ENVELOPE} 1e+307"),
+            ("grover.json", ["t_final=1e100"], "config field 't_final': a grid of 2e+102 steps exceeds the limit"),
+            ("ising.json", ["t_final=1e307"], f"config field 't_final': {ENVELOPE} 1e+307"),
+            ("ising.json", ["t_final=1e100"], "config field 't_final': a grid of 2e+102 steps exceeds the limit"),
+            ("nmr.json", ["t_final=1e307", "n_steps=null"], f"config field 't_final': {ENVELOPE} 1e+307"),
+            ("nmr.json", ["t_final=1e100", "n_steps=null"], "config field 't_final': a grid of 1e+103 steps exceeds the limit"),
+            # with the shipped step count the closed-form phases once left the float range
+            ("nmr.json", ["t_final=1e307"], f"config field 't_final': {ENVELOPE} 1e+307"),
             ("rescale.json", ["n_steps=1000000000000"], "config field 'n_steps': a grid of 1e+12 steps exceeds the limit"),
             # the drive check's nodes, for which np.linspace asked 7.28 TiB
             (
@@ -467,34 +479,26 @@ class TestModuleEntryPoint:
                 "config field 'fast_counterpart.n_steps': a grid of more than 1.79769e+308 steps",
             ),
             ("rescale.json", ["fast_time=20"], "config field 'fast_time'"),
-            # a boost past the float range, in the time ratio or in the Hamiltonian it scales
-            ("rescale.json", ["fast_time=1e-320"], "config field 'fast_time': the ratio slow_time/fast_time"),
-            ("rescale.json", ["slow_time=1e308"], "config field 'fast_time': the ratio slow_time/fast_time"),
-            ("rescale.json", ["transverse0=1.7e308"], "config field 'transverse0': the Hamiltonian scaled by"),
-            # a finite frame Hamiltonian carried past the float range by the time scale
+            # a boost once past the float range, in the time ratio or in the Hamiltonian it scales
+            ("rescale.json", ["fast_time=1e-320"], f"config field 'fast_time': {ENVELOPE} 1e-320"),
+            ("rescale.json", ["slow_time=1e308"], f"config field 'slow_time': {ENVELOPE} 1e+308"),
+            ("rescale.json", ["transverse0=1.7e308"], f"config field 'transverse0': {ENVELOPE} 1.7e+308"),
+            # a finite frame Hamiltonian once carried past the float range by the time scale
             (
                 "rescale.json",
                 ["drive_check=null", "tolerances.max_drive_distance=null", "slow_time=1.7e308", "fast_time=1e308"],
-                "config field 'slow_time': the Hamiltonian scaled by 1e+308 is not finite at t=5e-05",
+                f"config field 'fast_time': {ENVELOPE} 1e+308",
             ),
-            # the default quarter turn pi/(2|d|) underflows, or has no value
-            ("nmr.json", ["qubit_splitting=1e308"], "config field 't_final': the quarter turn"),
+            # the default quarter turn pi/(2|d|) once underflowed, or has no value
+            ("nmr.json", ["qubit_splitting=1e308"], f"config field 'qubit_splitting': {ENVELOPE} 1e+308"),
             ("nmr.json", ["drive_rate=1.0"], "config field 't_final': t_final must be given"),
             # a step below the smallest normal float, or too many steps to store
-            ("nmr.json", ["t_final=1e-310", "n_steps=16"], "config field 't_final': a grid step of"),
-            ("nmr.json", ["t_final=1e-310", "n_steps=null"], "config field 't_final': a grid step of"),
-            ("verify_transform.json", ["t_final=1e-310", "n_steps=16"], "config field 't_final': a grid step of"),
-            # the control doubles the steps, and so halves the configured step
-            (
-                "nmr.json", ["t_final=3.6e-307", "n_steps=16"],
-                "config field 't_final': the step 2.25e-308 is accepted, but the control's refined grid halves it: "
-                "a grid step of 1.125e-308",
-            ),
-            (
-                "verify_transform.json", ["t_final=3.6e-307", "n_steps=16"],
-                "config field 't_final': the step 2.25e-308 is accepted, but the control's refined grid halves it: "
-                "a grid step of 1.125e-308",
-            ),
+            ("nmr.json", ["t_final=1e-310", "n_steps=16"], f"config field 't_final': {ENVELOPE} 1e-310"),
+            ("nmr.json", ["t_final=1e-310", "n_steps=null"], f"config field 't_final': {ENVELOPE} 1e-310"),
+            ("verify_transform.json", ["t_final=1e-310", "n_steps=16"], f"config field 't_final': {ENVELOPE} 1e-310"),
+            # the control doubles the steps, and so once halved the configured step below the normal floats
+            ("nmr.json", ["t_final=3.6e-307", "n_steps=16"], f"config field 't_final': {ENVELOPE} 3.6e-307"),
+            ("verify_transform.json", ["t_final=3.6e-307", "n_steps=16"], f"config field 't_final': {ENVELOPE} 3.6e-307"),
             (
                 "nmr.json", ["n_steps=60000000"],
                 "config field 'n_steps': storing 120000001 unitaries of dimension 2 needs ~7.2 GiB; take fewer steps",
@@ -503,26 +507,23 @@ class TestModuleEntryPoint:
                 "verify_transform.json", ["n_steps=60000000"],
                 "config field 'n_steps': storing 120000001 unitaries of dimension 2 needs ~7.2 GiB; take fewer steps",
             ),
-            # a closed-form drive generator or a problem diagonal past the float range
-            ("nmr.json", ["drive_strength=1e308"], "config field 'drive_strength': the drive generator"),
+            # a closed-form drive generator or a problem diagonal once past the float range
+            ("nmr.json", ["drive_strength=1e308"], f"config field 'drive_strength': {ENVELOPE} 1e+308"),
             (
                 "rescale.json", ["drive_check.drive_strength=1e308"],
-                "config field 'drive_check.drive_strength': the drive generator",
+                f"config field 'drive_check.drive_strength': {ENVELOPE} 1e+308",
             ),
             ("nmr.json", ["t_final=-1"], "config field 't_final': expected a positive number, got -1.0"),
             (
                 "ising.json",
                 ["fields=[1e308,1e308,1e308,1e308]", "fast_counterpart=null", "tolerances.min_counterpart_fidelity=null"],
-                "config field 'fields': the fields and couplings sum past the float range",
+                f"config field 'fields[0]': {ENVELOPE} 1e+308",
             ),
             # the same with the shipped fast counterpart left in
-            (
-                "ising.json", ["fields=[1e308,1e308,1e308,1e308]"],
-                "config field 'fields': the fields and couplings sum past the float range",
-            ),
+            ("ising.json", ["fields=[1e308,1e308,1e308,1e308]"], f"config field 'fields[0]': {ENVELOPE} 1e+308"),
             (
                 "ising.json", ["fields=[1e308,1e308,1e308,1e308]", "transverse0=1"],
-                "config field 'fields': the fields and couplings sum past the float range",
+                f"config field 'fields[0]': {ENVELOPE} 1e+308",
             ),
             (
                 "ising.json",
@@ -530,33 +531,27 @@ class TestModuleEntryPoint:
                     "fields=[1e308,1e308,1e308,1e308]", "fast_counterpart=null",
                     "tolerances.min_counterpart_fidelity=null", "transverse0=1",
                 ],
-                "config field 'fields': the fields and couplings sum past the float range",
+                f"config field 'fields[0]': {ENVELOPE} 1e+308",
             ),
-            # a span past the float range is refused before the default transverse0 overflows
-            (
-                "ising.json", ["fields=[1e308,0,0,0]"],
-                "config field 'fields': the problem energies span from -1e+308 to 1e+308, past the float range",
-            ),
-            # a finite diagonal whose energies span past the float range
+            # a span once past the float range, before the default transverse0 overflowed
+            ("ising.json", ["fields=[1e308,0,0,0]"], f"config field 'fields[0]': {ENVELOPE} 1e+308"),
+            # a finite diagonal whose energies spanned past the float range
             (
                 "ising.json",
                 [
                     "fields=[1e308,0,0,0]", "transverse0=1", "fast_counterpart=null",
                     "tolerances.min_counterpart_fidelity=null",
                 ],
-                "config field 'fields': the problem energies span from -1e+308 to 1e+308, past the float range",
+                f"config field 'fields[0]': {ENVELOPE} 1e+308",
             ),
-            (
-                "ising.json", ["fields=[1e308,0,0,0]", "transverse0=1"],
-                "config field 'fields': the problem energies span from -1e+308 to 1e+308, past the float range",
-            ),
+            ("ising.json", ["fields=[1e308,0,0,0]", "transverse0=1"], f"config field 'fields[0]': {ENVELOPE} 1e+308"),
             (
                 "ising.json",
                 [
                     "fields=[0,0,0,0]", "couplings=[[0,1,1e308]]", "transverse0=1", "fast_counterpart=null",
                     "tolerances.min_counterpart_fidelity=null",
                 ],
-                "config field 'couplings': the problem energies span from -1e+308 to 1e+308, past the float range",
+                f"config field 'couplings[0][2]': {ENVELOPE} 1e+308",
             ),
             # the control's 2 n_steps + 1 unitaries would not fit the trace bound
             (
@@ -571,15 +566,15 @@ class TestModuleEntryPoint:
                 "nmr.json", ["t_final=20000", "n_steps=null"],
                 "config field 't_final': storing 40000001 unitaries of dimension 2 needs ~2.4 GiB",
             ),
-            # an ising problem's span is refused by its field inside the rescale problem block
+            # an ising problem's field is named inside the rescale problem block
             (
                 "rescale.json", ['problem={"kind":"ising","n_qubits":1,"fields":[1e308]}', "transverse0=1"],
-                "config field 'problem.fields': the problem energies span from -1e+308 to 1e+308",
+                f"config field 'problem.fields[0]': {ENVELOPE} 1e+308",
             ),
-            # a given transverse0 far below the problem energies that overflow
+            # a given transverse0 far below the problem energies that once overflowed
             (
                 "rescale.json", ['problem={"kind":"ising","n_qubits":1,"fields":[5e307]}', "transverse0=1"],
-                "config field 'problem': the Hamiltonian scaled by 100.0 is not finite at t=5e-05",
+                f"config field 'problem.fields[0]': {ENVELOPE} 5e+307",
             ),
             ("nmr.json", ["n_steps=1000000000"], "config field 'n_steps': a grid of 1e+09 steps exceeds"),
             (
@@ -601,14 +596,13 @@ class TestModuleEntryPoint:
             ),
             (
                 "ising.json", ["n_steps=1000000", 'fast_counterpart.phase={"kind": "harmonic", "rate": 1e308}'],
-                "error: config field 'fast_counterpart.phase': frame phase is inf at t=2.0, past the float range",
+                f"error: config field 'fast_counterpart.phase.rate': {ENVELOPE} 1e+308",
             ),
-            # g T and g T / T' underflow to 0, though the given strength is positive
+            # g T and g T / T' once underflowed to 0, though the given strength is positive
             (
                 "rescale.json",
                 ["fast_time=1e-300", "slow_time=1e-299", "drive_check.drive_strength=1e-100"],
-                "config field 'drive_check.drive_strength': the matched drive strength "
-                "g T / T' = 1e-100 x 1e-300 / 1e-299 underflows to 0.0",
+                f"config field 'fast_time': {ENVELOPE} 1e-300",
             ),
         ],
     )
@@ -631,22 +625,32 @@ class TestModuleEntryPoint:
             ("verify_transform.json", "qubit_splitting=1e300", ""),
             ("verify_transform.json", "drive_strength=1e300", ""),
             ("nmr.json", "drive_strength=1e300", "transform_"),
+            ("verify_transform.json", "qubit_splitting=1e100", ""),
+            ("verify_transform.json", "drive_strength=1e100", ""),
+            ("nmr.json", "drive_strength=1e100", "transform_"),
         ],
     )
     def test_non_finite_residuals_fail_the_model_quietly(self, tmp_path, config, override, prefix):
+        # residuals that overflowed at 1e300 are out of reach: that input is
+        # refused, and the envelope's end gives finite residuals that fail the model
         out = tmp_path / "out"
         done = self._run(
             "run", "--config", str(CONFIGS / config), "--set", override, "--out", str(out), cwd=tmp_path,
         )
+        field, value = override.split("=")
+        if float(value) > 1e100:
+            assert done.returncode == 1
+            assert done.stderr == f"error: config field '{field}': {ENVELOPE} {float(value)!r}\n"
+            return
         assert done.returncode == 2, done.stderr
         assert done.stderr == ""  # no overflow warning
         metrics = read_result(out)["metrics"]
         assert metrics[f"{prefix}model_passed"] is False
-        assert metrics[f"{prefix}max_residual"] is None
+        assert isinstance(metrics[f"{prefix}max_residual"], float)  # finite, so not written as null
 
 
     @pytest.mark.parametrize(
-        "payload, metric, value",
+        "payload, field, formula, value",
         [
             # min_gap^2 T past the float range, written as null
             (
@@ -654,7 +658,11 @@ class TestModuleEntryPoint:
                     "experiment": "ising", "n_qubits": 1, "fields": [5.2378363905399135e230], "couplings": [],
                     "t_final": 3.0, "n_steps": 4,
                 },
-                "adiabaticity_ratio", None,
+                "fields[0]",
+                lambda: run_annealing_experiment(IsingProblem(1, (5.2378363905399135e230,)), TimeGrid(0.0, 3.0, 4))[
+                    "adiabaticity_ratio"
+                ],
+                None,
             ),
             # 4 g^2 + d^2 underflows to 0: the ratio 4 g^2 / (4 g^2 + d^2) is read at scale
             (
@@ -662,17 +670,22 @@ class TestModuleEntryPoint:
                     "experiment": "nmr", "qubit_splitting": 0.0, "drive_rate": 9.1040982351965e-308,
                     "drive_strength": 6.8899391480219e-310, "n_steps": 27,
                 },
-                "expected_min_fidelity", pytest.approx(2.2904320376e-4, rel=1e-9),
+                "drive_rate",
+                lambda: expected_min_fidelity(6.8899391480219e-310, 9.1040982351965e-308),
+                pytest.approx(2.2904320376e-4, rel=1e-9),
             ),
         ],
+        ids=["adiabaticity_ratio", "expected_min_fidelity"],
     )
-    def test_metric_formulas_past_the_float_range_run_quietly(self, tmp_path, payload, metric, value):
+    def test_metric_formulas_past_the_float_range_run_quietly(self, tmp_path, payload, field, formula, value):
+        # the CLI refuses these numbers, outside the envelope, naming the field;
+        # the library formulas still give the metric as result.json would write it
         out = tmp_path / "out"
         config = write_config(tmp_path, "extreme.json", payload)
         done = self._run("run", "--config", config, "--out", str(out), cwd=tmp_path)
-        assert done.returncode == 0, done.stderr
-        assert done.stderr == ""
-        assert read_result(out)["metrics"][metric] == value
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: config field '{field}': {ENVELOPE} ") and done.stderr.count("\n") == 1
+        assert _sanitize(formula()) == value
 
 
 class TestImportFootprint:

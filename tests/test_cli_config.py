@@ -13,6 +13,8 @@ from qxform.cli import main
 from qxform.propagation import UnitarityError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# the refusal of a number outside the envelope, before the number itself
+ENVELOPE = "expected 0 or a magnitude in [1e-100, 1e+100], got"
 
 # The first call each runner makes into the numerics.
 EXPERIMENT_FUNCTIONS = (
@@ -185,8 +187,7 @@ class TestNonFiniteNumbers:
     )
     def test_rejected_and_named(self, no_numerics, tmp_path, capsys, payload, field):
         err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
-        assert f"'{field}'" in err
-        assert "finite" in err
+        assert err.startswith(f"error: config field '{field}': {ENVELOPE} "), err
 
     @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
     def test_set_override_rejected(self, no_numerics, tmp_path, capsys, value):
@@ -198,7 +199,43 @@ class TestNonFiniteNumbers:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(nmr_config()).replace("25.0", "1" + "0" * 400))
         err = run_rejected(tmp_path, capsys, str(path))
-        assert "'drive_strength'" in err
+        assert err == f"error: config field 'drive_strength': {ENVELOPE} 1{'0' * 400}"
+
+
+class TestEnvelope:
+    """Every number a config gives is 0 or has a magnitude in [1e-100, 1e100],
+    bounds included, wherever it sits."""
+
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, 1e-100, -1e-100, 1e100, -1e100, 1, 2.5e-7])
+    def test_inside_is_accepted(self, no_numerics, tmp_path, value):
+        payload = nmr_config(qubit_splitting=value, tolerances={"min_fidelity": value})
+        with pytest.raises(Reached):
+            cli.run_experiment(write_config(tmp_path, payload), out_dir=str(tmp_path / "out"))
+
+    @pytest.mark.parametrize(
+        "value", [9.999999999999999e-101, -9.999999999999999e-101, 1.0000000000000002e100, 5e-324, -1e308]
+    )
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (nmr_config(), "qubit_splitting"),
+            (nmr_config(), "tolerances.min_fidelity"),
+            (ising_config(), "fields[1]"),
+            (ising_config(), "couplings[0][2]"),
+            (ising_config(fast_counterpart={"phase": {"kind": "linear_ramp", "start": 0.0, "stop": 1.0,
+                                                      "duration": 2.0}}), "fast_counterpart.phase.stop"),
+            (rescale_config(problem={"kind": "ising", "n_qubits": 1, "fields": [0.5]}), "problem.fields[0]"),
+        ],
+        ids=["scalar", "tolerance", "fields", "coupling", "schedule", "problem-block"],
+    )
+    def test_outside_is_named(self, no_numerics, tmp_path, capsys, payload, field, value):
+        path = field.replace("[", ".").replace("]", "").split(".")
+        node = payload = json.loads(json.dumps(payload))
+        for key in path[:-1]:
+            node = node[int(key) if isinstance(node, list) else key]
+        node[int(path[-1]) if isinstance(node, list) else path[-1]] = value
+        err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
+        assert err == f"error: config field '{field}': {ENVELOPE} {value!r}"
 
     def test_verdict_tolerance_nan_does_not_reach_result(self, tmp_path, capsys):
         # verify-transform self pair runs in milliseconds; no stubs needed
@@ -254,39 +291,39 @@ def test_fast_time_not_below_slow_time_is_named(no_numerics, tmp_path, capsys, f
 
 
 @pytest.mark.parametrize(
-    "payload, override, field",
+    "payload, override, field, value",
     [
-        # 2 g overflows in the closed forms' generator 2 g X - d Z
-        (nmr_config(), "drive_strength=1e308", "drive_strength"),
-        # the detuning drive_rate - qubit_splitting overflows
-        (nmr_config(qubit_splitting=-1e308, t_final=1.0), "drive_rate=1e308", "drive_rate"),
+        # 2 g once overflowed in the closed forms' generator 2 g X - d Z
+        (nmr_config(), "drive_strength=1e308", "drive_strength", "1e+308"),
+        # the detuning drive_rate - qubit_splitting once overflowed; the first
+        # of the two, in the order of the fields, is named
+        (nmr_config(qubit_splitting=-1e308, t_final=1.0), "drive_rate=1e308", "qubit_splitting", "-1e+308"),
         (
             rescale_config(drive_check={"drive_strength": 2.0, "n_nodes": 11}),
-            "drive_check.drive_strength=1e308", "drive_check.drive_strength",
+            "drive_check.drive_strength=1e308", "drive_check.drive_strength", "1e+308",
         ),
         # the problem diagonal: the fields alone, or the couplings added to them
-        (ising_config(), "fields=[1e308,1e308]", "fields"),
-        (ising_config(transverse0=1.0), "fields=[1e308,-1e308]", "fields"),
-        (ising_config(fields=[8e307, 0.0], transverse0=1.0), "couplings=[[0,1,1e308]]", "couplings"),
+        (ising_config(), "fields=[1e308,1e308]", "fields[0]", "1e+308"),
+        (ising_config(transverse0=1.0), "fields=[1e308,-1e308]", "fields[0]", "1e+308"),
+        (ising_config(fields=[8e307, 0.0], transverse0=1.0), "couplings=[[0,1,1e308]]", "fields[0]", "8e+307"),
         # a finite diagonal whose energies span past the float range, by the fields or the couplings
-        (ising_config(transverse0=1.0), "fields=[1e308,0]", "fields"),
-        (ising_config(fields=[0.0, 0.0], transverse0=1.0), "couplings=[[0,1,1e308]]", "couplings"),
-        # a span of 2e308 is refused while the config is parsed, before the
-        # default transverse strength 2 x 1e308 would overflow
-        (ising_config(), "fields=[1e308,0]", "fields"),
+        (ising_config(transverse0=1.0), "fields=[1e308,0]", "fields[0]", "1e+308"),
+        (ising_config(fields=[0.0, 0.0], transverse0=1.0), "couplings=[[0,1,1e308]]", "couplings[0][2]", "1e+308"),
+        # the default transverse strength 2 x 1e308 would overflow
+        (ising_config(), "fields=[1e308,0]", "fields[0]", "1e+308"),
         (
             rescale_config(problem={"kind": "ising", "n_qubits": 1, "fields": [1e308]}),
-            "n_steps=500", "problem.fields",
+            "n_steps=500", "problem.fields[0]", "1e+308",
         ),
     ],
     ids=["nmr-drive", "nmr-detuning", "rescale-drive", "fields", "fields-given-transverse0", "couplings",
          "span-fields", "span-couplings", "default-transverse0", "rescale-default-transverse0"],
 )
 def test_magnitude_past_the_float_range_is_named_before_running(
-    no_numerics, tmp_path, capsys, payload, override, field
+    no_numerics, tmp_path, capsys, payload, override, field, value
 ):
     err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload), "--set", override)
-    assert err.startswith(f"error: config field '{field}': "), err
+    assert err == f"error: config field '{field}': {ENVELOPE} {value}"
 
 
 def _counterpart(phase, t_final, n_steps):
@@ -294,27 +331,27 @@ def _counterpart(phase, t_final, n_steps):
 
 
 @pytest.mark.parametrize(
-    "config, overrides, field",
+    "config, overrides, field, message",
     [
         # a counterpart phase finite at its t_final whose double, the conjugated
         # terms' angle, is not: once a NaN coefficient after the main anneal
         (
             "ising.json",
             ['fast_counterpart.phase={"kind": "harmonic", "rate": 5e307}', "n_steps=400", "fast_counterpart.n_steps=40"],
-            "fast_counterpart.phase",
+            "fast_counterpart.phase.rate", f"{ENVELOPE} 5e+307",
         ),
         # the closed forms' nutation phase over a quarter turn of a slow frame
         (
             "nmr.json", ["drive_strength=1e300", "qubit_splitting=1.9999999999", "n_steps=40"],
-            "drive_strength",
+            "drive_strength", f"{ENVELOPE} 1e+300",
         ),
         # the rotated frame's phase at a far t_final: once a NaN coefficient
-        ("nmr.json", ["t_final=1.03e243", "qubit_splitting=3.09e119", "n_steps=44"], "t_final"),
+        ("nmr.json", ["t_final=1.03e243", "qubit_splitting=3.09e119", "n_steps=44"], "qubit_splitting", f"{ENVELOPE} 3.09e+119"),
         # the same in the closed-form frame change: once an overflow warning
         (
             "verify_transform.json",
             ["t_final=1.03e243", "qubit_splitting=3.09e119", "drive_rate=1.34e-132", "n_steps=44"],
-            "t_final",
+            "qubit_splitting", f"{ENVELOPE} 3.09e+119",
         ),
         # tabulated phases whose splines leave the float range: once scipy's
         # overflow warnings, then a refusal or, with NaN coefficients, a NaN
@@ -325,7 +362,7 @@ def _counterpart(phase, t_final, n_steps):
                 "n_steps=400",
                 _counterpart({"kind": "tabulated", "times": [0, 1, 2, 3], "values": [0, 5e307, -5e307, 0]}, 2.0, 40),
             ],
-            "fast_counterpart.phase",
+            "fast_counterpart.phase.values[1]", f"{ENVELOPE} 5e+307",
         ),
         (
             "ising.json",
@@ -340,15 +377,31 @@ def _counterpart(phase, t_final, n_steps):
                     0.5, 40,
                 ),
             ],
-            "fast_counterpart.phase",
+            "fast_counterpart.phase.times[1]", f"{ENVELOPE} 9.376127831219486e-214",
+        ),
+        # inside the envelope, divided differences over close samples still
+        # overflow: the spline's own check refuses it
+        (
+            "ising.json",
+            [
+                "n_steps=400",
+                _counterpart(
+                    {"kind": "tabulated", "times": [0, 1e-100, 2e-100, 3e-100], "values": [0, 1e100, -1e100, 1e100]},
+                    3e-100, 16,
+                ),
+            ],
+            "fast_counterpart.phase", "the cubic spline through these samples has coefficients past the float range",
         ),
         # a step dt * eigenvalue past the float range: once an unnamed error
-        ("grover.json", ["sweep=null", "t_final=3.2e80", "n_steps=33", "transverse0=-3.3e278"], "t_final"),
+        (
+            "grover.json", ["sweep=null", "t_final=3.2e80", "n_steps=33", "transverse0=-3.3e278"],
+            "transverse0", f"{ENVELOPE} -3.3e+278",
+        ),
         (
             "ising.json",
             ["n_steps=9", "fields=[5.3e273, 0.5, 0.5, 0.5]", "fast_counterpart.t_final=9.3e49",
              "fast_counterpart.n_steps=16"],
-            "fast_counterpart.t_final",
+            "fields[0]", f"{ENVELOPE} 5.3e+273",
         ),
         # a ramp's rate 1e310 overflows the counterpart's transverse coefficient
         (
@@ -357,7 +410,7 @@ def _counterpart(phase, t_final, n_steps):
                 "n_steps=400",
                 _counterpart({"kind": "cosine_ramp", "start": 0.0, "stop": 1e300, "duration": 1e-10}, 1e-10, 8),
             ],
-            "fast_counterpart.phase",
+            "fast_counterpart.phase.stop", f"{ENVELOPE} 1e+300",
         ),
         (
             "ising.json",
@@ -365,27 +418,27 @@ def _counterpart(phase, t_final, n_steps):
                 "n_steps=400",
                 _counterpart({"kind": "linear_ramp", "start": 0.0, "stop": 1e300, "duration": 1e-10}, 1e-10, 8),
             ],
-            "fast_counterpart.phase",
+            "fast_counterpart.phase.stop", f"{ENVELOPE} 1e+300",
         ),
         # the frame rotation exp(-i phase(T) sum_i X_i) of four qubits: 4 x 8e307
         (
             "ising.json", ["n_steps=400", _counterpart({"kind": "harmonic", "rate": 4e307}, 2.0, 64)],
-            "fast_counterpart.phase",
+            "fast_counterpart.phase.rate", f"{ENVELOPE} 4e+307",
         ),
         # a transverse field whose sum over four qubits has a spectrum past the float range
-        ("ising.json", ["n_steps=400", "transverse0=1e308"], "transverse0"),
+        ("ising.json", ["n_steps=400", "transverse0=1e308"], "transverse0", f"{ENVELOPE} 1e+308"),
     ],
     ids=["counterpart-double-phase", "nmr-nutation", "nmr-frame", "verify-frame", "spline-slopes", "spline-nan",
-         "grover-step", "counterpart-step", "cosine-rate", "linear-rate", "counterpart-frames",
+         "spline-inside", "grover-step", "counterpart-step", "cosine-rate", "linear-rate", "counterpart-frames",
          "transverse-spectrum"],
 )
-def test_phase_past_the_float_range_is_named_without_a_warning(tmp_path, capsys, config, overrides, field):
+def test_phase_past_the_float_range_is_named_without_a_warning(tmp_path, capsys, config, overrides, field, message):
     sets = [arg for item in overrides for arg in ("--set", item)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         err = run_rejected(tmp_path, capsys, str(CONFIGS / config), *sets)
-    assert err.startswith(f"error: config field '{field}': "), err
-    assert "Warning" not in err and not caught, [str(w.message) for w in caught]
+    assert err == f"error: config field '{field}': {message}"
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_overflowing_matched_drive_strength_is_named(tmp_path, capsys):
@@ -394,36 +447,43 @@ def test_overflowing_matched_drive_strength_is_named(tmp_path, capsys):
                  "n_steps=50"]
     sets = [arg for item in overrides for arg in ("--set", item)]
     err = run_rejected(tmp_path, capsys, str(CONFIGS / "rescale.json"), *sets)
-    assert err == (
-        "error: config field 'drive_check.drive_strength': "
-        "the matched drive strength T g = 10000000000.0 x 1e+300 overflows"
-    )
+    assert err == f"error: config field 'drive_check.drive_strength': {ENVELOPE} 1e+300"
 
 
 @pytest.mark.parametrize(
-    "overrides, code",
+    "overrides, code, field",
     [
-        # the identity pair never evaluates the rotated frame's overflowing phase
-        (['pair="self"', "t_final=1.03e243", "qubit_splitting=3.09e119", "drive_rate=1.34e-132"], 0),
-        # g enters no phase of a verify-transform run; its residuals overflow and fail the model
-        (["drive_strength=1e308"], 2),
+        # the identity pair never evaluated the rotated frame's overflowing phase
+        (['pair="self"', "t_final=1.03e243", "qubit_splitting=3.09e119", "drive_rate=1.34e-132"], 1, "qubit_splitting"),
+        # g entered no phase of a verify-transform run; its residuals overflowed and failed the model
+        (["drive_strength=1e308"], 1, "drive_strength"),
+        # the same runs at the envelope's ends evaluate every phase and run to a verdict
+        (['pair="self"', "t_final=1e100", "qubit_splitting=1e100", "drive_rate=1e-100"], 0, None),
+        (["t_final=1e100", "qubit_splitting=1e100", "drive_rate=1e-100"], 2, None),
+        (["drive_strength=1e100"], 2, None),
     ],
-    ids=["self-pair", "drive-strength"],
+    ids=["self-pair", "drive-strength", "self-pair-inside", "nmr-pair-inside", "drive-strength-inside"],
 )
-def test_verify_transform_refuses_only_the_phases_it_evaluates(tmp_path, capsys, overrides, code):
+def test_verify_transform_refuses_only_the_phases_it_evaluates(tmp_path, capsys, overrides, code, field):
     sets = [arg for item in [*overrides, "n_steps=44"] for arg in ("--set", item)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = main(["run", "--config", str(CONFIGS / "verify_transform.json"), "--out", str(tmp_path), *sets])
-    assert got == code and capsys.readouterr().err == ""
+    err = capsys.readouterr().err
+    assert got == code, err
+    if field is None:
+        assert err == ""
+    else:
+        assert err.startswith(f"error: config field '{field}': {ENVELOPE} ") and err.count("\n") == 1, err
     assert not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize(
     "payload, overrides, field, message",
     [
-        (ising_config(), ["t_final=1e307"], "t_final", "a grid of inf steps exceeds the limit"),
-        (ising_config(), ["t_final=1e-310"], "t_final", "a grid step of 2.5e-313 is below"),
+        (ising_config(), ["t_final=1e307"], "t_final", f"{ENVELOPE} 1e+307"),
+        (ising_config(), ["t_final=1e100"], "t_final", "a grid of 2e+102 steps exceeds the limit"),
+        (ising_config(), ["t_final=1e-310"], "t_final", f"{ENVELOPE} 1e-310"),
         (ising_config(), ["n_steps=100000001"], "n_steps", "a grid of 100000001 steps exceeds"),
         (
             ising_config(fast_counterpart={"phase": {"kind": "constant", "value": 0.0}}),
@@ -432,21 +492,25 @@ def test_verify_transform_refuses_only_the_phases_it_evaluates(tmp_path, capsys,
         ),
         (
             ising_config(fast_counterpart={"phase": {"kind": "constant", "value": 0.0}}),
-            ["fast_counterpart.t_final=1e-310"], "fast_counterpart.t_final", "a grid step of 1e-315 is below",
+            ["fast_counterpart.t_final=1e-310"], "fast_counterpart.t_final", f"{ENVELOPE} 1e-310",
         ),
-        (SMALL_GROVER, ["t_final=1e307", "n_steps=null"], "t_final", "a grid of inf steps exceeds the limit"),
+        (SMALL_GROVER, ["t_final=1e307", "n_steps=null"], "t_final", f"{ENVELOPE} 1e+307"),
+        (SMALL_GROVER, ["t_final=1e100", "n_steps=null"], "t_final", "a grid of 2e+102 steps exceeds the limit"),
         (SMALL_GROVER, ["n_steps=" + HUGE], "n_steps", "a grid of more than 1.79769e+308 steps"),
         (nmr_config(), ["n_steps=" + HUGE], "n_steps", "a grid of more than 1.79769e+308 steps"),
         (VERIFY, ["n_steps=" + HUGE], "n_steps", "a grid of more than 1.79769e+308 steps"),
         (
-            {**SMALL_GROVER, "sweep": {"t_initial": 1e-310}}, [], "sweep.t_initial",
-            "a grid step of 2.5e-313 is below",
+            {**SMALL_GROVER, "sweep": {"t_initial": 1e-310}}, [], "sweep.t_initial", f"{ENVELOPE} 1e-310",
+        ),
+        (
+            {**SMALL_GROVER, "sweep": {"t_initial": 1e100}}, [], "sweep.t_initial",
+            "a grid of 2e+102 steps exceeds the limit",
         ),
     ],
     ids=[
-        "ising-t_final-inf-steps", "ising-t_final-subnormal-step", "ising-n_steps", "counterpart-n_steps",
-        "counterpart-t_final", "grover-t_final", "grover-n_steps", "nmr-n_steps", "verify-n_steps",
-        "sweep-t_initial",
+        "ising-t_final-inf-steps", "ising-t_final-steps-inside", "ising-t_final-subnormal-step", "ising-n_steps",
+        "counterpart-n_steps", "counterpart-t_final", "grover-t_final", "grover-t_final-inside", "grover-n_steps",
+        "nmr-n_steps", "verify-n_steps", "sweep-t_initial", "sweep-t_initial-inside",
     ],
 )
 def test_grid_is_refused_by_its_field_before_running(no_numerics, tmp_path, capsys, payload, overrides, field, message):
@@ -551,14 +615,14 @@ class TestProblemFileWithCouplings:
             cli.run_experiment(write_config(tmp_path, payload), out_dir=str(tmp_path / "out"))
 
 
-@pytest.mark.parametrize("line", ["1 nan", "0 1 inf"])
-def test_non_finite_edge_list_value_names_file_and_line(no_numerics, tmp_path, capsys, line):
+@pytest.mark.parametrize("line, value", [("1 nan", "nan"), ("0 1 inf", "inf"), ("1 1e-101", "1e-101"), ("0 1 -2e100", "-2e+100")])
+def test_non_finite_edge_list_value_names_file_and_line(no_numerics, tmp_path, capsys, line, value):
     edges = tmp_path / "edges.txt"
     edges.write_text(f"0 0.6\n{line}\n")
     payload = ising_config(problem_file=str(edges))
     del payload["fields"], payload["couplings"]
     err = run_rejected(tmp_path, capsys, write_config(tmp_path, payload))
-    assert f"{edges}:2:" in err and "non-finite" in err
+    assert err == f"error: config field 'problem_file': {edges}:2: cannot parse {line!r} ({ENVELOPE} {value})"
 
 
 

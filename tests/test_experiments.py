@@ -305,6 +305,36 @@ class TestAnnealingRuns:
     def test_sweep_workers_clamped(self, jobs, n_points, n_cpus, expected):
         assert _sweep_workers(jobs, n_points, n_cpus) == expected
 
+    @pytest.mark.parametrize("affinity, expected", [({0}, 1), ({0, 1}, 2), (None, 2)], ids=["pinned", "both", "none"])
+    def test_sweep_workers_count_the_cpus_the_process_may_run_on(self, monkeypatch, affinity, expected):
+        # as under taskset -c 0 on two CPUs: cpu_count() reads 2, the affinity set
+        # holds 1 CPU; a platform without sched_getaffinity falls back to cpu_count()
+        import concurrent.futures
+
+        pools = []
+
+        class Pool:  # runs the points in this process, recording the pool size
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        if affinity is None:
+            monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(experiments, "_sweep_point", lambda args: {"runtime_t": args[2]})
+        annealing_doubling_sweep(GroverProblem(2, 1), t_initial=1.0, doublings=2, jobs=2)
+        assert pools == ([] if expected == 1 else [expected])
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_sweep_workers_rejects_below_one(self, jobs):
         with pytest.raises(ValueError, match="jobs"):

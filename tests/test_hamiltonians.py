@@ -24,7 +24,7 @@ from qxform.hamiltonians import (
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )
-from qxform.operators import PauliString, _sign_table, hermiticity_defect, minus_state, fidelity
+from qxform.operators import ENVELOPE, PauliString, _sign_table, hermiticity_defect, minus_state, fidelity
 from qxform.schedules import Constant, Harmonic, LinearRamp, NmrParams
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -337,15 +337,15 @@ class TestEvaluation:
 
     def test_complex_coefficient_fails_by_name(self):
         h = self._with_coefficient(1 + 0.5j)
-        with pytest.raises(RuntimeError, match=r"Pauli term Z0 Y1 is \(1\+0\.5j\) at t=0\.5$"):
+        with pytest.raises(ValueError, match=r"Pauli term Z0 Y1 is \(1\+0\.5j\) at t=0\.5$"):
             h.matrix_stack([0.0, 0.5, 1.0])
 
     def test_non_finite_constant_coefficient_fails_by_name(self):
         h = nmr_hamiltonian(NmrParams(Constant(math.inf), 1.0, Harmonic(1.0)))
-        with pytest.raises(RuntimeError, match=r"Pauli term Z0 is inf at t=0\.0$"):
+        with pytest.raises(ValueError, match=r"Pauli term Z0 is inf at t=0\.0$"):
             h.matrix(0.0)
         h = TimeDependentHamiltonian(2, terms=((math.nan, PauliString(((1, "X"),))),))
-        with pytest.raises(RuntimeError, match=r"Pauli term X1 is nan at t=0\.5$"):
+        with pytest.raises(ValueError, match=r"Pauli term X1 is nan at t=0\.5$"):
             h.matrix(0.5)
 
     def test_complex_coefficient_with_zero_imaginary_part_is_real(self):
@@ -627,13 +627,19 @@ class TestProblems:
             ("0 0.5\n1 -inf\n", 2),
             ("0 0.5\n# chain\n0 1 inf\n", 3),
             ("0 0.5\n0 1 NaN\n", 2),
+            ("0 0.5\n0 1 1e101\n", 2),
+            ("0 5e-324\n", 1),
         ],
     )
     def test_edge_list_rejects_non_finite_values(self, tmp_path, text, line):
+        # and every value outside the envelope: 0 or a magnitude in [1e-100, 1e100]
         path = tmp_path / "edges.txt"
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"edges.txt:{line}: .*non-finite"):
+        with pytest.raises(ValueError, match=rf"edges.txt:{line}: .*expected 0 or a magnitude in \[1e-100, 1e\+100\]"):
             IsingProblem.from_edge_list(path)
+        lo, hi = ENVELOPE
+        path.write_text(f"0 {lo!r}\n1 {-hi!r}\n0 1 0.0\n")
+        assert IsingProblem.from_edge_list(path) == IsingProblem(2, (lo, -hi), ((0, 1, 0.0),))
 
     def test_edge_list_bad_line_names_location(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -688,6 +694,14 @@ def test_energy_span_is_at_least_twice_the_energy_scale(n, data):
     assert 2 * problem.energy_scale() <= diagonal.max() - diagonal.min()
 
 
+def _outside_envelope(lines):
+    """The index of the first edge-list line whose value is neither 0 nor of
+    a magnitude in the envelope, else None."""
+    lo, hi = ENVELOPE
+    values = [float(line.split()[-1]) for line in lines]
+    return next((k for k, v in enumerate(values) if not (v == 0 or lo <= abs(v) <= hi)), None)
+
+
 def _edge_lines(problem, data):
     """``problem`` as edge-list lines in a drawn order, each coupling's pair in
     either order."""
@@ -713,9 +727,20 @@ def test_edge_list_reads_back_equal_and_refuses_indices_outside_the_register(n, 
         path = os.path.join(tmp, "edges.txt")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        assert IsingProblem.from_edge_list(path) == problem
+        # a value outside the envelope is refused as its line is read, before any index is checked
+        k = _outside_envelope(lines)
+        if k is None:
+            assert IsingProblem.from_edge_list(path) == problem
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{k + 1}: cannot parse {lines[k]!r}')}"):
+                IsingProblem.from_edge_list(path)
+        lines = [*lines[:at], bad, *lines[at:]]
         with open(path, "w") as fh:
-            fh.write("\n".join([*lines[:at], bad, *lines[at:]]) + "\n")
-        refusal = f"{path}:{at + 1}: {bad!r} indexes a qubit outside [0, {n})"
-        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            fh.write("\n".join(lines) + "\n")
+        k = _outside_envelope(lines)
+        if k is None:
+            refusal = f"^{re.escape(f'{path}:{at + 1}: {bad!r} indexes a qubit outside [0, {n})')}$"
+        else:
+            refusal = f"^{re.escape(f'{path}:{k + 1}: cannot parse {lines[k]!r}')}"
+        with pytest.raises(ValueError, match=refusal):
             IsingProblem.from_edge_list(path, n_qubits=n)

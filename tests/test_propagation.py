@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ class TestTimeGrid:
         grid = TimeGrid(0.0, 16 * sys.float_info.min, 16)
         assert grid.dt == sys.float_info.min
 
+    def test_ends_past_half_the_largest_float_are_refused(self):
+        # the midpoint sum t_0 + t_1 of this grid overflowed: a numpy warning,
+        # then "coefficient of Pauli term X0 is nan at t=inf", naming no end
+        h = nmr_hamiltonian(NmrParams.harmonic(0.0, 1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^t_end = 1\.7e\+308 exceeds half the largest float"):
+                propagate(h, TimeGrid(0.0, 1.7e308, 2))
+            with pytest.raises(ValueError, match=r"^t_start = -1\.7e\+308 exceeds half the largest float"):
+                TimeGrid(-1.7e308, 0.0, 2)
+        assert TimeGrid(-sys.float_info.max / 2, sys.float_info.max / 2, 2).dt == sys.float_info.max / 2
+
 
 class TestPropagate:
     def test_commuting_constant_generator_is_exact(self):
@@ -183,10 +196,10 @@ class TestPropagate:
         # an infinite drive fails by name before any matrix is assembled
         h = nmr_hamiltonian(NmrParams.harmonic(1.0, 2.0, math.inf))
         # the first midpoint is t = 1/32, where g cos(phase) is the first bad coefficient
-        with pytest.raises(RuntimeError, match=r"Pauli term X0 is inf at t=0\.03125$"):
+        with pytest.raises(ValueError, match=r"Pauli term X0 is inf at t=0\.03125$"):
             propagate(h, TimeGrid(0.0, 1.0, 16))
         # at t = 0, Y0's inf * sin(0) is NaN; that raises no numpy warning either
-        with pytest.raises(RuntimeError, match=r"Pauli term X0 is inf at t=0\.0$"):
+        with pytest.raises(ValueError, match=r"Pauli term X0 is inf at t=0\.0$"):
             h.matrix(0.0)
 
     def test_memory_guard_suggests_stride(self):

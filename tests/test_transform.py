@@ -37,7 +37,6 @@ from qxform.propagation import (
 )
 from qxform.schedules import Harmonic, LinearRamp, NmrParams
 from qxform.transform import (
-    ScaleOverflowError,
     TimeScaling,
     compose_transform,
     control_residual,
@@ -562,9 +561,8 @@ class TestTimeRescaling:
         # the first midpoint of 1000 steps, where the boost of a finite
         # Hamiltonian leaves the float range
         h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), GroverProblem(2, 3))
-        with pytest.raises(ScaleOverflowError, match=r"scaled by 1e\+308 is not finite at t=0\.0005$") as info:
+        with pytest.raises(ValueError, match=r"scaled by 1e\+308 is not finite at t=0\.0005$"):
             time_rescaling_equivalence(h, TimeScaling(1e308, 1.7e308), TimeGrid(0.0, 1.0, 1000))
-        assert info.value.time == 0.0005
 
     def test_drive_tau_propagator_depends_only_on_strength_time_product(self):
         # fast leg with (g, T) and (2g, T/2) gives the same normalized-time
