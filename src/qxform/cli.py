@@ -4,9 +4,9 @@ structured results out.
 One table, ``EXPERIMENTS``, declares each experiment kind's fields and
 tolerances; it checks configs, builds verdicts and renders ``qxform list``.
 Configs are strict JSON, checked in full before any numerics run: unknown
-keys, wrong types, numbers outside the envelope (also from ``--set``) and
-tolerances that are unknown or lack their block are rejected, naming the
-field.  A result record with per-tolerance verdicts is written as
+or repeated keys, wrong types, numbers outside the envelope (also from
+``--set``) and tolerances that are unknown or lack their block are
+rejected, naming the field.  A result record with per-tolerance verdicts is written as
 ``result.json`` next to optional CSV curves.  Exit codes: 0 all verdicts
 pass; 1 usage, config, input or numerical-input error, as one stderr line;
 2 a verdict failed.
@@ -22,7 +22,6 @@ import os
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,11 +48,10 @@ from .transform import (
     verify_transform,
 )
 from .experiments import (
-    anneal_steps,
+    anneal_grid,
     annealing_doubling_sweep,
     check_counterpart_phase,
     nmr_grid,
-    nmr_steps,
     quarter_turn_time,
     run_annealing_experiment,
     run_fast_counterpart_comparison,
@@ -306,14 +304,11 @@ def _parse_config(cfg):
 # Experiment runners (parsed fields -> metrics, curves)
 
 
-def _grid(t_final, n_steps, steps, build, prefix=""):
-    """``build(t_final, steps(t_final, n_steps))``, the grid of a run on
-    [0, t_final].  A step count is refused by the ``n_steps`` given, else by
-    the ``t_final`` that sets it, and the grid (a step below the smallest
-    normal float) by ``t_final``; ``prefix`` is their block's path."""
+def _grid(build, t_final, n_steps, prefix=""):
+    """``build(t_final, n_steps)``, the grid of a run on [0, t_final], refused
+    by the ``n_steps`` given, else by the ``t_final`` that sets its step
+    count; ``prefix`` is their block's path."""
     with _field(prefix + ("t_final" if n_steps is None else "n_steps")):
-        n_steps = steps(t_final, n_steps)
-    with _field(prefix + "t_final"):
         return build(t_final, n_steps)
 
 
@@ -323,7 +318,7 @@ def _drive_and_grid(p):
     params = NmrParams.harmonic(p["qubit_splitting"], p["drive_rate"], p["drive_strength"])
     with _field("t_final"):
         t_final = quarter_turn_time(params.detuning) if p["t_final"] is None else p["t_final"]
-    return params, _grid(t_final, p["n_steps"], nmr_steps, nmr_grid)
+    return params, _grid(nmr_grid, t_final, p["n_steps"])
 
 
 def _run_nmr(p, jobs):
@@ -333,7 +328,7 @@ def _run_nmr(p, jobs):
 
 def _run_annealing(p, jobs):
     problem, transverse0 = p["problem"], p["transverse0"]  # None: each run takes the problem's default
-    grid = _grid(p["t_final"], p["n_steps"], anneal_steps, partial(TimeGrid, 0.0))
+    grid = _grid(anneal_grid, p["t_final"], p["n_steps"])
     sweep = p["sweep"]
     if sweep is not None:
         # refused before any run, naming t_initial when its first point is already too long
@@ -342,7 +337,7 @@ def _run_annealing(p, jobs):
                 sweep_runtimes(sweep["t_initial"], doublings)
     fc = p["fast_counterpart"]
     if fc is not None:
-        fc_grid = _grid(fc["t_final"], fc["n_steps"], anneal_steps, partial(TimeGrid, 0.0), "fast_counterpart.")
+        fc_grid = _grid(anneal_grid, fc["t_final"], fc["n_steps"], "fast_counterpart.")
         with _field("fast_counterpart.phase"):
             check_counterpart_phase(fc["phase"], fc_grid.t_end)
     metrics = run_annealing_experiment(problem, grid, transverse0)
@@ -606,8 +601,17 @@ def _load_config(path):
             text = fh.read()
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from None
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError("<file>", f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             "<file>", f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -620,12 +624,14 @@ def _apply_overrides(cfg, overrides):
         if "=" not in item:
             raise ConfigError("<override>", f"expected KEY=VALUE, got {item!r}")
         key, _, raw = item.partition("=")
+        parts = key.split(".")
+        if "" in parts:
+            raise ConfigError("<override>", f"expected KEY=VALUE with no empty name in KEY, got {item!r}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
         node = cfg
-        parts = key.split(".")
         for depth, part in enumerate(parts[:-1]):
             if node.get(part) is None:
                 node[part] = {}

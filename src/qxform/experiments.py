@@ -168,38 +168,24 @@ def quarter_turn_time(detuning: float) -> float:
     return t_final
 
 
-def nmr_steps(t_final: float, n_steps: int | None = None) -> int:
-    """The step count of a driven-qubit frame change on [0, t_final]:
-    ``n_steps``, by default one step per 1e-3 time units and at least 16,
-    refused unless a frame change takes it and its control's 2 n_steps + 1
-    unitaries of dimension 2 can be stored."""
+def nmr_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
+    """The grid of a driven-qubit frame change on [0, t_final]: ``n_steps``
+    steps, by default one per 1e-3 time units and at least 16, refused unless
+    a frame change takes them and its control's 2 n_steps + 1 unitaries of
+    dimension 2 can be stored."""
     if n_steps is None:
         n_steps = max(16, int(math.ceil(_within_step_limit(t_final / 1e-3))))
     check_frame_steps(n_steps)
     _check_trace_bytes(2 * n_steps + 1, 2, "take fewer steps")
-    return n_steps
+    return TimeGrid(0.0, float(t_final), n_steps)
 
 
-def anneal_steps(t_final: float, n_steps: int | None = None) -> int:
-    """The step count of an anneal on [0, t_final]: ``n_steps``, by default
+def anneal_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
+    """The grid of an anneal on [0, t_final]: ``n_steps`` steps, by default
     ceil(200 t_final) and at least 400, refused beyond MAX_STEPS."""
     if n_steps is None:
-        return max(400, int(math.ceil(_within_step_limit(200.0 * t_final))))
-    return _within_step_limit(n_steps)
-
-
-def nmr_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
-    """The grid of a driven-qubit frame change on [0, t_final] with
-    :func:`nmr_steps` steps, refused unless its control's refined grid
-    exists too."""
-    grid = TimeGrid(0.0, float(t_final), nmr_steps(t_final, n_steps))
-    try:
-        grid.refined()
-    except ValueError as exc:
-        raise ValueError(
-            f"the step {grid.dt!r} is accepted, but the control's refined grid halves it: {exc}"
-        ) from None
-    return grid
+        n_steps = max(400, int(math.ceil(_within_step_limit(200.0 * t_final))))
+    return TimeGrid(0.0, t_final, n_steps)
 
 
 def run_nmr_experiment(
@@ -336,7 +322,7 @@ def run_annealing_experiment(problem, grid: TimeGrid, transverse0: float | None 
 
 def _sweep_point(args) -> dict:
     problem, transverse0, t_final = args
-    return run_annealing_experiment(problem, TimeGrid(0.0, t_final, anneal_steps(t_final)), transverse0)
+    return run_annealing_experiment(problem, anneal_grid(t_final), transverse0)
 
 
 def _usable_cpus() -> int | None:
@@ -358,18 +344,17 @@ def _sweep_workers(jobs: int, n_points: int, n_cpus: int | None) -> int:
 def sweep_runtimes(t_initial: float, doublings: int) -> list:
     """The runtimes t_initial * 2^k, k = 0..doublings, of a doubling sweep.
 
-    The grid of the shortest, which has the smallest step, is built first,
-    and the default step count of the longest is checked against MAX_STEPS,
-    computed without overflow, so a sweep that cannot run is refused before
-    any runtime is built.
+    The grids of the shortest, which has the smallest step, and of the
+    longest, whose runtime is computed without overflow, are built first, so
+    a sweep that cannot run is refused before any runtime is built.
     """
-    TimeGrid(0.0, t_initial, anneal_steps(t_initial))
+    anneal_grid(t_initial)
     doublings = int(doublings)
     try:
         longest = math.ldexp(t_initial, doublings)
     except OverflowError:
         longest = math.inf
-    anneal_steps(longest)
+    anneal_grid(longest)
     return [t_initial * 2.0**k for k in range(doublings + 1)]
 
 
@@ -382,7 +367,7 @@ def annealing_doubling_sweep(
 ) -> tuple:
     """The metrics of annealing runs at runtimes t_initial * 2^k for
     k = 0..doublings, each with the default step count of
-    :func:`anneal_steps`.
+    :func:`anneal_grid`.
 
     All points are always computed (no early stopping) so the result does not
     depend on sharding; ``jobs`` > 1 distributes points across processes.

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import qxform.cli as cli
+import qxform.experiments as experiments
 from qxform.cli import main
-from qxform.propagation import UnitarityError
+from qxform.propagation import TimeGrid, UnitarityError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # the refusal of a number outside the envelope, before the number itself
@@ -672,6 +673,63 @@ class TestSetIntoNonObject:
             cli.run_experiment(
                 write_config(tmp_path, payload), ["sweep.doublings=2"], str(tmp_path / "out")
             )
+
+
+class TestDuplicateKeys:
+    # json.loads keeps the last of repeated keys: {"n_steps": 50, "n_steps": 60} ran with 60
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ('"n_steps": 60', "n_steps"),
+            ('"tolerances": {"min_fidelity": 0.9, "min_fidelity": 0.5}', "min_fidelity"),
+        ],
+        ids=["top-level", "tolerances"],
+    )
+    def test_repeated_key_is_refused(self, no_numerics, tmp_path, capsys, extra, key):
+        payload = nmr_config()
+        if key == "min_fidelity":
+            del payload["tolerances"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload)[:-1] + ", " + extra + "}")
+        err = run_rejected(tmp_path, capsys, str(path))
+        assert err == f"error: config field '<file>': {path}: duplicate key '{key}'"
+
+    def test_repeated_set_takes_the_last_value(self, monkeypatch, tmp_path):
+        def run(**kwargs):
+            raise Reached(kwargs["grid"].n_steps)
+
+        monkeypatch.setattr(cli, "run_nmr_experiment", run)
+        with pytest.raises(Reached, match="^60$"):
+            cli.run_experiment(
+                write_config(tmp_path, nmr_config()), ["n_steps=50", "n_steps=60"], str(tmp_path / "out")
+            )
+
+
+@pytest.mark.parametrize("item", [".a=1", "=1", "sweep..doublings=2", "sweep.=2"])
+def test_override_key_with_an_empty_segment_is_refused(no_numerics, tmp_path, capsys, item):
+    # '.a=1' and '=1' were refused as an unknown key of '<root>', a field that does not exist
+    err = run_rejected(tmp_path, capsys, write_config(tmp_path, SMALL_GROVER), "--set", item)
+    assert err == f"error: config field '<override>': expected KEY=VALUE with no empty name in KEY, got {item!r}"
+
+
+@pytest.mark.parametrize("config, refinements", [("nmr.json", 0), ("verify_transform.json", 1)])
+def test_grid_is_built_once_before_running(no_numerics, monkeypatch, tmp_path, config, refinements):
+    # the step count was once checked twice, and the nmr grid refined once
+    # before the run, which refines it again for its control
+    calls = {"check_frame_steps": 0, "refined": 0}
+
+    def spy(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(experiments, "check_frame_steps", spy("check_frame_steps", experiments.check_frame_steps))
+    monkeypatch.setattr(TimeGrid, "refined", spy("refined", TimeGrid.refined))
+    with pytest.raises(Reached):
+        cli.run_experiment(str(CONFIGS / config), out_dir=str(tmp_path / "out"))
+    assert calls == {"check_frame_steps": 1, "refined": refinements}
 
 
 # What each kind accepts, written out independently of the table in cli.py.

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -9,12 +10,11 @@ import qxform.experiments as experiments
 from qxform.cli import write_csv_curve
 from qxform.experiments import (
     _sweep_workers,
-    anneal_steps,
+    anneal_grid,
     annealing_doubling_sweep,
     check_counterpart_phase,
     expected_min_fidelity,
     nmr_grid,
-    nmr_steps,
     quarter_turn_time,
     run_annealing_experiment,
     run_fast_counterpart_comparison,
@@ -26,6 +26,7 @@ from qxform.hamiltonians import (
     GroverProblem,
     IsingProblem,
     annealing_hamiltonian,
+    nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )
 from qxform.operators import minus_state
@@ -33,10 +34,11 @@ from qxform.propagation import (
     TimeGrid,
     nmr_fast_propagator,
     propagate,
+    propagate_each,
     sample_trace,
 )
 from qxform.schedules import Constant, Harmonic, LinearRamp, NmrParams
-from qxform.transform import compose_transform
+from qxform.transform import compose_transform, control_residual
 
 # the default t_final of a detuning-1 drive (splitting 1, drive rate 2)
 QUARTER_TURN = quarter_turn_time(1.0)
@@ -186,7 +188,7 @@ class TestNmrExperiment:
     def test_control_past_the_trace_bound_is_refused(self, t_final, n_steps, nodes):
         # the control's refined grid stores 2 n_steps + 1 unitaries of dimension 2,
         # 64 bytes each: 16_777_215 steps keep them within 2 GiB, one more does not
-        assert nmr_steps(1.0, 16_777_215) == 16_777_215
+        assert nmr_grid(1.0, 16_777_215).n_steps == 16_777_215
         with pytest.raises(ValueError, match=f"^storing {nodes} unitaries of dimension 2 needs"):
             nmr_grid(t_final, n_steps)
 
@@ -194,6 +196,26 @@ class TestNmrExperiment:
         for n_steps in (16, None):
             with pytest.raises(ValueError, match="below the smallest normal float"):
                 nmr_grid(1e-310, n_steps)
+
+    def test_unrefinable_grid_is_refused_before_any_propagation(self, monkeypatch):
+        # dt is normal and dt/2 is not: the grid is accepted, and the control's
+        # refinement refuses it before the run or the verify-transform path
+        # propagates anything
+        grid = nmr_grid(1.5 * 16 * sys.float_info.min, 16)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return propagate_each(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "propagate_each", spy)
+        with pytest.raises(ValueError, match="below the smallest normal float"):
+            run_nmr_experiment(1.0, 2.0, 25.0, grid)
+        p = NmrParams.harmonic(1.0, 2.0, 25.0)
+        lab, frame = nmr_hamiltonian(p), rotating_frame_hamiltonian(p)
+        with pytest.raises(ValueError, match="below the smallest normal float"):
+            control_residual(lab, frame, lambda g: compose_transform(*spy((lab, frame), g)), grid)
+        assert calls == []
 
     def test_vanishing_detuning_needs_explicit_final_time(self):
         with pytest.raises(ValueError, match="t_final"):
@@ -238,12 +260,12 @@ class TestAnnealingRuns:
         assert 0.99 < result["initial_minus_overlap"] < 1.0
 
     def test_adequate_runtime_reaches_marked_state(self):
-        result = run_annealing_experiment(GroverProblem(2, 3), TimeGrid(0.0, 16.0, anneal_steps(16.0)))
+        result = run_annealing_experiment(GroverProblem(2, 3), anneal_grid(16.0))
         assert result["success_probability"] >= 0.9
 
     def test_ising_ground_manifold_population(self):
         problem = IsingProblem(2, fields=(0.6, 0.6), couplings=((0, 1, -0.5),))
-        result = run_annealing_experiment(problem, TimeGrid(0.0, 24.0, anneal_steps(24.0)))
+        result = run_annealing_experiment(problem, anneal_grid(24.0))
         assert "final_fidelity_vs_marked" not in result
         assert result["success_probability"] >= 0.9
         assert result["min_gap"] > 0.0
@@ -289,7 +311,7 @@ class TestAnnealingRuns:
         "t_final, n_steps, expected", [(1.0, None, 400), (2.5, None, 500), (2.0, 7, 7), (1e6, 10**8, 10**8)]
     )
     def test_anneal_steps(self, t_final, n_steps, expected):
-        assert anneal_steps(t_final, n_steps) == expected
+        assert anneal_grid(t_final, n_steps).n_steps == expected
 
     def test_sweep_runtimes_reach_the_step_limit_inclusively(self):
         # the default rule takes ceil(200 t) steps: 200 * 2^18 and 200 * 5e5 fit
