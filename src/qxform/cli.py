@@ -595,23 +595,29 @@ def list_experiments() -> str:
 # run subcommand plumbing
 
 
+def _json_loads(text, where, source):
+    """json.loads of ``text``, refusing an object that repeats a key (json
+    keeps the last one) as a ConfigError of ``where`` naming ``source``."""
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(where, f"{source}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
+    return json.loads(text, object_pairs_hook=unique)
+
+
 def _load_config(path):
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from None
-
-    def unique(pairs):
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise ConfigError("<file>", f"{path}: duplicate key {key!r}")
-            obj[key] = value
-        return obj
-
     try:
-        cfg = json.loads(text, object_pairs_hook=unique)
+        cfg = _json_loads(text, "<file>", path)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             "<file>", f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -628,8 +634,8 @@ def _apply_overrides(cfg, overrides):
         if "" in parts:
             raise ConfigError("<override>", f"expected KEY=VALUE with no empty name in KEY, got {item!r}")
         try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
+            value = _json_loads(raw, "<override>", repr(item))
+        except json.JSONDecodeError:  # not JSON: the text itself; a repeated key stays refused
             value = raw
         node = cfg
         for depth, part in enumerate(parts[:-1]):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +19,12 @@ from .schedules import Constant, NmrParams, Schedule
 # Derived coefficient functions (anything with .value(t) can weight a term)
 
 
-@dataclass(frozen=True)
 class _Drive:
     """amplitude * (cos, sin)(phase(t)): the X and Y weights of a drive, one
     column each, from a single phase evaluation."""
 
-    amplitude: float
-    phase: Schedule
+    def __init__(self, amplitude: float, phase: Schedule):
+        self.amplitude, self.phase = amplitude, phase
 
     def value(self, t):
         phase = self.phase.value(t)
@@ -37,13 +35,11 @@ class _Drive:
         return out.T
 
 
-@dataclass(frozen=True)
 class _FrameRate:
     """splitting + frame_phase' - drive_phase', the rotated-frame Z rate."""
 
-    splitting: Schedule
-    frame_phase: Schedule
-    drive_phase: Schedule
+    def __init__(self, splitting: Schedule, frame_phase: Schedule, drive_phase: Schedule):
+        self.splitting, self.frame_phase, self.drive_phase = splitting, frame_phase, drive_phase
 
     def value(self, t):
         return (
@@ -53,18 +49,16 @@ class _FrameRate:
         )
 
 
-@dataclass(frozen=True)
 class _ShiftedRate:
     """base(t) + phase'(t); the transverse rate seen alongside a rotating frame."""
 
-    base: Schedule
-    phase: Schedule
+    def __init__(self, base: Schedule, phase: Schedule):
+        self.base, self.phase = base, phase
 
     def value(self, t):
         return self.base.value(t) + self.phase.derivative(t)
 
 
-@dataclass(frozen=True, eq=False)
 class _ConjugatedFactors:
     """One column per string a conjugated Z-string expands into: the string's
     coefficient times cos(2 phase) per Z and -sin(2 phase) per Y, multiplied
@@ -72,9 +66,8 @@ class _ConjugatedFactors:
     Kronecker product bit for bit.  ``codes`` is (strings, max weight): 1 for
     Z, 2 for Y, 0 pads with an exact factor 1."""
 
-    phase: Schedule
-    coefficients: np.ndarray
-    codes: np.ndarray
+    def __init__(self, phase: Schedule, coefficients: np.ndarray, codes: np.ndarray):
+        self.phase, self.coefficients, self.codes = phase, coefficients, codes
 
     def value(self, t):
         two_phase = 2.0 * np.asarray(self.phase.value(t), dtype=float)
@@ -191,19 +184,14 @@ class TimeDependentHamiltonian:
 # Problem terms (diagonal in Z)
 
 
-@dataclass(frozen=True)
 class GroverProblem:
     """Search problem whose cost term is I - |marked><marked|."""
 
-    n_qubits: int
-    marked: int
-
-    def __post_init__(self):
-        n = check_qubit_count(self.n_qubits)
-        if not 0 <= int(self.marked) < 2**n:
-            raise ValueError(
-                f"marked index {self.marked} out of range for {n} qubits"
-            )
+    def __init__(self, n_qubits: int, marked: int):
+        n = check_qubit_count(n_qubits)
+        if not 0 <= int(marked) < 2**n:
+            raise ValueError(f"marked index {marked} out of range for {n} qubits")
+        self.n_qubits, self.marked = n_qubits, marked
 
     def pauli_terms(self) -> tuple:
         """I - |marked><marked| expanded as the diagonal projector product
@@ -240,17 +228,13 @@ def _qubit_index(value, where: str) -> int:
     return index
 
 
-@dataclass(frozen=True)
 class IsingProblem:
-    """Local fields and two-body ZZ couplings, diagonal in the Z basis."""
+    """Local fields and two-body ZZ couplings, diagonal in the Z basis.
+    Problems with equal qubit counts, fields and couplings are equal."""
 
-    n_qubits: int
-    fields: tuple
-    couplings: tuple = ()
-
-    def __post_init__(self):
-        n = check_qubit_count(self.n_qubits)
-        fields = tuple(float(h) for h in self.fields)
+    def __init__(self, n_qubits: int, fields: tuple, couplings: tuple = ()):
+        n = check_qubit_count(n_qubits)
+        fields = tuple(float(h) for h in fields)
         if len(fields) != n:
             raise ValueError(f"expected {n} local fields, got {len(fields)}")
         for k, h in enumerate(fields):
@@ -258,7 +242,7 @@ class IsingProblem:
                 raise ValueError(f"fields[{k}] is not finite: {h}")
         seen = set()
         canon = []
-        for k, entry in enumerate(self.couplings):
+        for k, entry in enumerate(couplings):
             i, j = (_qubit_index(x, f"couplings[{k}]") for x in entry[:2])
             coupling = float(entry[2])
             if not math.isfinite(coupling):
@@ -272,8 +256,7 @@ class IsingProblem:
                 raise ValueError(f"duplicate coupling for pair ({i},{j})")
             seen.add((i, j))
             canon.append((i, j, coupling))
-        object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "couplings", tuple(sorted(canon)))
+        self.n_qubits, self.fields, self.couplings = n_qubits, fields, tuple(sorted(canon))
         diagonal = _diagonal(self)
         if not np.isfinite(diagonal).all():
             raise ValueError("the fields and couplings sum past the float range on the diagonal")
@@ -282,6 +265,15 @@ class IsingProblem:
         lo, hi = float(diagonal.min()), float(diagonal.max())
         if not math.isfinite(hi - lo):
             raise ValueError(f"the problem energies span from {lo!r} to {hi!r}, past the float range")
+
+    def _key(self) -> tuple:
+        return self.n_qubits, self.fields, self.couplings
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def pauli_terms(self) -> tuple:
         terms = [

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +102,6 @@ def _flip_form(factors, coefficient: float, n_qubits: int):
     return x | y, n_y % 2 == 1, y | z, coefficient * (-1.0) ** (n_y // 2)
 
 
-@dataclass(frozen=True)
 class PauliString:
     """A tensor product of single-qubit Pauli factors with a real coefficient.
 
@@ -112,11 +110,8 @@ class PauliString:
     duplicate indices are rejected.
     """
 
-    factors: tuple = ()
-    coefficient: float = 1.0
-
-    def __post_init__(self):
-        facs = tuple((int(q), str(ax)) for q, ax in self.factors)
+    def __init__(self, factors: tuple = (), coefficient: float = 1.0):
+        facs = tuple((int(q), str(ax)) for q, ax in factors)
         for q, ax in facs:
             if q < 0:
                 raise ValueError(f"negative qubit index {q} in Pauli string")
@@ -126,8 +121,8 @@ class PauliString:
         qubits = [q for q, _ in facs]
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"duplicate qubit indices in Pauli string: {qubits}")
-        object.__setattr__(self, "factors", facs)
-        object.__setattr__(self, "coefficient", float(self.coefficient))
+        self.factors = facs
+        self.coefficient = float(coefficient)
 
     @property
     def support(self) -> frozenset:

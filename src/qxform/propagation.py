@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,25 +41,19 @@ class UnitarityError(RuntimeError):
         self.defect = defect
 
 
-@dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid with n_steps steps between t_start and t_end.  Each end
     must be at most half the largest float in magnitude, or the sum of two
     node times that forms a step midpoint overflows.  The step must be a
-    normal float: a subnormal one loses the low bits of the node times."""
+    normal float: a subnormal one loses the low bits of the node times.
+    Grids with equal ends and step counts are equal."""
 
-    t_start: float
-    t_end: float
-    n_steps: int
-
-    def __post_init__(self):
-        n_steps = _within_step_limit(self.n_steps)
-        object.__setattr__(self, "n_steps", _count(n_steps, "n_steps"))
-        if not self.t_end > self.t_start:
-            raise ValueError(
-                f"grid needs t_end > t_start, got [{self.t_start}, {self.t_end}]"
-            )
-        for name, t in (("t_start", self.t_start), ("t_end", self.t_end)):
+    def __init__(self, t_start: float, t_end: float, n_steps: int):
+        self.t_start, self.t_end = t_start, t_end
+        self.n_steps = _count(_within_step_limit(n_steps), "n_steps")
+        if not t_end > t_start:
+            raise ValueError(f"grid needs t_end > t_start, got [{t_start}, {t_end}]")
+        for name, t in (("t_start", t_start), ("t_end", t_end)):
             if not abs(t) <= sys.float_info.max / 2:
                 raise ValueError(
                     f"{name} = {t!r} exceeds half the largest float, where the sum of two "
@@ -71,6 +64,18 @@ class TimeGrid:
                 f"a grid step of {self.dt!r} is below the smallest normal float "
                 f"{sys.float_info.min!r}"
             )
+
+    def _key(self) -> tuple:
+        return self.t_start, self.t_end, self.n_steps
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"TimeGrid(t_start={self.t_start!r}, t_end={self.t_end!r}, n_steps={self.n_steps!r})"
 
     @property
     def dt(self) -> float:
@@ -134,7 +139,6 @@ def _check_trace_bytes(n_nodes: int, dim: int, remedy: str = "increase the strid
         )
 
 
-@dataclass(frozen=True, eq=False)
 class UnitaryTrace:
     """Unitaries on every ``stride``-th node of a time grid and its last: a
     propagator U(t_k) or a frame change S(t_k) = U(t_k) u(t_k)^dag.
@@ -143,10 +147,8 @@ class UnitaryTrace:
     is kept in ``max_defect``.
     """
 
-    grid: TimeGrid
-    stride: int
-    matrices: np.ndarray
-    max_defect: float
+    def __init__(self, grid: TimeGrid, stride: int, matrices: np.ndarray, max_defect: float):
+        self.grid, self.stride, self.matrices, self.max_defect = grid, stride, matrices, max_defect
 
     @property
     def times(self) -> np.ndarray:

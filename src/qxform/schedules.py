@@ -8,8 +8,6 @@ are angular frequencies (hbar = 1) and time is the reciprocal unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -17,7 +15,8 @@ class Schedule:
     """A real function on [0, t_max] that can also report its derivative.
 
     ``value`` and ``derivative`` accept scalars or numpy arrays; times outside
-    the domain are rejected.  Subclasses are immutable.
+    the domain are rejected.  Subclasses are immutable: their attributes are
+    set once, by ``__init__``.
     """
 
     @property
@@ -44,9 +43,9 @@ class Schedule:
         return t
 
 
-@dataclass(frozen=True)
 class Constant(Schedule):
-    c: float
+    def __init__(self, c: float):
+        self.c = c
 
     def value(self, t):
         return np.full_like(self._checked(t), self.c)
@@ -55,24 +54,19 @@ class Constant(Schedule):
         return np.zeros_like(self._checked(t))
 
 
-@dataclass(frozen=True)
 class _Ramp(Schedule):
     """A ramp from ``start`` to ``stop`` over [0, duration]."""
 
-    start: float
-    stop: float
-    duration: float
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"ramp duration must be positive, got {self.duration}")
+    def __init__(self, start: float, stop: float, duration: float):
+        if duration <= 0:
+            raise ValueError(f"ramp duration must be positive, got {duration}")
+        self.start, self.stop, self.duration = start, stop, duration
 
     @property
     def t_max(self) -> float:
         return self.duration
 
 
-@dataclass(frozen=True)
 class LinearRamp(_Ramp):
     """Straight-line ramp from ``start`` to ``stop`` over [0, duration]."""
 
@@ -86,11 +80,11 @@ class LinearRamp(_Ramp):
         return np.full_like(np.asarray(t, dtype=float), (self.stop - self.start) / self.duration)
 
 
-@dataclass(frozen=True)
 class Harmonic(Schedule):
     """Uniformly advancing phase: value is rate * t."""
 
-    rate: float
+    def __init__(self, rate: float):
+        self.rate = rate
 
     def value(self, t):
         return self.rate * self._checked(t)
@@ -99,7 +93,6 @@ class Harmonic(Schedule):
         return np.full_like(self._checked(t), self.rate)
 
 
-@dataclass(frozen=True)
 class CosineRamp(_Ramp):
     """Half-cosine ramp from ``start`` to ``stop`` with flat ends."""
 
@@ -112,19 +105,15 @@ class CosineRamp(_Ramp):
         return (self.stop - self.start) * (np.pi / (2.0 * self.duration)) * np.sin(np.pi * u)
 
 
-@dataclass(frozen=True, eq=False)
 class Tabulated(Schedule):
     """Cubic (not-a-knot) spline through strictly increasing samples starting
     at t=0.  The derivative is the exact derivative of the spline.  Samples
     whose spline coefficients leave the float range are refused.
     """
 
-    times: tuple
-    values: tuple
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, times: tuple, values: tuple):
+        t = np.asarray(times, dtype=float)
+        v = np.asarray(values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape:
             raise ValueError("times and values must be one-dimensional and equal length")
         if t.size < 4:
@@ -133,8 +122,8 @@ class Tabulated(Schedule):
             raise ValueError(f"tabulated schedule must start at t=0, got {t[0]}")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        object.__setattr__(self, "times", tuple(float(x) for x in t))
-        object.__setattr__(self, "values", tuple(float(x) for x in v))
+        self.times = tuple(float(x) for x in t)
+        self.values = tuple(float(x) for x in v)
         from scipy.interpolate import CubicSpline  # imported on first use: scipy is slow to load
 
         try:
@@ -144,7 +133,7 @@ class Tabulated(Schedule):
             spline = None
         if spline is None or not np.isfinite(spline.c).all():
             raise ValueError("the cubic spline through these samples has coefficients past the float range")
-        object.__setattr__(self, "_spline", spline)
+        self._spline = spline
 
     @property
     def t_max(self) -> float:
@@ -157,7 +146,6 @@ class Tabulated(Schedule):
         return self._spline(self._checked(t), 1)
 
 
-@dataclass(frozen=True)
 class NmrParams:
     """Parameters of the driven single-qubit Hamiltonian and its target frame.
 
@@ -166,14 +154,17 @@ class NmrParams:
     ``frame_phase`` (optional) is the drive direction of the rotated frame.
     """
 
-    qubit_splitting: Schedule
-    drive_strength: float
-    drive_phase: Schedule
-    frame_phase: Schedule | None = None
-
-    def __post_init__(self):
-        if self.drive_strength <= 0:
-            raise ValueError(f"drive strength must be positive, got {self.drive_strength}")
+    def __init__(
+        self,
+        qubit_splitting: Schedule,
+        drive_strength: float,
+        drive_phase: Schedule,
+        frame_phase: Schedule | None = None,
+    ):
+        if drive_strength <= 0:
+            raise ValueError(f"drive strength must be positive, got {drive_strength}")
+        self.qubit_splitting, self.drive_strength = qubit_splitting, drive_strength
+        self.drive_phase, self.frame_phase = drive_phase, frame_phase
 
     @classmethod
     def harmonic(

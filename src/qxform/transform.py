@@ -16,7 +16,6 @@ normalized-time grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +76,6 @@ def nmr_closed_form_transform(p: NmrParams, grid: TimeGrid) -> UnitaryTrace:
 # Frame-changed Hamiltonians on grid samples
 
 
-@dataclass(frozen=True, eq=False)
 class SampledHamiltonian:
     """Hermitian matrices on the interior nodes of a grid, as produced by the
     frame-change formulas with centrally differenced S.  ``times`` ascend.
@@ -85,9 +83,8 @@ class SampledHamiltonian:
     ``antihermitian_defects`` holds the per-node norm of the discarded
     anti-Hermitian part, the primary numerical-health signal."""
 
-    times: np.ndarray
-    matrices: np.ndarray
-    antihermitian_defects: np.ndarray
+    def __init__(self, times: np.ndarray, matrices: np.ndarray, antihermitian_defects: np.ndarray):
+        self.times, self.matrices, self.antihermitian_defects = times, matrices, antihermitian_defects
 
     @property
     def dim(self) -> int:
@@ -213,13 +210,12 @@ def transform_out_of_frame(frame_hamiltonian, transform: UnitaryTrace) -> Sample
 # Verification
 
 
-@dataclass(frozen=True)
 class ControlResidual:
     """What verify_transform reads of a transform's control: the grid it
     calibrates and the largest frame-change residual on its refinement."""
 
-    grid: TimeGrid
-    max_residual: float
+    def __init__(self, grid: TimeGrid, max_residual: float):
+        self.grid, self.max_residual = grid, max_residual
 
 
 def control_residual(hamiltonian, frame_hamiltonian, build, grid: TimeGrid) -> ControlResidual:
@@ -305,18 +301,13 @@ def two_gate_realization(
 # Energy/time trade-off on a shared normalized-time grid
 
 
-@dataclass(frozen=True)
 class TimeScaling:
     """Characteristic times of the fast and slow processes, fast < slow."""
 
-    fast_time: float
-    slow_time: float
-
-    def __post_init__(self):
-        if not 0 < self.fast_time < self.slow_time:
-            raise ValueError(
-                f"need 0 < fast_time < slow_time, got {self.fast_time}, {self.slow_time}"
-            )
+    def __init__(self, fast_time: float, slow_time: float):
+        if not 0 < fast_time < slow_time:
+            raise ValueError(f"need 0 < fast_time < slow_time, got {fast_time}, {slow_time}")
+        self.fast_time, self.slow_time = fast_time, slow_time
         if not math.isfinite(self.ratio):
             raise ValueError(
                 f"the ratio slow_time/fast_time = {self.slow_time!r}/{self.fast_time!r} overflows"

@@ -422,6 +422,11 @@ class TestModuleEntryPoint:
         for kind in EXPERIMENTS:
             assert kind in done.stdout
 
+    def test_import_loads_no_dataclasses(self, tmp_path):
+        # dataclasses wrote and exec'd the methods of 19 classes at every launch
+        done = run_python("-c", "import sys, qxform.cli; print('dataclasses' in sys.modules)", cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
     def test_bad_run_exits_1(self, tmp_path):
         done = self._run("run", "--config", str(tmp_path / "missing.json"), cwd=tmp_path)
         assert done.returncode == 1

@@ -694,6 +694,12 @@ class TestDuplicateKeys:
         err = run_rejected(tmp_path, capsys, str(path))
         assert err == f"error: config field '<file>': {path}: duplicate key '{key}'"
 
+    def test_repeated_key_inside_a_set_value_is_refused(self, no_numerics, tmp_path, capsys):
+        # json.loads kept the last key, so this ran with max_residual <= 1.0 and passed
+        item = 'tolerances={"max_residual": 1e-30, "max_residual": 1.0}'
+        err = run_rejected(tmp_path, capsys, write_config(tmp_path, VERIFY), "--set", item)
+        assert err == f"error: config field '<override>': {item!r}: duplicate key 'max_residual'"
+
     def test_repeated_set_takes_the_last_value(self, monkeypatch, tmp_path):
         def run(**kwargs):
             raise Reached(kwargs["grid"].n_steps)

@@ -67,6 +67,14 @@ class TestTimeGrid:
         np.testing.assert_array_equal(trace.times, [0.0, 0.5, 1.0, 1.5, 2.0])
         assert g.refined().n_steps == 8
 
+    def test_value_equality_and_repr(self):
+        # the grid checks compare grids, and two control refusals print them
+        g = TimeGrid(0.0, 1.0, 4)
+        assert g == TimeGrid(0.0, 1.0, 4.0) and hash(g) == hash(TimeGrid(0.0, 1.0, 4))
+        assert g != TimeGrid(0.0, 1.0, 8) and g != TimeGrid(0.0, 2.0, 4)
+        assert g != (0.0, 1.0, 4)
+        assert repr(g) == "TimeGrid(t_start=0.0, t_end=1.0, n_steps=4)"
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n_steps"):
             TimeGrid(0.0, 1.0, 0)
