@@ -31,6 +31,19 @@ def random_hermitian(rng, dim):
     return 0.5 * (a + a.conj().T)
 
 
+def hermitian_stack(rng, dim, kind):
+    """24 generators of dimension ``dim``, stored complex: every one complex
+    Hermitian ("complex"), every one real symmetric ("real"), or real symmetric
+    but for one complex Hermitian member ("mixed")."""
+    if kind == "complex":
+        return np.stack([random_hermitian(rng, dim) for _ in range(24)])
+    a = rng.normal(size=(24, dim, dim))
+    gens = (0.5 * (a + a.transpose(0, 2, 1))).astype(complex)
+    if kind == "mixed":
+        gens[12] = random_hermitian(rng, dim)
+    return gens
+
+
 def random_unitary(rng, dim):
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return q * (r.diagonal() / np.abs(r.diagonal()))
@@ -162,8 +175,10 @@ class TestHermitianExpm:
             hermitian_expm(2.0 * X, 1e308)
         with pytest.raises(ValueError, match="beyond the float range"):
             hermitian_expm(2.0 * X, np.array([0.0, 1e308]))
-        with pytest.raises(ValueError, match="beyond the float range"):
+        with pytest.raises(ValueError, match="beyond the float range"):  # the real eigensolver
             _hermitian_expm_stack(np.stack([X, 2.0 * X]), 1e308)
+        with pytest.raises(ValueError, match="beyond the float range"):  # the complex one
+            _hermitian_expm_stack(np.stack([X, 2.0 * Y]), 1e308)
         # at the edge of the range the phases stay finite
         assert np.isfinite(hermitian_expm(X, 1e308)).all()
 
@@ -217,23 +232,26 @@ class TestHermitianExpm:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_expm(bad, 1.0)
 
+    @pytest.mark.parametrize("kind", ["complex", "real"])
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
-    def test_stack_matches_per_matrix(self, dim):
-        # covers both sides of the einsum / batched-matmul switch
+    def test_stack_matches_per_matrix(self, dim, kind):
+        # covers both sides of the einsum / batched-matmul switch, and both eigensolvers
         rng = np.random.default_rng(dim)
-        gens = np.stack([random_hermitian(rng, dim) for _ in range(24)])
+        gens = hermitian_stack(rng, dim, kind)
         scale = 0.37
         stack = _hermitian_expm_stack(gens, scale)
         for g, u in zip(gens, stack):
             assert np.abs(u - hermitian_expm(g, scale)).max() <= 1e-13
 
+    @pytest.mark.parametrize("kind", ["complex", "real", "mixed"])
     @pytest.mark.parametrize("dim", [2, 16])
-    def test_stack_keeps_its_assembly_bits(self, dim):
-        # the propagators' bits: einsum V diag(p) V^dag below dim 4, (V p) @ V^dag from it up
+    def test_stack_keeps_its_assembly_bits(self, dim, kind):
+        # the propagators' bits: einsum V diag(p) V^dag below dim 4, (V p) @ V^dag from it up;
+        # V from the real eigensolver (V^dag = V^T) only when no member is complex
         rng = np.random.default_rng(40 + dim)
-        gens = np.stack([random_hermitian(rng, dim) for _ in range(24)])
+        gens = hermitian_stack(rng, dim, kind)
         dt = 0.37
-        w, v = np.linalg.eigh(gens)
+        w, v = np.linalg.eigh(gens.real if kind == "real" else gens)
         phases = np.exp(-1j * dt * w)
         if dim < 4:
             expected = np.einsum("kij,kj,klj->kil", v, phases, v.conj())
