@@ -35,7 +35,7 @@ from .hamiltonians import (
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )
-from .operators import ENVELOPE, check_envelope
+from .operators import ENVELOPE, check_envelope, check_qubit_count
 from .propagation import TimeGrid
 from .schedules import Constant, CosineRamp, Harmonic, LinearRamp, NmrParams, Tabulated
 from .transform import (
@@ -221,11 +221,15 @@ def _schedule(obj, path):
 
 
 def _grover_problem(p, path):
+    with _field(_join(path, "n_qubits")):  # the cap, before anything is built for it
+        check_qubit_count(p["n_qubits"])
     with _field(_join(path, "marked")):
         return GroverProblem(n_qubits=p["n_qubits"], marked=p["marked"])
 
 
 def _ising_problem(p, path):
+    with _field(_join(path, "n_qubits")):  # the cap, before anything is built for it
+        check_qubit_count(p["n_qubits"])
     inline = p["fields"] is not None
     if inline == (p["problem_file"] is not None):
         raise ConfigError(
@@ -368,7 +372,6 @@ def _run_verify_transform(p, jobs):
     # the control, twice as fine, is reduced to its residual before the transform is built
     control = control_residual(lab, frame, build, grid)
     metrics, curves = verify_transform(lab, frame, build(grid), control)
-    del metrics["round_trip_max_residual"]  # not among the verify-transform metrics
     return {"pair": p["pair"], **metrics}, curves
 
 

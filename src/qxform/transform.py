@@ -119,11 +119,8 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
 
     Without a ``target`` returns the SampledHamiltonian.  With one, holding
     only one block of it, returns the per-node Frobenius residuals against
-    ``target``, the largest residual of carrying the reconstruction back out
-    of the frame (the formula with the other of s and s^dag) against the H it
-    was built from, and the largest anti-Hermitian defect.  Each block of
-    ``target`` takes the round trip once its residuals are read.  Residuals
-    that overflow are inf, which no tolerance model passes.
+    ``target`` and the largest anti-Hermitian defect.  Residuals that
+    overflow are inf, which no tolerance model passes.
     """
     check_frame_steps(transform.grid.n_steps)
     if transform.stride != 1:
@@ -141,27 +138,7 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
     matrices = np.empty((n if keep else rows, dim, dim), dtype=complex)
     times, defects = (np.empty(n), np.empty(n)) if keep else (None, None)
     residuals = None if keep else np.empty(n)
-    max_defect = max_round_trip = -np.inf
-
-    def hermitian_part(nodes, h_mid, adjoint, herm):
-        """The Hermitian part of the formula for ``h_mid`` at the middle
-        ``nodes``, into ``herm``; returns r and r^dag."""
-        m = len(herm)
-        nodes_conj = np.conjugate(nodes, out=conj[: m + 2])
-        if adjoint:
-            s, s_dag = nodes_conj.transpose(0, 2, 1), nodes[1:-1]
-            s_dot = s_dot_buf[:m].transpose(0, 2, 1)
-        else:
-            s, s_dag, s_dot = nodes, nodes_conj[1:-1].transpose(0, 2, 1), s_dot_buf[:m]
-        np.subtract(s[2:], s[:-2], out=s_dot)
-        s_dot /= 2.0 * grid.dt  # central difference
-        y = _stack_matmul(h_mid, s[1:-1], out=herm)
-        y -= np.multiply(s_dot, 1j, out=s_dot)
-        r = _stack_matmul(s_dag, y, out=s_dot_buf[:m])
-        dag = np.conjugate(r, out=conj[:m]).transpose(0, 2, 1)
-        np.add(r, dag, out=herm)
-        herm *= 0.5
-        return r, dag
+    max_defect = -np.inf
 
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, rows):
@@ -170,24 +147,30 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
             t_mid = _node_times(grid, np.arange(lo + 1, hi + 1))
             nodes = transform.matrices[lo : hi + 2]
             herm = matrices[lo:hi] if keep else matrices[:m]
-            h_mid = hamiltonian.matrix_stack(t_mid)
-            r, dag = hermitian_part(nodes, h_mid, adjoint, herm)
+            nodes_conj = np.conjugate(nodes, out=conj[: m + 2])
+            if adjoint:
+                s, s_dag = nodes_conj.transpose(0, 2, 1), nodes[1:-1]
+                s_dot = s_dot_buf[:m].transpose(0, 2, 1)
+            else:
+                s, s_dag, s_dot = nodes, nodes_conj[1:-1].transpose(0, 2, 1), s_dot_buf[:m]
+            np.subtract(s[2:], s[:-2], out=s_dot)
+            s_dot /= 2.0 * grid.dt  # central difference
+            y = _stack_matmul(hamiltonian.matrix_stack(t_mid), s[1:-1], out=herm)
+            y -= np.multiply(s_dot, 1j, out=s_dot)
+            r = _stack_matmul(s_dag, y, out=s_dot_buf[:m])
+            dag = np.conjugate(r, out=conj[:m]).transpose(0, 2, 1)
+            np.add(r, dag, out=herm)
+            herm *= 0.5
             r -= dag
             r *= 0.5  # the anti-Hermitian part
             max_defect = np.maximum(max_defect, np.max(_row_norms(r, out=defects[lo:hi] if keep else None)))
             if keep:
                 times[lo:hi] = t_mid
             else:
-                back = np.require(target.matrix_stack(t_mid), complex, "W")
-                _row_norms(np.subtract(herm, back, out=s_dot_buf[:m]), out=residuals[lo:hi])
-                hermitian_part(nodes, herm, not adjoint, back)  # the round trip, into the target's block
-                diff = np.subtract(back, h_mid, out=s_dot_buf[:m])
-                max_round_trip = np.maximum(max_round_trip, np.max(_row_norms(diff)))
-                del back
-            del h_mid  # neither block is held while the next one is evaluated
+                _row_norms(np.subtract(herm, target.matrix_stack(t_mid), out=s_dot_buf[:m]), out=residuals[lo:hi])
     if keep:
         return SampledHamiltonian(times, matrices, defects)
-    return residuals, float(max_round_trip), float(max_defect)
+    return residuals, float(max_defect)
 
 
 def transform_into_frame(hamiltonian, transform: UnitaryTrace) -> SampledHamiltonian:
@@ -237,8 +220,7 @@ def verify_transform(
     transform: UnitaryTrace,
     control: ControlResidual,
 ) -> tuple[dict, dict]:
-    """Check that ``transform`` maps ``hamiltonian`` onto ``frame_hamiltonian``,
-    and that its adjoint maps the reconstruction back onto ``hamiltonian``.
+    """Check that ``transform`` maps ``hamiltonian`` onto ``frame_hamiltonian``.
 
     ``control`` is :func:`control_residual` of the same transform on the
     transform's grid.  The pass criterion is self-calibrated against it: the
@@ -251,15 +233,14 @@ def verify_transform(
     ``threshold``, ``model_passed``, ``max_antihermitian_defect`` (of the
     frame Hamiltonian rebuilt on the coarse grid, which is kept only as
     values), ``inconsistent_transform`` (that defect beyond 10 x the
-    threshold), ``round_trip_max_residual`` (of carrying the rebuilt frame
-    Hamiltonian back out of the frame, against ``hamiltonian``) and
-    ``fd_step`` (the differencing step), and the curve ``residuals``: the
-    per-node residuals on the interior nodes as (times, values).
+    threshold) and ``fd_step`` (the differencing step), and the curve
+    ``residuals``: the per-node residuals on the interior nodes as
+    (times, values).
     """
     if control.grid != transform.grid:
         raise ValueError(f"the control calibrates {control.grid}, not the transform's {transform.grid}")
     grid, control_max = transform.grid, control.max_residual
-    residuals, round_trip, max_defect = _frame_change(hamiltonian, transform, target=frame_hamiltonian)
+    residuals, max_defect = _frame_change(hamiltonian, transform, target=frame_hamiltonian)
     max_residual = float(np.max(residuals))
     threshold = 4.0 * control_max + _RESIDUAL_FLOOR
     finite = math.isfinite(max_residual) and math.isfinite(control_max)
@@ -274,7 +255,6 @@ def verify_transform(
         ),
         "max_antihermitian_defect": max_defect,
         "inconsistent_transform": bool(max_defect > 10.0 * threshold),
-        "round_trip_max_residual": round_trip,
         "fd_step": grid.dt,
     }
     return metrics, {"residuals": (_node_times(grid, np.arange(1, grid.n_steps)), residuals)}

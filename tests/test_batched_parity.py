@@ -12,7 +12,13 @@ from hypothesis.extra import numpy as hnp
 
 import qxform.operators as operators
 from qxform.cli import write_csv_curve
-from qxform.experiments import run_annealing_experiment, track_ground_state
+from qxform.experiments import (
+    nmr_grid,
+    quarter_turn_time,
+    run_annealing_experiment,
+    run_nmr_experiment,
+    track_ground_state,
+)
 from qxform.hamiltonians import (
     GroverProblem,
     IsingProblem,
@@ -363,18 +369,36 @@ def test_analysis_matches_the_one_shot_formulas(n_qubits, rows, monkeypatch):
     times, residuals = curves["residuals"]
     assert np.array_equal(residuals, one_shot_residuals(h, frame, composed))
     assert metrics["control_max_residual"] == np.max(one_shot_residuals(h, frame, control))
-    # the metrics keep values of the reconstruction, and of carrying it back out of the frame
+    # the metrics keep values of the reconstruction; carried back out of the
+    # frame against a target, it takes the one-shot out-of-frame formula
     rec = transform_into_frame(h, composed)
-    round_trip = _frame_change(rec, composed, adjoint=True, target=h)[0]
-    assert metrics["round_trip_max_residual"] == np.max(round_trip)
     assert metrics["max_antihermitian_defect"] == np.max(rec.antihermitian_defects)
     assert np.array_equal(times, rec.times)
+    back, _ = one_shot_frame_change(rec, composed, composed.matrices.conj().transpose(0, 2, 1))
+    round_trip = _frame_change(rec, composed, adjoint=True, target=h)[0]
+    assert np.array_equal(round_trip, one_shot_row_norms(back - h.matrix_stack(rec.times)))
 
     got = phase_aligned_distance(a, b)
     assert got.shape == (3, 7)
     assert np.array_equal(got, one_shot_aligned_distance(a, b))
     # the one pair whose trace vanishes keeps the plain Frobenius distance
     assert got[1, 2] == one_shot_row_norms(a[1] - b[1])[2]
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+def test_nmr_round_trip_is_the_into_then_out_of_frame_pair(rows, monkeypatch):
+    # the shipped drive on a reduced grid: the metric is the largest residual of
+    # H carried into the frame and back out by the library pair, against H
+    if rows is not None:
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", rows * 4)
+    p = NmrParams.harmonic(1.0, 2.0, 25.0)
+    grid = nmr_grid(quarter_turn_time(p.detuning), 400)
+    metrics, _ = run_nmr_experiment(1.0, 2.0, 25.0, grid)
+    lab, frame = nmr_hamiltonian(p), rotating_frame_hamiltonian(p)
+    s = compose_transform(*propagate_each((lab, frame), grid))
+    back = transform_out_of_frame(transform_into_frame(lab, s), s)
+    round_trip = one_shot_row_norms(back.matrices - lab.matrix_stack(back.times))
+    assert metrics["round_trip_max_residual"] == np.max(round_trip)
 
 
 # ---------------------------------------------------------------------------

@@ -694,7 +694,7 @@ class TestModuleEntryPoint:
 
 
 class TestImportFootprint:
-    """scipy and the process pool are imported only by the runs that use them."""
+    """scipy and the sweep's thread pool are imported only by the runs that use them."""
 
     def test_shipped_run_loads_no_scipy_or_process_pool(self, tmp_path):
         script = (
@@ -703,7 +703,7 @@ class TestImportFootprint:
             f"code = main(['run', '--config', {str(CONFIGS / 'verify_transform.json')!r},"
             f" '--out', {str(tmp_path / 'out')!r}])\n"
             "print(code, sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))\n"
+            " if m.split('.')[0] in ('scipy', 'concurrent')))\n"
         )
         done = run_python("-c", script, cwd=tmp_path)
         assert done.returncode == 0, done.stderr

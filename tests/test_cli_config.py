@@ -628,6 +628,30 @@ def test_non_finite_edge_list_value_names_file_and_line(no_numerics, tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "config, overrides, field",
+    [
+        # each was refused under the field of the first thing built for 11 qubits
+        ("grover.json", ["n_qubits=11"], "n_qubits"),  # was 'marked'
+        ("ising.json", ["n_qubits=11"], "n_qubits"),  # was 'fields'
+        ("problem_file", ["n_qubits=11"], "n_qubits"),  # was 'problem_file'
+        ("rescale.json", ["problem.n_qubits=11"], "problem.n_qubits"),  # was 'problem.marked'
+    ],
+)
+def test_qubit_count_past_the_cap_is_refused_by_its_field(no_numerics, tmp_path, capsys, config, overrides, field):
+    if config == "problem_file":
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 0.6\n1 0.6\n0 1 -0.5\n")
+        payload = ising_config(problem_file=str(edges))
+        del payload["fields"], payload["couplings"]
+        path = write_config(tmp_path, payload)
+    else:
+        path = str(CONFIGS / config)
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    err = run_rejected(tmp_path, capsys, path, *sets)
+    assert err.startswith(f"error: config field '{field}': 11 qubits exceeds the dense-storage limit of 10 ")
+
+
+@pytest.mark.parametrize(
     "text, line, why",
     [
         # both field lines were dropped, and the run exited 0 with fields (0.5, 0.5)

@@ -290,20 +290,20 @@ class TestAnnealingRuns:
     def test_sweep_beyond_the_step_limit_is_refused_before_any_point_runs(
         self, t_initial, doublings, monkeypatch
     ):
-        def run_point(args):
-            raise AssertionError(f"a sweep point ran at t_final={args[2]}")
+        def run_point(problem, grid, transverse0):
+            raise AssertionError(f"a sweep point ran at t_final={grid.t_end}")
 
-        monkeypatch.setattr(experiments, "_sweep_point", run_point)
+        monkeypatch.setattr(experiments, "run_annealing_experiment", run_point)
         with pytest.raises(ValueError, match="exceeds the limit of 1e\\+08 steps"):
             annealing_doubling_sweep(GroverProblem(2, 1), t_initial=t_initial, doublings=doublings)
 
     def test_sweep_with_a_subnormal_first_step_is_refused_before_any_point_runs(self, monkeypatch):
         # 400 steps of a 1e-310 runtime; the main run of the CLI went first
         # and the first point then failed naming no field
-        def run_point(args):
-            raise AssertionError(f"a sweep point ran at t_final={args[2]}")
+        def run_point(problem, grid, transverse0):
+            raise AssertionError(f"a sweep point ran at t_final={grid.t_end}")
 
-        monkeypatch.setattr(experiments, "_sweep_point", run_point)
+        monkeypatch.setattr(experiments, "run_annealing_experiment", run_point)
         with pytest.raises(ValueError, match="a grid step of 2.5e-313 is below the smallest normal float"):
             annealing_doubling_sweep(GroverProblem(2, 1), t_initial=1e-310, doublings=3)
 
@@ -352,8 +352,10 @@ class TestAnnealingRuns:
             monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: affinity, raising=False)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(experiments, "_sweep_point", lambda args: {"runtime_t": args[2]})
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(
+            experiments, "run_annealing_experiment", lambda problem, grid, transverse0: {"runtime_t": grid.t_end}
+        )
         annealing_doubling_sweep(GroverProblem(2, 1), t_initial=1.0, doublings=2, jobs=2)
         assert pools == ([] if expected == 1 else [expected])
 

@@ -10,6 +10,10 @@ import pytest
 
 import qxform.operators as operators
 from qxform.cli import main
+from qxform.hamiltonians import nmr_hamiltonian, rotating_frame_hamiltonian
+from qxform.propagation import TimeGrid
+from qxform.schedules import NmrParams
+from qxform.transform import control_residual, nmr_closed_form_transform, verify_transform
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,6 +33,20 @@ def test_shipped_config_matches_the_reference(tmp_path, check_result, name):
     assert main(["run", "--config", str(ROOT / "configs" / f"{name}.json"), "--out", str(out)]) == 0
     record = json.loads((out / "result.json").read_text())
     assert check_result(name, 0, record) is None
+
+
+def test_verify_transform_returns_the_records_metrics():
+    # the library's metrics are the verify-transform record's, which adds only the pair
+    p = NmrParams.harmonic(1.0, 1.5, 2.0)
+    lab, frame = nmr_hamiltonian(p), rotating_frame_hamiltonian(p)
+    grid = TimeGrid(0.0, 1.0, 100)
+
+    def build(g):
+        return nmr_closed_form_transform(p, g)
+
+    metrics, _ = verify_transform(lab, frame, build(grid), control_residual(lab, frame, build, grid))
+    reference = json.loads((ROOT / "perfbench" / "reference" / "verify_transform.json").read_text())
+    assert sorted({"pair", *metrics}) == sorted(reference)
 
 
 # each shipped config at reduced step counts, small enough to run at three block budgets
