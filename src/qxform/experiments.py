@@ -229,7 +229,7 @@ def run_nmr_experiment(
     check, curves = verify_transform(fast_h, slow_h, composed_num, control)
     # the round trip: H carried into the frame, then back out against H
     frame_rec = transform_into_frame(fast_h, composed_num)
-    round_trip = float(np.max(_frame_change(frame_rec, composed_num, adjoint=True, target=fast_h)[0]))
+    round_trip = float(np.max(_frame_change(frame_rec, composed_num, adjoint=True, target=fast_h)[1]))
     del frame_rec
     slow_final = slow_num.apply(psi0)
     two_composed = fidelity(two_gate_realization(fast_num, composed_num, psi0), slow_final)

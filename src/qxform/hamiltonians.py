@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .operators import PauliString, _flip_form, _sign_table, check_envelope, check_qubit_count
+from .operators import PauliString, _as_int, _flip_form, _sign_table, check_envelope, check_qubit_count
 from .schedules import Constant, NmrParams, Schedule
 
 
@@ -35,28 +35,16 @@ class _Drive:
         return out.T
 
 
-class _FrameRate:
-    """splitting + frame_phase' - drive_phase', the rotated-frame Z rate."""
+class _RateShift:
+    """base(t) + phase'(t), less against'(t) if given: the rate a rotating
+    frame adds, the -i S^dag dS/dt term, to a Z rate or a transverse field."""
 
-    def __init__(self, splitting: Schedule, frame_phase: Schedule, drive_phase: Schedule):
-        self.splitting, self.frame_phase, self.drive_phase = splitting, frame_phase, drive_phase
-
-    def value(self, t):
-        return (
-            self.splitting.value(t)
-            + self.frame_phase.derivative(t)
-            - self.drive_phase.derivative(t)
-        )
-
-
-class _ShiftedRate:
-    """base(t) + phase'(t); the transverse rate seen alongside a rotating frame."""
-
-    def __init__(self, base: Schedule, phase: Schedule):
-        self.base, self.phase = base, phase
+    def __init__(self, base: Schedule, phase: Schedule, against: Schedule | None = None):
+        self.base, self.phase, self.against = base, phase, against
 
     def value(self, t):
-        return self.base.value(t) + self.phase.derivative(t)
+        rate = self.base.value(t) + self.phase.derivative(t)
+        return rate if self.against is None else rate - self.against.derivative(t)
 
 
 class _ConjugatedFactors:
@@ -191,7 +179,7 @@ class GroverProblem:
         n = check_qubit_count(n_qubits)
         if not 0 <= int(marked) < 2**n:
             raise ValueError(f"marked index {marked} out of range for {n} qubits")
-        self.n_qubits, self.marked = n_qubits, marked
+        self.n_qubits, self.marked = n, marked
 
     def pauli_terms(self) -> tuple:
         """I - |marked><marked| expanded as the diagonal projector product
@@ -217,11 +205,8 @@ class GroverProblem:
 def _qubit_index(value, where: str) -> int:
     """``value`` as a non-negative int; a fraction, NaN or infinity, or a
     negative index, is a ValueError naming ``where``."""
-    try:
-        index = int(value)
-    except (TypeError, ValueError, OverflowError):
-        index = None
-    if index is None or index != value:
+    index = _as_int(value)
+    if index is None:
         raise ValueError(f"{where} has a non-integral qubit index {value!r}")
     if index < 0:
         raise ValueError(f"{where} has a negative qubit index {index}")
@@ -256,7 +241,7 @@ class IsingProblem:
                 raise ValueError(f"duplicate coupling for pair ({i},{j})")
             seen.add((i, j))
             canon.append((i, j, coupling))
-        self.n_qubits, self.fields, self.couplings = n_qubits, fields, tuple(sorted(canon))
+        self.n_qubits, self.fields, self.couplings = n, fields, tuple(sorted(canon))
         diagonal = _diagonal(self)
         if not np.isfinite(diagonal).all():
             raise ValueError("the fields and couplings sum past the float range on the diagonal")
@@ -375,7 +360,7 @@ def rotating_frame_hamiltonian(p: NmrParams) -> TimeDependentHamiltonian:
     """
     if p.frame_phase is None:
         raise ValueError("rotating-frame Hamiltonian requires frame_phase")
-    z_rate = _FrameRate(p.qubit_splitting, p.frame_phase, p.drive_phase)
+    z_rate = _RateShift(p.qubit_splitting, p.frame_phase, against=p.drive_phase)
     return _driven_qubit(z_rate, p.drive_strength, p.frame_phase)
 
 
@@ -408,4 +393,4 @@ def fast_counterpart_hamiltonian(
     codes = np.array(codes, dtype=int).reshape(len(amplitudes), weight)
     factors = _ConjugatedFactors(phase, np.array(amplitudes, dtype=float), codes)
     sum_x = tuple(PauliString(((i, "X"),)) for i in range(n))
-    return TimeDependentHamiltonian(n, terms=((_ShiftedRate(transverse, phase), sum_x), (factors, strings)))
+    return TimeDependentHamiltonian(n, terms=((_RateShift(transverse, phase), sum_x), (factors, strings)))

@@ -39,8 +39,22 @@ _MATMUL_MIN_DIM = 4
 # returns, whatever the grid size.
 _BLOCK_ELEMENTS = 1 << 15
 
+
+def _as_int(value):
+    """``value`` as an int if it is integral (an integral float counts), else
+    None: a fraction, NaN, infinity or non-number."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if n == value else None
+
+
 def check_qubit_count(n_qubits: int) -> int:
-    n = int(n_qubits)
+    """``n_qubits`` as an int from 1 to MAX_QUBITS, else a ValueError naming it."""
+    n = _as_int(n_qubits)
+    if n is None:
+        raise ValueError(f"the qubit count {n_qubits!r} is not an integer")
     if n < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
     if n > MAX_QUBITS:

@@ -291,9 +291,9 @@ def sample_trace(fn, grid: TimeGrid) -> UnitaryTrace:
 
     ``fn`` is called with an array of node times and must return the
     (len(times), d, d) stack of propagators at them.  It is called once for
-    the first node, which fixes d and with it the storage bound of
-    :func:`propagate`, and then once per block of the row budget, each block
-    written straight into the trace.  The sample at t_start must equal the
+    the first node, which fixes d and with it the trace's storage bound,
+    and then once per block of the row budget, each block written straight
+    into the trace.  The sample at t_start must equal the
     identity to within 1e-12; it is then snapped to the exact identity so
     composed transforms start at exactly I.
     """

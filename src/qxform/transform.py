@@ -118,9 +118,10 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
     of nodes at a time.
 
     Without a ``target`` returns the SampledHamiltonian.  With one, holding
-    only one block of it, returns the per-node Frobenius residuals against
-    ``target`` and the largest anti-Hermitian defect.  Residuals that
-    overflow are inf, which no tolerance model passes.
+    only one block of it, returns the interior node times, the per-node
+    Frobenius residuals against ``target`` there and the largest
+    anti-Hermitian defect.  Residuals that overflow are inf, which no
+    tolerance model passes.
     """
     check_frame_steps(transform.grid.n_steps)
     if transform.stride != 1:
@@ -136,15 +137,15 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
     conj = np.empty((rows + 2, dim, dim), dtype=complex)
     s_dot_buf = np.empty((rows, dim, dim), dtype=complex)
     matrices = np.empty((n if keep else rows, dim, dim), dtype=complex)
-    times, defects = (np.empty(n), np.empty(n)) if keep else (None, None)
-    residuals = None if keep else np.empty(n)
+    times = _node_times(grid, np.arange(1, n + 1))
+    defects, residuals = (np.empty(n), None) if keep else (None, np.empty(n))
     max_defect = -np.inf
 
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
             m = hi - lo
-            t_mid = _node_times(grid, np.arange(lo + 1, hi + 1))
+            t_mid = times[lo:hi]
             nodes = transform.matrices[lo : hi + 2]
             herm = matrices[lo:hi] if keep else matrices[:m]
             nodes_conj = np.conjugate(nodes, out=conj[: m + 2])
@@ -164,13 +165,11 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
             r -= dag
             r *= 0.5  # the anti-Hermitian part
             max_defect = np.maximum(max_defect, np.max(_row_norms(r, out=defects[lo:hi] if keep else None)))
-            if keep:
-                times[lo:hi] = t_mid
-            else:
+            if not keep:
                 _row_norms(np.subtract(herm, target.matrix_stack(t_mid), out=s_dot_buf[:m]), out=residuals[lo:hi])
     if keep:
         return SampledHamiltonian(times, matrices, defects)
-    return residuals, float(max_defect)
+    return times, residuals, float(max_defect)
 
 
 def transform_into_frame(hamiltonian, transform: UnitaryTrace) -> SampledHamiltonian:
@@ -210,7 +209,7 @@ def control_residual(hamiltonian, frame_hamiltonian, build, grid: TimeGrid) -> C
     control = build(fine)
     if control.grid != fine:
         raise ValueError(f"the control must be built on the refined grid {fine}, not on {control.grid}")
-    residuals = _frame_change(hamiltonian, control, target=frame_hamiltonian)[0]
+    residuals = _frame_change(hamiltonian, control, target=frame_hamiltonian)[1]
     return ControlResidual(grid, float(np.max(residuals)))
 
 
@@ -234,13 +233,13 @@ def verify_transform(
     frame Hamiltonian rebuilt on the coarse grid, which is kept only as
     values), ``inconsistent_transform`` (that defect beyond 10 x the
     threshold) and ``fd_step`` (the differencing step), and the curve
-    ``residuals``: the per-node residuals on the interior nodes as
-    (times, values).
+    ``residuals``: the per-node residuals as (times, values), on the
+    interior nodes the frame-change pass walked.
     """
     if control.grid != transform.grid:
         raise ValueError(f"the control calibrates {control.grid}, not the transform's {transform.grid}")
     grid, control_max = transform.grid, control.max_residual
-    residuals, max_defect = _frame_change(hamiltonian, transform, target=frame_hamiltonian)
+    times, residuals, max_defect = _frame_change(hamiltonian, transform, target=frame_hamiltonian)
     max_residual = float(np.max(residuals))
     threshold = 4.0 * control_max + _RESIDUAL_FLOOR
     finite = math.isfinite(max_residual) and math.isfinite(control_max)
@@ -257,7 +256,7 @@ def verify_transform(
         "inconsistent_transform": bool(max_defect > 10.0 * threshold),
         "fd_step": grid.dt,
     }
-    return metrics, {"residuals": (_node_times(grid, np.arange(1, grid.n_steps)), residuals)}
+    return metrics, {"residuals": (times, residuals)}
 
 
 def two_gate_realization(

@@ -370,13 +370,14 @@ def test_analysis_matches_the_one_shot_formulas(n_qubits, rows, monkeypatch):
     assert np.array_equal(residuals, one_shot_residuals(h, frame, composed))
     assert metrics["control_max_residual"] == np.max(one_shot_residuals(h, frame, control))
     # the metrics keep values of the reconstruction; carried back out of the
-    # frame against a target, it takes the one-shot out-of-frame formula
+    # frame against a target, it takes the one-shot out-of-frame formula; every
+    # pass, with a target or without, walks the one axis of interior nodes
     rec = transform_into_frame(h, composed)
     assert metrics["max_antihermitian_defect"] == np.max(rec.antihermitian_defects)
-    assert np.array_equal(times, rec.times)
     back, _ = one_shot_frame_change(rec, composed, composed.matrices.conj().transpose(0, 2, 1))
-    round_trip = _frame_change(rec, composed, adjoint=True, target=h)[0]
+    pass_times, round_trip, _ = _frame_change(rec, composed, adjoint=True, target=h)
     assert np.array_equal(round_trip, one_shot_row_norms(back - h.matrix_stack(rec.times)))
+    assert np.array_equal(times, rec.times) and np.array_equal(pass_times, rec.times)
 
     got = phase_aligned_distance(a, b)
     assert got.shape == (3, 7)

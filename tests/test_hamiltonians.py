@@ -320,6 +320,8 @@ class TestEvaluation:
             for strings in (outside, (PauliString(((0, "X"),)), outside)):
                 with pytest.raises(ValueError, match="qubit index 3 out of range for 1 qubits"):
                     TimeDependentHamiltonian(1, terms=((coefficient, strings),))
+        with pytest.raises(ValueError, match="the qubit count 2.7 is not an integer"):
+            TimeDependentHamiltonian(2.7)
 
     @staticmethod
     def _with_coefficient(value):
@@ -529,12 +531,26 @@ class TestEigensystem:
         np.testing.assert_allclose(energies, [-1.3, 1.3], atol=1e-14)
 
 
+def string_forms(problem):
+    return [(s.factors, s.coefficient) for s in problem.pauli_terms()]
+
+
 class TestProblems:
     def test_grover_validation(self):
         with pytest.raises(ValueError, match="out of range"):
             GroverProblem(2, 4)
+        with pytest.raises(ValueError, match="the qubit count 2.5 is not an integer"):
+            GroverProblem(2.5, 0)
+        problem = GroverProblem(3.0, 7)  # an integral float is its int
+        assert type(problem.n_qubits) is int
+        assert string_forms(problem) == string_forms(GroverProblem(3, 7))
 
     def test_ising_validation(self):
+        with pytest.raises(ValueError, match="the qubit count inf is not an integer"):
+            IsingProblem(math.inf, fields=(0.0, 0.0))
+        problem = IsingProblem(2.0, (1.0, 1.0))
+        assert type(problem.n_qubits) is int and problem == IsingProblem(2, (1.0, 1.0))
+        assert string_forms(problem) == string_forms(IsingProblem(2, (1.0, 1.0)))
         with pytest.raises(ValueError, match="diagonal"):
             IsingProblem(2, fields=(0.0, 0.0), couplings=((1, 1, 1.0),))
         with pytest.raises(ValueError, match="duplicate"):

@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from qxform.operators import (
     _row_norms,
     _sign_table,
     _stack_matmul,
+    check_qubit_count,
     fidelity,
     hermitian_expm,
     hermiticity_defect,
@@ -100,9 +103,21 @@ class TestEmbed:
         with pytest.raises(ValueError, match="out of range"):
             PauliString(((2, "X"),)).matrix(2)
 
-    def test_qubit_cap(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            PauliString((), 1.0).matrix(MAX_QUBITS + 1)
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            (MAX_QUBITS + 1, f"{MAX_QUBITS + 1} qubits exceeds the dense-storage limit of {MAX_QUBITS} "),
+            (0, "need at least one qubit, got 0"),
+            (2.5, "the qubit count 2.5 is not an integer"),
+            (1.9, "the qubit count 1.9 is not an integer"),
+            (float("nan"), "the qubit count nan is not an integer"),
+            (math.inf, "the qubit count inf is not an integer"),
+        ],
+    )
+    @pytest.mark.parametrize("build", [check_qubit_count, PauliString((), 1.0).matrix, minus_state])
+    def test_qubit_cap(self, build, count, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            build(count)
 
     def test_random_strings_match_kron_oracle(self):
         rng = np.random.default_rng(7)

@@ -420,7 +420,7 @@ class TestVerifyTransform:
         control = control_residual(h, Frozen(), identity_2, grid)
         metrics, _ = verify_transform(h, Frozen(), s, control)
         assert metrics["max_residual"] == 0.0
-        round_trip = _frame_change(transform_into_frame(h, s), s, adjoint=True, target=Frozen())[0]
+        round_trip = _frame_change(transform_into_frame(h, s), s, adjoint=True, target=Frozen())[1]
         assert np.max(round_trip) == 0.0
         assert np.array_equal(z, np.diag([1.0, -1.0]))
 
