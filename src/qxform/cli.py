@@ -370,7 +370,7 @@ def _run_verify_transform(p, jobs):
     else:
         frame, build = rotating_frame_hamiltonian(params), lambda g: nmr_closed_form_transform(params, g)
     # the control, twice as fine, is reduced to its residual before the transform is built
-    control = control_residual(lab, frame, build, grid)
+    control = control_residual(lab, frame, build(grid.refined()))
     metrics, curves = verify_transform(lab, frame, build(grid), control)
     return {"pair": p["pair"], **metrics}, curves
 

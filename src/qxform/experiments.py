@@ -221,9 +221,7 @@ def run_nmr_experiment(
     # its distances, so at most three coarse traces are held at once.  The
     # fine-grid control goes first and is reduced to its largest residual
     # before any coarse trace exists.
-    control = control_residual(
-        fast_h, slow_h, lambda g: compose_transform(*propagate_each((fast_h, slow_h), g)), grid
-    )
+    control = control_residual(fast_h, slow_h, compose_transform(*propagate_each((fast_h, slow_h), grid.refined())))
     fast_num, slow_num = propagate_each((fast_h, slow_h), grid)
     composed_num = compose_transform(fast_num, slow_num)
     check, curves = verify_transform(fast_h, slow_h, composed_num, control)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .operators import PauliString, _as_int, _flip_form, _sign_table, check_envelope, check_qubit_count
+from .operators import PauliString, _as_int, _flip_form, _qubit_index, _sign_table, check_envelope, check_qubit_count
 from .schedules import Constant, NmrParams, Schedule
 
 
@@ -176,10 +176,12 @@ class GroverProblem:
     """Search problem whose cost term is I - |marked><marked|."""
 
     def __init__(self, n_qubits: int, marked: int):
-        n = check_qubit_count(n_qubits)
-        if not 0 <= int(marked) < 2**n:
+        n, index = check_qubit_count(n_qubits), _as_int(marked)
+        if index is None:
+            raise ValueError(f"the marked index {marked!r} is not an integer")
+        if not 0 <= index < 2**n:
             raise ValueError(f"marked index {marked} out of range for {n} qubits")
-        self.n_qubits, self.marked = n, marked
+        self.n_qubits, self.marked = n, index
 
     def pauli_terms(self) -> tuple:
         """I - |marked><marked| expanded as the diagonal projector product
@@ -200,17 +202,6 @@ class GroverProblem:
 
     def energy_scale(self) -> float:
         return 1.0
-
-
-def _qubit_index(value, where: str) -> int:
-    """``value`` as a non-negative int; a fraction, NaN or infinity, or a
-    negative index, is a ValueError naming ``where``."""
-    index = _as_int(value)
-    if index is None:
-        raise ValueError(f"{where} has a non-integral qubit index {value!r}")
-    if index < 0:
-        raise ValueError(f"{where} has a negative qubit index {index}")
-    return index
 
 
 class IsingProblem:

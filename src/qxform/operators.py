@@ -50,6 +50,17 @@ def _as_int(value):
     return n if n == value else None
 
 
+def _qubit_index(value, where: str) -> int:
+    """``value`` as a non-negative int; a fraction, NaN, infinity or
+    non-number, or a negative index, is a ValueError naming ``where``."""
+    index = _as_int(value)
+    if index is None:
+        raise ValueError(f"{where} has a non-integral qubit index {value!r}")
+    if index < 0:
+        raise ValueError(f"{where} has a negative qubit index {index}")
+    return index
+
+
 def check_qubit_count(n_qubits: int) -> int:
     """``n_qubits`` as an int from 1 to MAX_QUBITS, else a ValueError naming it."""
     n = _as_int(n_qubits)
@@ -120,23 +131,23 @@ class PauliString:
     """A tensor product of single-qubit Pauli factors with a real coefficient.
 
     ``factors`` holds (qubit index, axis) pairs; an empty tuple denotes the
-    identity.  Factors are canonicalized to ascending qubit order and
-    duplicate indices are rejected.
+    identity.  Factors are canonicalized to ascending qubit order; an index
+    that is not a non-negative integer, a duplicate index and a non-finite
+    coefficient are rejected.
     """
 
     def __init__(self, factors: tuple = (), coefficient: float = 1.0):
-        facs = tuple((int(q), str(ax)) for q, ax in factors)
+        facs = tuple((_qubit_index(q, "a Pauli string"), str(ax)) for q, ax in factors)
         for q, ax in facs:
-            if q < 0:
-                raise ValueError(f"negative qubit index {q} in Pauli string")
             if ax not in ("X", "Y", "Z"):
                 raise ValueError(f"unknown Pauli axis {ax!r} on qubit {q}; expected 'X', 'Y' or 'Z'")
         facs = tuple(sorted(facs))
         qubits = [q for q, _ in facs]
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"duplicate qubit indices in Pauli string: {qubits}")
-        self.factors = facs
-        self.coefficient = float(coefficient)
+        self.factors, self.coefficient = facs, float(coefficient)
+        if not math.isfinite(self.coefficient):
+            raise ValueError(f"the coefficient {self.coefficient!r} of a Pauli string is not finite")
 
     @property
     def support(self) -> frozenset:

@@ -58,7 +58,7 @@ class _Ramp(Schedule):
     """A ramp from ``start`` to ``stop`` over [0, duration]."""
 
     def __init__(self, start: float, stop: float, duration: float):
-        if duration <= 0:
+        if not duration > 0:  # NaN too
             raise ValueError(f"ramp duration must be positive, got {duration}")
         self.start, self.stop, self.duration = start, stop, duration
 
@@ -161,7 +161,7 @@ class NmrParams:
         drive_phase: Schedule,
         frame_phase: Schedule | None = None,
     ):
-        if drive_strength <= 0:
+        if not drive_strength > 0:  # NaN too
             raise ValueError(f"drive strength must be positive, got {drive_strength}")
         self.qubit_splitting, self.drive_strength = qubit_splitting, drive_strength
         self.drive_phase, self.frame_phase = drive_phase, frame_phase

@@ -193,24 +193,20 @@ def transform_out_of_frame(frame_hamiltonian, transform: UnitaryTrace) -> Sample
 
 
 class ControlResidual:
-    """What verify_transform reads of a transform's control: the grid it
-    calibrates and the largest frame-change residual on its refinement."""
+    """What verify_transform reads of a transform's control: the grid the
+    control was built on and its largest frame-change residual."""
 
     def __init__(self, grid: TimeGrid, max_residual: float):
         self.grid, self.max_residual = grid, max_residual
 
 
-def control_residual(hamiltonian, frame_hamiltonian, build, grid: TimeGrid) -> ControlResidual:
-    """The control of the transform that ``build(grid)`` returns: the same
-    transform built on ``grid.refined()`` and reduced to its largest residual,
-    one block of its reconstruction at a time, before the caller builds the
-    transform it calibrates."""
-    fine = grid.refined()
-    control = build(fine)
-    if control.grid != fine:
-        raise ValueError(f"the control must be built on the refined grid {fine}, not on {control.grid}")
+def control_residual(hamiltonian, frame_hamiltonian, control: UnitaryTrace) -> ControlResidual:
+    """The largest frame-change residual of ``control``: the transform to be
+    checked, built on the refinement of its grid, reduced one block of the
+    reconstruction at a time.  Pass it in as a temporary before building the
+    transform it calibrates, so the two are never held at once."""
     residuals = _frame_change(hamiltonian, control, target=frame_hamiltonian)[1]
-    return ControlResidual(grid, float(np.max(residuals)))
+    return ControlResidual(control.grid, float(np.max(residuals)))
 
 
 def verify_transform(
@@ -222,9 +218,10 @@ def verify_transform(
     """Check that ``transform`` maps ``hamiltonian`` onto ``frame_hamiltonian``.
 
     ``control`` is :func:`control_residual` of the same transform on the
-    transform's grid.  The pass criterion is self-calibrated against it: the
-    coarse maximum must not exceed 4 x (fine maximum) + 1e-10, and refining
-    must actually shrink the residual (fine <= coarse/2 + 1e-10), so a
+    refinement of its grid (same ends, twice the steps), and refused on any
+    other.  The pass criterion is self-calibrated against it: the coarse
+    maximum must not exceed 4 x (fine maximum) + 1e-10, and refining must
+    actually shrink the residual (fine <= coarse/2 + 1e-10), so a
     grid-independent mismatch cannot masquerade as second-order differencing
     error.  A non-finite residual on either grid fails it.
 
@@ -236,9 +233,9 @@ def verify_transform(
     ``residuals``: the per-node residuals as (times, values), on the
     interior nodes the frame-change pass walked.
     """
-    if control.grid != transform.grid:
-        raise ValueError(f"the control calibrates {control.grid}, not the transform's {transform.grid}")
-    grid, control_max = transform.grid, control.max_residual
+    fine, grid, control_max = control.grid, transform.grid, control.max_residual
+    if (fine.t_start, fine.t_end, fine.n_steps) != (grid.t_start, grid.t_end, 2 * grid.n_steps):
+        raise ValueError(f"the control's grid {fine} is not the refinement of the transform's {grid}")
     times, residuals, max_defect = _frame_change(hamiltonian, transform, target=frame_hamiltonian)
     max_residual = float(np.max(residuals))
     threshold = 4.0 * control_max + _RESIDUAL_FLOOR

@@ -365,7 +365,7 @@ def test_analysis_matches_the_one_shot_formulas(n_qubits, rows, monkeypatch):
         assert np.array_equal(got.antihermitian_defects, defects)
 
     control = compose_transform(*fine)
-    metrics, curves = verify_transform(h, frame, composed, control=control_residual(h, frame, lambda g: control, grid))
+    metrics, curves = verify_transform(h, frame, composed, control=control_residual(h, frame, control))
     times, residuals = curves["residuals"]
     assert np.array_equal(residuals, one_shot_residuals(h, frame, composed))
     assert metrics["control_max_residual"] == np.max(one_shot_residuals(h, frame, control))

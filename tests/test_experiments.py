@@ -214,7 +214,7 @@ class TestNmrExperiment:
         p = NmrParams.harmonic(1.0, 2.0, 25.0)
         lab, frame = nmr_hamiltonian(p), rotating_frame_hamiltonian(p)
         with pytest.raises(ValueError, match="below the smallest normal float"):
-            control_residual(lab, frame, lambda g: compose_transform(*spy((lab, frame), g)), grid)
+            control_residual(lab, frame, compose_transform(*spy((lab, frame), grid.refined())))
         assert calls == []
 
     def test_vanishing_detuning_needs_explicit_final_time(self):

@@ -544,6 +544,17 @@ class TestProblems:
         problem = GroverProblem(3.0, 7)  # an integral float is its int
         assert type(problem.n_qubits) is int
         assert string_forms(problem) == string_forms(GroverProblem(3, 7))
+        # so is an integral float index, which the Z-string expansion shifts
+        problem = GroverProblem(3, 7.0)
+        assert type(problem.marked) is int
+        ramp = LinearRamp(2.0, 0.0, 1.0)
+        assert np.array_equal(
+            annealing_hamiltonian(ramp, problem).matrix(0.0),
+            annealing_hamiltonian(ramp, GroverProblem(3, 7)).matrix(0.0),
+        )
+        for marked in (7.5, "7", math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^the marked index {re.escape(repr(marked))} is not an integer$"):
+                GroverProblem(3, marked)
 
     def test_ising_validation(self):
         with pytest.raises(ValueError, match="the qubit count inf is not an integer"):

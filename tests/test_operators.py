@@ -160,6 +160,25 @@ class TestPauliString:
         with pytest.raises(ValueError, match="duplicate"):
             PauliString(((0, "X"), (0, "Z")))
 
+    def test_qubit_index_must_be_a_non_negative_integer(self):
+        # no index is truncated or parsed: 1.5 is not qubit 1, "1" is not 1
+        for q in (1.5, "1", math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^a Pauli string has a non-integral qubit index {re.escape(repr(q))}$"):
+                PauliString(((q, "X"),))
+        with pytest.raises(ValueError, match="^a Pauli string has a negative qubit index -1$"):
+            PauliString(((-1, "X"),))
+        # integral floats and numpy integers are their ints
+        for q in (1.0, np.int64(1), np.uint8(1)):
+            factors = PauliString(((q, "X"),)).factors
+            assert factors == ((1, "X"),) and type(factors[0][0]) is int
+
+    @pytest.mark.parametrize("coefficient", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, coefficient):
+        # refused where it is stored, not later as a NaN matrix or a phase
+        # beyond the float range
+        with pytest.raises(ValueError, match=f"^the coefficient {coefficient!r} of a Pauli string is not finite$"):
+            PauliString(((0, "Z"),), coefficient)
+
     def test_embed_distributes_over_disjoint_strings(self):
         rng = np.random.default_rng(23)
         for _ in range(16):

@@ -308,7 +308,7 @@ class TestPropagate:
         # the frame check of configs/nmr.json at dim 2: reduce the control,
         # compose the transform and verify it; the traces composed are built
         # first, and so is the control's transform on the refined grid that
-        # control_residual asks for: its 128 B per coarse node exceed the 80 B
+        # control_residual reduces: its 128 B per coarse node exceed the 80 B
         # returned, so building it inside would set the peak
         p = NmrParams.harmonic(1.0, 2.0, 25.0)
         lab, frame = nmr_hamiltonian(p), rotating_frame_hamiltonian(p)
@@ -325,7 +325,7 @@ class TestPropagate:
             kept = []
 
             def analysis():
-                control = control_residual(lab, frame, lambda g: fine, grid)
+                control = control_residual(lab, frame, fine)
                 composed = compose_transform(*coarse)
                 times, residuals = verify_transform(lab, frame, composed, control)[1]["residuals"]
                 kept.extend((composed, times, residuals))

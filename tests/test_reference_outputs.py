@@ -44,7 +44,7 @@ def test_verify_transform_returns_the_records_metrics():
     def build(g):
         return nmr_closed_form_transform(p, g)
 
-    metrics, _ = verify_transform(lab, frame, build(grid), control_residual(lab, frame, build, grid))
+    metrics, _ = verify_transform(lab, frame, build(grid), control_residual(lab, frame, build(grid.refined())))
     reference = json.loads((ROOT / "perfbench" / "reference" / "verify_transform.json").read_text())
     assert sorted({"pair", *metrics}) == sorted(reference)
 

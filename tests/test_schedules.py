@@ -51,8 +51,10 @@ class TestClosedForms:
         np.testing.assert_allclose(s.value(ts), [s.value(float(t)) for t in ts])
 
     def test_nonpositive_duration_rejected(self):
-        with pytest.raises(ValueError, match="duration"):
-            LinearRamp(1.0, 0.0, 0.0)
+        for ramp in (LinearRamp, CosineRamp):
+            for duration in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match=f"^ramp duration must be positive, got {duration}$"):
+                    ramp(1.0, 0.0, duration)
 
 
 class TestDomains:
@@ -163,8 +165,9 @@ class TestNmrParams:
         assert p.is_harmonic_case()
 
     def test_positive_drive_strength_required(self):
-        with pytest.raises(ValueError, match="positive"):
-            NmrParams.harmonic(1.0, 1.5, 0.0)
+        for strength in (0.0, -2.0, math.nan):
+            with pytest.raises(ValueError, match=f"^drive strength must be positive, got {strength}$"):
+                NmrParams.harmonic(1.0, 1.5, strength)
 
     def test_detuning_requires_harmonic_case(self):
         p = NmrParams(

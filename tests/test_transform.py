@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -37,6 +39,7 @@ from qxform.propagation import (
 )
 from qxform.schedules import Harmonic, LinearRamp, NmrParams
 from qxform.transform import (
+    ControlResidual,
     TimeScaling,
     _frame_change,
     compose_transform,
@@ -64,10 +67,6 @@ def analytic_pair(grid, p=BENCH):
     fast = sample_trace(lambda t: nmr_fast_propagator(p, t), grid)
     slow = sample_trace(lambda t: nmr_fast_propagator(frame, t), grid)
     return fast, slow
-
-
-def identity_2(grid):
-    return identity_transform(grid, 2)
 
 
 class TestComposeTransform:
@@ -144,7 +143,7 @@ class TestFrameChanges:
         lab, frame = nmr_hamiltonian(BENCH), rotating_frame_hamiltonian(BENCH)
         metrics, _ = verify_transform(
             lab, frame, s,
-            control=control_residual(lab, frame, lambda g: nmr_closed_form_transform(BENCH, g), grid),
+            control=control_residual(lab, frame, nmr_closed_form_transform(BENCH, grid.refined())),
         )
         assert metrics["model_passed"]
         assert metrics["max_residual"] <= metrics["threshold"]
@@ -174,11 +173,10 @@ class TestFrameChanges:
         lab_rec = transform_out_of_frame(frame_rec, num)
         ref = lab.matrix_stack(lab_rec.times)
         worst = float(np.max(np.linalg.norm(lab_rec.matrices - ref, axis=(1, 2))))
+        fine = grid.refined()
         metrics, _ = verify_transform(
             lab, slow, num,
-            control=control_residual(
-                lab, slow, lambda g: compose_transform(propagate(lab, g), propagate(slow, g)), grid
-            ),
+            control=control_residual(lab, slow, compose_transform(propagate(lab, fine), propagate(slow, fine))),
         )
         assert worst <= 2 * metrics["threshold"]
 
@@ -268,7 +266,7 @@ class TestFrameChanges:
             with pytest.raises(ValueError, match=message):
                 call(h, s)
         # the control, on two steps, passes; the transform it calibrates does not
-        control = control_residual(h, h, build, grid)
+        control = control_residual(h, h, build(grid.refined()))
         with pytest.raises(ValueError, match=message):
             verify_transform(h, h, s, control=control)
         # two steps leave one interior node, which is enough
@@ -294,7 +292,7 @@ class TestVerifyTransform:
         h = nmr_hamiltonian(BENCH)
         grid = TimeGrid(0.0, 2.0, 100)
         metrics, _ = verify_transform(
-            h, h, identity_transform(grid, 2), control=control_residual(h, h, identity_2, grid)
+            h, h, identity_transform(grid, 2), control=control_residual(h, h, identity_transform(grid.refined(), 2))
         )
         assert metrics["max_residual"] <= 1e-12
         assert metrics["model_passed"]
@@ -318,7 +316,7 @@ class TestVerifyTransform:
         grid = TimeGrid(0.0, 2.0, 100)
         metrics, _ = verify_transform(
             h, h_shifted, identity_transform(grid, 2),
-            control=control_residual(h, h_shifted, identity_2, grid),
+            control=control_residual(h, h_shifted, identity_transform(grid.refined(), 2)),
         )
         assert metrics["max_residual"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert not metrics["model_passed"]
@@ -331,7 +329,7 @@ class TestVerifyTransform:
         p = NmrParams.harmonic(**params)
         lab, frame = nmr_hamiltonian(p), rotating_frame_hamiltonian(p)
         grid = TimeGrid(0.0, 2.0, 100)
-        control = control_residual(lab, frame, lambda g: nmr_closed_form_transform(p, g), grid)
+        control = control_residual(lab, frame, nmr_closed_form_transform(p, grid.refined()))
         metrics, _ = verify_transform(lab, frame, nmr_closed_form_transform(p, grid), control)
         assert not math.isfinite(metrics["max_residual"])
         assert not math.isfinite(metrics["control_max_residual"])
@@ -339,55 +337,85 @@ class TestVerifyTransform:
 
     @pytest.mark.parametrize(
         "control_grid",
-        [TimeGrid(0.0, 2.0, 50), TimeGrid(1.0, 3.0, 100)],
-        ids=["half the steps", "a shifted interval"],
+        [
+            TimeGrid(0.0, 2.0, 50),
+            TimeGrid(1.0, 3.0, 100),
+            TimeGrid(0.5, 2.0, 200),
+            TimeGrid(0.0, 3.0, 200),
+        ],
+        ids=["half the steps", "a shifted interval", "another start", "another end"],
     )
     def test_control_of_another_grid_rejected(self, control_grid):
-        # the first control lives on the transform's own 100 steps
+        # the transform lives on 100 steps of [0, 2]; the last two controls
+        # differ from its refinement in one end only
         grid = TimeGrid(0.0, 2.0, 100)
         h = nmr_hamiltonian(BENCH)
-        control = control_residual(h, h, identity_2, control_grid)
-        with pytest.raises(ValueError, match=r"the control calibrates TimeGrid\("):
+        control = control_residual(h, h, identity_transform(control_grid, 2))
+        with pytest.raises(
+            ValueError,
+            match=rf"^the control's grid {re.escape(repr(control_grid))} is not the refinement of "
+            rf"the transform's {re.escape(repr(grid))}$",
+        ):
             verify_transform(h, h, identity_transform(grid, 2), control=control)
 
     def test_control_on_another_interval_rejected(self):
         # the pair that a check on the step count alone let through: the
-        # control of TimeGrid(0, 50, 100), whose threshold is far above the
+        # control on TimeGrid(0, 50, 200), whose threshold is far above the
         # residuals of a transform on [0, 1]
         lab, frame = nmr_hamiltonian(BENCH), rotating_frame_hamiltonian(BENCH)
 
         def build(g):
             return nmr_closed_form_transform(BENCH, g)
 
-        control = control_residual(lab, frame, build, TimeGrid(0.0, 50.0, 100))
-        with pytest.raises(ValueError, match="not the transform's"):
+        control = control_residual(lab, frame, build(TimeGrid(0.0, 50.0, 200)))
+        with pytest.raises(ValueError, match=r"not the refinement of the transform's TimeGrid\(t_start=0\.0, t_end=1\.0"):
             verify_transform(lab, frame, build(TimeGrid(0.0, 1.0, 100)), control)
 
     def test_control_built_off_the_refined_grid_rejected(self):
+        # a control on the transform's own grid would calibrate it against itself
         grid = TimeGrid(0.0, 2.0, 100)
         h = nmr_hamiltonian(BENCH)
-        with pytest.raises(ValueError, match=r"refined grid TimeGrid\(t_start=0\.0, t_end=2\.0, n_steps=200\)"):
-            control_residual(h, h, lambda g: identity_transform(grid, 2), grid)
+        control = control_residual(h, h, identity_transform(grid, 2))
+        with pytest.raises(
+            ValueError,
+            match=r"^the control's grid TimeGrid\(t_start=0\.0, t_end=2\.0, n_steps=100\) is not the "
+            r"refinement of the transform's TimeGrid\(t_start=0\.0, t_end=2\.0, n_steps=100\)$",
+        ):
+            verify_transform(h, h, identity_transform(grid, 2), control)
 
     def test_control_calibrates_the_grid_it_was_given(self):
+        # the control residual keeps the grid its transform was built on,
+        # which verify_transform pairs with the transform's refinement
         grid = TimeGrid(0.0, 2.0, 100)
         h = nmr_hamiltonian(BENCH)
-        built = []
+        fine = identity_transform(grid.refined(), 2)
+        control = control_residual(h, h, fine)
+        assert control.grid == fine.grid == TimeGrid(0.0, 2.0, 200)
+        assert verify_transform(h, h, identity_transform(grid, 2), control)[0]["model_passed"]
 
-        def build(g):
-            built.append(g)
-            return identity_transform(g, 2)
-
-        control = control_residual(h, h, build, grid)
-        assert built == [TimeGrid(0.0, 2.0, 200)]
-        assert control.grid == grid
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            TimeGrid(0.0, 1.0, MAX_STEPS // 2 + 1),
+            TimeGrid(0.0, 1.5 * 16 * sys.float_info.min, 16),
+        ],
+        ids=["past the step limit", "subnormal half step"],
+    )
+    def test_control_is_paired_without_building_the_refinement(self, grid):
+        # the transform's grid has no refinement: twice its steps exceed the
+        # limit, or half its step is subnormal; the pairing is refused by the
+        # grids' ends and step counts, not by building a refined grid
+        transform = SimpleNamespace(grid=grid)
+        control = ControlResidual(TimeGrid(0.0, 1.0, 2), 0.0)
+        with pytest.raises(ValueError, match="^the control's grid .* is not the refinement of the transform's"):
+            verify_transform(None, None, transform, control)
 
     @pytest.mark.parametrize("rows", [22, 4])
     def test_lab_hamiltonian_is_evaluated_once_a_block(self, rows, monkeypatch):
         # 23 steps: 22 interior nodes, in one block or in six of at most 4
         lab, frame = nmr_hamiltonian(BENCH), rotating_frame_hamiltonian(BENCH)
         grid = TimeGrid(0.0, 1.0, 23)
-        control = control_residual(lab, frame, lambda g: nmr_closed_form_transform(BENCH, g), grid)
+        control = control_residual(lab, frame, nmr_closed_form_transform(BENCH, grid.refined()))
         expected, _ = verify_transform(lab, frame, nmr_closed_form_transform(BENCH, grid), control)
         calls = []
 
@@ -417,7 +445,7 @@ class TestVerifyTransform:
         h = TimeDependentHamiltonian(1, terms=((1.0, PauliString(((0, "Z"),))),))
         grid = TimeGrid(0.0, 1.0, 10)
         s = identity_transform(grid, 2)
-        control = control_residual(h, Frozen(), identity_2, grid)
+        control = control_residual(h, Frozen(), identity_transform(grid.refined(), 2))
         metrics, _ = verify_transform(h, Frozen(), s, control)
         assert metrics["max_residual"] == 0.0
         round_trip = _frame_change(transform_into_frame(h, s), s, adjoint=True, target=Frozen())[1]
@@ -428,7 +456,7 @@ class TestVerifyTransform:
         h = nmr_hamiltonian(BENCH)
         grid = TimeGrid(0.0, 2.0, 100)
         metrics, curves = verify_transform(
-            h, h, identity_transform(grid, 2), control=control_residual(h, h, identity_2, grid)
+            h, h, identity_transform(grid, 2), control=control_residual(h, h, identity_transform(grid.refined(), 2))
         )
         assert metrics["fd_step"] == grid.dt
         times, residuals = curves["residuals"]
@@ -474,7 +502,7 @@ class TestTheoremOnArbitraryPairs:
 
         grid = TimeGrid(0.0, 1.0, n_steps)
         s = build(grid)
-        metrics, _ = verify_transform(big, small, s, control_residual(big, small, build, grid))
+        metrics, _ = verify_transform(big, small, s, control_residual(big, small, build(grid.refined())))
         assert metrics["model_passed"]
         # halving the step quarters a second-order residual; one at roundoff
         # (H = h, say) has no order to show
