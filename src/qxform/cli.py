@@ -36,7 +36,7 @@ from .hamiltonians import (
     rotating_frame_hamiltonian,
 )
 from .operators import ENVELOPE, check_envelope, check_qubit_count
-from .propagation import TimeGrid
+from .propagation import TimeGrid, _count
 from .schedules import Constant, CosineRamp, Harmonic, LinearRamp, NmrParams, Tabulated
 from .transform import (
     TimeScaling,
@@ -693,7 +693,7 @@ def run_experiment(config_path, overrides=(), out_dir=".", jobs=1) -> int:
     try:
         cfg = _apply_overrides(_load_config(config_path), overrides)
         exp, params, tols = _parse_config(cfg)
-        metrics, curves = exp.run(params, int(jobs))
+        metrics, curves = exp.run(params, _count(jobs, "jobs"))
         verdicts = _verdicts(exp, tols, metrics)
         passed = all(v["passed"] for v in verdicts.values())
         record = {

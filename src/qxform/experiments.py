@@ -24,6 +24,7 @@ from .operators import (
     PauliString,
     _block_rows,
     _stack_matmul,
+    _unit_state,
     fidelity,
     hermitian_expm,
     minus_state,
@@ -34,6 +35,7 @@ from .propagation import (
     TimeGrid,
     UnitaryTrace,
     _check_trace_bytes,
+    _count,
     _within_step_limit,
     nmr_fast_propagator,
     propagate,
@@ -91,11 +93,11 @@ def track_ground_state(
     grid, stride = traces[0].grid, traces[0].stride
     if any((trace.grid, trace.stride) != (grid, stride) for trace in traces[1:]):
         raise ValueError("traces tracked together must store the same nodes")
+    dim = hamiltonian.dim
+    psi0 = _unit_state(psi0, (dim,), "initial state")
     times = traces[0].times
-    psi0 = np.asarray(psi0, dtype=complex)
     values = [[] for _ in traces]
     b = 0
-    dim = hamiltonian.dim
     # one buffer for the pass: row 0 holds the conjugated eigenvectors at the
     # last node of the previous block, rows 1.. those of the current block
     bras = np.empty((min(_block_rows(dim), len(times)) + 1, dim, dim), dtype=complex)
@@ -336,9 +338,7 @@ def _usable_cpus() -> int | None:
 def _sweep_workers(jobs: int, n_points: int, n_cpus: int | None) -> int:
     """Pool size for a sweep: ``jobs`` clamped to the point and CPU counts
     (``n_cpus`` is ``_usable_cpus()``, None when unknown)."""
-    if int(jobs) < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return min(int(jobs), n_points, n_cpus or 1)
+    return min(_count(jobs, "jobs"), n_points, n_cpus or 1)
 
 
 def sweep_runtimes(t_initial: float, doublings: int) -> list:
@@ -349,7 +349,7 @@ def sweep_runtimes(t_initial: float, doublings: int) -> list:
     a sweep that cannot run is refused before any runtime is built.
     """
     anneal_grid(t_initial)
-    doublings = int(doublings)
+    doublings = _count(doublings, "doublings", floor=0)
     try:
         longest = math.ldexp(t_initial, doublings)
     except OverflowError:

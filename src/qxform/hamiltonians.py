@@ -219,6 +219,8 @@ class IsingProblem:
         seen = set()
         canon = []
         for k, entry in enumerate(couplings):
+            if not hasattr(entry, "__len__") or len(entry) != 3:
+                raise ValueError(f"couplings[{k}] is not an (i, j, J) triple: {entry!r}")
             i, j = (_qubit_index(x, f"couplings[{k}]") for x in entry[:2])
             coupling = float(entry[2])
             if not math.isfinite(coupling):

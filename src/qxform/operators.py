@@ -321,18 +321,19 @@ def minus_state(n_qubits: int) -> np.ndarray:
     return psi
 
 
-def normalization_defect(psi: np.ndarray) -> float:
-    return abs(float(np.linalg.norm(psi)) - 1.0)
+def _unit_state(psi, shape: tuple, what: str) -> np.ndarray:
+    """``psi`` as a complex array of ``shape`` whose norm is 1 to within 1e-9,
+    else a ValueError naming ``what``; a NaN or infinite entry fails too."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != shape:
+        raise ValueError(f"state dimension mismatch: {what} has shape {psi.shape}, expected {shape}")
+    defect = abs(float(np.linalg.norm(psi)) - 1.0)
+    if not defect <= 1e-9:
+        raise ValueError(f"{what} is not normalized (defect {defect:.3e})")
+    return psi
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2 for normalized state vectors."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"state dimension mismatch: {a.shape} vs {b.shape}")
-    for name, v in (("first", a), ("second", b)):
-        nd = normalization_defect(v)
-        if nd > 1e-9:
-            raise ValueError(f"{name} state is not normalized (defect {nd:.3e})")
-    return float(abs(np.vdot(a, b)) ** 2)
+    """|<a|b>|^2 for normalized state vectors of one shape."""
+    a = _unit_state(a, np.shape(a), "first state")
+    return float(abs(np.vdot(a, _unit_state(b, a.shape, "second state"))) ** 2)

@@ -14,12 +14,13 @@ import sys
 import numpy as np
 
 from .operators import (
+    _as_int,
     _block_rows,
     _hermitian_expm_stack,
     _row_norms,
     _stack_matmul,
+    _unit_state,
     hermitian_expm,
-    normalization_defect,
     pauli_matrix,
 )
 from .schedules import NmrParams
@@ -86,14 +87,15 @@ class TimeGrid:
         return TimeGrid(self.t_start, self.t_end, 2 * self.n_steps)
 
 
-def _count(value, name: str) -> int:
+def _count(value, name: str, floor: int = 1) -> int:
     """``value`` as an int, refused by ``name`` unless it is a whole number
-    of at least 1; an infinite or NaN value is refused before any int()."""
-    if not (-math.inf < value < math.inf and int(value) == value):
+    of at least ``floor``: a fraction, NaN, infinity or non-number is not."""
+    n = _as_int(value)
+    if n is None:
         raise ValueError(f"{name} must be a whole number, got {value}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return int(value)
+    if n < floor:
+        raise ValueError(f"{name} must be at least {floor}, got {value}")
+    return n
 
 
 def _within_step_limit(n_steps):
@@ -121,12 +123,12 @@ def _node_times(grid: TimeGrid, nodes: np.ndarray) -> np.ndarray:
 
 def _stored_count(n_steps: int, stride: int) -> int:
     """Nodes kept at ``stride``: every stride-th one and the last."""
-    return -(-n_steps // _count(stride, "stride")) + 1
+    return -(-n_steps // stride) + 1
 
 
 def _stored_indices(n_steps: int, stride: int) -> np.ndarray:
     """Grid indices of the stored slots: slot k holds node min(k * stride, n_steps)."""
-    return np.minimum(np.arange(_stored_count(n_steps, stride)) * int(stride), n_steps)
+    return np.minimum(np.arange(_stored_count(n_steps, stride)) * stride, n_steps)
 
 
 def _check_trace_bytes(n_nodes: int, dim: int, remedy: str = "increase the stride") -> None:
@@ -148,7 +150,7 @@ class UnitaryTrace:
     """
 
     def __init__(self, grid: TimeGrid, stride: int, matrices: np.ndarray, max_defect: float):
-        self.grid, self.stride, self.matrices, self.max_defect = grid, stride, matrices, max_defect
+        self.grid, self.stride, self.matrices, self.max_defect = grid, _count(stride, "stride"), matrices, max_defect
 
     @property
     def times(self) -> np.ndarray:
@@ -165,13 +167,7 @@ class UnitaryTrace:
 
     def apply(self, psi0: np.ndarray) -> np.ndarray:
         """U(T) psi0 with the last stored unitary."""
-        psi0 = np.asarray(psi0, dtype=complex)
-        if psi0.shape != (self.dim,):
-            raise ValueError(f"state has shape {psi0.shape}, expected ({self.dim},)")
-        nd = normalization_defect(psi0)
-        if nd > 1e-9:
-            raise ValueError(f"initial state is not normalized (defect {nd:.3e})")
-        return self.final @ psi0
+        return self.final @ _unit_state(psi0, (self.dim,), "initial state")
 
 
 def _batch_defects(us: np.ndarray) -> np.ndarray:
@@ -222,7 +218,7 @@ def _unitary_trace(grid: TimeGrid, stride: int, mats: np.ndarray, what: str) -> 
     mats[0] = eye
     max_defect = _check_stored(mats, lambda k: min(k * stride, grid.n_steps), what)
     mats.flags.writeable = False
-    return UnitaryTrace(grid, int(stride), mats, max_defect)
+    return UnitaryTrace(grid, stride, mats, max_defect)
 
 
 def propagate(hamiltonian, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
@@ -248,9 +244,9 @@ def propagate_each(hamiltonians, grid: TimeGrid, stride: int = 1) -> tuple[Unita
         raise ValueError(f"lockstep propagation needs Hamiltonians of one dimension, got {dims}")
     (dim,) = dims
     k = len(hamiltonians)
+    stride = _count(stride, "stride")
     n_nodes = _stored_count(grid.n_steps, stride)
     _check_trace_bytes(n_nodes, dim)  # before any per-node allocation
-    stride = int(stride)
     dt = grid.dt
     last = grid.n_steps
     rows = min(max(1, _block_rows(dim) // k), last)

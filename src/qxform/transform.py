@@ -23,6 +23,7 @@ from .operators import _block_rows, _row_norms, _stack_matmul, hermitian_expm, p
 from .propagation import (
     TimeGrid,
     UnitaryTrace,
+    _count,
     _node_times,
     _unitary_trace,
     _within_step_limit,
@@ -39,8 +40,8 @@ _RESIDUAL_FLOOR = 1e-10
 
 def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:
     """S(t_k) = U(t_k) u(t_k)^dag from two traces on identical grids."""
-    if (fast.grid, fast.stride) != (slow.grid, slow.stride):
-        raise ValueError("traces must share the same grid and stride")
+    if (fast.grid, fast.stride, fast.dim) != (slow.grid, slow.stride, slow.dim):
+        raise ValueError("traces must share the same grid, stride and dimension")
     mats = np.empty_like(fast.matrices)
     rows = _block_rows(fast.dim)
     conj = np.empty((min(rows, len(mats)), fast.dim, fast.dim), dtype=complex)  # one block of u^*
@@ -55,7 +56,7 @@ def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:
 
 def identity_transform(grid: TimeGrid, dim: int) -> UnitaryTrace:
     """The trivial frame change S(t) = I."""
-    eye = np.eye(int(dim), dtype=complex)
+    eye = np.eye(_count(dim, "dim"), dtype=complex)
     return sample_trace(lambda ts: np.broadcast_to(eye, (len(ts), *eye.shape)), grid)
 
 

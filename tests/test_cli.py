@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qxform
-from qxform.cli import EXPERIMENTS, ConfigError, _sanitize, _schedule, list_experiments, main
+from qxform.cli import EXPERIMENTS, ConfigError, _sanitize, _schedule, list_experiments, main, run_experiment
 from qxform.experiments import expected_min_fidelity, run_annealing_experiment
 from qxform.hamiltonians import IsingProblem
 from qxform.propagation import TimeGrid
@@ -169,6 +169,15 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "--jobs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [1.5, float("nan")])
+    def test_run_experiment_refuses_a_fractional_jobs_count(self, tmp_path, capsys, jobs):
+        # int(1.5) once ran the config with one job
+        cfg = write_config(tmp_path, "nmr.json", small_nmr_config())
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out_dir=str(out), jobs=jobs) == 1
+        assert capsys.readouterr().err == f"error: jobs must be a whole number, got {jobs}\n"
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -29,7 +30,7 @@ from qxform.hamiltonians import (
     nmr_hamiltonian,
     rotating_frame_hamiltonian,
 )
-from qxform.operators import minus_state
+from qxform.operators import fidelity, minus_state
 from qxform.propagation import (
     TimeGrid,
     nmr_fast_propagator,
@@ -38,7 +39,7 @@ from qxform.propagation import (
     sample_trace,
 )
 from qxform.schedules import Constant, Harmonic, LinearRamp, NmrParams
-from qxform.transform import compose_transform, control_residual
+from qxform.transform import compose_transform, control_residual, identity_transform, two_gate_realization
 
 # the default t_final of a detuning-1 drive (splitting 1, drive rate 2)
 QUARTER_TURN = quarter_turn_time(1.0)
@@ -114,6 +115,49 @@ class TestTrackGroundState:
         psi0 = np.linalg.eigh(h.matrix(0.0))[1][:, 0]
         times, (values,) = track_ground_state(h, trace, psi0=psi0)
         assert times.tolist() == [0.0] and len(values) == 1
+
+
+def _state_gate_callers():
+    """(id, call taking a dim-2 state, the name it gives a state with a bad
+    norm, the name it gives a state of the wrong shape) for every library
+    entry point that takes a state vector."""
+    grid = TimeGrid(0.0, 1.0, 4)
+    trace = identity_transform(grid, 2)
+    h = annealing_hamiltonian(Constant(1.0), IsingProblem(1, (0.5,)))
+    e0 = np.eye(2)[0]
+    return [
+        ("fidelity-first", lambda psi: fidelity(psi, e0), "first state", "second state"),
+        ("fidelity-second", lambda psi: fidelity(e0, psi), "second state", "second state"),
+        ("apply", trace.apply, "initial state", "initial state"),
+        ("two-gate", lambda psi: two_gate_realization(trace, trace, psi), "initial state", "initial state"),
+        ("track", lambda psi: track_ground_state(h, trace, psi0=psi), "initial state", "initial state"),
+    ]
+
+
+@pytest.mark.parametrize("caller", _state_gate_callers(), ids=lambda c: c[0])
+class TestStateGate:
+    """One gate takes every state vector: a NaN or infinite entry, a norm off
+    1 by more than 1e-9 or a wrong shape is a ValueError naming the state."""
+
+    @pytest.mark.parametrize(
+        "psi, defect",
+        [([math.nan, 0.0], "nan"), ([math.inf, 0.0], "inf"), ([1.1, 0.0], "1.000e-01")],
+        ids=["nan", "inf", "norm-1.1"],
+    )
+    def test_bad_norm_is_refused_naming_the_state(self, caller, psi, defect):
+        # NaN and inf passed the gate's old test, defect > 1e-9
+        _, call, name, _ = caller
+        with pytest.raises(ValueError, match=rf"^{name} is not normalized \(defect {re.escape(defect)}\)$"):
+            call(np.array(psi))
+
+    def test_wrong_shape_is_refused_naming_the_state(self, caller):
+        _, call, _, name = caller
+        with pytest.raises(ValueError, match=rf"^state dimension mismatch: {name} has shape \((2|4),\), expected \((2|4),\)$"):
+            call(np.eye(4)[0])
+
+    def test_a_defect_within_1e_9_passes(self, caller):
+        _, call, _, _ = caller
+        call(np.array([1.0 + 5e-10, 0.0]))
 
 
 class TestNmrExperiment:
@@ -359,10 +403,32 @@ class TestAnnealingRuns:
         annealing_doubling_sweep(GroverProblem(2, 1), t_initial=1.0, doublings=2, jobs=2)
         assert pools == ([] if expected == 1 else [expected])
 
-    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, math.nan])
     def test_sweep_workers_rejects_below_one(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
             _sweep_workers(jobs, 7, 2)
+
+    @pytest.mark.parametrize(
+        "doublings, message",
+        [
+            (2.5, r"^doublings must be a whole number, got 2\.5$"),
+            (math.nan, r"^doublings must be a whole number, got nan$"),
+            (-1, r"^doublings must be at least 0, got -1$"),
+        ],
+    )
+    def test_doublings_must_be_a_whole_number_of_at_least_zero(self, doublings, message, monkeypatch):
+        # 2.5 once ran 3 points, NaN raised int()'s bare message and -1 ran none
+        def run_point(problem, grid, transverse0):
+            raise AssertionError(f"a sweep point ran at t_final={grid.t_end}")
+
+        monkeypatch.setattr(experiments, "run_annealing_experiment", run_point)
+        with pytest.raises(ValueError, match=message):
+            sweep_runtimes(1.0, doublings)
+        with pytest.raises(ValueError, match=message):
+            annealing_doubling_sweep(GroverProblem(2, 1), t_initial=1.0, doublings=doublings)
+
+    def test_integral_float_doublings_is_its_int(self):
+        assert sweep_runtimes(1.0, 2.0) == sweep_runtimes(1.0, 2) == [1.0, 2.0, 4.0]
 
 
 class TestFastCounterpart:

@@ -568,6 +568,10 @@ class TestProblems:
             IsingProblem(2, fields=(0.0, 0.0), couplings=((0, 1, 1.0), (1, 0, 2.0)))
         with pytest.raises(ValueError, match="fields"):
             IsingProblem(3, fields=(0.0, 0.0))
+        # an entry[2] once raised a bare IndexError for a pair
+        for entry in ((0, 1), (0, 1, 1.0, 2.0), 0.5):
+            with pytest.raises(ValueError, match=rf"^couplings\[0\] is not an \(i, j, J\) triple: {re.escape(repr(entry))}$"):
+                IsingProblem(2, (1.0, 1.0), (entry,))
 
     @pytest.mark.parametrize(
         "fields, couplings, name",

@@ -18,7 +18,6 @@ from qxform.operators import (
     hermitian_expm,
     hermiticity_defect,
     minus_state,
-    normalization_defect,
     pauli_matrix,
     phase_aligned_distance,
 )
@@ -407,4 +406,4 @@ class TestStatesAndFidelity:
         sum_x = sum(PauliString(((i, "X"),)).matrix(n) for i in range(n))
         psi = minus_state(n)
         np.testing.assert_allclose(sum_x @ psi, -n * psi, atol=1e-12)
-        assert normalization_defect(psi) < 1e-12
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12

@@ -24,6 +24,7 @@ from qxform.propagation import (
     MAX_STEPS,
     TimeGrid,
     UnitarityError,
+    UnitaryTrace,
     _batch_defects,
     _check_stored,
     _node_times,
@@ -272,6 +273,13 @@ class TestPropagate:
         h = constant_z_hamiltonian(1.0)
         with pytest.raises(ValueError, match=f"^{re.escape(f'stride must be a whole number, got {stride}')}$"):
             propagate_each((h,), TimeGrid(0.0, 1.0, 10), stride=stride)
+
+    @pytest.mark.parametrize("stride", [2.5, math.nan, 0])
+    def test_a_trace_is_built_only_with_a_whole_stride(self, stride):
+        # the stride reads the stored node times, which a fraction would place off the grid
+        mats = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+        with pytest.raises(ValueError, match="^stride must be "):
+            UnitaryTrace(TimeGrid(0.0, 1.0, 4), stride, mats, 0.0)
 
     @pytest.mark.parametrize("stride", [2, np.int64(2), 2.0])
     def test_whole_strides_are_accepted(self, stride):

@@ -105,6 +105,12 @@ class TestComposeTransform:
         with pytest.raises(ValueError, match="grid"):
             compose_transform(fast, slow)
 
+    def test_dimension_mismatch_rejected_by_name(self):
+        # a numpy broadcast error once reported it
+        grid = TimeGrid(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="^traces must share the same grid, stride and dimension$"):
+            compose_transform(identity_transform(grid, 2), identity_transform(grid, 4))
+
     def test_unitary_within_limits(self):
         grid = TimeGrid(0.0, 5.0, 500)
         h_fast = nmr_hamiltonian(BENCH)
@@ -124,6 +130,19 @@ class TestFrameChanges:
         for k, t in enumerate(rec.times):
             assert np.linalg.norm(rec.matrices[k] - h.matrix(float(t))) < 1e-13
         assert np.max(rec.antihermitian_defects) < 1e-15
+
+    @pytest.mark.parametrize(
+        "dim, message",
+        [
+            (2.5, r"^dim must be a whole number, got 2\.5$"),
+            (math.nan, r"^dim must be a whole number, got nan$"),
+            (0, r"^dim must be at least 1, got 0$"),
+        ],
+    )
+    def test_identity_transform_dimension_is_a_whole_number(self, dim, message):
+        # int(2.5) once built dimension 2
+        with pytest.raises(ValueError, match=message):
+            identity_transform(TimeGrid(0.0, 1.0, 4), dim)
 
     def test_static_transform_is_pure_conjugation(self):
         h = nmr_hamiltonian(BENCH)
