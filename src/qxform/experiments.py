@@ -34,6 +34,7 @@ from .operators import (
 from .propagation import (
     TimeGrid,
     UnitaryTrace,
+    _check_dims,
     _check_trace_bytes,
     _count,
     _within_step_limit,
@@ -94,6 +95,8 @@ def track_ground_state(
     if any((trace.grid, trace.stride) != (grid, stride) for trace in traces[1:]):
         raise ValueError("traces tracked together must store the same nodes")
     dim = hamiltonian.dim
+    for trace in traces:
+        _check_dims("the Hamiltonian", dim, "a tracked trace", trace.dim)
     psi0 = _unit_state(psi0, (dim,), "initial state")
     times = traces[0].times
     values = [[] for _ in traces]

@@ -141,16 +141,29 @@ def _check_trace_bytes(n_nodes: int, dim: int, remedy: str = "increase the strid
         )
 
 
+def _check_dims(first: str, a: int, second: str, b: int) -> None:
+    """Refuse operands of two dimensions, naming both."""
+    if a != b:
+        raise ValueError(f"{first} has dimension {a} but {second} has dimension {b}")
+
+
 class UnitaryTrace:
     """Unitaries on every ``stride``-th node of a time grid and its last: a
     propagator U(t_k) or a frame change S(t_k) = U(t_k) u(t_k)^dag.
 
-    Every stored matrix passed the defect gate; the largest observed defect
-    is kept in ``max_defect``.
+    Its constructor gates one (d, d) matrix per stored node, keeps the
+    largest defect in ``max_defect`` and freezes the array, now the trace's.
     """
 
-    def __init__(self, grid: TimeGrid, stride: int, matrices: np.ndarray, max_defect: float):
-        self.grid, self.stride, self.matrices, self.max_defect = grid, _count(stride, "stride"), matrices, max_defect
+    def __init__(self, grid: TimeGrid, stride: int, matrices: np.ndarray, what: str = "trace unitary"):
+        self.grid, self.stride, self.matrices = grid, _count(stride, "stride"), np.asarray(matrices, dtype=complex)
+        n_nodes, shape = _stored_count(grid.n_steps, self.stride), self.matrices.shape
+        if not (len(shape) == 3 and shape[0] == n_nodes and shape[1] == shape[2] >= 1):
+            raise ValueError(
+                f"a trace on {grid} at stride {self.stride} needs a ({n_nodes}, d, d) stack, got shape {shape}"
+            )
+        self.max_defect = _check_stored(self.matrices, lambda k: min(k * self.stride, grid.n_steps), what)
+        self.matrices.flags.writeable = False
 
     @property
     def times(self) -> np.ndarray:
@@ -203,22 +216,14 @@ def _check_stored(us: np.ndarray, step_of, what: str) -> float:
     return float(defects[worst])
 
 
-def _unitary_trace(grid: TimeGrid, stride: int, mats: np.ndarray, what: str) -> UnitaryTrace:
-    """Gate ``mats`` (fresh, owned by the trace), the unitaries on the nodes
-    of ``grid`` kept at ``stride``, and freeze them into a trace.
-
-    The first matrix must lie within 1e-12 of the identity; it is then
-    snapped to the exact identity so composed frame changes start at exactly
-    I.  ``what`` names the matrices in errors.
-    """
-    eye = np.eye(mats.shape[-1])
-    first_gap = float(np.linalg.norm(mats[0] - eye))
+def _snap_to_identity(mats: np.ndarray, grid: TimeGrid, what: str) -> np.ndarray:
+    """``mats`` with its first matrix, computed rather than written, snapped to
+    the exact identity; beyond 1e-12 of it the matrix is refused by ``what``."""
+    first_gap = float(np.linalg.norm(mats[0] - np.eye(mats.shape[-1])))
     if not (first_gap <= 1e-12):
         raise ValueError(f"{what} at t={grid.t_start} deviates from the identity by {first_gap:.3e}")
-    mats[0] = eye
-    max_defect = _check_stored(mats, lambda k: min(k * stride, grid.n_steps), what)
-    mats.flags.writeable = False
-    return UnitaryTrace(grid, stride, mats, max_defect)
+    mats[0] = np.eye(mats.shape[-1])
+    return mats
 
 
 def propagate(hamiltonian, grid: TimeGrid, stride: int = 1) -> UnitaryTrace:
@@ -279,7 +284,7 @@ def propagate_each(hamiltonians, grid: TimeGrid, stride: int = 1) -> tuple[Unita
         mats[0] = np.eye(dim)
         mats[-1] = carry[i]  # the last node, a stride multiple or not
     del us, steps  # freed before the gates take their own two blocks
-    return tuple(_unitary_trace(grid, stride, mats, "stored unitary") for mats in stored)
+    return tuple(UnitaryTrace(grid, stride, mats, "stored unitary") for mats in stored)
 
 
 def sample_trace(fn, grid: TimeGrid) -> UnitaryTrace:
@@ -299,7 +304,7 @@ def sample_trace(fn, grid: TimeGrid) -> UnitaryTrace:
         hi = min(lo + rows, n_nodes)
         block = np.asarray(fn(_node_times(grid, np.arange(lo, hi))))
         square = block.shape[1:] if mats is None else mats.shape[1:]
-        if block.shape != (hi - lo, *square) or len(square) != 2 or square[0] != square[1]:
+        if block.shape != (hi - lo, *square) or len(square) != 2 or not 0 < square[0] == square[1]:
             raise ValueError(
                 f"sampler returned shape {block.shape} for {hi - lo} times; "
                 f"expected ({hi - lo}, d, d)"
@@ -310,7 +315,7 @@ def sample_trace(fn, grid: TimeGrid) -> UnitaryTrace:
             rows = _block_rows(square[0])
         mats[lo:hi] = block
         lo = hi
-    return _unitary_trace(grid, 1, mats, "sampled unitary")
+    return UnitaryTrace(grid, 1, _snap_to_identity(mats, grid, "sampled unitary"), "sampled unitary")
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ from .operators import _block_rows, _row_norms, _stack_matmul, hermitian_expm, p
 from .propagation import (
     TimeGrid,
     UnitaryTrace,
+    _check_dims,
     _count,
     _node_times,
-    _unitary_trace,
+    _snap_to_identity,
     _within_step_limit,
     nmr_fast_propagator,
     propagate_each,
@@ -51,7 +52,8 @@ def compose_transform(fast: UnitaryTrace, slow: UnitaryTrace) -> UnitaryTrace:
         # not _stack_matmul: at dim 2 that moved nmr transform_threshold by -4.03e-12 through S's bits
         np.einsum("kij,klj->kil", fast.matrices[block], u_conj, out=mats[block])
     del conj, u_conj  # before the gate's own buffers
-    return _unitary_trace(fast.grid, fast.stride, mats, "transform matrix")
+    what = "transform matrix"
+    return UnitaryTrace(fast.grid, fast.stride, _snap_to_identity(mats, fast.grid, what), what)
 
 
 def identity_transform(grid: TimeGrid, dim: int) -> UnitaryTrace:
@@ -127,6 +129,9 @@ def _frame_change(hamiltonian, transform: UnitaryTrace, adjoint=False, target=No
     check_frame_steps(transform.grid.n_steps)
     if transform.stride != 1:
         raise ValueError("frame change needs the transform on every grid node (stride 1)")
+    _check_dims("the Hamiltonian", hamiltonian.dim, "the transform", transform.dim)
+    if target is not None:
+        _check_dims("the target Hamiltonian", target.dim, "the transform", transform.dim)
     grid = transform.grid
     keep = target is None
     n, dim = grid.n_steps - 1, transform.dim
@@ -271,6 +276,7 @@ def two_gate_realization(
             f"the fast trace ends at t={fast_trace.grid.t_end} but the transform "
             f"at t={transform.grid.t_end}"
         )
+    _check_dims("the fast trace", fast_trace.dim, "the transform", transform.dim)
     return transform.final.conj().T @ fast_trace.apply(psi0)
 
 

@@ -37,6 +37,7 @@ from qxform.operators import (
 )
 from qxform.propagation import (
     TimeGrid,
+    UnitaryTrace,
     _batch_defects,
     nmr_fast_propagator,
     propagate,
@@ -307,6 +308,19 @@ def one_shot_defects(us):
     Frobenius norm of each matrix."""
     gram = one_shot_matmul(us.conj().transpose(0, 2, 1), us)
     return one_shot_row_norms(gram - np.eye(us.shape[-1]))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_hand_built_trace_keeps_the_largest_one_shot_defect(dim, rows, monkeypatch):
+    # near-unitaries off by up to 1e-10; the gate runs block by block
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(11, dim, dim)) + 1j * rng.normal(size=(11, dim, dim))
+    us = np.linalg.qr(a)[0] + 1e-11 * rng.normal(size=(11, dim, dim))
+    if rows is not None:
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", rows * dim * dim)
+    trace = UnitaryTrace(TimeGrid(0.0, 1.0, 10), 1, us)
+    assert trace.max_defect == np.max(one_shot_defects(us))
 
 
 def one_shot_frame_change(hamiltonian, transform, s):

@@ -116,6 +116,17 @@ class TestTrackGroundState:
         times, (values,) = track_ground_state(h, trace, psi0=psi0)
         assert times.tolist() == [0.0] and len(values) == 1
 
+    @pytest.mark.parametrize("dims", [(4,), (2, 4)], ids=["alone", "after-a-matching-trace"])
+    def test_a_trace_of_another_dimension_is_refused_before_any_decomposition(self, dims, monkeypatch):
+        # refused before the first eigendecomposition, which a wrong dimension would waste
+        monkeypatch.setattr(experiments, "_eigh_blocks", None)
+        grid = TimeGrid(0.0, 1.0, 4)
+        traces = [identity_transform(grid, dim) for dim in dims]
+        h = rotating_frame_hamiltonian(NmrParams.harmonic(1.0, 1.5, 2.0))
+        message = "the Hamiltonian has dimension 2 but a tracked trace has dimension 4"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            track_ground_state(h, *traces, psi0=minus_state(1))
+
 
 def _state_gate_callers():
     """(id, call taking a dim-2 state, the name it gives a state with a bad

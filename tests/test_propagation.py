@@ -279,7 +279,7 @@ class TestPropagate:
         # the stride reads the stored node times, which a fraction would place off the grid
         mats = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
         with pytest.raises(ValueError, match="^stride must be "):
-            UnitaryTrace(TimeGrid(0.0, 1.0, 4), stride, mats, 0.0)
+            UnitaryTrace(TimeGrid(0.0, 1.0, 4), stride, mats)
 
     @pytest.mark.parametrize("stride", [2, np.int64(2), 2.0])
     def test_whole_strides_are_accepted(self, stride):
@@ -519,6 +519,71 @@ class TestTraceAccess:
             tr.apply(np.array([1.0, 1.0]))
 
 
+class TestTraceConstructor:
+    """``UnitaryTrace(grid, stride, matrices, what)`` gates every trace: one
+    (d, d) matrix per stored node, each within the defect limit."""
+
+    @pytest.mark.parametrize(
+        "stride, shape, n_nodes",
+        [
+            (1, (3, 2, 2), 5),  # times would pair 5 nodes with 3 matrices
+            (2, (5, 2, 2), 3),
+            (1, (2, 2), 5),
+            (1, (5, 2, 3), 5),
+            (1, (5, 0, 0), 5),
+        ],
+        ids=["3-at-stride-1", "5-at-stride-2", "2-d", "non-square", "empty-matrices"],
+    )
+    def test_a_stack_that_does_not_fit_the_nodes_is_refused(self, stride, shape, n_nodes):
+        mats = np.zeros(shape, dtype=complex)
+        if len(shape) == 3 and shape[1] == shape[2]:
+            mats[:] = np.eye(shape[1])
+        message = (
+            f"a trace on TimeGrid(t_start=0.0, t_end=1.0, n_steps=4) at stride {stride} "
+            f"needs a ({n_nodes}, d, d) stack, got shape {shape}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            UnitaryTrace(TimeGrid(0.0, 1.0, 4), stride, mats)
+
+    @pytest.mark.parametrize("slot, step", [(2, 6), (4, 10)])
+    @pytest.mark.parametrize("what", [None, "frame matrix"])
+    def test_a_non_unitary_node_is_refused_at_its_grid_step(self, slot, step, what):
+        # stride 3 on 10 steps stores the nodes 0, 3, 6, 9 and 10
+        mats = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
+        mats[slot] *= 2.0
+        args = () if what is None else (what,)
+        message = f"{what or 'trace unitary'} at step {step} has unitarity defect 4.243e+00 > 1e-08"
+        with pytest.raises(UnitarityError, match=f"^{re.escape(message)}$") as info:
+            UnitaryTrace(TimeGrid(0.0, 1.0, 10), 3, mats, *args)
+        assert info.value.step_index == step
+
+    def test_the_callers_array_is_frozen_not_copied(self):
+        mats = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
+        trace = UnitaryTrace(TimeGrid(0.0, 1.0, 4), 1, mats)
+        assert trace.matrices is mats and not mats.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            trace.matrices[0, 0, 0] = 2.0
+
+    def test_a_real_stack_is_converted_to_a_complex_one(self):
+        trace = UnitaryTrace(TimeGrid(0.0, 1.0, 4), 1, [np.eye(2).tolist()] * 5)
+        assert trace.matrices.dtype == complex and trace.dim == 2
+        assert np.array_equal(trace.matrices, np.tile(np.eye(2), (5, 1, 1)))
+
+    def test_a_hand_built_trace_need_not_start_at_the_identity(self):
+        # the first node is snapped to I only where it is computed
+        s = expm(0.61j * Z)
+        trace = UnitaryTrace(TimeGrid(0.0, 1.0, 4), 1, np.tile(s, (5, 1, 1)))
+        assert np.array_equal(trace.matrices[0], s)
+        assert trace.max_defect <= 1e-15
+
+    def test_compose_refuses_a_pair_that_does_not_start_at_the_identity(self):
+        grid = TimeGrid(0.0, 1.0, 4)
+        fast = UnitaryTrace(grid, 1, np.tile(Z, (5, 1, 1)))
+        slow = UnitaryTrace(grid, 1, np.tile(np.eye(2, dtype=complex), (5, 1, 1)))
+        with pytest.raises(ValueError, match=r"^transform matrix at t=0\.0 deviates from the identity by 2\.000e\+00$"):
+            compose_transform(fast, slow)
+
+
 class TestSampleTrace:
     def test_rejects_non_identity_start(self):
         grid = TimeGrid(0.0, 1.0, 4)
@@ -534,7 +599,7 @@ class TestSampleTrace:
         with pytest.raises(UnitarityError):
             sample_trace(fn, grid)
 
-    @pytest.mark.parametrize("shape", [(2, 2), (4, 2, 2), (5, 2, 3), (5, 4)])
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2, 2), (5, 2, 3), (5, 4), (5, 0, 0)])
     def test_rejects_wrongly_shaped_sampler_result(self, shape):
         grid = TimeGrid(0.0, 1.0, 4)  # five nodes
         with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):

@@ -150,7 +150,7 @@ class TestFrameChanges:
         alpha = 0.61
         s_mat = expm(1j * alpha * Z)
         mats = np.broadcast_to(s_mat, (grid.n_steps + 1, 2, 2))
-        s = UnitaryTrace(grid, 1, mats, 0.0)
+        s = UnitaryTrace(grid, 1, mats)
         rec = transform_into_frame(h, s)
         for k, t in enumerate(rec.times):
             oracle = s_mat.conj().T @ h.matrix(float(t)) @ s_mat
@@ -585,6 +585,51 @@ class TestTwoGateRealization:
         np.testing.assert_array_equal(
             two_gate_realization(strided, s, psi0), s.final.conj().T @ (strided.final @ psi0)
         )
+
+
+def _dimension_refusals():
+    """(id, call, message) for every entry point that pairs a trace with a
+    Hamiltonian or another trace: a dim-2 operand against a dim-4 one."""
+    grid = TimeGrid(0.0, 1.0, 4)
+    qubit = nmr_hamiltonian(BENCH)
+    pair = annealing_hamiltonian(LinearRamp(1.0, 0.0, 1.0), IsingProblem(2, fields=(0.5, 0.5)))
+    s2, s4 = identity_transform(grid, 2), identity_transform(grid, 4)
+    control = ControlResidual(grid.refined(), 1.0)
+    h_vs = "the Hamiltonian has dimension {} but the transform has dimension {}"
+    target_vs = "the target Hamiltonian has dimension {} but the transform has dimension {}"
+    fast_vs = "the fast trace has dimension {} but the transform has dimension {}"
+    cases = []
+    for (h, s, other), (a, b) in (((qubit, s4, pair), (2, 4)), ((pair, s2, qubit), (4, 2))):
+        cases += [
+            (f"into-{a}-{b}", lambda h=h, s=s: transform_into_frame(h, s), h_vs.format(a, b)),
+            (f"out-of-{a}-{b}", lambda h=h, s=s: transform_out_of_frame(h, s), h_vs.format(a, b)),
+            (f"control-{a}-{b}", lambda h=h, s=s, o=other: control_residual(h, o, s), h_vs.format(a, b)),
+            (
+                f"control-target-{a}-{b}",
+                lambda h=h, s=s, o=other: control_residual(o, h, s),
+                target_vs.format(a, b),
+            ),
+            (f"verify-{a}-{b}", lambda h=h, s=s, o=other: verify_transform(h, o, s, control), h_vs.format(a, b)),
+            (
+                f"verify-target-{a}-{b}",
+                lambda h=h, s=s, o=other: verify_transform(o, h, s, control),
+                target_vs.format(a, b),
+            ),
+        ]
+    psi = minus_state(1)
+    cases += [
+        ("two-gate-2-4", lambda: two_gate_realization(s2, s4, psi), fast_vs.format(2, 4)),
+        ("two-gate-4-2", lambda: two_gate_realization(s4, s2, minus_state(2)), fast_vs.format(4, 2)),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("case", _dimension_refusals(), ids=lambda c: c[0])
+def test_operands_of_two_dimensions_are_refused_naming_both(case):
+    # below dim 4 the product kernel would broadcast a dim-2 H into a corner of a zero matrix
+    _, call, message = case
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestTimeRescaling:
