@@ -238,8 +238,9 @@ def propagate_each(hamiltonians, grid: TimeGrid, stride: int = 1) -> tuple[Unita
     all of one dimension) in lockstep, each into its own trace.
 
     Every n-th node is retained per ``stride`` (the final node always is).
-    The members share one block's rows; one exponential and one gate cover
-    the block, and one batched product per step advances every member.  A
+    Each member takes a whole block's rows, its steps in lockstep; one
+    exponential and one gate cover the block, written over its midpoint
+    Hamiltonians, and one batched product per step advances every member.  A
     step defect beyond the limit aborts naming its grid step: the earliest
     failing block across the members first, within it the largest defect.
     """
@@ -251,15 +252,15 @@ def propagate_each(hamiltonians, grid: TimeGrid, stride: int = 1) -> tuple[Unita
     k = len(hamiltonians)
     stride = _count(stride, "stride")
     n_nodes = _stored_count(grid.n_steps, stride)
-    _check_trace_bytes(n_nodes, dim)  # before any per-node allocation
-    dt = grid.dt
+    _check_trace_bytes(k * n_nodes, dim)  # before any per-node allocation
     last = grid.n_steps
-    rows = min(max(1, _block_rows(dim) // k), last)
+    rows = min(_block_rows(dim), last)
 
     stored = tuple(np.empty((n_nodes, dim, dim), dtype=complex) for _ in hamiltonians)
-    # row j takes U(t_{lo+j+1}) = step_j @ U(t_{lo+j}); until then it holds the
-    # midpoint Hamiltonians of step j, read by then; carry holds U(t_lo)
-    us = np.empty((rows, k, dim, dim), dtype=complex)
+    # row j of hs holds the midpoint Hamiltonians of step j, then its step
+    # unitaries; row j of us holds conj(V) of the exponential, then
+    # U(t_{lo+j+1}) = step_j @ U(t_{lo+j}); carry holds U(t_lo)
+    hs, us = (np.empty((rows, k, dim, dim), dtype=complex) for _ in range(2))
     carry = np.tile(np.eye(dim, dtype=complex), (k, 1, 1))
     for lo in range(0, last, rows):
         hi = min(lo + rows, last)
@@ -267,8 +268,9 @@ def propagate_each(hamiltonians, grid: TimeGrid, stride: int = 1) -> tuple[Unita
         times = _node_times(grid, np.arange(lo, hi + 1))
         mid = 0.5 * (times[:-1] + times[1:])
         for i, hamiltonian in enumerate(hamiltonians):
-            us[:m, i] = hamiltonian.matrix_stack(mid)
-        steps = _hermitian_expm_stack(us[:m].reshape(m * k, dim, dim), dt)
+            hs[:m, i] = hamiltonian.matrix_stack(mid)
+        steps = hs[:m].reshape(m * k, dim, dim)
+        steps = _hermitian_expm_stack(steps, grid.dt, out=steps, work=us[:m].reshape(m * k, dim, dim))
         _check_stored(steps, lambda j: lo + j // k, "step unitary")
         u = carry
         for step, out in zip(steps.reshape(m, k, dim, dim), us):
@@ -283,7 +285,7 @@ def propagate_each(hamiltonians, grid: TimeGrid, stride: int = 1) -> tuple[Unita
     for i, mats in enumerate(stored):
         mats[0] = np.eye(dim)
         mats[-1] = carry[i]  # the last node, a stride multiple or not
-    del us, steps  # freed before the gates take their own two blocks
+    del hs, us, steps  # freed before the gates take their own two blocks
     return tuple(UnitaryTrace(grid, stride, mats, "stored unitary") for mats in stored)
 
 

@@ -92,6 +92,20 @@ def test_array_scale_matches_per_scale_calls(dim, data):
         np.testing.assert_allclose(stack[k], reference_expm(g, float(s)), rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_steps_written_over_their_generators_keep_the_bits(dim, real):
+    # einsum below dim 4, @ from it; an all-real stack takes the real solver
+    rng = np.random.default_rng(dim)
+    g = rng.normal(size=(37, dim, dim)) + (0 if real else 1j * rng.normal(size=(37, dim, dim)))
+    g = (g + g.conj().transpose(0, 2, 1)).astype(complex)
+    fresh = _hermitian_expm_stack(g.copy(), 0.3)
+    buffer, work = g.copy(), np.empty_like(g)
+    steps = _hermitian_expm_stack(buffer, 0.3, out=buffer, work=work)
+    assert steps is buffer
+    assert np.array_equal(steps, fresh)
+
+
 def test_scale_shapes():
     z = np.diag([1.0, -1.0]).astype(complex)
     assert hermitian_expm(z, 0.3).shape == (2, 2)
@@ -207,17 +221,17 @@ def test_propagate_single_step_and_stride_beyond_the_grid():
 @pytest.mark.parametrize("stride", [1, 7, 60])
 @pytest.mark.parametrize("n_qubits", [1, 3, 4])
 def test_lockstep_pair_matches_separate_runs(n_qubits, stride, rows, n_steps, monkeypatch):
-    # rows forces each member's share of a block: 53 steps end in a last
-    # block of 1 row (4 rows a share) or 3 rows (5); n_steps None is one step
-    # past the default share, so the default blocks end in a block of 1 row
+    # rows forces each member's block: 53 steps end in a last block of 1 row
+    # (4 rows a block) or 3 rows (5); n_steps None is one step past the
+    # default block, so the default blocks end in a block of 1 row
     pair = (random_anneal(n_qubits, seed=n_qubits), random_anneal(n_qubits, seed=10 + n_qubits))
     dim = pair[0].dim
     if n_steps is None:
-        n_steps = operators._block_rows(dim) // 2 + 1
+        n_steps = operators._block_rows(dim) + 1
     grid = TimeGrid(0.0, 1.0, n_steps)
     separate = [propagate(h, grid, stride=stride) for h in pair]
     if rows is not None:
-        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 2 * rows * dim * dim)
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", rows * dim * dim)
     traces = propagate_each(pair, grid, stride=stride)
     assert len(traces) == 2
     for trace, alone in zip(traces, separate):

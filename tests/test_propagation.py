@@ -233,6 +233,18 @@ class TestPropagate:
 
         assert traced_peak(refused) < 2**20
 
+    def test_memory_guard_counts_every_lockstep_member(self):
+        problem = IsingProblem(10, fields=(0.0,) * 10)
+        h = annealing_hamiltonian(Constant(0.0), problem)
+
+        def refused():
+            # two members of 100 stored unitaries of dimension 1024 each take
+            # about 3.1 GiB, though one member alone takes 1.6 GiB
+            with pytest.raises(ValueError, match=r"storing 200 unitaries of dimension 1024 needs ~3\.1 GiB"):
+                propagate_each((h, h), TimeGrid(0.0, 1.0, 99), stride=1)
+
+        assert traced_peak(refused) < 2**20
+
     def test_sampled_trace_over_the_bound_is_refused_after_its_first_sample(self):
         # 513 sampled unitaries of dimension 512 take 513 x 4 MiB, just over
         # 2 GiB; the first sample fixes d, and no second one is asked for
@@ -312,6 +324,35 @@ class TestPropagate:
         # count beyond 16 KiB of bookkeeping; a block is 512 KiB
         assert peaks[20_000] - peaks[10_000] <= 2**14, peaks
 
+    @pytest.mark.parametrize("n_steps", [1, 128, 129, 1000])
+    def test_each_lockstep_member_takes_a_whole_block(self, n_steps, monkeypatch):
+        # one exponential per block of _block_rows(dim) steps of every member
+        real, calls = propagation._hermitian_expm_stack, []
+
+        def counted(generators, dt, **buffers):
+            calls.append(len(generators))
+            return real(generators, dt, **buffers)
+
+        monkeypatch.setattr(propagation, "_hermitian_expm_stack", counted)
+        pair = [annealing_hamiltonian(LinearRamp(1.0, 0.0, 1.0), IsingProblem(4, fields=(f,) * 4)) for f in (0.5, 0.3)]
+        propagate_each(pair, TimeGrid(0.0, 1.0, n_steps))
+        rows = operators._block_rows(16)
+        assert len(calls) == -(-n_steps // rows)
+        assert calls == [2 * min(rows, n_steps - lo) for lo in range(0, n_steps, rows)]
+
+    def test_lockstep_pair_working_set_is_two_blocks_and_the_eigenvectors(self):
+        # the counterpart pair of configs/ising.json: its midpoint Hamiltonians
+        # turn into its steps in one buffer, conj(V) into U in the other, next
+        # to eigh's vectors; fresh conj(V) and step stacks would read 5.1 MiB
+        chain = ((0, 1, -1.0), (1, 2, -1.0), (2, 3, -1.0))
+        problem = IsingProblem(4, fields=(0.5,) * 4, couplings=chain)
+        ramp = LinearRamp(2.0, 0.0, 2.0)
+        pair = (annealing_hamiltonian(ramp, problem), fast_counterpart_hamiltonian(ramp, problem, Harmonic(10 * np.pi)))
+        kept = []
+        peak = traced_peak(lambda: kept.extend(propagate_each(pair, TimeGrid(0.0, 2.0, 4_000), stride=20)))
+        returned = sum(trace.matrices.nbytes for trace in kept)
+        assert peak - returned <= 3.5 * 2**20, (peak, returned)
+
     def test_analysis_working_set_is_one_block_plus_the_returned_arrays(self):
         # the frame check of configs/nmr.json at dim 2: reduce the control,
         # compose the transform and verify it; the traces composed are built
@@ -372,8 +413,8 @@ class TestDefectGates:
         real = propagation._hermitian_expm_stack
         blocks = []
 
-        def poisoned(generators, dt):
-            steps = real(generators, dt)
+        def poisoned(generators, dt, **buffers):
+            steps = real(generators, dt, **buffers)
             if len(blocks) == 2:  # the third block: steps 8 to 11
                 steps[3, 0, 1] = np.nan
             blocks.append(steps)
@@ -405,13 +446,14 @@ class TestDefectGates:
 
         real = propagation._hermitian_expm_stack
 
-        def leaky(generators, dt):
-            steps = real(generators, dt)
-            steps[generators[:, 0, 1] == 3.0] *= 1.001
+        def leaky(generators, dt, **buffers):
+            marked = generators[:, 0, 1] == 3.0  # read before the steps overwrite it
+            steps = real(generators, dt, **buffers)
+            steps[marked] *= 1.001
             return steps
 
         monkeypatch.setattr(propagation, "_hermitian_expm_stack", leaky)
-        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 2 * 4 * 2 * 2)
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 4 * 2 * 2)
         first = constant_z_hamiltonian(1.0) if first_fails_at is None else marked_at(first_fails_at)
         # the earliest failing block across the pair is refused first, whichever
         # member fails in it: the second member's step 13 (block 3) before the

@@ -70,9 +70,9 @@ def untimed_outputs(out):
 
 @pytest.mark.parametrize("name", sorted(REDUCED))
 def test_outputs_do_not_depend_on_the_block_budget(tmp_path, monkeypatch, name):
-    # at 2^9 elements a dim-16 block has two rows, one per member of ising's lockstep pair
+    # at 2^9 elements a dim-16 block has two rows, at 2^8 one, for each member of ising's lockstep pair
     runs = {}
-    for elements in (1 << 15, 1 << 11, 1 << 9):
+    for elements in (1 << 15, 1 << 11, 1 << 9, 1 << 8):
         monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", elements)
         out = tmp_path / str(elements)
         overrides = [arg for key in REDUCED[name] for arg in ("--set", key)]
