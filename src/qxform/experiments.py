@@ -184,7 +184,7 @@ def nmr_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
         n_steps = max(16, int(math.ceil(_within_step_limit(t_final / 1e-3))))
     check_frame_steps(n_steps)
     _check_trace_bytes(2 * n_steps + 1, 2, "take fewer steps")
-    return TimeGrid(0.0, float(t_final), n_steps)
+    return TimeGrid(0.0, t_final, n_steps)
 
 
 def anneal_grid(t_final: float, n_steps: int | None = None) -> TimeGrid:
@@ -266,7 +266,7 @@ def run_nmr_experiment(
     correction_distance = phase_aligned_distance(correction, reference)
 
     metrics = {
-        "detuning": float(detuning),
+        "detuning": detuning,
         "t_final": grid.t_end,
         "n_steps": grid.n_steps,
         "adiabaticity_ratio": drive_strength / abs(detuning) if detuning != 0.0 else math.inf,
@@ -321,7 +321,7 @@ def run_annealing_experiment(problem, grid: TimeGrid, transverse0: float | None 
     metrics = {
         "success_probability": success,
         "min_gap": float(min_gap),
-        "runtime_t": float(grid.t_end),
+        "runtime_t": grid.t_end,
         "initial_minus_overlap": overlap0,
         "adiabaticity_ratio": min_gap * min_gap * grid.t_end,
     }

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
-from .operators import PauliString, _as_int, _flip_form, _qubit_index, _sign_table, check_envelope, check_qubit_count
+from .operators import PauliString, _as_float, _as_int, _flip_form, _qubit_index, _sign_table, check_envelope, check_qubit_count
 from .schedules import Constant, NmrParams, Schedule
 
 
@@ -100,8 +101,8 @@ class TimeDependentHamiltonian:
                     raise ValueError(f"expected a PauliString term, got {type(s).__name__}")
                 if s.support and max(s.support) >= self.n_qubits:
                     raise ValueError(f"qubit index {max(s.support)} out of range for {self.n_qubits} qubits")
-            if isinstance(coeff, (int, float)):
-                coeff = Constant(float(coeff))
+            if isinstance(coeff, numbers.Real):
+                coeff = Constant(coeff)
             constant = isinstance(coeff, Constant) and math.isfinite(coeff.c)  # else evaluation names it
             if strings and not constant:
                 coefficients.append((coeff, slice(len(labels), len(labels) + len(strings))))
@@ -210,7 +211,7 @@ class IsingProblem:
 
     def __init__(self, n_qubits: int, fields: tuple, couplings: tuple = ()):
         n = check_qubit_count(n_qubits)
-        fields = tuple(float(h) for h in fields)
+        fields = tuple(_as_float(h, f"fields[{k}]") for k, h in enumerate(fields))
         if len(fields) != n:
             raise ValueError(f"expected {n} local fields, got {len(fields)}")
         for k, h in enumerate(fields):
@@ -222,7 +223,7 @@ class IsingProblem:
             if not hasattr(entry, "__len__") or len(entry) != 3:
                 raise ValueError(f"couplings[{k}] is not an (i, j, J) triple: {entry!r}")
             i, j = (_qubit_index(x, f"couplings[{k}]") for x in entry[:2])
-            coupling = float(entry[2])
+            coupling = _as_float(entry[2], f"couplings[{k}]")
             if not math.isfinite(coupling):
                 raise ValueError(f"couplings[{k}] has a non-finite coupling: {coupling}")
             if i == j:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -48,6 +49,18 @@ def _as_int(value):
     except (TypeError, ValueError, OverflowError):
         return None
     return n if n == value else None
+
+
+def _as_float(value, name: str) -> float:
+    """``value`` as a Python float, every bit of a float or a numpy float
+    kept; a non-number, or an integer past the float range, is refused by
+    ``name``."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer past the float range") from None
 
 
 def _qubit_index(value, where: str) -> int:
@@ -145,7 +158,7 @@ class PauliString:
         qubits = [q for q, _ in facs]
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"duplicate qubit indices in Pauli string: {qubits}")
-        self.factors, self.coefficient = facs, float(coefficient)
+        self.factors, self.coefficient = facs, _as_float(coefficient, "a Pauli string's coefficient")
         if not math.isfinite(self.coefficient):
             raise ValueError(f"the coefficient {self.coefficient!r} of a Pauli string is not finite")
 

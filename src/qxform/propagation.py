@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .operators import (
+    _as_float,
     _as_int,
     _block_rows,
     _hermitian_expm_stack,
@@ -50,11 +51,11 @@ class TimeGrid:
     Grids with equal ends and step counts are equal."""
 
     def __init__(self, t_start: float, t_end: float, n_steps: int):
-        self.t_start, self.t_end = t_start, t_end
+        self.t_start, self.t_end = _as_float(t_start, "t_start"), _as_float(t_end, "t_end")
         self.n_steps = _count(_within_step_limit(n_steps), "n_steps")
-        if not t_end > t_start:
+        if not self.t_end > self.t_start:
             raise ValueError(f"grid needs t_end > t_start, got [{t_start}, {t_end}]")
-        for name, t in (("t_start", t_start), ("t_end", t_end)):
+        for name, t in (("t_start", self.t_start), ("t_end", self.t_end)):
             if not abs(t) <= sys.float_info.max / 2:
                 raise ValueError(
                     f"{name} = {t!r} exceeds half the largest float, where the sum of two "

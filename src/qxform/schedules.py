@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import numpy as np
 
+from .operators import _as_float
+
 
 class Schedule:
     """A real function on [0, t_max] that can also report its derivative.
@@ -45,7 +47,7 @@ class Schedule:
 
 class Constant(Schedule):
     def __init__(self, c: float):
-        self.c = c
+        self.c = _as_float(c, "a constant")
 
     def value(self, t):
         return np.full_like(self._checked(t), self.c)
@@ -58,9 +60,10 @@ class _Ramp(Schedule):
     """A ramp from ``start`` to ``stop`` over [0, duration]."""
 
     def __init__(self, start: float, stop: float, duration: float):
-        if not duration > 0:  # NaN too
+        self.start, self.stop = _as_float(start, "a ramp's start"), _as_float(stop, "a ramp's stop")
+        self.duration = _as_float(duration, "a ramp's duration")
+        if not self.duration > 0:  # NaN too
             raise ValueError(f"ramp duration must be positive, got {duration}")
-        self.start, self.stop, self.duration = start, stop, duration
 
     @property
     def t_max(self) -> float:
@@ -84,7 +87,7 @@ class Harmonic(Schedule):
     """Uniformly advancing phase: value is rate * t."""
 
     def __init__(self, rate: float):
-        self.rate = rate
+        self.rate = _as_float(rate, "a phase rate")
 
     def value(self, t):
         return self.rate * self._checked(t)
@@ -161,9 +164,9 @@ class NmrParams:
         drive_phase: Schedule,
         frame_phase: Schedule | None = None,
     ):
-        if not drive_strength > 0:  # NaN too
+        self.qubit_splitting, self.drive_strength = qubit_splitting, _as_float(drive_strength, "drive_strength")
+        if not self.drive_strength > 0:  # NaN too
             raise ValueError(f"drive strength must be positive, got {drive_strength}")
-        self.qubit_splitting, self.drive_strength = qubit_splitting, drive_strength
         self.drive_phase, self.frame_phase = drive_phase, frame_phase
 
     @classmethod

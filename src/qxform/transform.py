@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .operators import _block_rows, _row_norms, _stack_matmul, hermitian_expm, pauli_matrix, phase_aligned_distance
+from .operators import _as_float, _block_rows, _row_norms, _stack_matmul, hermitian_expm, pauli_matrix, phase_aligned_distance
 from .propagation import (
     TimeGrid,
     UnitaryTrace,
@@ -203,7 +203,7 @@ class ControlResidual:
     control was built on and its largest frame-change residual."""
 
     def __init__(self, grid: TimeGrid, max_residual: float):
-        self.grid, self.max_residual = grid, max_residual
+        self.grid, self.max_residual = grid, _as_float(max_residual, "max_residual")
 
 
 def control_residual(hamiltonian, frame_hamiltonian, control: UnitaryTrace) -> ControlResidual:
@@ -212,7 +212,7 @@ def control_residual(hamiltonian, frame_hamiltonian, control: UnitaryTrace) -> C
     reconstruction at a time.  Pass it in as a temporary before building the
     transform it calibrates, so the two are never held at once."""
     residuals = _frame_change(hamiltonian, control, target=frame_hamiltonian)[1]
-    return ControlResidual(control.grid, float(np.max(residuals)))
+    return ControlResidual(control.grid, np.max(residuals))
 
 
 def verify_transform(
@@ -288,9 +288,9 @@ class TimeScaling:
     """Characteristic times of the fast and slow processes, fast < slow."""
 
     def __init__(self, fast_time: float, slow_time: float):
-        if not 0 < fast_time < slow_time:
+        self.fast_time, self.slow_time = _as_float(fast_time, "fast_time"), _as_float(slow_time, "slow_time")
+        if not 0 < self.fast_time < self.slow_time:
             raise ValueError(f"need 0 < fast_time < slow_time, got {fast_time}, {slow_time}")
-        self.fast_time, self.slow_time = fast_time, slow_time
         if not math.isfinite(self.ratio):
             raise ValueError(
                 f"the ratio slow_time/fast_time = {self.slow_time!r}/{self.fast_time!r} overflows"
@@ -307,7 +307,7 @@ class _AmplitudeScaled:
 
     def __init__(self, base, factor: float):
         self.base = base
-        self.factor = float(factor)
+        self.factor = factor
         self.dim = base.dim
 
     def matrix_stack(self, ts):

@@ -50,6 +50,22 @@ def frame_drive(p):
     return NmrParams.harmonic(0.0, p.detuning, p.drive_strength)
 
 
+class Evaluated(Exception):
+    """A guard let a propagation reach its first Hamiltonian evaluation."""
+
+
+class UnevaluableHamiltonian:
+    """A Hamiltonian of dimension ``dim`` whose first evaluation raises
+    Evaluated: a guard test whose refusal is missing fails at once, not
+    after propagating gigabytes."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def matrix_stack(self, ts):
+        raise Evaluated(f"evaluated at {len(ts)} times")
+
+
 def traced_peak(fn):
     """Peak bytes traced by tracemalloc while fn() runs."""
     tracemalloc.start()
@@ -149,6 +165,25 @@ class TestTimeGrid:
                 TimeGrid(-1.7e308, 0.0, 2)
         assert TimeGrid(-sys.float_info.max / 2, sys.float_info.max / 2, 2).dt == sys.float_info.max / 2
 
+    def test_float32_end_is_kept_as_a_python_float(self):
+        # the range check once cast the bound to float32: an overflow warning,
+        # and without -W error a grid that kept t_end=np.float32(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = TimeGrid(0.0, np.float32(2.0), 4)
+        assert type(grid.t_end) is float and grid.t_end == 2.0
+
+    @pytest.mark.parametrize("t", [0.1, math.nextafter(1.0, 2.0), 16 * sys.float_info.min, sys.float_info.max / 2])
+    def test_python_float_ends_keep_every_bit(self, t):
+        grid = TimeGrid(-t, t, 1)
+        assert (grid.t_start, grid.t_end) == (-t, t) and type(grid.t_end) is float
+
+    @pytest.mark.parametrize("ends, name", [((0.0, "1"), "t_end"), (("0", 1.0), "t_start"), ((0.0, None), "t_end")])
+    def test_non_number_end_is_refused_by_name(self, ends, name):
+        # "1" once reached the comparison t_end > t_start: a bare TypeError naming no end
+        with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+            TimeGrid(*ends, 4)
+
 
 class TestPropagate:
     def test_commuting_constant_generator_is_exact(self):
@@ -212,8 +247,7 @@ class TestPropagate:
             h.matrix(0.0)
 
     def test_memory_guard_suggests_stride(self):
-        problem = IsingProblem(10, fields=(0.0,) * 10)
-        h = annealing_hamiltonian(Constant(0.0), problem)
+        h = UnevaluableHamiltonian(2**10)
 
         def refused():
             with pytest.raises(ValueError, match="stride"):
@@ -223,8 +257,7 @@ class TestPropagate:
         assert traced_peak(refused) < 2**20
 
     def test_memory_guard_refuses_before_allocating(self):
-        problem = IsingProblem(10, fields=(0.0,) * 10)
-        h = annealing_hamiltonian(Constant(0.0), problem)
+        h = UnevaluableHamiltonian(2**10)
 
         def refused():
             # 201 stored unitaries of dimension 1024 would take about 3.1 GiB
@@ -234,8 +267,7 @@ class TestPropagate:
         assert traced_peak(refused) < 2**20
 
     def test_memory_guard_counts_every_lockstep_member(self):
-        problem = IsingProblem(10, fields=(0.0,) * 10)
-        h = annealing_hamiltonian(Constant(0.0), problem)
+        h = UnevaluableHamiltonian(2**10)
 
         def refused():
             # two members of 100 stored unitaries of dimension 1024 each take
@@ -528,6 +560,15 @@ class TestAnalyticPropagators:
         p = NmrParams(Constant(1.0), 1.0, LinearRamp(0.0, 2.0, 4.0))
         with pytest.raises(ValueError, match="rotating"):
             nmr_fast_propagator(p, 0.5)
+
+    def test_float32_parameters_run_in_float64(self):
+        # float32 parameters once made 2 g a float32, which overflows at g = 3e38
+        f32 = NmrParams.harmonic(np.float32(1.0), np.float32(3e38), np.float32(3e38))
+        f64 = NmrParams.harmonic(1.0, float(np.float32(3e38)), float(np.float32(3e38)))
+        ts = np.linspace(0.0, 1e-38, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(nmr_fast_propagator(f32, ts), nmr_fast_propagator(f64, ts))
 
 
 class TestTraceAccess:

@@ -638,6 +638,16 @@ class TestTimeRescaling:
             TimeScaling(2.0, 1.0)
         assert TimeScaling(0.1, 10.0).ratio == 100.0
 
+    def test_float32_times_give_a_float64_ratio(self):
+        # the float32 ratio 3e38 / 1e-30 was refused as an overflow
+        scaling = TimeScaling(np.float32(1e-30), np.float32(3e38))
+        assert scaling.ratio == float(np.float32(3e38)) / float(np.float32(1e-30))
+        assert type(scaling.fast_time) is type(scaling.slow_time) is float
+
+    def test_non_number_time_is_refused_by_name(self):
+        with pytest.raises(TypeError, match="^slow_time must be a real number"):
+            TimeScaling(1.0, "2")
+
     def test_unit_ratio_distance_is_machine_zero(self):
         problem = GroverProblem(2, 3)
         h = annealing_hamiltonian(LinearRamp(2.0, 0.0, 1.0), problem)
